@@ -131,28 +131,34 @@ impl ClosedDag {
         u == v || self.reaches(v, u)
     }
 
-    /// Add edge `u → v` if acyclic; returns whether it was added.
+    /// Add edge `u → v` unless it would close a cycle; returns whether
+    /// `u → v` now holds. An edge the closure already implies is not
+    /// recorded: reachability is unchanged, and so is every
+    /// [`topo_sort_by_key`](Self::topo_sort_by_key) — a node is ready
+    /// once its direct predecessors are out, and those are out only
+    /// after all of its ancestors.
     pub fn add_edge(&mut self, u: usize, v: usize) -> bool {
         if self.would_cycle(u, v) {
             return false;
         }
-        if self.reach.get(u, v) && self.adj[u].contains(&v) {
-            return true; // already a direct edge
+        if self.reaches(u, v) {
+            return true;
         }
         self.adj[u].push(v);
         // Everything reaching u (plus u itself) now reaches v and
-        // everything v reaches.
-        let ancestors: Vec<usize> = (0..self.len())
-            .filter(|&a| a == u || self.reach.get(a, u))
-            .collect();
-        for a in ancestors {
-            self.reach.set(a, v);
-            self.reach.or_row(a, v);
+        // everything v reaches — unless it reached v before, and so
+        // all of that. (Column u is stable meanwhile: v cannot reach u.)
+        for a in 0..self.len() {
+            if (a == u || self.reach.get(a, u)) && !self.reach.get(a, v) {
+                self.reach.set(a, v);
+                self.reach.or_row(a, v);
+            }
         }
         true
     }
 
-    /// Direct successors of `i`.
+    /// Recorded successors of `i`: the edges that were not already
+    /// implied when added, so a superset of the transitive reduction.
     pub fn successors(&self, i: usize) -> &[usize] {
         &self.adj[i]
     }
@@ -290,6 +296,41 @@ mod tests {
             }
             // And the graph must topologically sort (acyclic).
             let _ = g.topo_sort_by_key(|i| i);
+        }
+
+        /// `add_edge` records no edge the closure already implies, and
+        /// which edges those are depends on insertion order. The sort
+        /// does not: it equals Kahn's algorithm run over *every* edge,
+        /// redundant ones included.
+        #[test]
+        fn topo_sort_ignores_redundant_edges(
+            raw in proptest::collection::vec((0usize..12, 0usize..12), 0..60),
+            keys in proptest::collection::vec(0u8..4, 12..=12),
+        ) {
+            let edges: Vec<(usize, usize)> = raw
+                .into_iter()
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            let key = |i: usize| (keys[i], i);
+            let mut reference = Vec::new();
+            while reference.len() < 12 {
+                let next = (0..12)
+                    .filter(|v| !reference.contains(v))
+                    .filter(|&v| edges.iter().all(|&(a, b)| b != v || reference.contains(&a)))
+                    .min_by_key(|&v| key(v))
+                    .expect("forward edges cannot cycle");
+                reference.push(next);
+            }
+            let (mut fwd, mut rev) = (ClosedDag::new(12), ClosedDag::new(12));
+            for &(a, b) in &edges {
+                proptest::prop_assert!(fwd.add_edge(a, b));
+            }
+            for &(a, b) in edges.iter().rev() {
+                proptest::prop_assert!(rev.add_edge(a, b));
+            }
+            proptest::prop_assert_eq!(&fwd.topo_sort_by_key(key), &reference);
+            proptest::prop_assert_eq!(&rev.topo_sort_by_key(key), &reference);
         }
     }
 }

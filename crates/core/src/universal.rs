@@ -32,7 +32,6 @@ use apram_history::{DetSpec, ProcId};
 use apram_lattice::TaggedVec;
 use apram_model::MemCtx;
 use apram_snapshot::{Snapshot, SnapshotHandle};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,10 +90,6 @@ impl<O: fmt::Debug, R: fmt::Debug> fmt::Debug for Entry<O, R> {
 /// A reference-counted entry pointer, as stored in the root array.
 pub type EntryRef<S> = Arc<Entry<<S as DetSpec>::Op, <S as DetSpec>::Resp>>;
 
-/// A view signature (the `(proc, seq)` keys of the view's root entries)
-/// mapped to its replayed `(state, history length)`.
-type ReplayMemo<S> = HashMap<Vec<(ProcId, u64)>, (<S as DetSpec>::State, usize)>;
-
 /// The register type backing a universal object for spec `S`.
 pub type UniversalReg<S> = TaggedVec<EntryRef<S>>;
 
@@ -131,32 +126,49 @@ impl<S: AlgebraicSpec + Clone> Universal<S> {
     }
 
     /// A per-process handle. One per process: it owns the process's
-    /// operation counter and snapshot cache.
+    /// operation counter, snapshot cache and replayed history.
     pub fn handle(&self) -> UniversalHandle<S> {
         UniversalHandle {
             spec: self.spec.clone(),
             snap: self.snap.handle(),
             seq: 0,
             last_history_len: 0,
-            replay_memo: HashMap::new(),
+            base: self.spec.initial(),
+            cut: vec![0; self.n()],
+            last_state: self.spec.initial(),
+            last_view: Vec::new(),
         }
     }
 }
 
 /// A per-process handle on a [`Universal`] object.
+///
+/// Beyond Figure 4's bookkeeping it keeps what it has already replayed,
+/// so that "H := linearization of view" costs only the part of the view
+/// that can still change. Both things kept are pure functions of views
+/// the handle has taken: entries are immutable once published, and a
+/// handle's views only grow.
 #[derive(Clone)]
 pub struct UniversalHandle<S: AlgebraicSpec> {
     spec: S,
     snap: SnapshotHandle<EntryRef<S>>,
     seq: u64,
     last_history_len: usize,
-    /// Replay memo: a view's *signature* (the `(proc, seq)` keys of its
-    /// root entries) determines its closure, hence (by the deterministic
-    /// canonical linearization) the replayed state. Caching it turns
-    /// repeated operations against an unchanged world from
-    /// O(history²) into O(n). Sound because the cached value is a pure
-    /// function of the signature; entries are immutable once published.
-    replay_memo: ReplayMemo<S>,
+    /// The absorbed prefix: `base` is the state after replaying, in
+    /// linearization order, the first `cut[p]` entries of every process
+    /// `p`. Everything absorbed precedes every entry this handle can
+    /// still come to see, so every later linearization starts with
+    /// exactly this prefix (the cut lemma, DESIGN.md) and only the
+    /// *working set* beyond it is linearized again.
+    base: S::State,
+    cut: Vec<u64>,
+    /// The last view replayed: its signature (per process, how many
+    /// entries the view's closure holds) and the replayed state. A
+    /// signature determines its closure, so meeting it again needs no
+    /// replay; views are monotone, so no older one can recur. Empty
+    /// when nothing is held.
+    last_view: Vec<u64>,
+    last_state: S::State,
 }
 
 impl<S: AlgebraicSpec + fmt::Debug> fmt::Debug for UniversalHandle<S> {
@@ -165,7 +177,7 @@ impl<S: AlgebraicSpec + fmt::Debug> fmt::Debug for UniversalHandle<S> {
             .field("spec", &self.spec)
             .field("seq", &self.seq)
             .field("last_history_len", &self.last_history_len)
-            .field("memo_entries", &self.replay_memo.len())
+            .field("cut", &self.cut)
             .finish_non_exhaustive()
     }
 }
@@ -180,10 +192,12 @@ where
     pub fn execute<C: MemCtx<UniversalReg<S>>>(&mut self, ctx: &mut C, op: S::Op) -> S::Resp {
         // Step 1: snapshot the root array and linearize the view.
         let view = self.snap.snap(ctx);
-        let (state, count) = self.replay_view(&view);
-        self.last_history_len = count;
-        let mut state = state;
-        let resp = self.spec.apply(&mut state, ctx.proc(), &op);
+        self.replay_view(&view);
+        // The new entry follows everything in its view, so it comes
+        // last in every linearization of the view whose root it is:
+        // that view is replayed by applying the operation in place.
+        let resp = self.spec.apply(&mut self.last_state, ctx.proc(), &op);
+        self.last_view[ctx.proc()] = self.seq + 1;
         let entry = Arc::new(Entry {
             proc: ctx.proc(),
             seq: self.seq,
@@ -221,103 +235,156 @@ where
             "execute_unpublished requires an operation overwritten by everything"
         );
         let view = self.snap.snap(ctx);
-        let (state, count) = self.replay_view(&view);
-        self.last_history_len = count;
-        let mut state = state;
-        self.spec.apply(&mut state, ctx.proc(), &op)
+        self.replay_view(&view);
+        self.spec
+            .apply(&mut self.last_state.clone(), ctx.proc(), &op)
     }
 
-    /// Number of operations replayed by the most recent execute (the
-    /// size of the visible history; used by the overhead experiments).
+    /// Number of operations in the history the most recent execute
+    /// answered from: the whole visible history, absorbed or not (used
+    /// by the overhead experiments).
     pub fn last_history_len(&self) -> usize {
         self.last_history_len
     }
 
-    /// Drop the replay memo (benchmarks use this to measure the uncached
-    /// replay path; there is no correctness reason to call it).
+    /// Forget everything replayed so far, the last view and the
+    /// absorbed prefix, so that the next execute linearizes its whole
+    /// view from the empty graph (benchmarks and differential tests use
+    /// this; there is no correctness reason to call it).
     pub fn clear_replay_memo(&mut self) {
-        self.replay_memo.clear();
+        self.last_view.clear();
+        self.base = self.spec.initial();
+        self.cut.fill(0);
     }
 
-    /// Build the precedence graph rooted at `view`, run the Figure 3
-    /// construction, topologically sort it, and replay the resulting
-    /// sequential history. Returns the final state and the number of
-    /// operations replayed. Memoized on the view signature.
-    fn replay_view(&mut self, view: &[Option<EntryRef<S>>]) -> (S::State, usize) {
-        let signature: Vec<(ProcId, u64)> = view
-            .iter()
-            .map(|slot| slot.as_ref().map_or((usize::MAX, u64::MAX), |e| e.key()))
-            .collect();
-        if let Some(hit) = self.replay_memo.get(&signature) {
-            return hit.clone();
+    /// Figure 4's "H := linearization of view", replayed into
+    /// `last_state`: build the precedence graph of the working set (the
+    /// view's closure beyond the absorbed prefix), run the Figure 3
+    /// construction on it, sort it topologically and replay it on top
+    /// of `base`; on the way, absorb its stable prefix.
+    fn replay_view(&mut self, view: &[Option<EntryRef<S>>]) {
+        // Of each process exactly the entries up to its root are visible.
+        let signature = view.iter().map(|r| r.as_ref().map_or(0, |e| e.seq + 1));
+        self.last_history_len = signature.clone().sum::<u64>() as usize;
+        if signature.clone().eq(self.last_view.iter().copied()) {
+            return;
         }
-        let result = self.replay_view_uncached(view);
-        // Bound the memo: one entry per distinct world observed; evict
-        // wholesale when it grows large (stale signatures never recur,
-        // so a full clear costs at most one uncached replay each).
-        if self.replay_memo.len() >= 1024 {
-            self.replay_memo.clear();
+        self.last_view.clear();
+        self.last_view.extend(signature);
+        // The working set, one block of node indices per process: its
+        // entries from `cut[p]` up to its root, oldest first, found by
+        // following the process's own slot.
+        let mut start = vec![0; view.len() + 1];
+        for (p, (seen, cut)) in self.last_view.iter().zip(&self.cut).enumerate() {
+            start[p + 1] = start[p] + seen.saturating_sub(*cut) as usize;
         }
-        self.replay_memo.insert(signature, result.clone());
-        result
-    }
-
-    fn replay_view_uncached(&self, view: &[Option<EntryRef<S>>]) -> (S::State, usize) {
-        // Collect the closure of the view through `preceding` pointers.
-        let mut index: HashMap<(ProcId, u64), usize> = HashMap::new();
-        let mut nodes: Vec<EntryRef<S>> = Vec::new();
-        let mut stack: Vec<EntryRef<S>> = view.iter().flatten().cloned().collect();
-        while let Some(e) = stack.pop() {
-            if index.contains_key(&e.key()) {
-                continue;
+        let mut nodes: Vec<&Entry<S::Op, S::Resp>> = Vec::with_capacity(start[view.len()]);
+        for (p, root) in view.iter().enumerate() {
+            let mut next = root.as_deref();
+            while let Some(e) = next.filter(|e| e.seq >= self.cut[p]) {
+                nodes.push(e);
+                next = e.preceding[p].as_deref();
             }
-            index.insert(e.key(), nodes.len());
-            nodes.push(Arc::clone(&e));
-            stack.extend(e.preceding().iter().flatten().cloned());
+            assert_eq!(
+                nodes.len(),
+                start[p + 1],
+                "P{p} must chain through its own slot"
+            );
+            nodes[start[p]..].reverse();
         }
-        let k = nodes.len();
+        let index = |e: &Entry<S::Op, S::Resp>| {
+            let past_cut = e.seq.checked_sub(self.cut[e.proc])?;
+            debug_assert!(
+                e.seq < self.last_view[e.proc],
+                "{e:?} is newer than its root"
+            );
+            Some(start[e.proc] + past_cut as usize)
+        };
         // Precedence edges: every entry in an operation's view precedes
         // it. (Transitivity through the views covers the full real-time
-        // order; see DESIGN.md.)
-        let mut prec = ClosedDag::new(k);
+        // order; see DESIGN.md.) Absorbed entries precede the whole
+        // working set and need no edge.
+        let mut prec = ClosedDag::new(nodes.len());
         for (f_idx, f) in nodes.iter().enumerate() {
-            for e in f.preceding().iter().flatten() {
-                let e_idx = index[&e.key()];
-                let added = prec.add_edge(e_idx, f_idx);
-                debug_assert!(
-                    added || prec.reaches(e_idx, f_idx),
-                    "view pointers must be acyclic"
-                );
+            for e_idx in f.preceding.iter().flatten().filter_map(|e| index(e)) {
+                let acyclic = prec.add_edge(e_idx, f_idx);
+                debug_assert!(acyclic, "view pointers must be acyclic");
             }
         }
         // Figure 3 + canonical linearization.
-        let order = canonical_order(&prec, |i| nodes[i].key());
-        let spec = &self.spec;
+        let key = |i: usize| nodes[i].key();
+        let order = canonical_order(&prec, key);
         let lin = lingraph(&prec, &order, |a, b| {
-            dominates(
-                spec,
-                &nodes[a].op,
-                nodes[a].proc,
-                &nodes[b].op,
-                nodes[b].proc,
-            )
+            let (a, b) = (nodes[a], nodes[b]);
+            dominates(&self.spec, &a.op, a.proc, &b.op, b.proc)
         });
-        let seq = lin.topo_sort_by_key(|i| nodes[i].key());
-        // Replay. Every stored response must match (Theorem 26's
-        // invariant: the shared graph always has a legal linearization,
-        // and by Lemma 20 all linearizations are equivalent/legal).
-        let mut state = self.spec.initial();
-        for &i in &seq {
-            let node = &nodes[i];
-            let r = self.spec.apply(&mut state, node.proc, &node.op);
-            debug_assert!(
-                r == node.resp,
-                "linearization illegal: replayed {r:?} but entry holds {:?} for {:?}",
-                node.resp,
-                node
-            );
+        let seq = lin.topo_sort_by_key(key);
+        // Replay: the stable prefix into `base`, the rest on top of it.
+        let new_cut = self.stable_cut(&nodes, &start);
+        let beyond_old = new_cut.iter().zip(&self.cut).map(|(new, old)| new - old);
+        let absorbed = beyond_old.sum::<u64>() as usize;
+        debug_assert!(
+            seq[..absorbed]
+                .iter()
+                .map(|&i| nodes[i])
+                .all(|e| e.seq < new_cut[e.proc]),
+            "the stable cut must be a prefix of the linearization"
+        );
+        for &i in &seq[..absorbed] {
+            Self::replay(&self.spec, &mut self.base, nodes[i]);
         }
-        (state, k)
+        self.last_state.clone_from(&self.base);
+        for &i in &seq[absorbed..] {
+            Self::replay(&self.spec, &mut self.last_state, nodes[i]);
+        }
+        self.cut = new_cut;
+    }
+
+    /// Every stored response must match its replay (Theorem 26's
+    /// invariant: the shared graph always has a legal linearization,
+    /// and by Lemma 20 all linearizations are equivalent/legal).
+    fn replay(spec: &S, state: &mut S::State, node: &Entry<S::Op, S::Resp>) {
+        let r = spec.apply(state, node.proc, &node.op);
+        debug_assert!(
+            r == node.resp,
+            "linearization illegal: replayed {r:?} but entry holds {:?} for {node:?}",
+            node.resp
+        );
+    }
+
+    /// The largest cut (per process, how many of its entries lie before
+    /// it) that can be absorbed: every working-set entry beyond it has
+    /// all of it in its view, and so does every root — hence, views
+    /// being monotone, every entry still to be seen. The old cut when
+    /// some process has no entry in the working set: the next one it
+    /// publishes may carry a view as old as its absorbed root's, or no
+    /// view at all.
+    fn stable_cut(&self, nodes: &[&Entry<S::Op, S::Resp>], start: &[usize]) -> Vec<u64> {
+        let n = self.cut.len();
+        if (0..n).any(|p| start[p] == start[p + 1]) {
+            return self.cut.clone();
+        }
+        let mut cut = self.last_view.clone();
+        loop {
+            let mut stable = true;
+            for q in 0..n {
+                // Of the entries of `q` that must have the cut in their
+                // view, the oldest: the first beyond the cut, else the
+                // root.
+                let oldest = cut[q].min(self.last_view[q] - 1) - self.cut[q];
+                let e = nodes[start[q] + oldest as usize];
+                for p in (0..n).filter(|&p| p != q) {
+                    let seen = e.preceding[p].as_ref().map_or(0, |e| e.seq + 1);
+                    if seen < cut[p] {
+                        cut[p] = seen;
+                        stable = false;
+                    }
+                }
+            }
+            if stable {
+                return cut;
+            }
+        }
     }
 }
 
@@ -329,12 +396,170 @@ mod tests {
     use apram_history::check::{check_linearizable, CheckerConfig};
     use apram_history::Recorder;
     use apram_model::sim::explore::ExploreConfig;
-    use apram_model::sim::strategy::SeededRandom;
+    use apram_model::sim::strategy::{Pct, SeededRandom, Strategy};
     use apram_model::sim::Budgeted;
     use apram_model::sim::{ProcBody, SimBuilder, SimCtx};
     use apram_model::NativeMemory;
+    use std::collections::HashMap;
+    use std::sync::Mutex;
 
     type Reg = UniversalReg<CounterSpec>;
+
+    /// The oracle: Figure 4's "H := linearization of view" taken
+    /// literally — the whole closure of the view, linearized from the
+    /// empty graph. Returns the replayed state and the history length.
+    fn replay_from_scratch<S: AlgebraicSpec>(
+        spec: &S,
+        view: &[Option<EntryRef<S>>],
+    ) -> (S::State, usize) {
+        let mut index: HashMap<(ProcId, u64), usize> = HashMap::new();
+        let mut nodes: Vec<EntryRef<S>> = Vec::new();
+        let mut stack: Vec<EntryRef<S>> = view.iter().flatten().cloned().collect();
+        while let Some(e) = stack.pop() {
+            if index.contains_key(&e.key()) {
+                continue;
+            }
+            index.insert(e.key(), nodes.len());
+            stack.extend(e.preceding().iter().flatten().cloned());
+            nodes.push(e);
+        }
+        let mut prec = ClosedDag::new(nodes.len());
+        for (f_idx, f) in nodes.iter().enumerate() {
+            for e in f.preceding().iter().flatten() {
+                assert!(prec.add_edge(index[&e.key()], f_idx), "cyclic views");
+            }
+        }
+        let order = canonical_order(&prec, |i| nodes[i].key());
+        let lin = lingraph(&prec, &order, |a, b| {
+            let (a, b) = (&nodes[a], &nodes[b]);
+            dominates(spec, &a.op, a.proc, &b.op, b.proc)
+        });
+        let mut state = spec.initial();
+        for i in lin.topo_sort_by_key(|i| nodes[i].key()) {
+            let r = spec.apply(&mut state, nodes[i].proc, &nodes[i].op);
+            assert!(
+                r == nodes[i].resp,
+                "illegal linearization at {:?}",
+                nodes[i]
+            );
+        }
+        (state, nodes.len())
+    }
+
+    /// Figure 4 answered by the oracle, with the shared-memory traffic
+    /// of [`UniversalHandle`]: one snap, and one update when publishing.
+    struct OracleHandle {
+        snap: SnapshotHandle<EntryRef<CounterSpec>>,
+        seq: u64,
+    }
+
+    /// One operation of a script: the invocation, and whether to
+    /// publish it (`execute`) or not (`execute_unpublished`).
+    type Step = (CounterOp, bool);
+    /// What a process observed of one operation: the response and
+    /// `last_history_len()`.
+    type Seen = (CounterResp, usize);
+
+    impl OracleHandle {
+        fn step(&mut self, ctx: &mut SimCtx<Reg>, (op, publish): Step) -> Seen {
+            let view = self.snap.snap(ctx);
+            let (mut state, len) = replay_from_scratch(&CounterSpec, &view);
+            let resp = CounterSpec.apply(&mut state, ctx.proc(), &op);
+            if publish {
+                let entry = Arc::new(Entry {
+                    proc: ctx.proc(),
+                    seq: self.seq,
+                    op,
+                    resp,
+                    preceding: view,
+                });
+                self.seq += 1;
+                self.snap.update(ctx, entry);
+            }
+            (resp, len)
+        }
+    }
+
+    fn real_step(h: &mut UniversalHandle<CounterSpec>, ctx: &mut SimCtx<Reg>, step: Step) -> Seen {
+        let resp = match step {
+            (op, true) => h.execute(ctx, op),
+            (op, false) => h.execute_unpublished(ctx, op),
+        };
+        (resp, h.last_history_len())
+    }
+
+    /// Run one script per process under `strategy` and the crash plan;
+    /// returns what each process observed up to its crash.
+    fn run_scripts<H: Send>(
+        scripts: &[Vec<Step>],
+        strategy: impl Strategy,
+        crashes: &[(ProcId, u64)],
+        handle: impl Fn(&Universal<CounterSpec>) -> H + Sync,
+        step: impl Fn(&mut H, &mut SimCtx<Reg>, Step) -> Seen + Sync,
+    ) -> Vec<Vec<Seen>> {
+        let uni = Universal::new(scripts.len(), CounterSpec);
+        let seen: Vec<Mutex<Vec<Seen>>> = scripts.iter().map(|_| Mutex::default()).collect();
+        let out = SimBuilder::new(uni.registers())
+            .owners(uni.owners())
+            .strategy(strategy)
+            .crashes(crashes.iter().copied())
+            .run_symmetric(scripts.len(), |ctx| {
+                let mut h = handle(&uni);
+                for &s in &scripts[ctx.proc()] {
+                    let observed = step(&mut h, ctx, s);
+                    seen[ctx.proc()].lock().unwrap().push(observed);
+                }
+            });
+        out.assert_no_panics();
+        seen.into_iter().map(|m| m.into_inner().unwrap()).collect()
+    }
+
+    fn script() -> impl proptest::strategy::Strategy<Value = Vec<Step>> {
+        use proptest::prelude::*;
+        let step = prop_oneof![
+            (1i64..5).prop_map(|k| (CounterOp::Inc(k), true)),
+            (1i64..5).prop_map(|k| (CounterOp::Dec(k), true)),
+            (0i64..5).prop_map(|k| (CounterOp::Reset(k), true)),
+            Just((CounterOp::Read, true)),
+            Just((CounterOp::Read, false)),
+        ];
+        proptest::collection::vec(step, 0..7)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The absorbed prefix changes no observable: under the same
+        /// schedule and crash plan, a handle answers every operation,
+        /// published or not, exactly as the from-scratch oracle does,
+        /// from a history of the same length.
+        #[test]
+        fn replay_agrees_with_from_scratch_oracle(
+            scripts in proptest::collection::vec(script(), 2..=4),
+            seed in 0u64..1 << 32,
+            pct in proptest::prelude::any::<bool>(),
+            crashes in proptest::collection::vec((0usize..4, 0u64..120), 0..3),
+        ) {
+            let n = scripts.len();
+            let crashes: Vec<_> = crashes.into_iter().filter(|&(p, _)| p < n).collect();
+            let schedule = || -> Box<dyn Strategy> {
+                if pct {
+                    Box::new(Pct::new(seed, n, 3, 400))
+                } else {
+                    Box::new(SeededRandom::new(seed))
+                }
+            };
+            let real = run_scripts(&scripts, schedule(), &crashes, Universal::handle, real_step);
+            let oracle = run_scripts(
+                &scripts,
+                schedule(),
+                &crashes,
+                |uni| OracleHandle { snap: uni.snap.handle(), seq: 0 },
+                OracleHandle::step,
+            );
+            proptest::prop_assert_eq!(real, oracle);
+        }
+    }
 
     #[test]
     fn sequential_counter_semantics() {
@@ -584,9 +809,109 @@ mod tests {
         }
     }
 
+    /// `n` handles on one native memory, driven one whole operation at
+    /// a time: histories without overlap, so the sequential spec run
+    /// over the same operations predicts every response.
+    struct Lockstep {
+        handles: Vec<UniversalHandle<CounterSpec>>,
+        ctxs: Vec<apram_model::NativeCtx<Reg>>,
+        model: i64,
+    }
+
+    impl Lockstep {
+        fn new(n: usize) -> Self {
+            let uni = Universal::new(n, CounterSpec);
+            let mem = NativeMemory::new(n, uni.registers()).with_owners(uni.owners());
+            Lockstep {
+                handles: (0..n).map(|_| uni.handle()).collect(),
+                ctxs: (0..n).map(|p| mem.ctx(p)).collect(),
+                model: CounterSpec.initial(),
+            }
+        }
+
+        /// Execute `op` as process `p`, check the response, and return
+        /// the size of the working set the replay linearized.
+        fn step(&mut self, p: usize, op: CounterOp) -> usize {
+            let absorbed = self.absorbed(p);
+            let resp = self.handles[p].execute(&mut self.ctxs[p], op);
+            assert_eq!(
+                resp,
+                CounterSpec.apply(&mut self.model, p, &op),
+                "P{p} {op:?}"
+            );
+            self.handles[p].last_history_len() - absorbed
+        }
+
+        fn absorbed(&self, p: usize) -> usize {
+            self.handles[p].cut.iter().sum::<u64>() as usize
+        }
+    }
+
+    fn some_op(k: usize) -> CounterOp {
+        match k % 7 {
+            0 => CounterOp::Reset(k as i64),
+            1 | 4 => CounterOp::Read,
+            2 | 5 => CounterOp::Dec(2),
+            _ => CounterOp::Inc(k as i64),
+        }
+    }
+
+    /// While every process keeps publishing, what is left to linearize
+    /// stays bounded however long the history grows — and so does the
+    /// cost of an operation, which is what lets this test finish.
+    #[test]
+    fn long_round_robin_keeps_the_working_set_small() {
+        let n = 3;
+        let mut sys = Lockstep::new(n);
+        for k in 0..30_000 {
+            let working_set = sys.step(k % n, some_op(k));
+            assert!(working_set <= 2 * n, "op {k}: {working_set} entries");
+        }
+        assert_eq!(sys.handles[(30_000 - 1) % n].last_history_len(), 30_000 - 1);
+    }
+
+    /// A process that has published nothing may yet publish an entry
+    /// with an empty view, which nothing can be said to precede: the
+    /// others absorb nothing, and still answer correctly.
+    #[test]
+    fn a_silent_process_pins_the_cut() {
+        let mut sys = Lockstep::new(3);
+        for k in 0..60 {
+            sys.step(k % 2, some_op(k));
+            assert_eq!(sys.absorbed(k % 2), 0, "op {k}");
+        }
+        // Once it speaks, everything is in everyone's past again.
+        for k in 60..72 {
+            sys.step(k % 3, some_op(k));
+        }
+        assert!(sys.absorbed(0) > 60, "{}", sys.absorbed(0));
+    }
+
+    /// A process that stops after its first operation pins the cut too:
+    /// its next entry would carry a view no newer than the one it
+    /// crashed with, so absorption stops just past its only entry.
+    #[test]
+    fn a_crashed_process_pins_the_cut() {
+        let mut sys = Lockstep::new(3);
+        for p in 0..3 {
+            sys.step(p, some_op(p)); // the third is P2's only operation
+        }
+        for k in 0..20 {
+            sys.step(k % 2, some_op(k));
+        }
+        let pinned = [sys.absorbed(0), sys.absorbed(1)];
+        assert!(pinned.iter().all(|&a| a > 0 && a <= 3), "{pinned:?}");
+        for k in 20..80 {
+            let working_set = sys.step(k % 2, some_op(k));
+            assert_eq!(sys.absorbed(k % 2), pinned[k % 2], "op {k}");
+            assert_eq!(working_set, 3 + k - pinned[k % 2], "op {k}");
+        }
+    }
+
     /// Deep entry chains do not blow the stack on drop (the iterative
-    /// `Drop`). Built directly — 200k `execute`s would be quadratically
-    /// slow, but 200k drops must be linear and stack-bounded.
+    /// `Drop`). Built directly, 200k entries deep, without the snapshot
+    /// traffic of 200k `execute`s: the drop must be linear and
+    /// stack-bounded.
     #[test]
     fn deep_entry_chain_drop_is_iterative() {
         let mut prev: Option<Arc<Entry<CounterOp, CounterResp>>> = None;

@@ -15,11 +15,13 @@
 //! algebra, and the construction's linearizability is checked under
 //! randomized schedules.
 //!
-//! The universal form pays for its generality: each operation replays
-//! the whole precedence graph, so cost is quadratic in history length —
-//! fine for certification grids, unusable for serving traffic. The
-//! [`DirectLwwMap`] is the type-specific optimization for the
-//! put/get/remove core: one atomic multi-writer register per key slot,
+//! The universal form pays for its generality: each operation takes an
+//! atomic snapshot and linearizes the part of the precedence graph it
+//! cannot yet take for settled — a handful of entries while every
+//! process keeps publishing, the whole history since a process went
+//! silent — microseconds per operation at best. The [`DirectLwwMap`]
+//! is the type-specific optimization for the put/get/remove core: one
+//! atomic multi-writer register per key slot,
 //! so every operation is a single register access. Linearizability is
 //! per-key register atomicity (last writer wins *is* the register's
 //! semantics); what the direct form gives up is `keys()` — a consistent

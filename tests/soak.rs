@@ -11,6 +11,7 @@ use apram_objects::maxreg::DirectMaxRegister;
 use apram_objects::prmw::{AddOp, PrmwRegister};
 use apram_objects::{DirectCounter, LamportClock, MwRegister, UniversalCounter};
 use std::collections::HashSet;
+use std::sync::Barrier;
 
 const THREADS: usize = 4;
 
@@ -166,29 +167,46 @@ fn mw_register_soak_last_value_wins() {
 
 #[test]
 fn universal_counter_soak_with_memo() {
-    // Deep enough to exercise the replay memo and the iterative drop,
-    // small enough for the quadratic replay: 40 ops/thread × 3 threads.
-    let per = 40i64;
+    // Deep enough to exercise the absorbed prefix, the replay memo and
+    // the iterative drop: 2 000 ops/thread × 3 threads. The threads
+    // race within rounds of 50 ops and meet at a barrier between them:
+    // one that ran far ahead and finished would fall silent, and a
+    // silent process pins the others' cut (DESIGN.md) — correct, and
+    // covered by core's tests, but every later op then linearizes all
+    // that was published since.
+    let per = 2_000i64;
+    let round = 50;
     let n = 3;
+    let barrier = Barrier::new(n);
     let cnt = UniversalCounter::new(n);
     let mem = NativeMemory::new(n, cnt.registers()).with_owners(cnt.owners());
-    std::thread::scope(|s| {
-        for p in 0..n {
-            let mem = mem.clone();
-            let mut h = cnt.handle();
-            s.spawn(move || {
-                let mut ctx = mem.ctx(p);
-                for _ in 0..per {
-                    h.inc(&mut ctx, 1);
-                }
-                let v = h.read_unpublished(&mut ctx);
-                assert!(v >= per, "own increments visible: {v}");
-                assert!(v <= per * n as i64);
-            });
-        }
+    let handles: Vec<_> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..n)
+            .map(|p| {
+                let mem = mem.clone();
+                let mut h = cnt.handle();
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut ctx = mem.ctx(p);
+                    for k in 0..per {
+                        if k % round == 0 {
+                            barrier.wait();
+                        }
+                        h.inc(&mut ctx, 1);
+                    }
+                    let v = h.read_unpublished(&mut ctx);
+                    assert!(v >= per, "own increments visible: {v}");
+                    assert!(v <= per * n as i64);
+                    h
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
     });
-    // Quiescent read sees everything.
-    let mut h = cnt.handle();
-    let mut ctx = mem.ctx(0);
-    assert_eq!(h.read_unpublished(&mut ctx), per * n as i64);
+    // Quiescent reads see everything. (Each process keeps its handle:
+    // a second handle on a process that has written would start from
+    // an empty scan cache and overwrite the process's registers.)
+    for (p, mut h) in handles.into_iter().enumerate() {
+        assert_eq!(h.read_unpublished(&mut mem.ctx(p)), per * n as i64);
+    }
 }
