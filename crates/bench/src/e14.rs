@@ -15,7 +15,7 @@
 //!   ops traced), and `always` (every op traced);
 //! * **threads** — the E13 thread grid.
 //!
-//! Each cell brackets its logical ops with [`NativeCtx::op_begin`] /
+//! Each cell brackets its logical ops with [`apram_model::NativeCtx::op_begin`] /
 //! `op_end`, then drains the rings and reports throughput, latency
 //! percentiles, and the flight-log columns: events recorded / drained
 //! / dropped (exact by the ring accounting invariant), `ReadRetry`

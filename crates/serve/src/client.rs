@@ -1,16 +1,17 @@
 //! A minimal blocking client for the frame protocol, plus a one-shot
 //! HTTP metrics scraper. This is what the load driver and the tests
-//! speak; it is intentionally a thin veneer over [`crate::protocol`].
+//! speak; it is intentionally a thin veneer over [`crate::protocol`]'s
+//! [`FrameCodec`]: one `write` and one `read` per op.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
+use crate::protocol::{oversized, FrameCodec, Recv, Request, Response};
 
 /// One connection to an `apram-serve` instance.
 pub struct Client {
-    stream: TcpStream,
+    conn: FrameCodec<TcpStream>,
 }
 
 impl Client {
@@ -19,7 +20,9 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            conn: FrameCodec::new(stream),
+        })
     }
 
     /// Connect with a connect + read timeout (load drivers under crash
@@ -28,10 +31,14 @@ impl Client {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
-        Ok(Client { stream })
+        Ok(Client {
+            conn: FrameCodec::new(stream),
+        })
     }
 
-    /// Execute one op and wait for its response frame.
+    /// Execute one op and wait for its response frame. A read timeout
+    /// is an error: the reply may still come, so the connection is out
+    /// of step afterwards and should be dropped.
     pub fn op(&mut self, opcode: u8, object: u8, a: u64, b: u64) -> io::Result<Response> {
         let req = Request {
             opcode,
@@ -39,12 +46,22 @@ impl Client {
             a,
             b,
         };
-        write_frame(&mut self.stream, &req.encode())?;
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-        })?;
-        Response::decode(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        self.conn
+            .queue(|buf| buf.extend_from_slice(&req.encode()))?;
+        self.conn.flush()?;
+        match self.conn.recv()? {
+            Recv::Frame(payload) => Response::decode(payload)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+            Recv::Closed => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )),
+            Recv::TimedOut => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "no reply within the read timeout",
+            )),
+            Recv::Oversized(len) => Err(oversized(len)),
+        }
     }
 
     /// Scrape `/metrics` with a plain HTTP GET on a fresh connection

@@ -308,9 +308,8 @@ pub fn run_load(addr: SocketAddr, object_index: u8, cfg: &LoadConfig) -> io::Res
         handles
             .into_iter()
             .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(io::Error::other("tenant panicked"))
-                })
+                h.join()
+                    .unwrap_or_else(|_| Err(io::Error::other("tenant panicked")))
             })
             .collect()
     });

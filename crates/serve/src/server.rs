@@ -8,11 +8,26 @@
 //! the object table's register files are wait-free; the threads-per-
 //! connection shell just keeps the transport out of the story.
 //!
+//! A worker talks frames through a [`FrameCodec`] that owns the socket
+//! and both of the connection's buffers; nothing here knows the frame
+//! layout. Each request's reply is encoded straight into the codec's
+//! write buffer and flushed once no further whole request is waiting in
+//! its read buffer — after every request for a closed-loop client, once
+//! per batch for one that pipelines — so a served op is one `read` and
+//! one `write`. The socket's read timeout (`POLL_TIMEOUT`) only paces
+//! the worker's look at the shutdown flag: whatever part of a frame has
+//! arrived stays in the codec, so a client that is slow between a
+//! frame's prefix and its body, or inside either, keeps its connection
+//! and its slot.
+//!
 //! A connection whose first four bytes are `b"GET "` is treated as an
 //! HTTP scrape: the server answers one `text/plain` Prometheus exposition
 //! (built from the shared [`TelemetryRegistry`] plus a delta-aware
-//! flight/protocol export from every object) and closes. Anything else
-//! is the binary frame protocol from [`crate::protocol`].
+//! flight/protocol export from every object) and closes. Read as a
+//! length prefix those bytes are far above `MAX_FRAME`, so the sniff is
+//! a look at what the codec has buffered when it reports a first frame
+//! too large. Anything else is the binary frame protocol from
+//! [`crate::protocol`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -23,10 +38,11 @@ use std::time::Duration;
 
 use apram_model::telemetry::TelemetryRegistry;
 use apram_model::FlightLog;
+use apram_objects::spec::OpOutput;
 
 use crate::protocol::{
-    read_frame_body, write_frame, DecodeError, Request, Response, ERR_BAD_OBJECT, ERR_BAD_OPCODE,
-    ERR_BAD_REQUEST, ERR_BUSY, MAX_FRAME,
+    encode_err, encode_output, oversized, DecodeError, FrameCodec, Recv, Request, ERR_BAD_OBJECT,
+    ERR_BAD_OPCODE, ERR_BAD_REQUEST, ERR_BUSY,
 };
 use crate::table::{ObjectTable, SlotSessions, TableConfig};
 
@@ -85,6 +101,29 @@ struct Shared {
 }
 
 impl Shared {
+    /// Build the table and a pool with every slot free.
+    fn new(cfg: &TableConfig) -> io::Result<Shared> {
+        let table =
+            ObjectTable::build(cfg).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let n_objects = table.objects().len();
+        let pool = (0..cfg.slots)
+            .map(|slot| {
+                Some(SlotLease {
+                    slot,
+                    sessions: (0..n_objects).map(|_| None).collect(),
+                })
+            })
+            .collect();
+        Ok(Shared {
+            table,
+            registry: TelemetryRegistry::new(1),
+            scrape: Mutex::new(()),
+            slots: Mutex::new(pool),
+            shutdown: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+        })
+    }
+
     fn lease_slot(&self) -> Option<SlotLease> {
         let mut slots = self.slots.lock().expect("slot pool lock");
         slots.iter_mut().find_map(|s| s.take())
@@ -165,29 +204,10 @@ impl ServerHandle {
 
 /// Bind, build the table, and start the accept loop.
 pub fn serve(cfg: &ServeConfig) -> io::Result<ServerHandle> {
-    let table = ObjectTable::build(&cfg.table)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    let shared = Arc::new(Shared::new(&cfg.table)?);
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-
-    let n_objects = table.objects().len();
-    let pool = (0..cfg.table.slots)
-        .map(|slot| {
-            Some(SlotLease {
-                slot,
-                sessions: (0..n_objects).map(|_| None).collect(),
-            })
-        })
-        .collect();
-    let shared = Arc::new(Shared {
-        table,
-        registry: TelemetryRegistry::new(1),
-        scrape: Mutex::new(()),
-        slots: Mutex::new(pool),
-        shutdown: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-    });
     let workers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let accept = {
@@ -224,149 +244,106 @@ fn accept_loop(
     }
 }
 
-/// What a shutdown-aware read produced.
-enum ReadOutcome {
-    /// Buffer filled.
-    Full,
-    /// Clean EOF before the first byte (only when `allow_eof`).
-    CleanEof,
-    /// The server is shutting down.
-    Shutdown,
-}
-
-/// Fill `buf`, waking every [`POLL_TIMEOUT`] to check the shutdown
-/// flag. EOF at offset zero is clean iff `allow_eof`; EOF mid-buffer is
-/// always `UnexpectedEof`.
-fn read_full(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    allow_eof: bool,
-) -> io::Result<ReadOutcome> {
-    let mut got = 0;
-    while got < buf.len() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Ok(ReadOutcome::Shutdown);
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                if got == 0 && allow_eof {
-                    return Ok(ReadOutcome::CleanEof);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection dropped mid-frame",
-                ));
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadOutcome::Full)
-}
-
-fn worker(shared: Arc<Shared>, mut stream: TcpStream) {
+fn worker(shared: Arc<Shared>, stream: TcpStream) {
     shared.active.fetch_add(1, Ordering::AcqRel);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_TIMEOUT));
-    let _ = serve_connection(&shared, &mut stream);
+    let mut conn = FrameCodec::new(stream);
+    let mut lease = None;
+    let _ = serve_frames(&shared, &mut conn, &mut lease);
+    // The slot goes back before the socket closes, so a client that
+    // reconnects on seeing the close finds it free.
+    if let Some(lease) = lease {
+        shared.release_slot(lease);
+    }
     shared.active.fetch_sub(1, Ordering::AcqRel);
 }
 
-fn serve_connection(shared: &Shared, stream: &mut TcpStream) -> io::Result<()> {
-    // Sniff the first four bytes: an HTTP scrape's "GET ", or the
-    // first binary frame's length prefix.
-    let mut first = [0u8; 4];
-    match read_full(shared, stream, &mut first, true)? {
-        ReadOutcome::Full => {}
-        ReadOutcome::CleanEof | ReadOutcome::Shutdown => return Ok(()),
-    }
-    if &first == b"GET " {
-        return serve_scrape(shared, stream);
-    }
-
-    let Some(mut lease) = shared.lease_slot() else {
-        // Every process id is leased: refuse politely so the client can
-        // back off, without stalling anyone already connected.
-        let _ = write_frame(stream, &Response::err(ERR_BUSY).encode());
-        return Ok(());
-    };
-    let result = serve_frames(shared, stream, &mut lease, first);
-    shared.release_slot(lease);
-    result
-}
-
-/// The binary-protocol loop for one leased slot. `first` is the
-/// already-sniffed length prefix of the first frame.
-fn serve_frames(
+/// One connection's loop. A slot is leased into `lease` when the first
+/// whole frame is in — a scrape, a port probe or an idle connect never
+/// holds one — and is the caller's to release.
+fn serve_frames<T: Read + Write>(
     shared: &Shared,
-    stream: &mut TcpStream,
-    lease: &mut SlotLease,
-    first: [u8; 4],
+    conn: &mut FrameCodec<T>,
+    lease: &mut Option<SlotLease>,
 ) -> io::Result<()> {
     let reqs = shared.registry.counter("serve_requests_total");
-
-    if u32::from_le_bytes(first) as usize > MAX_FRAME {
-        let _ = write_frame(stream, &Response::err(ERR_BAD_REQUEST).encode());
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized frame",
-        ));
-    }
-    let mut payload = read_frame_body(stream, first)?;
-    loop {
+    // The flag is read before every frame, buffered ones included: a
+    // client that never pauses cannot hold up a shutdown.
+    while !shared.shutdown.load(Ordering::Acquire) {
+        let req = match conn.recv()? {
+            Recv::Frame(payload) => Request::decode(payload),
+            Recv::Closed => return Ok(()),
+            Recv::TimedOut => continue,
+            Recv::Oversized(len) => {
+                if lease.is_none() && conn.buffered().starts_with(b"GET ") {
+                    return serve_scrape(shared, conn);
+                }
+                // The stream cannot be resynchronised: say why, close.
+                let _ = reply(conn, Err(ERR_BAD_REQUEST));
+                return Err(oversized(len));
+            }
+        };
+        if lease.is_none() {
+            *lease = shared.lease_slot();
+        }
+        let Some(leased) = lease else {
+            // Every process id is leased: refuse politely so the client
+            // can back off, without stalling anyone already connected.
+            return reply(conn, Err(ERR_BUSY));
+        };
         reqs.inc(0);
-        let resp = dispatch(shared, lease, &payload);
-        write_frame(stream, &resp.encode())?;
-
-        let mut len = [0u8; 4];
-        match read_full(shared, stream, &mut len, true)? {
-            ReadOutcome::Full => {}
-            ReadOutcome::CleanEof | ReadOutcome::Shutdown => return Ok(()),
-        }
-        if u32::from_le_bytes(len) as usize > MAX_FRAME {
-            let _ = write_frame(stream, &Response::err(ERR_BAD_REQUEST).encode());
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "oversized frame",
-            ));
-        }
-        payload = read_frame_body(stream, len)?;
+        reply(conn, dispatch(shared, leased, req))?;
     }
+    // Replies held back for a batch that shutdown cut short.
+    conn.flush()
 }
 
-fn dispatch(shared: &Shared, lease: &mut SlotLease, payload: &[u8]) -> Response {
-    let req = match Request::decode(payload) {
-        Ok(req) => req,
-        Err(DecodeError::Opcode(_)) => return Response::err(ERR_BAD_OPCODE),
-        Err(_) => return Response::err(ERR_BAD_REQUEST),
-    };
-    let Some(obj) = shared.table.object(req.object) else {
-        return Response::err(ERR_BAD_OBJECT);
-    };
+/// Queue one response frame — an output, or an error code — and flush
+/// unless another whole request is already buffered, whose reply will
+/// leave in the same `write`.
+fn reply<T: Read + Write>(conn: &mut FrameCodec<T>, resp: Result<OpOutput, u8>) -> io::Result<()> {
+    conn.queue(|buf| match &resp {
+        Ok(out) => encode_output(out, buf),
+        Err(code) => encode_err(*code, buf),
+    })?;
+    if conn.has_frame() {
+        return Ok(());
+    }
+    conn.flush()
+}
+
+fn dispatch(
+    shared: &Shared,
+    lease: &mut SlotLease,
+    req: Result<Request, DecodeError>,
+) -> Result<OpOutput, u8> {
+    let req = req.map_err(|e| match e {
+        DecodeError::Opcode(_) => ERR_BAD_OPCODE,
+        _ => ERR_BAD_REQUEST,
+    })?;
+    let obj = shared.table.object(req.object).ok_or(ERR_BAD_OBJECT)?;
     let slot = lease.slot;
     let sess = lease.sessions[req.object as usize].get_or_insert_with(|| obj.sessions(slot));
-    Response::from_output(&sess.execute(req.opcode, req.a, req.b))
+    Ok(sess.execute(req.opcode, req.a, req.b))
 }
 
-/// Answer one HTTP metrics scrape and close. The request beyond the
-/// sniffed `GET ` is drained best-effort (scrapers send a full request
-/// line + headers; we never need them).
-fn serve_scrape(shared: &Shared, stream: &mut TcpStream) -> io::Result<()> {
-    let mut rest = [0u8; 1024];
-    let _ = stream.read(&mut rest);
+/// Answer one HTTP metrics scrape and close. Scrapers send a request
+/// line and headers we never need; if their end has not arrived yet,
+/// one more read is taken for it, best-effort, so that closing does not
+/// reset the connection under the reply.
+fn serve_scrape<T: Read + Write>(shared: &Shared, conn: &mut FrameCodec<T>) -> io::Result<()> {
+    let whole = conn.buffered().windows(4).any(|w| w == b"\r\n\r\n");
+    let stream = conn.get_mut();
+    if !whole {
+        let _ = stream.read(&mut [0u8; 1024]);
+    }
     let body = shared.scrape_text();
-    let head = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let reply = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 
@@ -374,8 +351,13 @@ fn serve_scrape(shared: &Shared, stream: &mut TcpStream) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::protocol::{OPC_READ, OPC_UPDATE};
+    use crate::protocol::testio::Script;
+    use crate::protocol::{
+        read_frame, write_frame, Response, MAX_FRAME, OPC_READ, OPC_UPDATE, ST_OK,
+    };
     use apram_model::telemetry::validate_prometheus;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn local(objects: &[&str], shards: usize, slots: usize) -> ServerHandle {
         serve(&ServeConfig::local(TableConfig::new(
@@ -448,5 +430,106 @@ mod tests {
         assert!(text.contains("serve_requests_total"), "{text}");
         assert!(text.contains("native_ticket_draws"), "{text}");
         server.shutdown();
+    }
+
+    /// One counter increment as wire bytes.
+    fn inc_frame() -> Vec<u8> {
+        let req = Request {
+            opcode: OPC_UPDATE,
+            object: 0,
+            a: 0,
+            b: 0,
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &req.encode()).unwrap();
+        frame
+    }
+
+    fn all_slots_leased(server: &ServerHandle) -> bool {
+        let slots = server.shared.slots.lock().unwrap();
+        slots.iter().all(Option::is_none)
+    }
+
+    /// A frame that trickles in — pauses well past the read timeout
+    /// after the prefix, inside the prefix and inside the body — is
+    /// answered on the same connection, which keeps its slot throughout.
+    #[test]
+    fn slow_frame_keeps_its_connection_and_slot() {
+        let server = local(&["counter"], 1, 1);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let frame = inc_frame();
+        for (cuts, pause) in [
+            (&[4][..], 4 * POLL_TIMEOUT),
+            (&[2, 9][..], 2 * POLL_TIMEOUT),
+        ] {
+            let mut sent = 0;
+            for &cut in cuts {
+                stream.write_all(&frame[sent..cut]).unwrap();
+                sent = cut;
+                thread::sleep(pause);
+            }
+            stream.write_all(&frame[sent..]).unwrap();
+            let reply = read_frame(&mut stream)
+                .expect("the connection is still up")
+                .expect("a reply, not a close");
+            assert_eq!(Response::decode(&reply).unwrap().status, ST_OK);
+            assert!(all_slots_leased(&server));
+        }
+        drop(stream);
+        server.shutdown();
+    }
+
+    /// The shutdown flag is looked at before every frame, those
+    /// already buffered included: the worker of a client that pipelines
+    /// stops between two requests, not when the client next pauses.
+    #[test]
+    fn shutdown_stops_a_worker_with_requests_still_buffered() {
+        let shared = Shared::new(&TableConfig::new(&["counter"], 1, 1)).unwrap();
+        let mut conn = FrameCodec::new(Script::new(inc_frame().repeat(64), vec![]));
+        assert!(matches!(conn.recv().unwrap(), Recv::Frame(_)));
+        assert!(conn.has_frame());
+        shared.shutdown.store(true, Ordering::Release);
+        serve_frames(&shared, &mut conn, &mut None).unwrap();
+        assert!(conn.has_frame(), "the backlog was left alone");
+        assert!(conn.get_mut().output.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// However the bytes are cut, an oversized prefix after `k` good
+        /// requests earns `k` replies, then `ERR_BAD_REQUEST`, then a
+        /// closed connection — and whatever follows it is never read as
+        /// a request.
+        #[test]
+        fn oversized_prefix_mid_stream_is_refused_and_closes(
+            k in 0usize..6,
+            len in (MAX_FRAME as u32 + 1)..=u32::MAX,
+            mut cuts in vec(prop_oneof![0usize..4, 0usize..40], 0..6),
+        ) {
+            prop_assume!(&len.to_le_bytes() != b"GET ");
+            cuts.push(1);
+            let mut wire = inc_frame().repeat(k);
+            wire.extend_from_slice(&len.to_le_bytes());
+            wire.extend_from_slice(&inc_frame());
+
+            let shared = Shared::new(&TableConfig::new(&["counter"], 1, 1)).unwrap();
+            let mut conn = FrameCodec::new(Script::new(wire, cuts));
+            let mut lease = None;
+            let err = serve_frames(&shared, &mut conn, &mut lease).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            prop_assert_eq!(lease.is_some(), k > 0);
+
+            let mut out = &conn.get_mut().output[..];
+            for _ in 0..k {
+                let reply = Response::decode(&read_frame(&mut out).unwrap().unwrap()).unwrap();
+                prop_assert_eq!(reply.status, ST_OK);
+            }
+            let last = Response::decode(&read_frame(&mut out).unwrap().unwrap()).unwrap();
+            prop_assert_eq!(last, Response::err(ERR_BAD_REQUEST));
+            prop_assert!(out.is_empty());
+            prop_assert_eq!(shared.registry.counter_total("serve_requests_total"), Some(k as u64));
+        }
     }
 }

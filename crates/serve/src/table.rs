@@ -243,8 +243,8 @@ impl SlotSessions {
         (a % self.sessions.len() as u64) as usize
     }
 
-    /// Execute one wire op ([`OPC_UPDATE`]/[`OPC_READ`] with arguments
-    /// `a`, `b`) and produce the merged output.
+    /// Execute one wire op ([`OPC_UPDATE`]/[`OPC_READ`](crate::protocol::OPC_READ)
+    /// with arguments `a`, `b`) and produce the merged output.
     pub fn execute(&mut self, opcode: u8, a: u64, b: u64) -> OpOutput {
         let code = if opcode == OPC_UPDATE {
             OP_UPDATE

@@ -6,10 +6,13 @@
 //! on live shard memories, and span-reconstructed history checking.
 
 use apram_model::FlightMode;
-use apram_serve::protocol::{OPC_READ, OPC_UPDATE, ST_OK};
+use apram_serve::protocol::{read_frame, write_frame, OPC_READ, OPC_UPDATE, ST_OK};
 use apram_serve::{
-    run_audit, run_load, serve, Client, LoadConfig, ServeConfig, ServerHandle, TableConfig,
+    run_audit, run_load, serve, Client, LoadConfig, Request, Response, ServeConfig, ServerHandle,
+    TableConfig,
 };
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn audited_server(objects: &[&str], shards: usize, slots: usize) -> ServerHandle {
@@ -117,6 +120,67 @@ fn shutdown_with_live_connections_is_clean() {
 
     // Leave `c` open across shutdown: the worker must notice the flag
     // within its poll interval and exit.
+    let start = std::time::Instant::now();
+    server.shutdown();
+    assert!(start.elapsed() < Duration::from_secs(10));
+}
+
+/// `n` counter requests as one run of wire bytes, increments and reads
+/// alternating.
+fn pipelined(n: usize) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for i in 0..n {
+        let req = Request {
+            opcode: if i % 2 == 0 { OPC_UPDATE } else { OPC_READ },
+            object: 0,
+            a: 0,
+            b: 0,
+        };
+        write_frame(&mut wire, &req.encode()).unwrap();
+    }
+    wire
+}
+
+/// A client that pipelines: 64 requests leave in one `write_all`, and
+/// 64 replies come back in request order, each counted once.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server = audited_server(&["counter"], 1, 2);
+    let total = || server.registry().counter_total("serve_requests_total");
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    // A first exchange registers `serve_requests_total` and leaves the
+    // counter at 1.
+    stream.write_all(&pipelined(2)).unwrap();
+    for _ in 0..2 {
+        read_frame(&mut stream).unwrap().unwrap();
+    }
+    let before = total().unwrap();
+
+    stream.write_all(&pipelined(64)).unwrap();
+    for i in 0..64u64 {
+        let reply = read_frame(&mut stream).unwrap().expect("64 replies");
+        let reply = Response::decode(&reply).unwrap();
+        assert_eq!(reply.status, ST_OK);
+        if i % 2 == 1 {
+            // The read after the (i/2 + 1)th increment of this batch.
+            assert_eq!(reply.values, vec![1 + i / 2 + 1]);
+        }
+    }
+    assert_eq!(total().unwrap() - before, 64);
+    drop(stream);
+    server.shutdown();
+}
+
+/// Shutdown does not wait for a backlog: issued on the heels of a
+/// thousand pipelined requests, it returns within its usual bound
+/// whether the worker has got through them or not.
+#[test]
+fn shutdown_with_buffered_requests_is_prompt() {
+    let server = audited_server(&["counter"], 1, 2);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&pipelined(1000)).unwrap();
+
     let start = std::time::Instant::now();
     server.shutdown();
     assert!(start.elapsed() < Duration::from_secs(10));
