@@ -412,8 +412,8 @@ impl ContentionMap {
 /// Observes executions and accumulates a [`ContentionMap`].
 ///
 /// One profiler observes one run at a time; call
-/// [`begin_run`](Self::begin_run) at each run boundary (the simulator's
-/// scheduler loop does this automatically) and
+/// [`begin_run`](Self::begin_run) at each run boundary (the simulator
+/// does this at the start of every run) and
 /// [`into_map`](Self::into_map) (or [`snapshot`](Self::snapshot)) when
 /// done. Recording is deterministic: given the same sequence of
 /// `(proc, reg, kind, point_contention)` records partitioned into the

@@ -21,13 +21,14 @@
 //!   `rwlock-baseline` feature as the E13 comparison baseline.
 //!   Shared-memory step counters are kept per process.
 //! * [`sim`] — the deterministic simulator. Every simulated process runs
-//!   on an OS thread but blocks at each shared access until the central
-//!   scheduler services it, so a *schedule* (a sequence of process ids)
+//!   on an OS thread but blocks at each shared access until a scheduling
+//!   decision picks it, so a *schedule* (a sequence of process ids)
 //!   fully determines the execution. Schedulers implement
 //!   [`Strategy`]: round-robin, seeded-random, replay,
-//!   crash-injecting, and arbitrary adversaries. The scheduler itself
-//!   applies each access to the (unshared) register vector, so executions
-//!   are exactly the interleavings of atomic accesses the model defines.
+//!   crash-injecting, and arbitrary adversaries. Whichever thread takes
+//!   a decision applies the chosen access to the register vector under
+//!   the run's one mutex, so executions are exactly the interleavings of
+//!   atomic accesses the model defines.
 //! * [`mod@sim::explore`] — stateless model checking: exhaustive enumeration
 //!   of all schedules of a bounded execution, used to verify
 //!   linearizability claims (paper Theorems 26/33) on small instances.

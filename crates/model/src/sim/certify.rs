@@ -55,10 +55,10 @@
 use super::budget::{Budget, Budgeted};
 use super::explore::{explore, ExploreConfig, ExploreStats};
 use super::fault::FaultPlan;
-use super::parallel::explore_parallel;
+use super::parallel::{explore_parallel, ProcPool};
 use super::shrink::{shrink_execution, ShrinkConfig, ShrinkReport};
 use super::strategy::Replay;
-use super::{run_sim_with, ProcBody, SimConfig, SimOutcome};
+use super::{run_sim, ProcBody, SimConfig, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
@@ -306,27 +306,83 @@ pub(crate) fn judge<T, R>(
 
 /// Deterministically re-execute a witness: a halting replay of its
 /// schedule under its crash plan.
-pub(crate) fn replay_witness<T, R, FMake>(
+fn replay_witness<T, R, FMake>(
+    pool: &mut ProcPool<'_, '_, T, R>,
     cfg: &SimConfig<T>,
     schedule: &[ProcId],
     crashes: &[(ProcId, u64)],
     factory: &mut FMake,
+    profiler: &mut Option<ContentionProfiler>,
 ) -> SimOutcome<T, R>
 where
     T: Clone + Send,
     R: Send,
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
 {
-    let mut strat = FaultPlan::from(crashes.to_vec()).over(Replay::halting(schedule.to_vec()));
-    run_sim_with(cfg, MetricsLevel::Off, &mut strat, factory(), None)
+    let strat = FaultPlan::from(crashes.to_vec()).over(Replay::halting(schedule.to_vec()));
+    run_sim(pool, cfg, MetricsLevel::Off, strat, factory(), profiler).0
+}
+
+/// Turn a violating witness into a classified, minimized one: re-execute
+/// it to pin its violation kind, minimize under a predicate that
+/// preserves that kind (an unpinned shrink would drift to the easiest
+/// failure mode — e.g. every halting replay of an *empty* schedule
+/// leaves survivors unfinished), re-execute the result and classify it.
+/// Returns that last execution too, profiled when `profile` is set.
+/// Shared with the [sampler](mod@super::sample).
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub(crate) fn minimize_witness<T, R, FMake, Check>(
+    cfg: &SimConfig<T>,
+    scfg: &ShrinkConfig,
+    bounds: &[u64],
+    require_finish: bool,
+    profile: bool,
+    schedule: &[ProcId],
+    crashes: &[(ProcId, u64)],
+    factory: &mut FMake,
+    check: &mut Check,
+) -> (CertViolation, SimOutcome<T, R>, Option<ContentionMap>)
+where
+    T: Clone + Send,
+    R: Send,
+    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+    Check: FnMut(&SimOutcome<T, R>) -> bool,
+{
+    let (outcome, report, prof) = std::thread::scope(|scope| {
+        let mut pool = ProcPool::new(scope);
+        let first = replay_witness(&mut pool, cfg, schedule, crashes, factory, &mut None);
+        let kind0 = judge(bounds, require_finish, &first, check)
+            .expect("the witness must still violate on replay");
+        let pin = std::mem::discriminant(&kind0);
+        let report = shrink_execution(cfg, scfg, schedule, crashes, factory, |o| {
+            judge(bounds, require_finish, o, check)
+                .is_some_and(|k| std::mem::discriminant(&k) == pin)
+        });
+        let mut prof =
+            profile.then(|| ContentionProfiler::new(first.crashed.len(), cfg.registers.len()));
+        let outcome = replay_witness(
+            &mut pool,
+            cfg,
+            &report.schedule,
+            &report.crashes,
+            factory,
+            &mut prof,
+        );
+        (outcome, report, prof)
+    });
+    let kind = judge(bounds, require_finish, &outcome, check)
+        .expect("the shrunk witness must still violate");
+    let violation = CertViolation {
+        kind,
+        crashed: outcome.crashed.clone(),
+        report,
+    };
+    (violation, outcome, prof.map(ContentionProfiler::into_map))
 }
 
 /// Turn exploration results into a certificate. On a violation the
-/// canonical witness is re-executed to pin its violation kind, then
-/// minimized under a predicate that preserves that kind (an unpinned
-/// shrink would drift to the easiest failure mode — e.g. every halting
-/// replay of an *empty* schedule leaves survivors unfinished), and
-/// finally re-classified. The certificate depends only on the canonical
+/// canonical witness is minimized and classified
+/// ([`minimize_witness`]); the certificate then depends only on that
 /// witness, never on how many runs the finding engine happened to
 /// execute first — which is what makes sequential and parallel
 /// certification bit-identical.
@@ -356,27 +412,20 @@ where
             contention: stats.contention,
         };
     };
-    let first = replay_witness(cfg, &w.schedule, &w.crashes, factory);
-    let kind0 = judge(&ccfg.bounds, ccfg.require_finish, &first, check)
-        .expect("the canonical witness must still violate on replay");
-    let pin = std::mem::discriminant(&kind0);
-    let report = shrink_execution(cfg, scfg, &w.schedule, &w.crashes, factory, |o| {
-        judge(&ccfg.bounds, ccfg.require_finish, o, check)
-            .is_some_and(|k| std::mem::discriminant(&k) == pin)
-    });
-    // Profile the canonical witness replay alone (never the finding
-    // exploration, whose run set is engine-dependent on violation), so
-    // sequential and parallel certificates stay bit-identical.
-    let bodies = factory();
-    let mut prof = ccfg
-        .explore
-        .profile
-        .then(|| ContentionProfiler::new(bodies.len(), cfg.registers.len()));
-    let mut strat =
-        FaultPlan::from(report.crashes.clone()).over(Replay::halting(report.schedule.clone()));
-    let outcome = run_sim_with(cfg, MetricsLevel::Off, &mut strat, bodies, prof.as_mut());
-    let kind = judge(&ccfg.bounds, ccfg.require_finish, &outcome, check)
-        .expect("the shrunk witness must still violate");
+    // The profile is of the canonical witness replay alone (never of
+    // the finding exploration, whose run set is engine-dependent on
+    // violation), so both certifiers report the same map.
+    let (violation, outcome, contention) = minimize_witness(
+        cfg,
+        scfg,
+        &ccfg.bounds,
+        ccfg.require_finish,
+        ccfg.explore.profile,
+        &w.schedule,
+        &w.crashes,
+        factory,
+        check,
+    );
     let worst = outcome
         .counts
         .iter()
@@ -386,15 +435,11 @@ where
     Certificate {
         runs: 1,
         exhausted: false,
-        crash_branches: report.crashes.len() as u64,
+        crash_branches: violation.report.crashes.len() as u64,
         worst_steps: worst,
         bounds: ccfg.bounds.clone(),
-        violation: Some(CertViolation {
-            kind,
-            crashed: outcome.crashed.clone(),
-            report,
-        }),
-        contention: prof.map(ContentionProfiler::into_map),
+        violation: Some(violation),
+        contention,
     }
 }
 

@@ -12,9 +12,10 @@
 //! 2–3 process execution is generated and its history verified.
 
 use super::budget::{Budget, Budgeted};
+use super::parallel::ProcPool;
 use super::shrink::{shrink_execution, ShrinkConfig, ShrinkReport};
 use super::strategy::{Decision, SchedView, Strategy};
-use super::{run_sim_with, ProcBody, SimConfig, SimOutcome};
+use super::{run_sim, ProcBody, SimConfig, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::{AccessKind, ProcId};
 use crate::json::Json;
@@ -308,18 +309,21 @@ impl Branch {
     }
 }
 
-struct TreeStrategy<'a> {
-    stack: &'a mut Vec<Branch>,
+/// The plain DFS as a strategy. It owns the search stack and the stats
+/// it counts into, travels into each run with them and comes back with
+/// the run's outcome ([`run_sim`]).
+struct TreeStrategy {
+    stack: Vec<Branch>,
     pos: usize,
     max_depth: usize,
     max_crashes: usize,
     /// Crash decisions taken so far in *this* run (replayed or fresh);
     /// the budget is a pure function of the pick path.
     crashes_used: usize,
-    stats: &'a mut ExploreStats,
+    stats: ExploreStats,
 }
 
-impl Strategy for TreeStrategy<'_> {
+impl Strategy for TreeStrategy {
     fn decide(&mut self, view: &SchedView) -> Decision {
         let decision = if self.pos < self.stack.len() {
             let b = &self.stack[self.pos];
@@ -438,76 +442,92 @@ where
     let start = Instant::now();
     let mut last_beat = Instant::now();
     let mut violated = false;
-    let mut stack: Vec<Branch> = Vec::new();
-    let mut stats = ExploreStats::default();
+    let mut strategy = TreeStrategy {
+        stack: Vec::new(),
+        pos: 0,
+        max_depth: econfig.budget.max_depth,
+        max_crashes: econfig.budget.max_crashes,
+        crashes_used: 0,
+        stats: ExploreStats::default(),
+    };
     let mut spans = econfig.trace_spans.then(|| SpanRecorder::new("explore"));
     let mut prof: Option<ContentionProfiler> = None;
-    loop {
-        let detailed = spans.is_some() && stats.runs < SPAN_RUN_CAP;
-        if detailed {
-            spans.as_mut().expect("checked").enter("run");
-        }
-        let mut strategy = TreeStrategy {
-            stack: &mut stack,
-            pos: 0,
-            max_depth: econfig.budget.max_depth,
-            max_crashes: econfig.budget.max_crashes,
-            crashes_used: 0,
-            stats: &mut stats,
-        };
-        let bodies = factory();
-        if econfig.profile && prof.is_none() {
-            prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
-        }
-        let outcome = run_sim_with(cfg, MetricsLevel::Off, &mut strategy, bodies, prof.as_mut());
-        let run_steps = outcome.trace.len() as u64;
-        if let Some(s) = spans.as_mut() {
+    let strategy = std::thread::scope(|scope| {
+        let mut pool = ProcPool::new(scope);
+        loop {
+            let detailed = spans.is_some() && strategy.stats.runs < SPAN_RUN_CAP;
             if detailed {
-                s.bump("steps", run_steps);
-                s.exit();
+                spans.as_mut().expect("checked").enter("run");
             }
-            s.bump("runs", 1);
-            s.bump("steps", run_steps);
-        }
-        stats.runs += 1;
-        if let Some(hb) = &econfig.budget.heartbeat {
-            if last_beat.elapsed() >= hb.every {
-                emit_beat(hb, start.elapsed(), stats.runs, 0, stack.len(), false);
-                last_beat = Instant::now();
+            strategy.pos = 0;
+            strategy.crashes_used = 0;
+            let bodies = factory();
+            if econfig.profile && prof.is_none() {
+                prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
             }
-        }
-        if !visit(&outcome) {
-            capture_violation(
+            let outcome;
+            (outcome, strategy) = run_sim(
+                &mut pool,
                 cfg,
-                econfig,
-                &outcome,
-                &mut factory,
-                &mut visit,
-                &mut stats,
-                &mut spans,
+                MetricsLevel::Off,
+                strategy,
+                bodies,
+                &mut prof,
             );
-            violated = true;
-            break;
-        }
-        if stats.runs >= econfig.budget.max_runs {
-            break;
-        }
-        // Advance to the next schedule: drop exhausted trailing branches,
-        // bump the deepest one with choices left.
-        while let Some(last) = stack.last() {
-            if last.pick + 1 < last.total() {
+            let (stack, stats) = (&mut strategy.stack, &mut strategy.stats);
+            let run_steps = outcome.trace.len() as u64;
+            if let Some(s) = spans.as_mut() {
+                if detailed {
+                    s.bump("steps", run_steps);
+                    s.exit();
+                }
+                s.bump("runs", 1);
+                s.bump("steps", run_steps);
+            }
+            stats.runs += 1;
+            if let Some(hb) = &econfig.budget.heartbeat {
+                if last_beat.elapsed() >= hb.every {
+                    emit_beat(hb, start.elapsed(), stats.runs, 0, stack.len(), false);
+                    last_beat = Instant::now();
+                }
+            }
+            if !visit(&outcome) {
+                capture_violation(
+                    cfg,
+                    econfig,
+                    &outcome,
+                    &mut factory,
+                    &mut visit,
+                    stats,
+                    &mut spans,
+                );
+                violated = true;
                 break;
             }
-            stack.pop();
-        }
-        match stack.last_mut() {
-            Some(last) => last.pick += 1,
-            None => {
-                stats.exhausted = true;
+            if stats.runs >= econfig.budget.max_runs {
                 break;
             }
+            // Advance to the next schedule: drop exhausted trailing
+            // branches, bump the deepest one with choices left.
+            while let Some(last) = stack.last() {
+                if last.pick + 1 < last.total() {
+                    break;
+                }
+                stack.pop();
+            }
+            match stack.last_mut() {
+                Some(last) => last.pick += 1,
+                None => {
+                    stats.exhausted = true;
+                    break;
+                }
+            }
         }
-    }
+        strategy
+    });
+    let TreeStrategy {
+        stack, mut stats, ..
+    } = strategy;
     stats.elapsed = start.elapsed();
     stats.worker_runs = vec![stats.runs];
     stats.worker_steals = vec![0];
@@ -695,21 +715,23 @@ impl SleepNode {
     }
 }
 
-struct SleepStrategy<'a> {
-    stack: &'a mut Vec<SleepNode>,
+/// The sleep-set DFS as a strategy; owns its stack and stats like
+/// [`TreeStrategy`].
+struct SleepStrategy {
+    stack: Vec<SleepNode>,
     pos: usize,
     max_depth: usize,
     max_crashes: usize,
     /// Crash decisions taken so far in this run (replayed or fresh).
     crashes_used: usize,
-    stats: &'a mut ExploreStats,
+    stats: ExploreStats,
     /// Set once a barren node is entered this run: no further nodes are
     /// pushed (the tail is completed deterministically and never
     /// revisited, because the barren ancestor pops on backtrack).
     redundant_tail: bool,
 }
 
-impl SleepStrategy<'_> {
+impl SleepStrategy {
     fn step_accounting(&mut self, replayed: bool, decision: Decision) {
         if matches!(decision, Decision::Crash(_)) {
             self.crashes_used += 1;
@@ -724,7 +746,7 @@ impl SleepStrategy<'_> {
     }
 }
 
-impl Strategy for SleepStrategy<'_> {
+impl Strategy for SleepStrategy {
     fn decide(&mut self, view: &SchedView) -> Decision {
         let replayed = self.pos < self.stack.len();
         let decision = if replayed {
@@ -798,103 +820,121 @@ where
     let start = Instant::now();
     let mut last_beat = Instant::now();
     let mut violated = false;
-    let mut stack: Vec<SleepNode> = Vec::new();
-    let mut stats = ExploreStats::default();
+    let mut strategy = SleepStrategy {
+        stack: Vec::new(),
+        pos: 0,
+        max_depth: econfig.budget.max_depth,
+        max_crashes: econfig.budget.max_crashes,
+        crashes_used: 0,
+        stats: ExploreStats::default(),
+        redundant_tail: false,
+    };
     let mut spans = econfig
         .trace_spans
         .then(|| SpanRecorder::new("explore_reduced"));
     let mut prof: Option<ContentionProfiler> = None;
-    'outer: loop {
-        let detailed = spans.is_some() && stats.runs < SPAN_RUN_CAP;
-        if detailed {
-            spans.as_mut().expect("checked").enter("run");
-        }
-        let mut strategy = SleepStrategy {
-            stack: &mut stack,
-            pos: 0,
-            max_depth: econfig.budget.max_depth,
-            max_crashes: econfig.budget.max_crashes,
-            crashes_used: 0,
-            stats: &mut stats,
-            redundant_tail: false,
-        };
-        let bodies = factory();
-        if econfig.profile && prof.is_none() {
-            prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
-        }
-        let outcome = run_sim_with(cfg, MetricsLevel::Off, &mut strategy, bodies, prof.as_mut());
-        let run_steps = outcome.trace.len() as u64;
-        if let Some(s) = spans.as_mut() {
+    let strategy = std::thread::scope(|scope| {
+        let mut pool = ProcPool::new(scope);
+        'outer: loop {
+            let detailed = spans.is_some() && strategy.stats.runs < SPAN_RUN_CAP;
             if detailed {
-                s.bump("steps", run_steps);
-                s.exit();
+                spans.as_mut().expect("checked").enter("run");
             }
-            s.bump("runs", 1);
-            s.bump("steps", run_steps);
-        }
-        stats.runs += 1;
-        if let Some(hb) = &econfig.budget.heartbeat {
-            if last_beat.elapsed() >= hb.every {
-                emit_beat(
-                    hb,
-                    start.elapsed(),
-                    stats.runs,
-                    stats.sleep_skips,
-                    stack.len(),
-                    false,
-                );
-                last_beat = Instant::now();
+            strategy.pos = 0;
+            strategy.crashes_used = 0;
+            strategy.redundant_tail = false;
+            let bodies = factory();
+            if econfig.profile && prof.is_none() {
+                prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
             }
-        }
-        if !visit(&outcome) {
-            capture_violation(
+            let outcome;
+            (outcome, strategy) = run_sim(
+                &mut pool,
                 cfg,
-                econfig,
-                &outcome,
-                &mut factory,
-                &mut visit,
-                &mut stats,
-                &mut spans,
+                MetricsLevel::Off,
+                strategy,
+                bodies,
+                &mut prof,
             );
-            violated = true;
-            break 'outer;
-        }
-        if stats.runs >= econfig.budget.max_runs {
-            break 'outer;
-        }
-        // Backtrack: mark the deepest node's pick explored and move to
-        // its next explorable choice; pop exhausted nodes.
-        loop {
-            match stack.last_mut() {
-                None => {
-                    stats.exhausted = true;
-                    break 'outer;
+            let (stack, stats) = (&mut strategy.stack, &mut strategy.stats);
+            let run_steps = outcome.trace.len() as u64;
+            if let Some(s) = spans.as_mut() {
+                if detailed {
+                    s.bump("steps", run_steps);
+                    s.exit();
                 }
-                Some(node) => {
-                    if node.barren {
-                        // The entire node was redundant: every choice
-                        // was pruned by its sleep set.
-                        stats.sleep_skips += node.total() as u64;
-                        stack.pop();
-                        continue;
+                s.bump("runs", 1);
+                s.bump("steps", run_steps);
+            }
+            stats.runs += 1;
+            if let Some(hb) = &econfig.budget.heartbeat {
+                if last_beat.elapsed() >= hb.every {
+                    emit_beat(
+                        hb,
+                        start.elapsed(),
+                        stats.runs,
+                        stats.sleep_skips,
+                        stack.len(),
+                        false,
+                    );
+                    last_beat = Instant::now();
+                }
+            }
+            if !visit(&outcome) {
+                capture_violation(
+                    cfg,
+                    econfig,
+                    &outcome,
+                    &mut factory,
+                    &mut visit,
+                    stats,
+                    &mut spans,
+                );
+                violated = true;
+                break 'outer;
+            }
+            if stats.runs >= econfig.budget.max_runs {
+                break 'outer;
+            }
+            // Backtrack: mark the deepest node's pick explored and move
+            // to its next explorable choice; pop exhausted nodes.
+            loop {
+                match stack.last_mut() {
+                    None => {
+                        stats.exhausted = true;
+                        break 'outer;
                     }
-                    node.explored |= 1 << node.pick;
-                    match node.next_explorable(0) {
-                        Some(next) => {
-                            node.pick = next;
-                            break;
-                        }
-                        None => {
-                            // Choices never explored here were pruned
-                            // (asleep) — count them before popping.
-                            stats.sleep_skips += node.unexplored();
+                    Some(node) => {
+                        if node.barren {
+                            // The entire node was redundant: every
+                            // choice was pruned by its sleep set.
+                            stats.sleep_skips += node.total() as u64;
                             stack.pop();
+                            continue;
+                        }
+                        node.explored |= 1 << node.pick;
+                        match node.next_explorable(0) {
+                            Some(next) => {
+                                node.pick = next;
+                                break;
+                            }
+                            None => {
+                                // Choices never explored here were
+                                // pruned (asleep) — count them before
+                                // popping.
+                                stats.sleep_skips += node.unexplored();
+                                stack.pop();
+                            }
                         }
                     }
                 }
             }
         }
-    }
+        strategy
+    });
+    let SleepStrategy {
+        stack, mut stats, ..
+    } = strategy;
     stats.elapsed = start.elapsed();
     stats.worker_runs = vec![stats.runs];
     stats.worker_steals = vec![0];

@@ -2,21 +2,64 @@
 //!
 //! Every simulated process runs on its own OS thread but performs **no**
 //! shared-memory access itself: each [`SimCtx::read`]/[`SimCtx::write`]
-//! sends a request to the central scheduler and blocks until serviced.
-//! The scheduler owns the register vector outright, applies each access
-//! itself, and picks the next process to service via a [`Strategy`]. An
-//! execution is therefore completely determined by the strategy's
-//! decisions — a sequence of process ids — which is what makes replay,
-//! adversaries and exhaustive exploration possible.
+//! posts the access to the run's shared state and waits to be picked. An
+//! execution is completely determined by the [`Strategy`]'s decisions —
+//! a sequence of process ids — which is what makes replay, adversaries
+//! and exhaustive exploration possible.
+//!
+//! ## Who schedules: the baton
+//!
+//! There is no scheduler thread. One run's whole state — registers,
+//! pending accesses, flags, trace, counters, profiler *and the
+//! strategy* — sits behind one mutex, with one reply slot per process.
+//! A decision point is reached when every live process has posted its
+//! next access (or finished); the thread whose post or completion
+//! brought that about holds the **baton** and takes decisions itself,
+//! in a loop, until one of them
+//!
+//! * names the holder — it applies its own access and returns to its
+//!   body: no thread switch, no system call;
+//! * names another process — the holder applies that access, stores the
+//!   reply in the other's slot, unparks it and parks on its own slot;
+//! * ends the run — it wakes the thread that called `run`.
+//!
+//! So a schedule that picks the same process k times in a row costs one
+//! hand-off, not k. At most one thread is ever unparked and unblocked
+//! per run, so the mutex is never contended while the run is live. The
+//! calling thread only starts the run, waits (checking every
+//! [`SimConfig::local_timeout`] that some process made progress) and
+//! tears it down.
+//!
+//! No wake-up is lost: a reply is stored under the mutex *before* the
+//! `unpark`, and a woken thread re-checks its slot under the mutex
+//! after every `park` — an `unpark` that comes first leaves a token
+//! that makes the next `park` return at once, and a stale token only
+//! costs one more look at an empty slot.
+//!
+//! Because [`SimCtx`] carries no lifetime, the shared state cannot
+//! borrow: a strategy travels into the run **by value** (`Send +
+//! 'static`) and is handed back after it. A borrowed or non-`Send`
+//! strategy ([`SimBuilder::run`]) stays on the calling thread and is
+//! reached through an adapter that *is* a strategy: it copies the view,
+//! wakes the otherwise idle caller, and parks until the decision comes
+//! back — the same engine, at the price of one round trip per step.
+//!
+//! A failure on the scheduling side (a single-writer violation, a
+//! strategy naming a process that cannot run, a panic inside `decide`)
+//! is caught on the thread that hit it, ends the run, and is re-raised
+//! with its original payload from the `run*`/`explore*`/`certify*` call
+//! on the caller's thread once every process thread has unwound.
 //!
 //! Crashing a process (the model's notion of failure — it simply stops
-//! taking steps) is a scheduler decision; the victim's thread is unwound
-//! at teardown via [`crate::crash::CrashSignal`].
+//! taking steps) is a scheduling decision; the victim's thread stays
+//! parked and is unwound at teardown via [`crate::crash::CrashSignal`].
 
 pub mod budget;
 pub mod certify;
 pub mod explore;
 pub mod fault;
+#[cfg(test)]
+mod handoff_tests;
 pub mod parallel;
 pub mod sample;
 pub mod shrink;
@@ -40,10 +83,13 @@ use crate::crash::{self, CrashSignal};
 use crate::ctx::{AccessKind, MemCtx, ProcId};
 use crate::metrics::{Metrics, MetricsLevel};
 use crate::trace::{StepCounts, Trace, TraceEvent};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
-use std::time::Duration;
+use parallel::ProcPool;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// A shared-memory access request, carrying the written value.
 enum Access<T> {
@@ -51,32 +97,572 @@ enum Access<T> {
     Write(usize, T),
 }
 
-impl<T> Access<T> {
-    fn kind(&self) -> AccessKind {
-        match self {
-            Access::Read(_) => AccessKind::Read,
-            Access::Write(_, _) => AccessKind::Write,
-        }
-    }
-
-    fn reg(&self) -> usize {
-        match self {
-            Access::Read(r) | Access::Write(r, _) => *r,
-        }
-    }
-}
-
-/// Messages from process threads to the scheduler.
-enum Msg<T> {
-    Request { proc: ProcId, access: Access<T> },
-    Done { proc: ProcId },
-}
-
-/// Replies from the scheduler to a blocked process.
+/// What a waiting process finds in its slot.
 enum Reply<T> {
     Value(T),
     Ack,
     Crash,
+}
+
+/// A caught panic payload.
+type Payload = Box<dyn Any + Send>;
+
+/// A strategy the run can own for its duration: `Send`, so that
+/// whichever thread holds the baton may call it, and recoverable by its
+/// concrete type once the run is over.
+trait Traveling: Strategy + Send {
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+}
+
+impl<S: Strategy + Send + 'static> Traveling for S {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+/// What one scheduling decision did to the run.
+enum Advance<T> {
+    /// The pending access of this process was applied; here is its reply.
+    Served(ProcId, Reply<T>),
+    /// A process was crashed; the same thread decides again.
+    Again,
+    /// The run is over.
+    Over,
+}
+
+/// One run's state; everything a decision reads or writes.
+struct RunState<T> {
+    /// Bumped at every [`Hub::begin`], so that a thread left over from a
+    /// run its caller gave up on cannot touch a later one.
+    epoch: u64,
+    owners: Option<Vec<ProcId>>,
+    max_steps: u64,
+    /// The thread to wake when the run is over.
+    caller: Option<Thread>,
+    /// `threads[p]` hosts process `p` (see [`ProcPool`]).
+    threads: Vec<Thread>,
+    /// `slots[p]` is where process `p` finds the reply it parked for.
+    slots: Vec<Option<Reply<T>>>,
+    strategy: Option<Box<dyn Traveling>>,
+    memory: Vec<T>,
+    /// For each process, its posted access (a crashed process keeps the
+    /// one it was crashed on). Kept across decisions: only the entry
+    /// that changed is updated.
+    pending: Vec<Option<(AccessKind, usize)>>,
+    /// The value of a posted write.
+    write_vals: Vec<Option<T>>,
+    /// Uncrashed processes with a posted access, ascending; kept like
+    /// `pending`.
+    runnable: Vec<ProcId>,
+    finished: Vec<bool>,
+    crashed: Vec<bool>,
+    crashed_at: Vec<Option<u64>>,
+    /// Processes running their bodies: each owes the run a post or a
+    /// completion. A decision point is `computing == 0`.
+    computing: usize,
+    /// Process threads that have not reported completion yet.
+    unfinished: usize,
+    steps: u64,
+    halted: bool,
+    trace: Trace,
+    counts: Vec<StepCounts>,
+    metrics: Metrics,
+    profiler: Option<ContentionProfiler>,
+    /// The payload of a panic on the scheduling side.
+    failure: Option<Payload>,
+}
+
+impl<T: Clone> RunState<T> {
+    /// Take one scheduling decision and carry it out.
+    fn advance(&mut self) -> Advance<T> {
+        if self.runnable.is_empty() {
+            return Advance::Over; // every process finished or crashed
+        }
+        if self.steps >= self.max_steps {
+            self.halted = true;
+            return Advance::Over;
+        }
+        let view = SchedView {
+            step: self.steps,
+            runnable: &self.runnable,
+            pending: &self.pending,
+            finished: &self.finished,
+            crashed: &self.crashed,
+        };
+        let strategy = self.strategy.as_mut().expect("a live run has a strategy");
+        match strategy.decide(&view) {
+            Decision::Step(p) => {
+                let at = self.runnable.binary_search(&p).unwrap_or_else(|_| {
+                    panic!(
+                        "strategy chose non-runnable process {p} (runnable: {:?})",
+                        self.runnable
+                    )
+                });
+                let (kind, reg) = self.pending[p].expect("runnable implies pending");
+                self.trace.push(TraceEvent {
+                    step: self.steps,
+                    proc: p,
+                    kind,
+                    reg,
+                });
+                self.counts[p].bump(kind);
+                // Every process blocked on the same register right now;
+                // all posted accesses are in view, so this is exact.
+                let rivals = || {
+                    self.runnable
+                        .iter()
+                        .filter(|&&q| q != p && self.pending[q].is_some_and(|(_, r)| r == reg))
+                };
+                if self.metrics.enabled() {
+                    let contended = rivals().next().is_some();
+                    match kind {
+                        AccessKind::Read => self.metrics.record_read(p, reg, contended),
+                        AccessKind::Write => self.metrics.record_write(p, reg, contended),
+                    }
+                }
+                if let Some(prof) = &mut self.profiler {
+                    // Point contention counts the serviced process too.
+                    prof.record(p, reg, kind, 1 + rivals().count() as u64);
+                }
+                self.steps += 1;
+                let reply = match kind {
+                    AccessKind::Read => Reply::Value(self.memory[reg].clone()),
+                    AccessKind::Write => {
+                        if let Some(owners) = &self.owners {
+                            assert_eq!(
+                                owners[reg], p,
+                                "SWMR violation: P{p} wrote register {reg} owned by P{}",
+                                owners[reg]
+                            );
+                        }
+                        self.memory[reg] = self.write_vals[p].take().expect("a posted write");
+                        Reply::Ack
+                    }
+                };
+                self.pending[p] = None;
+                self.runnable.remove(at);
+                self.computing += 1;
+                Advance::Served(p, reply)
+            }
+            Decision::Crash(p) => {
+                assert!(
+                    !self.crashed[p] && !self.finished[p],
+                    "cannot crash {p} twice"
+                );
+                self.crashed[p] = true;
+                self.crashed_at[p] = Some(self.steps);
+                // At a decision point a live process has a posted access.
+                self.runnable.retain(|&q| q != p);
+                Advance::Again
+            }
+            Decision::Halt => {
+                self.halted = true;
+                Advance::Over
+            }
+        }
+    }
+}
+
+/// The shared side of a run: its state behind the run's one mutex, plus
+/// the two words the waiting caller reads without it. A [`ProcPool`]
+/// keeps one hub for all its runs.
+pub(crate) struct Hub<T> {
+    state: Mutex<RunState<T>>,
+    /// Set (under the mutex) by the decision that ends the run, or by a
+    /// caller giving up on it.
+    over: AtomicBool,
+    /// Posts and completions so far: the caller's evidence that no
+    /// process is computing forever.
+    progress: AtomicU64,
+}
+
+/// How long the caller sleeps when the timeout is too large to add to
+/// an `Instant`.
+const FAR: Duration = Duration::from_secs(365 * 24 * 3600);
+
+impl<T: Clone> Hub<T> {
+    pub(crate) fn new() -> Self {
+        Hub {
+            state: Mutex::new(RunState {
+                epoch: 0,
+                owners: None,
+                max_steps: 0,
+                caller: None,
+                threads: Vec::new(),
+                slots: Vec::new(),
+                strategy: None,
+                memory: Vec::new(),
+                pending: Vec::new(),
+                write_vals: Vec::new(),
+                runnable: Vec::new(),
+                finished: Vec::new(),
+                crashed: Vec::new(),
+                crashed_at: Vec::new(),
+                computing: 0,
+                unfinished: 0,
+                steps: 0,
+                halted: false,
+                trace: Trace::new(),
+                counts: Vec::new(),
+                metrics: Metrics::default(),
+                profiler: None,
+                failure: None,
+            }),
+            over: AtomicBool::new(true),
+            progress: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RunState<T>> {
+        // Every panic that can start under the mutex is caught under it
+        // (see `drive`), so it is never poisoned.
+        self.state
+            .lock()
+            .expect("the run's mutex is never poisoned")
+    }
+
+    /// Record the thread that hosts the next process id.
+    pub(crate) fn seat(&self, thread: Thread) {
+        self.lock().threads.push(thread);
+    }
+
+    /// Reset the state for a run of `n` processes on the calling thread
+    /// and mint their handles.
+    fn begin(
+        self: &Arc<Self>,
+        cfg: &SimConfig<T>,
+        level: MetricsLevel,
+        strategy: Box<dyn Traveling>,
+        n: usize,
+        mut profiler: Option<ContentionProfiler>,
+    ) -> Vec<SimCtx<T>> {
+        if let Some(prof) = profiler.as_mut() {
+            prof.begin_run();
+        }
+        let n_regs = cfg.registers.len();
+        let mut st = self.lock();
+        let st = &mut *st;
+        debug_assert!(st.threads.len() >= n, "a seated thread per process");
+        st.epoch += 1;
+        st.owners.clone_from(&cfg.owners);
+        st.max_steps = cfg.max_steps;
+        st.caller = Some(std::thread::current());
+        st.slots.clear();
+        st.slots.resize_with(n, || None);
+        st.strategy = Some(strategy);
+        st.memory.clone_from(&cfg.registers);
+        st.pending.clear();
+        st.pending.resize(n, None);
+        st.write_vals.clear();
+        st.write_vals.resize_with(n, || None);
+        st.runnable.clear();
+        st.finished.clear();
+        st.finished.resize(n, false);
+        st.crashed = vec![false; n];
+        st.crashed_at = vec![None; n];
+        st.computing = n;
+        st.unfinished = n;
+        st.steps = 0;
+        st.halted = false;
+        st.trace = Trace::new();
+        st.counts = vec![StepCounts::default(); n];
+        st.metrics = Metrics::new(level, n, n_regs);
+        st.profiler = profiler;
+        st.failure = None;
+        // With nobody to reach a decision point the run is over already.
+        self.over.store(n == 0, Ordering::Release);
+        (0..n)
+            .map(|proc| SimCtx {
+                proc,
+                n_procs: n,
+                n_regs,
+                epoch: st.epoch,
+                hub: Arc::clone(self),
+            })
+            .collect()
+    }
+
+    /// Process `proc` asks for `access`; returns when it was serviced
+    /// (or the run ended). Takes the decisions itself when this post is
+    /// the one every other process was waiting for.
+    fn post(&self, proc: ProcId, epoch: u64, access: Access<T>) -> Reply<T> {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        if st.epoch != epoch || self.over.load(Ordering::Relaxed) {
+            return Reply::Crash;
+        }
+        self.progress.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(st.pending[proc].is_none(), "duplicate request from P{proc}");
+        st.pending[proc] = Some(match access {
+            Access::Read(reg) => (AccessKind::Read, reg),
+            Access::Write(reg, val) => {
+                st.write_vals[proc] = Some(val);
+                (AccessKind::Write, reg)
+            }
+        });
+        let at = st.runnable.partition_point(|&q| q < proc);
+        st.runnable.insert(at, proc);
+        st.computing -= 1;
+        if st.computing > 0 {
+            drop(guard);
+            return self.await_reply(proc);
+        }
+        self.drive(guard, Some(proc))
+            .expect("a posting process gets a reply")
+    }
+
+    /// Process `proc`'s body returned or unwound.
+    pub(crate) fn finish(&self, proc: ProcId, epoch: u64) {
+        let mut st = self.lock();
+        if st.epoch != epoch {
+            return;
+        }
+        self.progress.fetch_add(1, Ordering::Relaxed);
+        st.finished[proc] = true;
+        st.unfinished -= 1;
+        if self.over.load(Ordering::Relaxed) {
+            // Unwound at teardown; the caller waits for the last one.
+            if st.unfinished == 0 {
+                st.caller.as_ref().expect("a run has a caller").unpark();
+            }
+            return;
+        }
+        st.computing -= 1;
+        if st.computing == 0 {
+            self.drive(st, None);
+        }
+    }
+
+    /// Hold the baton: decide until a decision names `me` (its reply is
+    /// returned), hands the baton to another process (then wait for
+    /// `me`'s own turn, if it has one coming), or ends the run.
+    fn drive(&self, mut st: MutexGuard<'_, RunState<T>>, me: Option<ProcId>) -> Option<Reply<T>> {
+        loop {
+            // Caught here, under the mutex, so that a failing strategy
+            // or a single-writer violation poisons nothing.
+            match catch_unwind(AssertUnwindSafe(|| st.advance())) {
+                Ok(Advance::Again) => {}
+                Ok(Advance::Served(p, reply)) if Some(p) == me => return Some(reply),
+                Ok(Advance::Served(p, reply)) => {
+                    st.slots[p] = Some(reply);
+                    let next = st.threads[p].clone();
+                    drop(st);
+                    next.unpark();
+                    return me.map(|me| self.await_reply(me));
+                }
+                over => {
+                    st.failure = over.err();
+                    self.over.store(true, Ordering::Release);
+                    let caller = st.caller.clone().expect("a run has a caller");
+                    drop(st);
+                    caller.unpark();
+                    // A process still mid-body unwinds right away.
+                    return me.map(|_| Reply::Crash);
+                }
+            }
+        }
+    }
+
+    /// Park until `slots[proc]` is filled. The slot is written under the
+    /// mutex before the `unpark`, and re-read under it after every
+    /// `park`, so neither a wake-up nor a reply can be lost.
+    fn await_reply(&self, proc: ProcId) -> Reply<T> {
+        loop {
+            std::thread::park();
+            if let Some(reply) = self.lock().slots[proc].take() {
+                return reply;
+            }
+        }
+    }
+
+    /// Answer every parked process with `Crash` so its thread unwinds.
+    fn crash_parked(&self) -> MutexGuard<'_, RunState<T>> {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        for (p, slot) in st.slots.iter_mut().enumerate() {
+            if !st.finished[p] && st.pending[p].is_some() {
+                *slot = Some(Reply::Crash);
+                st.threads[p].unpark();
+            }
+        }
+        guard
+    }
+
+    /// The calling thread's part of a run: wait for it to end, serving
+    /// the borrowed strategy's `desk` meanwhile if there is one, then
+    /// unwind every process that did not finish and wait for them all.
+    fn attend(&self, timeout: Duration, mut desk: Option<&mut Desk<'_>>) {
+        let until = |now: Instant| now.checked_add(timeout).unwrap_or(now + FAR);
+        let mut seen = self.progress.load(Ordering::Relaxed);
+        let mut deadline = until(Instant::now());
+        while !self.over.load(Ordering::Acquire) {
+            let now = Instant::now();
+            let progress = self.progress.load(Ordering::Relaxed);
+            if desk.as_mut().is_some_and(|d| d.serve()) || progress != seen {
+                seen = progress;
+                deadline = until(now);
+                continue;
+            }
+            if now >= deadline {
+                self.over.store(true, Ordering::Release);
+                if let Some(desk) = desk {
+                    desk.close();
+                }
+                drop(self.crash_parked());
+                panic!(
+                    "simulated process computed for {timeout:?} without a shared-memory \
+                     access or completion; bodies must not loop locally forever"
+                );
+            }
+            std::thread::park_timeout(deadline - now);
+        }
+        let mut st = self.crash_parked();
+        let deadline = until(Instant::now());
+        while st.unfinished > 0 {
+            drop(st);
+            let now = Instant::now();
+            assert!(
+                now < deadline,
+                "simulated process failed to unwind during teardown"
+            );
+            std::thread::park_timeout(deadline - now);
+            st = self.lock();
+        }
+    }
+
+    /// Move the finished run out: the outcome and the strategy, the
+    /// profiler back where it came from — or, if the run failed on the
+    /// scheduling side, the failure, re-raised here on the caller.
+    fn end<R>(
+        &self,
+        results: Vec<Option<R>>,
+        panics: Vec<Option<String>>,
+        profiler: &mut Option<ContentionProfiler>,
+    ) -> (SimOutcome<T, R>, Box<dyn Traveling>) {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        *profiler = st.profiler.take();
+        if let Some(payload) = st.failure.take() {
+            drop(guard);
+            resume_unwind(payload);
+        }
+        let outcome = SimOutcome {
+            results,
+            panics,
+            crashed: std::mem::take(&mut st.crashed),
+            crashed_at: std::mem::take(&mut st.crashed_at),
+            trace: std::mem::take(&mut st.trace),
+            counts: std::mem::take(&mut st.counts),
+            metrics: std::mem::take(&mut st.metrics),
+            contention: None, // filled by SimBuilder::run when profiling
+            memory: std::mem::take(&mut st.memory),
+            halted: st.halted,
+        };
+        let strategy = st.strategy.take().expect("the run had a strategy");
+        (outcome, strategy)
+    }
+}
+
+/// The state shared by the two halves of the borrowed-strategy adapter.
+#[derive(Default)]
+struct DeskState {
+    // An owned copy of the view being asked about (buffers reused).
+    step: u64,
+    runnable: Vec<ProcId>,
+    pending: Vec<Option<(AccessKind, usize)>>,
+    finished: Vec<bool>,
+    crashed: Vec<bool>,
+    /// The baton holder waiting for an answer to that view.
+    asker: Option<Thread>,
+    answer: Option<std::thread::Result<Decision>>,
+    /// The caller has given up on the run: every question is answered
+    /// `Halt` without it.
+    closed: bool,
+}
+
+struct DeskShared {
+    state: Mutex<DeskState>,
+    caller: Thread,
+}
+
+impl DeskShared {
+    fn lock(&self) -> MutexGuard<'_, DeskState> {
+        self.state
+            .lock()
+            .expect("the desk's mutex is never poisoned")
+    }
+}
+
+/// The half of the adapter that travels with the run: a [`Strategy`]
+/// that forwards an owned copy of each view to the calling thread, where
+/// the borrowed strategy lives, and returns its decision.
+struct Courier(Arc<DeskShared>);
+
+impl Strategy for Courier {
+    fn decide(&mut self, view: &SchedView) -> Decision {
+        {
+            let mut d = self.0.lock();
+            if d.closed {
+                return Decision::Halt;
+            }
+            d.step = view.step;
+            d.runnable.clear();
+            d.runnable.extend_from_slice(view.runnable);
+            d.pending.clear();
+            d.pending.extend_from_slice(view.pending);
+            d.finished.clear();
+            d.finished.extend_from_slice(view.finished);
+            d.crashed.clear();
+            d.crashed.extend_from_slice(view.crashed);
+            d.asker = Some(std::thread::current());
+        }
+        self.0.caller.unpark();
+        loop {
+            std::thread::park();
+            if let Some(answer) = self.0.lock().answer.take() {
+                // A panic of the borrowed strategy continues here, to be
+                // caught with every other scheduling-side failure.
+                return answer.unwrap_or_else(|payload| resume_unwind(payload));
+            }
+        }
+    }
+}
+
+/// The half of the adapter that stays on the calling thread.
+struct Desk<'s> {
+    shared: Arc<DeskShared>,
+    strategy: &'s mut dyn Strategy,
+}
+
+impl Desk<'_> {
+    /// Answer the pending question, if there is one.
+    fn serve(&mut self) -> bool {
+        let mut d = self.shared.lock();
+        let Some(asker) = d.asker.take() else {
+            return false;
+        };
+        let view = SchedView {
+            step: d.step,
+            runnable: &d.runnable,
+            pending: &d.pending,
+            finished: &d.finished,
+            crashed: &d.crashed,
+        };
+        let answer = catch_unwind(AssertUnwindSafe(|| self.strategy.decide(&view)));
+        d.answer = Some(answer);
+        drop(d);
+        asker.unpark();
+        true
+    }
+
+    fn close(&self) {
+        let mut d = self.shared.lock();
+        d.closed = true;
+        if let Some(asker) = d.asker.take() {
+            d.answer = Some(Ok(Decision::Halt));
+            asker.unpark();
+        }
+    }
 }
 
 /// The per-process handle handed to simulated process bodies.
@@ -84,27 +670,15 @@ pub struct SimCtx<T> {
     proc: ProcId,
     n_procs: usize,
     n_regs: usize,
-    to_sched: Sender<Msg<T>>,
-    from_sched: Receiver<Reply<T>>,
+    epoch: u64,
+    hub: Arc<Hub<T>>,
 }
 
 impl<T: Clone> SimCtx<T> {
-    fn request(&mut self, access: Access<T>) -> Reply<T> {
-        if self
-            .to_sched
-            .send(Msg::Request {
-                proc: self.proc,
-                access,
-            })
-            .is_err()
-        {
-            // Scheduler is gone: treat as a crash.
-            std::panic::panic_any(CrashSignal);
-        }
-        match self.from_sched.recv() {
-            Ok(reply) => reply,
-            Err(_) => std::panic::panic_any(CrashSignal),
-        }
+    /// Report that the body returned or unwound; the last word of a
+    /// process thread to its run.
+    pub(crate) fn finish(self) {
+        self.hub.finish(self.proc, self.epoch);
     }
 }
 
@@ -123,7 +697,7 @@ impl<T: Clone> MemCtx<T> for SimCtx<T> {
 
     fn read(&mut self, reg: usize) -> T {
         assert!(reg < self.n_regs, "register {reg} out of range");
-        match self.request(Access::Read(reg)) {
+        match self.hub.post(self.proc, self.epoch, Access::Read(reg)) {
             Reply::Value(v) => v,
             Reply::Crash => std::panic::panic_any(CrashSignal),
             Reply::Ack => unreachable!("read answered with ack"),
@@ -132,7 +706,10 @@ impl<T: Clone> MemCtx<T> for SimCtx<T> {
 
     fn write(&mut self, reg: usize, val: T) {
         assert!(reg < self.n_regs, "register {reg} out of range");
-        match self.request(Access::Write(reg, val)) {
+        match self
+            .hub
+            .post(self.proc, self.epoch, Access::Write(reg, val))
+        {
             Reply::Ack => {}
             Reply::Crash => std::panic::panic_any(CrashSignal),
             Reply::Value(_) => unreachable!("write answered with value"),
@@ -155,8 +732,8 @@ pub struct SimConfig<T> {
     /// Hard step budget; the run halts (crashing all processes) when
     /// exceeded. Guards against livelock under pathological schedules.
     pub max_steps: u64,
-    /// How long the scheduler waits for a locally-computing process
-    /// before declaring the run wedged.
+    /// How long a run may go without any process posting an access or
+    /// completing before it is declared wedged.
     pub local_timeout: Duration,
 }
 
@@ -247,75 +824,78 @@ impl<T, R> SimOutcome<T, R> {
     }
 }
 
-/// The engine behind [`SimBuilder::run`] and the exploration/shrinking
-/// free functions: spawns one thread per body, runs the scheduler loop on
-/// the calling thread, and tears everything down before returning (no
-/// leaked threads). One extra knob over the builder surface: the metrics
-/// collection level.
-pub(crate) fn run_sim_with<T, R, F>(
+/// Run one execution on `pool`'s threads with a strategy that travels
+/// with the run, and hand the strategy back with the outcome. This is
+/// the one way a simulated execution happens; every driver that runs
+/// more than once keeps a pool and calls it per run.
+///
+/// `profiler` is taken for the run and put back after it.
+pub(crate) fn run_sim<'env, T, R, S>(
+    pool: &mut ProcPool<'_, 'env, T, R>,
+    cfg: &SimConfig<T>,
+    level: MetricsLevel,
+    strategy: S,
+    bodies: Vec<ProcBody<'env, T, R>>,
+    profiler: &mut Option<ContentionProfiler>,
+) -> (SimOutcome<T, R>, S)
+where
+    T: Clone + Send,
+    R: Send,
+    S: Strategy + Send + 'static,
+{
+    let (outcome, strategy) = conduct(pool, cfg, level, Box::new(strategy), bodies, profiler, None);
+    let strategy = strategy
+        .into_any()
+        .downcast()
+        .expect("a run hands back the strategy it was given");
+    (outcome, *strategy)
+}
+
+/// [`run_sim`] for a strategy that cannot travel (borrowed, or not
+/// `Send`): it stays on this thread, which has nothing else to do while
+/// the run is live, and the run owns a [`Courier`] to it.
+fn run_sim_ref<'env, T, R>(
+    pool: &mut ProcPool<'_, 'env, T, R>,
     cfg: &SimConfig<T>,
     level: MetricsLevel,
     strategy: &mut dyn Strategy,
-    bodies: Vec<F>,
-    profiler: Option<&mut ContentionProfiler>,
+    bodies: Vec<ProcBody<'env, T, R>>,
+    profiler: &mut Option<ContentionProfiler>,
 ) -> SimOutcome<T, R>
 where
     T: Clone + Send,
     R: Send,
-    F: FnOnce(&mut SimCtx<T>) -> R + Send,
+{
+    let shared = Arc::new(DeskShared {
+        state: Mutex::default(),
+        caller: std::thread::current(),
+    });
+    let courier = Box::new(Courier(Arc::clone(&shared)));
+    let mut desk = Desk { shared, strategy };
+    conduct(pool, cfg, level, courier, bodies, profiler, Some(&mut desk)).0
+}
+
+fn conduct<'env, T, R>(
+    pool: &mut ProcPool<'_, 'env, T, R>,
+    cfg: &SimConfig<T>,
+    level: MetricsLevel,
+    strategy: Box<dyn Traveling>,
+    bodies: Vec<ProcBody<'env, T, R>>,
+    profiler: &mut Option<ContentionProfiler>,
+    desk: Option<&mut Desk<'_>>,
+) -> (SimOutcome<T, R>, Box<dyn Traveling>)
+where
+    T: Clone + Send,
+    R: Send,
 {
     crash::install_quiet_crash_hook();
     let n = bodies.len();
-    let n_regs = cfg.registers.len();
-    let (msg_tx, msg_rx) = channel::<Msg<T>>();
-    let mut reply_txs: Vec<Sender<Reply<T>>> = Vec::with_capacity(n);
-    let mut ctxs: Vec<SimCtx<T>> = Vec::with_capacity(n);
-    for p in 0..n {
-        let (tx, rx) = channel::<Reply<T>>();
-        reply_txs.push(tx);
-        ctxs.push(SimCtx {
-            proc: p,
-            n_procs: n,
-            n_regs,
-            to_sched: msg_tx.clone(),
-            from_sched: rx,
-        });
-    }
-    drop(msg_tx);
-
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let panics: Mutex<Vec<Option<String>>> = Mutex::new(vec![None; n]);
-
-    let mut outcome = std::thread::scope(|scope| {
-        for (p, (body, mut ctx)) in bodies.into_iter().zip(ctxs).enumerate() {
-            let results = &results;
-            let panics = &panics;
-            scope.spawn(move || {
-                let to_sched = ctx.to_sched.clone();
-                match catch_unwind(AssertUnwindSafe(move || body(&mut ctx))) {
-                    Ok(r) => {
-                        results.lock().unwrap()[p] = Some(r);
-                    }
-                    Err(payload) => {
-                        if !crash::is_crash(payload.as_ref()) {
-                            panics.lock().unwrap()[p] =
-                                Some(crash::describe_panic(payload.as_ref()));
-                        }
-                    }
-                }
-                // Ignore send failure: the scheduler may already be gone.
-                let _ = to_sched.send(Msg::Done { proc: p });
-            });
-        }
-        scheduler_loop(cfg, level, strategy, n, msg_rx, reply_txs, profiler)
-    });
-
-    outcome_finish(
-        &mut outcome,
-        results.into_inner().unwrap(),
-        panics.into_inner().unwrap(),
-    );
-    outcome
+    let hub = Arc::clone(pool.hub(n));
+    let ctxs = hub.begin(cfg, level, strategy, n, profiler.take());
+    pool.dispatch(ctxs.into_iter().zip(bodies));
+    hub.attend(cfg.local_timeout, desk);
+    let (results, panics) = pool.collect(n);
+    hub.end(results, panics, profiler)
 }
 
 /// How the builder stores its strategy: owned for the common fluent case,
@@ -405,8 +985,8 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
         self
     }
 
-    /// How long the scheduler waits for a locally-computing process
-    /// before declaring the run wedged.
+    /// How long a run may go without any process posting an access or
+    /// completing before it is declared wedged.
     pub fn local_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.local_timeout = timeout;
         self
@@ -421,7 +1001,7 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
     /// Collect a [`ContentionMap`] for each run (surfaced on
     /// [`SimOutcome::contention`]): per-cell hot-spot counters, stall
     /// attribution edges, and contention-charged step accounting, with
-    /// point contention attributed exactly by the scheduler.
+    /// point contention attributed exactly at each decision.
     pub fn profile(mut self, profile: bool) -> Self {
         self.profile = profile;
         self
@@ -487,12 +1067,23 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
             .profile
             .then(|| ContentionProfiler::new(bodies.len(), self.cfg.registers.len()));
         let strat = self.strat.get();
-        let mut out = if self.faults.is_empty() {
-            run_sim_with(&self.cfg, self.level, strat, bodies, prof.as_mut())
+        let mut planned;
+        let strat: &mut dyn Strategy = if self.faults.is_empty() {
+            strat
         } else {
-            let mut planned = fault::FaultyRef::new(&self.faults, strat);
-            run_sim_with(&self.cfg, self.level, &mut planned, bodies, prof.as_mut())
+            planned = fault::FaultyRef::new(&self.faults, strat);
+            &mut planned
         };
+        let bodies = bodies
+            .into_iter()
+            .map(|body| Box::new(body) as ProcBody<'_, T, R>)
+            .collect();
+        // Bodies may borrow the environment, so their threads live in a
+        // scope that ends with the run.
+        let mut out = std::thread::scope(|scope| {
+            let mut pool = ProcPool::new(scope);
+            run_sim_ref(&mut pool, &self.cfg, self.level, strat, bodies, &mut prof)
+        });
         out.contention = prof.map(ContentionProfiler::into_map);
         out
     }
@@ -653,186 +1244,6 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
     }
 }
 
-fn outcome_finish<T, R>(
-    out: &mut SimOutcome<T, R>,
-    results: Vec<Option<R>>,
-    panics: Vec<Option<String>>,
-) {
-    out.results = results;
-    out.panics = panics;
-}
-
-fn scheduler_loop<T: Clone, R>(
-    cfg: &SimConfig<T>,
-    level: MetricsLevel,
-    strategy: &mut dyn Strategy,
-    n: usize,
-    msg_rx: Receiver<Msg<T>>,
-    reply_txs: Vec<Sender<Reply<T>>>,
-    mut profiler: Option<&mut ContentionProfiler>,
-) -> SimOutcome<T, R> {
-    if let Some(prof) = profiler.as_deref_mut() {
-        prof.begin_run();
-    }
-    let mut memory = cfg.registers.clone();
-    let mut pending: Vec<Option<Access<T>>> = (0..n).map(|_| None).collect();
-    let mut finished = vec![false; n];
-    let mut crashed = vec![false; n];
-    let mut crashed_at: Vec<Option<u64>> = vec![None; n];
-    let mut trace = Trace::new();
-    let mut counts = vec![StepCounts::default(); n];
-    let mut metrics = Metrics::new(level, n, cfg.registers.len());
-    let mut halted = false;
-    let mut steps: u64 = 0;
-
-    'outer: loop {
-        // Phase 1: gather messages until every live, uncrashed process is
-        // either finished or has a pending request.
-        while (0..n).any(|p| !finished[p] && !crashed[p] && pending[p].is_none()) {
-            match msg_rx.recv_timeout(cfg.local_timeout) {
-                Ok(Msg::Request { proc, access }) => {
-                    debug_assert!(pending[proc].is_none(), "duplicate request from P{proc}");
-                    pending[proc] = Some(access);
-                }
-                Ok(Msg::Done { proc }) => finished[proc] = true,
-                Err(RecvTimeoutError::Timeout) => {
-                    panic!(
-                        "simulated process computed for {:?} without a shared-memory \
-                         access or completion; bodies must not loop locally forever",
-                        cfg.local_timeout
-                    );
-                }
-                Err(RecvTimeoutError::Disconnected) => break 'outer,
-            }
-        }
-
-        // Phase 2: choose and service a step.
-        let runnable: Vec<ProcId> = (0..n)
-            .filter(|&p| !crashed[p] && !finished[p] && pending[p].is_some())
-            .collect();
-        if runnable.is_empty() {
-            break; // every process finished or crashed
-        }
-        if steps >= cfg.max_steps {
-            halted = true;
-            break;
-        }
-        let pending_info: Vec<Option<(AccessKind, usize)>> = pending
-            .iter()
-            .map(|a| a.as_ref().map(|a| (a.kind(), a.reg())))
-            .collect();
-        let view = SchedView {
-            step: steps,
-            runnable: &runnable,
-            pending: &pending_info,
-            finished: &finished,
-            crashed: &crashed,
-        };
-        match strategy.decide(&view) {
-            Decision::Step(p) => {
-                assert!(
-                    runnable.contains(&p),
-                    "strategy chose non-runnable process {p} (runnable: {runnable:?})"
-                );
-                let access = pending[p].take().expect("runnable implies pending");
-                trace.push(TraceEvent {
-                    step: steps,
-                    proc: p,
-                    kind: access.kind(),
-                    reg: access.reg(),
-                });
-                counts[p].bump(access.kind());
-                if metrics.enabled() {
-                    // Contended: some *other* process is blocked on the
-                    // same register right now. The scheduler sees every
-                    // pending request, so this is exact.
-                    let reg = access.reg();
-                    let contended = runnable
-                        .iter()
-                        .any(|&q| q != p && pending_info[q].is_some_and(|(_, r)| r == reg));
-                    match access.kind() {
-                        AccessKind::Read => metrics.record_read(p, reg, contended),
-                        AccessKind::Write => metrics.record_write(p, reg, contended),
-                    }
-                }
-                if let Some(prof) = profiler.as_deref_mut() {
-                    // Exact point contention: every process with a
-                    // pending request on the same register right now,
-                    // including the serviced one.
-                    let reg = access.reg();
-                    let k = 1 + runnable
-                        .iter()
-                        .filter(|&&q| q != p && pending_info[q].is_some_and(|(_, r)| r == reg))
-                        .count() as u64;
-                    prof.record(p, reg, access.kind(), k);
-                }
-                steps += 1;
-                let reply = match access {
-                    Access::Read(r) => Reply::Value(memory[r].clone()),
-                    Access::Write(r, v) => {
-                        if let Some(owners) = &cfg.owners {
-                            assert_eq!(
-                                owners[r], p,
-                                "SWMR violation: P{p} wrote register {r} owned by P{}",
-                                owners[r]
-                            );
-                        }
-                        memory[r] = v;
-                        Reply::Ack
-                    }
-                };
-                if reply_txs[p].send(reply).is_err() {
-                    // The process died unexpectedly (its panic is recorded
-                    // by the wrapper); treat like a crash.
-                    crashed[p] = true;
-                }
-            }
-            Decision::Crash(p) => {
-                assert!(!crashed[p] && !finished[p], "cannot crash {p} twice");
-                crashed[p] = true;
-                crashed_at[p] = Some(steps);
-            }
-            Decision::Halt => {
-                halted = true;
-                break;
-            }
-        }
-    }
-
-    // Teardown: crash every process that has not finished, answering its
-    // pending (or eventual) request with `Crash` so its thread unwinds.
-    for p in 0..n {
-        if !finished[p] && pending[p].take().is_some() {
-            let _ = reply_txs[p].send(Reply::Crash);
-        }
-    }
-    while (0..n).any(|p| !finished[p]) {
-        match msg_rx.recv_timeout(cfg.local_timeout) {
-            Ok(Msg::Request { proc, .. }) => {
-                let _ = reply_txs[proc].send(Reply::Crash);
-            }
-            Ok(Msg::Done { proc }) => finished[proc] = true,
-            Err(RecvTimeoutError::Timeout) => {
-                panic!("simulated process failed to unwind during teardown");
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    SimOutcome {
-        results: Vec::new(), // filled by run_sim_with
-        panics: Vec::new(),  // filled by run_sim_with
-        crashed,
-        crashed_at,
-        trace,
-        counts,
-        metrics,
-        contention: None, // filled by SimBuilder::run when profiling
-        memory,
-        halted,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::strategy::{Replay, SeededRandom};
@@ -983,8 +1394,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "SWMR violation")]
     fn swmr_violation_is_caught() {
-        // The SWMR assertion fires in the scheduler loop, which runs on
-        // the calling thread, so run itself panics.
+        // The SWMR assertion fires on the process thread holding the
+        // baton; run re-raises it on the calling thread.
         let _: SimOutcome<u64, ()> =
             SimBuilder::new(vec![0u64; 2])
                 .owners(vec![0, 1])

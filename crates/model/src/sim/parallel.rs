@@ -39,28 +39,30 @@
 //! tolerate out-of-order invocation (each worker gets its own pair of
 //! callbacks precisely so per-run state needs no locking).
 //!
-//! ## Per-worker simulator pools
+//! ## Process pools
 //!
-//! Each worker owns a `ProcPool`: persistent OS threads that host the
-//! simulated processes of run after run, replacing the per-run
-//! `thread::spawn`/join of the one-shot runner with a channel send. On a
-//! multi-core host the workers scale the exploration; on any host the
-//! pool removes thread-creation cost from the per-run critical path.
+//! Every driver that executes more than one run — the workers here, the
+//! sequential explorers, the certifier, the sampler and the shrinker —
+//! owns a `ProcPool`: scoped OS threads, thread `p` hosting process `p`
+//! of run after run, wired once to one shared run state. Starting a run
+//! is a reset of that state plus one `unpark` per process; nothing is
+//! spawned, joined or allocated for the wiring per run. A worker's pool
+//! lives in the same thread scope as the worker itself.
 
 use super::explore::{
     emit_beat, independent, ExecutionWitness, ExploreConfig, ExploreStats, SleepNode,
 };
 use super::shrink::shrink_execution;
 use super::strategy::{Decision, SchedView, Strategy};
-use super::{outcome_finish, scheduler_loop, Msg, ProcBody, Reply, SimConfig, SimCtx, SimOutcome};
+use super::{run_sim, Hub, ProcBody, SimConfig, SimCtx, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::crash;
 use crate::ctx::ProcId;
 use crate::metrics::MetricsLevel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{Scope, Thread};
 use std::time::{Duration, Instant};
 
 /// Resolve a requested worker count: 0 means "all available
@@ -74,159 +76,131 @@ pub fn resolve_threads(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// What a pooled process thread reports back per job: the body's return
+/// What a process thread leaves behind per run: the body's return
 /// value, or `Err(Some(message))` for a genuine panic, `Err(None)` for a
 /// crash unwind.
-type ProcResult<R> = (ProcId, Result<R, Option<String>>);
+type Report<R> = Result<R, Option<String>>;
 
-/// One simulated-process job: run `body` against `ctx`, report on
-/// `results`, then signal `Done` to the scheduler.
-struct Job<T, R> {
-    ctx: SimCtx<T>,
-    body: ProcBody<'static, T, R>,
-    results: Sender<ProcResult<R>>,
+/// The mailbox between a pool and one of its threads.
+struct Seat<'a, T, R> {
+    /// The next run's handle and body, left by [`ProcPool::dispatch`].
+    job: Option<(SimCtx<T>, ProcBody<'a, T, R>)>,
+    /// The last run's report, until [`ProcPool::collect`] takes it.
+    report: Option<Report<R>>,
+    /// The pool is gone; the thread returns.
+    closed: bool,
 }
 
-/// A pool of persistent OS threads hosting simulated processes, so that
-/// successive runs reuse threads instead of spawning fresh ones. Thread
-/// `p` hosts process `p` of every run dispatched through the pool.
-pub(crate) struct ProcPool<T, R> {
-    jobs: Vec<Sender<Job<T, R>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// Scoped OS threads hosting simulated processes, so that successive
+/// runs reuse threads — and their wiring to one shared [`Hub`] —
+/// instead of spawning fresh ones. Thread `p` hosts process `p` of
+/// every run dispatched through the pool. The threads end when the pool
+/// is dropped and are joined by the scope.
+pub(crate) struct ProcPool<'scope, 'env, T: 'scope, R: 'scope> {
+    scope: &'scope Scope<'scope, 'env>,
+    hub: Arc<Hub<T>>,
+    seats: Vec<Arc<Mutex<Seat<'env, T, R>>>>,
+    threads: Vec<Thread>,
 }
 
-impl<T, R> ProcPool<T, R>
+impl<'scope, 'env, T, R> ProcPool<'scope, 'env, T, R>
 where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
+    T: Clone + Send,
+    R: Send,
 {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(scope: &'scope Scope<'scope, 'env>) -> Self {
         ProcPool {
-            jobs: Vec::new(),
-            handles: Vec::new(),
+            scope,
+            hub: Arc::new(Hub::new()),
+            seats: Vec::new(),
+            threads: Vec::new(),
         }
     }
 
-    /// Grow the pool to at least `n` process threads.
-    fn ensure(&mut self, n: usize) {
-        while self.jobs.len() < n {
-            let (tx, rx) = channel::<Job<T, R>>();
-            self.jobs.push(tx);
+    /// The pool's hub, with at least `n` process threads seated at it.
+    pub(crate) fn hub(&mut self, n: usize) -> &Arc<Hub<T>> {
+        while self.seats.len() < n {
+            let seat = Arc::new(Mutex::new(Seat {
+                job: None,
+                report: None,
+                closed: false,
+            }));
+            self.seats.push(Arc::clone(&seat));
             let handle = std::thread::Builder::new()
-                .name(format!("apram-sim-{}", self.handles.len()))
-                .spawn(move || pool_thread(rx))
+                .name(format!("apram-sim-{}", self.threads.len()))
+                .spawn_scoped(self.scope, move || seat_loop(&seat))
                 .expect("spawn simulated-process pool thread");
-            self.handles.push(handle);
+            self.hub.seat(handle.thread().clone());
+            self.threads.push(handle.thread().clone());
         }
+        &self.hub
+    }
+
+    /// Start process `p` of a run on thread `p`, for every `p`.
+    pub(crate) fn dispatch(
+        &mut self,
+        jobs: impl Iterator<Item = (SimCtx<T>, ProcBody<'env, T, R>)>,
+    ) {
+        for (p, job) in jobs.enumerate() {
+            self.seats[p].lock().expect("seat lock").job = Some(job);
+            self.threads[p].unpark();
+        }
+    }
+
+    /// The reports of a run all of whose `n` processes have finished,
+    /// as the results and panic messages of a [`SimOutcome`].
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn collect(&mut self, n: usize) -> (Vec<Option<R>>, Vec<Option<String>>) {
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        let mut panics: Vec<Option<String>> = vec![None; n];
+        for p in 0..n {
+            match self.seats[p].lock().expect("seat lock").report.take() {
+                Some(Ok(r)) => results[p] = Some(r),
+                Some(Err(Some(msg))) => panics[p] = Some(msg),
+                Some(Err(None)) | None => {}
+            }
+        }
+        (results, panics)
     }
 }
 
-impl<T, R> Drop for ProcPool<T, R> {
+impl<T, R> Drop for ProcPool<'_, '_, T, R> {
     fn drop(&mut self) {
-        // Closing the job channels ends each thread's job loop.
-        self.jobs.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        for (seat, thread) in self.seats.iter().zip(&self.threads) {
+            // A poisoned seat has no thread left to tell.
+            if let Ok(mut seat) = seat.lock() {
+                seat.closed = true;
+            }
+            thread.unpark();
         }
     }
 }
 
-/// The job loop of one pooled process thread: identical semantics to the
-/// per-run scoped threads of [`run_sim_with`] — crash unwinds are
-/// swallowed, genuine panics reported by message, and `Done` is always
-/// the last word to the scheduler.
-fn pool_thread<T: Clone, R>(rx: Receiver<Job<T, R>>) {
-    while let Ok(Job {
-        mut ctx,
-        body,
-        results,
-    }) = rx.recv()
-    {
-        let proc = ctx.proc;
-        let to_sched = ctx.to_sched.clone();
-        let report = match catch_unwind(AssertUnwindSafe(move || body(&mut ctx))) {
-            Ok(r) => Ok(r),
-            Err(payload) => {
-                if crash::is_crash(payload.as_ref()) {
-                    Err(None)
-                } else {
-                    Err(Some(crash::describe_panic(payload.as_ref())))
+/// The loop of one pool thread: take the next job, run the body, leave
+/// the report, tell the run. Crash unwinds are swallowed, genuine panics
+/// reported by message, and completion is always the last word.
+fn seat_loop<T: Clone, R>(seat: &Mutex<Seat<'_, T, R>>) {
+    loop {
+        let (mut ctx, body) = loop {
+            {
+                let mut seat = seat.lock().expect("seat lock");
+                if let Some(job) = seat.job.take() {
+                    break job;
+                }
+                if seat.closed {
+                    return;
                 }
             }
+            std::thread::park();
         };
-        let _ = results.send((proc, report));
-        let _ = to_sched.send(Msg::Done { proc });
-    }
-}
-
-/// [`run_sim_with`]'s twin over a [`ProcPool`]: dispatches the bodies to
-/// the pool's persistent threads instead of spawning scoped ones, and
-/// runs the same scheduler loop on the calling thread.
-///
-/// [`run_sim_with`]: super::run_sim_with
-pub(crate) fn run_sim_pooled<T, R>(
-    cfg: &SimConfig<T>,
-    strategy: &mut dyn Strategy,
-    pool: &mut ProcPool<T, R>,
-    bodies: Vec<ProcBody<'static, T, R>>,
-    profiler: Option<&mut ContentionProfiler>,
-) -> SimOutcome<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    crash::install_quiet_crash_hook();
-    let n = bodies.len();
-    pool.ensure(n);
-    let n_regs = cfg.registers.len();
-    let (msg_tx, msg_rx) = channel::<Msg<T>>();
-    let (res_tx, res_rx) = channel::<ProcResult<R>>();
-    let mut reply_txs: Vec<Sender<Reply<T>>> = Vec::with_capacity(n);
-    for (p, body) in bodies.into_iter().enumerate() {
-        let (tx, rx) = channel::<Reply<T>>();
-        reply_txs.push(tx);
-        let ctx = SimCtx {
-            proc: p,
-            n_procs: n,
-            n_regs,
-            to_sched: msg_tx.clone(),
-            from_sched: rx,
+        let report = match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+            Ok(r) => Ok(r),
+            Err(payload) if crash::is_crash(payload.as_ref()) => Err(None),
+            Err(payload) => Err(Some(crash::describe_panic(payload.as_ref()))),
         };
-        pool.jobs[p]
-            .send(Job {
-                ctx,
-                body,
-                results: res_tx.clone(),
-            })
-            .expect("pool thread alive");
+        seat.lock().expect("seat lock").report = Some(report);
+        ctx.finish();
     }
-    drop(msg_tx);
-    drop(res_tx);
-
-    let mut outcome = scheduler_loop(
-        cfg,
-        MetricsLevel::Off,
-        strategy,
-        n,
-        msg_rx,
-        reply_txs,
-        profiler,
-    );
-
-    // The scheduler returns only after every process signalled `Done`,
-    // which each job sends after its result: the channel already holds
-    // every report.
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut panics: Vec<Option<String>> = vec![None; n];
-    while let Ok((p, report)) = res_rx.recv() {
-        match report {
-            Ok(r) => results[p] = Some(r),
-            Err(Some(msg)) => panics[p] = Some(msg),
-            Err(None) => {}
-        }
-    }
-    outcome_finish(&mut outcome, results, panics);
-    outcome
 }
 
 /// Owner marker for the root task, which no worker produced.
@@ -444,8 +418,8 @@ fn may_precede(prefix: &[u32], leaf: &[u32]) -> bool {
 /// is exactly the sequential DFS's state on arrival), then descend
 /// first-branch, delegating the remaining explorable siblings of every
 /// fresh node as new tasks.
-struct PrefixStrategy<'a> {
-    prefix: &'a [u32],
+struct PrefixStrategy {
+    prefix: Vec<u32>,
     reduce: bool,
     max_depth: usize,
     /// Crash-branch budget for this exploration ([`Budget::max_crashes`](super::Budget::max_crashes)).
@@ -470,16 +444,16 @@ struct PrefixStrategy<'a> {
     max_pos: usize,
 }
 
-impl<'a> PrefixStrategy<'a> {
-    fn new(prefix: &'a [u32], reduce: bool, max_depth: usize, max_crashes: usize) -> Self {
+impl PrefixStrategy {
+    fn new(prefix: Vec<u32>, reduce: bool, max_depth: usize, max_crashes: usize) -> Self {
         PrefixStrategy {
+            path: Vec::with_capacity(prefix.len() + 8),
             prefix,
             reduce,
             max_depth,
             max_crashes,
             crashes_used: 0,
             stack: Vec::new(),
-            path: Vec::with_capacity(prefix.len() + 8),
             spawned: Vec::new(),
             pos: 0,
             redundant_tail: false,
@@ -493,7 +467,7 @@ impl<'a> PrefixStrategy<'a> {
     }
 }
 
-impl Strategy for PrefixStrategy<'_> {
+impl Strategy for PrefixStrategy {
     fn decide(&mut self, view: &SchedView) -> Decision {
         self.executed_steps += 1;
         self.pos += 1; // the position of *this* decision is pos - 1
@@ -562,7 +536,8 @@ impl Strategy for PrefixStrategy<'_> {
 /// One worker: drain tasks, execute each as a single pooled run,
 /// aggregate stats, publish delegated siblings, and report violations.
 #[allow(clippy::too_many_arguments)]
-fn worker<T, R, FMake, Visit>(
+fn worker<'scope, T, R, FMake, Visit>(
+    scope: &'scope Scope<'scope, '_>,
     index: usize,
     shared: &Shared,
     cfg: &SimConfig<T>,
@@ -573,12 +548,12 @@ fn worker<T, R, FMake, Visit>(
     mut factory: FMake,
     mut visit: Visit,
 ) where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
+    T: Clone + Send + 'scope,
+    R: Send + 'scope,
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Visit: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let mut pool: ProcPool<T, R> = ProcPool::new();
+    let mut pool = ProcPool::new(scope);
     let mut prof: Option<ContentionProfiler> = None;
     while let Some(task) = shared.next_task() {
         if let Some(best) = shared.best_path() {
@@ -595,12 +570,19 @@ fn worker<T, R, FMake, Visit>(
         if task.owner != index && task.owner != NO_OWNER {
             shared.worker_steals[index].fetch_add(1, Ordering::Relaxed);
         }
-        let mut strategy = PrefixStrategy::new(&task.path, reduce, max_depth, max_crashes);
+        let strategy = PrefixStrategy::new(task.path, reduce, max_depth, max_crashes);
         let bodies = factory();
         if profile && prof.is_none() {
             prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
         }
-        let outcome = run_sim_pooled(cfg, &mut strategy, &mut pool, bodies, prof.as_mut());
+        let (outcome, mut strategy) = run_sim(
+            &mut pool,
+            cfg,
+            MetricsLevel::Off,
+            strategy,
+            bodies,
+            &mut prof,
+        );
         shared
             .sleep_skips
             .fetch_add(strategy.sleep_skips, Ordering::Relaxed);
@@ -671,6 +653,7 @@ where
             let (shared, live) = (&shared, &live);
             scope.spawn(move || {
                 worker(
+                    scope,
                     index,
                     shared,
                     cfg,

@@ -59,15 +59,16 @@
 //! ```
 
 use super::budget::{Budget, Budgeted};
-use super::certify::{judge, replay_witness, CertViolation};
+use super::certify::{judge, minimize_witness, CertViolation};
 use super::fault::FaultPlan;
-use super::parallel::{resolve_threads, run_sim_pooled, ProcPool};
-use super::shrink::{shrink_execution, ShrinkConfig};
-use super::strategy::{Pct, SeededRandom, Strategy};
-use super::{ProcBody, SimConfig, SimOutcome};
+use super::parallel::{resolve_threads, ProcPool};
+use super::shrink::ShrinkConfig;
+use super::strategy::{Decision, Pct, SchedView, SeededRandom, Strategy};
+use super::{run_sim, ProcBody, SimConfig, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
+use crate::metrics::MetricsLevel;
 use crate::seed::{split, STREAM_CRASHES};
 use crate::telemetry::{HistogramSnapshot, StepHistogram};
 use rand::rngs::StdRng;
@@ -404,18 +405,33 @@ impl SampleReport {
     }
 }
 
+/// One run's schedule stream, drawn per [`Sampler`].
+enum Drawn {
+    Random(SeededRandom),
+    Pct(Pct),
+}
+
+impl Strategy for Drawn {
+    fn decide(&mut self, view: &SchedView) -> Decision {
+        match self {
+            Drawn::Random(s) => s.decide(view),
+            Drawn::Pct(s) => s.decide(view),
+        }
+    }
+}
+
 /// Build run `i`'s strategy: the sampler's schedule stream under the
 /// run's crash plan, all derived from `split(root_seed, i)`.
 fn run_strategy(
     scfg: &SampleConfig,
     n_procs: usize,
     run_index: u64,
-) -> super::fault::Faulty<Box<dyn Strategy>> {
+) -> super::fault::Faulty<Drawn> {
     let run_seed = split(scfg.seed, run_index);
     let hint = scfg.hint();
-    let inner: Box<dyn Strategy> = match scfg.sampler {
-        Sampler::Random => Box::new(SeededRandom::new(run_seed)),
-        Sampler::Pct { depth } => Box::new(Pct::new(run_seed, n_procs, depth, hint)),
+    let inner = match scfg.sampler {
+        Sampler::Random => Drawn::Random(SeededRandom::new(run_seed)),
+        Sampler::Pct { depth } => Drawn::Pct(Pct::new(run_seed, n_procs, depth, hint)),
     };
     let mut plan = FaultPlan::new();
     let f = scfg.budget.max_crashes.min(n_procs);
@@ -435,7 +451,7 @@ fn run_strategy(
 }
 
 impl Strategy for Box<dyn Strategy> {
-    fn decide(&mut self, view: &super::SchedView) -> super::Decision {
+    fn decide(&mut self, view: &SchedView) -> Decision {
         (**self).decide(view)
     }
 }
@@ -473,47 +489,6 @@ fn observe_run<T, R>(
     samples.fetch_add(measured, Ordering::Relaxed);
     exceedances.fetch_add(exceeded, Ordering::Relaxed);
     judge(judge_bounds, scfg.require_finish, out, check).is_some()
-}
-
-/// Minimize and classify the canonical violating run through the
-/// certifier's pipeline (pin the verdict kind, shrink schedule and
-/// crash pattern, re-classify).
-fn build_violation<T, R, FMake, Check>(
-    cfg: &SimConfig<T>,
-    scfg: &SampleConfig,
-    run: u64,
-    schedule: &[ProcId],
-    crashes: &[(ProcId, u64)],
-    factory: &mut FMake,
-    check: &mut Check,
-) -> SampleViolation
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Check: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    let judge_bounds = scfg.judge_bounds();
-    let shrink_cfg = scfg.shrink.clone().unwrap_or_default();
-    let first = replay_witness(cfg, schedule, crashes, factory);
-    let kind0 = judge(&judge_bounds, scfg.require_finish, &first, check)
-        .expect("the sampled witness must still violate on replay");
-    let pin = std::mem::discriminant(&kind0);
-    let report = shrink_execution(cfg, &shrink_cfg, schedule, crashes, factory, |o| {
-        judge(&judge_bounds, scfg.require_finish, o, check)
-            .is_some_and(|k| std::mem::discriminant(&k) == pin)
-    });
-    let outcome = replay_witness(cfg, &report.schedule, &report.crashes, factory);
-    let kind = judge(&judge_bounds, scfg.require_finish, &outcome, check)
-        .expect("the shrunk witness must still violate");
-    SampleViolation {
-        run,
-        cert: CertViolation {
-            kind,
-            crashed: outcome.crashed.clone(),
-            report,
-        },
-    }
 }
 
 /// The canonical violating run found so far: lowest run index wins.
@@ -570,9 +545,12 @@ impl SampleState {
     }
 }
 
-/// One worker: claim run indices from the shared counter until the
-/// budget is drained, executing each through its own [`ProcPool`].
+/// One worker — the only one, for [`sample`]: claim run indices from
+/// the shared counter until the budget is drained, executing each on
+/// `pool`; `after_run` is told how many runs have been claimed so far.
+#[allow(clippy::too_many_arguments)]
 fn sample_worker<T, R, FMake, Check>(
+    pool: &mut ProcPool<'_, '_, T, R>,
     cfg: &SimConfig<T>,
     scfg: &SampleConfig,
     state: &SampleState,
@@ -580,13 +558,13 @@ fn sample_worker<T, R, FMake, Check>(
     judge_bounds: &[u64],
     factory: &mut FMake,
     check: &mut Check,
+    mut after_run: impl FnMut(u64),
 ) where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
+    T: Clone + Send,
+    R: Send,
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Check: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let mut pool: ProcPool<T, R> = ProcPool::new();
     let mut prof = scfg
         .profile
         .then(|| ContentionProfiler::new(n_procs, cfg.registers.len()));
@@ -595,8 +573,8 @@ fn sample_worker<T, R, FMake, Check>(
         if run >= scfg.budget.max_runs {
             break;
         }
-        let mut strat = run_strategy(scfg, n_procs, run);
-        let out = run_sim_pooled(cfg, &mut strat, &mut pool, factory(), prof.as_mut());
+        let strat = run_strategy(scfg, n_procs, run);
+        let (out, _) = run_sim(pool, cfg, MetricsLevel::Off, strat, factory(), &mut prof);
         let violated = observe_run(
             scfg,
             judge_bounds,
@@ -618,6 +596,7 @@ fn sample_worker<T, R, FMake, Check>(
                 },
             );
         }
+        after_run(run + 1);
     }
     if let Some(map) = prof.map(ContentionProfiler::into_map) {
         state.merge_contention(map);
@@ -641,10 +620,23 @@ where
     Check: FnMut(&SimOutcome<T, R>) -> bool,
 {
     let contention = state.contention.into_inner().unwrap();
-    let violation =
-        state.first.into_inner().unwrap().map(|fv| {
-            build_violation(cfg, scfg, fv.run, &fv.schedule, &fv.crashes, factory, check)
-        });
+    // The canonical violating run goes through the certifier's pipeline
+    // (pin the verdict kind, shrink schedule and crash pattern,
+    // re-classify).
+    let violation = state.first.into_inner().unwrap().map(|fv| {
+        let (cert, _, _) = minimize_witness(
+            cfg,
+            &scfg.shrink.clone().unwrap_or_default(),
+            &scfg.judge_bounds(),
+            scfg.require_finish,
+            false,
+            &fv.schedule,
+            &fv.crashes,
+            factory,
+            check,
+        );
+        SampleViolation { run: fv.run, cert }
+    });
     let report = SampleReport {
         runs: scfg.budget.max_runs,
         scheduler: scfg.sampler.label(),
@@ -690,58 +682,29 @@ where
     let n_procs = factory().len();
     let judge_bounds = scfg.judge_bounds();
     let state = SampleState::new(n_procs);
-    let hb = scfg.budget.heartbeat.clone();
     let mut last_beat = Instant::now();
-    let mut pool: ProcPool<T, R> = ProcPool::new();
-    let mut prof = scfg
-        .profile
-        .then(|| ContentionProfiler::new(n_procs, cfg.registers.len()));
-    loop {
-        let run = state.next_run.fetch_add(1, Ordering::Relaxed);
-        if run >= scfg.budget.max_runs {
-            break;
-        }
-        let mut strat = run_strategy(scfg, n_procs, run);
-        let out = run_sim_pooled(cfg, &mut strat, &mut pool, factory(), prof.as_mut());
-        let violated = observe_run(
-            scfg,
-            &judge_bounds,
-            &out,
-            &state.hist,
-            &state.worst,
-            &state.samples,
-            &state.exceedances,
-            &mut check,
-        );
-        if violated {
-            state.violations.fetch_add(1, Ordering::Relaxed);
-            keep_first(
-                &state.first,
-                FirstViolation {
-                    run,
-                    schedule: out.trace.schedule(),
-                    crashes: out.executed_crashes(),
-                },
-            );
-        }
-        if let Some(hb) = &hb {
+    let beat = |runs: u64| {
+        if let Some(hb) = &scfg.budget.heartbeat {
             if last_beat.elapsed() >= hb.every {
-                super::explore::emit_beat(
-                    hb,
-                    start.elapsed(),
-                    run + 1,
-                    0,
-                    0,
-                    state.violations.load(Ordering::Relaxed) > 0,
-                );
+                let violated = state.violations.load(Ordering::Relaxed) > 0;
+                super::explore::emit_beat(hb, start.elapsed(), runs, 0, 0, violated);
                 last_beat = Instant::now();
             }
         }
-    }
-    drop(pool);
-    if let Some(map) = prof.map(ContentionProfiler::into_map) {
-        state.merge_contention(map);
-    }
+    };
+    std::thread::scope(|scope| {
+        sample_worker(
+            &mut ProcPool::new(scope),
+            cfg,
+            scfg,
+            &state,
+            n_procs,
+            &judge_bounds,
+            &mut factory,
+            &mut check,
+            beat,
+        )
+    });
     finish_report(cfg, scfg, state, start, &mut factory, &mut check)
 }
 
@@ -783,6 +746,7 @@ where
             let (state, judge_bounds, live) = (&state, &judge_bounds, &live);
             scope.spawn(move || {
                 sample_worker(
+                    &mut ProcPool::new(scope),
                     cfg,
                     scfg,
                     state,
@@ -790,6 +754,7 @@ where
                     judge_bounds,
                     &mut factory,
                     &mut check,
+                    |_| {},
                 );
                 live.fetch_sub(1, Ordering::Release);
             });

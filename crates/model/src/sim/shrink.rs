@@ -22,8 +22,9 @@
 //! equal to its length) reproduces the execution bit-identically.
 
 use super::fault::FaultPlan;
+use super::parallel::ProcPool;
 use super::strategy::Replay;
-use super::{run_sim_with, ProcBody, SimConfig, SimOutcome};
+use super::{run_sim, ProcBody, SimConfig, SimOutcome};
 use crate::ctx::ProcId;
 use crate::json::Json;
 use crate::metrics::MetricsLevel;
@@ -121,6 +122,7 @@ fn switches(s: &[ProcId]) -> usize {
 /// actually fired, at its actual step).
 #[allow(clippy::type_complexity)]
 fn attempt<T, R, FMake, Fail>(
+    pool: &mut ProcPool<'_, '_, T, R>,
     cfg: &SimConfig<T>,
     candidate: Vec<ProcId>,
     crashes: &[(ProcId, u64)],
@@ -133,9 +135,8 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Fail: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let plan = FaultPlan::from(crashes.to_vec());
-    let mut strat = plan.over(Replay::halting(candidate));
-    let outcome = run_sim_with(cfg, MetricsLevel::Off, &mut strat, factory(), None);
+    let strat = FaultPlan::from(crashes.to_vec()).over(Replay::halting(candidate));
+    let (outcome, _) = run_sim(pool, cfg, MetricsLevel::Off, strat, factory(), &mut None);
     if failing(&outcome) {
         Some((outcome.trace.schedule(), outcome.executed_crashes()))
     } else {
@@ -146,7 +147,9 @@ where
 /// One crash-removal sweep: try dropping each planned crash; a
 /// candidate that still fails adopts the executed schedule and crash
 /// pattern.
+#[allow(clippy::too_many_arguments)]
 fn drop_crashes<T, R, FMake, Fail>(
+    pool: &mut ProcPool<'_, '_, T, R>,
     cfg: &SimConfig<T>,
     scfg: &ShrinkConfig,
     current: &mut Vec<ProcId>,
@@ -168,7 +171,7 @@ fn drop_crashes<T, R, FMake, Fail>(
         let mut cand = crashes.clone();
         cand.remove(i);
         stats.attempts += 1;
-        match attempt(cfg, current.clone(), &cand, factory, failing) {
+        match attempt(pool, cfg, current.clone(), &cand, factory, failing) {
             Some((sched, executed_crashes)) => {
                 stats.useful += 1;
                 *current = sched;
@@ -188,7 +191,9 @@ fn drop_crashes<T, R, FMake, Fail>(
 /// recorded firing step. A candidate that still fails adopts the
 /// executed schedule and crash pattern (the crash's *actual* fired step
 /// is what gets recorded).
+#[allow(clippy::too_many_arguments)]
 fn advance_crashes<T, R, FMake, Fail>(
+    pool: &mut ProcPool<'_, '_, T, R>,
     cfg: &SimConfig<T>,
     scfg: &ShrinkConfig,
     current: &mut Vec<ProcId>,
@@ -215,7 +220,7 @@ fn advance_crashes<T, R, FMake, Fail>(
         cand[i].1 = 0;
         stats.attempts += 1;
         if let Some((sched, executed_crashes)) =
-            attempt(cfg, current.clone(), &cand, factory, failing)
+            attempt(pool, cfg, current.clone(), &cand, factory, failing)
         {
             stats.useful += 1;
             *current = sched;
@@ -263,6 +268,36 @@ pub fn shrink_execution<T, R, FMake, Fail>(
     original: &[ProcId],
     original_crashes: &[(ProcId, u64)],
     factory: &mut FMake,
+    failing: Fail,
+) -> ShrinkReport
+where
+    T: Clone + Send,
+    R: Send,
+    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+    Fail: FnMut(&SimOutcome<T, R>) -> bool,
+{
+    std::thread::scope(|scope| {
+        let mut pool = ProcPool::new(scope);
+        shrink_on(
+            &mut pool,
+            cfg,
+            scfg,
+            original,
+            original_crashes,
+            factory,
+            failing,
+        )
+    })
+}
+
+/// [`shrink_execution`] proper, every candidate re-executed on `pool`.
+fn shrink_on<T, R, FMake, Fail>(
+    pool: &mut ProcPool<'_, '_, T, R>,
+    cfg: &SimConfig<T>,
+    scfg: &ShrinkConfig,
+    original: &[ProcId],
+    original_crashes: &[(ProcId, u64)],
+    factory: &mut FMake,
     mut failing: Fail,
 ) -> ShrinkReport
 where
@@ -279,6 +314,7 @@ where
     // still fails adopts both the executed schedule and the executed
     // crash pattern (a dropped crash can change the whole tail).
     drop_crashes(
+        pool,
         cfg,
         scfg,
         &mut current,
@@ -291,6 +327,7 @@ where
     // Pass 0b — crash advancing: fire each surviving crash as early as
     // possible, so the ddmin pass can drop its victim's steps.
     advance_crashes(
+        pool,
         cfg,
         scfg,
         &mut current,
@@ -315,7 +352,7 @@ where
             candidate.extend_from_slice(&current[..start]);
             candidate.extend_from_slice(&current[end..]);
             stats.attempts += 1;
-            match attempt(cfg, candidate, &crashes, factory, &mut failing) {
+            match attempt(pool, cfg, candidate, &crashes, factory, &mut failing) {
                 Some((executed, executed_crashes)) => {
                     stats.useful += 1;
                     current = executed;
@@ -337,6 +374,7 @@ where
     // Passes 0 and 0b again: a shorter schedule may no longer need some
     // crash, and a dropped step may unlock an earlier firing point.
     drop_crashes(
+        pool,
         cfg,
         scfg,
         &mut current,
@@ -346,6 +384,7 @@ where
         &mut failing,
     );
     advance_crashes(
+        pool,
         cfg,
         scfg,
         &mut current,
@@ -375,7 +414,7 @@ where
                     if switches(&candidate) < before {
                         stats.attempts += 1;
                         if let Some((executed, executed_crashes)) =
-                            attempt(cfg, candidate, &crashes, factory, &mut failing)
+                            attempt(pool, cfg, candidate, &crashes, factory, &mut failing)
                         {
                             stats.useful += 1;
                             let saved = before.saturating_sub(switches(&executed));
@@ -461,10 +500,10 @@ mod tests {
         );
         // Strict replay with the schedule length as budget reproduces the
         // exact execution — no fallback steps, same trace.
-        let mut replay = Replay::strict(report.schedule.clone());
-        let mut cfg2 = SimConfig::base(vec![0u64; 1]);
-        cfg2.max_steps = report.schedule.len() as u64;
-        let out = run_sim_with(&cfg2, MetricsLevel::Off, &mut replay, bodies(), None);
+        let out = crate::sim::SimBuilder::new(vec![0u64; 1])
+            .strategy(Replay::strict(report.schedule.clone()))
+            .max_steps(report.schedule.len() as u64)
+            .run(bodies());
         assert!(failing(&out));
         assert_eq!(out.trace.schedule(), report.schedule);
     }
@@ -585,11 +624,11 @@ mod tests {
         assert_eq!(report.crashes.len(), 1, "spurious crash dropped");
         assert_eq!(report.crashes[0].0, 0, "load-bearing crash kept");
         // The minimized execution strict-replays with its fault plan.
-        let mut cfg2 = SimConfig::base(vec![0u64; 1]);
-        cfg2.max_steps = report.schedule.len() as u64;
-        let mut strat = crate::sim::fault::FaultPlan::from(report.crashes.clone())
-            .over(Replay::strict(report.schedule.clone()));
-        let out = run_sim_with(&cfg2, MetricsLevel::Off, &mut strat, bodies3(), None);
+        let out = crate::sim::SimBuilder::new(vec![0u64; 1])
+            .strategy(Replay::strict(report.schedule.clone()))
+            .fault_plan(FaultPlan::from(report.crashes.clone()))
+            .max_steps(report.schedule.len() as u64)
+            .run(bodies3());
         assert!(fail(&out));
         assert_eq!(out.trace.schedule(), report.schedule);
         assert_eq!(out.executed_crashes(), report.crashes);

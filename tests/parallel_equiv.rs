@@ -5,13 +5,18 @@
 //! truncation flags, bit-identical step accounting, identical sleep-set
 //! pruning totals, and — when the workload violates — the same
 //! canonical-order first violation, for every thread count. The batch
-//! history checker must likewise agree with a sequential map.
+//! history checker must likewise agree with a sequential map. The
+//! certifier and the shrinker run on the same pooled engine as the
+//! explorers, and are held to the same equality.
 
 use apram_bench::{e9_factory, E9RecCell, E9_PROCS};
 use apram_history::{check_histories_parallel, check_linearizable, CheckerConfig};
 use apram_lattice::{Tagged, TaggedVec};
 use apram_model::sim::shrink::ShrinkConfig;
-use apram_model::sim::{Budgeted, ExploreConfig, ProcBody, SimBuilder, SimCtx, SimOutcome};
+use apram_model::sim::{
+    shrink_execution, Budgeted, CertifyConfig, ExploreConfig, ProcBody, SimBuilder, SimCtx,
+    SimOutcome, ViolationKind,
+};
 use apram_snapshot::collect::CollectArray;
 use apram_snapshot::snapshot::SnapshotSpec;
 use apram_snapshot::Snapshot;
@@ -268,6 +273,86 @@ fn naive_collect_violator_yields_identical_first_violation() {
         assert_eq!(report.original, seq_report.original, "threads={threads}");
         assert_eq!(report.schedule, seq_report.schedule, "threads={threads}");
         assert!(!par.exhausted, "threads={threads}");
+    }
+}
+
+/// Sequential and parallel certification agree bit for bit — counters,
+/// worst steps, and on a violation the whole classified, minimized
+/// witness with its shrink accounting — on a passing box and on a
+/// failing one.
+#[test]
+fn certificates_match_sequential_on_pass_and_on_violation() {
+    let snap = Snapshot::new(2);
+    let make = snapshot_make(snap, 11);
+    let sim = SimBuilder::new(snap.registers::<u32>()).owners(snap.owners());
+    let explore = ExploreConfig::new().max_depth(8).max_crashes(1);
+    for (bound, passes) in [(10_000u64, true), (3, false)] {
+        let ccfg = CertifyConfig::new(vec![bound; 2]).explore(explore.clone());
+        let seq = sim.certify(&ccfg, make, |out| {
+            out.assert_no_panics();
+            true
+        });
+        assert_eq!(seq.passed(), passes, "bound={bound}: {seq:?}");
+        if let Some(v) = &seq.violation {
+            assert!(matches!(v.kind, ViolationKind::StepBound { .. }), "{v:?}");
+            assert!(v.report.stats.attempts > 0);
+        }
+        for threads in [1usize, 2, 4] {
+            let par = sim.certify_parallel(&ccfg, threads, |_| {
+                (make, |out: &SimOutcome<TaggedVec<u32>, ()>| {
+                    out.assert_no_panics();
+                    true
+                })
+            });
+            assert_eq!(par, seq, "bound={bound} threads={threads}");
+        }
+    }
+}
+
+/// The shrinker is deterministic wherever it runs: the report the
+/// sequential explorer attaches to its violation, the one the parallel
+/// engine attaches, and a direct `shrink_execution` of the same witness
+/// are equal in every field, attempt counts included.
+#[test]
+fn shrink_reports_match_across_drivers() {
+    let arr = CollectArray::new(E9_PROCS);
+    let spec = SnapshotSpec::<u32>::new(E9_PROCS);
+    let econfig = ExploreConfig::new().shrink(ShrinkConfig::default());
+    let sim = SimBuilder::new(arr.registers::<u32>()).owners(arr.owners());
+    // One (factory, visit) pair per driver, each with its own recorder.
+    let worker = || {
+        let cell: E9RecCell = Arc::new(Mutex::new(None));
+        let visit_cell = Arc::clone(&cell);
+        let spec = &spec;
+        let visit = move |out: &SimOutcome<Tagged<u32>, ()>| {
+            out.assert_no_panics();
+            let hist = visit_cell.lock().unwrap().take().unwrap().snapshot();
+            check_linearizable(spec, &hist, &CheckerConfig::default()).is_ok()
+        };
+        (e9_factory(arr, cell), visit)
+    };
+
+    let (make, visit) = worker();
+    let seq = sim.explore(&econfig, make, visit);
+    let witness = seq.witness.expect("naive collect must violate");
+    let seq_report = seq.violation.expect("shrinking was configured");
+    assert!(seq_report.stats.useful > 0, "{seq_report:?}");
+
+    let (mut make, visit) = worker();
+    let direct = shrink_execution(
+        sim.config(),
+        &ShrinkConfig::default(),
+        &witness.schedule,
+        &witness.crashes,
+        &mut make,
+        |out| !visit(out),
+    );
+    assert_eq!(direct, seq_report);
+
+    for threads in [1usize, 2, 4] {
+        let par = sim.explore_parallel(&econfig, threads, |_| worker());
+        assert_eq!(par.witness.as_ref(), Some(&witness), "threads={threads}");
+        assert_eq!(par.violation, Some(seq_report.clone()), "threads={threads}");
     }
 }
 
