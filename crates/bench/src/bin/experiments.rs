@@ -1,5 +1,5 @@
 //! Regenerate the EXPERIMENTS.md tables and, with `--json`, the
-//! machine-readable `BENCH_e<N>.json` reports.
+//! machine-readable `BENCH_<name>.json` reports.
 //!
 //! ```text
 //! experiments run all                        # every experiment
@@ -11,8 +11,10 @@
 //!
 //! Subcommands:
 //!
-//! * `run <e1 … e11 | explore | all>` — run experiments and print their
-//!   EXPERIMENTS.md tables.
+//! * `run <names… | all>` — run experiments and print their
+//!   EXPERIMENTS.md tables. The names are those of the
+//!   [`apram_bench::registry`] (`experiments --help` lists them); the
+//!   subcommand is one loop over it: select, time, print, write.
 //! * `sweep --config PLAN.json --out DIR` — execute a [`SweepPlan`]
 //!   grid into a resumable run directory (`--max-cells K` stops after K
 //!   new cells, for smoke tests of the resume path).
@@ -27,30 +29,23 @@
 //! * `--threads N` — worker threads for parallel exploration, sampling
 //!   and history checking (default 0 = all available parallelism); also
 //!   pins the `explore` benchmark grid to exactly N
-//! * `--json [DIR]` — write one `BENCH_e<N>.json` per experiment into
+//! * `--json [DIR]` — write one `BENCH_<name>.json` per experiment into
 //!   DIR (default `bench-out`)
-//! * `--telemetry [DIR]` — write the live-telemetry artifacts into DIR
-//!   (default `telemetry-out`): `telemetry.prom` (Prometheus text of the
-//!   E4 step histograms), `heartbeat.jsonl` (E6 exploration progress
-//!   beats), and `spans.folded` (E9 span trees in collapsed-stack
-//!   format, feedable to any flamegraph renderer)
+//! * `--telemetry [DIR]` — write the experiments' telemetry artifacts
+//!   into DIR (default `telemetry-out`): Prometheus text, heartbeat
+//!   JSONL, collapsed-stack span trees, the flight-recorder trace
 //! * `--forensics DIR` — write the E9 forensics bundle into DIR
-//!   (`shrunk_schedule.jsonl`, `witness.json`, `witness.txt`,
-//!   `spans.json`; see EXPERIMENTS.md for the schema)
+//!
+//! Which experiment writes which file is declared in its registry entry
+//! (see EXPERIMENTS.md for the schemas).
 //!
 //! A subcommand is required: the historical pre-subcommand spellings
 //! (`experiments e4`, `experiments --e4`) are gone.
 
 use apram_bench::*;
-use apram_model::Json;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Instant;
-
-const KNOWN: [&str; 16] = [
-    "e1", "e2", "e3", "e4", "e4b", "e5", "e6", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-    "e15", "explore",
-];
 
 /// Which subcommand was requested.
 enum Cmd {
@@ -64,6 +59,7 @@ enum Cmd {
 
 struct Cli {
     cmd: Cmd,
+    /// Experiments selected by name; empty = all of them.
     names: Vec<String>,
     opts: ExpOpts,
     json_dir: Option<PathBuf>,
@@ -72,13 +68,25 @@ struct Cli {
     max_cells: Option<usize>,
 }
 
-impl Cli {
-    fn want(&self, name: &str) -> bool {
-        self.names.is_empty() || self.names.iter().any(|a| a == name)
-    }
+/// Parse a flag's numeric value, or exit 2 naming the flag.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad {flag} value '{value}'")))
 }
 
 fn parse_cli() -> Cli {
+    let mut args = std::env::args().skip(1).peekable();
+    // Subcommand dispatch on the first token; anything else is an
+    // error (the old pre-subcommand grammar is gone).
+    let sub = match args.peek().map(String::as_str) {
+        Some("run" | "sweep" | "resume") => args.next().unwrap(),
+        Some("--help" | "-h") | None => "run".into(),
+        Some(tok) => usage(&format!(
+            "unknown subcommand '{tok}' (want run|sweep|resume)"
+        )),
+    };
+    let (in_sweep, in_resume) = (sub == "sweep", sub == "resume");
     let mut cli = Cli {
         cmd: Cmd::Run,
         names: Vec::new(),
@@ -88,126 +96,46 @@ fn parse_cli() -> Cli {
         forensics_dir: None,
         max_cells: None,
     };
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Subcommand dispatch on the first token; anything else is an
-    // error (the old pre-subcommand grammar is gone).
-    let mut sweep_config: Option<PathBuf> = None;
-    let mut sweep_out: Option<PathBuf> = None;
-    let mut resume_dir: Option<PathBuf> = None;
-    match args.first().map(String::as_str) {
-        Some("run") => {
-            args.remove(0);
-        }
-        Some("sweep") => {
-            cli.cmd = Cmd::Sweep {
-                config: PathBuf::new(),
-                out: PathBuf::new(),
-            };
-            args.remove(0);
-        }
-        Some("resume") => {
-            cli.cmd = Cmd::Resume {
-                dir: PathBuf::new(),
-            };
-            args.remove(0);
-        }
-        Some(tok) if tok != "--help" && tok != "-h" => {
-            usage(&format!(
-                "unknown subcommand '{tok}' (want run|sweep|resume)"
-            ));
-        }
-        _ => {}
-    }
-    let in_sweep = matches!(cli.cmd, Cmd::Sweep { .. });
-    let in_resume = matches!(cli.cmd, Cmd::Resume { .. });
+    let (mut config, mut out, mut dir) = (None, None, None);
 
     // A token is a directory operand (not a fresh flag or experiment
     // name) — lets `--json` / `--telemetry` take their DIR optionally.
-    let is_dir_operand = |tok: &String| !tok.starts_with('-') && !KNOWN.contains(&tok.as_str());
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
+    let is_dir_operand = |tok: &String| !tok.starts_with('-') && experiment(tok).is_none();
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{arg} needs {what}")))
+        };
         match arg.as_str() {
             "--quick" => cli.opts.quick = true,
-            "--seed" => {
-                let v = args.get(i).unwrap_or_else(|| usage("--seed needs a value"));
-                i += 1;
-                cli.opts.seed = v
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("bad --seed value '{v}'")));
-            }
-            "--threads" => {
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--threads needs a value"));
-                i += 1;
-                cli.opts.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("bad --threads value '{v}'")));
-            }
+            "--seed" => cli.opts.seed = number(&arg, &value("a value")),
+            "--threads" => cli.opts.threads = number(&arg, &value("a value")),
             "--json" => {
-                cli.json_dir = Some(match args.get(i) {
-                    Some(tok) if is_dir_operand(tok) => {
-                        i += 1;
-                        PathBuf::from(tok)
-                    }
-                    _ => PathBuf::from("bench-out"),
-                });
+                let dir = args.next_if(is_dir_operand);
+                cli.json_dir = Some(dir.unwrap_or("bench-out".into()).into());
             }
             "--telemetry" => {
-                cli.telemetry_dir = Some(match args.get(i) {
-                    Some(tok) if is_dir_operand(tok) => {
-                        i += 1;
-                        PathBuf::from(tok)
-                    }
-                    _ => PathBuf::from("telemetry-out"),
-                });
+                let dir = args.next_if(is_dir_operand);
+                cli.telemetry_dir = Some(dir.unwrap_or("telemetry-out".into()).into());
             }
-            "--forensics" => {
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--forensics needs a directory"));
-                i += 1;
-                cli.forensics_dir = Some(PathBuf::from(v));
-            }
-            "--config" if in_sweep => {
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--config needs a plan file"));
-                i += 1;
-                sweep_config = Some(PathBuf::from(v));
-            }
-            "--out" if in_sweep => {
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--out needs a directory"));
-                i += 1;
-                sweep_out = Some(PathBuf::from(v));
-            }
+            "--forensics" => cli.forensics_dir = Some(value("a directory").into()),
+            "--config" if in_sweep => config = Some(PathBuf::from(value("a plan file"))),
+            "--out" if in_sweep => out = Some(PathBuf::from(value("a directory"))),
             "--max-cells" if in_sweep || in_resume => {
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--max-cells needs a count"));
-                i += 1;
-                cli.max_cells = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| usage(&format!("bad --max-cells value '{v}'"))),
-                );
+                cli.max_cells = Some(number(&arg, &value("a count")));
             }
             "--help" | "-h" => usage(""),
             name if !name.starts_with('-') => {
                 if in_resume {
-                    if resume_dir.is_some() {
+                    if dir.is_some() {
                         usage("resume takes exactly one run directory");
                     }
-                    resume_dir = Some(PathBuf::from(name));
+                    dir = Some(PathBuf::from(name));
                 } else if in_sweep {
                     usage(&format!("sweep takes no positional operand '{name}'"));
                 } else if name == "all" {
                     // `run all` = no filter.
-                } else if KNOWN.contains(&name) {
+                } else if experiment(name).is_some() {
                     cli.names.push(name.to_string());
                 } else {
                     usage(&format!("unknown experiment '{name}'"));
@@ -216,16 +144,16 @@ fn parse_cli() -> Cli {
             other => usage(&format!("unknown flag '{other}'")),
         }
     }
-    match &mut cli.cmd {
-        Cmd::Run => {}
-        Cmd::Sweep { config, out } => {
-            *config = sweep_config.unwrap_or_else(|| usage("sweep requires --config PLAN.json"));
-            *out = sweep_out.unwrap_or_else(|| usage("sweep requires --out DIR"));
-        }
-        Cmd::Resume { dir } => {
-            *dir = resume_dir.unwrap_or_else(|| usage("resume requires a run directory"));
-        }
-    }
+    cli.cmd = match sub.as_str() {
+        "sweep" => Cmd::Sweep {
+            config: config.unwrap_or_else(|| usage("sweep requires --config PLAN.json")),
+            out: out.unwrap_or_else(|| usage("sweep requires --out DIR")),
+        },
+        "resume" => Cmd::Resume {
+            dir: dir.unwrap_or_else(|| usage("resume requires a run directory")),
+        },
+        _ => Cmd::Run,
+    };
     cli
 }
 
@@ -234,11 +162,12 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: experiments run [e1 e2 e3 e4 e4b e5 e6 e8 e9 e10 e11 e12 e13 e14 e15 explore | all] \
+        "usage: experiments run [{} | all] \
          [--seed N] [--quick] [--threads N] [--json [DIR]] \
          [--telemetry [DIR]] [--forensics DIR]\n\
          \x20      experiments sweep --config PLAN.json --out DIR [--max-cells K] [--threads N]\n\
-         \x20      experiments resume DIR [--max-cells K] [--threads N]"
+         \x20      experiments resume DIR [--max-cells K] [--threads N]",
+        experiment_names()
     );
     exit(if err.is_empty() { 0 } else { 2 })
 }
@@ -288,8 +217,9 @@ fn run_sweep_cmd(cli: &Cli) -> ! {
     }
 }
 
-/// Write one telemetry artifact, creating DIR as needed.
-fn write_artifact(dir: &Path, name: &str, contents: &str) {
+/// Write `contents` to `dir/name`, creating `dir` as needed; a failure
+/// ends the process with status 1.
+fn write_file(dir: &Path, name: &str, contents: &str) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: cannot create {}: {e}", dir.display());
         exit(1);
@@ -302,1180 +232,35 @@ fn write_artifact(dir: &Path, name: &str, contents: &str) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Write `BENCH_<name>.json` holding `rows` plus the run parameters and
-/// wall-clock, when `--json` was given.
-fn emit_report(cli: &Cli, name: &str, title: &str, rows: Json, started: Instant) {
-    emit_report_with(cli, name, title, rows, Vec::new(), started)
-}
-
-/// [`emit_report`] with extra top-level sections appended after `rows`
-/// (E4 uses this for its `distributions` tables).
-fn emit_report_with(
-    cli: &Cli,
-    name: &str,
-    title: &str,
-    rows: Json,
-    extra: Vec<(&str, Json)>,
-    started: Instant,
-) {
-    let Some(dir) = &cli.json_dir else { return };
-    let mut fields = vec![
-        ("experiment", Json::Str(name.into())),
-        ("title", Json::Str(title.into())),
-        ("seed", Json::UInt(cli.opts.seed)),
-        ("quick", Json::Bool(cli.opts.quick)),
-        (
-            "wall_clock_secs",
-            Json::Float(started.elapsed().as_secs_f64()),
-        ),
-        ("rows", rows),
-    ];
-    fields.extend(extra);
-    let doc = Json::obj(fields);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        exit(1);
-    }
-    let path = dir.join(format!("BENCH_{name}.json"));
-    if let Err(e) = std::fs::write(&path, doc.to_pretty(2)) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        exit(1);
-    }
-    eprintln!("wrote {}", path.display());
-}
-
-fn counts(pair: (u64, u64)) -> Json {
-    Json::obj([
-        ("reads", Json::UInt(pair.0)),
-        ("writes", Json::UInt(pair.1)),
-    ])
-}
-
-/// Write the E9 forensics bundle: the shrunk schedule as JSONL (a report
-/// line followed by one line per step), the witness explanation as JSON
-/// and rendered text, and both span trees.
-fn write_forensics(dir: &Path, r: &E9Report) {
-    let shrink = r.explore.violation.as_ref().expect("e9 always violates");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        exit(1);
-    }
-    let mut jsonl = shrink.to_json().to_compact();
-    jsonl.push('\n');
-    for (i, &p) in shrink.schedule.iter().enumerate() {
-        jsonl.push_str(
-            &Json::obj([
-                ("step", Json::UInt(i as u64)),
-                ("proc", Json::UInt(p as u64)),
-            ])
-            .to_compact(),
-        );
-        jsonl.push('\n');
-    }
-    let spans = Json::obj([
-        (
-            "explore",
-            r.explore.spans.as_ref().expect("spans traced").to_json(),
-        ),
-        ("check", r.check_spans.to_json()),
-    ]);
-    for (name, contents) in [
-        ("shrunk_schedule.jsonl", jsonl),
-        ("witness.json", r.explanation.to_json().to_pretty(2)),
-        ("witness.txt", r.rendered.clone()),
-        ("spans.json", spans.to_pretty(2)),
-    ] {
-        let path = dir.join(name);
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-}
-
 fn main() {
     let cli = parse_cli();
     if !matches!(cli.cmd, Cmd::Run) {
         run_sweep_cmd(&cli);
     }
-    let opts = cli.opts;
-
-    if cli.want("e1") {
+    let selected = |e: &&Experiment| cli.names.is_empty() || cli.names.iter().any(|n| n == e.name);
+    for exp in EXPERIMENTS.iter().filter(selected) {
         let started = Instant::now();
-        println!("## E1 — Theorem 5 upper bound (approximate agreement steps)\n");
-        let data = e1_rows(&opts);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    format!("{}", r.delta_over_eps),
-                    r.measured_worst.to_string(),
-                    r.bound.to_string(),
-                    format!("{:.1}", r.per_round),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "n",
-                    "Δ/ε",
-                    "measured worst steps",
-                    "Theorem 5 bound",
-                    "steps / log₂(Δ/ε)"
-                ],
-                &rows
-            )
-        );
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("n", Json::UInt(r.n as u64)),
-                        ("delta_over_eps", Json::Float(r.delta_over_eps)),
-                        ("measured_worst_steps", Json::UInt(r.measured_worst)),
-                        ("paper_bound", Json::UInt(r.bound)),
-                        ("within_bound", Json::Bool(r.measured_worst <= r.bound)),
-                    ])
-                })
-                .collect(),
-        );
-        emit_report(
-            &cli,
-            "e1",
-            "Theorem 5 upper bound: measured vs (2n+1)·log₂(Δ/ε)+O(n)",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e2") {
-        let started = Instant::now();
-        println!("## E2 — Lemma 6 adversary lower bound (2 processes)\n");
-        let data = e2_rows(if opts.quick { 5 } else { 10 });
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.k.to_string(),
-                    r.bound.to_string(),
-                    r.forced_confrontations.to_string(),
-                    r.forced_steps.to_string(),
-                    format!("{:.2e}", r.final_gap),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "k (Δ/ε = 3^k)",
-                    "⌊log₃(Δ/ε)⌋",
-                    "forced confrontations",
-                    "forced steps (max proc)",
-                    "final gap"
-                ],
-                &rows
-            )
-        );
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("k", Json::UInt(r.k as u64)),
-                        ("paper_bound", Json::UInt(r.bound)),
-                        ("forced_confrontations", Json::UInt(r.forced_confrontations)),
-                        ("forced_steps", Json::UInt(r.forced_steps)),
-                        ("final_gap", Json::Float(r.final_gap)),
-                        (
-                            "meets_bound",
-                            Json::Bool(r.forced_confrontations >= r.bound),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        emit_report(
-            &cli,
-            "e2",
-            "Lemma 6 adversary lower bound: forced vs ⌊log₃(Δ/ε)⌋",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e3") {
-        let started = Instant::now();
-        println!("## E3 — the bounded wait-free hierarchy (Theorems 7–8)\n");
-        let data = e3_hierarchy(if opts.quick { 4 } else { 8 });
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.k.to_string(),
-                    format!("{:.2e}", r.eps),
-                    r.lower_bound.to_string(),
-                    r.forced_confrontations.to_string(),
-                    r.forced_steps.to_string(),
-                    r.measured_upper.to_string(),
-                    r.theorem5_bound.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "k",
-                    "ε",
-                    "lower bound k",
-                    "forced confrontations",
-                    "forced steps",
-                    "measured K (worst)",
-                    "Theorem 5 bound"
-                ],
-                &rows
-            )
-        );
-        println!("### E3b — Theorem 8: unbounded range defeats any bound (ε = 1)\n");
-        let unbounded = e3_unbounded();
-        let rows: Vec<Vec<String>> = unbounded
-            .iter()
-            .map(|(d, s)| vec![format!("{d}"), s.to_string()])
-            .collect();
-        println!("{}", markdown_table(&["Δ", "forced steps"], &rows));
-        let json = Json::obj([
-            (
-                "hierarchy",
-                Json::Arr(
-                    data.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("k", Json::UInt(r.k as u64)),
-                                ("eps", Json::Float(r.eps)),
-                                ("paper_lower_bound", Json::UInt(r.lower_bound)),
-                                ("forced_confrontations", Json::UInt(r.forced_confrontations)),
-                                ("forced_steps", Json::UInt(r.forced_steps)),
-                                ("measured_upper", Json::UInt(r.measured_upper)),
-                                ("paper_upper_bound", Json::UInt(r.theorem5_bound)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "unbounded",
-                Json::Arr(
-                    unbounded
-                        .iter()
-                        .map(|&(d, s)| {
-                            Json::obj([("delta", Json::Float(d)), ("forced_steps", Json::UInt(s))])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        emit_report(
-            &cli,
-            "e3",
-            "Theorems 7–8: the bounded wait-free hierarchy",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e4") {
-        let started = Instant::now();
-        println!("## E4 — §6.2 Scan operation counts\n");
-        // Every n in 2..=8 is measured (the paper-bound acceptance
-        // grid); the larger sizes confirm the quadratic/linear shape.
-        let ns: Vec<usize> = if opts.quick {
-            vec![2, 3, 4]
-        } else {
-            (2..=8).chain([16, 32]).collect()
-        };
-        let data = e4_rows(&ns);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    format!("{}/{}", r.literal.0, r.literal.1),
-                    format!("{}/{}", r.literal_claim.0, r.literal_claim.1),
-                    format!("{}/{}", r.optimized.0, r.optimized.1),
-                    format!("{}/{}", r.optimized_claim.0, r.optimized_claim.1),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "n",
-                    "literal reads/writes",
-                    "paper n²+n+1 / n+2",
-                    "optimized reads/writes",
-                    "paper n²−1 / n+1"
-                ],
-                &rows
-            )
-        );
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("n", Json::UInt(r.n as u64)),
-                        ("literal", counts(r.literal)),
-                        ("paper_literal", counts(r.literal_claim)),
-                        ("optimized", counts(r.optimized)),
-                        ("paper_optimized", counts(r.optimized_claim)),
-                        (
-                            "matches_paper",
-                            Json::Bool(
-                                r.literal == r.literal_claim && r.optimized == r.optimized_claim,
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        println!("### E4 telemetry — per-op step distributions vs analytic bounds\n");
-        let dist = step_distributions(&opts);
-        let drows: Vec<Vec<String>> = dist
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.op.clone(),
-                    r.metric.into(),
-                    r.n.to_string(),
-                    r.hist.count.to_string(),
-                    r.hist.p50().to_string(),
-                    r.hist.p99().to_string(),
-                    r.hist.max.to_string(),
-                    r.bound.map(|b| b.to_string()).unwrap_or_else(|| "-".into()),
-                    r.within_bound()
-                        .map(|b| if b { "yes" } else { "NO" }.into())
-                        .unwrap_or_else(|| "-".to_string()),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "op",
-                    "metric",
-                    "n",
-                    "count",
-                    "p50",
-                    "p99",
-                    "max",
-                    "paper bound",
-                    "within"
-                ],
-                &drows
-            )
-        );
-        let dist_json = Json::Arr(dist.rows.iter().map(DistRow::to_json).collect());
-        emit_report_with(
-            &cli,
-            "e4",
-            "§6.2 Scan operation counts: measured vs n²+n+1/n+2 and n²−1/n+1",
-            json,
-            vec![("distributions", dist_json)],
-            started,
-        );
-        if let Some(dir) = &cli.telemetry_dir {
-            let prom = dist.registry.to_prometheus();
-            apram_model::validate_prometheus(&prom).expect("generated Prometheus text must parse");
-            write_artifact(dir, "telemetry.prom", &prom);
+        println!("{}\n", exp.heading);
+        let report = (exp.run)(&cli.opts);
+        print!("{}", report.render());
+        if let Some(dir) = &cli.json_dir {
+            let doc = report.document(exp, &cli.opts, started.elapsed().as_secs_f64());
+            write_file(dir, &format!("BENCH_{}.json", exp.name), &doc.to_pretty(2));
         }
-    }
-
-    // E4b rides along with E4 when no explicit selection was given, and
-    // can also be requested on its own.
-    if cli.want("e4b") {
-        let started = Instant::now();
-        println!("### E4b — lattice scan vs Afek et al. snapshot (reads per scan)\n");
-        let ns: &[usize] = if opts.quick { &[2, 4] } else { &[2, 4, 8] };
-        let data = e4b_rows(ns);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    r.lattice_reads.to_string(),
-                    r.afek_quiet_reads.to_string(),
-                    r.afek_contended_reads.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "n",
-                    "lattice scan (always)",
-                    "Afek quiet (2n)",
-                    "Afek under interposing writer"
-                ],
-                &rows
-            )
-        );
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("n", Json::UInt(r.n as u64)),
-                        ("lattice_reads", Json::UInt(r.lattice_reads)),
-                        ("afek_quiet_reads", Json::UInt(r.afek_quiet_reads)),
-                        ("afek_contended_reads", Json::UInt(r.afek_contended_reads)),
-                    ])
-                })
-                .collect(),
-        );
-        emit_report(
-            &cli,
-            "e4b",
-            "Lattice scan vs Afek et al. snapshot, reads per scan",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e5") {
-        let started = Instant::now();
-        println!("## E5 — universal construction overhead per operation\n");
-        let ns: &[usize] = if opts.quick {
-            &[2, 3, 4]
-        } else {
-            &[2, 3, 4, 8, 12, 16]
-        };
-        let data = e5_rows(ns);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    r.reads.to_string(),
-                    r.reads_claim.to_string(),
-                    r.writes.to_string(),
-                    r.writes_claim.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "n",
-                    "measured reads/op",
-                    "2(n²−1)",
-                    "measured writes/op",
-                    "2(n+1)"
-                ],
-                &rows
-            )
-        );
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("n", Json::UInt(r.n as u64)),
-                        ("measured", counts((r.reads, r.writes))),
-                        ("paper", counts((r.reads_claim, r.writes_claim))),
-                        (
-                            "matches_paper",
-                            Json::Bool(r.reads == r.reads_claim && r.writes == r.writes_claim),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        emit_report(
-            &cli,
-            "e5",
-            "Universal construction overhead: measured vs 2(n²−1) reads / 2(n+1) writes",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e6") {
-        let started = Instant::now();
-        println!("## E6 — exhaustive linearizability verification\n");
-        // With `--telemetry`, every E6 exploration streams progress
-        // beats (plus one final beat each) into heartbeat.jsonl.
-        let beats = cli.telemetry_dir.as_ref().map(|_| {
-            let (sink, buf) = apram_model::telemetry::buffer_sink();
-            (
-                apram_model::Heartbeat::shared(std::time::Duration::from_millis(100), sink),
-                buf,
-            )
-        });
-        let s = e6_summary_with(&opts, beats.as_ref().map(|(hb, _)| hb.clone()));
-        if let (Some(dir), Some((_, buf))) = (&cli.telemetry_dir, &beats) {
-            let jsonl =
-                String::from_utf8(buf.lock().unwrap().clone()).expect("heartbeat JSONL is UTF-8");
-            write_artifact(dir, "heartbeat.jsonl", &jsonl);
-        }
-        let mut rows: Vec<Vec<String>> = s
-            .per_object()
-            .iter()
-            .map(|(name, st)| {
-                vec![
-                    (*name).into(),
-                    st.runs.to_string(),
-                    format!("{:.1}%", 100.0 * st.replay_ratio()),
-                    st.max_depth_reached.to_string(),
-                    "0".into(),
-                ]
-            })
-            .collect();
-        rows.push(vec![
-            "total histories checked".into(),
-            s.histories_checked.to_string(),
-            "-".into(),
-            "-".into(),
-            "0".into(),
-        ]);
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "object",
-                    "schedules explored",
-                    "replay overhead",
-                    "max depth",
-                    "violations"
-                ],
-                &rows
-            )
-        );
-        let json = Json::obj([
-            (
-                "objects",
-                Json::Arr(
-                    s.per_object()
-                        .iter()
-                        .map(|(name, st)| {
-                            Json::obj([
-                                ("object", Json::Str((*name).into())),
-                                ("schedules_explored", Json::UInt(st.runs)),
-                                ("exhausted", Json::Bool(st.exhausted)),
-                                ("truncated", Json::Bool(st.truncated)),
-                                ("executed_steps", Json::UInt(st.executed_steps)),
-                                ("replayed_steps", Json::UInt(st.replayed_steps)),
-                                ("replay_ratio", Json::Float(st.replay_ratio())),
-                                ("max_depth_reached", Json::UInt(st.max_depth_reached as u64)),
-                                ("violations", Json::UInt(0)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("histories_checked", Json::UInt(s.histories_checked)),
-        ]);
-        emit_report(
-            &cli,
-            "e6",
-            "Exhaustive linearizability verification (Theorems 26 and 33)",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e8") {
-        let started = Instant::now();
-        println!("## E8 — ablations of Figure 2\n");
-        let data = e8_rows(&opts);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.variant.to_string(),
-                    r.mode.to_string(),
-                    r.config.clone(),
-                    r.search.clone(),
-                    r.runs.to_string(),
-                    match &r.violation {
-                        Some(ys) => format!("VIOLATION {ys:?}"),
-                        None => "safe".into(),
-                    },
-                    r.spread_over_eps
-                        .map(|x| format!("{x:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "variant",
-                    "scan",
-                    "config",
-                    "search",
-                    "runs",
-                    "safety",
-                    "max spread/ε"
-                ],
-                &rows
-            )
-        );
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("variant", Json::Str(r.variant.into())),
-                        ("scan_mode", Json::Str(r.mode.into())),
-                        ("config", Json::Str(r.config.clone())),
-                        ("search", Json::Str(r.search.clone())),
-                        ("runs", Json::UInt(r.runs)),
-                        (
-                            "violation",
-                            match &r.violation {
-                                Some(ys) => Json::Arr(ys.iter().map(|&y| Json::Float(y)).collect()),
-                                None => Json::Null,
-                            },
-                        ),
-                        (
-                            "max_spread_over_eps",
-                            r.spread_over_eps.map(Json::Float).unwrap_or(Json::Null),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        emit_report(
-            &cli,
-            "e8",
-            "Figure 2 ablations: adaptive termination is unsound for n ≥ 3",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e9") {
-        let started = Instant::now();
-        println!("## E9 — failure forensics (naive-collect negative control)\n");
-        let r = e9_forensics(&opts);
-        let shrink = r.explore.violation.as_ref().expect("e9 always violates");
-        let rows: Vec<Vec<String>> = r
-            .rows
-            .iter()
-            .map(|row| {
-                vec![
-                    row.op.to_string(),
-                    row.ops.to_string(),
-                    row.observed_steps.to_string(),
-                    row.bound.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(&["operation", "ops", "observed steps", "paper cost"], &rows)
-        );
-        println!(
-            "schedule shrunk {} → {} steps ({} candidate re-executions, {} adopted); \
-             final check explored {} nodes; {} histories checked in total\n",
-            shrink.original.len(),
-            shrink.schedule.len(),
-            shrink.stats.attempts,
-            shrink.stats.useful,
-            r.check_explored,
-            r.histories_checked
-        );
-        for line in r.rendered.lines() {
-            println!("    {line}");
-        }
-        println!();
-        let json = Json::obj([
-            (
-                "rows",
-                Json::Arr(
-                    r.rows
-                        .iter()
-                        .map(|row| {
-                            Json::obj([
-                                ("op", Json::Str(row.op.into())),
-                                ("ops", Json::UInt(row.ops)),
-                                ("observed_steps", Json::UInt(row.observed_steps)),
-                                ("paper_cost", Json::UInt(row.bound)),
-                                ("within_bound", Json::Bool(row.observed_steps <= row.bound)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("shrink", shrink.to_json()),
-            ("explanation", r.explanation.to_json()),
-            ("check_explored", Json::UInt(r.check_explored)),
-            ("histories_checked", Json::UInt(r.histories_checked)),
-        ]);
-        emit_report(
-            &cli,
-            "e9",
-            "Failure forensics: shrunk counterexample, witness explanation, search spans",
-            json,
-            started,
-        );
-        if let Some(dir) = &cli.forensics_dir {
-            write_forensics(dir, &r);
-        }
-        if let Some(dir) = &cli.telemetry_dir {
-            // Both E9 span trees in collapsed-stack format — pipe into
-            // any flamegraph renderer.
-            let mut folded = r.explore.spans.as_ref().expect("spans traced").to_folded();
-            folded.push_str(&r.check_spans.to_folded());
-            write_artifact(dir, "spans.folded", &folded);
-        }
-    }
-
-    if cli.want("e10") {
-        let started = Instant::now();
-        println!("## E10 — wait-freedom certification: the certified (n, f) grid\n");
-        let data = e10_rows(&opts);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.object.to_string(),
-                    r.n.to_string(),
-                    r.f.to_string(),
-                    r.depth.to_string(),
-                    r.bound.to_string(),
-                    r.cert.runs.to_string(),
-                    r.cert.crash_branches.to_string(),
-                    r.worst_latency().to_string(),
-                    if r.cert.passed() {
-                        "certified".into()
-                    } else {
-                        "FAILED".into()
-                    },
-                    if r.parallel_agrees { "yes" } else { "NO" }.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "object",
-                    "n",
-                    "f",
-                    "depth",
-                    "step bound",
-                    "runs",
-                    "crash branches",
-                    "worst survivor steps",
-                    "verdict",
-                    "parallel agrees"
-                ],
-                &rows
-            )
-        );
-        let lock = data.last().expect("grid includes the negative control");
-        if let Some(v) = &lock.cert.violation {
-            println!(
-                "negative control ({}): {:?}; minimized witness = {} steps, {} crashes\n",
-                lock.object,
-                v.kind,
-                v.report.schedule.len(),
-                v.report.crashes.len()
+        for artifact in &report.artifacts {
+            assert!(
+                exp.artifacts.contains(&(artifact.sink, artifact.name)),
+                "{} does not declare the artifact {}",
+                exp.name,
+                artifact.name
             );
+            let dir = match artifact.sink {
+                Sink::Telemetry => &cli.telemetry_dir,
+                Sink::Forensics => &cli.forensics_dir,
+            };
+            if let Some(dir) = dir {
+                write_file(dir, artifact.name, &artifact.contents);
+            }
         }
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("object", Json::Str(r.object.into())),
-                        ("n", Json::UInt(r.n as u64)),
-                        ("f", Json::UInt(r.f as u64)),
-                        ("depth", Json::UInt(r.depth as u64)),
-                        ("bound", Json::UInt(r.bound)),
-                        ("expect_pass", Json::Bool(r.expect_pass)),
-                        ("passed", Json::Bool(r.cert.passed())),
-                        ("worst_survivor_steps", Json::UInt(r.worst_latency())),
-                        ("parallel_agrees", Json::Bool(r.parallel_agrees)),
-                        ("certificate", r.cert.to_json()),
-                    ])
-                })
-                .collect(),
-        );
-        emit_report(
-            &cli,
-            "e10",
-            "Wait-freedom certification: certified (n, f) grid with survivor latency vs f",
-            json,
-            started,
-        );
-    }
-
-    if cli.want("e11") {
-        let started = Instant::now();
-        println!("## E11 — sampled tail latency: step percentiles vs analytic bounds\n");
-        let data = e11_rows(&opts);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                let (lo, hi) = r.report.exceed_ci();
-                vec![
-                    r.object.clone(),
-                    r.n.to_string(),
-                    r.f.to_string(),
-                    r.report.scheduler.clone(),
-                    r.report.runs.to_string(),
-                    r.report.hist.p50().to_string(),
-                    r.report.hist.p99().to_string(),
-                    r.report.hist.p999().to_string(),
-                    r.report.hist.max.to_string(),
-                    r.bound.to_string(),
-                    format!("[{lo:.4}, {hi:.4}]"),
-                    if r.ok() {
-                        if r.expect_within {
-                            "within".into()
-                        } else {
-                            "exceeds (expected)".into()
-                        }
-                    } else {
-                        "UNEXPECTED".to_string()
-                    },
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "object",
-                    "n",
-                    "f",
-                    "scheduler",
-                    "runs",
-                    "p50",
-                    "p99",
-                    "p999",
-                    "max",
-                    "bound",
-                    "exceed 95% CI",
-                    "verdict"
-                ],
-                &rows
-            )
-        );
-        let lock = data.last().expect("grid includes the negative control");
-        println!(
-            "negative control ({}): sampled exceedance rate {:.3} \
-             ({} of {} runs past the reference bound)\n",
-            lock.object,
-            lock.report.exceed_rate(),
-            lock.report.exceedances,
-            lock.report.samples,
-        );
-        emit_report(
-            &cli,
-            "e11",
-            "Sampled tail latency: p50/p99/p999/max survivor steps vs analytic bounds",
-            Json::Arr(data.iter().map(E11Row::to_json).collect()),
-            started,
-        );
-    }
-
-    if cli.want("e12") {
-        let started = Instant::now();
-        println!("## E12 — contention profile: hot cell vs spread, charged step accounting\n");
-        let data = e12_rows(&opts);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.object.to_string(),
-                    r.workload.to_string(),
-                    r.k.to_string(),
-                    r.measured_steps.to_string(),
-                    format!("{:.1}", r.charged_steps),
-                    format!("{:.1}", r.contention_bound()),
-                    r.paper_bound.to_string(),
-                    format!("{:.2}", r.mean_contention),
-                    r.peak_contention.to_string(),
-                    r.stall_edges.to_string(),
-                    format!("{:.2}", r.collapse_ratio()),
-                    if r.ok() {
-                        "ok".into()
-                    } else {
-                        "UNEXPECTED".to_string()
-                    },
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "object",
-                    "workload",
-                    "k",
-                    "measured",
-                    "charged",
-                    "contention bound",
-                    "paper bound",
-                    "mean cont",
-                    "peak",
-                    "stalls",
-                    "collapse",
-                    "verdict"
-                ],
-                &rows
-            )
-        );
-        if let Some(dir) = &cli.telemetry_dir {
-            write_artifact(dir, "contention.prom", &e12_heatmap_prometheus(&data));
-            let mut heat = e12_heatmap_json(&data).to_compact();
-            heat.push('\n');
-            write_artifact(dir, "contention_heatmap.json", &heat);
-        }
-        emit_report(
-            &cli,
-            "e12",
-            "Contention profile: measured vs contention-charged vs worst-case steps, \
-             hot cell vs spread workloads",
-            Json::Arr(data.iter().map(E12Row::to_json).collect()),
-            started,
-        );
-    }
-
-    if cli.want("e13") {
-        let started = Instant::now();
-        println!("## E13 — native register-file scaling: threads × objects × tiers\n");
-        let data = e13_rows(&opts);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.object.to_string(),
-                    r.tier.to_string(),
-                    r.threads.to_string(),
-                    r.total_ops.to_string(),
-                    format!("{:.0}", r.ops_per_sec),
-                    r.hist.p50().to_string(),
-                    r.hist.p99().to_string(),
-                    r.hist.p999().to_string(),
-                    r.read_retries.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "object",
-                    "tier",
-                    "threads",
-                    "ops",
-                    "ops/sec",
-                    "p50 ns",
-                    "p99 ns",
-                    "p999 ns",
-                    "read retries"
-                ],
-                &rows
-            )
-        );
-        let gates = e13_gates(&data);
-        println!("gates: {}\n", gates.to_compact());
-        emit_report_with(
-            &cli,
-            "e13",
-            "Native register-file scaling: ops/sec and op-latency percentiles, \
-             packed vs buffered vs rwlock-baseline tiers",
-            Json::Arr(data.iter().map(E13Row::to_json).collect()),
-            vec![("gates", gates)],
-            started,
-        );
-    }
-
-    if cli.want("e14") {
-        let started = Instant::now();
-        println!("## E14 — flight-recorder overhead and online spot-checks\n");
-        let out = e14_run(&opts);
-        let rows: Vec<Vec<String>> = out
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.object.to_string(),
-                    r.mode.to_string(),
-                    r.threads.to_string(),
-                    r.total_ops.to_string(),
-                    format!("{:.0}", r.ops_per_sec),
-                    r.hist.p50().to_string(),
-                    r.hist.p99().to_string(),
-                    r.events_recorded.to_string(),
-                    r.events_dropped.to_string(),
-                    r.retry_events.to_string(),
-                    r.ticket_draws.to_string(),
-                    r.contended_draws.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "object",
-                    "mode",
-                    "threads",
-                    "ops",
-                    "ops/sec",
-                    "p50 ns",
-                    "p99 ns",
-                    "events",
-                    "dropped",
-                    "retry evts",
-                    "tickets",
-                    "contended"
-                ],
-                &rows
-            )
-        );
-        let gates = e14_gates(&out.rows, &out.spot, opts.quick);
-        println!("gates: {}\n", gates.to_compact());
-        if let Some(dir) = &cli.telemetry_dir {
-            let mut trace = out.trace.to_compact();
-            trace.push('\n');
-            write_artifact(dir, "flight.json", &trace);
-            write_artifact(dir, "flight.prom", &out.prom);
-        }
-        emit_report_with(
-            &cli,
-            "e14",
-            "Flight-recorder overhead: recorder off vs 1-in-64 sampling vs always-on, \
-             with online linearizability spot-checks of reconstructed native histories",
-            Json::Arr(out.rows.iter().map(E14Row::to_json).collect()),
-            vec![("gates", gates), ("spot_check", out.spot.to_json())],
-            started,
-        );
-    }
-
-    if cli.want("e15") {
-        let started = Instant::now();
-        println!("## E15 — serving-layer SLO and offline audit (apram-serve)\n");
-        let out = e15_run(&opts);
-        let rows: Vec<Vec<String>> = out
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.object.to_string(),
-                    r.tenants.to_string(),
-                    r.total_ops.to_string(),
-                    format!("{:.0}", r.ops_per_sec),
-                    r.latency.p50().to_string(),
-                    r.latency.p99().to_string(),
-                    r.latency.p999().to_string(),
-                    r.crash_reconnects.to_string(),
-                    if r.completed { "yes" } else { "NO" }.into(),
-                    r.audit_histories.to_string(),
-                    r.audit_dropped.to_string(),
-                    if r.audit_linearizable { "yes" } else { "NO" }.into(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "object",
-                    "tenants",
-                    "ops",
-                    "ops/sec",
-                    "p50 ns",
-                    "p99 ns",
-                    "p999 ns",
-                    "reconnects",
-                    "completed",
-                    "audit hists",
-                    "dropped",
-                    "linearizable"
-                ],
-                &rows
-            )
-        );
-        let gates = e15_gates(&out.rows);
-        println!("gates: {}\n", gates.to_compact());
-        if let Some(dir) = &cli.telemetry_dir {
-            apram_model::validate_prometheus(&out.prom)
-                .expect("scraped Prometheus text must parse");
-            write_artifact(dir, "flight.prom", &out.prom);
-        }
-        emit_report_with(
-            &cli,
-            "e15",
-            "Serving-layer SLO and offline audit: multi-tenant load with a mid-stream \
-             client kill over apram-serve, flight-recorder histories re-checked offline",
-            Json::Arr(out.rows.iter().map(E15Row::to_json).collect()),
-            vec![("gates", gates)],
-            started,
-        );
-    }
-
-    if cli.want("explore") {
-        let started = Instant::now();
-        println!("## Exploration throughput (sequential vs parallel explorer)\n");
-        let data = explore_bench_rows(&opts);
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.engine.to_string(),
-                    r.threads.to_string(),
-                    r.runs.to_string(),
-                    format!("{:.3}", r.wall_secs),
-                    format!("{:.0}", r.runs_per_sec),
-                    format!("{:.2}x", r.speedup),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "engine",
-                    "threads",
-                    "schedules",
-                    "wall secs",
-                    "schedules/sec",
-                    "speedup vs sequential"
-                ],
-                &rows
-            )
-        );
-        let json = Json::Arr(
-            data.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("engine", Json::Str(r.engine.into())),
-                        ("threads", Json::UInt(r.threads as u64)),
-                        ("runs", Json::UInt(r.runs)),
-                        ("wall_secs", Json::Float(r.wall_secs)),
-                        ("runs_per_sec", Json::Float(r.runs_per_sec)),
-                        ("speedup", Json::Float(r.speedup)),
-                    ])
-                })
-                .collect(),
-        );
-        emit_report(
-            &cli,
-            "explore",
-            "Exploration throughput: schedules/sec of the parallel explorer by thread count",
-            json,
-            started,
-        );
     }
 }

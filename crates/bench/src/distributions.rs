@@ -14,13 +14,14 @@
 //! schedules sit below it.
 
 use crate::experiments::ExpOpts;
+use crate::report::{Col, ToJson};
 use apram_agreement::hierarchy::theorem5_bound;
 use apram_agreement::machine::AgreementMachine;
 use apram_agreement::proto::{ScanMode, Variant};
 use apram_lattice::MaxU64;
 use apram_model::sim::strategy::SeededRandom;
 use apram_model::sim::SimBuilder;
-use apram_model::{CountingCtx, HistogramSnapshot, Json, MemCtx, TelemetryRegistry};
+use apram_model::{CountingCtx, HistogramSnapshot, MemCtx, TelemetryRegistry};
 use apram_objects::mwreg::MwRegister;
 use apram_snapshot::afek::AfekSnapshot;
 use apram_snapshot::collect::{naive_collect, CollectArray, DoubleCollect};
@@ -54,30 +55,23 @@ impl DistRow {
     pub fn within_bound(&self) -> Option<bool> {
         self.bound.map(|b| self.hist.max <= b)
     }
-
-    /// JSON export for the `distributions` section of `BENCH_e4.json`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("op", Json::Str(self.op.clone())),
-            ("metric", Json::Str(self.metric.into())),
-            ("n", Json::UInt(self.n as u64)),
-            ("count", Json::UInt(self.hist.count)),
-            ("p50", Json::UInt(self.hist.p50())),
-            ("p90", Json::UInt(self.hist.p90())),
-            ("p99", Json::UInt(self.hist.p99())),
-            ("max", Json::UInt(self.hist.max)),
-            ("mean", Json::Float(self.hist.mean())),
-            (
-                "paper_bound",
-                self.bound.map(Json::UInt).unwrap_or(Json::Null),
-            ),
-            (
-                "within_bound",
-                self.within_bound().map(Json::Bool).unwrap_or(Json::Null),
-            ),
-        ])
-    }
 }
+
+/// The E4 telemetry table and the `distributions` section of
+/// `BENCH_e4.json`.
+pub(crate) const DIST_COLS: &[Col<DistRow>] = &[
+    Col::Same("op", "op", |r| r.op.json()),
+    Col::Same("metric", "metric", |r| r.metric.json()),
+    Col::Same("n", "n", |r| r.n.json()),
+    Col::Same("count", "count", |r| r.hist.count.json()),
+    Col::Same("p50", "p50", |r| r.hist.p50().json()),
+    Col::Json("p90", |r| r.hist.p90().json()),
+    Col::Same("p99", "p99", |r| r.hist.p99().json()),
+    Col::Same("max", "max", |r| r.hist.max.json()),
+    Col::Json("mean", |r| r.hist.mean().json()),
+    Col::Same("paper bound", "paper_bound", |r| r.bound.json()),
+    Col::Same("within", "within_bound", |r| r.within_bound().json()),
+];
 
 /// The result of [`step_distributions`]: the summary rows plus the
 /// registry that recorded them (kept so the CLI can export the raw
@@ -193,40 +187,21 @@ fn scan_rows(
             });
         out.assert_no_panics();
     }
-    let lits = (
-        ScanObject::literal_scan_reads(n),
-        ScanObject::literal_scan_writes(n),
-    );
-    let opts_ = (
-        ScanObject::optimized_scan_reads(n),
-        ScanObject::optimized_scan_writes(n),
-    );
-    for (key, op, metric, bound) in [
+    for (op, metric, bound) in [
+        ("scan_literal", "reads", ScanObject::literal_scan_reads(n)),
+        ("scan_literal", "writes", ScanObject::literal_scan_writes(n)),
         (
-            format!("scan_literal_reads_n{n}"),
-            "scan_literal",
-            "reads",
-            lits.0,
-        ),
-        (
-            format!("scan_literal_writes_n{n}"),
-            "scan_literal",
-            "writes",
-            lits.1,
-        ),
-        (
-            format!("scan_optimized_reads_n{n}"),
             "scan_optimized",
             "reads",
-            opts_.0,
+            ScanObject::optimized_scan_reads(n),
         ),
         (
-            format!("scan_optimized_writes_n{n}"),
             "scan_optimized",
             "writes",
-            opts_.1,
+            ScanObject::optimized_scan_writes(n),
         ),
     ] {
+        let key = format!("{op}_{metric}_n{n}");
         rows.push(close_row(registry, &key, op, metric, n, Some(bound)));
     }
 }
@@ -501,12 +476,19 @@ mod tests {
             bound: Some(7),
             hist: HistogramSnapshot::default(),
         };
-        let j = r.to_json().to_compact();
+        let r2 = DistRow {
+            bound: None,
+            ..r.clone()
+        };
+        let table = crate::report::Table::of(DIST_COLS, &[r, r2]);
+        let j = table.rows[0].to_compact();
         assert!(j.contains("\"paper_bound\":7"));
         assert!(j.contains("\"within_bound\":true"));
-        let r2 = DistRow { bound: None, ..r };
-        let j2 = r2.to_json().to_compact();
+        let j2 = table.rows[1].to_compact();
         assert!(j2.contains("\"paper_bound\":null"));
         assert!(j2.contains("\"within_bound\":null"));
+        // A row without a bound shows dashes in the table.
+        assert_eq!(table.cells[0][7..], ["7", "yes"]);
+        assert_eq!(table.cells[1][7..], ["-", "-"]);
     }
 }

@@ -34,6 +34,8 @@ use apram_objects::mwreg::{MwRegister, Stamped};
 use apram_snapshot::afek::{AfekReg, AfekSnapshot};
 use apram_snapshot::collect::{CollectArray, DoubleCollect};
 
+use crate::report::{Col, Report, Sink, Table, ToJson};
+use crate::sweep::object_bound;
 use crate::ExpOpts;
 
 /// The E12 object names. Deliberately free of characters that need
@@ -136,38 +138,78 @@ impl E12Row {
             _ => within && self.peak_contention >= 2,
         }
     }
+}
 
-    /// JSON record for `BENCH_e12.json`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("object", Json::Str(self.object.into())),
-            ("workload", Json::Str(self.workload.into())),
-            ("k", Json::UInt(self.k as u64)),
-            ("measured_steps", Json::UInt(self.measured_steps)),
-            ("charged_steps", Json::Float(self.charged_steps)),
-            ("contention_bound", Json::Float(self.contention_bound())),
-            ("paper_bound", Json::UInt(self.paper_bound)),
-            ("mean_contention", Json::Float(self.mean_contention)),
-            ("peak_contention", Json::UInt(self.peak_contention)),
-            ("stall_edges", Json::UInt(self.stall_edges)),
-            ("collapse_ratio", Json::Float(self.collapse_ratio())),
-            ("ok", Json::Bool(self.ok())),
-            ("heatmap", self.map.to_json()),
-        ])
-    }
+const E12_COLS: &[Col<E12Row>] = &[
+    Col::Same("object", "object", |r| r.object.json()),
+    Col::Same("workload", "workload", |r| r.workload.json()),
+    Col::Same("k", "k", |r| r.k.json()),
+    Col::Same("measured", "measured_steps", |r| r.measured_steps.json()),
+    Col::Both(
+        "charged",
+        |r| format!("{:.1}", r.charged_steps),
+        "charged_steps",
+        |r| r.charged_steps.json(),
+    ),
+    Col::Both(
+        "contention bound",
+        |r| format!("{:.1}", r.contention_bound()),
+        "contention_bound",
+        |r| r.contention_bound().json(),
+    ),
+    Col::Same("paper bound", "paper_bound", |r| r.paper_bound.json()),
+    Col::Both(
+        "mean cont",
+        |r| format!("{:.2}", r.mean_contention),
+        "mean_contention",
+        |r| r.mean_contention.json(),
+    ),
+    Col::Same("peak", "peak_contention", |r| r.peak_contention.json()),
+    Col::Same("stalls", "stall_edges", |r| r.stall_edges.json()),
+    Col::Both(
+        "collapse",
+        |r| format!("{:.2}", r.collapse_ratio()),
+        "collapse_ratio",
+        |r| r.collapse_ratio().json(),
+    ),
+    Col::Both(
+        "verdict",
+        |r| if r.ok() { "ok" } else { "UNEXPECTED" }.into(),
+        "ok",
+        |r| r.ok().json(),
+    ),
+    Col::Json("heatmap", |r| r.map.to_json()),
+];
+
+/// The E12 report, with the heatmaps as `contention.prom` and
+/// `contention_heatmap.json`.
+pub fn e12_report(opts: &ExpOpts) -> Report {
+    let rows = e12_rows(opts);
+    Report::of(Table::of(E12_COLS, &rows))
+        .artifact(
+            Sink::Telemetry,
+            "contention.prom",
+            e12_heatmap_prometheus(&rows),
+        )
+        .artifact(
+            Sink::Telemetry,
+            "contention_heatmap.json",
+            e12_heatmap_json(&rows).to_compact() + "\n",
+        )
 }
 
 /// Per-process worst-case step bound for one operation pair of `object`
-/// at `k` processes (the same analytic costs E10 certifies against):
-/// counter `inc`+`read` are two optimized scans, Afek `update`+`snap`
-/// are bounded by `2k(k+2)+2`, one double-collect `update`+`snap` by
-/// `k(k+2)+1`, and an MW-register `write`+`read` are a collect plus a
-/// write each.
+/// at `k` processes — the analytic costs E10 certifies against, from the
+/// same [`apram_objects::simspec`] registry: counter `inc`+`read` are
+/// two optimized scans (the `scan` workload), Afek and double-collect
+/// `update`+`snap` are their E10 workloads; an MW-register `write`+`read`
+/// (not a snapshot, so not in that registry) are a collect plus a write
+/// each.
 pub fn e12_bound(object: &str, k: usize) -> u64 {
     match object {
-        "counter" => (2 * (k * k + k)) as u64,
-        "afek" => (2 * k * (k + 2) + 2) as u64,
-        "double_collect" => (k * (k + 2) + 1) as u64,
+        "counter" => object_bound("scan", k),
+        "afek" => object_bound("afek", k),
+        "double_collect" => object_bound("double-collect", k),
         "mwreg" => (2 * (k + 1)) as u64,
         other => panic!("unknown E12 object '{other}'"),
     }
@@ -237,140 +279,99 @@ fn finish_row(
     }
 }
 
-/// `k` disjoint copies of one instance's registers, each slab owned
-/// wholesale by its process.
-fn spread_layout<T: Clone>(instance: &[T], k: usize) -> (Vec<T>, Vec<ProcId>) {
+/// The `(hot, spread)` maps of one object: `body(p, base)` is process
+/// `p`'s operation pair over the instance whose registers start at
+/// `base`. `hot` runs all `k` bodies on the one shared instance under
+/// the burst adversary; `spread` gives each process its own copy of the
+/// registers — `k` disjoint slabs, each owned wholesale by its process —
+/// and runs the same bodies there.
+fn hot_and_spread<T: Clone + Send + Sync + 'static>(
+    k: usize,
+    instance: Vec<T>,
+    owners: Vec<ProcId>,
+    burst: usize,
+    body: impl Fn(usize, usize) -> ProcBody<'static, T, ()>,
+) -> (ContentionMap, ContentionMap) {
     let m = instance.len();
+    let bodies = |slab: usize| (0..k).map(|p| body(p, p * slab)).collect();
+    let hot = profile_run(instance.clone(), owners, bodies(0), true, burst as u64);
     let registers: Vec<T> = (0..k).flat_map(|_| instance.iter().cloned()).collect();
     let owners: Vec<ProcId> = (0..k).flat_map(|p| std::iter::repeat_n(p, m)).collect();
-    (registers, owners)
+    (hot, profile_run(registers, owners, bodies(m), false, 0))
 }
 
-/// The `(hot, spread)` maps for the striped (direct lattice) counter:
-/// every process performs `inc(1)` then `read()` — two optimized scans.
+/// The striped (direct lattice) counter: every process performs `inc`
+/// then `read()` — two optimized scans.
 fn e12_counter(k: usize) -> (ContentionMap, ContentionMap) {
-    let body = |c: DirectCounter, base_of: fn(usize, usize) -> usize, m: usize| {
-        (0..k)
-            .map(|p| {
-                Box::new(move |ctx: &mut SimCtx<CounterLattice>| {
-                    let mut ctx = OffsetCtx {
-                        inner: ctx,
-                        base: base_of(p, m),
-                    };
-                    let mut h = c.handle();
-                    h.inc(&mut ctx, p as u64 + 1);
-                    let _ = h.read(&mut ctx);
-                }) as ProcBody<'static, CounterLattice, ()>
-            })
-            .collect::<Vec<_>>()
-    };
     let c = DirectCounter::new(k);
-    let m = c.registers().len();
-    let hot = profile_run(
-        c.registers(),
-        c.owners(),
-        body(c, |_, _| 0, m),
-        true,
-        (k * k + k) as u64,
-    );
-    let (registers, owners) = spread_layout(&c.registers(), k);
-    let spread = profile_run(registers, owners, body(c, |p, m| p * m, m), false, 0);
-    (hot, spread)
+    hot_and_spread(k, c.registers(), c.owners(), k * k + k, move |p, base| {
+        Box::new(move |ctx: &mut SimCtx<CounterLattice>| {
+            let mut ctx = OffsetCtx { inner: ctx, base };
+            let mut h = c.handle();
+            h.inc(&mut ctx, p as u64 + 1);
+            let _ = h.read(&mut ctx);
+        })
+    })
 }
 
-/// The `(hot, spread)` maps for the Afek et al. bounded snapshot:
-/// every process performs one `update` then one `snap`.
+/// The Afek et al. bounded snapshot: every process performs one
+/// `update` then one `snap`.
 fn e12_afek(k: usize) -> (ContentionMap, ContentionMap) {
-    let body = |snap: AfekSnapshot, base_of: fn(usize, usize) -> usize, m: usize| {
-        (0..k)
-            .map(|p| {
-                Box::new(move |ctx: &mut SimCtx<AfekReg<u32>>| {
-                    let mut ctx = OffsetCtx {
-                        inner: ctx,
-                        base: base_of(p, m),
-                    };
-                    snap.update(&mut ctx, p as u32 + 1);
-                    let _ = snap.snap::<u32, _>(&mut ctx);
-                }) as ProcBody<'static, AfekReg<u32>, ()>
-            })
-            .collect::<Vec<_>>()
-    };
     let snap = AfekSnapshot::new(k);
-    let m = snap.registers::<u32>().len();
-    let hot = profile_run(
+    let burst = k * (k + 2) + 2;
+    hot_and_spread(
+        k,
         snap.registers::<u32>(),
         snap.owners(),
-        body(snap, |_, _| 0, m),
-        true,
-        (k * (k + 2) + 2) as u64,
-    );
-    let (registers, owners) = spread_layout(&snap.registers::<u32>(), k);
-    let spread = profile_run(registers, owners, body(snap, |p, m| p * m, m), false, 0);
-    (hot, spread)
+        burst,
+        move |p, base| {
+            Box::new(move |ctx: &mut SimCtx<AfekReg<u32>>| {
+                let mut ctx = OffsetCtx { inner: ctx, base };
+                snap.update(&mut ctx, p as u32 + 1);
+                let _ = snap.snap::<u32, _>(&mut ctx);
+            })
+        },
+    )
 }
 
-/// The `(hot, spread)` maps for the double-collect snapshot: one
-/// `update` then one `snap` per process (wait-free at one update each).
+/// The double-collect snapshot: one `update` then one `snap` per
+/// process (wait-free at one update each).
 fn e12_double_collect(k: usize) -> (ContentionMap, ContentionMap) {
-    let body = |arr: CollectArray, base_of: fn(usize, usize) -> usize, m: usize| {
-        (0..k)
-            .map(|p| {
-                Box::new(move |ctx: &mut SimCtx<Tagged<u32>>| {
-                    let mut ctx = OffsetCtx {
-                        inner: ctx,
-                        base: base_of(p, m),
-                    };
-                    let mut h = DoubleCollect::new(arr);
-                    h.update(&mut ctx, p as u32 + 1);
-                    let _ = h.snap(&mut ctx);
-                }) as ProcBody<'static, Tagged<u32>, ()>
-            })
-            .collect::<Vec<_>>()
-    };
     let arr = CollectArray::new(k);
-    let m = arr.registers::<u32>().len();
-    let hot = profile_run(
+    hot_and_spread(
+        k,
         arr.registers::<u32>(),
         arr.owners(),
-        body(arr, |_, _| 0, m),
-        true,
-        (k + 2) as u64,
-    );
-    let (registers, owners) = spread_layout(&arr.registers::<u32>(), k);
-    let spread = profile_run(registers, owners, body(arr, |p, m| p * m, m), false, 0);
-    (hot, spread)
+        k + 2,
+        move |p, base| {
+            Box::new(move |ctx: &mut SimCtx<Tagged<u32>>| {
+                let mut ctx = OffsetCtx { inner: ctx, base };
+                let mut h = DoubleCollect::new(arr);
+                h.update(&mut ctx, p as u32 + 1);
+                let _ = h.snap(&mut ctx);
+            })
+        },
+    )
 }
 
-/// The `(hot, spread)` maps for the multi-writer register — the closest
-/// thing this model has to a literal one-cell pile-up: every `write`
-/// and `read` collects the whole stamped column.
+/// The multi-writer register — the closest thing this model has to a
+/// literal one-cell pile-up: every `write` and `read` collects the whole
+/// stamped column.
 fn e12_mwreg(k: usize) -> (ContentionMap, ContentionMap) {
-    let body = |reg: MwRegister, base_of: fn(usize, usize) -> usize, m: usize| {
-        (0..k)
-            .map(|p| {
-                Box::new(move |ctx: &mut SimCtx<Stamped<u64>>| {
-                    let mut ctx = OffsetCtx {
-                        inner: ctx,
-                        base: base_of(p, m),
-                    };
-                    reg.write(&mut ctx, p as u64 + 1);
-                    let _ = reg.read(&mut ctx);
-                }) as ProcBody<'static, Stamped<u64>, ()>
-            })
-            .collect::<Vec<_>>()
-    };
     let reg = MwRegister::new(k);
-    let m = reg.registers::<u64>().len();
-    let hot = profile_run(
+    hot_and_spread(
+        k,
         reg.registers::<u64>(),
         reg.owners(),
-        body(reg, |_, _| 0, m),
-        true,
-        (k + 1) as u64,
-    );
-    let (registers, owners) = spread_layout(&reg.registers::<u64>(), k);
-    let spread = profile_run(registers, owners, body(reg, |p, m| p * m, m), false, 0);
-    (hot, spread)
+        k + 1,
+        move |p, base| {
+            Box::new(move |ctx: &mut SimCtx<Stamped<u64>>| {
+                let mut ctx = OffsetCtx { inner: ctx, base };
+                reg.write(&mut ctx, p as u64 + 1);
+                let _ = reg.read(&mut ctx);
+            })
+        },
+    )
 }
 
 /// Run the E12 grid: for every object and every writer count `k`, the

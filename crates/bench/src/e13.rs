@@ -34,10 +34,13 @@
 //! `available_parallelism` so the scaling gate can stand down on
 //! single-core runners instead of asserting the impossible.
 
+use crate::report::{Col, Report, Table, ToJson};
 use crate::ExpOpts;
 use apram_model::telemetry::HistogramSnapshot;
 use apram_model::{Json, StepHistogram};
-use apram_objects::spec::{native_spec, BuildCtx, ObjectSpec, Tier, OP_READ, OP_UPDATE};
+use apram_objects::spec::{
+    native_spec, BuildCtx, ObjectInstance, ObjectSpec, Tier, OP_READ, OP_UPDATE,
+};
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -69,27 +72,33 @@ pub struct E13Row {
     pub read_retries: u64,
 }
 
-impl E13Row {
-    /// JSON record for `BENCH_e13.json`. Wall-clock-derived fields
-    /// (`elapsed_secs`, `ops_per_sec`, the `*_ns` percentiles) are
-    /// volatile across runs; `scripts/compare_bench.py` excludes them
-    /// from byte diffs and gates on their ratios instead.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("object", Json::Str(self.object.into())),
-            ("tier", Json::Str(self.tier.into())),
-            ("threads", Json::UInt(self.threads as u64)),
-            ("total_ops", Json::UInt(self.total_ops)),
-            ("elapsed_secs", Json::Float(self.elapsed_secs)),
-            ("ops_per_sec", Json::Float(self.ops_per_sec)),
-            ("p50_ns", Json::UInt(self.hist.p50())),
-            ("p99_ns", Json::UInt(self.hist.p99())),
-            ("p999_ns", Json::UInt(self.hist.p999())),
-            ("max_ns", Json::UInt(self.hist.max)),
-            ("mean_ns", Json::Float(self.hist.mean())),
-            ("read_retries", Json::UInt(self.read_retries)),
-        ])
-    }
+// Wall-clock-derived fields (`elapsed_secs`, `ops_per_sec`, the `*_ns`
+// percentiles) are volatile across runs; `scripts/compare_bench.py`
+// excludes them from diffs and gates on their ratios instead.
+const E13_COLS: &[Col<E13Row>] = &[
+    Col::Same("object", "object", |r| r.object.json()),
+    Col::Same("tier", "tier", |r| r.tier.json()),
+    Col::Same("threads", "threads", |r| r.threads.json()),
+    Col::Same("ops", "total_ops", |r| r.total_ops.json()),
+    Col::Json("elapsed_secs", |r| r.elapsed_secs.json()),
+    Col::Both(
+        "ops/sec",
+        |r| format!("{:.0}", r.ops_per_sec),
+        "ops_per_sec",
+        |r| r.ops_per_sec.json(),
+    ),
+    Col::Same("p50 ns", "p50_ns", |r| r.hist.p50().json()),
+    Col::Same("p99 ns", "p99_ns", |r| r.hist.p99().json()),
+    Col::Same("p999 ns", "p999_ns", |r| r.hist.p999().json()),
+    Col::Json("max_ns", |r| r.hist.max.json()),
+    Col::Json("mean_ns", |r| r.hist.mean().json()),
+    Col::Same("read retries", "read_retries", |r| r.read_retries.json()),
+];
+
+/// The E13 report: the grid and its gates.
+pub fn e13_report(opts: &ExpOpts) -> Report {
+    let rows = e13_rows(opts);
+    Report::of(Table::of(E13_COLS, &rows)).gates(e13_gates(&rows))
 }
 
 /// The thread grid (always includes 1 and 8, which the gates compare).
@@ -110,14 +119,18 @@ pub fn spec_ops_per_thread(spec: &dyn ObjectSpec, threads: usize, quick: bool) -
     (base / threads as u64).max(floor)
 }
 
-/// Run one timed cell of any registered object: `threads` sessions, one
-/// per thread, each performing `ops` iterations of update + read, each
-/// iteration's latency recorded in nanoseconds. Session setup is
-/// excluded from the measurement by the barrier.
-pub fn spec_cell(object: &'static str, tier: Tier, threads: usize, quick: bool) -> E13Row {
-    let spec = native_spec(object).unwrap_or_else(|| panic!("unknown object '{object}'"));
-    let ops = spec_ops_per_thread(spec, threads, quick);
-    let inst = spec.build(&BuildCtx::new(threads, tier));
+/// The timed loop of one cell (E13's and E14's): `threads` sessions of
+/// `inst`, one per thread, each performing `ops` iterations of update +
+/// read, each iteration's latency recorded in nanoseconds. Returns the
+/// wall-clock seconds of the measured region (barrier release to last
+/// join — session setup is outside it) and the latency distribution.
+/// Sessions bracket every op with `op_begin`/`op_end` themselves, so a
+/// flight recorder attached to `inst` needs nothing here.
+pub(crate) fn timed_cell(
+    inst: &dyn ObjectInstance,
+    threads: usize,
+    ops: u64,
+) -> (f64, HistogramSnapshot) {
     let hist = StepHistogram::new();
     let barrier = Barrier::new(threads + 1);
     let start = std::thread::scope(|s| {
@@ -143,7 +156,15 @@ pub fn spec_cell(object: &'static str, tier: Tier, threads: usize, quick: bool) 
         barrier.wait();
         t0
     });
-    let elapsed = start.elapsed().as_secs_f64();
+    (start.elapsed().as_secs_f64(), hist.snapshot())
+}
+
+/// Run one E13 cell of any registered object on `tier`.
+pub fn spec_cell(object: &'static str, tier: Tier, threads: usize, quick: bool) -> E13Row {
+    let spec = native_spec(object).unwrap_or_else(|| panic!("unknown object '{object}'"));
+    let ops = spec_ops_per_thread(spec, threads, quick);
+    let inst = spec.build(&BuildCtx::new(threads, tier));
+    let (elapsed, hist) = timed_cell(inst.as_ref(), threads, ops);
     let total_ops = ops * threads as u64;
     E13Row {
         object,
@@ -152,7 +173,7 @@ pub fn spec_cell(object: &'static str, tier: Tier, threads: usize, quick: bool) 
         total_ops,
         elapsed_secs: elapsed,
         ops_per_sec: total_ops as f64 / elapsed.max(1e-9),
-        hist: hist.snapshot(),
+        hist,
         read_retries: inst.read_retries(),
     }
 }

@@ -42,21 +42,19 @@
 //! history must be linearizable, and the spot-check runs must have
 //! dropped zero events (otherwise the histories would be partial).
 
+use crate::e13::timed_cell;
+use crate::report::{Col, Report, Sink, Table, ToJson};
 use crate::{e13_threads, host_parallelism, spec_ops_per_thread, ExpOpts};
 use apram_core::counter::{CounterOp, CounterResp};
 use apram_core::CounterSpec;
 use apram_history::check::CheckerConfig;
-use apram_history::{check_histories_parallel, history_from_spans, History};
+use apram_history::{check_histories_parallel, history_from_spans, NondetSpec};
 use apram_model::seed::split;
 use apram_model::telemetry::{HistogramSnapshot, TelemetryRegistry};
-use apram_model::{FlightEvent, FlightLog, FlightMode, Json, NativeMemory, OpSpan, StepHistogram};
-use apram_objects::maxreg::{DirectMaxRegister, MaxRegOp, MaxRegResp, MaxRegSpec};
-use apram_objects::spec::{decode_opt, encode_opt, native_spec, BuildCtx};
-use apram_objects::striped::StripedCounter;
-use apram_snapshot::afek::AfekSnapshot;
+use apram_model::{FlightEvent, FlightLog, FlightMode, Json, OpSpan};
+use apram_objects::maxreg::{MaxRegOp, MaxRegResp, MaxRegSpec};
+use apram_objects::spec::{native_spec, BuildCtx, OpOutput, OP_READ, OP_UPDATE};
 use apram_snapshot::{SnapOp, SnapResp, SnapshotSpec};
-use std::sync::Barrier;
-use std::time::Instant;
 
 /// The E14 object names, in emission order (each is an
 /// [`apram_objects::spec`] registry name; each cell runs on its spec's
@@ -65,12 +63,6 @@ pub const E14_OBJECTS: [&str; 4] = ["counter", "maxreg", "afek", "mwreg"];
 
 /// The E14 recorder modes, in emission order.
 pub const E14_MODES: [&str; 3] = ["off", "sampled64", "always"];
-
-/// Flight-op code: the object's update operation (inc / write_max /
-/// update / write). Same value every factory session records.
-pub const E14_OP_UPDATE: u32 = apram_objects::spec::OP_UPDATE;
-/// Flight-op code: the object's read operation (read / snap).
-pub const E14_OP_READ: u32 = apram_objects::spec::OP_READ;
 
 /// Ring capacity for grid cells. Deliberately smaller than a cell's
 /// event volume so drop-oldest actually engages and the accounting
@@ -92,7 +84,7 @@ fn e14_mode(name: &str) -> FlightMode {
 pub fn e14_op_name(object: &'static str) -> impl Fn(u32) -> String {
     let spec = native_spec(object);
     move |op| match (spec, op) {
-        (Some(s), E14_OP_UPDATE | E14_OP_READ) => s.op_label(op).to_string(),
+        (Some(s), OP_UPDATE | OP_READ) => s.op_label(op).to_string(),
         _ => format!("op{op}"),
     }
 }
@@ -135,122 +127,45 @@ pub struct E14Row {
     pub sampled_spans: u64,
 }
 
-impl E14Row {
-    /// JSON record for `BENCH_e14.json`. Wall-clock-derived fields and
-    /// every flight-log column are volatile across runs;
-    /// `scripts/compare_bench.py` excludes them from byte diffs and
-    /// gates on the ratios instead.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("object", Json::Str(self.object.into())),
-            ("mode", Json::Str(self.mode.into())),
-            ("threads", Json::UInt(self.threads as u64)),
-            ("total_ops", Json::UInt(self.total_ops)),
-            ("elapsed_secs", Json::Float(self.elapsed_secs)),
-            ("ops_per_sec", Json::Float(self.ops_per_sec)),
-            ("p50_ns", Json::UInt(self.hist.p50())),
-            ("p99_ns", Json::UInt(self.hist.p99())),
-            ("p999_ns", Json::UInt(self.hist.p999())),
-            ("max_ns", Json::UInt(self.hist.max)),
-            ("mean_ns", Json::Float(self.hist.mean())),
-            ("read_retries", Json::UInt(self.read_retries)),
-            ("ticket_draws", Json::UInt(self.ticket_draws)),
-            ("events_recorded", Json::UInt(self.events_recorded)),
-            ("events_drained", Json::UInt(self.events_drained)),
-            ("events_dropped", Json::UInt(self.events_dropped)),
-            ("retry_events", Json::UInt(self.retry_events)),
-            ("contended_draws", Json::UInt(self.contended_draws)),
-            ("sampled_spans", Json::UInt(self.sampled_spans)),
-        ])
-    }
-}
+// Wall-clock-derived fields and every flight-log column are volatile
+// across runs; `scripts/compare_bench.py` excludes them from diffs and
+// gates on the ratios instead. The ticket count is listed twice, one
+// side each: the table shows it after the retry events, the report
+// before the event counts, and neither order is worth changing.
+const E14_COLS: &[Col<E14Row>] = &[
+    Col::Same("object", "object", |r| r.object.json()),
+    Col::Same("mode", "mode", |r| r.mode.json()),
+    Col::Same("threads", "threads", |r| r.threads.json()),
+    Col::Same("ops", "total_ops", |r| r.total_ops.json()),
+    Col::Json("elapsed_secs", |r| r.elapsed_secs.json()),
+    Col::Both(
+        "ops/sec",
+        |r| format!("{:.0}", r.ops_per_sec),
+        "ops_per_sec",
+        |r| r.ops_per_sec.json(),
+    ),
+    Col::Same("p50 ns", "p50_ns", |r| r.hist.p50().json()),
+    Col::Same("p99 ns", "p99_ns", |r| r.hist.p99().json()),
+    Col::Json("p999_ns", |r| r.hist.p999().json()),
+    Col::Json("max_ns", |r| r.hist.max.json()),
+    Col::Json("mean_ns", |r| r.hist.mean().json()),
+    Col::Json("read_retries", |r| r.read_retries.json()),
+    Col::Json("ticket_draws", |r| r.ticket_draws.json()),
+    Col::Same("events", "events_recorded", |r| r.events_recorded.json()),
+    Col::Json("events_drained", |r| r.events_drained.json()),
+    Col::Same("dropped", "events_dropped", |r| r.events_dropped.json()),
+    Col::Same("retry evts", "retry_events", |r| r.retry_events.json()),
+    Col::Md("tickets", |r| r.ticket_draws.to_string()),
+    Col::Same("contended", "contended_draws", |r| r.contended_draws.json()),
+    Col::Json("sampled_spans", |r| r.sampled_spans.json()),
+];
 
-/// Run one timed cell (the E13 barrier/clock discipline: session setup
-/// outside the measured region, clock started before the barrier
-/// releases). Factory sessions bracket every op with
-/// `op_begin`/`op_end` themselves, so flight recording needs no
-/// per-object code here.
-fn e14_run_cell(
-    inst: &dyn apram_objects::spec::ObjectInstance,
-    threads: usize,
-    ops: u64,
-) -> (f64, HistogramSnapshot) {
-    let hist = StepHistogram::new();
-    let barrier = Barrier::new(threads + 1);
-    let start = std::thread::scope(|s| {
-        for t in 0..threads {
-            let mut sess = inst.session(t);
-            let (barrier, hist) = (&barrier, &hist);
-            s.spawn(move || {
-                barrier.wait();
-                for k in 0..ops {
-                    let t0 = Instant::now();
-                    sess.op(E14_OP_UPDATE, k, k);
-                    sess.op(E14_OP_READ, k, 0);
-                    hist.record(t0.elapsed().as_nanos() as u64);
-                }
-            });
-        }
-        let t0 = Instant::now();
-        barrier.wait();
-        t0
-    });
-    (start.elapsed().as_secs_f64(), hist.snapshot())
-}
-
-/// Assemble a row from a finished cell: fold the drained log (if the
-/// recorder was on) into the flight columns.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    object: &'static str,
-    mode: &'static str,
-    threads: usize,
-    ops: u64,
-    elapsed: f64,
-    hist: HistogramSnapshot,
-    retries: u64,
-    tickets: u64,
-    log: Option<&FlightLog>,
-) -> E14Row {
-    let total_ops = ops * threads as u64;
-    let (recorded, drained, dropped, retry_events, contended, spans) = match log {
-        Some(log) => (
-            log.recorded,
-            log.drained,
-            log.dropped,
-            log.events
-                .iter()
-                .flatten()
-                .filter(|e| matches!(e, FlightEvent::ReadRetry { .. }))
-                .count() as u64,
-            log.contended_draws(1_000),
-            log.op_spans().len() as u64,
-        ),
-        None => (0, 0, 0, 0, 0, 0),
-    };
-    E14Row {
-        object,
-        mode,
-        threads,
-        total_ops,
-        elapsed_secs: elapsed,
-        ops_per_sec: total_ops as f64 / elapsed.max(1e-9),
-        hist,
-        read_retries: retries,
-        ticket_draws: tickets,
-        events_recorded: recorded,
-        events_drained: drained,
-        events_dropped: dropped,
-        retry_events,
-        contended_draws: contended,
-        sampled_spans: spans,
-    }
-}
-
-/// Run one grid cell of any registered object on its preferred tier.
-/// When `registry` is set (drain (b): the Prometheus path), the drain
-/// goes through the instance's delta-aware `snapshot_prometheus` — the
-/// same call `apram-serve`'s `/metrics` endpoint makes.
+/// Run one grid cell of any registered object on its preferred tier
+/// (the E13 timed cell, so the two grids' ratios are comparable) and
+/// fold the drained log (if the recorder was on) into the flight
+/// columns. When `registry` is set (drain (b): the Prometheus path), the
+/// drain goes through the instance's delta-aware `snapshot_prometheus`
+/// — the same call `apram-serve`'s `/metrics` endpoint makes.
 fn run_obj_cell(
     object: &'static str,
     mode: &'static str,
@@ -262,47 +177,36 @@ fn run_obj_cell(
     let ops = spec_ops_per_thread(spec, threads, quick);
     let inst = spec
         .build(&BuildCtx::new(threads, spec.tiers()[0]).flight(e14_mode(mode), GRID_FLIGHT_CAP));
-    let (elapsed, hist) = e14_run_cell(inst.as_ref(), threads, ops);
+    let (elapsed, hist) = timed_cell(inst.as_ref(), threads, ops);
     let log = match registry {
         Some(reg) => inst.snapshot_prometheus(reg, object),
         None => inst.flight_log(),
     };
-    let row = finish(
+    let total_ops = ops * threads as u64;
+    // A flight column is a count over the drained log: 0 with the
+    // recorder off.
+    let drained = |count: fn(&FlightLog) -> u64| log.as_ref().map_or(0, count);
+    let row = E14Row {
         object,
         mode,
         threads,
-        ops,
-        elapsed,
+        total_ops,
+        elapsed_secs: elapsed,
+        ops_per_sec: total_ops as f64 / elapsed.max(1e-9),
         hist,
-        inst.read_retries(),
-        inst.ticket_draws(),
-        log.as_ref(),
-    );
+        read_retries: inst.read_retries(),
+        ticket_draws: inst.ticket_draws(),
+        events_recorded: drained(|log| log.recorded),
+        events_drained: drained(|log| log.drained),
+        events_dropped: drained(|log| log.dropped),
+        retry_events: drained(|log| {
+            let is_retry = |e: &&FlightEvent| matches!(e, FlightEvent::ReadRetry { .. });
+            log.events.iter().flatten().filter(is_retry).count() as u64
+        }),
+        contended_draws: drained(|log| log.contended_draws(1_000)),
+        sampled_spans: drained(|log| log.op_spans().len() as u64),
+    };
     (row, log)
-}
-
-/// `None` ↦ `u64::MAX`, `Some(v)` ↦ `v as u64` (the E14 max-register
-/// workload only writes non-negative values, so the sentinel is free).
-/// Same encoding every factory session uses on the wire and in spans.
-fn encode_maxreg_resp(v: Option<i64>) -> u64 {
-    encode_opt(v)
-}
-
-fn decode_maxreg_resp(resp: u64) -> Option<i64> {
-    decode_opt(resp)
-}
-
-/// Rebuild a checkable [`History`] from reconstructed op spans
-/// (drain (c)). Now a thin alias for the shared
-/// [`apram_history::history_from_spans`] — the serve audit and the E14
-/// spot-checks must reconstruct identically, so the logic lives in one
-/// place.
-pub fn spans_to_history<O, R>(
-    spans: &[OpSpan],
-    mk_op: impl Fn(&OpSpan) -> O,
-    mk_resp: impl Fn(&OpSpan) -> R,
-) -> History<O, R> {
-    history_from_spans(spans, mk_op, mk_resp)
 }
 
 /// Outcome of the online linearizability spot-check.
@@ -321,31 +225,6 @@ pub struct E14SpotCheck {
     pub failures: Vec<String>,
 }
 
-impl E14SpotCheck {
-    fn absorb(&mut self, label: &str, outcomes: &[apram_history::check::CheckOutcome]) {
-        for (i, o) in outcomes.iter().enumerate() {
-            if !o.is_ok() {
-                self.all_linearizable = false;
-                self.failures.push(format!("{label} history {i}: {o:?}"));
-            }
-        }
-    }
-
-    /// JSON record for the report.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("histories", Json::UInt(self.histories)),
-            ("ops", Json::UInt(self.ops)),
-            ("dropped", Json::UInt(self.dropped)),
-            ("all_linearizable", Json::Bool(self.all_linearizable)),
-            (
-                "failures",
-                Json::Arr(self.failures.iter().map(|f| Json::Str(f.clone())).collect()),
-            ),
-        ])
-    }
-}
-
 /// Spot-check sizing: small histories (the checker is exponential in
 /// ops; the sim-side witness pipeline uses the same scale) but a
 /// generous ring, so nothing drops.
@@ -353,15 +232,91 @@ const SPOT_PROCS: usize = 3;
 const SPOT_ROUNDS: u64 = 4;
 const SPOT_FLIGHT_CAP: usize = 1 << 10;
 
-/// Drain a spot-check run's log into spans, folding the accounting
-/// into `sc`.
-fn spot_spans(mem_log: Option<FlightLog>, sc: &mut E14SpotCheck) -> Vec<OpSpan> {
-    let log = mem_log.expect("spot-check memories always record");
-    sc.dropped += log.dropped;
-    let spans = log.op_spans();
-    sc.ops += spans.len() as u64;
-    sc.histories += 1;
-    spans
+impl E14SpotCheck {
+    /// JSON record for the report.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("histories", self.histories.json()),
+            ("ops", self.ops.json()),
+            ("dropped", self.dropped.json()),
+            ("all_linearizable", self.all_linearizable.json()),
+            ("failures", self.failures.json()),
+        ])
+    }
+
+    /// Spot-check one registry object: per seed, [`SPOT_PROCS`]
+    /// free-running threads each drive a session of a fresh always-on
+    /// instance through [`SPOT_ROUNDS`] coin-flipped updates and reads;
+    /// the flight log is reconstructed into a history, and the batch is
+    /// checked against `spec`. `typed` is all that is per object: how a
+    /// span, with what the session returned for that op, reads as the
+    /// spec's `(op, response)`. `salt` keeps the objects' coin streams
+    /// apart.
+    fn check<Sp>(
+        &mut self,
+        opts: &ExpOpts,
+        object: &'static str,
+        salt: u64,
+        spec: &Sp,
+        typed: impl Fn(&OpSpan, &OpOutput) -> (Sp::Op, Sp::Resp),
+    ) where
+        Sp: NondetSpec + Sync,
+        Sp::State: std::hash::Hash + Eq,
+        Sp::Op: Send + Sync,
+        Sp::Resp: Send + Sync,
+    {
+        let native = native_spec(object).unwrap_or_else(|| panic!("unknown object '{object}'"));
+        let build = BuildCtx::new(SPOT_PROCS, native.tiers()[0])
+            .flight(FlightMode::Always, SPOT_FLIGHT_CAP);
+        let mut batch = Vec::new();
+        for seed in 0..if opts.quick { 3 } else { 6 } {
+            let inst = native.build(&build);
+            // What each process's ops returned, in program order.
+            let outs: Vec<Vec<OpOutput>> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..SPOT_PROCS)
+                    .map(|p| {
+                        let mut sess = inst.session(p);
+                        let mut rng = split(opts.seed ^ seed, salt + p as u64);
+                        s.spawn(move || {
+                            let round = |_| {
+                                rng = split(rng, 1);
+                                let code = if rng % 2 == 0 { OP_UPDATE } else { OP_READ };
+                                sess.op(code, rng % 50, 0)
+                            };
+                            (0..SPOT_ROUNDS).map(round).collect()
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            let log = inst.flight_log().expect("spot-check instances record");
+            let mut spans = log.op_spans();
+            self.dropped += log.dropped;
+            self.ops += spans.len() as u64;
+            self.histories += 1;
+            // A process's spans come in program order and (nothing
+            // having dropped) its k-th span is its k-th op: point each
+            // span's `resp` at that op's output. A view does not fit the
+            // recorded word, so the outputs are the responses' source.
+            let mut next = [0u64; SPOT_PROCS];
+            for span in &mut spans {
+                span.resp = next[span.proc];
+                next[span.proc] += 1;
+            }
+            let out = |s: &OpSpan| &outs[s.proc][s.resp as usize];
+            batch.push(history_from_spans(
+                &spans,
+                |s| typed(s, out(s)).0,
+                |s| typed(s, out(s)).1,
+            ));
+        }
+        let outcomes =
+            check_histories_parallel(spec, &batch, &CheckerConfig::default(), opts.threads);
+        for (i, o) in outcomes.iter().enumerate().filter(|(_, o)| !o.is_ok()) {
+            self.all_linearizable = false;
+            self.failures.push(format!("{object} history {i}: {o:?}"));
+        }
+    }
 }
 
 /// Run the online linearizability spot-check: free-running native
@@ -369,175 +324,30 @@ fn spot_spans(mem_log: Option<FlightLog>, sc: &mut E14SpotCheck) -> Vec<OpSpan> 
 /// always on, histories reconstructed from the flight log and checked
 /// in parallel batches.
 pub fn e14_spot_check(opts: &ExpOpts) -> E14SpotCheck {
-    let n = SPOT_PROCS;
-    let seeds: u64 = if opts.quick { 3 } else { 6 };
-    let cfg = CheckerConfig::default();
     let mut sc = E14SpotCheck {
         all_linearizable: true,
         ..Default::default()
     };
-
-    // Striped counter (packed tier).
-    let mut batch: Vec<History<CounterOp, CounterResp>> = Vec::new();
-    for seed in 0..seeds {
-        let c = StripedCounter::new(n);
-        let mem = NativeMemory::new_packed(n, c.registers())
-            .with_owners(c.owners())
-            .with_flight(FlightMode::Always, SPOT_FLIGHT_CAP);
-        std::thread::scope(|s| {
-            for p in 0..n {
-                let mem = mem.clone();
-                let mut h = c.handle();
-                s.spawn(move || {
-                    let mut ctx = mem.ctx(p);
-                    let mut rng = split(opts.seed ^ seed, p as u64);
-                    for _ in 0..SPOT_ROUNDS {
-                        rng = split(rng, 1);
-                        if rng % 2 == 0 {
-                            ctx.op_begin(E14_OP_UPDATE, 1);
-                            h.inc(&mut ctx);
-                            ctx.op_end(E14_OP_UPDATE, 0);
-                        } else {
-                            ctx.op_begin(E14_OP_READ, 0);
-                            let v = h.read(&mut ctx);
-                            ctx.op_end(E14_OP_READ, v);
-                        }
-                    }
-                });
-            }
-        });
-        let spans = spot_spans(mem.flight_log(), &mut sc);
-        batch.push(spans_to_history(
-            &spans,
-            |s| {
-                if s.op == E14_OP_UPDATE {
-                    CounterOp::Inc(1)
-                } else {
-                    CounterOp::Read
-                }
-            },
-            |s| {
-                if s.op == E14_OP_UPDATE {
-                    CounterResp::Ack
-                } else {
-                    CounterResp::Value(s.resp as i64)
-                }
-            },
-        ));
-    }
-    let outcomes = check_histories_parallel(&CounterSpec, &batch, &cfg, opts.threads);
-    sc.absorb("counter", &outcomes);
-
-    // Direct max-register (packed tier).
-    let mut batch: Vec<History<MaxRegOp, MaxRegResp>> = Vec::new();
-    for seed in 0..seeds {
-        let r = DirectMaxRegister::new(n);
-        let mem = NativeMemory::new_packed(n, r.registers())
-            .with_owners(r.owners())
-            .with_flight(FlightMode::Always, SPOT_FLIGHT_CAP);
-        std::thread::scope(|s| {
-            for p in 0..n {
-                let mem = mem.clone();
-                let mut h = r.handle();
-                s.spawn(move || {
-                    let mut ctx = mem.ctx(p);
-                    let mut rng = split(opts.seed ^ seed, 100 + p as u64);
-                    for _ in 0..SPOT_ROUNDS {
-                        rng = split(rng, 1);
-                        if rng % 2 == 0 {
-                            let v = (rng % 50) as i64;
-                            ctx.op_begin(E14_OP_UPDATE, v as u64);
-                            h.write_max(&mut ctx, v);
-                            ctx.op_end(E14_OP_UPDATE, 0);
-                        } else {
-                            ctx.op_begin(E14_OP_READ, 0);
-                            let v = h.read(&mut ctx);
-                            ctx.op_end(E14_OP_READ, encode_maxreg_resp(v));
-                        }
-                    }
-                });
-            }
-        });
-        let spans = spot_spans(mem.flight_log(), &mut sc);
-        batch.push(spans_to_history(
-            &spans,
-            |s| {
-                if s.op == E14_OP_UPDATE {
-                    MaxRegOp::WriteMax(s.arg as i64)
-                } else {
-                    MaxRegOp::Read
-                }
-            },
-            |s| {
-                if s.op == E14_OP_UPDATE {
-                    MaxRegResp::Ack
-                } else {
-                    MaxRegResp::Value(decode_maxreg_resp(s.resp))
-                }
-            },
-        ));
-    }
-    let outcomes = check_histories_parallel(&MaxRegSpec, &batch, &cfg, opts.threads);
-    sc.absorb("maxreg", &outcomes);
-
-    // Afek snapshot (buffered tier). Snap views don't fit the span's
-    // u64 `resp`, so each thread keeps its views in a side vector and
-    // the span's `resp` is the index into it.
-    let mut batch: Vec<History<SnapOp<u64>, SnapResp<u64>>> = Vec::new();
-    for seed in 0..seeds {
-        let snap = AfekSnapshot::new(n);
-        let mem = NativeMemory::new(n, snap.registers::<u64>())
-            .with_owners(snap.owners())
-            .with_flight(FlightMode::Always, SPOT_FLIGHT_CAP);
-        let views: Vec<Vec<Vec<Option<u64>>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|p| {
-                    let mem = mem.clone();
-                    let snap = &snap;
-                    s.spawn(move || {
-                        let mut ctx = mem.ctx(p);
-                        let mut mine = Vec::new();
-                        let mut rng = split(opts.seed ^ seed, 200 + p as u64);
-                        for _ in 0..SPOT_ROUNDS {
-                            rng = split(rng, 1);
-                            let v = rng % 1000;
-                            ctx.op_begin(E14_OP_UPDATE, v);
-                            snap.update(&mut ctx, v);
-                            ctx.op_end(E14_OP_UPDATE, 0);
-                            ctx.op_begin(E14_OP_READ, 0);
-                            let view = snap.snap::<u64, _>(&mut ctx);
-                            ctx.op_end(E14_OP_READ, mine.len() as u64);
-                            mine.push(view);
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let spans = spot_spans(mem.flight_log(), &mut sc);
-        batch.push(spans_to_history(
-            &spans,
-            |s| {
-                if s.op == E14_OP_UPDATE {
-                    SnapOp::Update(s.arg)
-                } else {
-                    SnapOp::Snap
-                }
-            },
-            |s| {
-                if s.op == E14_OP_UPDATE {
-                    SnapResp::Ack
-                } else {
-                    SnapResp::View(views[s.proc][s.resp as usize].clone())
-                }
-            },
-        ));
-    }
-    let spec = SnapshotSpec::<u64>::new(n);
-    let outcomes = check_histories_parallel(&spec, &batch, &cfg, opts.threads);
-    sc.absorb("afek", &outcomes);
-
+    sc.check(opts, "counter", 0, &CounterSpec, |s, out| {
+        match (s.op, out) {
+            (OP_UPDATE, _) => (CounterOp::Inc(1), CounterResp::Ack),
+            (_, OpOutput::Val(v)) => (CounterOp::Read, CounterResp::Value(*v as i64)),
+            (_, other) => panic!("counter read returned {other:?}"),
+        }
+    });
+    sc.check(opts, "maxreg", 100, &MaxRegSpec, |s, out| {
+        match (s.op, out) {
+            (OP_UPDATE, _) => (MaxRegOp::WriteMax(s.arg as i64), MaxRegResp::Ack),
+            (_, OpOutput::Opt(v)) => (MaxRegOp::Read, MaxRegResp::Value(v.map(|x| x as i64))),
+            (_, other) => panic!("maxreg read returned {other:?}"),
+        }
+    });
+    let snapshot = SnapshotSpec::<u64>::new(SPOT_PROCS);
+    sc.check(opts, "afek", 200, &snapshot, |s, out| match (s.op, out) {
+        (OP_UPDATE, _) => (SnapOp::Update(s.arg), SnapResp::Ack),
+        (_, OpOutput::View(view)) => (SnapOp::Snap, SnapResp::View(view.clone())),
+        (_, other) => panic!("afek snap returned {other:?}"),
+    });
     sc
 }
 
@@ -673,6 +483,22 @@ pub fn e14_gates(rows: &[E14Row], spot: &E14SpotCheck, quick: bool) -> Json {
     ])
 }
 
+/// The E14 report: grid, gates and spot-check, with `flight.json` (the
+/// merged Chrome trace) and `flight.prom` (the drained logs' Prometheus
+/// text).
+pub fn e14_report(opts: &ExpOpts) -> Report {
+    let out = e14_run(opts);
+    Report::of(Table::of(E14_COLS, &out.rows))
+        .gates(e14_gates(&out.rows, &out.spot, opts.quick))
+        .section("spot_check", out.spot.to_json())
+        .artifact(
+            Sink::Telemetry,
+            "flight.json",
+            out.trace.to_compact() + "\n",
+        )
+        .artifact(Sink::Telemetry, "flight.prom", out.prom)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,7 +511,7 @@ mod tests {
         let spans = vec![
             OpSpan {
                 proc: 0,
-                op: E14_OP_UPDATE,
+                op: OP_UPDATE,
                 arg: 1,
                 resp: 0,
                 begin_ns: 10,
@@ -693,24 +519,24 @@ mod tests {
             },
             OpSpan {
                 proc: 1,
-                op: E14_OP_READ,
+                op: OP_READ,
                 arg: 0,
                 resp: 1,
                 begin_ns: 10,
                 end_ns: 20,
             },
         ];
-        let h = spans_to_history(
+        let h = history_from_spans(
             &spans,
             |s| {
-                if s.op == E14_OP_UPDATE {
+                if s.op == OP_UPDATE {
                     CounterOp::Inc(1)
                 } else {
                     CounterOp::Read
                 }
             },
             |s| {
-                if s.op == E14_OP_UPDATE {
+                if s.op == OP_UPDATE {
                     CounterResp::Ack
                 } else {
                     CounterResp::Value(s.resp as i64)
@@ -732,7 +558,7 @@ mod tests {
         let spans = vec![
             OpSpan {
                 proc: 0,
-                op: E14_OP_UPDATE,
+                op: OP_UPDATE,
                 arg: 1,
                 resp: 0,
                 begin_ns: 5,
@@ -740,14 +566,14 @@ mod tests {
             },
             OpSpan {
                 proc: 0,
-                op: E14_OP_READ,
+                op: OP_READ,
                 arg: 0,
                 resp: 1,
                 begin_ns: 5,
                 end_ns: 5,
             },
         ];
-        let h = spans_to_history(&spans, |_| CounterOp::Read, |_| CounterResp::Ack);
+        let h = history_from_spans(&spans, |_| CounterOp::Read, |_| CounterResp::Ack);
         // Program order preserved: invoke, respond, invoke, respond.
         assert!(h.well_formed());
         assert!(h.events()[0].is_invoke());
@@ -790,8 +616,9 @@ mod tests {
     #[test]
     fn spot_check_finds_native_histories_linearizable() {
         let opts = ExpOpts {
+            seed: 7,
             quick: true,
-            ..ExpOpts::with_seed(7)
+            threads: 0,
         };
         let sc = e14_spot_check(&opts);
         assert!(sc.all_linearizable, "failures: {:?}", sc.failures);

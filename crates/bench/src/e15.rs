@@ -33,21 +33,19 @@
 //! crasher) completing their budgets. `available_parallelism` is
 //! recorded so throughput numbers can be read in context.
 
+use crate::report::{Col, Report, Sink, Table, ToJson};
 use crate::{host_parallelism, ExpOpts};
 use apram_model::telemetry::HistogramSnapshot;
-use apram_model::{FlightMode, Json};
+use apram_model::{validate_prometheus, FlightMode, Json};
 use apram_serve::{
     run_audit, run_load, serve, Client, LoadConfig, ServeConfig, TableConfig, AUDITABLE_OBJECTS,
 };
 
-/// The E15 objects, in emission order: exactly the objects the offline
-/// audit can reconstruct typed histories for.
-pub const E15_OBJECTS: [&str; 3] = AUDITABLE_OBJECTS;
-
 /// One object's cell: the SLO run and its paired audit run.
 #[derive(Clone, Debug)]
 pub struct E15Row {
-    /// Object name (one of [`E15_OBJECTS`]).
+    /// Object name (one of [`AUDITABLE_OBJECTS`]: exactly the objects
+    /// the offline audit can reconstruct typed histories for).
     pub object: &'static str,
     /// Concurrent tenants in the SLO phase.
     pub tenants: usize,
@@ -82,43 +80,41 @@ pub struct E15Row {
     pub audit_failures: Vec<String>,
 }
 
-impl E15Row {
-    /// JSON record for `BENCH_e15.json`. Wall-clock-derived fields
-    /// (`elapsed_secs`, `ops_per_sec`, the `*_ns` percentiles) are
-    /// volatile across runs; `scripts/compare_bench.py` excludes them
-    /// from byte diffs and gates on the budget relations instead.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("object", Json::Str(self.object.into())),
-            ("tenants", Json::UInt(self.tenants as u64)),
-            ("ops_per_tenant", Json::UInt(self.ops_per_tenant)),
-            ("total_ops", Json::UInt(self.total_ops)),
-            ("elapsed_secs", Json::Float(self.elapsed_secs)),
-            ("ops_per_sec", Json::Float(self.ops_per_sec)),
-            ("p50_ns", Json::UInt(self.latency.p50())),
-            ("p99_ns", Json::UInt(self.latency.p99())),
-            ("p999_ns", Json::UInt(self.latency.p999())),
-            ("max_ns", Json::UInt(self.latency.max)),
-            ("mean_ns", Json::Float(self.latency.mean())),
-            ("crash_reconnects", Json::UInt(self.crash_reconnects)),
-            ("completed", Json::Bool(self.completed)),
-            ("audit_ops", Json::UInt(self.audit_ops)),
-            ("audit_spans", Json::UInt(self.audit_spans)),
-            ("audit_histories", Json::UInt(self.audit_histories)),
-            ("audit_dropped", Json::UInt(self.audit_dropped)),
-            ("audit_linearizable", Json::Bool(self.audit_linearizable)),
-            (
-                "audit_failures",
-                Json::Arr(
-                    self.audit_failures
-                        .iter()
-                        .map(|f| Json::Str(f.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
+// Wall-clock-derived fields (`elapsed_secs`, `ops_per_sec`, the `*_ns`
+// percentiles) are volatile across runs; `scripts/compare_bench.py`
+// excludes them from diffs and gates on the budget relations instead.
+const E15_COLS: &[Col<E15Row>] = &[
+    Col::Same("object", "object", |r| r.object.json()),
+    Col::Same("tenants", "tenants", |r| r.tenants.json()),
+    Col::Json("ops_per_tenant", |r| r.ops_per_tenant.json()),
+    Col::Same("ops", "total_ops", |r| r.total_ops.json()),
+    Col::Json("elapsed_secs", |r| r.elapsed_secs.json()),
+    Col::Both(
+        "ops/sec",
+        |r| format!("{:.0}", r.ops_per_sec),
+        "ops_per_sec",
+        |r| r.ops_per_sec.json(),
+    ),
+    Col::Same("p50 ns", "p50_ns", |r| r.latency.p50().json()),
+    Col::Same("p99 ns", "p99_ns", |r| r.latency.p99().json()),
+    Col::Same("p999 ns", "p999_ns", |r| r.latency.p999().json()),
+    Col::Json("max_ns", |r| r.latency.max.json()),
+    Col::Json("mean_ns", |r| r.latency.mean().json()),
+    Col::Same("reconnects", "crash_reconnects", |r| {
+        r.crash_reconnects.json()
+    }),
+    Col::Same("completed", "completed", |r| r.completed.json()),
+    Col::Json("audit_ops", |r| r.audit_ops.json()),
+    Col::Json("audit_spans", |r| r.audit_spans.json()),
+    Col::Same("audit hists", "audit_histories", |r| {
+        r.audit_histories.json()
+    }),
+    Col::Same("dropped", "audit_dropped", |r| r.audit_dropped.json()),
+    Col::Same("linearizable", "audit_linearizable", |r| {
+        r.audit_linearizable.json()
+    }),
+    Col::Json("audit_failures", |r| r.audit_failures.json()),
+];
 
 /// Everything one E15 run produces: the grid plus the Prometheus scrape
 /// of the first SLO server (the `--telemetry` artifact — it carries the
@@ -212,7 +208,7 @@ fn e15_cell(object: &'static str, opts: &ExpOpts, scrape: bool) -> (E15Row, Opti
 pub fn e15_run(opts: &ExpOpts) -> E15Out {
     let mut rows = Vec::new();
     let mut prom = String::new();
-    for (i, object) in E15_OBJECTS.into_iter().enumerate() {
+    for (i, object) in AUDITABLE_OBJECTS.into_iter().enumerate() {
         let (row, scraped) = e15_cell(object, opts, i == 0);
         if let Some(text) = scraped {
             prom = text;
@@ -274,6 +270,16 @@ pub fn e15_gates(rows: &[E15Row]) -> Json {
     ])
 }
 
+/// The E15 report: grid and gates, with `serve.prom` — the `/metrics`
+/// scrape of the first SLO server.
+pub fn e15_report(opts: &ExpOpts) -> Report {
+    let out = e15_run(opts);
+    validate_prometheus(&out.prom).expect("scraped Prometheus text must parse");
+    Report::of(Table::of(E15_COLS, &out.rows))
+        .gates(e15_gates(&out.rows))
+        .artifact(Sink::Telemetry, "serve.prom", out.prom)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,7 +326,7 @@ mod tests {
     /// by construction (the sizing argument in `audit_config`'s doc).
     #[test]
     fn audit_budgets_fit_the_checker() {
-        for object in E15_OBJECTS {
+        for object in AUDITABLE_OBJECTS {
             let cfg = audit_config(object);
             let total = cfg.tenants as u64 * cfg.ops_per_tenant;
             // Worst case per shard: every read spans every shard plus

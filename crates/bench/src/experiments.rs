@@ -1,37 +1,40 @@
-#![allow(clippy::type_complexity)]
+//! The simulator-side experiments — E1–E6, E8–E11 and the `explore`
+//! throughput benchmark: for each, its row type, the function that
+//! measures the rows, the column list that renders them, and the
+//! `*_report` function the [registry](crate::registry) points at.
 
-//! The experiment implementations (E1–E6, E8, E9). Wall-clock E7 lives
-//! in `benches/`.
-
+use crate::distributions::{step_distributions, DIST_COLS};
+use crate::report::{counts, Col, Report, Sink, Table, ToJson};
+use crate::sweep::{certify_cell, object_bound, run_sample_cell, CellSched, SweepCell};
 use apram_agreement::ablation::{explore_machine, random_search};
 use apram_agreement::adversary::{lemma6_bound, run_adversary};
-use apram_agreement::hierarchy::{hierarchy_row, theorem5_bound, unbounded_growth};
+use apram_agreement::hierarchy::{hierarchy_row, theorem5_bound, unbounded_growth, HierarchyRow};
 use apram_agreement::machine::AgreementMachine;
 use apram_agreement::proto::{ScanMode, Variant};
 use apram_core::{CounterOp, Universal};
 use apram_history::check::{check_linearizable, check_linearizable_traced, CheckerConfig};
 use apram_history::{
-    check_histories_parallel, CheckOutcome, FailureExplanation, History, Ops, Recorder, Violation,
+    check_histories_parallel, CheckOutcome, FailureExplanation, NondetSpec, Ops, Recorder,
+    Violation,
 };
 use apram_lattice::Tagged;
 use apram_model::sim::explore::{ExploreConfig, ExploreStats};
 use apram_model::sim::shrink::ShrinkConfig;
 use apram_model::sim::strategy::Replay;
-use apram_model::sim::{
-    Budgeted, Certificate, CertifyConfig, ProcBody, SimBuilder, SimCtx, SimOutcome,
+use apram_model::sim::{Budgeted, Certificate, ProcBody, SimBuilder, SimCtx, SimOutcome};
+use apram_model::telemetry::buffer_sink;
+use apram_model::{
+    resolve_threads, validate_prometheus, Heartbeat, Json, MemCtx, SpanNode, SpanRecorder,
 };
-use apram_model::{resolve_threads, Heartbeat, Json, MemCtx, SpanNode, SpanRecorder};
-use apram_objects::simspec::{
-    e10_afek_bodies, e10_collect_bodies, e10_depth, e10_pair, e10_snapshot_bodies, lock_pair,
-};
+use apram_objects::simspec::{e10_afek_bodies, e10_snapshot_bodies};
 use apram_snapshot::afek::{AfekReg, AfekSnapshot};
 use apram_snapshot::collect::{naive_collect, CollectArray, DoubleCollect};
-use apram_snapshot::lock::SimLockSnapshot;
 use apram_snapshot::snapshot::{SnapOp, SnapResp, SnapshotSpec};
 use apram_snapshot::{ScanHandle, ScanObject, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Shared experiment options, fed by the CLI's `--seed` / `--quick` /
 /// `--threads` flags so every experiment honors the same knobs.
@@ -44,17 +47,6 @@ pub struct ExpOpts {
     /// Worker threads for parallel exploration and history checking
     /// (0 = all available parallelism).
     pub threads: usize,
-}
-
-impl ExpOpts {
-    /// Options for a given base seed (full-size grids).
-    pub fn with_seed(seed: u64) -> Self {
-        ExpOpts {
-            seed,
-            quick: false,
-            threads: 0,
-        }
-    }
 }
 
 /// E1 — Theorem 5 upper bound: measured worst per-process steps of the
@@ -126,6 +118,22 @@ pub fn e1_rows(opts: &ExpOpts) -> Vec<E1Row> {
     rows
 }
 
+const E1_COLS: &[Col<E1Row>] = &[
+    Col::Same("n", "n", |r| r.n.json()),
+    Col::Same("Δ/ε", "delta_over_eps", |r| r.delta_over_eps.json()),
+    Col::Same("measured worst steps", "measured_worst_steps", |r| {
+        r.measured_worst.json()
+    }),
+    Col::Same("Theorem 5 bound", "paper_bound", |r| r.bound.json()),
+    Col::Md("steps / log₂(Δ/ε)", |r| format!("{:.1}", r.per_round)),
+    Col::Json("within_bound", |r| (r.measured_worst <= r.bound).json()),
+];
+
+/// The E1 report.
+pub fn e1_report(opts: &ExpOpts) -> Report {
+    Report::of(Table::of(E1_COLS, &e1_rows(opts)))
+}
+
 /// E2 — Lemma 6 lower bound: what the adversary forces vs ⌊log₃(Δ/ε)⌋.
 #[derive(Clone, Debug)]
 pub struct E2Row {
@@ -158,14 +166,78 @@ pub fn e2_rows(max_k: u32) -> Vec<E2Row> {
         .collect()
 }
 
+const E2_COLS: &[Col<E2Row>] = &[
+    Col::Same("k (Δ/ε = 3^k)", "k", |r| r.k.json()),
+    Col::Same("⌊log₃(Δ/ε)⌋", "paper_bound", |r| r.bound.json()),
+    Col::Same("forced confrontations", "forced_confrontations", |r| {
+        r.forced_confrontations.json()
+    }),
+    Col::Same("forced steps (max proc)", "forced_steps", |r| {
+        r.forced_steps.json()
+    }),
+    Col::Both(
+        "final gap",
+        |r| format!("{:.2e}", r.final_gap),
+        "final_gap",
+        |r| r.final_gap.json(),
+    ),
+    Col::Json("meets_bound", |r| {
+        (r.forced_confrontations >= r.bound).json()
+    }),
+];
+
+/// The E2 report.
+pub fn e2_report(opts: &ExpOpts) -> Report {
+    Report::of(Table::of(
+        E2_COLS,
+        &e2_rows(if opts.quick { 5 } else { 10 }),
+    ))
+}
+
 /// E3 — the Theorem 7 hierarchy table plus Theorem 8 growth.
-pub fn e3_hierarchy(max_k: u32) -> Vec<apram_agreement::hierarchy::HierarchyRow> {
+pub fn e3_hierarchy(max_k: u32) -> Vec<HierarchyRow> {
     (1..=max_k).map(|k| hierarchy_row(k, 15)).collect()
 }
 
 /// E3b — Theorem 8: forced steps as Δ grows with ε = 1.
 pub fn e3_unbounded() -> Vec<(f64, u64)> {
     unbounded_growth(&[3.0, 9.0, 27.0, 81.0, 243.0, 2187.0, 19683.0])
+}
+
+const E3_COLS: &[Col<HierarchyRow>] = &[
+    Col::Same("k", "k", |r| r.k.json()),
+    Col::Both("ε", |r| format!("{:.2e}", r.eps), "eps", |r| r.eps.json()),
+    Col::Same("lower bound k", "paper_lower_bound", |r| {
+        r.lower_bound.json()
+    }),
+    Col::Same("forced confrontations", "forced_confrontations", |r| {
+        r.forced_confrontations.json()
+    }),
+    Col::Same("forced steps", "forced_steps", |r| r.forced_steps.json()),
+    Col::Same("measured K (worst)", "measured_upper", |r| {
+        r.measured_upper.json()
+    }),
+    Col::Same("Theorem 5 bound", "paper_upper_bound", |r| {
+        r.theorem5_bound.json()
+    }),
+];
+
+const E3B_COLS: &[Col<(f64, u64)>] = &[
+    Col::Same("Δ", "delta", |(delta, _)| delta.json()),
+    Col::Same("forced steps", "forced_steps", |(_, steps)| steps.json()),
+];
+
+/// The E3 report: the hierarchy table, then E3b under its own heading.
+pub fn e3_report(opts: &ExpOpts) -> Report {
+    let hierarchy = Table::of(E3_COLS, &e3_hierarchy(if opts.quick { 4 } else { 8 }));
+    let unbounded = Table::of(E3B_COLS, &e3_unbounded());
+    Report::new(Json::obj([
+        ("hierarchy", hierarchy.json()),
+        ("unbounded", unbounded.json()),
+    ]))
+    .table(hierarchy)
+    .text("### E3b — Theorem 8: unbounded range defeats any bound (ε = 1)")
+    .table(unbounded)
 }
 
 /// E4 — §6.2 operation counts of one `Scan`, literal and optimized.
@@ -208,6 +280,64 @@ pub fn e4_rows(ns: &[usize]) -> Vec<E4Row> {
             }
         })
         .collect()
+}
+
+/// `reads/writes`, as the E4 table prints a count pair.
+fn slashed((reads, writes): (u64, u64)) -> String {
+    format!("{reads}/{writes}")
+}
+
+const E4_COLS: &[Col<E4Row>] = &[
+    Col::Same("n", "n", |r| r.n.json()),
+    Col::Both(
+        "literal reads/writes",
+        |r| slashed(r.literal),
+        "literal",
+        |r| counts(r.literal),
+    ),
+    Col::Both(
+        "paper n²+n+1 / n+2",
+        |r| slashed(r.literal_claim),
+        "paper_literal",
+        |r| counts(r.literal_claim),
+    ),
+    Col::Both(
+        "optimized reads/writes",
+        |r| slashed(r.optimized),
+        "optimized",
+        |r| counts(r.optimized),
+    ),
+    Col::Both(
+        "paper n²−1 / n+1",
+        |r| slashed(r.optimized_claim),
+        "paper_optimized",
+        |r| counts(r.optimized_claim),
+    ),
+    Col::Json("matches_paper", |r| {
+        (r.literal == r.literal_claim && r.optimized == r.optimized_claim).json()
+    }),
+];
+
+/// The E4 report: the §6.2 counts, then the per-op step distributions
+/// (the report's `distributions` section, and `telemetry.prom` — the
+/// Prometheus text of the histograms behind them).
+pub fn e4_report(opts: &ExpOpts) -> Report {
+    // Every n in 2..=8 is measured (the paper-bound acceptance grid);
+    // the larger sizes confirm the quadratic/linear shape.
+    let ns: Vec<usize> = if opts.quick {
+        vec![2, 3, 4]
+    } else {
+        (2..=8).chain([16, 32]).collect()
+    };
+    let dist = step_distributions(opts);
+    let prom = dist.registry.to_prometheus();
+    validate_prometheus(&prom).expect("generated Prometheus text must parse");
+    let distributions = Table::of(DIST_COLS, &dist.rows);
+    Report::of(Table::of(E4_COLS, &e4_rows(&ns)))
+        .text("### E4 telemetry — per-op step distributions vs analytic bounds")
+        .section("distributions", distributions.json())
+        .table(distributions)
+        .artifact(Sink::Telemetry, "telemetry.prom", prom)
 }
 
 /// E4b — the Aspnes–Herlihy lattice scan vs the Afek et al. snapshot
@@ -268,6 +398,27 @@ pub fn e4b_rows(ns: &[usize]) -> Vec<E4bRow> {
         .collect()
 }
 
+const E4B_COLS: &[Col<E4bRow>] = &[
+    Col::Same("n", "n", |r| r.n.json()),
+    Col::Same("lattice scan (always)", "lattice_reads", |r| {
+        r.lattice_reads.json()
+    }),
+    Col::Same("Afek quiet (2n)", "afek_quiet_reads", |r| {
+        r.afek_quiet_reads.json()
+    }),
+    Col::Same(
+        "Afek under interposing writer",
+        "afek_contended_reads",
+        |r| r.afek_contended_reads.json(),
+    ),
+];
+
+/// The E4b report.
+pub fn e4b_report(opts: &ExpOpts) -> Report {
+    let ns: &[usize] = if opts.quick { &[2, 4] } else { &[2, 4, 8] };
+    Report::of(Table::of(E4B_COLS, &e4b_rows(ns)))
+}
+
 /// E5 — universal construction synchronization overhead per operation.
 #[derive(Clone, Debug)]
 pub struct E5Row {
@@ -307,286 +458,243 @@ pub fn e5_rows(ns: &[usize]) -> Vec<E5Row> {
         .collect()
 }
 
-/// E6 — linearizability verification summary. Each object carries the
-/// full [`ExploreStats`] of its exploration, so the table can report
-/// schedules explored alongside the search overheads (replay ratio,
-/// deepest branch point).
+// The table shows the four counts side by side; the report pairs them
+// as `measured` / `paper`, so only `n` is on both sides.
+const E5_COLS: &[Col<E5Row>] = &[
+    Col::Same("n", "n", |r| r.n.json()),
+    Col::Md("measured reads/op", |r| r.reads.to_string()),
+    Col::Md("2(n²−1)", |r| r.reads_claim.to_string()),
+    Col::Md("measured writes/op", |r| r.writes.to_string()),
+    Col::Md("2(n+1)", |r| r.writes_claim.to_string()),
+    Col::Json("measured", |r| counts((r.reads, r.writes))),
+    Col::Json("paper", |r| counts((r.reads_claim, r.writes_claim))),
+    Col::Json("matches_paper", |r| {
+        (r.reads == r.reads_claim && r.writes == r.writes_claim).json()
+    }),
+];
+
+/// The E5 report.
+pub fn e5_report(opts: &ExpOpts) -> Report {
+    let ns: &[usize] = if opts.quick {
+        &[2, 3, 4]
+    } else {
+        &[2, 3, 4, 8, 12, 16]
+    };
+    Report::of(Table::of(E5_COLS, &e5_rows(ns)))
+}
+
+/// E6 — linearizability verification summary: per object, its table
+/// label and the full [`ExploreStats`] of its exploration, so the table
+/// can report schedules explored alongside the search overheads (replay
+/// ratio, deepest branch point).
 #[derive(Clone, Debug)]
 pub struct E6Summary {
-    /// Exploration stats for the snapshot object (2 procs).
-    pub snapshot: ExploreStats,
-    /// Exploration stats for the universal counter.
-    pub universal: ExploreStats,
-    /// Exploration stats for the Afek et al. snapshot.
-    pub afek: ExploreStats,
-    /// Exploration stats for the MW register (full depth).
-    pub mwreg: ExploreStats,
-    /// Histories checked in total (all linearizable, or this function
+    /// `(label, stats)` per explored object, in table order.
+    pub objects: Vec<(&'static str, ExploreStats)>,
+    /// Histories checked in total (all linearizable, or [`e6_summary`]
     /// panics).
     pub histories_checked: u64,
 }
 
 impl E6Summary {
-    /// `(name, stats)` rows in table order.
-    pub fn per_object(&self) -> [(&'static str, &ExploreStats); 4] {
-        [
-            ("atomic snapshot (2 procs)", &self.snapshot),
-            ("universal counter (2 procs)", &self.universal),
-            ("Afek et al. snapshot (2 procs)", &self.afek),
-            ("MW register (2 procs, full depth)", &self.mwreg),
-        ]
-    }
-}
-
-/// The shared per-object history sink of the E6 pipeline: workers push
-/// the history of every explored run, and the batch is linearizability-
-/// checked in parallel once the exploration drains.
-type HistorySink<O, R> = Arc<Mutex<Vec<History<O, R>>>>;
-
-/// Drain `sink` and check every collected history in parallel, panicking
-/// with `label` on the first non-linearizable one. Returns how many
-/// histories were checked.
-fn drain_and_check<Sp>(
-    spec: &Sp,
-    sink: &HistorySink<Sp::Op, Sp::Resp>,
-    threads: usize,
-    label: &str,
-) -> u64
-where
-    Sp: apram_history::NondetSpec + Sync,
-    Sp::State: std::hash::Hash + Eq,
-    Sp::Op: Send + Sync,
-    Sp::Resp: Send + Sync,
-{
-    let batch = std::mem::take(&mut *sink.lock().unwrap());
-    let outcomes = check_histories_parallel(spec, &batch, &CheckerConfig::default(), threads);
-    assert!(outcomes.iter().all(|o| o.is_ok()), "{label}");
-    batch.len() as u64
-}
-
-/// Run the E6 exhaustive checks (smaller than the test-suite versions;
-/// the suite is the authority, this reports the counts for the table).
-/// Exploration fans out across `opts.threads` workers, each with a
-/// private recorder cell feeding a shared history sink; the collected
-/// batch is then checked with [`check_histories_parallel`].
-pub fn e6_summary(opts: &ExpOpts) -> E6Summary {
-    e6_summary_with(opts, None)
-}
-
-/// [`e6_summary`] with an optional progress [`Heartbeat`] installed on
-/// every exploration: all four objects stream periodic JSONL beats (and
-/// a final beat each) into the heartbeat's shared sink — the artifact
-/// the CLI's `--telemetry` flag writes as `heartbeat.jsonl`.
-pub fn e6_summary_with(opts: &ExpOpts, heartbeat: Option<Heartbeat>) -> E6Summary {
-    let budget = if opts.quick { 2_000 } else { 20_000 };
-    let threads = opts.threads;
-    let mut histories = 0u64;
-
-    // Snapshot object, 2 processes, update+snap each, truncated depth.
-    let snap = Snapshot::new(2);
-    let spec = SnapshotSpec::<u32>::new(2);
-    let sink: HistorySink<SnapOp<u32>, SnapResp<u32>> = Arc::new(Mutex::new(Vec::new()));
-    let snap_stats = SimBuilder::new(snap.registers::<u32>())
-        .owners(snap.owners())
-        .explore_parallel(
-            &ExploreConfig::new()
-                .max_runs(budget)
-                .max_depth(12)
-                .heartbeat_with(heartbeat.clone()),
-            threads,
-            |_worker| {
-                let cell: Arc<Mutex<Option<Recorder<SnapOp<u32>, SnapResp<u32>>>>> =
-                    Arc::new(Mutex::new(None));
-                let fcell = Arc::clone(&cell);
-                let sink = Arc::clone(&sink);
-                let make = move || {
-                    let rec: Recorder<SnapOp<u32>, SnapResp<u32>> = Recorder::new();
-                    *fcell.lock().unwrap() = Some(rec.clone());
-                    (0..2usize)
-                        .map(|p| {
-                            let rec = rec.clone();
-                            Box::new(move |ctx: &mut SimCtx<apram_lattice::TaggedVec<u32>>| {
-                                let mut h = snap.handle::<u32>();
-                                rec.record(p, SnapOp::Update(p as u32 + 1), || {
-                                    h.update(ctx, p as u32 + 1);
-                                    SnapResp::Ack
-                                });
-                                rec.invoke(p, SnapOp::Snap);
-                                let view = h.snap(ctx);
-                                rec.respond(p, SnapResp::View(view));
-                            })
-                                as ProcBody<'static, apram_lattice::TaggedVec<u32>, ()>
-                        })
-                        .collect::<Vec<_>>()
-                };
-                let visit = move |out: &SimOutcome<apram_lattice::TaggedVec<u32>, ()>| {
-                    out.assert_no_panics();
-                    let hist = cell.lock().unwrap().take().unwrap().snapshot();
-                    sink.lock().unwrap().push(hist);
-                    true
-                };
-                (make, visit)
-            },
-        );
-    histories += drain_and_check(&spec, &sink, threads, "E6: snapshot violation");
-
-    // Universal counter, 2 processes, one op each + read, truncated.
-    let uni = Universal::new(2, apram_core::CounterSpec);
-    let uni_sim = SimBuilder::new(uni.registers()).owners(uni.owners());
-    let sink2: HistorySink<CounterOp, apram_core::CounterResp> = Arc::new(Mutex::new(Vec::new()));
-    let uni_stats = uni_sim.explore_parallel(
-        &ExploreConfig::new()
-            .max_runs(budget)
-            .max_depth(10)
-            .heartbeat_with(heartbeat.clone()),
-        threads,
-        |_worker| {
-            let cell: Arc<Mutex<Option<Recorder<CounterOp, apram_core::CounterResp>>>> =
-                Arc::new(Mutex::new(None));
-            let fcell = Arc::clone(&cell);
-            let sink = Arc::clone(&sink2);
-            let uni = uni.clone();
+    /// Add one object: explore every schedule of `bodies` on `threads`
+    /// workers — each worker plants a fresh [`Recorder`] per run and
+    /// pushes the run's history into a shared sink — then drain the sink
+    /// and check the whole batch with [`check_histories_parallel`],
+    /// panicking on the first non-linearizable history.
+    fn explore<T, Sp, B>(
+        &mut self,
+        label: &'static str,
+        sim: &SimBuilder<'_, T>,
+        econfig: &ExploreConfig,
+        threads: usize,
+        spec: &Sp,
+        bodies: B,
+    ) where
+        T: Clone + Send + Sync + 'static,
+        Sp: NondetSpec + Sync,
+        Sp::State: std::hash::Hash + Eq,
+        Sp::Op: Clone + Send + Sync + 'static,
+        Sp::Resp: Clone + Send + Sync + 'static,
+        B: Fn(Recorder<Sp::Op, Sp::Resp>) -> Vec<ProcBody<'static, T, ()>> + Clone + Send,
+    {
+        let sink = Arc::new(Mutex::new(Vec::new()));
+        let stats = sim.explore_parallel(econfig, threads, |_worker| {
+            let cell = Arc::new(Mutex::new(None::<Recorder<Sp::Op, Sp::Resp>>));
+            let (fcell, sink, bodies) = (Arc::clone(&cell), Arc::clone(&sink), bodies.clone());
             let make = move || {
-                let rec: Recorder<CounterOp, apram_core::CounterResp> = Recorder::new();
+                let rec = Recorder::new();
                 *fcell.lock().unwrap() = Some(rec.clone());
-                (0..2usize)
-                    .map(|p| {
-                        let rec = rec.clone();
-                        let mut h = uni.handle();
-                        let op = if p == 0 {
-                            CounterOp::Inc(1)
-                        } else {
-                            CounterOp::Reset(5)
-                        };
-                        Box::new(
-                            move |ctx: &mut SimCtx<
-                                apram_core::universal::UniversalReg<apram_core::CounterSpec>,
-                            >| {
-                                rec.invoke(p, op);
-                                let r = h.execute(ctx, op);
-                                rec.respond(p, r);
-                                rec.invoke(p, CounterOp::Read);
-                                let r = h.execute(ctx, CounterOp::Read);
-                                rec.respond(p, r);
-                            },
-                        ) as ProcBody<'static, _, ()>
-                    })
-                    .collect::<Vec<_>>()
+                bodies(rec)
             };
-            let visit = move |out: &SimOutcome<
-                apram_core::universal::UniversalReg<apram_core::CounterSpec>,
-                (),
-            >| {
+            let visit = move |out: &SimOutcome<T, ()>| {
                 out.assert_no_panics();
                 let hist = cell.lock().unwrap().take().unwrap().snapshot();
                 sink.lock().unwrap().push(hist);
                 true
             };
             (make, visit)
-        },
-    );
-    histories += drain_and_check(
-        &apram_core::CounterSpec,
-        &sink2,
-        threads,
-        "E6: universal counter violation",
-    );
-
-    // Afek et al. snapshot, 2 processes.
-    let asnap = AfekSnapshot::new(2);
-    let spec2 = SnapshotSpec::<u32>::new(2);
-    let sink3: HistorySink<SnapOp<u32>, SnapResp<u32>> = Arc::new(Mutex::new(Vec::new()));
-    let afek_stats = SimBuilder::new(asnap.registers::<u32>())
-        .owners(asnap.owners())
-        .explore_parallel(
-            &ExploreConfig::new()
-                .max_runs(budget)
-                .max_depth(12)
-                .heartbeat_with(heartbeat.clone()),
-            threads,
-            |_worker| {
-                let cell: Arc<Mutex<Option<Recorder<SnapOp<u32>, SnapResp<u32>>>>> =
-                    Arc::new(Mutex::new(None));
-                let fcell = Arc::clone(&cell);
-                let sink = Arc::clone(&sink3);
-                let make = move || {
-                    let rec: Recorder<SnapOp<u32>, SnapResp<u32>> = Recorder::new();
-                    *fcell.lock().unwrap() = Some(rec.clone());
-                    (0..2usize)
-                        .map(|p| {
-                            let rec = rec.clone();
-                            Box::new(move |ctx: &mut SimCtx<AfekReg<u32>>| {
-                                rec.record(p, SnapOp::Update(p as u32 + 1), || {
-                                    asnap.update(ctx, p as u32 + 1);
-                                    SnapResp::Ack
-                                });
-                                rec.invoke(p, SnapOp::Snap);
-                                let view = asnap.snap(ctx);
-                                rec.respond(p, SnapResp::View(view));
-                            }) as ProcBody<'static, AfekReg<u32>, ()>
-                        })
-                        .collect::<Vec<_>>()
-                };
-                let visit = move |out: &SimOutcome<AfekReg<u32>, ()>| {
-                    out.assert_no_panics();
-                    let hist = cell.lock().unwrap().take().unwrap().snapshot();
-                    sink.lock().unwrap().push(hist);
-                    true
-                };
-                (make, visit)
-            },
-        );
-    histories += drain_and_check(&spec2, &sink3, threads, "E6: Afek snapshot violation");
-
-    // MW register, 2 processes, full depth (exhaustible).
-    use apram_objects::mwreg::{MwRegOp, MwRegResp, MwRegSpec, MwRegister, Stamped};
-    let reg = MwRegister::new(2);
-    let sink4: HistorySink<MwRegOp, MwRegResp> = Arc::new(Mutex::new(Vec::new()));
-    let mw_stats = SimBuilder::new(reg.registers::<u64>())
-        .owners(reg.owners())
-        .explore_parallel(
-            &ExploreConfig::new().heartbeat_with(heartbeat),
-            threads,
-            |_worker| {
-                let cell: Arc<Mutex<Option<Recorder<MwRegOp, MwRegResp>>>> =
-                    Arc::new(Mutex::new(None));
-                let fcell = Arc::clone(&cell);
-                let sink = Arc::clone(&sink4);
-                let make = move || {
-                    let rec: Recorder<MwRegOp, MwRegResp> = Recorder::new();
-                    *fcell.lock().unwrap() = Some(rec.clone());
-                    (0..2usize)
-                        .map(|p| {
-                            let rec = rec.clone();
-                            Box::new(move |ctx: &mut SimCtx<Stamped<u64>>| {
-                                rec.invoke(p, MwRegOp::Write(p as u64 + 1));
-                                reg.write(ctx, p as u64 + 1);
-                                rec.respond(p, MwRegResp::Ack);
-                                rec.invoke(p, MwRegOp::Read);
-                                let v = reg.read(ctx);
-                                rec.respond(p, MwRegResp::Value(v));
-                            }) as ProcBody<'static, Stamped<u64>, ()>
-                        })
-                        .collect::<Vec<_>>()
-                };
-                let visit = move |out: &SimOutcome<Stamped<u64>, ()>| {
-                    out.assert_no_panics();
-                    let hist = cell.lock().unwrap().take().unwrap().snapshot();
-                    sink.lock().unwrap().push(hist);
-                    true
-                };
-                (make, visit)
-            },
-        );
-    histories += drain_and_check(&MwRegSpec, &sink4, threads, "E6: MW register violation");
-
-    E6Summary {
-        snapshot: snap_stats,
-        universal: uni_stats,
-        afek: afek_stats,
-        mwreg: mw_stats,
-        histories_checked: histories,
+        });
+        let batch = std::mem::take(&mut *sink.lock().unwrap());
+        let outcomes = check_histories_parallel(spec, &batch, &CheckerConfig::default(), threads);
+        assert!(outcomes.iter().all(|o| o.is_ok()), "E6: {label}: violation");
+        self.objects.push((label, stats));
+        self.histories_checked += batch.len() as u64;
     }
+}
+
+/// Run the E6 exhaustive checks (smaller than the test-suite versions;
+/// the suite is the authority, this reports the counts for the table).
+/// With a `heartbeat`, all four explorations stream periodic JSONL
+/// progress beats (and a final beat each) into its sink.
+pub fn e6_summary(opts: &ExpOpts, heartbeat: Option<Heartbeat>) -> E6Summary {
+    use apram_core::universal::UniversalReg;
+    use apram_objects::mwreg::{MwRegOp, MwRegResp, MwRegSpec, MwRegister, Stamped};
+    let threads = opts.threads;
+    let budgeted = |depth| {
+        ExploreConfig::new()
+            .max_runs(if opts.quick { 2_000 } else { 20_000 })
+            .max_depth(depth)
+            .heartbeat_with(heartbeat.clone())
+    };
+    let spec = SnapshotSpec::<u32>::new(2);
+    let mut s = E6Summary {
+        objects: Vec::new(),
+        histories_checked: 0,
+    };
+
+    // Snapshot object: update+snap per process (the E10 workload),
+    // truncated depth.
+    let snap = Snapshot::new(2);
+    let sim = SimBuilder::new(snap.registers::<u32>()).owners(snap.owners());
+    let bodies = move |rec| e10_snapshot_bodies(snap, rec);
+    s.explore(
+        "atomic snapshot (2 procs)",
+        &sim,
+        &budgeted(12),
+        threads,
+        &spec,
+        bodies,
+    );
+
+    // Universal counter: one op each + read, truncated.
+    let uni = Universal::new(2, apram_core::CounterSpec);
+    let sim = SimBuilder::new(uni.registers()).owners(uni.owners());
+    let bodies = move |rec: Recorder<_, _>| {
+        [CounterOp::Inc(1), CounterOp::Reset(5)]
+            .into_iter()
+            .enumerate()
+            .map(|(p, op)| {
+                let rec = rec.clone();
+                let mut h = uni.handle();
+                Box::new(
+                    move |ctx: &mut SimCtx<UniversalReg<apram_core::CounterSpec>>| {
+                        for op in [op, CounterOp::Read] {
+                            rec.invoke(p, op);
+                            let r = h.execute(ctx, op);
+                            rec.respond(p, r);
+                        }
+                    },
+                ) as ProcBody<'static, _, ()>
+            })
+            .collect()
+    };
+    let counter = apram_core::CounterSpec;
+    s.explore(
+        "universal counter (2 procs)",
+        &sim,
+        &budgeted(10),
+        threads,
+        &counter,
+        bodies,
+    );
+
+    // Afek et al. snapshot, same workload and depth as the first.
+    let afek = AfekSnapshot::new(2);
+    let sim = SimBuilder::new(afek.registers::<u32>()).owners(afek.owners());
+    let bodies = move |rec| e10_afek_bodies(afek, rec);
+    s.explore(
+        "Afek et al. snapshot (2 procs)",
+        &sim,
+        &budgeted(12),
+        threads,
+        &spec,
+        bodies,
+    );
+
+    // MW register: write+read per process, full depth (exhaustible).
+    let reg = MwRegister::new(2);
+    let sim = SimBuilder::new(reg.registers::<u64>()).owners(reg.owners());
+    let full_depth = ExploreConfig::new().heartbeat_with(heartbeat.clone());
+    let bodies = move |rec: Recorder<_, _>| {
+        (0..2usize)
+            .map(|p| {
+                let rec = rec.clone();
+                Box::new(move |ctx: &mut SimCtx<Stamped<u64>>| {
+                    rec.invoke(p, MwRegOp::Write(p as u64 + 1));
+                    reg.write(ctx, p as u64 + 1);
+                    rec.respond(p, MwRegResp::Ack);
+                    rec.invoke(p, MwRegOp::Read);
+                    let v = reg.read(ctx);
+                    rec.respond(p, MwRegResp::Value(v));
+                }) as ProcBody<'static, Stamped<u64>, ()>
+            })
+            .collect()
+    };
+    s.explore(
+        "MW register (2 procs, full depth)",
+        &sim,
+        &full_depth,
+        threads,
+        &MwRegSpec,
+        bodies,
+    );
+    s
+}
+
+const E6_COLS: &[Col<(&str, ExploreStats)>] = &[
+    Col::Same("object", "object", |(label, _)| label.json()),
+    Col::Same("schedules explored", "schedules_explored", |(_, st)| {
+        st.runs.json()
+    }),
+    Col::Json("exhausted", |(_, st)| st.exhausted.json()),
+    Col::Json("truncated", |(_, st)| st.truncated.json()),
+    Col::Json("executed_steps", |(_, st)| st.executed_steps.json()),
+    Col::Json("replayed_steps", |(_, st)| st.replayed_steps.json()),
+    Col::Both(
+        "replay overhead",
+        |(_, st)| format!("{:.1}%", 100.0 * st.replay_ratio()),
+        "replay_ratio",
+        |(_, st)| st.replay_ratio().json(),
+    ),
+    Col::Same("max depth", "max_depth_reached", |(_, st)| {
+        st.max_depth_reached.json()
+    }),
+    // Always 0: `e6_summary` panics on a violation.
+    Col::Same("violations", "violations", |_| 0u64.json()),
+];
+
+/// The E6 report, with `heartbeat.jsonl`: the progress beats of the four
+/// explorations.
+pub fn e6_report(opts: &ExpOpts) -> Report {
+    let (sink, beats) = buffer_sink();
+    let heartbeat = Heartbeat::shared(Duration::from_millis(100), sink);
+    let s = e6_summary(opts, Some(heartbeat));
+    let beats = String::from_utf8(beats.lock().unwrap().clone()).expect("heartbeat JSONL is UTF-8");
+    let total = [
+        "total histories checked",
+        &s.histories_checked.to_string(),
+        "-",
+        "-",
+        "0",
+    ];
+    let objects = Table::of(E6_COLS, &s.objects);
+    Report::new(Json::obj([
+        ("objects", objects.json()),
+        ("histories_checked", s.histories_checked.json()),
+    ]))
+    .table(objects.footer(total.map(String::from).to_vec()))
+    .artifact(Sink::Telemetry, "heartbeat.jsonl", beats)
 }
 
 /// Number of processes in the exploration-throughput benchmark.
@@ -682,6 +790,35 @@ pub fn explore_bench_rows(opts: &ExpOpts) -> Vec<ExploreBenchRow> {
     rows
 }
 
+const EXPLORE_COLS: &[Col<ExploreBenchRow>] = &[
+    Col::Same("engine", "engine", |r| r.engine.json()),
+    Col::Same("threads", "threads", |r| r.threads.json()),
+    Col::Same("schedules", "runs", |r| r.runs.json()),
+    Col::Both(
+        "wall secs",
+        |r| format!("{:.3}", r.wall_secs),
+        "wall_secs",
+        |r| r.wall_secs.json(),
+    ),
+    Col::Both(
+        "schedules/sec",
+        |r| format!("{:.0}", r.runs_per_sec),
+        "runs_per_sec",
+        |r| r.runs_per_sec.json(),
+    ),
+    Col::Both(
+        "speedup vs sequential",
+        |r| format!("{:.2}x", r.speedup),
+        "speedup",
+        |r| r.speedup.json(),
+    ),
+];
+
+/// The `explore` report.
+pub fn explore_report(opts: &ExpOpts) -> Report {
+    Report::of(Table::of(EXPLORE_COLS, &explore_bench_rows(opts)))
+}
+
 /// E8 — ablation / soundness outcomes for one configuration.
 #[derive(Clone, Debug)]
 pub struct E8Row {
@@ -707,18 +844,23 @@ pub struct E8Row {
 pub fn e8_rows(opts: &ExpOpts) -> Vec<E8Row> {
     use apram_agreement::ablation::max_spread;
     use apram_agreement::OneShotAgreement;
+    let vname = |v| match v {
+        Variant::Full => "Full",
+        Variant::NoRescan => "NoRescan",
+        Variant::MidpointOfAll => "MidpointOfAll",
+    };
+    let mname = |m| match m {
+        ScanMode::Atomic => "atomic",
+        ScanMode::Collect => "collect",
+    };
     let mut rows = Vec::new();
     // 2 processes: exhaustive, everything safe.
-    for (variant, vname) in [
-        (Variant::Full, "Full"),
-        (Variant::NoRescan, "NoRescan"),
-        (Variant::MidpointOfAll, "MidpointOfAll"),
-    ] {
-        for (mode, mname) in [(ScanMode::Atomic, "atomic"), (ScanMode::Collect, "collect")] {
+    for variant in [Variant::Full, Variant::NoRescan, Variant::MidpointOfAll] {
+        for mode in [ScanMode::Atomic, ScanMode::Collect] {
             let out = explore_machine(0.6, &[0.0, 1.0], variant, mode, 3_000_000);
             rows.push(E8Row {
-                variant: vname,
-                mode: mname,
+                variant: vname(variant),
+                mode: mname(mode),
                 config: "n=2, ε=0.6, inputs {0,1}".into(),
                 search: "exhaustive".into(),
                 runs: out.runs,
@@ -728,67 +870,26 @@ pub fn e8_rows(opts: &ExpOpts) -> Vec<E8Row> {
         }
     }
     // 3 processes: seeded random search; every Figure 2 variant breaks.
-    let grid: [(
-        Variant,
-        &'static str,
-        ScanMode,
-        &'static str,
-        f64,
-        Vec<f64>,
-        u64,
-    ); 5] = [
-        (
-            Variant::Full,
-            "Full",
-            ScanMode::Collect,
-            "collect",
-            0.15,
-            vec![0.0, 0.9, 1.0],
-            1,
-        ),
-        (
-            Variant::Full,
-            "Full",
-            ScanMode::Atomic,
-            "atomic",
-            0.15,
-            vec![0.0, 0.9, 1.0],
-            3,
-        ),
-        (
-            Variant::NoRescan,
-            "NoRescan",
-            ScanMode::Collect,
-            "collect",
-            0.15,
-            vec![0.0, 0.9, 1.0],
-            1,
-        ),
-        (
-            Variant::NoRescan,
-            "NoRescan",
-            ScanMode::Atomic,
-            "atomic",
-            0.15,
-            vec![0.0, 0.9, 1.0],
-            3,
-        ),
+    // (variant, scan mode, ε, inputs, search seed)
+    let wide = [0.0, 0.9, 1.0];
+    for (variant, mode, eps, inputs, seed) in [
+        (Variant::Full, ScanMode::Collect, 0.15, wide, 1),
+        (Variant::Full, ScanMode::Atomic, 0.15, wide, 3),
+        (Variant::NoRescan, ScanMode::Collect, 0.15, wide, 1),
+        (Variant::NoRescan, ScanMode::Atomic, 0.15, wide, 3),
         (
             Variant::MidpointOfAll,
-            "MidpointOfAll",
             ScanMode::Atomic,
-            "atomic",
             0.1,
-            vec![0.0, 0.7, 1.0],
+            [0.0, 0.7, 1.0],
             2,
         ),
-    ];
-    for (variant, vname, mode, mname, eps, inputs, seed) in grid {
+    ] {
         let out = random_search(eps, &inputs, variant, mode, 30_000, seed);
         let spread = max_spread(eps, &inputs, variant, mode, 10_000, seed);
         rows.push(E8Row {
-            variant: vname,
-            mode: mname,
+            variant: vname(variant),
+            mode: mname(mode),
             config: format!("n={}, ε={eps}, inputs {inputs:?}", inputs.len()),
             search: "random(30000)".into(),
             runs: out.runs,
@@ -835,6 +936,34 @@ pub fn e8_rows(opts: &ExpOpts) -> Vec<E8Row> {
         });
     }
     rows
+}
+
+const E8_COLS: &[Col<E8Row>] = &[
+    Col::Same("variant", "variant", |r| r.variant.json()),
+    Col::Same("scan", "scan_mode", |r| r.mode.json()),
+    Col::Same("config", "config", |r| r.config.json()),
+    Col::Same("search", "search", |r| r.search.json()),
+    Col::Same("runs", "runs", |r| r.runs.json()),
+    Col::Both(
+        "safety",
+        |r| match &r.violation {
+            Some(ys) => format!("VIOLATION {ys:?}"),
+            None => "safe".into(),
+        },
+        "violation",
+        |r| r.violation.json(),
+    ),
+    Col::Both(
+        "max spread/ε",
+        |r| r.spread_over_eps.map_or("-".into(), |x| format!("{x:.2}")),
+        "max_spread_over_eps",
+        |r| r.spread_over_eps.json(),
+    ),
+];
+
+/// The E8 report.
+pub fn e8_report(opts: &ExpOpts) -> Report {
+    Report::of(Table::of(E8_COLS, &e8_rows(opts)))
 }
 
 /// The recorder cell shared between the E9 factory and its visitors.
@@ -1018,16 +1147,90 @@ pub fn e9_forensics(opts: &ExpOpts) -> E9Report {
     }
 }
 
+const E9_COLS: &[Col<E9Row>] = &[
+    Col::Same("operation", "op", |r| r.op.json()),
+    Col::Same("ops", "ops", |r| r.ops.json()),
+    Col::Same("observed steps", "observed_steps", |r| {
+        r.observed_steps.json()
+    }),
+    Col::Same("paper cost", "paper_cost", |r| r.bound.json()),
+    Col::Json("within_bound", |r| (r.observed_steps <= r.bound).json()),
+];
+
+/// The E9 report: the step table, the shrink summary and the rendered
+/// witness; `spans.folded` (both span trees in collapsed-stack format —
+/// pipe into any flamegraph renderer) for `--telemetry`; and the
+/// `--forensics` bundle: the shrunk schedule as JSONL (a report line,
+/// then one line per step), the witness explanation as JSON and as
+/// rendered text, and both span trees as JSON.
+pub fn e9_report(opts: &ExpOpts) -> Report {
+    let r = e9_forensics(opts);
+    let shrink = r.explore.violation.as_ref().expect("e9 always violates");
+    let explore_spans = r.explore.spans.as_ref().expect("spans traced");
+    let rows = Table::of(E9_COLS, &r.rows);
+    let witness: Vec<String> = r.rendered.lines().map(|l| format!("    {l}")).collect();
+    let mut jsonl = shrink.to_json().to_compact() + "\n";
+    for (step, &proc) in shrink.schedule.iter().enumerate() {
+        let line = Json::obj([("step", step.json()), ("proc", proc.json())]);
+        jsonl += &(line.to_compact() + "\n");
+    }
+    let spans = Json::obj([
+        ("explore", explore_spans.to_json()),
+        ("check", r.check_spans.to_json()),
+    ]);
+    Report::new(Json::obj([
+        ("rows", rows.json()),
+        ("shrink", shrink.to_json()),
+        ("explanation", r.explanation.to_json()),
+        ("check_explored", r.check_explored.json()),
+        ("histories_checked", r.histories_checked.json()),
+    ]))
+    .table(rows)
+    .text(format!(
+        "schedule shrunk {} → {} steps ({} candidate re-executions, {} adopted); \
+         final check explored {} nodes; {} histories checked in total",
+        shrink.original.len(),
+        shrink.schedule.len(),
+        shrink.stats.attempts,
+        shrink.stats.useful,
+        r.check_explored,
+        r.histories_checked
+    ))
+    .text(witness.join("\n"))
+    .artifact(Sink::Forensics, "shrunk_schedule.jsonl", jsonl)
+    .artifact(
+        Sink::Forensics,
+        "witness.json",
+        r.explanation.to_json().to_pretty(2),
+    )
+    .artifact(Sink::Forensics, "witness.txt", r.rendered.clone())
+    .artifact(Sink::Forensics, "spans.json", spans.to_pretty(2))
+    .artifact(
+        Sink::Telemetry,
+        "spans.folded",
+        explore_spans.to_folded() + &r.check_spans.to_folded(),
+    )
+}
+
 // ---------------------------------------------------------------------------
 // E10 — wait-freedom certification: the certified (n, f) grid
 
 /// Workers used for the parallel-agreement half of every E10 cell.
 const E10_THREADS: usize = 4;
 
+/// The certified constructions: `(simspec registry name, report label)`.
+/// The labels predate the registry and are what `BENCH_e10.json` and
+/// the CI gate know the rows by.
+const E10_OBJECTS: [(&str, &str); 3] = [
+    ("snapshot", "snapshot"),
+    ("afek", "afek"),
+    ("double-collect", "double collect"),
+];
+
 /// One cell of the certified `(n, f)` grid.
 #[derive(Clone, Debug)]
 pub struct E10Row {
-    /// Object under certification.
+    /// Object under certification (its report label).
     pub object: &'static str,
     /// Number of processes.
     pub n: usize,
@@ -1041,10 +1244,10 @@ pub struct E10Row {
     /// Whether the cell is expected to certify — `false` only for the
     /// lock-based snapshot, the negative control.
     pub expect_pass: bool,
-    /// The sequential certificate.
+    /// The one-worker certificate.
     pub cert: Certificate,
-    /// Whether a 4-thread parallel certification of the same cell is
-    /// bit-identical to the sequential certificate.
+    /// Whether a 4-worker certification of the same cell is
+    /// bit-identical to the one-worker certificate.
     pub parallel_agrees: bool,
 }
 
@@ -1062,50 +1265,30 @@ impl E10Row {
     }
 }
 
-/// Certify one cell sequentially and with [`E10_THREADS`] workers;
-/// returns the sequential certificate and whether the parallel one is
-/// bit-identical.
-fn e10_cell<T, FMake, Check>(
-    sim: &SimBuilder<'_, T>,
-    ccfg: &CertifyConfig,
-    mut make_pair: impl FnMut() -> (FMake, Check),
-) -> (Certificate, bool)
-where
-    T: Clone + Send + Sync + 'static,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, ()>> + Send,
-    Check: FnMut(&SimOutcome<T, ()>) -> bool + Send,
-{
-    let (factory, check) = make_pair();
-    let cert = sim.certify(ccfg, factory, check);
-    let par = sim.certify_parallel(ccfg, E10_THREADS, |_| make_pair());
-    let agrees = par == cert;
-    (cert, agrees)
-}
-
-/// The negative control: certification of the lock-based snapshot for
-/// `n = 2, f = 1`. A crash while holding the lock wedges the survivor
-/// on the spin, so the step-bound judge convicts. The *minimized*
-/// witness then needs no crash at all — adversarial descheduling
-/// starves the survivor just as well, which is exactly why locks are
-/// not wait-free in this model.
-fn e10_lock_row() -> E10Row {
-    let (depth, bound, max_steps) = (6, 18, 64);
-    let sim = SimBuilder::new(SimLockSnapshot::registers()).max_steps(max_steps);
-    let ccfg = CertifyConfig::new([bound; 2])
-        .explore(ExploreConfig::new().max_depth(depth).max_crashes(1));
-    // Mutual exclusion is not in question; wait-freedom is: the step-
-    // bound judge alone must convict, so `lock_pair`'s semantic check
-    // accepts everything.
-    let (cert, parallel_agrees) = e10_cell(&sim, &ccfg, lock_pair);
+/// Certify one cell through the sweep's exhaustive cell — bounds,
+/// depths, workloads and the lock control's step cap all come from the
+/// [`apram_objects::simspec`] registry — once with one worker (the
+/// sequential order) and once with [`E10_THREADS`].
+fn e10_row(object: &str, label: &'static str, n: usize, f: usize, expect_pass: bool) -> E10Row {
+    let cell = SweepCell {
+        object: object.into(),
+        n,
+        f,
+        sched: CellSched::Exhaustive,
+        runs: 0,
+        depth: 0,
+    };
+    let (depth, cert) = certify_cell(&cell, 1);
+    let (_, parallel) = certify_cell(&cell, E10_THREADS);
     E10Row {
-        object: "lock snapshot",
-        n: 2,
-        f: 1,
+        object: label,
+        n,
+        f,
         depth,
-        bound,
-        expect_pass: false,
+        bound: object_bound(object, n),
+        expect_pass,
+        parallel_agrees: parallel == cert,
         cert,
-        parallel_agrees,
     }
 }
 
@@ -1113,79 +1296,70 @@ fn e10_lock_row() -> E10Row {
 /// construction and each fault budget `f`, an exhaustive fault-aware
 /// certificate that every survivor finishes within its analytic step
 /// bound and every crash-truncated history linearizes; plus the
-/// lock-based snapshot as the expected-to-fail negative control.
+/// lock-based snapshot as the expected-to-fail negative control
+/// (`n = 2, f = 1`). A crash while holding the lock wedges the survivor
+/// on the spin, so the step-bound judge convicts. The *minimized*
+/// witness then needs no crash at all — adversarial descheduling
+/// starves the survivor just as well, which is exactly why locks are
+/// not wait-free in this model.
 pub fn e10_rows(opts: &ExpOpts) -> Vec<E10Row> {
     let ns: &[usize] = if opts.quick { &[2] } else { &[2, 3] };
     let mut rows = Vec::new();
     for &n in ns {
         for f in 0..=2usize {
-            let depth = e10_depth(n, f);
-
-            // Lattice-based atomic snapshot: update and snap are one
-            // optimized scan each (n²−1 reads + n+1 writes).
-            let snap = Snapshot::new(n);
-            let bound = (2 * (n * n + n)) as u64;
-            let sim = SimBuilder::new(snap.registers::<u32>()).owners(snap.owners());
-            let ccfg = CertifyConfig::new(vec![bound; n])
-                .explore(ExploreConfig::new().max_depth(depth).max_crashes(f));
-            let (cert, parallel_agrees) = e10_cell(&sim, &ccfg, || {
-                e10_pair(n, move |rec| e10_snapshot_bodies(snap, rec))
-            });
-            rows.push(E10Row {
-                object: "snapshot",
-                n,
-                f,
-                depth,
-                bound,
-                expect_pass: true,
-                cert,
-                parallel_agrees,
-            });
-
-            // Afek et al.: bounded update = n(n+2)+2, bounded snap ≤ n(n+2).
-            let afek = AfekSnapshot::new(n);
-            let bound = (2 * n * (n + 2) + 2) as u64;
-            let sim = SimBuilder::new(afek.registers::<u32>()).owners(afek.owners());
-            let ccfg = CertifyConfig::new(vec![bound; n])
-                .explore(ExploreConfig::new().max_depth(depth).max_crashes(f));
-            let (cert, parallel_agrees) = e10_cell(&sim, &ccfg, || {
-                e10_pair(n, move |rec| e10_afek_bodies(afek, rec))
-            });
-            rows.push(E10Row {
-                object: "afek",
-                n,
-                f,
-                depth,
-                bound,
-                expect_pass: true,
-                cert,
-                parallel_agrees,
-            });
-
-            // Double collect: 1 write + a snap of ≤ n(n+2) reads (each
-            // process updates once, so collects settle).
-            let arr = CollectArray::new(n);
-            let bound = (n * (n + 2) + 1) as u64;
-            let sim = SimBuilder::new(arr.registers::<u32>()).owners(arr.owners());
-            let ccfg = CertifyConfig::new(vec![bound; n])
-                .explore(ExploreConfig::new().max_depth(depth).max_crashes(f));
-            let (cert, parallel_agrees) = e10_cell(&sim, &ccfg, || {
-                e10_pair(n, move |rec| e10_collect_bodies(arr, rec))
-            });
-            rows.push(E10Row {
-                object: "double collect",
-                n,
-                f,
-                depth,
-                bound,
-                expect_pass: true,
-                cert,
-                parallel_agrees,
-            });
+            for (object, label) in E10_OBJECTS {
+                rows.push(e10_row(object, label, n, f, true));
+            }
         }
     }
-    rows.push(e10_lock_row());
+    rows.push(e10_row("lock", "lock snapshot", 2, 1, false));
     rows
+}
+
+// The table's `verdict` and the report's `passed` are one fact in two
+// places of their rows, hence two one-sided columns.
+const E10_COLS: &[Col<E10Row>] = &[
+    Col::Same("object", "object", |r| r.object.json()),
+    Col::Same("n", "n", |r| r.n.json()),
+    Col::Same("f", "f", |r| r.f.json()),
+    Col::Same("depth", "depth", |r| r.depth.json()),
+    Col::Same("step bound", "bound", |r| r.bound.json()),
+    Col::Json("expect_pass", |r| r.expect_pass.json()),
+    Col::Json("passed", |r| r.cert.passed().json()),
+    Col::Md("runs", |r| r.cert.runs.to_string()),
+    Col::Md("crash branches", |r| r.cert.crash_branches.to_string()),
+    Col::Same("worst survivor steps", "worst_survivor_steps", |r| {
+        r.worst_latency().json()
+    }),
+    Col::Md("verdict", |r| {
+        let verdict = if r.cert.passed() {
+            "certified"
+        } else {
+            "FAILED"
+        };
+        verdict.into()
+    }),
+    Col::Same("parallel agrees", "parallel_agrees", |r| {
+        r.parallel_agrees.json()
+    }),
+    Col::Json("certificate", |r| r.cert.to_json()),
+];
+
+/// The E10 report: the grid, then what convicted the negative control.
+pub fn e10_report(opts: &ExpOpts) -> Report {
+    let rows = e10_rows(opts);
+    let report = Report::of(Table::of(E10_COLS, &rows));
+    let lock = rows.last().expect("grid includes the negative control");
+    match &lock.cert.violation {
+        Some(v) => report.text(format!(
+            "negative control ({}): {:?}; minimized witness = {} steps, {} crashes",
+            lock.object,
+            v.kind,
+            v.report.schedule.len(),
+            v.report.crashes.len()
+        )),
+        None => report,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1226,20 +1400,6 @@ impl E11Row {
             !self.within_bound() && self.report.exceedances > 0
         }
     }
-
-    /// JSON record for `BENCH_e11.json`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("object", Json::Str(self.object.clone())),
-            ("n", Json::UInt(self.n as u64)),
-            ("f", Json::UInt(self.f as u64)),
-            ("bound", Json::UInt(self.bound)),
-            ("expect_within", Json::Bool(self.expect_within)),
-            ("within_bound", Json::Bool(self.within_bound())),
-            ("ok", Json::Bool(self.ok())),
-            ("sample", self.report.to_json()),
-        ])
-    }
 }
 
 /// E11 — the sampled tail-latency grid: for every wait-free snapshot
@@ -1255,7 +1415,6 @@ impl E11Row {
 /// `split(seed, STREAM_CELL ^ fnv1a(cell_id))` — so an E11 cell is
 /// bit-identical to the same cell run by `experiments sweep`.
 pub fn e11_rows(opts: &ExpOpts) -> Vec<E11Row> {
-    use crate::sweep::{object_bound, run_sample_cell, CellSched, SweepCell};
     let ns: &[usize] = if opts.quick { &[2] } else { &[2, 3] };
     let runs: u64 = if opts.quick { 300 } else { 4000 };
     let scheds = [CellSched::Random, CellSched::Pct(3)];
@@ -1288,6 +1447,52 @@ pub fn e11_rows(opts: &ExpOpts) -> Vec<E11Row> {
     }
     push("lock", 2, false, &mut rows);
     rows
+}
+
+// The table spreads the sample over percentile columns; the report
+// nests the whole sample under one key.
+const E11_COLS: &[Col<E11Row>] = &[
+    Col::Same("object", "object", |r| r.object.json()),
+    Col::Same("n", "n", |r| r.n.json()),
+    Col::Same("f", "f", |r| r.f.json()),
+    Col::Md("scheduler", |r| r.report.scheduler.clone()),
+    Col::Md("runs", |r| r.report.runs.to_string()),
+    Col::Md("p50", |r| r.report.hist.p50().to_string()),
+    Col::Md("p99", |r| r.report.hist.p99().to_string()),
+    Col::Md("p999", |r| r.report.hist.p999().to_string()),
+    Col::Md("max", |r| r.report.hist.max.to_string()),
+    Col::Same("bound", "bound", |r| r.bound.json()),
+    Col::Md("exceed 95% CI", |r| {
+        let (lo, hi) = r.report.exceed_ci();
+        format!("[{lo:.4}, {hi:.4}]")
+    }),
+    Col::Md("verdict", |r| {
+        let verdict = match (r.ok(), r.expect_within) {
+            (false, _) => "UNEXPECTED",
+            (true, true) => "within",
+            (true, false) => "exceeds (expected)",
+        };
+        verdict.into()
+    }),
+    Col::Json("expect_within", |r| r.expect_within.json()),
+    Col::Json("within_bound", |r| r.within_bound().json()),
+    Col::Json("ok", |r| r.ok().json()),
+    Col::Json("sample", |r| r.report.to_json()),
+];
+
+/// The E11 report: the grid, then how far out the negative control's
+/// tail went.
+pub fn e11_report(opts: &ExpOpts) -> Report {
+    let rows = e11_rows(opts);
+    let lock = rows.last().expect("grid includes the negative control");
+    Report::of(Table::of(E11_COLS, &rows)).text(format!(
+        "negative control ({}): sampled exceedance rate {:.3} \
+         ({} of {} runs past the reference bound)",
+        lock.object,
+        lock.report.exceed_rate(),
+        lock.report.exceedances,
+        lock.report.samples,
+    ))
 }
 
 #[cfg(test)]
@@ -1337,14 +1542,16 @@ mod tests {
 
     #[test]
     fn e6_explores_and_checks() {
-        let s = e6_summary(&ExpOpts {
+        let opts = ExpOpts {
             seed: 0,
             quick: true,
             threads: 2,
-        });
-        let total_runs: u64 = s.per_object().iter().map(|(_, st)| st.runs).sum();
+        };
+        let s = e6_summary(&opts, None);
+        assert_eq!(s.objects.len(), 4);
+        let total_runs: u64 = s.objects.iter().map(|(_, st)| st.runs).sum();
         assert_eq!(s.histories_checked, total_runs);
-        for (name, st) in s.per_object() {
+        for (name, st) in &s.objects {
             assert!(st.runs > 0, "{name}: no schedules explored");
             assert!(st.max_depth_reached > 0, "{name}: depth not tracked");
             assert!(st.replay_ratio() < 1.0, "{name}: {st:?}");

@@ -52,7 +52,7 @@
 
 use apram_model::seed::{fnv1a, split, STREAM_CELL, STREAM_ORDER};
 use apram_model::sim::{
-    Budgeted, CertifyConfig, ExploreConfig, SampleConfig, SampleReport, Sampler,
+    Budgeted, Certificate, CertifyConfig, ExploreConfig, SampleConfig, SampleReport, Sampler,
 };
 use apram_model::telemetry::{Heartbeat, ProgressBeat};
 use apram_model::Json;
@@ -350,9 +350,11 @@ pub fn run_sample_cell(cell: &SweepCell, seed: u64, threads: usize) -> SampleRep
     spec_for(&cell.object).sample(&scfg, cell.n, threads)
 }
 
-/// Run one *exhaustive* cell through the E10 certifier; bit-identical
-/// across thread counts by the certifier's own guarantee.
-pub fn run_exhaustive_cell(cell: &SweepCell, threads: usize) -> Json {
+/// Certify one *exhaustive* cell with `threads` workers: the branching
+/// depth used (the cell's, or the object's default for `(n, f)`) and the
+/// certificate — bit-identical across thread counts by the certifier's
+/// own guarantee, which is what E10's `parallel_agrees` column checks.
+pub fn certify_cell(cell: &SweepCell, threads: usize) -> (usize, Certificate) {
     let n = cell.n;
     let spec = spec_for(&cell.object);
     let depth = if cell.depth > 0 {
@@ -362,11 +364,7 @@ pub fn run_exhaustive_cell(cell: &SweepCell, threads: usize) -> Json {
     };
     let ccfg = CertifyConfig::new(vec![spec.bound(n); n])
         .explore(ExploreConfig::new().max_depth(depth).max_crashes(cell.f));
-    let cert = spec.certify(&ccfg, n, threads);
-    Json::obj([
-        ("depth", Json::UInt(depth as u64)),
-        ("certificate", cert.to_json()),
-    ])
+    (depth, spec.certify(&ccfg, n, threads))
 }
 
 /// Run one cell and build its (deterministic) report document.
@@ -384,7 +382,13 @@ pub fn run_cell(cell: &SweepCell, sweep_seed: u64, threads: usize) -> Json {
         ),
     ];
     let body = match cell.sched {
-        CellSched::Exhaustive => run_exhaustive_cell(cell, threads),
+        CellSched::Exhaustive => {
+            let (depth, cert) = certify_cell(cell, threads);
+            Json::obj([
+                ("depth", Json::UInt(depth as u64)),
+                ("certificate", cert.to_json()),
+            ])
+        }
         _ => {
             let report = run_sample_cell(cell, seed, threads);
             Json::obj([("sample", report.to_json())])

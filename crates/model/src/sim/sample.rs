@@ -19,7 +19,7 @@
 //! Violations flow into the same pipeline as the certifier's: a judged
 //! failure (panic / bound breach / unfinished survivor / rejected
 //! history) is re-executed, pinned, minimized with
-//! [`shrink_execution`], and classified into a
+//! [`shrink_execution`](super::shrink::shrink_execution), and classified into a
 //! [`CertViolation`] — so a sampled counterexample is exactly as
 //! actionable (and as replayable) as a certified one.
 //!
