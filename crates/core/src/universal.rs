@@ -32,6 +32,7 @@ use apram_history::{DetSpec, ProcId};
 use apram_lattice::TaggedVec;
 use apram_model::MemCtx;
 use apram_snapshot::{Snapshot, SnapshotHandle};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -60,16 +61,34 @@ impl<O, R> Entry<O, R> {
     pub fn key(&self) -> (ProcId, u64) {
         (self.proc, self.seq)
     }
+
+    /// How many of `p`'s entries lie in this operation's past: those up
+    /// to the one its view holds for `p`.
+    fn seen(&self, p: ProcId) -> u64 {
+        up_to(&self.preceding[p])
+    }
+}
+
+/// How many entries of its process a view's slot makes visible: the
+/// process's own slot chains them, so all up to the one it holds.
+fn up_to<O, R>(slot: &Option<Arc<Entry<O, R>>>) -> u64 {
+    slot.as_ref().map_or(0, |e| e.seq + 1)
 }
 
 /// Entries form long `preceding` chains; a derived recursive drop would
-/// overflow the stack on deep histories, so unlink iteratively.
+/// overflow the stack on deep histories, so unlink iteratively. The
+/// work list holds the entries this drop held the last reference to —
+/// almost always none, and then it is never allocated.
 impl<O, R> Drop for Entry<O, R> {
     fn drop(&mut self) {
-        let mut work: Vec<Arc<Entry<O, R>>> = self.preceding.drain(..).flatten().collect();
-        while let Some(e) = work.pop() {
-            if let Some(mut inner) = Arc::into_inner(e) {
-                work.extend(inner.preceding.drain(..).flatten());
+        let mut released: Vec<Entry<O, R>> = Vec::new();
+        let mut preceding = std::mem::take(&mut self.preceding);
+        loop {
+            released.extend(preceding.drain(..).flatten().filter_map(Arc::into_inner));
+            // The entry popped last drops here, its pointers taken.
+            match released.pop() {
+                Some(mut e) => preceding = std::mem::take(&mut e.preceding),
+                None => break,
             }
         }
     }
@@ -135,8 +154,11 @@ impl<S: AlgebraicSpec + Clone> Universal<S> {
             last_history_len: 0,
             base: self.spec.initial(),
             cut: vec![0; self.n()],
+            pending: vec![VecDeque::new(); self.n()],
+            order: VecDeque::new(),
             last_state: self.spec.initial(),
-            last_view: Vec::new(),
+            #[cfg(test)]
+            replays: ReplayCounts::default(),
         }
     }
 }
@@ -144,10 +166,10 @@ impl<S: AlgebraicSpec + Clone> Universal<S> {
 /// A per-process handle on a [`Universal`] object.
 ///
 /// Beyond Figure 4's bookkeeping it keeps what it has already replayed,
-/// so that "H := linearization of view" costs only the part of the view
-/// that can still change. Both things kept are pure functions of views
-/// the handle has taken: entries are immutable once published, and a
-/// handle's views only grow.
+/// so that "H := linearization of view" costs only what the view holds
+/// that the last one did not. Everything kept is a pure function of
+/// views the handle has taken: entries are immutable once published,
+/// and a handle's views only grow.
 #[derive(Clone)]
 pub struct UniversalHandle<S: AlgebraicSpec> {
     spec: S,
@@ -158,17 +180,37 @@ pub struct UniversalHandle<S: AlgebraicSpec> {
     /// linearization order, the first `cut[p]` entries of every process
     /// `p`. Everything absorbed precedes every entry this handle can
     /// still come to see, so every later linearization starts with
-    /// exactly this prefix (the cut lemma, DESIGN.md) and only the
-    /// *working set* beyond it is linearized again.
+    /// exactly this prefix (the cut lemma, DESIGN.md).
     base: S::State,
     cut: Vec<u64>,
-    /// The last view replayed: its signature (per process, how many
-    /// entries the view's closure holds) and the replayed state. A
-    /// signature determines its closure, so meeting it again needs no
-    /// replay; views are monotone, so no older one can recur. Empty
-    /// when nothing is held.
-    last_view: Vec<u64>,
+    /// The working set — the entries beyond the cut of the last view
+    /// replayed, own operations included — as it was linearized:
+    /// `pending[p]` holds those of process `p`, oldest first, and
+    /// `order` names, entry by entry, whose was applied next. (A
+    /// process's entries are linearized in the order it published them,
+    /// so the process ids say it all.) The last view's signature — per
+    /// process, how many entries its closure holds — is the cut plus
+    /// what is pending; a signature determines its closure, and views
+    /// are monotone, so no other view can recur.
+    pending: Vec<VecDeque<EntryRef<S>>>,
+    order: VecDeque<ProcId>,
+    /// `base` with `pending` applied in `order`.
     last_state: S::State,
+    #[cfg(test)]
+    replays: ReplayCounts,
+}
+
+/// What the replays of one handle did, for the tests that drive each
+/// case of [`UniversalHandle::replay_view`] on purpose.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ReplayCounts {
+    /// Replays that started over from `(base, cut)`.
+    from_cut: usize,
+    /// Entries linearized.
+    linearized: usize,
+    /// Linearizations that needed the graph.
+    graphs: usize,
 }
 
 impl<S: AlgebraicSpec + fmt::Debug> fmt::Debug for UniversalHandle<S> {
@@ -193,19 +235,22 @@ where
         // Step 1: snapshot the root array and linearize the view.
         let view = self.snap.snap(ctx);
         self.replay_view(&view);
+        let me = ctx.proc();
+        assert_eq!(self.held(me), self.seq, "a snapshot holds its own updates");
         // The new entry follows everything in its view, so it comes
         // last in every linearization of the view whose root it is:
         // that view is replayed by applying the operation in place.
-        let resp = self.spec.apply(&mut self.last_state, ctx.proc(), &op);
-        self.last_view[ctx.proc()] = self.seq + 1;
+        let resp = self.spec.apply(&mut self.last_state, me, &op);
         let entry = Arc::new(Entry {
-            proc: ctx.proc(),
+            proc: me,
             seq: self.seq,
             op,
             resp: resp.clone(),
             preceding: view,
         });
         self.seq += 1;
+        self.pending[me].push_back(Arc::clone(&entry));
+        self.order.push_back(me);
         // Step 2: write out the response.
         self.snap.update(ctx, entry);
         resp
@@ -247,97 +292,158 @@ where
         self.last_history_len
     }
 
-    /// Forget everything replayed so far, the last view and the
+    /// Forget everything replayed so far, the working set and the
     /// absorbed prefix, so that the next execute linearizes its whole
     /// view from the empty graph (benchmarks and differential tests use
     /// this; there is no correctness reason to call it).
     pub fn clear_replay_memo(&mut self) {
-        self.last_view.clear();
         self.base = self.spec.initial();
         self.cut.fill(0);
+        self.drop_pending();
+    }
+
+    /// Fall back to the absorbed prefix: nothing pending, `last_state`
+    /// at `base`.
+    fn drop_pending(&mut self) {
+        self.pending.iter_mut().for_each(VecDeque::clear);
+        self.order.clear();
+        self.last_state.clone_from(&self.base);
+    }
+
+    /// How many of `p`'s entries this handle holds, absorbed or
+    /// pending: the last view's signature at `p`.
+    fn held(&self, p: ProcId) -> u64 {
+        self.cut[p] + self.pending[p].len() as u64
     }
 
     /// Figure 4's "H := linearization of view", replayed into
-    /// `last_state`: build the precedence graph of the working set (the
-    /// view's closure beyond the absorbed prefix), run the Figure 3
-    /// construction on it, sort it topologically and replay it on top
-    /// of `base`; on the way, absorb its stable prefix.
+    /// `last_state` by extending the linearization already held: the
+    /// entries of the view that are not held yet are linearized among
+    /// themselves and applied on top. That is the linearization of the
+    /// whole view exactly when everything held precedes everything new
+    /// (the cut lemma, part 2); when it does not, what is pending is
+    /// dropped first, and "held" shrinks to the absorbed prefix, which
+    /// precedes everything (part 1). On the way out, absorb the stable
+    /// prefix of what is pending.
     fn replay_view(&mut self, view: &[Option<EntryRef<S>>]) {
         // Of each process exactly the entries up to its root are visible.
-        let signature = view.iter().map(|r| r.as_ref().map_or(0, |e| e.seq + 1));
+        let signature = view.iter().map(up_to);
         self.last_history_len = signature.clone().sum::<u64>() as usize;
-        if signature.clone().eq(self.last_view.iter().copied()) {
+        if signature.eq((0..view.len()).map(|p| self.held(p))) {
             return;
         }
-        self.last_view.clear();
-        self.last_view.extend(signature);
-        // The working set, one block of node indices per process: its
-        // entries from `cut[p]` up to its root, oldest first, found by
-        // following the process's own slot.
-        let mut start = vec![0; view.len() + 1];
-        for (p, (seen, cut)) in self.last_view.iter().zip(&self.cut).enumerate() {
-            start[p + 1] = start[p] + seen.saturating_sub(*cut) as usize;
+        let mut fresh = self.beyond_held(view);
+        if !self.held_precedes(&fresh) {
+            self.drop_pending();
+            fresh = self.beyond_held(view);
+            #[cfg(test)]
+            {
+                self.replays.from_cut += 1;
+            }
         }
-        let mut nodes: Vec<&Entry<S::Op, S::Resp>> = Vec::with_capacity(start[view.len()]);
+        let order = match Self::chain_order(&fresh) {
+            Some(order) => order,
+            None => {
+                #[cfg(test)]
+                {
+                    self.replays.graphs += 1;
+                }
+                self.graph_order(&fresh)
+            }
+        };
+        for i in order {
+            let e = fresh[i];
+            Self::replay(&self.spec, &mut self.last_state, e);
+            self.pending[e.proc].push_back(Arc::clone(e));
+            self.order.push_back(e.proc);
+        }
+        #[cfg(test)]
+        {
+            self.replays.linearized += fresh.len();
+        }
+        self.absorb();
+    }
+
+    /// The entries of `view`'s closure that are not held, one block per
+    /// process, oldest first, found by following each root down its
+    /// process's own slot.
+    fn beyond_held<'a>(&self, view: &'a [Option<EntryRef<S>>]) -> Vec<&'a EntryRef<S>> {
+        let mut fresh = Vec::new();
         for (p, root) in view.iter().enumerate() {
-            let mut next = root.as_deref();
-            while let Some(e) = next.filter(|e| e.seq >= self.cut[p]) {
-                nodes.push(e);
-                next = e.preceding[p].as_deref();
+            let (held, block) = (self.held(p), fresh.len());
+            let mut next = root.as_ref();
+            while let Some(e) = next.filter(|e| e.seq >= held) {
+                fresh.push(e);
+                next = e.preceding[p].as_ref();
             }
             assert_eq!(
-                nodes.len(),
-                start[p + 1],
+                (fresh.len() - block) as u64,
+                up_to(root).saturating_sub(held),
                 "P{p} must chain through its own slot"
             );
-            nodes[start[p]..].reverse();
+            fresh[block..].reverse();
         }
+        fresh
+    }
+
+    /// Whether everything held lies in the past of every entry of
+    /// `fresh` — the last view is a *clean cut* of the new one. Views
+    /// along a process's chain only grow, so the oldest fresh entry of
+    /// each process answers for the rest: O(n²) on view vectors.
+    fn held_precedes(&self, fresh: &[&EntryRef<S>]) -> bool {
+        let mut oldest = fresh.iter().filter(|e| e.seq == self.held(e.proc));
+        oldest.all(|e| (0..self.cut.len()).all(|p| e.seen(p) >= self.held(p)))
+    }
+
+    /// The order in which to apply `fresh` (as indices into it) when
+    /// precedence alone decides it. An entry's past is a proper subset
+    /// of the past of everything it precedes, so precedence can only
+    /// order by size of past; if that order is a chain of precedence,
+    /// precedence is total, has one topological order and leaves
+    /// Figure 3 no pair to decide — the case of every operation that
+    /// overlaps no other, and it needs no graph.
+    fn chain_order(fresh: &[&EntryRef<S>]) -> Option<Vec<usize>> {
+        let past =
+            |e: &Entry<S::Op, S::Resp>| (0..e.preceding.len()).map(|p| e.seen(p)).sum::<u64>();
+        let mut order: Vec<usize> = (0..fresh.len()).collect();
+        order.sort_by_key(|&i| past(fresh[i]));
+        let precedes = |a: usize, b: usize| fresh[b].seen(fresh[a].proc) > fresh[a].seq;
+        order
+            .windows(2)
+            .all(|w| precedes(w[0], w[1]))
+            .then_some(order)
+    }
+
+    /// The order in which to apply `fresh` (as indices into it), in
+    /// general: its precedence graph — every entry in an operation's
+    /// view precedes it; transitivity through the views covers the full
+    /// real-time order, see DESIGN.md — run through the Figure 3
+    /// construction and sorted topologically. Held entries precede all
+    /// of `fresh` and need no edge.
+    fn graph_order(&self, fresh: &[&EntryRef<S>]) -> Vec<usize> {
+        let blocks: Vec<usize> = (0..self.cut.len())
+            .map(|p| fresh.partition_point(|e| e.proc < p))
+            .collect();
         let index = |e: &Entry<S::Op, S::Resp>| {
-            let past_cut = e.seq.checked_sub(self.cut[e.proc])?;
-            debug_assert!(
-                e.seq < self.last_view[e.proc],
-                "{e:?} is newer than its root"
-            );
-            Some(start[e.proc] + past_cut as usize)
+            let i = blocks[e.proc] + e.seq.checked_sub(self.held(e.proc))? as usize;
+            debug_assert!(fresh[i].key() == e.key(), "{e:?} is newer than its root");
+            Some(i)
         };
-        // Precedence edges: every entry in an operation's view precedes
-        // it. (Transitivity through the views covers the full real-time
-        // order; see DESIGN.md.) Absorbed entries precede the whole
-        // working set and need no edge.
-        let mut prec = ClosedDag::new(nodes.len());
-        for (f_idx, f) in nodes.iter().enumerate() {
+        let mut prec = ClosedDag::new(fresh.len());
+        for (f_idx, f) in fresh.iter().enumerate() {
             for e_idx in f.preceding.iter().flatten().filter_map(|e| index(e)) {
                 let acyclic = prec.add_edge(e_idx, f_idx);
                 debug_assert!(acyclic, "view pointers must be acyclic");
             }
         }
         // Figure 3 + canonical linearization.
-        let key = |i: usize| nodes[i].key();
+        let key = |i: usize| fresh[i].key();
         let order = canonical_order(&prec, key);
         let lin = lingraph(&prec, &order, |a, b| {
-            let (a, b) = (nodes[a], nodes[b]);
+            let (a, b) = (fresh[a], fresh[b]);
             dominates(&self.spec, &a.op, a.proc, &b.op, b.proc)
         });
-        let seq = lin.topo_sort_by_key(key);
-        // Replay: the stable prefix into `base`, the rest on top of it.
-        let new_cut = self.stable_cut(&nodes, &start);
-        let beyond_old = new_cut.iter().zip(&self.cut).map(|(new, old)| new - old);
-        let absorbed = beyond_old.sum::<u64>() as usize;
-        debug_assert!(
-            seq[..absorbed]
-                .iter()
-                .map(|&i| nodes[i])
-                .all(|e| e.seq < new_cut[e.proc]),
-            "the stable cut must be a prefix of the linearization"
-        );
-        for &i in &seq[..absorbed] {
-            Self::replay(&self.spec, &mut self.base, nodes[i]);
-        }
-        self.last_state.clone_from(&self.base);
-        for &i in &seq[absorbed..] {
-            Self::replay(&self.spec, &mut self.last_state, nodes[i]);
-        }
-        self.cut = new_cut;
+        lin.topo_sort_by_key(key)
     }
 
     /// Every stored response must match its replay (Theorem 26's
@@ -352,29 +458,50 @@ where
         );
     }
 
-    /// The largest cut (per process, how many of its entries lie before
-    /// it) that can be absorbed: every working-set entry beyond it has
-    /// all of it in its view, and so does every root — hence, views
-    /// being monotone, every entry still to be seen. The old cut when
-    /// some process has no entry in the working set: the next one it
-    /// publishes may carry a view as old as its absorbed root's, or no
-    /// view at all.
-    fn stable_cut(&self, nodes: &[&Entry<S::Op, S::Resp>], start: &[usize]) -> Vec<u64> {
-        let n = self.cut.len();
-        if (0..n).any(|p| start[p] == start[p + 1]) {
-            return self.cut.clone();
+    /// Move the cut up to the stable cut: what lies below it is a
+    /// prefix of the linearization held, and is replayed into `base`.
+    fn absorb(&mut self) {
+        let Some(new_cut) = self.stable_cut() else {
+            return;
+        };
+        let beyond_old = new_cut.iter().zip(&self.cut).map(|(new, old)| new - old);
+        for _ in 0..beyond_old.sum::<u64>() {
+            let e = self
+                .order
+                .pop_front()
+                .and_then(|p| self.pending[p].pop_front())
+                .expect("everything below the stable cut is pending");
+            assert!(
+                e.seq < new_cut[e.proc],
+                "the stable cut must be a prefix of the linearization, and {e:?} is not below it"
+            );
+            Self::replay(&self.spec, &mut self.base, &e);
         }
-        let mut cut = self.last_view.clone();
+        self.cut = new_cut;
+    }
+
+    /// The largest cut (per process, how many of its entries lie before
+    /// it) that can be absorbed: every pending entry beyond it has all
+    /// of it in its view, and so does every root — hence, views being
+    /// monotone, every entry still to be seen. None when some process
+    /// has nothing pending (an empty slot, or an absorbed root): the
+    /// next entry it publishes may carry a view as old as its absorbed
+    /// root's, or no view at all.
+    fn stable_cut(&self) -> Option<Vec<u64>> {
+        let n = self.cut.len();
+        if self.pending.iter().any(VecDeque::is_empty) {
+            return None;
+        }
+        let mut cut: Vec<u64> = (0..n).map(|p| self.held(p)).collect();
         loop {
             let mut stable = true;
-            for q in 0..n {
+            for (q, chain) in self.pending.iter().enumerate() {
                 // Of the entries of `q` that must have the cut in their
                 // view, the oldest: the first beyond the cut, else the
                 // root.
-                let oldest = cut[q].min(self.last_view[q] - 1) - self.cut[q];
-                let e = nodes[start[q] + oldest as usize];
+                let oldest = ((cut[q] - self.cut[q]) as usize).min(chain.len() - 1);
                 for p in (0..n).filter(|&p| p != q) {
-                    let seen = e.preceding[p].as_ref().map_or(0, |e| e.seq + 1);
+                    let seen = chain[oldest].seen(p);
                     if seen < cut[p] {
                         cut[p] = seen;
                         stable = false;
@@ -382,7 +509,7 @@ where
                 }
             }
             if stable {
-                return cut;
+                return Some(cut);
             }
         }
     }
@@ -830,16 +957,21 @@ mod tests {
         }
 
         /// Execute `op` as process `p`, check the response, and return
-        /// the size of the working set the replay linearized.
-        fn step(&mut self, p: usize, op: CounterOp) -> usize {
+        /// the size of the working set the view was replayed over and
+        /// how many of its entries the replay linearized.
+        fn step(&mut self, p: usize, op: CounterOp) -> (usize, usize) {
             let absorbed = self.absorbed(p);
+            let linearized = self.handles[p].replays.linearized;
             let resp = self.handles[p].execute(&mut self.ctxs[p], op);
             assert_eq!(
                 resp,
                 CounterSpec.apply(&mut self.model, p, &op),
                 "P{p} {op:?}"
             );
-            self.handles[p].last_history_len() - absorbed
+            (
+                self.handles[p].last_history_len() - absorbed,
+                self.handles[p].replays.linearized - linearized,
+            )
         }
 
         fn absorbed(&self, p: usize) -> usize {
@@ -864,21 +996,25 @@ mod tests {
         let n = 3;
         let mut sys = Lockstep::new(n);
         for k in 0..30_000 {
-            let working_set = sys.step(k % n, some_op(k));
+            let (working_set, linearized) = sys.step(k % n, some_op(k));
             assert!(working_set <= 2 * n, "op {k}: {working_set} entries");
+            assert!(linearized < n, "op {k}: {linearized} entries");
         }
         assert_eq!(sys.handles[(30_000 - 1) % n].last_history_len(), 30_000 - 1);
     }
 
     /// A process that has published nothing may yet publish an entry
     /// with an empty view, which nothing can be said to precede: the
-    /// others absorb nothing, and still answer correctly.
+    /// others absorb nothing, and still answer correctly — each from
+    /// what it held plus the one entry that is new, however much has
+    /// piled up beyond the cut.
     #[test]
     fn a_silent_process_pins_the_cut() {
         let mut sys = Lockstep::new(3);
         for k in 0..60 {
-            sys.step(k % 2, some_op(k));
+            let (working_set, linearized) = sys.step(k % 2, some_op(k));
             assert_eq!(sys.absorbed(k % 2), 0, "op {k}");
+            assert_eq!((working_set, linearized), (k, k.min(1)), "op {k}");
         }
         // Once it speaks, everything is in everyone's past again.
         for k in 60..72 {
@@ -902,10 +1038,124 @@ mod tests {
         let pinned = [sys.absorbed(0), sys.absorbed(1)];
         assert!(pinned.iter().all(|&a| a > 0 && a <= 3), "{pinned:?}");
         for k in 20..80 {
-            let working_set = sys.step(k % 2, some_op(k));
+            let (working_set, linearized) = sys.step(k % 2, some_op(k));
             assert_eq!(sys.absorbed(k % 2), pinned[k % 2], "op {k}");
             assert_eq!(working_set, 3 + k - pinned[k % 2], "op {k}");
+            assert_eq!(linearized, 1, "op {k}: only the other's last entry is new");
         }
+        let restarts: Vec<_> = sys.handles.iter().map(|h| h.replays.from_cut).collect();
+        assert_eq!(restarts, [0, 0, 0], "nothing overlapped");
+    }
+
+    /// Every case of `replay_view`, driven on purpose. Three processes
+    /// take turns of half an operation — the scan of `snap`, then the
+    /// scan of `update` — under a scripted schedule, so which entries
+    /// overlap is decided here. Operations that overlap another are
+    /// increments, so the sequential model, advanced when an operation
+    /// publishes, predicts every response.
+    #[test]
+    fn each_start_of_the_replay_is_taken_when_it_should_be() {
+        use apram_model::sim::strategy::Replay;
+        use apram_snapshot::ScanObject;
+        use CounterOp::{Inc, Read};
+        let n = 3;
+        let turns: Vec<ProcId> = [
+            // P0 alone: nothing to replay.
+            &[0, 0][..],
+            // P1, then P2: P0 finds a chain of two.
+            &[1, 1, 2, 2, 0, 0],
+            // P1 and P2 overlap each other, both after all P0 holds:
+            // a clean cut, and a graph over the two.
+            &[1, 2, 1, 2, 0, 0],
+            // P1 takes its snapshot, P0 runs a whole operation, P1
+            // publishes: an entry that missed P0's last operation.
+            &[1, 0, 0, 1, 0, 0],
+            // P2 has stopped, its last entry overlapped P1's: the cut is
+            // pinned below both for good. P1 and P0 alternate.
+            &[1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0],
+        ]
+        .concat();
+        let scripts = [
+            vec![Inc(1), Read, Read, Inc(7), Read, Read, Read, Read],
+            vec![Inc(2), Inc(4), Inc(6), Inc(8), Inc(10), Inc(12)],
+            vec![Inc(3), Inc(5)],
+        ];
+        for (p, script) in scripts.iter().enumerate() {
+            let halves = turns.iter().filter(|&&q| q == p).count();
+            assert_eq!(
+                halves,
+                2 * script.len(),
+                "P{p}: every operation gets both turns"
+            );
+        }
+        // What the sequential model answers, operation by operation.
+        let mut expected = vec![Vec::new(); n];
+        let (mut model, mut halves) = (CounterSpec.initial(), vec![0; n]);
+        for &p in &turns {
+            halves[p] += 1;
+            if halves[p] % 2 == 0 {
+                let op = scripts[p][halves[p] / 2 - 1];
+                expected[p].push(CounterSpec.apply(&mut model, p, &op));
+            }
+        }
+
+        let uni = Universal::new(n, CounterSpec);
+        let half = ScanObject::optimized_scan_reads(n) + ScanObject::optimized_scan_writes(n);
+        let schedule = turns
+            .iter()
+            .flat_map(|&p| std::iter::repeat_n(p, half as usize));
+        // Per operation: the response, the handle's counts, how much it
+        // has absorbed.
+        type Seen = (CounterResp, ReplayCounts, u64);
+        let seen: Vec<Mutex<Vec<Seen>>> = (0..n).map(|_| Mutex::default()).collect();
+        let out = SimBuilder::new(uni.registers())
+            .owners(uni.owners())
+            .strategy(Replay::strict(schedule.collect()))
+            .run_symmetric(n, |ctx| {
+                let mut h = uni.handle();
+                for &op in &scripts[ctx.proc()] {
+                    let resp = h.execute(ctx, op);
+                    let observed = (resp, h.replays, h.cut.iter().sum());
+                    seen[ctx.proc()].lock().unwrap().push(observed);
+                }
+            });
+        out.assert_no_panics();
+        let seen: Vec<Vec<Seen>> = seen.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        for p in 0..n {
+            let resps: Vec<_> = seen[p].iter().map(|s| s.0).collect();
+            assert_eq!(resps, expected[p], "P{p}");
+        }
+
+        // P0, operation by operation: (restarts from the cut, entries
+        // linearized, graphs built) so far.
+        let counts = |from_cut, linearized, graphs| ReplayCounts {
+            from_cut,
+            linearized,
+            graphs,
+        };
+        let p0: Vec<_> = seen[0].iter().map(|s| s.1).collect();
+        assert_eq!(p0[0], counts(0, 0, 0), "alone");
+        assert_eq!(p0[1], counts(0, 2, 0), "a chain of two");
+        assert_eq!(p0[2], counts(0, 4, 1), "two concurrent entries");
+        assert_eq!(p0[3], p0[2], "nothing new");
+        // Not clean: everything beyond the cut is linearized again, P0's
+        // last operation and the entry that missed it among it.
+        // It sees four entries of its own, three of P1 and P2's two.
+        let beyond_cut = (4 + 3 + 2) - seen[0][3].2 as usize;
+        assert_eq!(p0[4], counts(1, 4 + beyond_cut, 2), "a restart");
+        assert!(beyond_cut > 2, "{beyond_cut}");
+        for k in 5..8 {
+            assert_eq!(
+                p0[k],
+                counts(1, p0[k - 1].linearized + 1, 2),
+                "op {k}: one new entry"
+            );
+            assert_eq!(seen[0][k].2, seen[0][4].2, "op {k}: the cut is pinned");
+        }
+        // P1 met two entries that had missed its last operation: P2's
+        // from the overlap, P0's from inside its own. P2 met none.
+        assert_eq!(seen[1].last().unwrap().1.from_cut, 2);
+        assert_eq!(seen[2].last().unwrap().1.from_cut, 0);
     }
 
     /// Deep entry chains do not blow the stack on drop (the iterative

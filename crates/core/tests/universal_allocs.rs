@@ -1,0 +1,94 @@
+//! The allocation budget of one `execute`, pinned.
+//!
+//! Ninety-six operations, round-robin on three handles over the native
+//! register file — the shape of the repo benchmark's `universal_lwwmap`
+//! epoch, whose `core.universal.allocs_per_op` row reads 14.3 where it
+//! read 58.3 before the replay kept its linearization and the scan
+//! stopped cloning what it reads. What remains is what the register
+//! model asks for — a register holds a value, so each of a scan's
+//! `n + 1` writes hands over a fresh array — plus the view, the entry
+//! and the replay's scratch. The bound leaves that room and no more.
+//!
+//! Its own test binary: the counting allocator is process-wide.
+
+use apram_core::{AlgebraicSpec, CounterOp, CounterSpec, Universal};
+use apram_model::NativeMemory;
+use apram_objects::lwwmap::{LwwMapSpec, MapOp};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's own layout
+// and pointer, so `System`'s contract is the one being upheld; the
+// counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; see the impl-level comment.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; see the impl-level comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const HANDLES: usize = 3;
+const OPS: usize = 96;
+const BUDGET_PER_OP: f64 = 20.0;
+
+/// Allocations per operation of `OPS` round-robin operations on a fresh
+/// universe over `spec`.
+fn allocs_per_op<S>(spec: S, op: impl Fn(usize) -> S::Op) -> f64
+where
+    S: AlgebraicSpec + Clone,
+    S::State: Clone + std::fmt::Debug,
+{
+    let uni = Universal::new(HANDLES, spec);
+    let mem = NativeMemory::new(HANDLES, uni.registers()).with_owners(uni.owners());
+    let mut ctxs: Vec<_> = (0..HANDLES).map(|p| mem.ctx(p)).collect();
+    let mut handles: Vec<_> = (0..HANDLES).map(|_| uni.handle()).collect();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for k in 0..OPS {
+        let h = k % HANDLES;
+        std::hint::black_box(handles[h].execute(&mut ctxs[h], op(k)));
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(handles[(OPS - 1) % HANDLES].last_history_len(), OPS - 1);
+    allocs as f64 / OPS as f64
+}
+
+// One test, so that nothing else allocates while it counts.
+#[test]
+fn an_execute_allocates_within_its_budget() {
+    let counter = allocs_per_op(CounterSpec, |k| match k % 4 {
+        0 => CounterOp::Inc(k as i64),
+        1 => CounterOp::Read,
+        2 => CounterOp::Dec(1),
+        _ => CounterOp::Reset(k as i64),
+    });
+    let map = allocs_per_op(LwwMapSpec, |k| match k % 2 {
+        0 => MapOp::Put(k as u32 % 8, k as u64),
+        _ => MapOp::Get(k as u32 % 8),
+    });
+    assert!(
+        counter <= BUDGET_PER_OP,
+        "counter: {counter} allocations per op"
+    );
+    assert!(map <= BUDGET_PER_OP, "LWW map: {map} allocations per op");
+    // And not vacuously: the scans' register writes alone are 2(n + 1).
+    assert!(counter >= 2.0 * (HANDLES + 1) as f64, "{counter}");
+}

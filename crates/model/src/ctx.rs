@@ -5,6 +5,14 @@
 //! ([`crate::native::NativeCtx`]). The trait deliberately exposes nothing
 //! but atomic register reads and writes — the *only* communication
 //! primitives of the asynchronous PRAM model.
+//!
+//! [`MemCtx::read_with`] does not add a primitive: it is the same atomic
+//! read with the copy left out. The closure is handed the one value the
+//! register held at the read's linearization point and can reach
+//! nothing else — no second register, no later value of this one (it
+//! cannot touch the context, which is mutably borrowed for the call) —
+//! so whatever it computes, `read` followed by the same computation on
+//! the clone computes too, at the cost of the clone.
 
 /// A process identifier; processes are numbered `0..n`.
 pub type ProcId = usize;
@@ -40,6 +48,23 @@ pub trait MemCtx<T: Clone> {
 
     /// Atomically write `val` to register `reg`.
     fn write(&mut self, reg: usize, val: T);
+
+    /// Atomically read register `reg` and run `f` on the value read,
+    /// without necessarily cloning it: **one read step**, exactly as
+    /// [`read`](Self::read) — this default *is* `read`, and every
+    /// backend that overrides it must stay indistinguishable from this
+    /// default to the algorithm (same value, same step count).
+    ///
+    /// `f` must be bounded local work (a join, a comparison): a backend
+    /// may hold the register's storage stable for as long as `f` runs.
+    /// It cannot re-enter the memory — the context is borrowed `&mut`
+    /// for the whole call.
+    fn read_with<R>(&mut self, reg: usize, f: impl FnOnce(&T) -> R) -> R
+    where
+        Self: Sized,
+    {
+        f(&self.read(reg))
+    }
 
     /// The backend's estimate of the *point contention* this process
     /// would observe on `reg` right now: the number of processes
@@ -166,6 +191,18 @@ impl<T: Clone> MatrixView<T> {
     /// Atomically read cell `(row, col)`.
     pub fn read_cell<C: MemCtx<T>>(&self, ctx: &mut C, row: usize, col: usize) -> T {
         ctx.read(self.reg(row, col))
+    }
+
+    /// Atomically read cell `(row, col)` and run `f` on the value, by
+    /// reference where the backend can (see [`MemCtx::read_with`]).
+    pub fn read_cell_with<C: MemCtx<T>, R>(
+        &self,
+        ctx: &mut C,
+        row: usize,
+        col: usize,
+        f: impl FnOnce(&T) -> R,
+    ) -> R {
+        ctx.read_with(self.reg(row, col), f)
     }
 
     /// Atomically write cell `(row, col)`.

@@ -32,6 +32,15 @@
 //! happens in practice (it is vanishingly rare — the window is two
 //! index operations wide).
 //!
+//! Nothing in that argument depends on *what* the reader does with the
+//! slot between validation and clearing its announce word, only on its
+//! doing it there: [`SwmrCell::read_with`] runs a caller's closure on
+//! the slot by reference where [`SwmrCell::read`] clones it. A reader
+//! still holds one announce word, hence at most one slot, for however
+//! long the closure runs, so the `n + 3` bound and the writer's
+//! wait-freedom are untouched; the word is cleared by a drop guard, so
+//! a closure that unwinds pins nothing.
+//!
 //! # Multi-writer cells ([`MwmrCell`])
 //!
 //! Multi-writer registers are layered on per-writer SWMR slots exactly
@@ -176,29 +185,49 @@ impl<T: Clone> SwmrCell<T> {
 
     /// Read as process `proc`.
     pub fn read(&self, proc: usize) -> T {
-        self.read_via(proc).0
+        self.read_via(proc, T::clone).0
     }
 
     /// [`SwmrCell::read`], reporting how many validation retries this
     /// read performed (the flight recorder's read-retry event; also
     /// accumulated into [`SwmrCell::retries`]).
     pub fn read_traced(&self, proc: usize) -> (T, u64) {
-        self.read_via(proc)
+        self.read_via(proc, T::clone)
     }
 
-    fn read_via(&self, announce_idx: usize) -> (T, u64) {
+    /// Read as process `proc` without cloning: `f` runs on the published
+    /// slot itself, after validation and before the announce word is
+    /// cleared. The same protocol as [`SwmrCell::read`] with the clone
+    /// replaced by `f` — still one announce word per reader, so the
+    /// `n + 3` slot bound and the writer's wait-freedom stand however
+    /// long `f` runs; the reference cannot outlive the call.
+    pub fn read_with<R>(&self, proc: usize, f: impl FnOnce(&T) -> R) -> R {
+        self.read_via(proc, f).0
+    }
+
+    fn read_via<R>(&self, announce_idx: usize, f: impl FnOnce(&T) -> R) -> (R, u64) {
+        /// Clears the announce word on every way out of `f`, unwinding
+        /// included: a panicking closure must not leave a slot pinned.
+        struct Announced<'a>(&'a AtomicUsize);
+        impl Drop for Announced<'_> {
+            fn drop(&mut self) {
+                self.0.store(NONE, Ordering::Release);
+            }
+        }
         let a = &self.announce[announce_idx];
         let mut tries = 0u64;
         loop {
             let p = self.published.load(Ordering::SeqCst);
             a.store(p, Ordering::SeqCst);
             if self.published.load(Ordering::SeqCst) == p {
-                // Safe: our announcement of `p` was visible before we saw
-                // `published == p`, so every later slot choice avoids `p`
-                // until we clear the announcement.
-                let v = self.slots[p].with(|q| unsafe { (*q).clone() });
-                a.store(NONE, Ordering::Release);
-                return (v, tries);
+                let _announced = Announced(a);
+                // SAFETY: our announcement of `p` was visible before we
+                // saw `published == p`, so every later slot choice
+                // avoids `p` until `_announced` clears the word — after
+                // `f` returns or unwinds. Nobody writes the slot while
+                // the shared reference lives.
+                let out = self.slots[p].with(|q| f(unsafe { &*q }));
+                return (out, tries);
             }
             tries += 1;
             self.retries.fetch_add(1, Ordering::Relaxed);
@@ -220,7 +249,7 @@ impl<T: Clone> SwmrCell<T> {
             #[cfg(not(loom))]
             std::hint::spin_loop();
         }
-        let v = self.read_via(self.announce.len() - 1).0;
+        let v = self.read_via(self.announce.len() - 1, T::clone).0;
         self.peek_claim.store(false, Ordering::Release);
         v
     }
@@ -414,6 +443,62 @@ mod tests {
             });
         });
         assert_eq!(c.peek(), vec![WRITES; 8]);
+    }
+
+    /// The borrowed read under the same traffic: the closure looks at
+    /// the slot in place, twice with the writer given room in between —
+    /// an announced slot must not change under it. Sized down under
+    /// miri like the test above.
+    #[test]
+    fn swmr_borrowed_readers_never_tear() {
+        #[cfg(miri)]
+        const WRITES: u64 = 60;
+        #[cfg(not(miri))]
+        const WRITES: u64 = 20_000;
+        let n_readers = 3;
+        let c = SwmrCell::new(n_readers + 1, vec![0u64; 8]);
+        std::thread::scope(|s| {
+            for r in 0..n_readers {
+                let c = &c;
+                s.spawn(move || {
+                    let mut last = 0;
+                    for _ in 0..WRITES {
+                        last = c.read_with(r, |v| {
+                            let first = v[0];
+                            assert!(first >= last, "stale value after fresher one");
+                            std::thread::yield_now();
+                            assert_eq!(v.len(), 8);
+                            assert!(v.iter().all(|&x| x == first), "slot changed: {v:?}");
+                            first
+                        });
+                    }
+                });
+            }
+            let c = &c;
+            s.spawn(move || {
+                for k in 1..=WRITES {
+                    c.write(vec![k; 8]);
+                }
+            });
+        });
+        assert_eq!(c.read_with(0, |v| v[0]), WRITES);
+    }
+
+    /// A closure that unwinds leaves no slot pinned: the announce word
+    /// is cleared on the way out, and the retry count is untouched.
+    #[test]
+    fn swmr_borrowed_read_unpins_when_the_closure_unwinds() {
+        let c = SwmrCell::new(1, String::from("a"));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.read_with(0, |v| assert_eq!(v, "not a"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(c.announce[0].load(Ordering::SeqCst), NONE);
+        // The writer gets the borrowed slot (0, the initial one) back.
+        let slots = ["b", "c", "d"].map(|v| c.write_traced(v.into()));
+        assert!(slots.contains(&0), "{slots:?}");
+        assert_eq!(c.read(0), "d");
+        assert_eq!(c.retries(), 0);
     }
 
     #[test]

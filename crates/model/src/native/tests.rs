@@ -402,6 +402,35 @@ fn flight_composes_with_metrics() {
     assert!(mem.flight_log().unwrap().recorded >= 2);
 }
 
+/// `read_with` is `read` to every observer: the same value, one step
+/// in the context's counts, one read in the metrics, on the borrowed
+/// path (owner-mapped, nothing attached) and on every path that falls
+/// back to the by-value read.
+#[test]
+fn read_with_is_one_read_step_on_every_path() {
+    let wide = || vec![vec![7u8, 8], vec![9u8]];
+    let borrowed = NativeMemory::new(2, wide()).with_owners(vec![0, 1]);
+    let multi_writer = NativeMemory::new(2, wide());
+    let counted = NativeMemory::new(2, wide())
+        .with_owners(vec![0, 1])
+        .with_metrics(MetricsLevel::Counts);
+    let recorded = NativeMemory::new(2, wide())
+        .with_owners(vec![0, 1])
+        .with_flight(FlightMode::Always, 64);
+    for mem in [&borrowed, &multi_writer, &counted, &recorded] {
+        let mut ctx = mem.ctx(1);
+        ctx.op_begin(0, 0);
+        assert_eq!(ctx.read_with(0, |v| v.len()), 2);
+        assert_eq!(ctx.read_with(1, Vec::clone), ctx.read(1));
+        ctx.op_end(0, 0);
+        assert_eq!(ctx.counts().reads, 3);
+        assert_eq!(mem.read_retries(), 0);
+    }
+    assert_eq!(counted.metrics().histogram[1].reads, 3);
+    let packed = NativeMemory::new_packed(1, vec![5u64]);
+    assert_eq!(packed.ctx(0).read_with(0, |v| *v + 1), 6);
+}
+
 #[test]
 fn export_telemetry_emits_labeled_series() {
     let n = 3;

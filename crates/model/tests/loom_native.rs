@@ -81,6 +81,62 @@ fn swmr_writer_avoids_announced_slot() {
     });
 }
 
+/// The borrowed read ([`SwmrCell::read_with`]) keeps its announce word
+/// set for as long as the closure runs. With the reader parked inside
+/// the closure, the writer publishes `n + 3` times — once per slot the
+/// cell has: the reader never sees its slot change, and the writer never
+/// picks it. The reader's entry races the writer's first publish, so the
+/// announce/validate window is in play too.
+#[test]
+fn swmr_borrowed_read_pins_its_slot() {
+    use loom::sync::atomic::{AtomicBool, Ordering};
+    loom::model(|| {
+        let n = 1;
+        let cell = Arc::new(SwmrCell::new(n, vec![0u64; 4]));
+        let inside = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let w = {
+            let (cell, inside, done) = (cell.clone(), inside.clone(), done.clone());
+            thread::spawn(move || {
+                // slots[k] holds value k; the cell starts with 0 in slot 0.
+                let mut slots = vec![0, cell.write_traced(vec![1; 4])];
+                while !inside.load(Ordering::SeqCst) {
+                    thread::yield_now();
+                }
+                for k in 2..2 + (n as u64 + 3) {
+                    slots.push(cell.write_traced(vec![k; 4]));
+                }
+                done.store(true, Ordering::SeqCst);
+                slots
+            })
+        };
+        let r = {
+            let (cell, inside, done) = (cell.clone(), inside.clone(), done.clone());
+            thread::spawn(move || {
+                cell.read_with(0, |v| {
+                    let seen = v[0];
+                    inside.store(true, Ordering::SeqCst);
+                    while !done.load(Ordering::SeqCst) {
+                        assert!(v.iter().all(|&x| x == seen), "slot changed: {v:?}");
+                        thread::yield_now();
+                    }
+                    assert!(v.iter().all(|&x| x == seen), "slot changed: {v:?}");
+                    seen
+                })
+            })
+        };
+        let slots = w.join().unwrap();
+        let seen = r.join().unwrap() as usize;
+        assert!(seen <= 1, "value never published before the read: {seen}");
+        let pinned = slots[seen];
+        assert!(
+            !slots[2..].contains(&pinned),
+            "the writer picked slot {pinned}, borrowed by the reader: {slots:?}"
+        );
+        assert_eq!(cell.peek(), vec![n as u64 + 4; 4]);
+    });
+}
+
 /// Two writers racing on a multi-writer cell: the ticket layering must
 /// leave the cell holding one of the two written values (never init,
 /// never a mix), and a racing reader sees only published stamps.

@@ -16,10 +16,10 @@
 //! randomized schedules.
 //!
 //! The universal form pays for its generality: each operation takes an
-//! atomic snapshot and linearizes the part of the precedence graph it
-//! cannot yet take for settled — a handful of entries while every
-//! process keeps publishing, the whole history since a process went
-//! silent — microseconds per operation at best. The [`DirectLwwMap`]
+//! atomic snapshot and linearizes what the snapshot holds that the last
+//! one did not — a handful of entries, but everything not yet settled
+//! over again when one of them overlapped an operation already
+//! replayed — microseconds per operation at best. The [`DirectLwwMap`]
 //! is the type-specific optimization for the put/get/remove core: one
 //! atomic multi-writer register per key slot,
 //! so every operation is a single register access. Linearizability is

@@ -73,19 +73,23 @@ pub struct SnapshotHandle<T: Clone> {
 impl<T: Clone> SnapshotHandle<T> {
     /// Set the calling process's slot to `value`.
     pub fn update<C: MemCtx<TaggedVec<T>>>(&mut self, ctx: &mut C, value: T) {
-        let n = self.scan.object().n();
+        let p = ctx.proc();
         let tag = self.next_tag;
         self.next_tag += 1;
-        let v = TaggedVec::singleton(n, ctx.proc(), tag, value);
-        self.scan.write_l(ctx, v);
+        // The paper's "simple optimization": the all-zero-tag slots
+        // behind the writer's own are left out.
+        let v = TaggedVec::singleton(p + 1, p, tag, value);
+        self.scan.scan_in_place(ctx, &v);
     }
 
     /// An instantaneous snapshot: the latest value of every process
     /// (`None` for processes that never updated).
     pub fn snap<C: MemCtx<TaggedVec<T>>>(&mut self, ctx: &mut C) -> Vec<Option<T>> {
         let n = self.scan.object().n();
-        let j = self.scan.read_max(ctx);
-        (0..n).map(|i| j.slot(i).value).collect()
+        let j = self.scan.scan_in_place(ctx, &TaggedVec::bottom());
+        (0..n)
+            .map(|i| j.0.get(i).and_then(|slot| slot.value.clone()))
+            .collect()
     }
 }
 
