@@ -380,20 +380,36 @@ where
     (violation, outcome, prof.map(ContentionProfiler::into_map))
 }
 
+/// The `visit` callback of a certifying exploration: record each
+/// survivor's step count in `worst`, then [`judge`] the run.
+fn judging<'a, T, R>(
+    ccfg: &'a CertifyConfig,
+    worst: &'a [AtomicU64],
+    mut check: impl FnMut(&SimOutcome<T, R>) -> bool + 'a,
+) -> impl FnMut(&SimOutcome<T, R>) -> bool + 'a {
+    move |out| {
+        for (p, c) in out.counts.iter().enumerate() {
+            if !out.crashed[p] {
+                worst[p].fetch_max(c.total(), Ordering::Relaxed);
+            }
+        }
+        judge(&ccfg.bounds, ccfg.require_finish, out, &mut check).is_none()
+    }
+}
+
 /// Turn exploration results into a certificate. On a violation the
 /// canonical witness is minimized and classified
-/// ([`minimize_witness`]); the certificate then depends only on that
-/// witness, never on how many runs the finding engine happened to
-/// execute first — which is what makes sequential and parallel
-/// certification bit-identical.
+/// ([`minimize_witness`], driven by the pair of callbacks `shrinker`
+/// hands over); the certificate then depends only on that witness, never
+/// on how many runs the finding engine happened to execute first — which
+/// is what makes sequential and parallel certification bit-identical.
 fn build_certificate<T, R, FMake, Check>(
     cfg: &SimConfig<T>,
     ccfg: &CertifyConfig,
     scfg: &ShrinkConfig,
     stats: ExploreStats,
-    worst: Vec<u64>,
-    factory: &mut FMake,
-    check: &mut Check,
+    worst: &[AtomicU64],
+    shrinker: impl FnOnce() -> (FMake, Check),
 ) -> Certificate
 where
     T: Clone + Send,
@@ -406,12 +422,13 @@ where
             runs: stats.runs,
             exhausted: stats.exhausted,
             crash_branches: stats.crash_branches,
-            worst_steps: worst,
+            worst_steps: worst.iter().map(|w| w.load(Ordering::Relaxed)).collect(),
             bounds: ccfg.bounds.clone(),
             violation: None,
             contention: stats.contention,
         };
     };
+    let (mut factory, mut check) = shrinker();
     // The profile is of the canonical witness replay alone (never of
     // the finding exploration, whose run set is engine-dependent on
     // violation), so both certifiers report the same map.
@@ -423,8 +440,8 @@ where
         ccfg.explore.profile,
         &w.schedule,
         &w.crashes,
-        factory,
-        check,
+        &mut factory,
+        &mut check,
     );
     let worst = outcome
         .counts
@@ -470,16 +487,12 @@ where
     Check: FnMut(&SimOutcome<T, R>) -> bool,
 {
     let (ecfg, scfg) = split_shrink(ccfg);
-    let mut worst = vec![0u64; ccfg.bounds.len()];
-    let stats = explore(cfg, &ecfg, &mut factory, |out: &SimOutcome<T, R>| {
-        for (p, c) in out.counts.iter().enumerate() {
-            if !out.crashed[p] {
-                worst[p] = worst[p].max(c.total());
-            }
-        }
-        judge(&ccfg.bounds, ccfg.require_finish, out, &mut check).is_none()
-    });
-    build_certificate(cfg, ccfg, &scfg, stats, worst, &mut factory, &mut check)
+    let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
+    let visit = judging(ccfg, &worst, &mut check);
+    let stats = explore(cfg, &ecfg, &mut factory, visit);
+    build_certificate(cfg, ccfg, &scfg, stats, &worst, || {
+        (&mut factory, &mut check)
+    })
 }
 
 /// Certify the configuration across `threads` workers (0 = the config's
@@ -508,39 +521,11 @@ where
 {
     let (ecfg, scfg) = split_shrink(ccfg);
     let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
-    let stats = {
-        let worst = &worst;
-        let bounds = &ccfg.bounds;
-        let require_finish = ccfg.require_finish;
-        explore_parallel(cfg, &ecfg, threads, |i| {
-            let (factory, mut check) = make_worker(i);
-            let bounds = bounds.clone();
-            let visit = move |out: &SimOutcome<T, R>| {
-                for (p, c) in out.counts.iter().enumerate() {
-                    if !out.crashed[p] {
-                        worst[p].fetch_max(c.total(), Ordering::Relaxed);
-                    }
-                }
-                judge(&bounds, require_finish, out, &mut check).is_none()
-            };
-            (factory, visit)
-        })
-    };
-    let worst: Vec<u64> = worst.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-    if stats.witness.is_some() {
-        let (mut factory, mut check) = make_worker(threads);
-        build_certificate(cfg, ccfg, &scfg, stats, worst, &mut factory, &mut check)
-    } else {
-        Certificate {
-            runs: stats.runs,
-            exhausted: stats.exhausted,
-            crash_branches: stats.crash_branches,
-            worst_steps: worst,
-            bounds: ccfg.bounds.clone(),
-            violation: None,
-            contention: stats.contention,
-        }
-    }
+    let stats = explore_parallel(cfg, &ecfg, threads, |i| {
+        let (factory, check) = make_worker(i);
+        (factory, judging(ccfg, &worst, check))
+    });
+    build_certificate(cfg, ccfg, &scfg, stats, &worst, || make_worker(threads))
 }
 
 #[cfg(test)]

@@ -5,29 +5,28 @@
 //! the runnable processes. Each tree path is executed as an ordinary
 //! simulated run (bodies are re-created per run and must be deterministic
 //! functions of their reads — re-running a prefix then reaches the same
-//! decision point with the same runnable set).
+//! decision point with the same runnable set; a replay that does not
+//! panics, in every build).
 //!
 //! This is how the paper's linearizability theorems (26 and 33) are
 //! checked exhaustively on small instances: every interleaving of a
 //! 2–3 process execution is generated and its history verified.
+//!
+//! Here: what an exploration is given and gives back ([`ExploreConfig`],
+//! [`ExploreStats`]), the search tree's node with its sleep set, and the
+//! sequential entry points. The search itself is [`mod@super::parallel`]'s
+//! for every explorer: [`explore`] and [`explore_reduced`] are that
+//! engine with the calling thread as its one worker.
 
 use super::budget::{Budget, Budgeted};
-use super::parallel::ProcPool;
-use super::shrink::{shrink_execution, ShrinkConfig, ShrinkReport};
-use super::strategy::{Decision, SchedView, Strategy};
-use super::{run_sim, ProcBody, SimConfig, SimOutcome};
-use crate::contention::{ContentionMap, ContentionProfiler};
+use super::parallel::explore_inline;
+use super::shrink::{ShrinkConfig, ShrinkReport};
+use super::strategy::{Decision, SchedView};
+use super::{ProcBody, SimConfig, SimOutcome};
+use crate::contention::ContentionMap;
 use crate::ctx::{AccessKind, ProcId};
 use crate::json::Json;
-use crate::metrics::MetricsLevel;
-use crate::span::SpanRecorder;
-use crate::telemetry::{Heartbeat, ProgressBeat};
-use std::time::{Duration, Instant};
-
-/// Per-run child spans are recorded for at most this many runs; later
-/// runs only contribute to the root span's counters. Keeps span trees
-/// bounded on million-run explorations.
-const SPAN_RUN_CAP: u64 = 32;
+use std::time::Duration;
 
 /// Exploration limits and forensics hooks.
 ///
@@ -60,16 +59,19 @@ pub struct ExploreConfig {
     /// Worker-thread count used by the parallel engines when their
     /// explicit `threads` argument is 0 (in which case 0 here still
     /// means "all available parallelism"). Ignored by the sequential
-    /// explorers.
+    /// explorers, whose one worker is the calling thread.
     pub threads: usize,
     /// When set, a run rejected by the `visit` callback (a violation) is
-    /// minimized with [`shrink_execution`] before exploration returns
-    /// (the crash pattern is minimized alongside the schedule); the
-    /// result lands in [`ExploreStats::violation`].
+    /// minimized with [`shrink_execution`](super::shrink_execution)
+    /// before exploration returns (the crash pattern is minimized
+    /// alongside the schedule); the result lands in
+    /// [`ExploreStats::violation`].
     pub shrink: Option<ShrinkConfig>,
     /// Record a span tree of the exploration (per-run spans for the
-    /// first few runs, aggregate counters on the root) into
-    /// [`ExploreStats::spans`].
+    /// first few runs, a `shrink` span, aggregate counters on the root)
+    /// into [`ExploreStats::spans`]. Sequential explorers only: spans
+    /// are recorded by a worker that is the calling thread, and ignored
+    /// by the parallel engines' spawned workers.
     pub trace_spans: bool,
     /// Profile per-cell contention across every explored run into
     /// [`ExploreStats::contention`] (hot cells, stall edges, and
@@ -118,25 +120,6 @@ impl ExploreConfig {
     }
 }
 
-/// Emit one progress beat (shared by the sequential explorers and the
-/// parallel engine's monitor).
-pub(crate) fn emit_beat(
-    hb: &Heartbeat,
-    elapsed: Duration,
-    runs: u64,
-    sleep_skips: u64,
-    queue_depth: usize,
-    violation_found: bool,
-) {
-    hb.emit(&ProgressBeat {
-        elapsed,
-        runs,
-        sleep_skips,
-        queue_depth,
-        violation_found,
-    });
-}
-
 /// The canonical violating execution, exactly as first found — the
 /// schedule and crash pattern of the rejected run, before any
 /// minimization. Unlike [`ExploreStats::violation`] it is recorded even
@@ -157,8 +140,10 @@ pub struct ExecutionWitness {
 pub struct ExploreStats {
     /// Number of complete runs executed.
     pub runs: u64,
-    /// `true` when the whole schedule tree was exhausted (within
-    /// `max_depth`).
+    /// `true` when every leaf of the schedule tree (within `max_depth`)
+    /// was executed: no `visit` rejected a run and the run budget never
+    /// turned a leaf away — so also when the tree has exactly
+    /// [`max_runs`](super::Budget::max_runs) leaves.
     pub exhausted: bool,
     /// `true` when some decision point beyond `max_depth` was truncated.
     pub truncated: bool,
@@ -171,8 +156,9 @@ pub struct ExploreStats {
     /// Deepest decision point reached in any run (in steps).
     pub max_depth_reached: usize,
     /// Branch choices pruned by sleep sets — subtrees that
-    /// [`explore_reduced`] proved redundant and never entered. Always 0
-    /// for plain [`explore`].
+    /// [`explore_reduced`] proved redundant and never entered, counted
+    /// when the node they hang off is first reached. Always 0 for plain
+    /// [`explore`].
     pub sleep_skips: u64,
     /// Crash decisions taken across all runs (including replayed prefix
     /// crashes); 0 unless [`Budget::max_crashes`](super::Budget::max_crashes) is set.
@@ -281,146 +267,9 @@ impl ExploreStats {
     }
 }
 
-/// A decision point in the plain (unreduced) DFS. The choice list is
-/// logically `[Step(p) for p in choices] ++ [Crash(p) for p in choices]`
-/// — the crash suffix present only when the crash budget had room at
-/// this node — so picks below `choices.len()` are steps and picks at or
-/// above it are crashes. Steps come first, which makes `max_crashes: 0`
-/// exploration bit-identical to the historical crash-free engine.
-struct Branch {
-    choices: Vec<ProcId>,
-    /// Number of crash choices appended after the step choices: either
-    /// `choices.len()` or 0 (crash budget already spent on this path).
-    crashes: usize,
-    pick: usize,
-}
-
-impl Branch {
-    fn total(&self) -> usize {
-        self.choices.len() + self.crashes
-    }
-
-    fn decision(&self) -> Decision {
-        if self.pick < self.choices.len() {
-            Decision::Step(self.choices[self.pick])
-        } else {
-            Decision::Crash(self.choices[self.pick - self.choices.len()])
-        }
-    }
-}
-
-/// The plain DFS as a strategy. It owns the search stack and the stats
-/// it counts into, travels into each run with them and comes back with
-/// the run's outcome ([`run_sim`]).
-struct TreeStrategy {
-    stack: Vec<Branch>,
-    pos: usize,
-    max_depth: usize,
-    max_crashes: usize,
-    /// Crash decisions taken so far in *this* run (replayed or fresh);
-    /// the budget is a pure function of the pick path.
-    crashes_used: usize,
-    stats: ExploreStats,
-}
-
-impl Strategy for TreeStrategy {
-    fn decide(&mut self, view: &SchedView) -> Decision {
-        let decision = if self.pos < self.stack.len() {
-            let b = &self.stack[self.pos];
-            assert_eq!(
-                b.choices.as_slice(),
-                view.runnable,
-                "explore: runnable set diverged on replay at step {}; \
-                 process bodies must be deterministic",
-                self.pos
-            );
-            self.stats.replayed_steps += 1;
-            b.decision()
-        } else if self.pos >= self.max_depth {
-            self.stats.truncated = true;
-            Decision::Step(view.runnable[0])
-        } else {
-            let crashes = if self.crashes_used < self.max_crashes {
-                view.runnable.len()
-            } else {
-                0
-            };
-            self.stack.push(Branch {
-                choices: view.runnable.to_vec(),
-                crashes,
-                pick: 0,
-            });
-            Decision::Step(view.runnable[0])
-        };
-        if matches!(decision, Decision::Crash(_)) {
-            self.crashes_used += 1;
-            self.stats.crash_branches += 1;
-        }
-        self.stats.executed_steps += 1;
-        self.pos += 1;
-        self.stats.max_depth_reached = self.stats.max_depth_reached.max(self.pos);
-        decision
-    }
-}
-
-/// On a rejected run: minimize the failing schedule when configured,
-/// recording the work in a `shrink` span.
-fn capture_violation<T, R, FMake, Visit>(
-    cfg: &SimConfig<T>,
-    econfig: &ExploreConfig,
-    outcome: &SimOutcome<T, R>,
-    factory: &mut FMake,
-    visit: &mut Visit,
-    stats: &mut ExploreStats,
-    spans: &mut Option<SpanRecorder>,
-) where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Visit: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    stats.witness = Some(ExecutionWitness {
-        schedule: outcome.trace.schedule(),
-        crashes: outcome.executed_crashes(),
-    });
-    let Some(scfg) = &econfig.shrink else {
-        return;
-    };
-    if let Some(s) = spans.as_mut() {
-        s.enter("shrink");
-    }
-    let report = shrink_execution(
-        cfg,
-        scfg,
-        &outcome.trace.schedule(),
-        &outcome.executed_crashes(),
-        factory,
-        |o| !visit(o),
-    );
-    if let Some(s) = spans.as_mut() {
-        s.bump("attempts", report.stats.attempts);
-        s.bump("useful", report.stats.useful);
-        s.bump("removed", report.removed() as u64);
-        s.exit();
-    }
-    stats.violation = Some(report);
-}
-
-/// Fold the finished span tree (plus aggregate counters) into the stats.
-fn finish_spans(stats: &mut ExploreStats, spans: Option<SpanRecorder>) {
-    if let Some(mut s) = spans {
-        s.bump("replayed_steps", stats.replayed_steps);
-        s.bump("max_depth", stats.max_depth_reached as u64);
-        if stats.sleep_skips > 0 {
-            s.bump("sleep_skips", stats.sleep_skips);
-        }
-        stats.spans = Some(s.finish());
-    }
-}
-
 /// Exhaustively explore the schedules of the execution defined by
 /// `factory` (called once per run; it must return equivalent,
-/// deterministic bodies every time).
+/// deterministic bodies every time), depth-first, on the calling thread.
 ///
 /// `visit` is called with each run's outcome; return `false` to stop
 /// early (e.g. on the first counterexample). When
@@ -430,8 +279,8 @@ fn finish_spans(stats: &mut ExploreStats, spans: Option<SpanRecorder>) {
 pub fn explore<T, R, FMake, Visit>(
     cfg: &SimConfig<T>,
     econfig: &ExploreConfig,
-    mut factory: FMake,
-    mut visit: Visit,
+    factory: FMake,
+    visit: Visit,
 ) -> ExploreStats
 where
     T: Clone + Send,
@@ -439,118 +288,55 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Visit: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let start = Instant::now();
-    let mut last_beat = Instant::now();
-    let mut violated = false;
-    let mut strategy = TreeStrategy {
-        stack: Vec::new(),
-        pos: 0,
-        max_depth: econfig.budget.max_depth,
-        max_crashes: econfig.budget.max_crashes,
-        crashes_used: 0,
-        stats: ExploreStats::default(),
-    };
-    let mut spans = econfig.trace_spans.then(|| SpanRecorder::new("explore"));
-    let mut prof: Option<ContentionProfiler> = None;
-    let strategy = std::thread::scope(|scope| {
-        let mut pool = ProcPool::new(scope);
-        loop {
-            let detailed = spans.is_some() && strategy.stats.runs < SPAN_RUN_CAP;
-            if detailed {
-                spans.as_mut().expect("checked").enter("run");
-            }
-            strategy.pos = 0;
-            strategy.crashes_used = 0;
-            let bodies = factory();
-            if econfig.profile && prof.is_none() {
-                prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
-            }
-            let outcome;
-            (outcome, strategy) = run_sim(
-                &mut pool,
-                cfg,
-                MetricsLevel::Off,
-                strategy,
-                bodies,
-                &mut prof,
-            );
-            let (stack, stats) = (&mut strategy.stack, &mut strategy.stats);
-            let run_steps = outcome.trace.len() as u64;
-            if let Some(s) = spans.as_mut() {
-                if detailed {
-                    s.bump("steps", run_steps);
-                    s.exit();
-                }
-                s.bump("runs", 1);
-                s.bump("steps", run_steps);
-            }
-            stats.runs += 1;
-            if let Some(hb) = &econfig.budget.heartbeat {
-                if last_beat.elapsed() >= hb.every {
-                    emit_beat(hb, start.elapsed(), stats.runs, 0, stack.len(), false);
-                    last_beat = Instant::now();
-                }
-            }
-            if !visit(&outcome) {
-                capture_violation(
-                    cfg,
-                    econfig,
-                    &outcome,
-                    &mut factory,
-                    &mut visit,
-                    stats,
-                    &mut spans,
-                );
-                violated = true;
-                break;
-            }
-            if stats.runs >= econfig.budget.max_runs {
-                break;
-            }
-            // Advance to the next schedule: drop exhausted trailing
-            // branches, bump the deepest one with choices left.
-            while let Some(last) = stack.last() {
-                if last.pick + 1 < last.total() {
-                    break;
-                }
-                stack.pop();
-            }
-            match stack.last_mut() {
-                Some(last) => last.pick += 1,
-                None => {
-                    stats.exhausted = true;
-                    break;
-                }
-            }
-        }
-        strategy
-    });
-    let TreeStrategy {
-        stack, mut stats, ..
-    } = strategy;
-    stats.elapsed = start.elapsed();
-    stats.worker_runs = vec![stats.runs];
-    stats.worker_steals = vec![0];
-    stats.contention = prof.map(ContentionProfiler::into_map);
-    if let Some(hb) = &econfig.budget.heartbeat {
-        emit_beat(hb, stats.elapsed, stats.runs, 0, stack.len(), violated);
-    }
-    finish_spans(&mut stats, spans);
-    stats
+    explore_inline(cfg, econfig, false, factory, visit)
+}
+
+/// Exhaustive exploration with **sleep-set partial-order reduction**
+/// (Godefroid): schedules that differ only by swapping adjacent
+/// *independent* accesses (different registers, or read/read) are
+/// explored once. Typically exponentially fewer runs than [`explore`].
+///
+/// Soundness caveat: reduction preserves all memory-level behaviours
+/// (per-process results and final register contents — every
+/// Mazurkiewicz trace is represented), but *not* every real-time event
+/// ordering: two commuting accesses may still order one operation's
+/// response against another's invocation. Use plain [`explore`] when
+/// the property under test is sensitive to real-time precedence between
+/// otherwise-independent operations (e.g. exhaustive linearizability
+/// certification); use this for result/state assertions and bug
+/// hunting.
+pub fn explore_reduced<T, R, FMake, Visit>(
+    cfg: &SimConfig<T>,
+    econfig: &ExploreConfig,
+    factory: FMake,
+    visit: Visit,
+) -> ExploreStats
+where
+    T: Clone + Send,
+    R: Send,
+    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+    Visit: FnMut(&SimOutcome<T, R>) -> bool,
+{
+    explore_inline(cfg, econfig, true, factory, visit)
 }
 
 /// Are two pending accesses *independent* (they commute as memory
 /// operations)? True when they touch different registers, or both read.
-pub(crate) fn independent(a: (AccessKind, usize), b: (AccessKind, usize)) -> bool {
+fn independent(a: (AccessKind, usize), b: (AccessKind, usize)) -> bool {
     a.1 != b.1 || (a.0 == AccessKind::Read && b.0 == AccessKind::Read)
 }
 
-/// A decision point in the sleep-set DFS.
+/// A decision point of the search ([`super::parallel`]), with its sleep
+/// set. The widened choice list is `[Step(p) for p in choices] ++
+/// [Crash(p) for p in choices]` — the crash suffix present only when the
+/// crash budget had room at this node; steps come first, so exploration
+/// without a crash budget never sees a crash pick.
 ///
-/// Shared with the parallel engine ([`super::parallel`]), which rebuilds
-/// identical nodes while replaying a branch-path prefix: every field is a
-/// pure function of the sequence of pick indices leading to the node,
-/// which is what makes prefix tasks self-contained.
+/// Every field but `pick`, `explored` and `barren` is a pure function
+/// of the picks leading to the node, and those three of the node's own
+/// pick as well — which makes a pick prefix a self-contained task, and
+/// a node reusable by every run that shares the picks leading to it.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct SleepNode {
     /// Runnable processes at this decision point (sorted).
     pub(crate) choices: Vec<ProcId>,
@@ -577,8 +363,8 @@ pub(crate) struct SleepNode {
     /// Index into the widened choice list currently being explored.
     pub(crate) pick: usize,
     /// `true` when every choice was asleep here: the whole subtree is
-    /// redundant; one arbitrary completion run is performed and the node
-    /// is popped without exploring siblings.
+    /// redundant; one arbitrary completion run is performed and no
+    /// sibling is explored.
     pub(crate) barren: bool,
 }
 
@@ -695,262 +481,6 @@ impl SleepNode {
             self.crash_sleep >> self.choices[i - self.choices.len()] & 1 == 1
         }
     }
-
-    /// The first explorable choice (neither explored nor asleep) at or
-    /// after `from`. One O(1) probe per candidate — the masks replace
-    /// the former `Vec::contains` scans on this hot path.
-    pub(crate) fn next_explorable(&self, from: usize) -> Option<usize> {
-        (from..self.total()).find(|&i| self.explored >> i & 1 == 0 && !self.asleep(i))
-    }
-
-    /// Choices never explored from this node — once every explorable
-    /// branch is done, exactly the ones its sleep set pruned.
-    pub(crate) fn unexplored(&self) -> u64 {
-        self.total() as u64 - u64::from(self.explored.count_ones())
-    }
-
-    /// Number of asleep choices — the branches reduction prunes here.
-    pub(crate) fn asleep_count(&self) -> u64 {
-        (0..self.total()).filter(|&i| self.asleep(i)).count() as u64
-    }
-}
-
-/// The sleep-set DFS as a strategy; owns its stack and stats like
-/// [`TreeStrategy`].
-struct SleepStrategy {
-    stack: Vec<SleepNode>,
-    pos: usize,
-    max_depth: usize,
-    max_crashes: usize,
-    /// Crash decisions taken so far in this run (replayed or fresh).
-    crashes_used: usize,
-    stats: ExploreStats,
-    /// Set once a barren node is entered this run: no further nodes are
-    /// pushed (the tail is completed deterministically and never
-    /// revisited, because the barren ancestor pops on backtrack).
-    redundant_tail: bool,
-}
-
-impl SleepStrategy {
-    fn step_accounting(&mut self, replayed: bool, decision: Decision) {
-        if matches!(decision, Decision::Crash(_)) {
-            self.crashes_used += 1;
-            self.stats.crash_branches += 1;
-        }
-        self.stats.executed_steps += 1;
-        if replayed {
-            self.stats.replayed_steps += 1;
-        }
-        self.pos += 1;
-        self.stats.max_depth_reached = self.stats.max_depth_reached.max(self.pos);
-    }
-}
-
-impl Strategy for SleepStrategy {
-    fn decide(&mut self, view: &SchedView) -> Decision {
-        let replayed = self.pos < self.stack.len();
-        let decision = if replayed {
-            let node = &self.stack[self.pos];
-            debug_assert_eq!(
-                node.choices.as_slice(),
-                view.runnable,
-                "explore_reduced: runnable set diverged on replay"
-            );
-            node.decision()
-        } else if self.redundant_tail || self.pos >= self.max_depth {
-            if !self.redundant_tail {
-                self.stats.truncated = true;
-            }
-            Decision::Step(view.runnable[0])
-        } else {
-            // Push a fresh node; its sleep set derives from the parent
-            // (see [`SleepNode::fresh`]).
-            let parent = self.pos.checked_sub(1).map(|i| &self.stack[i]);
-            let allow_crashes = self.crashes_used < self.max_crashes;
-            let mut node = SleepNode::fresh(view, parent, true, allow_crashes);
-            // First explorable choice (skip asleep branches).
-            match node.next_explorable(0) {
-                Some(i) => node.pick = i,
-                None => {
-                    // Every choice is asleep: this whole subtree is
-                    // covered elsewhere. Record a barren node (keeping
-                    // stack positions aligned with decision positions),
-                    // complete this run deterministically, and let the
-                    // backtracker pop it without exploring siblings.
-                    node.barren = true;
-                    self.redundant_tail = true;
-                }
-            }
-            let d = node.decision();
-            self.stack.push(node);
-            self.step_accounting(false, d);
-            return d;
-        };
-        self.step_accounting(replayed, decision);
-        decision
-    }
-}
-
-/// Exhaustive exploration with **sleep-set partial-order reduction**
-/// (Godefroid): schedules that differ only by swapping adjacent
-/// *independent* accesses (different registers, or read/read) are
-/// explored once. Typically exponentially fewer runs than [`explore`].
-///
-/// Soundness caveat: reduction preserves all memory-level behaviours
-/// (per-process results and final register contents — every
-/// Mazurkiewicz trace is represented), but *not* every real-time event
-/// ordering: two commuting accesses may still order one operation's
-/// response against another's invocation. Use plain [`explore`] when
-/// the property under test is sensitive to real-time precedence between
-/// otherwise-independent operations (e.g. exhaustive linearizability
-/// certification); use this for result/state assertions and bug
-/// hunting.
-pub fn explore_reduced<T, R, FMake, Visit>(
-    cfg: &SimConfig<T>,
-    econfig: &ExploreConfig,
-    mut factory: FMake,
-    mut visit: Visit,
-) -> ExploreStats
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Visit: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    let start = Instant::now();
-    let mut last_beat = Instant::now();
-    let mut violated = false;
-    let mut strategy = SleepStrategy {
-        stack: Vec::new(),
-        pos: 0,
-        max_depth: econfig.budget.max_depth,
-        max_crashes: econfig.budget.max_crashes,
-        crashes_used: 0,
-        stats: ExploreStats::default(),
-        redundant_tail: false,
-    };
-    let mut spans = econfig
-        .trace_spans
-        .then(|| SpanRecorder::new("explore_reduced"));
-    let mut prof: Option<ContentionProfiler> = None;
-    let strategy = std::thread::scope(|scope| {
-        let mut pool = ProcPool::new(scope);
-        'outer: loop {
-            let detailed = spans.is_some() && strategy.stats.runs < SPAN_RUN_CAP;
-            if detailed {
-                spans.as_mut().expect("checked").enter("run");
-            }
-            strategy.pos = 0;
-            strategy.crashes_used = 0;
-            strategy.redundant_tail = false;
-            let bodies = factory();
-            if econfig.profile && prof.is_none() {
-                prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
-            }
-            let outcome;
-            (outcome, strategy) = run_sim(
-                &mut pool,
-                cfg,
-                MetricsLevel::Off,
-                strategy,
-                bodies,
-                &mut prof,
-            );
-            let (stack, stats) = (&mut strategy.stack, &mut strategy.stats);
-            let run_steps = outcome.trace.len() as u64;
-            if let Some(s) = spans.as_mut() {
-                if detailed {
-                    s.bump("steps", run_steps);
-                    s.exit();
-                }
-                s.bump("runs", 1);
-                s.bump("steps", run_steps);
-            }
-            stats.runs += 1;
-            if let Some(hb) = &econfig.budget.heartbeat {
-                if last_beat.elapsed() >= hb.every {
-                    emit_beat(
-                        hb,
-                        start.elapsed(),
-                        stats.runs,
-                        stats.sleep_skips,
-                        stack.len(),
-                        false,
-                    );
-                    last_beat = Instant::now();
-                }
-            }
-            if !visit(&outcome) {
-                capture_violation(
-                    cfg,
-                    econfig,
-                    &outcome,
-                    &mut factory,
-                    &mut visit,
-                    stats,
-                    &mut spans,
-                );
-                violated = true;
-                break 'outer;
-            }
-            if stats.runs >= econfig.budget.max_runs {
-                break 'outer;
-            }
-            // Backtrack: mark the deepest node's pick explored and move
-            // to its next explorable choice; pop exhausted nodes.
-            loop {
-                match stack.last_mut() {
-                    None => {
-                        stats.exhausted = true;
-                        break 'outer;
-                    }
-                    Some(node) => {
-                        if node.barren {
-                            // The entire node was redundant: every
-                            // choice was pruned by its sleep set.
-                            stats.sleep_skips += node.total() as u64;
-                            stack.pop();
-                            continue;
-                        }
-                        node.explored |= 1 << node.pick;
-                        match node.next_explorable(0) {
-                            Some(next) => {
-                                node.pick = next;
-                                break;
-                            }
-                            None => {
-                                // Choices never explored here were
-                                // pruned (asleep) — count them before
-                                // popping.
-                                stats.sleep_skips += node.unexplored();
-                                stack.pop();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        strategy
-    });
-    let SleepStrategy {
-        stack, mut stats, ..
-    } = strategy;
-    stats.elapsed = start.elapsed();
-    stats.worker_runs = vec![stats.runs];
-    stats.worker_steals = vec![0];
-    stats.contention = prof.map(ContentionProfiler::into_map);
-    if let Some(hb) = &econfig.budget.heartbeat {
-        emit_beat(
-            hb,
-            stats.elapsed,
-            stats.runs,
-            stats.sleep_skips,
-            stack.len(),
-            violated,
-        );
-    }
-    finish_spans(&mut stats, spans);
-    stats
 }
 
 #[cfg(test)]
@@ -958,6 +488,7 @@ mod tests {
     use super::*;
     use crate::ctx::MemCtx;
     use crate::sim::SimCtx;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     fn two_proc_bodies() -> Vec<ProcBody<'static, u64, u64>> {
@@ -1489,5 +1020,215 @@ mod tests {
             .run(two_proc_bodies());
         assert!(out.crashed[1]);
         assert_eq!(out.results[0], Some(0));
+    }
+
+    /// A straight-line program: per process, its accesses in order
+    /// (`true` = write) over two registers. A write stores a value naming
+    /// its process and position; a process returns what its reads saw.
+    type Program = Vec<Vec<(bool, usize)>>;
+
+    fn written(p: ProcId, at: usize) -> u64 {
+        (10 * (p + 1) + at) as u64
+    }
+
+    fn program_bodies(prog: &Program) -> Vec<ProcBody<'static, u64, Vec<u64>>> {
+        let body = |(p, accesses): (usize, &Vec<(bool, usize)>)| {
+            let accesses = accesses.clone();
+            Box::new(move |ctx: &mut SimCtx<u64>| {
+                let mut seen = Vec::new();
+                for (at, &(write, reg)) in accesses.iter().enumerate() {
+                    if write {
+                        ctx.write(reg, written(p, at));
+                    } else {
+                        seen.push(ctx.read(reg));
+                    }
+                }
+                seen
+            }) as ProcBody<'static, u64, Vec<u64>>
+        };
+        prog.iter().enumerate().map(body).collect()
+    }
+
+    /// A leaf of the oracle's tree — an execution — and on the way down
+    /// the execution so far.
+    #[derive(Clone)]
+    struct Leaf {
+        pc: Vec<usize>,
+        seen: Vec<Vec<u64>>,
+        memory: Vec<u64>,
+        /// The pick at each decision within `max_depth`.
+        picks: Vec<u32>,
+        schedule: Vec<ProcId>,
+        crashes: Vec<(ProcId, u64)>,
+    }
+
+    impl Leaf {
+        fn crashed(&self, p: ProcId) -> bool {
+            self.crashes.iter().any(|&(victim, _)| victim == p)
+        }
+
+        fn decisions(&self) -> usize {
+            self.schedule.len() + self.crashes.len()
+        }
+
+        /// What a `visit` callback observes of this execution.
+        fn outcome(&self) -> (Vec<Option<Vec<u64>>>, Vec<u64>) {
+            let result = |p| (!self.crashed(p)).then(|| self.seen[p].clone());
+            (
+                (0..self.pc.len()).map(result).collect(),
+                self.memory.clone(),
+            )
+        }
+    }
+
+    /// The oracle, which is not the engine: the leaves of `prog`'s
+    /// crash-widened schedule tree below `at`, depth-first, by recursion
+    /// on a model of the memory (`crash_tree_oracle`, with executions).
+    fn tree_oracle(prog: &Program, f: usize, max_depth: usize, at: Leaf, leaves: &mut Vec<Leaf>) {
+        let live = |&p: &usize| !at.crashed(p) && at.pc[p] < prog[p].len();
+        let runnable: Vec<usize> = (0..prog.len()).filter(live).collect();
+        if runnable.is_empty() {
+            return leaves.push(at);
+        }
+        let branching = at.decisions() < max_depth;
+        let choices = match (branching, at.crashes.len() < f) {
+            (false, _) => 1,
+            (true, false) => runnable.len(),
+            (true, true) => 2 * runnable.len(),
+        };
+        for pick in 0..choices {
+            let (mut next, p) = (at.clone(), runnable[pick % runnable.len()]);
+            if branching {
+                next.picks.push(pick as u32);
+            }
+            if pick >= runnable.len() {
+                next.crashes.push((p, next.schedule.len() as u64));
+            } else {
+                match prog[p][next.pc[p]] {
+                    (true, reg) => next.memory[reg] = written(p, next.pc[p]),
+                    (false, reg) => next.seen[p].push(next.memory[reg]),
+                }
+                next.pc[p] += 1;
+                next.schedule.push(p);
+            }
+            tree_oracle(prog, f, max_depth, next, leaves);
+        }
+    }
+
+    fn oracle_leaves(prog: &Program, f: usize, max_depth: usize) -> Vec<Leaf> {
+        let root = Leaf {
+            pc: vec![0; prog.len()],
+            seen: vec![Vec::new(); prog.len()],
+            memory: vec![0; 2],
+            picks: Vec::new(),
+            schedule: Vec::new(),
+            crashes: Vec::new(),
+        };
+        let mut leaves = Vec::new();
+        tree_oracle(prog, f, max_depth, root, &mut leaves);
+        leaves
+    }
+
+    fn programs() -> impl Strategy<Value = Program> {
+        let access = (any::<bool>(), 0usize..2);
+        proptest::collection::vec(proptest::collection::vec(access, 1..=3), 2..=3)
+    }
+
+    fn optional<S: Strategy>(some: S) -> impl Strategy<Value = Option<S::Value>> {
+        (any::<bool>(), some).prop_map(|(on, v)| on.then_some(v))
+    }
+
+    /// `stats` without what depends on time and on who ran which run.
+    fn portable(stats: &ExploreStats) -> ExploreStats {
+        ExploreStats {
+            elapsed: Duration::ZERO,
+            worker_runs: Vec::new(),
+            worker_steals: Vec::new(),
+            ..stats.clone()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The search with the calling thread as its one worker visits
+        /// the oracle's leaves in the oracle's order, stops where a run
+        /// cap or a rejecting `visit` stops the oracle, and reports the
+        /// oracle's counts in every field. If that exhausted a small
+        /// tree: 1, 2 and 4 spawned workers report the same stats, with
+        /// and without reduction, which loses none of its outcomes.
+        #[test]
+        fn the_search_matches_a_recursive_oracle(
+            prog in programs(),
+            f in 0usize..=1,
+            max_depth in optional(1usize..=6),
+            max_runs in optional(1u64..=60),
+            reject_at in optional(0usize..60),
+        ) {
+            use crate::sim::parallel::{explore_parallel, explore_reduced_parallel};
+            let leaves = oracle_leaves(&prog, f, max_depth.unwrap_or(usize::MAX));
+            let small = leaves.len() <= 250;
+            prop_assume!(small || max_runs.is_some() || reject_at.is_some());
+            let cap = max_runs.map_or(leaves.len(), |m| leaves.len().min(m as usize));
+            let rejected = reject_at.filter(|&k| k < cap);
+            let visited = &leaves[..rejected.map_or(cap, |k| k + 1)];
+            // A run replays the picks it shares with the run before it,
+            // and the one where they part.
+            let replayed = |pair: &[Leaf]| {
+                let same = pair[0].picks.iter().zip(&pair[1].picks).take_while(|(a, b)| a == b);
+                same.count() as u64 + 1
+            };
+            let total = |of: fn(&Leaf) -> usize| visited.iter().map(of).sum::<usize>() as u64;
+            let expected = ExploreStats {
+                runs: visited.len() as u64,
+                exhausted: rejected.is_none() && visited.len() == leaves.len(),
+                truncated: visited.iter().any(|l| l.decisions() > l.picks.len()),
+                executed_steps: total(Leaf::decisions),
+                replayed_steps: visited.windows(2).map(replayed).sum(),
+                max_depth_reached: visited.iter().map(Leaf::decisions).max().unwrap_or(0),
+                crash_branches: total(|l| l.crashes.len()),
+                witness: rejected.map(|k| ExecutionWitness {
+                    schedule: leaves[k].schedule.clone(),
+                    crashes: leaves[k].crashes.clone(),
+                }),
+                ..ExploreStats::default()
+            };
+
+            let cfg = SimConfig::base(vec![0u64; 2]);
+            let econfig = ExploreConfig::new()
+                .max_crashes(f)
+                .max_depth(max_depth.unwrap_or(usize::MAX))
+                .max_runs(max_runs.unwrap_or(u64::MAX));
+            let mut outcomes = Vec::new();
+            let stats = explore(&cfg, &econfig, || program_bodies(&prog), |out| {
+                out.assert_no_panics();
+                outcomes.push((out.results.clone(), out.memory.clone()));
+                Some(outcomes.len() - 1) != reject_at
+            });
+            prop_assert_eq!(&outcomes, &visited.iter().map(Leaf::outcome).collect::<Vec<_>>());
+            prop_assert_eq!(&stats.worker_runs, &[stats.runs]);
+            prop_assert_eq!(portable(&stats), expected);
+
+            prop_assume!(stats.exhausted && small);
+            let mut seen = HashSet::new();
+            let reduced = explore_reduced(&cfg, &econfig, || program_bodies(&prog), |out| {
+                seen.insert((out.results.clone(), out.memory.clone()));
+                true
+            });
+            prop_assert!(reduced.exhausted && reduced.runs <= stats.runs);
+            if max_depth.is_none() {
+                prop_assert_eq!(seen, outcomes.into_iter().collect::<HashSet<_>>());
+            }
+            for threads in [1, 2, 4] {
+                let make_worker = |_| {
+                    let prog = prog.clone();
+                    (move || program_bodies(&prog), |_: &SimOutcome<u64, Vec<u64>>| true)
+                };
+                let spawned = explore_parallel(&cfg, &econfig, threads, make_worker);
+                prop_assert_eq!(portable(&spawned), portable(&stats), "threads={}", threads);
+                let spawned = explore_reduced_parallel(&cfg, &econfig, threads, make_worker);
+                prop_assert_eq!(portable(&spawned), portable(&reduced), "threads={}", threads);
+            }
+        }
     }
 }

@@ -4,20 +4,66 @@
 //! run, and under stress no wake-up is lost and no thread is left over.
 //!
 //! A lost `unpark` shows as a hang, not as a wrong answer, so everything
-//! here runs under a deadline.
+//! here runs under a deadline — and a missed deadline says what the run
+//! was waiting for, because a slow machine misses it too.
 
-use super::explore::{explore, ExploreConfig};
+use super::explore::{explore, explore_reduced, ExploreConfig};
 use super::fault::FaultPlan;
-use super::parallel::ProcPool;
+use super::parallel::{explore_parallel, ProcPool};
 use super::strategy::{Pct, Replay, RoundRobin, SeededRandom};
 use super::*;
 use std::process::Command;
 use std::sync::atomic::AtomicUsize;
 use std::sync::mpsc;
+use std::thread::ThreadId;
 
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// Run `f` on a thread of its own; fail if it has not returned in time.
+/// The thread [`within`] gave up on, and what it said.
+static DUMP: Mutex<(Option<ThreadId>, Option<String>)> = Mutex::new((None, None));
+
+/// `Hub::attend` calls this at every wake-up (test builds only): the
+/// thread `within` gave up on leaves the state of the run it attends.
+pub(super) fn dump_if_asked<T: Clone>(hub: &Hub<T>, desk: Option<&Desk<'_>>) {
+    let mut dump = DUMP.lock().unwrap();
+    if dump.0 != Some(std::thread::current().id()) {
+        return;
+    }
+    let desk = match desk.map(|d| d.shared.lock().asker.is_some()) {
+        None => "no desk",
+        Some(true) => "a desk question is pending",
+        Some(false) => "no desk question pending",
+    };
+    let st = hub.lock();
+    let state = format!(
+        "progress {}, over {}, unfinished {}, computing {}, steps {}, runnable {:?}; {desk}",
+        hub.progress.load(Ordering::Relaxed),
+        hub.over.load(Ordering::Acquire),
+        st.unfinished,
+        st.computing,
+        st.steps,
+        st.runnable,
+    );
+    *dump = (None, Some(state));
+}
+
+/// Ask `caller` what the run it attends looks like.
+fn ask_for_dump(caller: &Thread) -> String {
+    *DUMP.lock().unwrap() = (Some(caller.id()), None);
+    caller.unpark();
+    for _ in 0..20 {
+        std::thread::sleep(Duration::from_millis(100));
+        if let Some(state) = DUMP.lock().unwrap().1.take() {
+            return state;
+        }
+    }
+    "the calling thread attends no run (no answer in 2 s): it is busy elsewhere — \
+     symbolizing a backtrace, say — or waiting for worker threads"
+        .into()
+}
+
+/// Run `f` on a thread of its own; fail if it has not returned in time,
+/// saying whether a run is stuck (and where) or the thread is just slow.
 fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || {
@@ -28,8 +74,27 @@ fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'st
             worker.join().expect("the worker caught its panic");
             result.unwrap_or_else(|payload| resume_unwind(payload))
         }
-        Err(_) => panic!("no result within {limit:?}: some thread is parked for good"),
+        Err(_) => panic!(
+            "no result within {limit:?}: {}",
+            ask_for_dump(worker.thread())
+        ),
     }
+}
+
+#[test]
+fn a_missed_deadline_says_what_the_run_was_waiting_for() {
+    // One process that computes for a second before its only access.
+    let text = panic_text(|| {
+        within(Duration::from_millis(200), || {
+            SimBuilder::new(vec![0u64; 1]).run(vec![|ctx: &mut SimCtx<u64>| {
+                std::thread::sleep(Duration::from_secs(1));
+                ctx.read(0)
+            }]);
+        })
+    });
+    let state = "no result within 200ms: progress 0, over false, unfinished 1, computing 1, \
+                 steps 0, runnable []; no desk question pending";
+    assert!(text.contains(state), "{text:?}");
 }
 
 /// What `f` panicked with.
@@ -128,27 +193,50 @@ fn crashing_a_process_twice_surfaces() {
     });
 }
 
+/// A factory that is not deterministic: P1 takes its steps in the first
+/// run only, so the second run's replay meets a different runnable set
+/// at the root.
+fn forgetful_factory() -> impl FnMut() -> Vec<ProcBody<'static, u64, u64>> + Send {
+    let runs = AtomicUsize::new(0);
+    move || {
+        let first = runs.fetch_add(1, Ordering::Relaxed) == 0;
+        let mut bodies = pair();
+        if !first {
+            bodies[1] = Box::new(|_: &mut SimCtx<u64>| 0);
+        }
+        bodies
+    }
+}
+
+/// In every build — CI runs this file with `--release` too — and from
+/// every explorer: they share the one search that makes the check.
 #[test]
 fn replay_divergence_inside_decide_surfaces_from_explore() {
     within(DEADLINE, || {
-        // P1 takes its steps in the first run only, so the second run's
-        // replay meets a different runnable set at the root.
-        let runs = Arc::new(AtomicUsize::new(0));
-        let factory = move || {
-            let first = runs.fetch_add(1, Ordering::Relaxed) == 0;
-            let mut bodies = pair();
-            if !first {
-                bodies[1] = Box::new(|_: &mut SimCtx<u64>| 0);
-            }
-            bodies
-        };
-        let text = panic_text(|| {
-            explore(&pair_cfg(), &ExploreConfig::default(), factory, |_| true);
-        });
-        assert!(
-            text.contains("explore: runnable set diverged on replay at step 0"),
-            "{text:?}"
-        );
+        let (cfg, econfig) = (pair_cfg(), ExploreConfig::default());
+        let accept = |_: &SimOutcome<u64, u64>| true;
+        let searches: [&dyn Fn(); 4] = [
+            &|| drop(explore(&cfg, &econfig, forgetful_factory(), accept)),
+            &|| drop(explore_reduced(&cfg, &econfig, forgetful_factory(), accept)),
+            &|| {
+                drop(explore_parallel(&cfg, &econfig, 1, |_| {
+                    (forgetful_factory(), accept)
+                }))
+            },
+            // Two workers, six leaves: one of them gets a second run and
+            // fails. It must neither hide its message nor leave the other
+            // waiting for tasks.
+            &|| {
+                drop(explore_parallel(&cfg, &econfig, 2, |_| {
+                    (forgetful_factory(), accept)
+                }))
+            },
+        ];
+        for (i, search) in searches.iter().enumerate() {
+            let text = panic_text(search);
+            let diverged = "explore: runnable set diverged on replay at step 0";
+            assert!(text.contains(diverged), "search {i}: {text:?}");
+        }
     })
 }
 

@@ -496,6 +496,8 @@ impl<T: Clone> Hub<T> {
         let mut seen = self.progress.load(Ordering::Relaxed);
         let mut deadline = until(Instant::now());
         while !self.over.load(Ordering::Acquire) {
+            #[cfg(test)]
+            handoff_tests::dump_if_asked(self, desk.as_deref());
             let now = Instant::now();
             let progress = self.progress.load(Ordering::Relaxed);
             if desk.as_mut().is_some_and(|d| d.serve()) || progress != seen {
@@ -520,6 +522,8 @@ impl<T: Clone> Hub<T> {
         let deadline = until(Instant::now());
         while st.unfinished > 0 {
             drop(st);
+            #[cfg(test)]
+            handoff_tests::dump_if_asked(self, desk.as_deref());
             let now = Instant::now();
             assert!(
                 now < deadline,

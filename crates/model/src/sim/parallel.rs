@@ -1,66 +1,76 @@
-//! Parallel schedule exploration: the sleep-set DFS of
-//! [`mod@super::explore`] partitioned across OS threads.
+//! The schedule-tree search — the one engine behind
+//! [`explore`](super::explore::explore),
+//! [`explore_reduced`](super::explore::explore_reduced), the
+//! [certifier](mod@super::certify) and their `_parallel` forms — and the
+//! process pools every driver executes its runs on. (DESIGN.md,
+//! "Simulator hand-off", has the argument at length.)
 //!
-//! ## How the tree is partitioned
+//! ## One search
 //!
 //! The schedule tree of a deterministic execution is itself
 //! deterministic: the node reached by a sequence of *pick indices*
 //! (which branch was taken at each decision point) is a pure function of
 //! that sequence, including its sleep set and its `explored` mask at the
 //! moment a given sibling is entered (every explorable branch before it
-//! is explored first, in ascending order). A unit of work can therefore
-//! be just a **branch-path prefix** — a `Vec` of pick indices — with no
-//! node state attached: the worker that picks it up replays the prefix,
-//! rebuilding identical `SleepNode`s along the way, and continues
-//! first-branch-descending from the frontier.
+//! counts as explored, in ascending order). A unit of work is therefore
+//! just a **pick prefix**, no node state attached. A worker pops one,
+//! executes it as exactly **one run** — replay the prefix, then descend
+//! first-branch (`PrefixStrategy`) — and pushes every other explorable
+//! sibling of each fresh node back as a prefix of its own, keeping the
+//! nodes themselves for the runs that share their picks.
 //!
-//! Each worker keeps the canonically-first explorable branch of every
-//! fresh node it creates and pushes the remaining explorable siblings
-//! onto a shared LIFO as stealable prefix tasks, so **every task is
-//! exactly one run** and depth-first order emerges from the stack
-//! discipline. This costs no extra re-execution over the sequential
-//! explorer: stateless model checking replays every run from the root
-//! anyway, and a task's replayed prefix has exactly the length the
-//! sequential DFS would have replayed for the same leaf.
+//! The frontier is a LIFO stack, and a run's siblings are pushed so that
+//! the deepest node's lowest pick ends up on top: one worker visits the
+//! leaves in depth-first order. That *is* the sequential explorer —
+//! `explore`, `explore_reduced` and `certify` run this module's `worker`
+//! on the calling thread against a frontier nobody else pops, which lets
+//! them keep their weaker bounds (callbacks need not be `Send`, `T` need
+//! not be `'static`, one pair of callbacks serves search and shrinking);
+//! what that thread does besides searching (spans, the heartbeat) is
+//! stated once, in `Observer`. The `_parallel` forms spawn `threads`
+//! workers, each with its own pair of callbacks, around one frontier.
 //!
 //! ## Determinism
 //!
 //! Counters ([`ExploreStats::runs`], `sleep_skips`, `executed_steps`,
 //! `replayed_steps`, `max_depth_reached`) are aggregated atomically and
-//! are **bit-identical** to the sequential explorer's whenever the tree
-//! is explored to exhaustion, regardless of thread count or timing.
-//! When a `visit` callback rejects a run, the engine records the
-//! violation with the **lowest branch path in canonical order**: workers
-//! keep draining only tasks that could still contain a canonically
-//! smaller leaf (everything else is cancelled), so the reported — and
-//! shrunk — counterexample is the same one the sequential explorer
-//! finds, reproducibly. Runs canonically *after* a violation may still
-//! be visited while the news propagates; `visit` callbacks must
-//! tolerate out-of-order invocation (each worker gets its own pair of
-//! callbacks precisely so per-run state needs no locking).
+//! are **bit-identical** for any number of workers — the calling thread
+//! alone included — whenever the tree is explored to exhaustion,
+//! regardless of timing. Under a run cap one worker executes exactly the
+//! first [`max_runs`](super::Budget::max_runs) leaves in depth-first
+//! order; several execute some `max_runs` leaves, which ones depending
+//! on timing. When a `visit` callback rejects a run, the engine records
+//! the violation with the **lowest pick path in canonical order**:
+//! workers keep draining only tasks that could still contain a
+//! canonically smaller leaf (everything else is cancelled), so the
+//! reported — and shrunk — counterexample is the depth-first first one,
+//! reproducibly. One worker stops right there: nothing it has queued
+//! can precede it. With several, runs canonically *after* a violation
+//! may still be visited while the news propagates; `visit` callbacks
+//! must tolerate out-of-order invocation (each worker gets its own pair
+//! precisely so per-run state needs no locking).
 //!
 //! ## Process pools
 //!
 //! Every driver that executes more than one run — the workers here, the
-//! sequential explorers, the certifier, the sampler and the shrinker —
-//! owns a `ProcPool`: scoped OS threads, thread `p` hosting process `p`
-//! of run after run, wired once to one shared run state. Starting a run
-//! is a reset of that state plus one `unpark` per process; nothing is
-//! spawned, joined or allocated for the wiring per run. A worker's pool
-//! lives in the same thread scope as the worker itself.
+//! sampler and the shrinker — owns a `ProcPool`: scoped OS threads,
+//! thread `p` hosting process `p` of run after run, wired once to one
+//! shared run state. Starting a run is a reset of that state plus one
+//! `unpark` per process; nothing is spawned, joined or allocated for the
+//! wiring per run. A worker's pool lives in the same thread scope as the
+//! worker itself.
 
-use super::explore::{
-    emit_beat, independent, ExecutionWitness, ExploreConfig, ExploreStats, SleepNode,
-};
+use super::explore::{ExecutionWitness, ExploreConfig, ExploreStats, SleepNode};
 use super::shrink::shrink_execution;
 use super::strategy::{Decision, SchedView, Strategy};
 use super::{run_sim, Hub, ProcBody, SimConfig, SimCtx, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::crash;
-use crate::ctx::ProcId;
 use crate::metrics::MetricsLevel;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::span::SpanRecorder;
+use crate::telemetry::{Heartbeat, ProgressBeat};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{Scope, Thread};
 use std::time::{Duration, Instant};
@@ -206,9 +216,9 @@ fn seat_loop<T: Clone, R>(seat: &Mutex<Seat<'_, T, R>>) {
 /// Owner marker for the root task, which no worker produced.
 const NO_OWNER: usize = usize::MAX;
 
-/// A branch-path prefix: the pick index taken at each decision point
-/// from the root down to (and including) the branch this task owns,
-/// tagged with the worker that delegated it so steals are countable.
+/// A pick prefix: the pick index taken at each decision point from the
+/// root down to (and including) the branch this task owns, tagged with
+/// the worker that delegated it so steals are countable.
 struct Task {
     path: Vec<u32>,
     /// Index of the worker that published this task ([`NO_OWNER`] for
@@ -217,26 +227,40 @@ struct Task {
     owner: usize,
 }
 
-/// The canonical first violation found so far.
-struct Candidate {
-    path: Vec<u32>,
-    schedule: Vec<ProcId>,
-    crashes: Vec<(ProcId, u64)>,
-}
+/// The canonical first violation found so far: its pick path and the
+/// execution itself.
+type Candidate = (Vec<u32>, ExecutionWitness);
 
-/// The shared work queue plus termination bookkeeping.
+/// The shared work stack plus termination bookkeeping.
 struct Frontier {
     tasks: Vec<Task>,
     idle: usize,
     done: bool,
 }
 
-/// State shared by all exploration workers.
-struct Shared {
+/// What one run adds to the search's totals.
+#[derive(Default)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct Tally {
+    executed_steps: u64,
+    replayed_steps: u64,
+    sleep_skips: u64,
+    crash_branches: u64,
+    max_pos: usize,
+    truncated: bool,
+}
+
+/// One search: its configuration, its frontier and its totals — what
+/// the workers share, be they `threads` spawned ones or the calling
+/// thread alone.
+struct Shared<'a, T> {
+    cfg: &'a SimConfig<T>,
+    econfig: &'a ExploreConfig,
+    reduce: bool,
+    start: Instant,
+    threads: usize,
     queue: Mutex<Frontier>,
     work: Condvar,
-    threads: usize,
-    max_runs: u64,
     runs: AtomicU64,
     sleep_skips: AtomicU64,
     crash_branches: AtomicU64,
@@ -252,15 +276,22 @@ struct Shared {
     /// Tasks each worker popped that another worker had delegated.
     worker_steals: Vec<AtomicU64>,
     /// Merged contention profile across workers (profiling only).
-    /// [`ContentionMap::merge`] is commutative and partition-
-    /// independent, so the merged map does not depend on which worker
-    /// executed which run.
     contention: Mutex<Option<ContentionMap>>,
 }
 
-impl Shared {
-    fn new(threads: usize, max_runs: u64) -> Self {
+impl<'a, T> Shared<'a, T> {
+    fn new(
+        cfg: &'a SimConfig<T>,
+        econfig: &'a ExploreConfig,
+        reduce: bool,
+        threads: usize,
+    ) -> Self {
         Shared {
+            cfg,
+            econfig,
+            reduce,
+            start: Instant::now(),
+            threads,
             queue: Mutex::new(Frontier {
                 tasks: vec![Task {
                     path: Vec::new(), // the root: an empty prefix
@@ -270,8 +301,6 @@ impl Shared {
                 done: false,
             }),
             work: Condvar::new(),
-            threads,
-            max_runs,
             runs: AtomicU64::new(0),
             sleep_skips: AtomicU64::new(0),
             crash_branches: AtomicU64::new(0),
@@ -311,48 +340,38 @@ impl Shared {
         }
     }
 
-    /// Publish delegated sibling tasks. After a violation, tasks that
-    /// cannot contain a canonically smaller leaf are dropped here (and
-    /// again at pop time — cancellation is best-effort but pruning is
-    /// exact).
-    fn publish(&self, mut tasks: Vec<Task>) {
-        if tasks.is_empty() {
-            return;
-        }
-        if let Some(best) = self.best_path() {
-            tasks.retain(|t| may_precede(&t.path, &best));
-            if tasks.is_empty() {
-                return;
-            }
-        }
+    /// Publish the sibling prefixes a run of worker `owner` delegated,
+    /// in the order the run produced them — nodes in ascending depth,
+    /// each node's siblings highest pick first — so that the top of the
+    /// stack is the deepest node's lowest pick. After a violation, tasks
+    /// that cannot contain a canonically smaller leaf are dropped; that
+    /// is decided under the queue's lock, so nothing slips in behind the
+    /// purge of [`record_violation`](Self::record_violation).
+    fn publish(&self, owner: usize, paths: &mut Vec<Vec<u32>>) {
         let mut q = self.queue.lock().unwrap();
-        // Reversed: the deepest (and within a node, lowest-pick) sibling
-        // is popped first, approximating sequential DFS order.
-        q.tasks.extend(tasks.drain(..).rev());
+        if let Some(best) = self.best_path() {
+            paths.retain(|p| may_precede(p, &best));
+        }
+        q.tasks
+            .extend(paths.drain(..).map(|path| Task { path, owner }));
+        // A worker counts itself idle under this lock before it waits.
+        let waiting = q.idle > 0;
         drop(q);
-        self.work.notify_all();
+        if waiting {
+            self.work.notify_all();
+        }
     }
 
     /// Reserve one unit of the run budget; `false` when exhausted.
     fn reserve_run(&self) -> bool {
-        let mut cur = self.runs.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.max_runs {
-                return false;
-            }
-            match self.runs.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
+        let max = self.econfig.budget.max_runs;
+        let claim = |runs| (runs < max).then_some(runs + 1);
+        self.runs
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
+            .is_ok()
     }
 
-    /// Cancel everything (budget exhausted).
+    /// Cancel everything (budget exhausted, or a worker is unwinding).
     fn stop(&self) {
         let mut q = self.queue.lock().unwrap();
         q.done = true;
@@ -360,33 +379,51 @@ impl Shared {
         self.work.notify_all();
     }
 
+    /// Fold one run's tally into the totals.
+    fn absorb(&self, tally: &Tally) {
+        let add = |total: &AtomicU64, n: u64| total.fetch_add(n, Ordering::Relaxed);
+        add(&self.sleep_skips, tally.sleep_skips);
+        add(&self.crash_branches, tally.crash_branches);
+        add(&self.executed_steps, tally.executed_steps);
+        add(&self.replayed_steps, tally.replayed_steps);
+        self.max_depth
+            .fetch_max(tally.max_pos as u64, Ordering::Relaxed);
+        if tally.truncated {
+            self.truncated.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// The search's progress right now (one brief queue lock for the
+    /// depth reading).
+    fn beat(&self) -> ProgressBeat {
+        ProgressBeat {
+            elapsed: self.start.elapsed(),
+            runs: self.runs.load(Ordering::Relaxed),
+            sleep_skips: self.sleep_skips.load(Ordering::Relaxed),
+            queue_depth: self.queue.lock().unwrap().tasks.len(),
+            violation_found: self.has_violation.load(Ordering::Acquire),
+        }
+    }
+
     fn best_path(&self) -> Option<Vec<u32>> {
         if !self.has_violation.load(Ordering::Acquire) {
             return None;
         }
-        self.violation
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|c| c.path.clone())
+        let held = self.violation.lock().unwrap();
+        held.as_ref().map(|(path, _)| path.clone())
     }
 
-    /// Record a violating run; the lowest branch path in canonical order
+    /// Record a violating run; the lowest pick path in canonical order
     /// wins. Queued tasks that can no longer contain the winner are
     /// cancelled immediately.
-    fn record_violation(&self, path: Vec<u32>, schedule: Vec<ProcId>, crashes: Vec<(ProcId, u64)>) {
+    fn record_violation(&self, path: Vec<u32>, witness: ExecutionWitness) {
         let best = {
             let mut slot = self.violation.lock().unwrap();
             match slot.as_ref() {
-                Some(existing) if existing.path <= path => existing.path.clone(),
+                Some((held, _)) if *held <= path => held.clone(),
                 _ => {
-                    let winner = path.clone();
-                    *slot = Some(Candidate {
-                        path,
-                        schedule,
-                        crashes,
-                    });
-                    winner
+                    *slot = Some((path.clone(), witness));
+                    path
                 }
             }
         };
@@ -399,7 +436,7 @@ impl Shared {
     }
 }
 
-/// Can the subtree of a task with branch-path `prefix` contain a leaf
+/// Can the subtree of a task with pick path `prefix` contain a leaf
 /// canonically smaller than `leaf`? True when the first differing pick
 /// diverges below `leaf`, or `prefix` is a prefix of it. Distinct
 /// executed leaves are never prefixes of one another, so `<=` on paths
@@ -413,154 +450,228 @@ fn may_precede(prefix: &[u32], leaf: &[u32]) -> bool {
     prefix.len() <= leaf.len()
 }
 
-/// The per-run strategy of a worker: replay the task's prefix (marking
-/// every explorable branch before each replayed pick as explored, which
-/// is exactly the sequential DFS's state on arrival), then descend
-/// first-branch, delegating the remaining explorable siblings of every
-/// fresh node as new tasks.
+/// The search, as the strategy of one run after another: replay the
+/// task's prefix (every explorable branch before a replayed pick counts
+/// as explored — the depth-first search's state on arrival), then
+/// descend first-branch, delegating the remaining explorable siblings
+/// of every fresh node as new tasks. A worker keeps one for all its
+/// runs, and with it the node stack (see [`begin`](Self::begin)).
+#[derive(Default)]
 struct PrefixStrategy {
-    prefix: Vec<u32>,
     reduce: bool,
     max_depth: usize,
-    /// Crash-branch budget for this exploration ([`Budget::max_crashes`](super::Budget::max_crashes)).
+    /// Crash-branch budget for this exploration
+    /// ([`Budget::max_crashes`](super::Budget::max_crashes)).
     max_crashes: usize,
-    /// Crash decisions taken so far this run (replayed or fresh); nodes
-    /// stop widening with crash branches once the budget is spent, which
-    /// keeps rebuilt nodes identical to the sequential explorer's.
-    crashes_used: usize,
+    /// The task being run.
+    prefix: Vec<u32>,
+    /// One node per decision point of this run so far, down to
+    /// `max_depth` or a barren node; between runs, the last run's.
     stack: Vec<SleepNode>,
     /// Picks taken this run; equals `prefix` after replay, then grows
     /// with each fresh node (stops at a barren node or `max_depth`).
     path: Vec<u32>,
-    /// Delegated sibling prefixes, in (depth, pick) ascending order.
+    /// Delegated sibling prefixes, in publication order: nodes in
+    /// ascending depth, each node's siblings highest pick first.
     spawned: Vec<Vec<u32>>,
     pos: usize,
+    /// Crash decisions taken so far this run (replayed or fresh); nodes
+    /// stop widening with crash branches once the budget is spent.
+    crashes_used: usize,
     redundant_tail: bool,
-    truncated: bool,
-    executed_steps: u64,
-    replayed_steps: u64,
-    sleep_skips: u64,
-    crash_branches: u64,
-    max_pos: usize,
+    tally: Tally,
 }
 
 impl PrefixStrategy {
-    fn new(prefix: Vec<u32>, reduce: bool, max_depth: usize, max_crashes: usize) -> Self {
+    fn new(econfig: &ExploreConfig, reduce: bool) -> Self {
         PrefixStrategy {
-            path: Vec::with_capacity(prefix.len() + 8),
-            prefix,
             reduce,
-            max_depth,
-            max_crashes,
-            crashes_used: 0,
-            stack: Vec::new(),
-            spawned: Vec::new(),
-            pos: 0,
-            redundant_tail: false,
-            truncated: false,
-            executed_steps: 0,
-            replayed_steps: 0,
-            sleep_skips: 0,
-            crash_branches: 0,
-            max_pos: 0,
+            max_depth: econfig.budget.max_depth,
+            max_crashes: econfig.budget.max_crashes,
+            ..PrefixStrategy::default()
         }
+    }
+
+    /// Set up the run of `prefix`. A node is a function of the picks
+    /// leading to it, so the last run's nodes down to the first pick
+    /// that differs are this run's too and are kept; that one gets its
+    /// `pick` and `explored` set anew when replay reaches it, the ones
+    /// above it are already right, everything below is rebuilt.
+    fn begin(&mut self, prefix: Vec<u32>) {
+        let same = self
+            .path
+            .iter()
+            .zip(&prefix)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.stack.truncate((same + 1).min(prefix.len()));
+        self.prefix = prefix;
+        self.path.clear();
+        self.spawned.clear();
+        self.pos = 0;
+        self.crashes_used = 0;
+        self.redundant_tail = false;
+        self.tally = Tally::default();
     }
 }
 
 impl Strategy for PrefixStrategy {
     fn decide(&mut self, view: &SchedView) -> Decision {
-        self.executed_steps += 1;
-        self.pos += 1; // the position of *this* decision is pos - 1
-        self.max_pos = self.max_pos.max(self.pos);
-        let at = self.pos - 1;
+        let at = self.pos;
+        self.pos += 1;
+        self.tally.executed_steps += 1;
+        self.tally.max_pos = self.tally.max_pos.max(self.pos);
         if self.redundant_tail || at >= self.max_depth {
-            if !self.redundant_tail {
-                self.truncated = true;
-            }
+            self.tally.truncated |= !self.redundant_tail;
             return Decision::Step(view.runnable[0]);
         }
-        let allow_crashes = self.crashes_used < self.max_crashes;
-        let mut node = SleepNode::fresh(view, self.stack.last(), self.reduce, allow_crashes);
-        let pick = if at < self.prefix.len() {
-            // Replaying the delegated prefix.
-            self.replayed_steps += 1;
-            let pick = self.prefix[at] as usize;
-            debug_assert!(
-                pick < node.total() && !node.asleep(pick),
-                "parallel explore: prefix replay diverged at step {at}; \
+        if at == self.stack.len() {
+            let allow_crashes = self.crashes_used < self.max_crashes;
+            let node = SleepNode::fresh(view, self.stack.last(), self.reduce, allow_crashes);
+            self.stack.push(node);
+        }
+        let node = &mut self.stack[at];
+        if let Some(&pick) = self.prefix.get(at) {
+            // Replaying the delegated prefix, on a node that is either
+            // kept from an earlier run — then this is where a body that
+            // is not deterministic shows — or was built just now.
+            let pick = pick as usize;
+            assert_eq!(
+                node.choices.as_slice(),
+                view.runnable,
+                "explore: runnable set diverged on replay at step {at}; \
                  process bodies must be deterministic"
             );
-            for j in 0..pick {
-                if !node.asleep(j) {
-                    node.explored |= 1 << j;
-                }
+            assert!(
+                pick < node.total() && !node.asleep(pick),
+                "explore: pick {pick} diverged on replay at step {at}; \
+                 process bodies must be deterministic"
+            );
+            self.tally.replayed_steps += 1;
+            if node.pick != pick {
+                node.pick = pick;
+                node.explored = (0..pick)
+                    .filter(|&j| !node.asleep(j))
+                    .fold(0, |mask, j| mask | 1 << j);
             }
-            pick
         } else {
             // Fresh frontier: every asleep choice is pruned here (each
             // node is created fresh in exactly one run, so this tallies
-            // once per node — the sequential pop-time count).
-            self.sleep_skips += node.asleep_count();
-            match node.next_explorable(0) {
+            // once per node).
+            let total = node.total();
+            self.tally.sleep_skips += (0..total).filter(|&i| node.asleep(i)).count() as u64;
+            match (0..total).find(|&i| !node.asleep(i)) {
                 None => {
+                    // Every choice is asleep: the whole subtree is
+                    // covered elsewhere. Complete this run
+                    // deterministically; nothing is delegated.
                     node.barren = true;
                     self.redundant_tail = true;
-                    0
                 }
                 Some(first) => {
-                    let mut sibling = node.next_explorable(first + 1);
-                    while let Some(j) = sibling {
+                    node.pick = first;
+                    for j in (first + 1..total).rev().filter(|&j| !node.asleep(j)) {
                         let mut task = self.path.clone();
                         task.push(j as u32);
                         self.spawned.push(task);
-                        sibling = node.next_explorable(j + 1);
                     }
-                    first
                 }
             }
-        };
-        node.pick = pick;
+        }
         let decision = node.decision();
         if !node.barren {
-            self.path.push(pick as u32);
+            self.path.push(node.pick as u32);
         }
-        self.stack.push(node);
         if matches!(decision, Decision::Crash(_)) {
             self.crashes_used += 1;
-            self.crash_branches += 1;
+            self.tally.crash_branches += 1;
         }
         decision
     }
 }
 
+/// Per-run child spans are recorded for at most this many runs; later
+/// runs only contribute to the root span's counters. Keeps span trees
+/// bounded on million-run explorations.
+const SPAN_RUN_CAP: u64 = 32;
+
+/// What the calling thread does besides searching when it is the worker
+/// itself: per-run `run` spans for the first [`SPAN_RUN_CAP`] runs
+/// ([`ExploreConfig::trace_spans`]; `assemble` adds the `shrink` span)
+/// and the heartbeat, emitted from the loop. Spawned workers get the
+/// default one — no spans, and their heartbeat is the monitor of
+/// [`run_workers`].
+#[derive(Default)]
+struct Observer<'a> {
+    heartbeat: Option<&'a Heartbeat>,
+    /// The search's age at which the next beat is due.
+    next_beat: Duration,
+    spans: Option<SpanRecorder>,
+    runs: u64,
+}
+
+impl Observer<'_> {
+    fn run_begins(&mut self) {
+        if self.runs < SPAN_RUN_CAP {
+            if let Some(s) = self.spans.as_mut() {
+                s.enter("run");
+            }
+        }
+    }
+
+    fn run_ended<T>(&mut self, shared: &Shared<T>, steps: u64) {
+        if let Some(s) = self.spans.as_mut() {
+            if self.runs < SPAN_RUN_CAP {
+                s.bump("steps", steps);
+                s.exit();
+            }
+            s.bump("runs", 1);
+            s.bump("steps", steps);
+        }
+        self.runs += 1;
+        if let Some(hb) = self.heartbeat {
+            if shared.start.elapsed() >= self.next_beat {
+                let beat = shared.beat();
+                hb.emit(&beat);
+                self.next_beat = beat.elapsed + hb.every;
+            }
+        }
+    }
+}
+
+/// Ends the search when the worker holding it unwinds (a scheduling-
+/// side failure re-raised from its run), so that no other worker waits
+/// for tasks that will never come.
+struct StopOnUnwind<'a, T>(&'a Shared<'a, T>);
+
+impl<T> Drop for StopOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
 /// One worker: drain tasks, execute each as a single pooled run,
 /// aggregate stats, publish delegated siblings, and report violations.
-#[allow(clippy::too_many_arguments)]
 fn worker<'scope, T, R, FMake, Visit>(
     scope: &'scope Scope<'scope, '_>,
+    shared: &Shared<T>,
     index: usize,
-    shared: &Shared,
-    cfg: &SimConfig<T>,
-    reduce: bool,
-    max_depth: usize,
-    max_crashes: usize,
-    profile: bool,
     mut factory: FMake,
     mut visit: Visit,
+    observer: &mut Observer,
 ) where
     T: Clone + Send + 'scope,
     R: Send + 'scope,
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Visit: FnMut(&SimOutcome<T, R>) -> bool,
 {
+    let _stop = StopOnUnwind(shared);
     let mut pool = ProcPool::new(scope);
     let mut prof: Option<ContentionProfiler> = None;
+    let mut strategy = PrefixStrategy::new(shared.econfig, shared.reduce);
     while let Some(task) = shared.next_task() {
-        if let Some(best) = shared.best_path() {
-            if !may_precede(&task.path, &best) {
-                continue; // cancelled: cannot beat the found violation
-            }
-        }
         if !shared.reserve_run() {
             shared.budget_hit.store(true, Ordering::Relaxed);
             shared.stop();
@@ -570,56 +681,187 @@ fn worker<'scope, T, R, FMake, Visit>(
         if task.owner != index && task.owner != NO_OWNER {
             shared.worker_steals[index].fetch_add(1, Ordering::Relaxed);
         }
-        let strategy = PrefixStrategy::new(task.path, reduce, max_depth, max_crashes);
+        observer.run_begins();
+        strategy.begin(task.path);
         let bodies = factory();
-        if profile && prof.is_none() {
-            prof = Some(ContentionProfiler::new(bodies.len(), cfg.registers.len()));
+        if shared.econfig.profile && prof.is_none() {
+            let n_regs = shared.cfg.registers.len();
+            prof = Some(ContentionProfiler::new(bodies.len(), n_regs));
         }
-        let (outcome, mut strategy) = run_sim(
+        let outcome;
+        (outcome, strategy) = run_sim(
             &mut pool,
-            cfg,
+            shared.cfg,
             MetricsLevel::Off,
             strategy,
             bodies,
             &mut prof,
         );
-        shared
-            .sleep_skips
-            .fetch_add(strategy.sleep_skips, Ordering::Relaxed);
-        shared
-            .crash_branches
-            .fetch_add(strategy.crash_branches, Ordering::Relaxed);
-        shared
-            .executed_steps
-            .fetch_add(strategy.executed_steps, Ordering::Relaxed);
-        shared
-            .replayed_steps
-            .fetch_add(strategy.replayed_steps, Ordering::Relaxed);
-        shared
-            .max_depth
-            .fetch_max(strategy.max_pos as u64, Ordering::Relaxed);
-        if strategy.truncated {
-            shared.truncated.store(true, Ordering::Relaxed);
-        }
-        let ok = visit(&outcome);
-        if !ok {
-            let path = std::mem::take(&mut strategy.path);
-            shared.record_violation(path, outcome.trace.schedule(), outcome.executed_crashes());
-        }
-        shared.publish(
-            std::mem::take(&mut strategy.spawned)
-                .into_iter()
-                .map(|path| Task { path, owner: index })
-                .collect(),
+        assert!(
+            strategy.path.len() >= strategy.prefix.len(),
+            "explore: run diverged on replay: it ended {} steps into a prefix of {}; \
+             process bodies must be deterministic",
+            strategy.path.len(),
+            strategy.prefix.len()
         );
+        shared.absorb(&strategy.tally);
+        observer.run_ended(shared, outcome.trace.len() as u64);
+        if !visit(&outcome) {
+            let witness = ExecutionWitness {
+                schedule: outcome.trace.schedule(),
+                crashes: outcome.executed_crashes(),
+            };
+            shared.record_violation(strategy.path.clone(), witness);
+        }
+        shared.publish(index, &mut strategy.spawned);
     }
+    merge_profile(&shared.contention, prof);
+}
+
+/// Fold a worker's finished profile, if it took one, into the slot its
+/// search shares. [`ContentionMap::merge`] is commutative and partition-
+/// independent, so the merged map does not depend on which worker
+/// executed which run.
+pub(crate) fn merge_profile(slot: &Mutex<Option<ContentionMap>>, prof: Option<ContentionProfiler>) {
     if let Some(map) = prof.map(ContentionProfiler::into_map) {
-        let mut slot = shared.contention.lock().unwrap();
-        match slot.as_mut() {
-            Some(acc) => acc.merge(&map),
-            None => *slot = Some(map),
+        match &mut *slot.lock().unwrap() {
+            Some(merged) => merged.merge(&map),
+            empty => *empty = Some(map),
         }
     }
+}
+
+/// Run each of `workers` on a scoped thread of its own and wait for them
+/// all; a worker's panic is re-raised here, with its payload, once every
+/// one of them is back. With a heartbeat, a monitor thread beside them
+/// emits `beat()` every [`Heartbeat::every`]: it polls in short slices
+/// and never blocks a worker.
+pub(crate) fn run_workers<'scope, W>(
+    scope: &'scope Scope<'scope, '_>,
+    workers: impl IntoIterator<Item = W>,
+    heartbeat: Option<&Heartbeat>,
+    beat: impl Fn() -> ProgressBeat + Send + 'scope,
+) where
+    W: FnOnce() + Send + 'scope,
+{
+    let workers: Vec<_> = workers.into_iter().map(|w| scope.spawn(w)).collect();
+    let done = Arc::new(AtomicBool::new(false));
+    if let Some(hb) = heartbeat.cloned() {
+        let done = Arc::clone(&done);
+        scope.spawn(move || {
+            let slice = hb
+                .every
+                .min(Duration::from_millis(20))
+                .max(Duration::from_micros(100));
+            let mut last_beat = Instant::now();
+            while !done.load(Ordering::Acquire) {
+                std::thread::sleep(slice);
+                if last_beat.elapsed() >= hb.every {
+                    hb.emit(&beat());
+                    last_beat = Instant::now();
+                }
+            }
+        });
+    }
+    let mut failed = None;
+    for worker in workers {
+        failed = failed.or(worker.join().err());
+    }
+    done.store(true, Ordering::Release);
+    if let Some(payload) = failed {
+        resume_unwind(payload);
+    }
+}
+
+/// Turn a finished search into its [`ExploreStats`]: totals, the
+/// canonical witness, its minimization — sequential (deterministic ddmin
+/// over the canonical schedule), driven by the pair of callbacks
+/// `shrinker` hands over — the final beat and the span tree.
+fn assemble<T, R, FMake, Visit>(
+    shared: Shared<T>,
+    mut spans: Option<SpanRecorder>,
+    shrinker: impl FnOnce() -> (FMake, Visit),
+) -> ExploreStats
+where
+    T: Clone + Send,
+    R: Send,
+    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+    Visit: FnMut(&SimOutcome<T, R>) -> bool,
+{
+    let load = |total: &AtomicU64| total.load(Ordering::Relaxed);
+    let witness = shared.violation.lock().unwrap().take().map(|(_, w)| w);
+    let mut stats = ExploreStats {
+        runs: load(&shared.runs),
+        exhausted: witness.is_none() && !shared.budget_hit.load(Ordering::Relaxed),
+        truncated: shared.truncated.load(Ordering::Relaxed),
+        executed_steps: load(&shared.executed_steps),
+        replayed_steps: load(&shared.replayed_steps),
+        max_depth_reached: load(&shared.max_depth) as usize,
+        sleep_skips: load(&shared.sleep_skips),
+        crash_branches: load(&shared.crash_branches),
+        worker_runs: shared.worker_runs.iter().map(load).collect(),
+        worker_steals: shared.worker_steals.iter().map(load).collect(),
+        contention: shared.contention.lock().unwrap().take(),
+        ..ExploreStats::default()
+    };
+    if let (Some(w), Some(scfg)) = (&witness, &shared.econfig.shrink) {
+        let (mut factory, mut visit) = shrinker();
+        if let Some(s) = spans.as_mut() {
+            s.enter("shrink");
+        }
+        let rejected = |o: &SimOutcome<T, R>| !visit(o);
+        let (cfg, factory) = (shared.cfg, &mut factory);
+        let report = shrink_execution(cfg, scfg, &w.schedule, &w.crashes, factory, rejected);
+        if let Some(s) = spans.as_mut() {
+            s.bump("attempts", report.stats.attempts);
+            s.bump("useful", report.stats.useful);
+            s.bump("removed", report.removed() as u64);
+            s.exit();
+        }
+        stats.violation = Some(report);
+    }
+    stats.witness = witness;
+    let last = shared.beat();
+    stats.elapsed = last.elapsed;
+    if let Some(hb) = &shared.econfig.budget.heartbeat {
+        hb.emit(&last);
+    }
+    if let Some(mut s) = spans {
+        s.bump("replayed_steps", stats.replayed_steps);
+        s.bump("max_depth", stats.max_depth_reached as u64);
+        if stats.sleep_skips > 0 {
+            s.bump("sleep_skips", stats.sleep_skips);
+        }
+        stats.spans = Some(s.finish());
+    }
+    stats
+}
+
+/// The sequential explorers: the search with the calling thread as its
+/// one worker, which is why the callbacks need not be `Send` nor `T`
+/// `'static`, and why one pair serves search and shrinking.
+pub(super) fn explore_inline<T, R, FMake, Visit>(
+    cfg: &SimConfig<T>,
+    econfig: &ExploreConfig,
+    reduce: bool,
+    mut factory: FMake,
+    mut visit: Visit,
+) -> ExploreStats
+where
+    T: Clone + Send,
+    R: Send,
+    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+    Visit: FnMut(&SimOutcome<T, R>) -> bool,
+{
+    let shared = Shared::new(cfg, econfig, reduce, 1);
+    let root = if reduce { "explore_reduced" } else { "explore" };
+    let mut observer = Observer {
+        heartbeat: econfig.budget.heartbeat.as_ref(),
+        spans: econfig.trace_spans.then(|| SpanRecorder::new(root)),
+        ..Observer::default()
+    };
+    std::thread::scope(|scope| worker(scope, &shared, 0, &mut factory, &mut visit, &mut observer));
+    assemble(shared, observer.spans, || (&mut factory, &mut visit))
 }
 
 /// Shared driver behind [`explore_parallel`] and
@@ -637,7 +879,6 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
     Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
 {
-    let start = Instant::now();
     // An explicit `threads` argument wins; 0 falls back to the config's
     // [`ExploreConfig::threads`], and 0 there means all available cores.
     let threads = resolve_threads(if threads == 0 {
@@ -645,114 +886,18 @@ where
     } else {
         threads
     });
-    let shared = Shared::new(threads, econfig.budget.max_runs);
+    let shared = Shared::new(cfg, econfig, reduce, threads);
     let pairs: Vec<(FMake, Visit)> = (0..threads).map(&mut make_worker).collect();
-    let live = AtomicUsize::new(threads);
     std::thread::scope(|scope| {
-        for (index, (fmake, vis)) in pairs.into_iter().enumerate() {
-            let (shared, live) = (&shared, &live);
-            scope.spawn(move || {
-                worker(
-                    scope,
-                    index,
-                    shared,
-                    cfg,
-                    reduce,
-                    econfig.budget.max_depth,
-                    econfig.budget.max_crashes,
-                    econfig.profile,
-                    fmake,
-                    vis,
-                );
-                live.fetch_sub(1, Ordering::Release);
-            });
-        }
-        // The heartbeat monitor polls the shared counters in short
-        // slices and exits once every worker has; it never outlives
-        // the scope and never blocks a worker (one brief queue lock
-        // per beat for the depth reading).
-        if let Some(hb) = econfig.budget.heartbeat.clone() {
-            let (shared, live) = (&shared, &live);
-            scope.spawn(move || {
-                let slice = hb
-                    .every
-                    .min(Duration::from_millis(20))
-                    .max(Duration::from_micros(100));
-                let mut last_beat = Instant::now();
-                while live.load(Ordering::Acquire) > 0 {
-                    std::thread::sleep(slice);
-                    if last_beat.elapsed() >= hb.every {
-                        let depth = shared.queue.lock().unwrap().tasks.len();
-                        emit_beat(
-                            &hb,
-                            start.elapsed(),
-                            shared.runs.load(Ordering::Relaxed),
-                            shared.sleep_skips.load(Ordering::Relaxed),
-                            depth,
-                            shared.has_violation.load(Ordering::Acquire),
-                        );
-                        last_beat = Instant::now();
-                    }
-                }
-            });
-        }
+        let shared = &shared;
+        let workers = pairs.into_iter().enumerate().map(|(index, (fmake, vis))| {
+            move || worker(scope, shared, index, fmake, vis, &mut Observer::default())
+        });
+        let heartbeat = econfig.budget.heartbeat.as_ref();
+        run_workers(scope, workers, heartbeat, move || shared.beat());
     });
-
-    let candidate = shared.violation.into_inner().unwrap();
-    let budget_hit = shared.budget_hit.load(Ordering::Relaxed);
-    let mut stats = ExploreStats {
-        runs: shared.runs.load(Ordering::Relaxed),
-        exhausted: candidate.is_none() && !budget_hit,
-        truncated: shared.truncated.load(Ordering::Relaxed),
-        executed_steps: shared.executed_steps.load(Ordering::Relaxed),
-        replayed_steps: shared.replayed_steps.load(Ordering::Relaxed),
-        max_depth_reached: shared.max_depth.load(Ordering::Relaxed) as usize,
-        sleep_skips: shared.sleep_skips.load(Ordering::Relaxed),
-        crash_branches: shared.crash_branches.load(Ordering::Relaxed),
-        witness: None,
-        violation: None,
-        spans: None,
-        elapsed: Duration::ZERO,
-        worker_runs: shared
-            .worker_runs
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .collect(),
-        worker_steals: shared
-            .worker_steals
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect(),
-        contention: shared.contention.into_inner().unwrap(),
-    };
-    // Shrinking is sequential (deterministic ddmin over the canonical
-    // schedule), driven by one extra worker pair.
-    let violated = candidate.is_some();
-    if let Some(cand) = &candidate {
-        stats.witness = Some(ExecutionWitness {
-            schedule: cand.schedule.clone(),
-            crashes: cand.crashes.clone(),
-        });
-    }
-    if let (Some(cand), Some(scfg)) = (candidate, &econfig.shrink) {
-        let (mut fmake, mut vis) = make_worker(threads);
-        let report = shrink_execution(cfg, scfg, &cand.schedule, &cand.crashes, &mut fmake, |o| {
-            !vis(o)
-        });
-        stats.violation = Some(report);
-    }
-    stats.elapsed = start.elapsed();
-    if let Some(hb) = &econfig.budget.heartbeat {
-        emit_beat(
-            hb,
-            stats.elapsed,
-            stats.runs,
-            stats.sleep_skips,
-            0,
-            violated,
-        );
-    }
-    stats
+    // One extra pair of callbacks drives the shrinking.
+    assemble(shared, None, || make_worker(threads))
 }
 
 /// Parallel version of [`explore`](super::explore::explore): exhaustive
@@ -764,9 +909,11 @@ where
 /// found and [`ExploreConfig::shrink`] is set) and returns that worker's
 /// private `(factory, visit)` pair; workers never share callback state.
 /// On full exhaustion the returned counters are bit-identical to the
-/// sequential explorer's; see the [module docs](self) for violation
+/// sequential explorer's — it is the same search with the calling
+/// thread as its one worker; see the [module docs](self) for violation
 /// determinism and out-of-order `visit` caveats. Span tracing
-/// ([`ExploreConfig::trace_spans`]) is sequential-only and ignored here.
+/// ([`ExploreConfig::trace_spans`]) is for that inline worker only and
+/// ignored here.
 pub fn explore_parallel<T, R, FMake, Visit>(
     cfg: &SimConfig<T>,
     econfig: &ExploreConfig,
@@ -802,10 +949,6 @@ where
 {
     explore_parallel_impl(cfg, econfig, threads, make_worker, true)
 }
-
-// `independent` is re-used here only through `SleepNode::fresh`; keep a
-// direct reference so the shared-internals contract is explicit.
-const _: fn((crate::ctx::AccessKind, usize), (crate::ctx::AccessKind, usize)) -> bool = independent;
 
 #[cfg(test)]
 mod tests {
@@ -1104,5 +1247,60 @@ mod tests {
         });
         assert_eq!(seen.load(Ordering::Relaxed), par.runs);
         assert_eq!(par.runs, 6);
+    }
+
+    /// A worker that keeps its node stack from one task to the next and
+    /// one that rebuilds every node end the second run in the same
+    /// state, whatever the two tasks are.
+    #[test]
+    fn a_kept_stack_equals_a_rebuilt_one() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        type State<'a> = (&'a [SleepNode], &'a [u32], &'a [Vec<u32>], &'a Tally);
+        fn state(s: &PrefixStrategy) -> (State<'_>, (usize, usize, bool)) {
+            let flags = (s.pos, s.crashes_used, s.redundant_tail);
+            ((&s.stack, &s.path, &s.spawned, &s.tally), flags)
+        }
+        // Three processes contending for two registers: with reduction
+        // and a crash the tree has asleep picks, barren nodes and crash
+        // branches at every depth.
+        let contended = || -> Vec<ProcBody<'static, u64, u64>> {
+            let body = |p: usize| {
+                Box::new(move |ctx: &mut SimCtx<u64>| {
+                    use crate::ctx::MemCtx;
+                    let seen = ctx.read(p % 2);
+                    ctx.write((p + 1) % 2, seen + p as u64 + 1);
+                    ctx.read(p % 2)
+                }) as ProcBody<'static, u64, u64>
+            };
+            (0..3).map(body).collect()
+        };
+        let cfg = SimConfig::base(vec![0u64; 2]);
+        let econfig = ExploreConfig::new().max_crashes(1).max_depth(7);
+        std::thread::scope(|scope| {
+            let mut pool = ProcPool::new(scope);
+            let mut run = |mut strategy: PrefixStrategy, prefix: &[u32]| {
+                strategy.begin(prefix.to_vec());
+                let (level, prof) = (MetricsLevel::Off, &mut None);
+                run_sim(&mut pool, &cfg, level, strategy, contended(), prof).1
+            };
+            let fresh = || PrefixStrategy::new(&econfig, true);
+            // Every task of the tree, by searching it.
+            let mut tasks = vec![Vec::new()];
+            let mut next = 0;
+            while next < tasks.len() {
+                tasks.extend(run(fresh(), &tasks[next]).spawned);
+                next += 1;
+            }
+            assert!(tasks.len() > 100, "only {} tasks", tasks.len());
+            let mut rng = StdRng::seed_from_u64(20);
+            for _ in 0..1_000 {
+                let first = &tasks[rng.gen_range(0..tasks.len())];
+                let second = &tasks[rng.gen_range(0..tasks.len())];
+                let carried = run(fresh(), first);
+                let kept = run(carried, second);
+                let rebuilt = run(fresh(), second);
+                assert_eq!(state(&kept), state(&rebuilt), "{first:?} then {second:?}");
+            }
+        });
     }
 }

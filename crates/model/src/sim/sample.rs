@@ -61,7 +61,7 @@
 use super::budget::{Budget, Budgeted};
 use super::certify::{judge, minimize_witness, CertViolation};
 use super::fault::FaultPlan;
-use super::parallel::{resolve_threads, ProcPool};
+use super::parallel::{merge_profile, resolve_threads, run_workers, ProcPool};
 use super::shrink::ShrinkConfig;
 use super::strategy::{Decision, Pct, SchedView, SeededRandom, Strategy};
 use super::{run_sim, ProcBody, SimConfig, SimOutcome};
@@ -70,7 +70,7 @@ use crate::ctx::ProcId;
 use crate::json::Json;
 use crate::metrics::MetricsLevel;
 use crate::seed::{split, STREAM_CRASHES};
-use crate::telemetry::{HistogramSnapshot, StepHistogram};
+use crate::telemetry::{HistogramSnapshot, ProgressBeat, StepHistogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -450,12 +450,6 @@ fn run_strategy(
     plan.over(inner)
 }
 
-impl Strategy for Box<dyn Strategy> {
-    fn decide(&mut self, view: &SchedView) -> Decision {
-        (**self).decide(view)
-    }
-}
-
 /// Per-run bookkeeping shared between the sequential and parallel
 /// engines: record survivor step counts, tally exceedances, and judge.
 /// Returns the violation verdict (`Some` when the run failed).
@@ -516,8 +510,7 @@ struct SampleState {
     violations: AtomicU64,
     first: Mutex<Option<FirstViolation>>,
     next_run: AtomicU64,
-    /// Merged contention profile across workers (profiling only); the
-    /// merge commutes, so the result is thread-count-independent.
+    /// Merged contention profile across workers (profiling only).
     contention: Mutex<Option<ContentionMap>>,
 }
 
@@ -535,19 +528,25 @@ impl SampleState {
         }
     }
 
-    /// Fold one worker's finished profile into the shared slot.
-    fn merge_contention(&self, map: ContentionMap) {
-        let mut slot = self.contention.lock().unwrap();
-        match slot.as_mut() {
-            Some(acc) => acc.merge(&map),
-            None => *slot = Some(map),
+    /// The sampling's progress right now, in the explorer's schema (the
+    /// sampler has no sleep sets and no work queue: explicit zeros).
+    fn beat(&self, scfg: &SampleConfig, start: Instant) -> ProgressBeat {
+        ProgressBeat {
+            elapsed: start.elapsed(),
+            runs: self
+                .next_run
+                .load(Ordering::Relaxed)
+                .min(scfg.budget.max_runs),
+            sleep_skips: 0,
+            queue_depth: 0,
+            violation_found: self.violations.load(Ordering::Relaxed) > 0,
         }
     }
 }
 
 /// One worker — the only one, for [`sample`]: claim run indices from
 /// the shared counter until the budget is drained, executing each on
-/// `pool`; `after_run` is told how many runs have been claimed so far.
+/// `pool`; `after_run` is called after each.
 #[allow(clippy::too_many_arguments)]
 fn sample_worker<T, R, FMake, Check>(
     pool: &mut ProcPool<'_, '_, T, R>,
@@ -558,7 +557,7 @@ fn sample_worker<T, R, FMake, Check>(
     judge_bounds: &[u64],
     factory: &mut FMake,
     check: &mut Check,
-    mut after_run: impl FnMut(u64),
+    mut after_run: impl FnMut(),
 ) where
     T: Clone + Send,
     R: Send,
@@ -596,11 +595,9 @@ fn sample_worker<T, R, FMake, Check>(
                 },
             );
         }
-        after_run(run + 1);
+        after_run();
     }
-    if let Some(map) = prof.map(ContentionProfiler::into_map) {
-        state.merge_contention(map);
-    }
+    merge_profile(&state.contention, prof);
 }
 
 /// Assemble the final report (shared tail of both engines), minimizing
@@ -619,11 +616,12 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Check: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let contention = state.contention.into_inner().unwrap();
+    let contention = state.contention.lock().unwrap().take();
     // The canonical violating run goes through the certifier's pipeline
     // (pin the verdict kind, shrink schedule and crash pattern,
     // re-classify).
-    let violation = state.first.into_inner().unwrap().map(|fv| {
+    let first = state.first.lock().unwrap().take();
+    let violation = first.map(|fv| {
         let (cert, _, _) = minimize_witness(
             cfg,
             &scfg.shrink.clone().unwrap_or_default(),
@@ -637,6 +635,7 @@ where
         );
         SampleViolation { run: fv.run, cert }
     });
+    let beat = state.beat(scfg, start);
     let report = SampleReport {
         runs: scfg.budget.max_runs,
         scheduler: scfg.sampler.label(),
@@ -653,10 +652,10 @@ where
         violations: state.violations.load(Ordering::Relaxed),
         violation,
         contention,
-        elapsed: start.elapsed(),
+        elapsed: beat.elapsed,
     };
     if let Some(hb) = &scfg.budget.heartbeat {
-        super::explore::emit_beat(hb, report.elapsed, report.runs, 0, 0, report.violations > 0);
+        hb.emit(&beat);
     }
     report
 }
@@ -683,11 +682,10 @@ where
     let judge_bounds = scfg.judge_bounds();
     let state = SampleState::new(n_procs);
     let mut last_beat = Instant::now();
-    let beat = |runs: u64| {
+    let beat = || {
         if let Some(hb) = &scfg.budget.heartbeat {
             if last_beat.elapsed() >= hb.every {
-                let violated = state.violations.load(Ordering::Relaxed) > 0;
-                super::explore::emit_beat(hb, start.elapsed(), runs, 0, 0, violated);
+                hb.emit(&state.beat(scfg, start));
                 last_beat = Instant::now();
             }
         }
@@ -740,11 +738,10 @@ where
     let judge_bounds = scfg.judge_bounds();
     let state = SampleState::new(n_procs);
     let pairs: Vec<(FMake, Check)> = (0..threads).map(&mut make_worker).collect();
-    let live = AtomicU64::new(threads as u64);
     std::thread::scope(|scope| {
-        for (mut factory, mut check) in pairs {
-            let (state, judge_bounds, live) = (&state, &judge_bounds, &live);
-            scope.spawn(move || {
+        let (state, judge_bounds) = (&state, &judge_bounds);
+        let workers = pairs.into_iter().map(|(mut factory, mut check)| {
+            move || {
                 sample_worker(
                     &mut ProcPool::new(scope),
                     cfg,
@@ -754,40 +751,12 @@ where
                     judge_bounds,
                     &mut factory,
                     &mut check,
-                    |_| {},
-                );
-                live.fetch_sub(1, Ordering::Release);
-            });
-        }
-        // Heartbeat monitor, as in the parallel explorer: polls the
-        // shared counters, exits when the workers do.
-        if let Some(hb) = scfg.budget.heartbeat.clone() {
-            let (state, live) = (&state, &live);
-            scope.spawn(move || {
-                let slice = hb
-                    .every
-                    .min(Duration::from_millis(20))
-                    .max(Duration::from_micros(100));
-                let mut last_beat = Instant::now();
-                while live.load(Ordering::Acquire) > 0 {
-                    std::thread::sleep(slice);
-                    if last_beat.elapsed() >= hb.every {
-                        super::explore::emit_beat(
-                            &hb,
-                            start.elapsed(),
-                            state
-                                .next_run
-                                .load(Ordering::Relaxed)
-                                .min(scfg.budget.max_runs),
-                            0,
-                            0,
-                            state.violations.load(Ordering::Relaxed) > 0,
-                        );
-                        last_beat = Instant::now();
-                    }
-                }
-            });
-        }
+                    || {},
+                )
+            }
+        });
+        let heartbeat = scfg.budget.heartbeat.as_ref();
+        run_workers(scope, workers, heartbeat, move || state.beat(scfg, start));
     });
     let (mut factory, mut check) = make_worker(threads + 1);
     finish_report(cfg, scfg, state, start, &mut factory, &mut check)

@@ -49,6 +49,12 @@ impl<F: FnMut(&SchedView) -> Decision> Strategy for F {
     }
 }
 
+impl Strategy for Box<dyn Strategy> {
+    fn decide(&mut self, view: &SchedView) -> Decision {
+        (**self).decide(view)
+    }
+}
+
 /// Fair round-robin: cycles through processes, skipping non-runnable
 /// ones. The "most synchronous" schedule, useful as a baseline.
 #[derive(Clone, Debug, Default)]
