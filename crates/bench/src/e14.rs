@@ -28,9 +28,11 @@
 //! drops, whose begin/end events are reconstructed into op histories
 //! and batch-checked with [`check_histories_parallel`] — the native
 //! twin of the simulator's witness pipeline. Reconstruction is sound
-//! because begin stamps are taken before the op's first shared access
-//! and end stamps after its last: the measured interval *contains* the
-//! true one, so any precedence the reconstruction asserts
+//! because a begin stamp is read before any access of the op can start
+//! and an end stamp after its last access is visible to every core
+//! (fenced stamps: [`apram_model::flight::stamp`]): the measured
+//! interval *contains* the true one, so any precedence the
+//! reconstruction asserts
 //! (`end(A) < begin(B)`) also holds between the true intervals, and a
 //! linearization of the widened history would only get easier — i.e.
 //! the check can produce false alarms never, missed overlaps at worst.
@@ -435,7 +437,10 @@ fn sum_ops(rows: &[E14Row], object: &str, mode: &str) -> f64 {
 ///   debugging);
 /// * `spotcheck_*` — the online check's verdict; CI requires
 ///   `all_linearizable == true` and `dropped == 0` with at least one
-///   history checked.
+///   history checked;
+/// * `stamp_source` — where this run's recorder read its stamps
+///   (`tsc` or `instant`, [`apram_model::flight::stamp::source`]): the
+///   ratios above are not comparable across the two.
 pub fn e14_gates(rows: &[E14Row], spot: &E14SpotCheck, quick: bool) -> Json {
     let ratio = |num: f64, den: f64| {
         if den > 0.0 {
@@ -458,6 +463,10 @@ pub fn e14_gates(rows: &[E14Row], spot: &E14SpotCheck, quick: bool) -> Json {
         .collect();
     Json::obj([
         ("available_parallelism", Json::UInt(host_parallelism())),
+        (
+            "stamp_source",
+            Json::Str(apram_model::flight::stamp::source().into()),
+        ),
         (
             "sampled_over_off_counter",
             ratio(

@@ -45,16 +45,30 @@
 //!
 //! # Event encoding
 //!
-//! Events are typed ([`FlightEvent`]) and packed into three words:
-//! monotonic nanoseconds since the recorder's epoch, a tag + code word,
-//! and a payload word. Fixed width keeps the record path allocation-free
-//! and the ring's memory bounded at construction.
+//! Events are typed ([`FlightEvent`]) and packed into three words: a
+//! timestamp, a tag + code word, and a payload word. Fixed width keeps
+//! the record path allocation-free and the ring's memory bounded at
+//! construction.
+//!
+//! # Timestamps
+//!
+//! A [`FlightEvent`] a caller hands to [`FlightRecorder::record`] carries
+//! whatever nanoseconds the caller put in it. The events
+//! [`NativeCtx`](crate::native::NativeCtx) records itself are stamped
+//! from the process's [`stamp`] clock — a fenced cycle-counter read where
+//! the kernel trusts the counter, `Instant` elsewhere — and sit in the
+//! ring as raw ticks (a flag bit in the tag word says so); the drain
+//! converts them to monotonic nanoseconds since the process's stamp
+//! anchor, so the logs of every recorder in a process share one time
+//! base. [`stamp`] states why a span built from those stamps contains
+//! the operation it brackets.
 
 use crate::ctx::ProcId;
 use crate::json::Json;
 use crate::native::CachePadded;
 use crate::telemetry::TelemetryRegistry;
-use std::time::Instant;
+
+pub mod stamp;
 
 #[cfg(loom)]
 use loom::sync::atomic::{fence, AtomicU64, Ordering};
@@ -105,16 +119,23 @@ impl FlightMode {
     }
 }
 
-/// One recorded event. Timestamps are monotonic nanoseconds since the
-/// owning [`FlightRecorder`]'s epoch; the recording process is implied
-/// by which ring the event sits in.
+/// One recorded event. Timestamps are monotonic nanoseconds (since the
+/// process's [`stamp`] anchor, for the events `NativeCtx` records); the
+/// recording process is implied by which ring the event sits in.
+///
+/// Only `OpBegin`/`OpEnd` stamps are fenced against the accesses around
+/// them, because only they carry a precedence claim. The register-level
+/// events are instants on a trace: one plain clock read each, and
+/// nothing is inferred from where exactly between its op's two stamps
+/// one falls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlightEvent {
     /// An operation began (`op` is a caller-chosen code, `arg` its
     /// argument). The timestamp is taken *before* the op's first shared
-    /// access, so reconstructed intervals contain the true ones.
+    /// access can start, so reconstructed intervals contain the true
+    /// ones.
     OpBegin {
-        /// Nanoseconds since the recorder epoch.
+        /// Nanoseconds since the stamp anchor.
         t_ns: u64,
         /// Caller-chosen operation code.
         op: u32,
@@ -122,9 +143,10 @@ pub enum FlightEvent {
         arg: u64,
     },
     /// The operation completed with response `resp` (timestamp taken
-    /// after the op's last shared access).
+    /// after the op's last shared access has taken effect on every
+    /// core).
     OpEnd {
-        /// Nanoseconds since the recorder epoch.
+        /// Nanoseconds since the stamp anchor.
         t_ns: u64,
         /// Caller-chosen operation code (matches the begin).
         op: u32,
@@ -132,9 +154,10 @@ pub enum FlightEvent {
         resp: u64,
     },
     /// A buffered-tier read validated `retries` times before returning
-    /// (a publish landed inside the reader's announce window).
+    /// (a publish landed inside the reader's announce window). An
+    /// unfenced instant, read after the access.
     ReadRetry {
-        /// Nanoseconds since the recorder epoch.
+        /// Nanoseconds since the stamp anchor.
         t_ns: u64,
         /// Register index.
         reg: u32,
@@ -142,18 +165,20 @@ pub enum FlightEvent {
         retries: u64,
     },
     /// A multi-writer register write drew hardware ticket `ticket` (the
-    /// write's linearization point).
+    /// write's linearization point). An unfenced instant, read after
+    /// the write: the draws' order is the tickets', not the stamps'.
     TicketDraw {
-        /// Nanoseconds since the recorder epoch.
+        /// Nanoseconds since the stamp anchor.
         t_ns: u64,
         /// Register index.
         reg: u32,
         /// The ticket drawn.
         ticket: u64,
     },
-    /// A buffered-tier write's announce scan chose slot `slot`.
+    /// A buffered-tier write's announce scan chose slot `slot`. An
+    /// unfenced instant, read after the write.
     SlotChoice {
-        /// Nanoseconds since the recorder epoch.
+        /// Nanoseconds since the stamp anchor.
         t_ns: u64,
         /// Register index.
         reg: u32,
@@ -167,6 +192,9 @@ const TAG_OP_END: u64 = 2;
 const TAG_READ_RETRY: u64 = 3;
 const TAG_TICKET_DRAW: u64 = 4;
 const TAG_SLOT_CHOICE: u64 = 5;
+/// Set in the tag word when the timestamp word holds raw [`stamp`]
+/// ticks, which the drain converts, and not nanoseconds.
+const RAW_STAMP: u64 = 1 << 63;
 
 impl FlightEvent {
     /// The event timestamp.
@@ -193,13 +221,18 @@ impl FlightEvent {
         [t, (tag << 32) | u64::from(code), payload]
     }
 
-    /// Unpack; `None` on an unknown tag (only reachable if the slot
-    /// validation protocol were broken, so drains treat it as a drop).
+    /// Unpack, converting a raw stamp to nanoseconds; `None` on an
+    /// unknown tag (only reachable if the slot validation protocol were
+    /// broken, so drains treat it as a drop).
     fn decode(w: [u64; 3]) -> Option<FlightEvent> {
-        let t_ns = w[0];
+        let t_ns = if w[1] & RAW_STAMP != 0 {
+            stamp::clock().to_ns(w[0])
+        } else {
+            w[0]
+        };
         let code = (w[1] & 0xFFFF_FFFF) as u32;
         let payload = w[2];
-        Some(match w[1] >> 32 {
+        Some(match (w[1] & !RAW_STAMP) >> 32 {
             TAG_OP_BEGIN => FlightEvent::OpBegin {
                 t_ns,
                 op: code,
@@ -288,6 +321,22 @@ impl FlightRing {
     /// Record `ev`. Must only be called by the ring's single writer.
     /// Wait-free: five stores and one fence, no CAS, no allocation.
     pub fn record(&self, ev: &FlightEvent) {
+        self.record_words(ev.encode());
+    }
+
+    /// [`FlightRing::record`] for an event whose timestamp field holds
+    /// raw [`stamp`] ticks: flagged, so that the drain converts it.
+    // Inlined into `NativeCtx`'s generic callers downstream, the
+    // event's variant is known and `encode` folds to three moves.
+    #[inline]
+    pub(crate) fn record_ticks(&self, ev: &FlightEvent) {
+        let mut w = ev.encode();
+        w[1] |= RAW_STAMP;
+        self.record_words(w);
+    }
+
+    #[inline]
+    fn record_words(&self, w: [u64; 3]) {
         // Only this writer stores `head`, so a relaxed load reads back
         // its own last bump.
         let h = self.head.load(Ordering::Relaxed);
@@ -297,7 +346,6 @@ impl FlightRing {
         // load (release fence → acquire fence synchronization).
         slot.seq.store(0, Ordering::Relaxed);
         fence(Ordering::Release);
-        let w = ev.encode();
         slot.words[0].store(w[0], Ordering::Relaxed);
         slot.words[1].store(w[1], Ordering::Relaxed);
         slot.words[2].store(w[2], Ordering::Relaxed);
@@ -369,11 +417,9 @@ impl FlightRing {
     }
 }
 
-/// The per-process rings plus the shared epoch all timestamps are
-/// relative to. Cloned handles (via `Arc`) share the rings.
+/// The per-process rings. Cloned handles (via `Arc`) share them.
 pub struct FlightRecorder {
     mode: FlightMode,
-    epoch: Instant,
     rings: Box<[CachePadded<FlightRing>]>,
     /// Serializes drains (the per-ring cursor is single-drainer).
     drain_gate: std::sync::Mutex<()>,
@@ -386,7 +432,6 @@ impl FlightRecorder {
     pub fn new(mode: FlightMode, n_procs: usize, capacity: usize) -> Self {
         FlightRecorder {
             mode,
-            epoch: Instant::now(),
             rings: (0..n_procs)
                 .map(|_| CachePadded::new(FlightRing::new(capacity)))
                 .collect(),
@@ -404,11 +449,6 @@ impl FlightRecorder {
         self.rings.len()
     }
 
-    /// Monotonic nanoseconds since this recorder's epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
     /// Process `proc`'s ring.
     pub fn ring(&self, proc: ProcId) -> &FlightRing {
         &self.rings[proc]
@@ -418,6 +458,13 @@ impl FlightRecorder {
     /// single thread acting as `proc`.
     pub fn record(&self, proc: ProcId, ev: FlightEvent) {
         self.rings[proc].record(&ev);
+    }
+
+    /// [`FlightRecorder::record`] for an event stamped in raw
+    /// [`stamp`] ticks (see [`FlightRing::record_ticks`]).
+    #[inline]
+    pub(crate) fn record_ticks(&self, proc: ProcId, ev: FlightEvent) {
+        self.rings[proc].record_ticks(&ev);
     }
 
     /// Total events recorded across all rings.
@@ -463,8 +510,7 @@ pub struct OpSpan {
     pub arg: u64,
     /// Operation response (from the end event).
     pub resp: u64,
-    /// Begin timestamp (ns since the recorder epoch), taken before the
-    /// op's first shared access.
+    /// Begin timestamp (ns), taken before the op's first shared access.
     pub begin_ns: u64,
     /// End timestamp, taken after the op's last shared access.
     pub end_ns: u64,
@@ -500,8 +546,30 @@ impl FlightLog {
     /// was dropped (or is still in flight) and ends whose begin was
     /// overwritten are skipped — a sampled trace reconstructs only the
     /// ops it saw both edges of.
+    ///
+    /// A span's `end_ns` is clamped up to its `begin_ns` (callers
+    /// subtract the two); [`FlightLog::clamped_spans`] counts how often
+    /// that was needed.
     pub fn op_spans(&self) -> Vec<OpSpan> {
         let mut spans = Vec::new();
+        self.for_each_pair(|mut span| {
+            span.end_ns = span.end_ns.max(span.begin_ns);
+            spans.push(span);
+        });
+        spans
+    }
+
+    /// How many of [`FlightLog::op_spans`]' spans had an end stamp
+    /// *before* their begin stamp. Never, for the stamps `NativeCtx`
+    /// takes: one thread's clock does not run backwards.
+    pub fn clamped_spans(&self) -> u64 {
+        let mut clamped = 0;
+        self.for_each_pair(|span| clamped += u64::from(span.end_ns < span.begin_ns));
+        clamped
+    }
+
+    /// Every begin/end pair as a span, stamps as recorded.
+    fn for_each_pair(&self, mut f: impl FnMut(OpSpan)) {
         for (proc, events) in self.events.iter().enumerate() {
             let mut pending: Option<(u32, u64, u64)> = None;
             for ev in events {
@@ -510,13 +578,13 @@ impl FlightLog {
                     FlightEvent::OpEnd { t_ns, op, resp } => {
                         if let Some((bop, arg, begin_ns)) = pending.take() {
                             if bop == op {
-                                spans.push(OpSpan {
+                                f(OpSpan {
                                     proc,
                                     op,
                                     arg,
                                     resp,
                                     begin_ns,
-                                    end_ns: t_ns.max(begin_ns),
+                                    end_ns: t_ns,
                                 });
                             }
                         }
@@ -525,7 +593,6 @@ impl FlightLog {
                 }
             }
         }
-        spans
     }
 
     /// Total validation retries across all drained `ReadRetry` events.
@@ -548,7 +615,10 @@ impl FlightLog {
 
     /// Ticket draws that landed within `window_ns` of another process's
     /// draw — a direct contention measure for the MWMR write path (two
-    /// draws in one window means the tickets actually raced).
+    /// draws in one window means the tickets actually raced). The
+    /// draws' stamps are plain unfenced clock reads taken right after
+    /// the write, which is exact enough here: the window is real time,
+    /// and wide next to the few nanoseconds a stamp can slide.
     pub fn contended_draws(&self, window_ns: u64) -> u64 {
         let mut draws: Vec<(u64, ProcId)> = Vec::new();
         for (proc, events) in self.events.iter().enumerate() {
@@ -882,6 +952,72 @@ mod tests {
                 begin_ns: 10,
                 end_ns: 20
             }]
+        );
+    }
+
+    /// An end stamped before its begin is clamped for the callers that
+    /// subtract, and counted, not hidden.
+    #[test]
+    fn backwards_spans_are_clamped_and_counted() {
+        let mut log = FlightLog::new(1);
+        let pair = |begin, end| {
+            [
+                FlightEvent::OpBegin {
+                    t_ns: begin,
+                    op: 1,
+                    arg: 0,
+                },
+                FlightEvent::OpEnd {
+                    t_ns: end,
+                    op: 1,
+                    resp: 0,
+                },
+            ]
+        };
+        log.events[0] = [pair(10, 20), pair(40, 30), pair(50, 50)].concat();
+        let spans: Vec<(u64, u64)> = log
+            .op_spans()
+            .iter()
+            .map(|s| (s.begin_ns, s.end_ns))
+            .collect();
+        assert_eq!(spans, vec![(10, 20), (40, 40), (50, 50)]);
+        assert_eq!(log.clamped_spans(), 1);
+    }
+
+    /// A raw-stamped event comes out of the drain in nanoseconds, by the
+    /// process clock's conversion; a caller's own nanoseconds beside it
+    /// come out as they went in.
+    #[test]
+    fn raw_stamps_are_converted_at_drain() {
+        let clock = stamp::clock();
+        let ring = FlightRing::new(4);
+        let ticks = clock.now();
+        ring.record_ticks(&FlightEvent::OpBegin {
+            t_ns: ticks,
+            op: u32::MAX,
+            arg: 7,
+        });
+        ring.record(&FlightEvent::OpEnd {
+            t_ns: ticks,
+            op: u32::MAX,
+            resp: 8,
+        });
+        let mut out = Vec::new();
+        assert_eq!(ring.drain_into(&mut out), (2, 0));
+        assert_eq!(
+            out,
+            vec![
+                FlightEvent::OpBegin {
+                    t_ns: clock.to_ns(ticks),
+                    op: u32::MAX,
+                    arg: 7,
+                },
+                FlightEvent::OpEnd {
+                    t_ns: ticks,
+                    op: u32::MAX,
+                    resp: 8,
+                },
+            ]
         );
     }
 

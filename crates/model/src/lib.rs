@@ -54,11 +54,16 @@
 //!   per-thread drop-oldest event rings (op begin/end, read retries,
 //!   ticket draws, slot choices) drained into Chrome-trace/Perfetto
 //!   JSON, the telemetry registry, or reconstructed op histories for
-//!   online linearizability spot-checks.
+//!   online linearizability spot-checks. Op stamps are fenced
+//!   cycle-counter reads ([`flight::stamp`]), so a recorded interval
+//!   contains the op's true one with the threads running free.
 
-// Unsafe is denied crate-wide and allowed back in exactly one place:
+// Unsafe is denied crate-wide and allowed back in exactly two places:
 // `native::buffered`, whose multi-slot cells need `UnsafeCell` slot
-// storage (each use is justified by the protocol proof in that module).
+// storage (each use is justified by the protocol proof in that module),
+// and `flight::stamp::tsc`, the `rdtsc` and `lfence` intrinsics behind
+// the flight recorder's stamps (no preconditions on x86-64, no memory
+// touched). CI holds the list to those two files.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

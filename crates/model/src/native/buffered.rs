@@ -185,14 +185,14 @@ impl<T: Clone> SwmrCell<T> {
 
     /// Read as process `proc`.
     pub fn read(&self, proc: usize) -> T {
-        self.read_via(proc, T::clone).0
+        self.read_via(proc, |v, _| v.clone())
     }
 
     /// [`SwmrCell::read`], reporting how many validation retries this
     /// read performed (the flight recorder's read-retry event; also
     /// accumulated into [`SwmrCell::retries`]).
     pub fn read_traced(&self, proc: usize) -> (T, u64) {
-        self.read_via(proc, T::clone)
+        self.read_via(proc, |v, retries| (v.clone(), retries))
     }
 
     /// Read as process `proc` without cloning: `f` runs on the published
@@ -200,12 +200,15 @@ impl<T: Clone> SwmrCell<T> {
     /// cleared. The same protocol as [`SwmrCell::read`] with the clone
     /// replaced by `f` — still one announce word per reader, so the
     /// `n + 3` slot bound and the writer's wait-freedom stand however
-    /// long `f` runs; the reference cannot outlive the call.
-    pub fn read_with<R>(&self, proc: usize, f: impl FnOnce(&T) -> R) -> R {
-        self.read_via(proc, f).0
+    /// long `f` runs; the reference cannot outlive the call. Beside the
+    /// slot, `f` is handed the validation retries this read performed
+    /// (what [`SwmrCell::read_traced`] returns): known once the slot is
+    /// pinned, so nothing has to be carried across `f` to report it.
+    pub fn read_with<R>(&self, proc: usize, f: impl FnOnce(&T, u64) -> R) -> R {
+        self.read_via(proc, f)
     }
 
-    fn read_via<R>(&self, announce_idx: usize, f: impl FnOnce(&T) -> R) -> (R, u64) {
+    fn read_via<R>(&self, announce_idx: usize, f: impl FnOnce(&T, u64) -> R) -> R {
         /// Clears the announce word on every way out of `f`, unwinding
         /// included: a panicking closure must not leave a slot pinned.
         struct Announced<'a>(&'a AtomicUsize);
@@ -226,8 +229,7 @@ impl<T: Clone> SwmrCell<T> {
                 // avoids `p` until `_announced` clears the word — after
                 // `f` returns or unwinds. Nobody writes the slot while
                 // the shared reference lives.
-                let out = self.slots[p].with(|q| f(unsafe { &*q }));
-                return (out, tries);
+                return self.slots[p].with(|q| f(unsafe { &*q }, tries));
             }
             tries += 1;
             self.retries.fetch_add(1, Ordering::Relaxed);
@@ -249,7 +251,7 @@ impl<T: Clone> SwmrCell<T> {
             #[cfg(not(loom))]
             std::hint::spin_loop();
         }
-        let v = self.read_via(self.announce.len() - 1, T::clone).0;
+        let v = self.read_via(self.announce.len() - 1, |v, _| v.clone());
         self.peek_claim.store(false, Ordering::Release);
         v
     }
@@ -463,7 +465,7 @@ mod tests {
                 s.spawn(move || {
                     let mut last = 0;
                     for _ in 0..WRITES {
-                        last = c.read_with(r, |v| {
+                        last = c.read_with(r, |v, _| {
                             let first = v[0];
                             assert!(first >= last, "stale value after fresher one");
                             std::thread::yield_now();
@@ -481,7 +483,7 @@ mod tests {
                 }
             });
         });
-        assert_eq!(c.read_with(0, |v| v[0]), WRITES);
+        assert_eq!(c.read_with(0, |v, retries| (v[0], retries)), (WRITES, 0));
     }
 
     /// A closure that unwinds leaves no slot pinned: the announce word
@@ -490,7 +492,7 @@ mod tests {
     fn swmr_borrowed_read_unpins_when_the_closure_unwinds() {
         let c = SwmrCell::new(1, String::from("a"));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.read_with(0, |v| assert_eq!(v, "not a"));
+            c.read_with(0, |v, _| assert_eq!(v, "not a"));
         }));
         assert!(unwound.is_err());
         assert_eq!(c.announce[0].load(Ordering::SeqCst), NONE);

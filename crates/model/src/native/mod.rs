@@ -34,6 +34,7 @@ pub mod packed;
 pub mod padded;
 
 use crate::ctx::{AccessKind, MemCtx, ProcId};
+use crate::flight::stamp::{clock, Clock};
 use crate::flight::{FlightEvent, FlightLog, FlightMode, FlightRecorder};
 use crate::metrics::{Metrics, MetricsLevel};
 use crate::telemetry::TelemetryRegistry;
@@ -154,12 +155,16 @@ impl<T: Clone> BufferedCell<T> {
         }
     }
 
-    /// Run `f` on the value read: on the slot itself for a single-writer
-    /// cell, on the collect's winner otherwise.
-    fn read_with<R>(&self, proc: ProcId, f: impl FnOnce(&T) -> R) -> R {
+    /// Run `f` on the value read — on the slot itself for a
+    /// single-writer cell, on the collect's winner otherwise — and on
+    /// the read's validation retries.
+    fn read_with<R>(&self, proc: ProcId, f: impl FnOnce(&T, u64) -> R) -> R {
         match self {
             BufferedCell::Swmr(c) => c.read_with(proc, f),
-            BufferedCell::Mwmr(c) => f(&c.read(proc)),
+            BufferedCell::Mwmr(c) => {
+                let (v, retries) = c.read_traced(proc);
+                f(&v, retries)
+            }
         }
     }
 
@@ -500,8 +505,10 @@ impl<T: Clone> NativeMemory<T> {
             counts: StepCounts::default(),
             flight: self.flight.as_ref().map(|rec| FlightCtx {
                 rec: Arc::clone(rec),
+                clock: clock(),
                 period: rec.mode().period(),
-                ops_begun: 0,
+                until_next: 0,
+                writes_at_begin: 0,
                 active: false,
             }),
         }
@@ -536,16 +543,70 @@ impl<T: AtomicPackable> NativeMemory<T> {
     }
 }
 
-/// Per-context flight recording state: the shared recorder plus this
-/// process's sampling countdown. `active` is flipped by
-/// [`NativeCtx::op_begin`]/[`NativeCtx::op_end`]; register-level events
-/// are emitted only inside a sampled op, so an unsampled op costs one
-/// predictable branch per access.
+/// Per-context flight recording state: the shared recorder, the
+/// process's stamp clock and this process's sampling countdown.
+/// `active` is flipped by [`NativeCtx::op_begin`]/[`NativeCtx::op_end`];
+/// register-level events are emitted only inside a sampled op, so an
+/// unsampled op costs one predictable branch per access.
 struct FlightCtx {
     rec: Arc<FlightRecorder>,
+    clock: &'static Clock,
     period: u64,
-    ops_begun: u64,
+    /// Ops to skip before the next sampled one: op 0 is sampled, then
+    /// every `period`-th.
+    until_next: u64,
+    /// `counts.writes` at the sampled `op_begin`: an op that has not
+    /// moved it by `op_end` has no store for its end stamp to wait for.
+    writes_at_begin: u64,
     active: bool,
+}
+
+// What a sampled op records. Kept out of line: these are inlined stamps
+// and ring stores, and `NativeCtx`'s generic callers would otherwise
+// carry a copy at every op and every access of every session type — on
+// the path of contexts that record nothing, too.
+impl FlightCtx {
+    #[inline(never)]
+    fn begin_sampled(&mut self, proc: ProcId, writes: u64, op: u32, arg: u64) {
+        self.until_next = self.period - 1;
+        self.active = true;
+        self.writes_at_begin = writes;
+        let t_ns = self.clock.begin();
+        self.rec
+            .record_ticks(proc, FlightEvent::OpBegin { t_ns, op, arg });
+    }
+
+    #[inline(never)]
+    fn end_sampled(&mut self, proc: ProcId, writes: u64, op: u32, resp: u64) {
+        self.active = false;
+        let t_ns = self.clock.end(writes != self.writes_at_begin);
+        self.rec
+            .record_ticks(proc, FlightEvent::OpEnd { t_ns, op, resp });
+    }
+
+    /// The register-level events are instants on a trace, from which no
+    /// precedence is inferred: one plain clock read per access.
+    #[inline(never)]
+    fn record_write(&self, proc: ProcId, reg: usize, ticket: Option<u64>, slot: u64) {
+        let (t_ns, reg) = (self.clock.now(), reg as u32);
+        if let Some(ticket) = ticket {
+            let ev = FlightEvent::TicketDraw { t_ns, reg, ticket };
+            self.rec.record_ticks(proc, ev);
+        }
+        let ev = FlightEvent::SlotChoice { t_ns, reg, slot };
+        self.rec.record_ticks(proc, ev);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn record_retries(&self, proc: ProcId, reg: usize, retries: u64) {
+        let ev = FlightEvent::ReadRetry {
+            t_ns: self.clock.now(),
+            reg: reg as u32,
+            retries,
+        };
+        self.rec.record_ticks(proc, ev);
+    }
 }
 
 /// A process's handle onto a [`NativeMemory`].
@@ -578,16 +639,12 @@ impl<T: Clone> NativeCtx<T> {
         let Some(f) = &mut self.flight else {
             return false;
         };
-        let idx = f.ops_begun;
-        f.ops_begun += 1;
-        if idx % f.period != 0 {
+        if f.until_next != 0 {
+            f.until_next -= 1;
             f.active = false;
             return false;
         }
-        f.active = true;
-        let t_ns = f.rec.now_ns();
-        f.rec
-            .record(self.proc, FlightEvent::OpBegin { t_ns, op, arg });
+        f.begin_sampled(self.proc, self.counts.writes, op, arg);
         true
     }
 
@@ -601,10 +658,7 @@ impl<T: Clone> NativeCtx<T> {
         if !f.active {
             return;
         }
-        f.active = false;
-        let t_ns = f.rec.now_ns();
-        f.rec
-            .record(self.proc, FlightEvent::OpEnd { t_ns, op, resp });
+        f.end_sampled(self.proc, self.counts.writes, op, resp);
     }
 
     fn raw_read(&self, reg: usize) -> T {
@@ -659,18 +713,17 @@ impl<T: Clone> NativeCtx<T> {
             None => raw(),
         };
         if retries > 0 {
-            let f = self.flight.as_ref().expect("recorded path requires flight");
-            let t_ns = f.rec.now_ns();
-            f.rec.record(
-                self.proc,
-                FlightEvent::ReadRetry {
-                    t_ns,
-                    reg: reg as u32,
-                    retries,
-                },
-            );
+            self.record_retries(reg, retries);
         }
         v
+    }
+
+    /// A read of `reg` retried its validation: an event, if a sampled
+    /// op is open.
+    fn record_retries(&self, reg: usize, retries: u64) {
+        if let Some(f) = self.flight.as_ref().filter(|f| f.active) {
+            f.record_retries(self.proc, reg, retries);
+        }
     }
 
     /// A write inside a sampled op: emits the MWMR ticket draw and the
@@ -681,28 +734,11 @@ impl<T: Clone> NativeCtx<T> {
             Some(m) => m.record(AccessKind::Write, self.proc, reg, raw),
             None => raw(),
         };
-        let f = self.flight.as_ref().expect("recorded path requires flight");
-        if let Some(ticket) = trace.ticket {
-            let t_ns = f.rec.now_ns();
-            f.rec.record(
-                self.proc,
-                FlightEvent::TicketDraw {
-                    t_ns,
-                    reg: reg as u32,
-                    ticket,
-                },
-            );
-        }
+        // Only the buffered tier has anything to report, and a ticket
+        // only ever comes with a slot.
         if let Some(slot) = trace.slot {
-            let t_ns = f.rec.now_ns();
-            f.rec.record(
-                self.proc,
-                FlightEvent::SlotChoice {
-                    t_ns,
-                    reg: reg as u32,
-                    slot,
-                },
-            );
+            let f = self.flight.as_ref().expect("recorded path requires flight");
+            f.record_write(self.proc, reg, trace.ticket, slot);
         }
     }
 }
@@ -752,25 +788,32 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
     }
 
     /// One read step, like [`read`](MemCtx::read), and the same value.
-    /// On a single-writer buffered cell with nothing observing the
-    /// access, `f` runs on the published slot itself
-    /// ([`SwmrCell::read_with`]) instead of on a clone; `f` must be
-    /// bounded local work — the slot stays out of the writer's reach
+    /// On a single-writer buffered cell `f` runs on the published slot
+    /// itself ([`SwmrCell::read_with`]) instead of on a clone; `f` must
+    /// be bounded local work — the slot stays out of the writer's reach
     /// until it returns — and cannot re-enter the memory (`&mut self`).
-    /// With metrics attached or inside a sampled flight op the access
-    /// goes through the by-value `read`, so `ReadRetry` events, the
-    /// metrics bracket and the in-flight gauge see what they always saw.
+    /// A sampled flight op takes the same path (the cell hands over the
+    /// read's retry count for the `ReadRetry` event), so a recorded op
+    /// differs from an unrecorded one by the recorder and nothing else.
+    /// With metrics attached the access goes through the by-value
+    /// `read`, so the metrics bracket and the in-flight gauge see what
+    /// they always saw.
     // Inlined into the caller's loop, `f` and the tier dispatch fold
     // into it: a packed-tier scan measured a fifth faster with this hint
     // than without.
     #[inline]
     fn read_with<R>(&mut self, reg: usize, f: impl FnOnce(&T) -> R) -> R {
-        if self.mem.metrics.is_some() || self.flight.as_ref().is_some_and(|f| f.active) {
+        if self.mem.metrics.is_some() {
             return f(&self.read(reg));
         }
         self.counts.bump(AccessKind::Read);
         match &*self.mem.regs {
-            Regs::Buffered(cells) => cells[reg].read_with(self.proc, f),
+            Regs::Buffered(cells) => cells[reg].read_with(self.proc, |v, retries| {
+                if retries > 0 {
+                    self.record_retries(reg, retries);
+                }
+                f(v)
+            }),
             _ => f(&self.raw_read(reg)),
         }
     }

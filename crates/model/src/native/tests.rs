@@ -316,20 +316,75 @@ fn flight_off_is_inert() {
 fn flight_sampling_records_one_in_n() {
     let mem = NativeMemory::new_packed(1, vec![0u64]).with_flight(FlightMode::Sampled(64), 1 << 10);
     let mut ctx = mem.ctx(0);
-    let mut sampled = 0;
+    let mut sampled = Vec::new();
     for k in 0..130u64 {
         if ctx.op_begin(0, k) {
-            sampled += 1;
+            sampled.push(k);
         }
         ctx.write(0, k);
         ctx.op_end(0, k);
     }
-    // Ops 0, 64 and 128 hit the 1-in-64 sampler.
-    assert_eq!(sampled, 3);
+    assert_eq!(sampled, vec![0, 64, 128], "op 0, then every 64th");
     let log = mem.flight_log().unwrap();
     assert_eq!(log.dropped, 0);
-    assert_eq!(log.op_spans().len(), 3);
+    let args: Vec<u64> = log.op_spans().iter().map(|s| s.arg).collect();
+    assert_eq!(args, sampled);
     assert_eq!(log.recorded, 6, "begin + end per sampled op, packed tier");
+}
+
+#[test]
+fn flight_period_one_samples_every_op() {
+    for mode in [
+        FlightMode::Always,
+        FlightMode::Sampled(1),
+        FlightMode::Sampled(0),
+    ] {
+        let mem = NativeMemory::new_packed(1, vec![0u64]).with_flight(mode, 64);
+        let mut ctx = mem.ctx(0);
+        for k in 0..5u64 {
+            assert!(ctx.op_begin(0, k), "{mode:?}: op {k}");
+            ctx.op_end(0, k);
+        }
+        assert_eq!(mem.flight_log().unwrap().op_spans().len(), 5);
+    }
+}
+
+/// One thread's spans, as stamped: every end at or after its begin with
+/// no clamp needed, every begin at or after the previous end — writes
+/// (fenced end stamp) and reads (unfenced) alike, on both tiers.
+#[test]
+fn flight_spans_of_one_thread_are_ordered_without_clamping() {
+    let packed = NativeMemory::new_packed(1, vec![0u64]);
+    let buffered = NativeMemory::new(1, vec![0u64]);
+    for mem in [packed, buffered] {
+        let mem = mem.with_flight(FlightMode::Always, 1 << 12);
+        let mut ctx = mem.ctx(0);
+        for k in 0..500u64 {
+            ctx.op_begin(0, k);
+            if k % 2 == 0 {
+                ctx.write(0, k);
+            } else {
+                let _ = ctx.read(0);
+            }
+            ctx.op_end(0, k);
+        }
+        let log = mem.flight_log().unwrap();
+        assert_eq!((log.dropped, log.clamped_spans()), (0, 0));
+        let spans = log.op_spans();
+        assert_eq!(spans.len(), 500);
+        for pair in spans.windows(2) {
+            assert!(pair[0].end_ns <= pair[1].begin_ns, "{pair:?}");
+        }
+        // Register-level instants fall inside their op's span.
+        let mut open = None;
+        for ev in &log.events[0] {
+            match *ev {
+                FlightEvent::OpBegin { t_ns, .. } => open = Some(t_ns),
+                FlightEvent::OpEnd { t_ns, .. } => assert!(open.take().unwrap() <= t_ns),
+                _ => assert!(open.unwrap() <= ev.t_ns(), "{ev:?}"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -429,6 +484,38 @@ fn read_with_is_one_read_step_on_every_path() {
     assert_eq!(counted.metrics().histogram[1].reads, 3);
     let packed = NativeMemory::new_packed(1, vec![5u64]);
     assert_eq!(packed.ctx(0).read_with(0, |v| *v + 1), 6);
+}
+
+/// A value that counts its clones.
+struct Counted(u8);
+static CLONES: AtomicU64 = AtomicU64::new(0);
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        CLONES.fetch_add(1, Ordering::Relaxed);
+        Counted(self.0)
+    }
+}
+
+/// Inside a sampled op `read_with` still runs on the published slot:
+/// recording adds events, never a clone.
+#[test]
+fn recorded_read_with_borrows_the_slot() {
+    let mem = NativeMemory::new(2, vec![Counted(7), Counted(9)])
+        .with_owners(vec![0, 1])
+        .with_flight(FlightMode::Always, 64);
+    let mut ctx = mem.ctx(1);
+    let before = CLONES.load(Ordering::Relaxed);
+    assert!(ctx.op_begin(0, 0));
+    assert_eq!(ctx.read_with(0, |v| v.0), 7);
+    assert_eq!(ctx.read_with(1, |v| v.0), 9);
+    ctx.op_end(0, 0);
+    assert_eq!(
+        CLONES.load(Ordering::Relaxed),
+        before,
+        "a recorded read cloned"
+    );
+    assert_eq!(ctx.counts().reads, 2);
+    assert_eq!(mem.flight_log().unwrap().op_spans().len(), 1);
 }
 
 #[test]

@@ -113,7 +113,7 @@ fn swmr_borrowed_read_pins_its_slot() {
         let r = {
             let (cell, inside, done) = (cell.clone(), inside.clone(), done.clone());
             thread::spawn(move || {
-                cell.read_with(0, |v| {
+                cell.read_with(0, |v, _| {
                     let seen = v[0];
                     inside.store(true, Ordering::SeqCst);
                     while !done.load(Ordering::SeqCst) {
