@@ -25,10 +25,13 @@
 //! * [`lingraph`] — the Figure 3 `lingraph` construction and its
 //!   linearization (topological sort), with the Lemma 16–18 invariants
 //!   tested.
+//! * [`log`] — a process's entries by index: the single-writer
+//!   append-only log that makes "the address of an entry" a position.
 //! * [`universal`] — the Figure 4 algorithm itself: operations become
-//!   *entries* (invocation, response, per-process predecessor pointers)
-//!   rooted in an anchor array that is read with the Section 6 atomic
-//!   snapshot and written with a single register write.
+//!   *entries* (invocation, response, the signature of the view)
+//!   appended to their process's log and rooted in an anchor array that
+//!   is read with the Section 6 atomic snapshot and written with a
+//!   single register write.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +40,7 @@ pub mod algebra;
 pub mod counter;
 pub mod graph;
 pub mod lingraph;
+pub mod log;
 pub mod universal;
 pub mod verify;
 

@@ -14,90 +14,81 @@
 //!     return p_r
 //! ```
 //!
-//! Each operation becomes an [`Entry`] — invocation, response, and `n`
-//! pointers to each process's preceding entry. The anchor (`root`) array
-//! is read with the Section 6 atomic snapshot and written with a single
-//! register write, so the synchronization overhead per operation is one
-//! snapshot plus one write: `O(n²)` reads and `O(n)` writes (measured in
-//! experiment E5).
+//! Each operation becomes an [`Entry`] — invocation, response, and its
+//! view. The anchor (`root`) array is read with the Section 6 atomic
+//! snapshot and written with a single register write, so the
+//! synchronization overhead per operation is one snapshot plus one
+//! write: `O(n²)` reads and `O(n)` writes (measured in experiment E5).
 //!
-//! Entries are shared as `Arc`s: the simulator's registers hold
-//! `TaggedVec<Arc<Entry>>` values, mirroring the paper's "array of
-//! pointers ... kept in a single register".
+//! An *address* is a position in a per-process append-only log
+//! ([`crate::log`]): process `P` appends `e` to its own log, and
+//! `root[P]` holds *(P's log, how many entries it has)* — the snapshot's
+//! tag is the length. `e.preceding[P]` of an entry of `P` is always
+//! `P`'s previous entry, so whatever reaches an entry of `P` reaches
+//! all of `P`'s earlier ones — which the log says by position. A view
+//! is therefore fully described by its **signature** — per process,
+//! how many of its entries the view holds — and that is what an entry
+//! keeps of its view (`e.preceding`).
+//! Registers, scan caches and handles hold counts and log handles,
+//! never a pointer that owns an entry.
+//!
+//! # Publication order
+//!
+//! An entry is set in its log cell *before* the update scan's first
+//! register write, and a reader indexes a log only below a length it
+//! read from a register (directly, or inside the signature of an entry
+//! it reached that way — whose author read it from a register first).
+//! So the cell's release/acquire and the register's publish order the
+//! entry before every reader; in the simulator the hub's mutex does.
+//! A process that crashes between the append and the end of its scan
+//! leaves an entry that is either visible through a tag some scan
+//! carried off, or never read at all: the outcome of a half-propagated
+//! update, which the snapshot object already has. Every lookup of an
+//! entry asserts it, in release builds too: an index a view names and
+//! its log does not hold is a panic naming `(process, index)`.
 
 use crate::algebra::{dominates, AlgebraicSpec};
 use crate::graph::ClosedDag;
 use crate::lingraph::{canonical_order, lingraph};
+use crate::log::LogRef;
 use apram_history::{DetSpec, ProcId};
 use apram_lattice::TaggedVec;
 use apram_model::MemCtx;
 use apram_snapshot::{Snapshot, SnapshotHandle};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// One operation record in the shared precedence graph.
 pub struct Entry<O, R> {
     /// The process that executed the operation.
     pub proc: ProcId,
-    /// The operation's index within its process (unique per process).
+    /// The operation's index within its process (unique per process):
+    /// its position in the process's log.
     pub seq: u64,
     /// The invocation (operation plus arguments).
     pub op: O,
     /// The chosen response.
     pub resp: R,
-    /// The view: each process's latest entry at this operation's
-    /// snapshot (the paper's `e.preceding`).
-    preceding: Vec<Option<Arc<Entry<O, R>>>>,
+    /// The view (the paper's `e.preceding`), as its signature.
+    seen: Box<[u64]>,
 }
 
 impl<O, R> Entry<O, R> {
-    /// The view pointers.
-    pub fn preceding(&self) -> &[Option<Arc<Entry<O, R>>>] {
-        &self.preceding
+    /// The signature of this operation's view: `seen()[p]` is how many
+    /// of `p`'s entries lie in its past — `p`'s entries `0..seen()[p]`,
+    /// the last of which is the paper's `e.preceding[p]`.
+    pub fn seen(&self) -> &[u64] {
+        &self.seen
     }
 
     /// Unique key of this operation.
     pub fn key(&self) -> (ProcId, u64) {
         (self.proc, self.seq)
     }
-
-    /// How many of `p`'s entries lie in this operation's past: those up
-    /// to the one its view holds for `p`.
-    fn seen(&self, p: ProcId) -> u64 {
-        up_to(&self.preceding[p])
-    }
-}
-
-/// How many entries of its process a view's slot makes visible: the
-/// process's own slot chains them, so all up to the one it holds.
-fn up_to<O, R>(slot: &Option<Arc<Entry<O, R>>>) -> u64 {
-    slot.as_ref().map_or(0, |e| e.seq + 1)
-}
-
-/// Entries form long `preceding` chains; a derived recursive drop would
-/// overflow the stack on deep histories, so unlink iteratively. The
-/// work list holds the entries this drop held the last reference to —
-/// almost always none, and then it is never allocated.
-impl<O, R> Drop for Entry<O, R> {
-    fn drop(&mut self) {
-        let mut released: Vec<Entry<O, R>> = Vec::new();
-        let mut preceding = std::mem::take(&mut self.preceding);
-        loop {
-            released.extend(preceding.drain(..).flatten().filter_map(Arc::into_inner));
-            // The entry popped last drops here, its pointers taken.
-            match released.pop() {
-                Some(mut e) => preceding = std::mem::take(&mut e.preceding),
-                None => break,
-            }
-        }
-    }
 }
 
 impl<O: fmt::Debug, R: fmt::Debug> fmt::Debug for Entry<O, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Shallow on purpose: printing `preceding` would walk the whole
-        // history graph.
         write!(
             f,
             "Entry(P{} #{} {:?} → {:?})",
@@ -106,11 +97,13 @@ impl<O: fmt::Debug, R: fmt::Debug> fmt::Debug for Entry<O, R> {
     }
 }
 
-/// A reference-counted entry pointer, as stored in the root array.
-pub type EntryRef<S> = Arc<Entry<<S as DetSpec>::Op, <S as DetSpec>::Resp>>;
+/// A process's log of entries, as a root slot holds it.
+pub type EntryLog<S> = LogRef<Entry<<S as DetSpec>::Op, <S as DetSpec>::Resp>>;
 
-/// The register type backing a universal object for spec `S`.
-pub type UniversalReg<S> = TaggedVec<EntryRef<S>>;
+/// The register type backing a universal object for spec `S`: the
+/// tagged array of Section 6, slot `P` holding `P`'s log tagged with
+/// its length.
+pub type UniversalReg<S> = TaggedVec<EntryLog<S>>;
 
 /// A wait-free linearizable object for any [`AlgebraicSpec`] satisfying
 /// Property 1.
@@ -145,18 +138,25 @@ impl<S: AlgebraicSpec + Clone> Universal<S> {
     }
 
     /// A per-process handle. One per process: it owns the process's
-    /// operation counter, snapshot cache and replayed history.
+    /// operation counter, snapshot cache, replayed history and log. The
+    /// object itself stays layout: nothing is shared between the
+    /// handles of two runs.
     pub fn handle(&self) -> UniversalHandle<S> {
+        let n = self.n();
         UniversalHandle {
             spec: self.spec.clone(),
             snap: self.snap.handle(),
             seq: 0,
             last_history_len: 0,
+            own_log: OwnLog(LogRef::new()),
+            logs: vec![None; n],
+            view: vec![0; n],
             base: self.spec.initial(),
-            cut: vec![0; self.n()],
-            pending: vec![VecDeque::new(); self.n()],
+            cut: vec![0; n],
+            pending: vec![0; n],
             order: VecDeque::new(),
             last_state: self.spec.initial(),
+            scratch: Scratch::default(),
             #[cfg(test)]
             replays: ReplayCounts::default(),
         }
@@ -173,9 +173,18 @@ impl<S: AlgebraicSpec + Clone> Universal<S> {
 #[derive(Clone)]
 pub struct UniversalHandle<S: AlgebraicSpec> {
     spec: S,
-    snap: SnapshotHandle<EntryRef<S>>,
+    snap: SnapshotHandle<EntryLog<S>>,
     seq: u64,
     last_history_len: usize,
+    /// The log this handle publishes in, made with the handle so that
+    /// its first operation does not pay for it (one allocation; an
+    /// empty log has no chunk).
+    own_log: OwnLog<S>,
+    /// Every process's log, learned from the first root slot of it this
+    /// handle sees — its own included: a snapshot holds its own updates.
+    logs: Vec<Option<EntryLog<S>>>,
+    /// The signature of the view taken last: the root array's tags.
+    view: Vec<u64>,
     /// The absorbed prefix: `base` is the state after replaying, in
     /// linearization order, the first `cut[p]` entries of every process
     /// `p`. Everything absorbed precedes every entry this handle can
@@ -185,19 +194,48 @@ pub struct UniversalHandle<S: AlgebraicSpec> {
     cut: Vec<u64>,
     /// The working set — the entries beyond the cut of the last view
     /// replayed, own operations included — as it was linearized:
-    /// `pending[p]` holds those of process `p`, oldest first, and
-    /// `order` names, entry by entry, whose was applied next. (A
-    /// process's entries are linearized in the order it published them,
-    /// so the process ids say it all.) The last view's signature — per
-    /// process, how many entries its closure holds — is the cut plus
-    /// what is pending; a signature determines its closure, and views
-    /// are monotone, so no other view can recur.
-    pending: Vec<VecDeque<EntryRef<S>>>,
+    /// `pending[p]` counts those of process `p` (its entries
+    /// `cut[p]..cut[p] + pending[p]`), and `order` names, entry by
+    /// entry, whose was applied next. (A process's entries are
+    /// linearized in the order it published them, so the process ids
+    /// say it all.) The last view's signature — per process, how many
+    /// entries its closure holds — is the cut plus what is pending; a
+    /// signature determines its closure, and views are monotone, so no
+    /// other view can recur.
+    pending: Vec<u64>,
     order: VecDeque<ProcId>,
-    /// `base` with `pending` applied in `order`.
+    /// `base` with the pending entries applied in `order`.
     last_state: S::State,
+    scratch: Scratch,
     #[cfg(test)]
     replays: ReplayCounts,
+}
+
+/// A handle's own log. It is cloned with the handle: a clone of a
+/// handle that has published nothing is a fresh handle, for another
+/// process, and gets a log of its own; a clone of one that has
+/// published is that process's handle carried on, in the same log.
+struct OwnLog<S: AlgebraicSpec>(EntryLog<S>);
+
+impl<S: AlgebraicSpec> Clone for OwnLog<S> {
+    fn clone(&self) -> Self {
+        match self.0.get(0) {
+            Some(_) => OwnLog(self.0.clone()),
+            None => OwnLog(LogRef::new()),
+        }
+    }
+}
+
+/// Buffers a replay fills and empties again, kept between replays so
+/// that an operation allocates only what it publishes.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// The entries of a view that are not held, by key.
+    fresh: Vec<(ProcId, u64)>,
+    /// The order to apply them in, as indices into `fresh`.
+    order: Vec<usize>,
+    /// The stable cut being computed.
+    cut: Vec<u64>,
 }
 
 /// What the replays of one handle did, for the tests that drive each
@@ -224,6 +262,16 @@ impl<S: AlgebraicSpec + fmt::Debug> fmt::Debug for UniversalHandle<S> {
     }
 }
 
+/// Entry `seq` of process `p`, which some view made visible: `p`'s log
+/// is known from the first slot that showed a tag above zero, and holds
+/// every entry below a tag (the publication order, module docs).
+fn entry<E>(logs: &[Option<LogRef<E>>], p: ProcId, seq: u64) -> &E {
+    let published = logs[p].as_ref().and_then(|log| log.get(seq));
+    published.unwrap_or_else(|| {
+        panic!("P{p} #{seq} is in a view and not in P{p}'s log: an entry is appended before the register write that makes its index known")
+    })
+}
+
 impl<S> UniversalHandle<S>
 where
     S: AlgebraicSpec,
@@ -233,26 +281,30 @@ where
     /// one register write of shared-memory traffic.
     pub fn execute<C: MemCtx<UniversalReg<S>>>(&mut self, ctx: &mut C, op: S::Op) -> S::Resp {
         // Step 1: snapshot the root array and linearize the view.
-        let view = self.snap.snap(ctx);
-        self.replay_view(&view);
+        self.take_view(ctx);
+        self.replay_view();
         let me = ctx.proc();
         assert_eq!(self.held(me), self.seq, "a snapshot holds its own updates");
         // The new entry follows everything in its view, so it comes
         // last in every linearization of the view whose root it is:
         // that view is replayed by applying the operation in place.
         let resp = self.spec.apply(&mut self.last_state, me, &op);
-        let entry = Arc::new(Entry {
+        let e = Entry {
             proc: me,
             seq: self.seq,
             op,
             resp: resp.clone(),
-            preceding: view,
-        });
+            seen: self.view.as_slice().into(),
+        };
+        // Step 2: write out the response. The entry is in its cell
+        // before the scan's first register write makes its index known
+        // (the publication order, module docs).
+        let log = &self.own_log.0;
+        log.push(self.seq, e);
         self.seq += 1;
-        self.pending[me].push_back(Arc::clone(&entry));
+        self.pending[me] += 1;
         self.order.push_back(me);
-        // Step 2: write out the response.
-        self.snap.update(ctx, entry);
+        self.snap.update_from(ctx, log);
         resp
     }
 
@@ -279,8 +331,8 @@ where
             self.spec.overwrites(&op, &op),
             "execute_unpublished requires an operation overwritten by everything"
         );
-        let view = self.snap.snap(ctx);
-        self.replay_view(&view);
+        self.take_view(ctx);
+        self.replay_view();
         self.spec
             .apply(&mut self.last_state.clone(), ctx.proc(), &op)
     }
@@ -305,7 +357,7 @@ where
     /// Fall back to the absorbed prefix: nothing pending, `last_state`
     /// at `base`.
     fn drop_pending(&mut self) {
-        self.pending.iter_mut().for_each(VecDeque::clear);
+        self.pending.fill(0);
         self.order.clear();
         self.last_state.clone_from(&self.base);
     }
@@ -313,7 +365,22 @@ where
     /// How many of `p`'s entries this handle holds, absorbed or
     /// pending: the last view's signature at `p`.
     fn held(&self, p: ProcId) -> u64 {
-        self.cut[p] + self.pending[p].len() as u64
+        self.cut[p] + self.pending[p]
+    }
+
+    /// Figure 4's "view := atomic scan of root array": the signature
+    /// goes to `view`, read off the tags where the scan left them, and
+    /// the log of a process seen for the first time is remembered.
+    fn take_view<C: MemCtx<UniversalReg<S>>>(&mut self, ctx: &mut C) {
+        let root = self.snap.snap_ref(ctx);
+        self.view.fill(0);
+        // Slots the array leaves out are bottom.
+        for ((seen, log), slot) in self.view.iter_mut().zip(&mut self.logs).zip(&root.0) {
+            *seen = slot.tag;
+            if log.is_none() {
+                log.clone_from(&slot.value);
+            }
+        }
     }
 
     /// Figure 4's "H := linearization of view", replayed into
@@ -325,122 +392,121 @@ where
     /// dropped first, and "held" shrinks to the absorbed prefix, which
     /// precedes everything (part 1). On the way out, absorb the stable
     /// prefix of what is pending.
-    fn replay_view(&mut self, view: &[Option<EntryRef<S>>]) {
-        // Of each process exactly the entries up to its root are visible.
-        let signature = view.iter().map(up_to);
-        self.last_history_len = signature.clone().sum::<u64>() as usize;
-        if signature.eq((0..view.len()).map(|p| self.held(p))) {
+    fn replay_view(&mut self) {
+        // Of each process exactly the entries below its tag are visible.
+        self.last_history_len = self.view.iter().sum::<u64>() as usize;
+        if (0..self.view.len()).all(|p| self.view[p] == self.held(p)) {
             return;
         }
-        let mut fresh = self.beyond_held(view);
+        let mut fresh = std::mem::take(&mut self.scratch.fresh);
+        let mut order = std::mem::take(&mut self.scratch.order);
+        self.beyond_held(&mut fresh);
         if !self.held_precedes(&fresh) {
             self.drop_pending();
-            fresh = self.beyond_held(view);
+            self.beyond_held(&mut fresh);
             #[cfg(test)]
             {
                 self.replays.from_cut += 1;
             }
         }
-        let order = match Self::chain_order(&fresh) {
-            Some(order) => order,
-            None => {
-                #[cfg(test)]
-                {
-                    self.replays.graphs += 1;
-                }
-                self.graph_order(&fresh)
+        if !self.chain_order(&fresh, &mut order) {
+            #[cfg(test)]
+            {
+                self.replays.graphs += 1;
             }
-        };
-        for i in order {
-            let e = fresh[i];
-            Self::replay(&self.spec, &mut self.last_state, e);
-            self.pending[e.proc].push_back(Arc::clone(e));
-            self.order.push_back(e.proc);
+            order = self.graph_order(&fresh);
+        }
+        for &i in &order {
+            let (p, seq) = fresh[i];
+            Self::replay(&self.spec, &mut self.last_state, entry(&self.logs, p, seq));
+            self.pending[p] += 1;
+            self.order.push_back(p);
         }
         #[cfg(test)]
         {
             self.replays.linearized += fresh.len();
         }
+        self.scratch.fresh = fresh;
+        self.scratch.order = order;
         self.absorb();
     }
 
-    /// The entries of `view`'s closure that are not held, one block per
-    /// process, oldest first, found by following each root down its
-    /// process's own slot.
-    fn beyond_held<'a>(&self, view: &'a [Option<EntryRef<S>>]) -> Vec<&'a EntryRef<S>> {
-        let mut fresh = Vec::new();
-        for (p, root) in view.iter().enumerate() {
-            let (held, block) = (self.held(p), fresh.len());
-            let mut next = root.as_ref();
-            while let Some(e) = next.filter(|e| e.seq >= held) {
-                fresh.push(e);
-                next = e.preceding[p].as_ref();
-            }
-            assert_eq!(
-                (fresh.len() - block) as u64,
-                up_to(root).saturating_sub(held),
-                "P{p} must chain through its own slot"
-            );
-            fresh[block..].reverse();
+    /// The entry of this handle's world with key `(p, seq)`.
+    fn entry(&self, (p, seq): (ProcId, u64)) -> &Entry<S::Op, S::Resp> {
+        entry(&self.logs, p, seq)
+    }
+
+    /// The keys of the view's entries that are not held, one block per
+    /// process, oldest first: of `p`, those from `held(p)` up to the
+    /// view's tag.
+    fn beyond_held(&self, fresh: &mut Vec<(ProcId, u64)>) {
+        fresh.clear();
+        for (p, &seen) in self.view.iter().enumerate() {
+            fresh.extend((self.held(p)..seen).map(|seq| (p, seq)));
         }
-        fresh
     }
 
     /// Whether everything held lies in the past of every entry of
     /// `fresh` — the last view is a *clean cut* of the new one. Views
-    /// along a process's chain only grow, so the oldest fresh entry of
+    /// along a process's log only grow, so the oldest fresh entry of
     /// each process answers for the rest: O(n²) on view vectors.
-    fn held_precedes(&self, fresh: &[&EntryRef<S>]) -> bool {
-        let mut oldest = fresh.iter().filter(|e| e.seq == self.held(e.proc));
-        oldest.all(|e| (0..self.cut.len()).all(|p| e.seen(p) >= self.held(p)))
+    fn held_precedes(&self, fresh: &[(ProcId, u64)]) -> bool {
+        let mut oldest = fresh.iter().filter(|&&(p, seq)| seq == self.held(p));
+        oldest.all(|&key| {
+            let seen = self.entry(key).seen();
+            (0..self.cut.len()).all(|p| seen[p] >= self.held(p))
+        })
     }
 
-    /// The order in which to apply `fresh` (as indices into it) when
-    /// precedence alone decides it. An entry's past is a proper subset
-    /// of the past of everything it precedes, so precedence can only
-    /// order by size of past; if that order is a chain of precedence,
-    /// precedence is total, has one topological order and leaves
-    /// Figure 3 no pair to decide — the case of every operation that
-    /// overlaps no other, and it needs no graph.
-    fn chain_order(fresh: &[&EntryRef<S>]) -> Option<Vec<usize>> {
-        let past =
-            |e: &Entry<S::Op, S::Resp>| (0..e.preceding.len()).map(|p| e.seen(p)).sum::<u64>();
-        let mut order: Vec<usize> = (0..fresh.len()).collect();
-        order.sort_by_key(|&i| past(fresh[i]));
-        let precedes = |a: usize, b: usize| fresh[b].seen(fresh[a].proc) > fresh[a].seq;
-        order
-            .windows(2)
-            .all(|w| precedes(w[0], w[1]))
-            .then_some(order)
+    /// The order in which to apply `fresh` (left in `order`, as indices
+    /// into it) when precedence alone decides it; `false` when it does
+    /// not. An entry's past is a proper subset of the past of
+    /// everything it precedes, so precedence can only order by size of
+    /// past; if that order is a chain of precedence, precedence is
+    /// total, has one topological order and leaves Figure 3 no pair to
+    /// decide — the case of every operation that overlaps no other, and
+    /// it needs no graph.
+    fn chain_order(&self, fresh: &[(ProcId, u64)], order: &mut Vec<usize>) -> bool {
+        let past = |i: usize| self.entry(fresh[i]).seen().iter().sum::<u64>();
+        order.clear();
+        order.extend(0..fresh.len());
+        order.sort_by_key(|&i| past(i));
+        let precedes = |a: usize, b: usize| {
+            let (p, seq) = fresh[a];
+            self.entry(fresh[b]).seen()[p] > seq
+        };
+        order.windows(2).all(|w| precedes(w[0], w[1]))
     }
 
     /// The order in which to apply `fresh` (as indices into it), in
-    /// general: its precedence graph — every entry in an operation's
-    /// view precedes it; transitivity through the views covers the full
-    /// real-time order, see DESIGN.md — run through the Figure 3
-    /// construction and sorted topologically. Held entries precede all
-    /// of `fresh` and need no edge.
-    fn graph_order(&self, fresh: &[&EntryRef<S>]) -> Vec<usize> {
+    /// general: its precedence graph — the last entry of every process
+    /// in an operation's view precedes it; transitivity through the
+    /// views covers the full real-time order, see DESIGN.md — run
+    /// through the Figure 3 construction and sorted topologically. Held
+    /// entries precede all of `fresh` and need no edge.
+    fn graph_order(&self, fresh: &[(ProcId, u64)]) -> Vec<usize> {
         let blocks: Vec<usize> = (0..self.cut.len())
-            .map(|p| fresh.partition_point(|e| e.proc < p))
+            .map(|p| fresh.partition_point(|&(q, _)| q < p))
             .collect();
-        let index = |e: &Entry<S::Op, S::Resp>| {
-            let i = blocks[e.proc] + e.seq.checked_sub(self.held(e.proc))? as usize;
-            debug_assert!(fresh[i].key() == e.key(), "{e:?} is newer than its root");
+        let index = |p: ProcId, seq: u64| {
+            let i = blocks[p] + seq.checked_sub(self.held(p))? as usize;
+            debug_assert!(fresh[i] == (p, seq), "P{p} #{seq} is newer than its root");
             Some(i)
         };
         let mut prec = ClosedDag::new(fresh.len());
-        for (f_idx, f) in fresh.iter().enumerate() {
-            for e_idx in f.preceding.iter().flatten().filter_map(|e| index(e)) {
+        for (f_idx, &f) in fresh.iter().enumerate() {
+            let seen = self.entry(f).seen().iter().enumerate();
+            let roots = seen.filter_map(|(p, &k)| index(p, k.checked_sub(1)?));
+            for e_idx in roots {
                 let acyclic = prec.add_edge(e_idx, f_idx);
-                debug_assert!(acyclic, "view pointers must be acyclic");
+                debug_assert!(acyclic, "views must be acyclic");
             }
         }
         // Figure 3 + canonical linearization.
-        let key = |i: usize| fresh[i].key();
+        let key = |i: usize| fresh[i];
         let order = canonical_order(&prec, key);
         let lin = lingraph(&prec, &order, |a, b| {
-            let (a, b) = (fresh[a], fresh[b]);
+            let (a, b) = (self.entry(fresh[a]), self.entry(fresh[b]));
             dominates(&self.spec, &a.op, a.proc, &b.op, b.proc)
         });
         lin.topo_sort_by_key(key)
@@ -461,55 +527,61 @@ where
     /// Move the cut up to the stable cut: what lies below it is a
     /// prefix of the linearization held, and is replayed into `base`.
     fn absorb(&mut self) {
-        let Some(new_cut) = self.stable_cut() else {
-            return;
-        };
-        let beyond_old = new_cut.iter().zip(&self.cut).map(|(new, old)| new - old);
-        for _ in 0..beyond_old.sum::<u64>() {
-            let e = self
-                .order
-                .pop_front()
-                .and_then(|p| self.pending[p].pop_front())
-                .expect("everything below the stable cut is pending");
-            assert!(
-                e.seq < new_cut[e.proc],
-                "the stable cut must be a prefix of the linearization, and {e:?} is not below it"
-            );
-            Self::replay(&self.spec, &mut self.base, &e);
+        let mut new_cut = std::mem::take(&mut self.scratch.cut);
+        if self.stable_cut(&mut new_cut) {
+            let beyond_old = new_cut.iter().zip(&self.cut).map(|(new, old)| new - old);
+            for _ in 0..beyond_old.sum::<u64>() {
+                let p = self
+                    .order
+                    .pop_front()
+                    .filter(|&p| self.pending[p] > 0)
+                    .expect("everything below the stable cut is pending");
+                // Of `p`'s pending entries the oldest: the one at its cut.
+                let e = entry(&self.logs, p, self.cut[p]);
+                assert!(
+                    e.seq < new_cut[p],
+                    "the stable cut must be a prefix of the linearization, and {e:?} is not below it"
+                );
+                Self::replay(&self.spec, &mut self.base, e);
+                self.cut[p] += 1;
+                self.pending[p] -= 1;
+            }
+            debug_assert_eq!(self.cut, new_cut);
         }
-        self.cut = new_cut;
+        self.scratch.cut = new_cut;
     }
 
     /// The largest cut (per process, how many of its entries lie before
-    /// it) that can be absorbed: every pending entry beyond it has all
-    /// of it in its view, and so does every root — hence, views being
-    /// monotone, every entry still to be seen. None when some process
-    /// has nothing pending (an empty slot, or an absorbed root): the
-    /// next entry it publishes may carry a view as old as its absorbed
-    /// root's, or no view at all.
-    fn stable_cut(&self) -> Option<Vec<u64>> {
+    /// it) that can be absorbed, left in `cut`: every pending entry
+    /// beyond it has all of it in its view, and so does every root —
+    /// hence, views being monotone, every entry still to be seen.
+    /// `false` when some process has nothing pending (an empty slot, or
+    /// an absorbed root): the next entry it publishes may carry a view
+    /// as old as its absorbed root's, or no view at all.
+    fn stable_cut(&self, cut: &mut Vec<u64>) -> bool {
         let n = self.cut.len();
-        if self.pending.iter().any(VecDeque::is_empty) {
-            return None;
+        if self.pending.contains(&0) {
+            return false;
         }
-        let mut cut: Vec<u64> = (0..n).map(|p| self.held(p)).collect();
+        cut.clear();
+        cut.extend((0..n).map(|p| self.held(p)));
         loop {
             let mut stable = true;
-            for (q, chain) in self.pending.iter().enumerate() {
+            for q in 0..n {
                 // Of the entries of `q` that must have the cut in their
                 // view, the oldest: the first beyond the cut, else the
                 // root.
-                let oldest = ((cut[q] - self.cut[q]) as usize).min(chain.len() - 1);
+                let oldest = cut[q].min(self.held(q) - 1);
+                let seen = self.entry((q, oldest)).seen();
                 for p in (0..n).filter(|&p| p != q) {
-                    let seen = chain[oldest].seen(p);
-                    if seen < cut[p] {
-                        cut[p] = seen;
+                    if seen[p] < cut[p] {
+                        cut[p] = seen[p];
                         stable = false;
                     }
                 }
             }
             if stable {
-                return Some(cut);
+                return true;
             }
         }
     }
@@ -533,32 +605,47 @@ mod tests {
     type Reg = UniversalReg<CounterSpec>;
 
     /// The oracle: Figure 4's "H := linearization of view" taken
-    /// literally — the whole closure of the view, linearized from the
-    /// empty graph. Returns the replayed state and the history length.
+    /// literally — the whole closure of the root array, found by
+    /// following every entry's view down to nothing, and linearized
+    /// from the empty graph. Returns the replayed state and the history
+    /// length.
     fn replay_from_scratch<S: AlgebraicSpec>(
         spec: &S,
-        view: &[Option<EntryRef<S>>],
+        root: &UniversalReg<S>,
     ) -> (S::State, usize) {
+        // `e.preceding[q]`: the last of `q`'s entries in `e`'s view.
+        let preceding = |seen: &[u64]| {
+            let last = seen.iter().enumerate();
+            last.filter_map(|(q, &k)| Some((q, k.checked_sub(1)?)))
+                .collect::<Vec<_>>()
+        };
+        let entry = |(p, seq): (ProcId, u64)| {
+            let log = root.0[p].value.as_ref().expect("a tagged slot");
+            log.get(seq).expect("an entry below a tag")
+        };
+        let tags: Vec<u64> = root.0.iter().map(|slot| slot.tag).collect();
         let mut index: HashMap<(ProcId, u64), usize> = HashMap::new();
-        let mut nodes: Vec<EntryRef<S>> = Vec::new();
-        let mut stack: Vec<EntryRef<S>> = view.iter().flatten().cloned().collect();
-        while let Some(e) = stack.pop() {
-            if index.contains_key(&e.key()) {
+        let mut nodes: Vec<&Entry<S::Op, S::Resp>> = Vec::new();
+        let mut stack = preceding(&tags);
+        while let Some(key) = stack.pop() {
+            if index.contains_key(&key) {
                 continue;
             }
-            index.insert(e.key(), nodes.len());
-            stack.extend(e.preceding().iter().flatten().cloned());
+            let e = entry(key);
+            assert_eq!(e.key(), key, "an entry lies at its own address");
+            index.insert(key, nodes.len());
+            stack.extend(preceding(e.seen()));
             nodes.push(e);
         }
         let mut prec = ClosedDag::new(nodes.len());
         for (f_idx, f) in nodes.iter().enumerate() {
-            for e in f.preceding().iter().flatten() {
-                assert!(prec.add_edge(index[&e.key()], f_idx), "cyclic views");
+            for key in preceding(f.seen()) {
+                assert!(prec.add_edge(index[&key], f_idx), "cyclic views");
             }
         }
         let order = canonical_order(&prec, |i| nodes[i].key());
         let lin = lingraph(&prec, &order, |a, b| {
-            let (a, b) = (&nodes[a], &nodes[b]);
+            let (a, b) = (nodes[a], nodes[b]);
             dominates(spec, &a.op, a.proc, &b.op, b.proc)
         });
         let mut state = spec.initial();
@@ -570,13 +657,16 @@ mod tests {
                 nodes[i]
             );
         }
+        // The closure is what the tags say: a process's entries chain.
+        assert_eq!(nodes.len() as u64, tags.iter().sum::<u64>());
         (state, nodes.len())
     }
 
     /// Figure 4 answered by the oracle, with the shared-memory traffic
     /// of [`UniversalHandle`]: one snap, and one update when publishing.
     struct OracleHandle {
-        snap: SnapshotHandle<EntryRef<CounterSpec>>,
+        snap: SnapshotHandle<EntryLog<CounterSpec>>,
+        log: Option<EntryLog<CounterSpec>>,
         seq: u64,
     }
 
@@ -589,19 +679,25 @@ mod tests {
 
     impl OracleHandle {
         fn step(&mut self, ctx: &mut SimCtx<Reg>, (op, publish): Step) -> Seen {
-            let view = self.snap.snap(ctx);
-            let (mut state, len) = replay_from_scratch(&CounterSpec, &view);
+            let root = self.snap.snap_ref(ctx).clone();
+            let (mut state, len) = replay_from_scratch(&CounterSpec, &root);
             let resp = CounterSpec.apply(&mut state, ctx.proc(), &op);
             if publish {
-                let entry = Arc::new(Entry {
+                let mut seen = vec![0; ctx.n_procs()];
+                for (seen, slot) in seen.iter_mut().zip(&root.0) {
+                    *seen = slot.tag;
+                }
+                let log = self.log.get_or_insert_with(LogRef::new);
+                let e = Entry {
                     proc: ctx.proc(),
                     seq: self.seq,
                     op,
                     resp,
-                    preceding: view,
-                });
+                    seen: seen.into(),
+                };
+                log.push(self.seq, e);
                 self.seq += 1;
-                self.snap.update(ctx, entry);
+                self.snap.update(ctx, log.clone());
             }
             (resp, len)
         }
@@ -681,7 +777,7 @@ mod tests {
                 &scripts,
                 schedule(),
                 &crashes,
-                |uni| OracleHandle { snap: uni.snap.handle(), seq: 0 },
+                |uni| OracleHandle { snap: uni.snap.handle(), log: None, seq: 0 },
                 OracleHandle::step,
             );
             proptest::prop_assert_eq!(real, oracle);
@@ -703,6 +799,31 @@ mod tests {
         assert_eq!(h1.execute(&mut c1, CounterOp::Read), CounterResp::Value(10));
         assert_eq!(h1.last_history_len(), 4);
         assert_eq!(uni.n(), 2);
+    }
+
+    /// A clone of a fresh handle is a fresh handle: it serves another
+    /// process, in a log of its own.
+    #[test]
+    fn a_clone_of_a_fresh_handle_publishes_in_its_own_log() {
+        let uni = Universal::new(2, CounterSpec);
+        let mem = NativeMemory::new(2, uni.registers()).with_owners(uni.owners());
+        let mut h0 = uni.handle();
+        let mut h1 = h0.clone();
+        let (mut c0, mut c1) = (mem.ctx(0), mem.ctx(1));
+        for k in 0..6 {
+            h0.execute(&mut c0, CounterOp::Inc(1));
+            h1.execute(&mut c1, CounterOp::Inc(10));
+            let read = h0.execute_unpublished(&mut c0, CounterOp::Read);
+            assert_eq!(read, CounterResp::Value(11 * (k + 1)));
+        }
+        assert!(h0.own_log.0 != h1.own_log.0);
+        // Once it has published, a clone is the same process carried on.
+        let mut moved = h1.clone();
+        assert!(moved.own_log.0 == h1.own_log.0);
+        drop(h1);
+        moved.execute(&mut c1, CounterOp::Inc(10));
+        let read = h0.execute_unpublished(&mut c0, CounterOp::Read);
+        assert_eq!(read, CounterResp::Value(76));
     }
 
     /// The replay memo is a pure cache: cached and uncached replays give
@@ -1158,22 +1279,71 @@ mod tests {
         assert_eq!(seen[2].last().unwrap().1.from_cut, 0);
     }
 
-    /// Deep entry chains do not blow the stack on drop (the iterative
-    /// `Drop`). Built directly, 200k entries deep, without the snapshot
-    /// traffic of 200k `execute`s: the drop must be linear and
-    /// stack-bounded.
+    /// The publication order, asserted: a root slot whose tag runs ahead
+    /// of its log — an index made known before the entry was appended —
+    /// is refused by the first handle that follows it, by name.
     #[test]
-    fn deep_entry_chain_drop_is_iterative() {
-        let mut prev: Option<Arc<Entry<CounterOp, CounterResp>>> = None;
-        for i in 0..200_000u64 {
-            prev = Some(Arc::new(Entry {
-                proc: 0,
-                seq: i,
-                op: CounterOp::Inc(1),
-                resp: CounterResp::Ack,
-                preceding: vec![prev.take()],
-            }));
+    #[should_panic(expected = "P1 #3 is in a view and not in P1's log")]
+    fn an_index_made_known_before_its_entry_is_refused() {
+        let n = 2;
+        let uni = Universal::new(n, CounterSpec);
+        let logs: Vec<EntryLog<CounterSpec>> = (0..n).map(|_| LogRef::new()).collect();
+        for (p, log) in logs.iter().enumerate() {
+            for seq in 0..3 {
+                let e = Entry {
+                    proc: p,
+                    seq,
+                    op: CounterOp::Inc(1),
+                    resp: CounterResp::Ack,
+                    seen: (0..n).map(|q| seq + (q < p) as u64).collect(),
+                };
+                log.push(seq, e);
+            }
         }
-        drop(prev); // a recursive drop would overflow the stack here
+        // P1's slot claims four entries; its log holds three.
+        let tagged = |(log, tag): (&EntryLog<CounterSpec>, u64)| {
+            apram_lattice::Tagged::new(tag, log.clone())
+        };
+        let root = TaggedVec(logs.iter().zip([3, 4]).map(tagged).collect());
+        let mem = NativeMemory::new(n, vec![root; uni.registers().len()]);
+        uni.handle()
+            .execute_unpublished(&mut mem.ctx(0), CounterOp::Read);
+    }
+
+    /// A universe whose logs hold 200 k entries drops in a loop over
+    /// their cells: no entry owns another, so there is no chain for a
+    /// recursive drop to follow. Built directly, without the snapshot
+    /// traffic of 200 k `execute`s: the logs, the root array naming
+    /// them in every register, and a handle that has seen it.
+    #[test]
+    fn a_universe_with_long_logs_drops() {
+        let (n, per_log) = (2usize, 100_000u64);
+        let uni = Universal::new(n, CounterSpec);
+        let logs: Vec<EntryLog<CounterSpec>> = (0..n).map(|_| LogRef::new()).collect();
+        for seq in 0..per_log {
+            for (p, log) in logs.iter().enumerate() {
+                let e = Entry {
+                    proc: p,
+                    seq,
+                    op: CounterOp::Inc(1),
+                    resp: CounterResp::Ack,
+                    seen: (0..n).map(|q| seq + (q < p) as u64).collect(),
+                };
+                log.push(seq, e);
+            }
+        }
+        let root = TaggedVec(
+            logs.iter()
+                .map(|log| apram_lattice::Tagged::new(per_log, log.clone()))
+                .collect(),
+        );
+        drop(logs);
+        let mem = NativeMemory::new(n, vec![root; uni.registers().len()]);
+        let mut h = uni.handle();
+        let read = h.execute_unpublished(&mut mem.ctx(0), CounterOp::Read);
+        assert_eq!(read, CounterResp::Value((n as u64 * per_log) as i64));
+        assert_eq!(h.last_history_len(), (n as u64 * per_log) as usize);
+        drop(h);
+        drop(mem); // the last handles on the logs go here
     }
 }

@@ -39,6 +39,16 @@ pub fn assert_join_assign_consistent<L: JoinSemilattice + PartialEq + Debug>(x: 
     assert_eq!(a, x.join(y), "join_assign must agree with join");
 }
 
+/// Assert that `clone_from` agrees with `clone`: whatever `target` held,
+/// after `target.clone_from(source)` it equals `source.clone()`. The
+/// law a hand-written in-place `clone_from` must keep — registers are
+/// overwritten through it (`MemCtx::write_from`).
+pub fn assert_clone_from_consistent<T: Clone + PartialEq + Debug>(target: &T, source: &T) {
+    let mut t = target.clone();
+    t.clone_from(source);
+    assert_eq!(t, source.clone(), "clone_from must agree with clone");
+}
+
 /// Run every law over all ordered triples drawn from `values`.
 pub fn assert_laws<L: JoinSemilattice + PartialEq + Debug>(values: &[L]) {
     for x in values {

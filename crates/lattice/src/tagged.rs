@@ -19,12 +19,31 @@ use crate::JoinSemilattice;
 /// the paper's snapshot imposes (process `P` alone writes slot `P`, and
 /// bumps the tag on every write). Under that discipline two slots with
 /// equal tags carry equal payloads, so the tie-break below is immaterial.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// `Clone` is written by hand so that `clone_from` copies field by field
+/// into the payload already there: a register value overwritten in place
+/// (see `MemCtx::write_from`) then costs what its payload's `clone_from`
+/// costs, which for a payload that is already equal can be nothing.
+#[derive(PartialEq, Eq, Debug)]
 pub struct Tagged<T: Clone> {
     /// Monotone per-writer sequence number; 0 means "never written".
     pub tag: u64,
     /// The payload; `None` iff `tag == 0`.
     pub value: Option<T>,
+}
+
+impl<T: Clone> Clone for Tagged<T> {
+    fn clone(&self) -> Self {
+        Tagged {
+            tag: self.tag,
+            value: self.value.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.tag = source.tag;
+        self.value.clone_from(&source.value);
+    }
 }
 
 impl<T: Clone> Tagged<T> {
@@ -72,7 +91,7 @@ impl<T: Clone> JoinSemilattice for Tagged<T> {
 
     fn join_assign(&mut self, other: &Self) {
         if other.tag > self.tag {
-            *self = other.clone();
+            self.clone_from(other);
         }
     }
 }
@@ -83,8 +102,27 @@ impl<T: Clone> JoinSemilattice for Tagged<T> {
 /// Arrays of different lengths join by treating missing slots as bottom,
 /// which realizes the paper's "simple optimization" of omitting the
 /// all-zero-tag slots from a writer's initial value.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// `clone_from` copies slot by slot into the slots already there (see
+/// [`Tagged`]'s), allocating only when the array outgrows its buffer —
+/// and then at its exact size: an array has at most one slot per
+/// process, so it outgrows a buffer at most that often.
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct TaggedVec<T: Clone>(pub Vec<Tagged<T>>);
+
+impl<T: Clone> Clone for TaggedVec<T> {
+    fn clone(&self) -> Self {
+        TaggedVec(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        if self.0.capacity() < source.0.len() {
+            *self = source.clone();
+        } else {
+            self.0.clone_from(&source.0);
+        }
+    }
+}
 
 impl<T: Clone> TaggedVec<T> {
     /// An array of `n` bottom slots.
@@ -149,6 +187,10 @@ impl<T: Clone> JoinSemilattice for TaggedVec<T> {
 
     fn join_assign(&mut self, other: &Self) {
         if other.0.len() > self.0.len() {
+            if self.0.is_empty() {
+                // ⊥ ∨ x = x, copied at its exact size.
+                return self.clone_from(other);
+            }
             self.0.resize(other.0.len(), Tagged::empty());
         }
         for (i, b) in other.0.iter().enumerate() {
@@ -253,6 +295,30 @@ mod tests {
             laws::assert_associative(&x, &y, &z);
             laws::assert_join_assign_consistent(&x, &y);
             laws::assert_upper_bound(&x, &y);
+        }
+
+        /// The hand-written `clone_from`s copy exactly what `clone`
+        /// does, whatever the target held: longer, shorter, empty
+        /// slots over written ones and back — on a payload with a
+        /// `clone_from` of its own (a `Vec` keeps its buffer).
+        #[test]
+        fn clone_from_agrees_with_clone(x in tvec(), y in tvec()) {
+            laws::assert_clone_from_consistent(&x, &y);
+            let heap = |v: &TaggedVec<u64>| {
+                TaggedVec(
+                    v.0.iter()
+                        .map(|t| Tagged {
+                            tag: t.tag,
+                            value: t.value.map(|k| vec![k; k as usize % 7]),
+                        })
+                        .collect(),
+                )
+            };
+            let (hx, hy) = (heap(&x), heap(&y));
+            laws::assert_clone_from_consistent(&hx, &hy);
+            for (a, b) in hx.0.iter().zip(&hy.0) {
+                laws::assert_clone_from_consistent(a, b);
+            }
         }
     }
 }

@@ -13,6 +13,13 @@
 //! cannot touch the context, which is mutably borrowed for the call) —
 //! so whatever it computes, `read` followed by the same computation on
 //! the clone computes too, at the cost of the clone.
+//!
+//! [`MemCtx::write_from`] is its mirror image: the same atomic write
+//! with the copy made where the register keeps its value. The register
+//! ends up holding a value equal to `*val` as of the call — the caller
+//! keeps `val`, and nothing it does to it afterwards reaches the
+//! register — so `write(reg, val.clone())` does the same, at the cost of
+//! building the clone somewhere else first.
 
 /// A process identifier; processes are numbered `0..n`.
 pub type ProcId = usize;
@@ -64,6 +71,21 @@ pub trait MemCtx<T: Clone> {
         Self: Sized,
     {
         f(&self.read(reg))
+    }
+
+    /// Atomically write a copy of `*val` to register `reg`, without
+    /// necessarily building the copy first: **one write step**, exactly
+    /// as [`write`](Self::write) — this default *is* `write` of a clone,
+    /// and every backend that overrides it must stay indistinguishable
+    /// from this default to the algorithm (same value readable
+    /// afterwards, same step count, same single-writer check). A
+    /// backend that keeps storage of its own for the register may fill
+    /// that storage with `Clone::clone_from`, which for values that
+    /// reuse what the target already holds (a `Vec`'s buffer, a shared
+    /// pointer that is already the same) touches neither the allocator
+    /// nor a reference count.
+    fn write_from(&mut self, reg: usize, val: &T) {
+        self.write(reg, val.clone());
     }
 
     /// The backend's estimate of the *point contention* this process
@@ -210,6 +232,12 @@ impl<T: Clone> MatrixView<T> {
         ctx.write(self.reg(row, col), val)
     }
 
+    /// Atomically write a copy of `*val` to cell `(row, col)`, in place
+    /// where the backend can (see [`MemCtx::write_from`]).
+    pub fn write_cell_from<C: MemCtx<T>>(&self, ctx: &mut C, row: usize, col: usize, val: &T) {
+        ctx.write_from(self.reg(row, col), val)
+    }
+
     /// Read row `row` left to right (one atomic read per cell — *not* an
     /// atomic snapshot of the row).
     pub fn collect_row<C: MemCtx<T>>(&self, ctx: &mut C, row: usize) -> Vec<T> {
@@ -292,5 +320,160 @@ mod tests {
         assert_eq!(view.collect_row(&mut ctx, 1), vec![4, 5, 6]);
         assert_eq!(view.collect_col(&mut ctx, 1), vec![2, 5]);
         assert_eq!(view.row_owners(), vec![0, 0, 0, 1, 1, 1]);
+    }
+
+    /// How a script's write is issued: the value moved in, or borrowed.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum How {
+        Write,
+        WriteFrom,
+    }
+
+    fn issue<T: Clone, C: MemCtx<T>>(how: How, ctx: &mut C, reg: usize, val: &T) {
+        match how {
+            How::Write => ctx.write(reg, val.clone()),
+            How::WriteFrom => ctx.write_from(reg, val),
+        }
+    }
+
+    /// One access of a script: `Some(v)` writes `v`, `None` reads.
+    type Access<T> = (usize, Option<T>);
+
+    /// Run one script per process on a native memory, process after
+    /// process in rounds; returns every value read, the final register
+    /// contents and each context's counts.
+    fn on_native<T: Clone + PartialEq + std::fmt::Debug>(
+        mem: &crate::NativeMemory<T>,
+        scripts: &[Vec<Access<T>>],
+        how: How,
+    ) -> (Vec<T>, Vec<T>, Vec<crate::StepCounts>) {
+        let mut ctxs: Vec<_> = (0..scripts.len()).map(|p| mem.ctx(p)).collect();
+        let mut read = Vec::new();
+        let rounds = scripts.iter().map(Vec::len).max().unwrap_or(0);
+        for k in 0..rounds {
+            for (p, script) in scripts.iter().enumerate() {
+                match script.get(k) {
+                    Some((reg, Some(v))) => issue(how, &mut ctxs[p], *reg, v),
+                    Some((reg, None)) => read.push(ctxs[p].read(*reg)),
+                    None => {}
+                }
+            }
+        }
+        let regs = (0..mem.n_regs()).map(|r| mem.peek(r)).collect();
+        (read, regs, ctxs.iter().map(|c| c.counts()).collect())
+    }
+
+    /// The message of the SWMR panic `f` must raise.
+    fn swmr_violation(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("writing another process's register must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("a panic message");
+        assert!(msg.contains("SWMR violation"), "{msg}");
+        msg
+    }
+
+    const REGS: usize = 3;
+
+    /// Scripts for `n` processes over `REGS` registers; with `owned`,
+    /// process `p` writes register `p % REGS` only.
+    fn scripts<T: Clone + std::fmt::Debug + 'static>(
+        val: impl proptest::strategy::Strategy<Value = T> + 'static,
+        owned: bool,
+    ) -> impl proptest::strategy::Strategy<Value = Vec<Vec<Access<T>>>> {
+        use proptest::prelude::*;
+        let val: proptest::strategy::Union<Option<T>> = prop_oneof![Just(None), val.prop_map(Some)];
+        let access = (0..REGS, val);
+        proptest::collection::vec(proptest::collection::vec(access, 0..8), REGS).prop_map(
+            move |mut scripts| {
+                for (p, script) in scripts.iter_mut().enumerate() {
+                    for (reg, val) in script.iter_mut() {
+                        if owned && val.is_some() {
+                            *reg = p % REGS;
+                        }
+                    }
+                }
+                scripts
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `write_from(v)` is `write(v.clone())` to every observer, on
+        /// every backend: the same values read back, the same final
+        /// registers, the same counts — on single-writer buffered cells
+        /// (where it copies in place), multi-writer ones, packed words
+        /// and the simulator (the same schedule, step for step).
+        #[test]
+        fn write_from_is_write_of_a_clone(
+            wide in scripts(proptest::collection::vec(0u8..9, 0..5), true),
+            shared in scripts(proptest::collection::vec(0u8..9, 0..5), false),
+            words in scripts(0u64..99, false),
+            seed in 0u64..1 << 32,
+        ) {
+            use crate::sim::strategy::SeededRandom;
+            use crate::{NativeMemory, SimBuilder};
+            let owners: Vec<ProcId> = (0..REGS).collect();
+            let swmr = || NativeMemory::new(REGS, vec![vec![]; REGS]).with_owners(owners.clone());
+            proptest::prop_assert_eq!(
+                on_native(&swmr(), &wide, How::Write),
+                on_native(&swmr(), &wide, How::WriteFrom)
+            );
+            let mwmr = || NativeMemory::new(REGS, vec![vec![]; REGS]);
+            proptest::prop_assert_eq!(
+                on_native(&mwmr(), &shared, How::Write),
+                on_native(&mwmr(), &shared, How::WriteFrom)
+            );
+            let packed = || NativeMemory::new_packed(REGS, vec![0u64; REGS]);
+            proptest::prop_assert_eq!(
+                on_native(&packed(), &words, How::Write),
+                on_native(&packed(), &words, How::WriteFrom)
+            );
+            let on_sim = |how: How| {
+                let out = SimBuilder::new(vec![vec![]; REGS])
+                    .owners(owners.clone())
+                    .strategy(SeededRandom::new(seed))
+                    .run_symmetric(REGS, |ctx| {
+                        let mut read = Vec::new();
+                        for (reg, val) in &wide[ctx.proc()] {
+                            match val {
+                                Some(v) => issue(how, ctx, *reg, v),
+                                None => read.push(ctx.read(*reg)),
+                            }
+                        }
+                        read
+                    });
+                out.assert_no_panics();
+                (out.results, out.memory, out.counts, out.trace.len())
+            };
+            proptest::prop_assert_eq!(on_sim(How::Write), on_sim(How::WriteFrom));
+        }
+    }
+
+    /// The single-writer check is `write`'s, on both backends that have
+    /// one.
+    #[test]
+    fn write_from_to_another_process_register_is_a_swmr_violation() {
+        use crate::{NativeMemory, SimBuilder};
+        for how in [How::Write, How::WriteFrom] {
+            let native = swmr_violation(|| {
+                let mem = NativeMemory::new(2, vec![vec![0u8]; 2]).with_owners(vec![0, 1]);
+                issue(how, &mut mem.ctx(0), 1, &vec![5]);
+            });
+            assert!(
+                native.contains("P0 wrote register 1 owned by P1"),
+                "{native}"
+            );
+            swmr_violation(|| {
+                SimBuilder::new(vec![0u64; 2])
+                    .owners(vec![0, 1])
+                    .run_symmetric(1, |ctx| issue(how, ctx, 1, &9));
+            });
+        }
     }
 }

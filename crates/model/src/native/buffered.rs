@@ -167,6 +167,25 @@ impl<T: Clone> SwmrCell<T> {
     /// [`SwmrCell::write`], reporting which slot the announce scan
     /// chose (the flight recorder's slot-choice event).
     pub fn write_traced(&self, val: T) -> usize {
+        self.write_via(|slot| *slot = val)
+    }
+
+    /// Publish a copy of `*val`, made in the chosen slot's own storage
+    /// with `clone_from`; reports the slot like
+    /// [`SwmrCell::write_traced`].
+    pub fn write_from(&self, val: &T) -> usize {
+        self.write_via(|slot| slot.clone_from(val))
+    }
+
+    /// The one write: choose a free slot, let `fill` put the new value
+    /// there, publish it; returns the slot. `fill` is handed the slot's
+    /// previous content — some value this cell held earlier, or a copy
+    /// of the initial one — to overwrite or to reuse; it must leave the
+    /// value to publish and do nothing else (bounded local work, like
+    /// [`SwmrCell::read_with`]'s closure). The slot is neither the
+    /// published one nor announced by any reader, so nobody else can
+    /// reach it until the index store.
+    pub fn write_via(&self, fill: impl FnOnce(&mut T)) -> usize {
         // Only this writer stores `published`, so a relaxed load reads
         // back its own last publish.
         let mut used: u64 = 1 << self.published.load(Ordering::Relaxed);
@@ -178,7 +197,12 @@ impl<T: Clone> SwmrCell<T> {
         }
         let free = (!used).trailing_zeros() as usize;
         debug_assert!(free < self.slots.len(), "slot accounting broken");
-        self.slots[free].with_mut(|p| unsafe { *p = val });
+        // SAFETY: `free` is not published and no reader announced it
+        // before the scan above; a reader that announces it later fails
+        // its re-validation (`published != free` until the store below).
+        // The single writer is the only one to write slots, so the
+        // exclusive reference is alone for as long as `fill` runs.
+        self.slots[free].with_mut(|p| fill(unsafe { &mut *p }));
         self.published.store(free, Ordering::SeqCst);
         free
     }

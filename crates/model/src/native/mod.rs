@@ -41,6 +41,7 @@ use crate::telemetry::TelemetryRegistry;
 use crate::trace::StepCounts;
 use buffered::{MwmrCell, SwmrCell};
 use packed::PackedFile;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -168,10 +169,21 @@ impl<T: Clone> BufferedCell<T> {
         }
     }
 
-    fn write(&self, proc: ProcId, val: T) {
+    /// Write `val`, moved in or — for a single-writer cell handed a
+    /// borrow — copied in place into the slot the write chose.
+    fn write(&self, proc: ProcId, val: Cow<'_, T>) -> WriteTrace {
         match self {
-            BufferedCell::Swmr(c) => c.write(val),
-            BufferedCell::Mwmr(c) => c.write(proc, val),
+            BufferedCell::Swmr(c) => WriteTrace {
+                ticket: None,
+                slot: Some(c.write_via(|slot| assign(slot, val)) as u64),
+            },
+            BufferedCell::Mwmr(c) => {
+                let (ticket, slot) = c.write_traced(proc, val.into_owned());
+                WriteTrace {
+                    ticket: Some(ticket),
+                    slot: Some(slot as u64),
+                }
+            }
         }
     }
 
@@ -202,25 +214,17 @@ impl<T: Clone> BufferedCell<T> {
             BufferedCell::Mwmr(c) => c.read_traced(proc),
         }
     }
+}
 
-    fn write_traced(&self, proc: ProcId, val: T) -> WriteTrace {
-        match self {
-            BufferedCell::Swmr(c) => WriteTrace {
-                ticket: None,
-                slot: Some(c.write_traced(val) as u64),
-            },
-            BufferedCell::Mwmr(c) => {
-                let (ticket, slot) = c.write_traced(proc, val);
-                WriteTrace {
-                    ticket: Some(ticket),
-                    slot: Some(slot as u64),
-                }
-            }
-        }
+/// `*slot = val`, with a borrowed `val` copied into what `slot` holds.
+fn assign<T: Clone>(slot: &mut T, val: Cow<'_, T>) {
+    match val {
+        Cow::Owned(v) => *slot = v,
+        Cow::Borrowed(v) => slot.clone_from(v),
     }
 }
 
-/// What a traced write observed: the MWMR ticket it drew (multi-writer
+/// What a write observed: the MWMR ticket it drew (multi-writer
 /// cells only) and the buffer slot its announce scan chose (buffered
 /// tier only). Both `None` on the packed and rwlock tiers, whose
 /// writes are single instructions with nothing to report.
@@ -670,12 +674,18 @@ impl<T: Clone> NativeCtx<T> {
         }
     }
 
-    fn raw_write(&self, reg: usize, val: T) {
+    fn raw_write(&self, reg: usize, val: Cow<'_, T>) -> WriteTrace {
         match &*self.mem.regs {
-            Regs::Packed(f) => f.write(reg, &val),
+            Regs::Packed(f) => {
+                f.write(reg, &val);
+                WriteTrace::default()
+            }
             Regs::Buffered(cells) => cells[reg].write(self.proc, val),
             #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => *cells[reg].write() = val,
+            Regs::Locked(cells) => {
+                assign(&mut *cells[reg].write(), val);
+                WriteTrace::default()
+            }
         }
     }
 
@@ -685,21 +695,6 @@ impl<T: Clone> NativeCtx<T> {
             Regs::Buffered(cells) => cells[reg].read_traced(self.proc),
             #[cfg(feature = "rwlock-baseline")]
             Regs::Locked(cells) => (cells[reg].read().clone(), 0),
-        }
-    }
-
-    fn raw_write_traced(&self, reg: usize, val: T) -> WriteTrace {
-        match &*self.mem.regs {
-            Regs::Packed(f) => {
-                f.write(reg, &val);
-                WriteTrace::default()
-            }
-            Regs::Buffered(cells) => cells[reg].write_traced(self.proc, val),
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => {
-                *cells[reg].write() = val;
-                WriteTrace::default()
-            }
         }
     }
 
@@ -726,10 +721,38 @@ impl<T: Clone> NativeCtx<T> {
         }
     }
 
+    /// The write step behind [`MemCtx::write`] (an owned value, moved
+    /// in) and [`MemCtx::write_from`] (a borrowed one, copied in place
+    /// where the tier keeps storage).
+    #[inline]
+    fn store(&mut self, reg: usize, val: Cow<'_, T>) {
+        if let Some(owners) = &self.mem.owners {
+            assert_eq!(
+                owners[reg], self.proc,
+                "SWMR violation: P{} wrote register {reg} owned by P{}",
+                self.proc, owners[reg]
+            );
+        }
+        self.counts.bump(AccessKind::Write);
+        if self.flight.as_ref().is_some_and(|f| f.active) {
+            return self.write_recorded(reg, val);
+        }
+        match &self.mem.metrics {
+            Some(m) => {
+                m.record(AccessKind::Write, self.proc, reg, || {
+                    self.raw_write(reg, val)
+                });
+            }
+            None => {
+                self.raw_write(reg, val);
+            }
+        }
+    }
+
     /// A write inside a sampled op: emits the MWMR ticket draw and the
     /// buffered-tier slot choice, when the tier has them.
-    fn write_recorded(&self, reg: usize, val: T) {
-        let raw = || self.raw_write_traced(reg, val);
+    fn write_recorded(&self, reg: usize, val: Cow<'_, T>) {
+        let raw = || self.raw_write(reg, val);
         let trace = match &self.mem.metrics {
             Some(m) => m.record(AccessKind::Write, self.proc, reg, raw),
             None => raw(),
@@ -768,23 +791,25 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
     }
 
     fn write(&mut self, reg: usize, val: T) {
-        if let Some(owners) = &self.mem.owners {
-            assert_eq!(
-                owners[reg], self.proc,
-                "SWMR violation: P{} wrote register {reg} owned by P{}",
-                self.proc, owners[reg]
-            );
-        }
-        self.counts.bump(AccessKind::Write);
-        if self.flight.as_ref().is_some_and(|f| f.active) {
-            return self.write_recorded(reg, val);
-        }
-        match &self.mem.metrics {
-            Some(m) => m.record(AccessKind::Write, self.proc, reg, || {
-                self.raw_write(reg, val)
-            }),
-            None => self.raw_write(reg, val),
-        }
+        self.store(reg, Cow::Owned(val));
+    }
+
+    /// One write step, like [`write`](MemCtx::write), and the same
+    /// value readable afterwards. On a single-writer buffered cell the
+    /// copy is made with `clone_from` in the free slot the write chose
+    /// ([`SwmrCell::write_via`]) — storage the cell owns and no reader
+    /// can reach until it is published — instead of being built outside
+    /// and moved in. Owner check, counters, metrics bracket and the
+    /// recorder's `SlotChoice` are `write`'s: both are one `store`.
+    // Out of line on purpose. Inlined into the generic sessions' scan
+    // loops it cost `native_read_heavy` 2.4 % and `native_update_heavy`
+    // 1–7 % (four pairs each, none won) — their scans run on the packed
+    // tier, where there is nothing to copy in place, and carried the
+    // buffered tier's slot choice and `clone_from` with them — while
+    // `universal_lwwmap`, which it is for, reads the same either way.
+    #[inline(never)]
+    fn write_from(&mut self, reg: usize, val: &T) {
+        self.store(reg, Cow::Borrowed(val));
     }
 
     /// One read step, like [`read`](MemCtx::read), and the same value.

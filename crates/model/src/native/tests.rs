@@ -294,6 +294,9 @@ fn rwlock_baseline_tier_still_works() {
     assert_eq!(c0.read(0), 7);
     assert_eq!(mem.peek(0), 7);
     assert_eq!(mem.read_retries(), 0);
+    // In place too: `clone_from` under the write lock.
+    c0.write_from(0, &8);
+    assert_eq!((c0.read(0), c0.counts().writes), (8, 2));
 }
 
 // ---------------------------------------------------------------------
@@ -516,6 +519,66 @@ fn recorded_read_with_borrows_the_slot() {
     );
     assert_eq!(ctx.counts().reads, 2);
     assert_eq!(mem.flight_log().unwrap().op_spans().len(), 1);
+}
+
+/// A value that tells a copy made in place from one built outside.
+#[derive(Debug, PartialEq)]
+struct InPlace(u8);
+static BUILT: AtomicU64 = AtomicU64::new(0);
+static COPIED_IN_PLACE: AtomicU64 = AtomicU64::new(0);
+impl Clone for InPlace {
+    fn clone(&self) -> Self {
+        BUILT.fetch_add(1, Ordering::Relaxed);
+        InPlace(self.0)
+    }
+    fn clone_from(&mut self, source: &Self) {
+        COPIED_IN_PLACE.fetch_add(1, Ordering::Relaxed);
+        self.0 = source.0;
+    }
+}
+
+/// `write_from` is `write` to every observer — one step in the
+/// context's counts, one write in the metrics, one `SlotChoice` in a
+/// sampled op — and on a single-writer cell, observed or not, the copy
+/// is made in the slot: `clone_from`, never `clone`. A multi-writer
+/// cell takes the default, a clone moved in.
+#[test]
+fn write_from_is_one_write_step_and_copies_in_place() {
+    let regs = || vec![InPlace(0), InPlace(0)];
+    let plain = NativeMemory::new(2, regs()).with_owners(vec![0, 1]);
+    let counted = NativeMemory::new(2, regs())
+        .with_owners(vec![0, 1])
+        .with_metrics(MetricsLevel::Counts);
+    let recorded = NativeMemory::new(2, regs())
+        .with_owners(vec![0, 1])
+        .with_metrics(MetricsLevel::Counts)
+        .with_flight(FlightMode::Always, 64);
+    for mem in [&plain, &counted, &recorded] {
+        let mut ctx = mem.ctx(1);
+        let copied = COPIED_IN_PLACE.load(Ordering::Relaxed);
+        ctx.op_begin(0, 0);
+        for k in 1..=3 {
+            let built = BUILT.load(Ordering::Relaxed);
+            ctx.write_from(1, &InPlace(k));
+            assert_eq!(BUILT.load(Ordering::Relaxed), built, "a copy was built");
+            assert_eq!(ctx.read(1), InPlace(k));
+        }
+        ctx.op_end(0, 0);
+        assert_eq!(COPIED_IN_PLACE.load(Ordering::Relaxed), copied + 3);
+        assert_eq!(ctx.counts().writes, 3);
+    }
+    assert_eq!(counted.metrics().histogram[1].writes, 3);
+    assert_eq!(recorded.metrics().registers[1].writes, 3);
+    assert_eq!(recorded.flight_log().unwrap().slot_choices(), 3);
+
+    let multi_writer = NativeMemory::new(2, regs());
+    let built = BUILT.load(Ordering::Relaxed);
+    multi_writer.ctx(1).write_from(0, &InPlace(9));
+    assert!(BUILT.load(Ordering::Relaxed) > built);
+    assert_eq!(multi_writer.peek(0), InPlace(9));
+    let packed = NativeMemory::new_packed(1, vec![5u64]);
+    packed.ctx(0).write_from(0, &6);
+    assert_eq!(packed.peek(0), 6);
 }
 
 #[test]

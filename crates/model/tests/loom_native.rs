@@ -89,8 +89,20 @@ fn swmr_writer_avoids_announced_slot() {
 /// announce/validate window is in play too.
 #[test]
 fn swmr_borrowed_read_pins_its_slot() {
+    borrowed_read_pins_its_slot(|cell, v| cell.write_traced(v));
+}
+
+/// The same with the writer copying in place: the slot a `read_with`
+/// pins is never the target of [`SwmrCell::write_from`]'s `clone_from`,
+/// which overwrites the buffer a reader would be looking at.
+#[test]
+fn swmr_borrowed_read_pins_its_slot_against_in_place_writes() {
+    borrowed_read_pins_its_slot(|cell, v| cell.write_from(&v));
+}
+
+fn borrowed_read_pins_its_slot(write: fn(&SwmrCell<Vec<u64>>, Vec<u64>) -> usize) {
     use loom::sync::atomic::{AtomicBool, Ordering};
-    loom::model(|| {
+    loom::model(move || {
         let n = 1;
         let cell = Arc::new(SwmrCell::new(n, vec![0u64; 4]));
         let inside = Arc::new(AtomicBool::new(false));
@@ -99,12 +111,12 @@ fn swmr_borrowed_read_pins_its_slot() {
             let (cell, inside, done) = (cell.clone(), inside.clone(), done.clone());
             thread::spawn(move || {
                 // slots[k] holds value k; the cell starts with 0 in slot 0.
-                let mut slots = vec![0, cell.write_traced(vec![1; 4])];
+                let mut slots = vec![0, write(&cell, vec![1; 4])];
                 while !inside.load(Ordering::SeqCst) {
                     thread::yield_now();
                 }
                 for k in 2..2 + (n as u64 + 3) {
-                    slots.push(cell.write_traced(vec![k; 4]));
+                    slots.push(write(&cell, vec![k; 4]));
                 }
                 done.store(true, Ordering::SeqCst);
                 slots

@@ -138,7 +138,7 @@ impl MwRegister {
     {
         let p = ctx.proc();
         let best = self.collect_max(ctx);
-        self.view().write_cell(ctx, p, 0, best.clone());
+        self.view().write_cell_from(ctx, p, 0, &best);
         best.value
     }
 }

@@ -131,7 +131,7 @@ impl ScanObject {
         // Line 2: scan[P][0] := v ∨ scan[P][0]
         let mut cur = scan.read_cell(ctx, p, 0);
         cur.join_assign(&v);
-        scan.write_cell(ctx, p, 0, cur.clone());
+        scan.write_cell_from(ctx, p, 0, &cur);
         // Lines 3–7: n+1 passes, each reading column i−1 of every process
         // and writing the accumulated join to scan[P][i].
         for i in 1..=n + 1 {
@@ -140,7 +140,7 @@ impl ScanObject {
                 let x = scan.read_cell(ctx, q, i - 1);
                 acc.join_assign(&x);
             }
-            scan.write_cell(ctx, p, i, acc.clone());
+            scan.write_cell_from(ctx, p, i, &acc);
             cur = acc;
         }
         // Line 8: return scan[P][n+1] — the value just written.
@@ -205,8 +205,10 @@ impl<L: JoinSemilattice> ScanHandle<L> {
     /// join of column `i−1` as it stood then — lies below the join of
     /// column `i−1` as it stands now, and joining it in changes
     /// nothing. What it saves is the copying: a join that finds nothing
-    /// new writes nothing, and the other processes' registers are read
-    /// by reference ([`MemCtx::read_with`]).
+    /// new writes nothing, the other processes' registers are read by
+    /// reference ([`MemCtx::read_with`]), and the cache columns are
+    /// written by reference too ([`MemCtx::write_from`]), so that a
+    /// backend with storage of its own copies them in place.
     pub fn scan<C: MemCtx<L>>(&mut self, ctx: &mut C, v: L) -> L {
         self.scan_in_place(ctx, &v).clone()
     }
@@ -218,6 +220,21 @@ impl<L: JoinSemilattice> ScanHandle<L> {
     // 70–73 ns with it (the accumulating scan: 70).
     #[inline]
     pub(crate) fn scan_in_place<C: MemCtx<L>>(&mut self, ctx: &mut C, v: &L) -> &L {
+        self.scan_joining(ctx, |first| first.join_assign(v))
+    }
+
+    /// The scan with line 2's `scan[P][0] := v ∨ scan[P][0]` left to
+    /// `join`, which is handed the cached `scan[P][0]` and must leave it
+    /// joined with the input — larger or equal in the lattice, never
+    /// anything else. Lets a caller whose input differs from what the
+    /// cache holds in one place change that place, rather than build
+    /// the input to have it joined.
+    #[inline]
+    pub(crate) fn scan_joining<C: MemCtx<L>>(
+        &mut self,
+        ctx: &mut C,
+        join: impl FnOnce(&mut L),
+    ) -> &L {
         let p = ctx.proc();
         let n = self.obj.n;
         let scan = self.obj.view::<L>();
@@ -226,8 +243,8 @@ impl<L: JoinSemilattice> ScanHandle<L> {
             .split_first_mut()
             .expect("the cache has n + 2 columns");
         // scan[P][0] := v ∨ scan[P][0], with the read served by the cache.
-        first.join_assign(v);
-        scan.write_cell(ctx, p, 0, first.clone());
+        join(first);
+        scan.write_cell_from(ctx, p, 0, first);
         let mut prev: &L = first;
         for (i, acc) in (1..).zip(rest) {
             // The cached own value of column i−1 replaces the Q = P read.
@@ -236,7 +253,7 @@ impl<L: JoinSemilattice> ScanHandle<L> {
                 scan.read_cell_with(ctx, q, i - 1, |x| acc.join_assign(x));
             }
             if i <= n {
-                scan.write_cell(ctx, p, i, acc.clone());
+                scan.write_cell_from(ctx, p, i, acc);
             }
             prev = acc;
         }

@@ -17,7 +17,7 @@
 
 use crate::scan::{ScanHandle, ScanObject};
 use apram_history::{DetSpec, ProcId};
-use apram_lattice::{JoinSemilattice, TaggedVec};
+use apram_lattice::{JoinSemilattice, Tagged, TaggedVec};
 use apram_model::MemCtx;
 use std::fmt::Debug;
 
@@ -73,23 +73,48 @@ pub struct SnapshotHandle<T: Clone> {
 impl<T: Clone> SnapshotHandle<T> {
     /// Set the calling process's slot to `value`.
     pub fn update<C: MemCtx<TaggedVec<T>>>(&mut self, ctx: &mut C, value: T) {
+        self.update_from(ctx, &value);
+    }
+
+    /// [`update`](Self::update) with a copy of `*value`, made where the
+    /// slot already lies: the new tag and value are joined straight
+    /// into slot `P` of the cached `scan[P][0]` (the paper's "simple
+    /// optimization" — the all-zero-tag slots behind the writer's own
+    /// are left out — with no singleton array built to carry them).
+    pub fn update_from<C: MemCtx<TaggedVec<T>>>(&mut self, ctx: &mut C, value: &T) {
         let p = ctx.proc();
         let tag = self.next_tag;
         self.next_tag += 1;
-        // The paper's "simple optimization": the all-zero-tag slots
-        // behind the writer's own are left out.
-        let v = TaggedVec::singleton(p + 1, p, tag, value);
-        self.scan.scan_in_place(ctx, &v);
+        self.scan.scan_joining(ctx, |own: &mut TaggedVec<T>| {
+            if own.0.len() <= p {
+                own.0.resize(p + 1, Tagged::empty());
+            }
+            let slot = &mut own.0[p];
+            debug_assert!(slot.tag < tag, "tags are handed out in order");
+            slot.tag = tag;
+            match &mut slot.value {
+                Some(held) => held.clone_from(value),
+                empty => *empty = Some(value.clone()),
+            }
+        });
     }
 
     /// An instantaneous snapshot: the latest value of every process
     /// (`None` for processes that never updated).
     pub fn snap<C: MemCtx<TaggedVec<T>>>(&mut self, ctx: &mut C) -> Vec<Option<T>> {
         let n = self.scan.object().n();
-        let j = self.scan.scan_in_place(ctx, &TaggedVec::bottom());
+        let j = self.snap_ref(ctx);
         (0..n)
             .map(|i| j.0.get(i).and_then(|slot| slot.value.clone()))
             .collect()
+    }
+
+    /// [`snap`](Self::snap), returning the view where it already lies —
+    /// in the handle's scan cache — tags included: slot `i` holds
+    /// process `i`'s latest tag and value, and slots past the end are
+    /// bottom (never written). The same scan, so the same steps.
+    pub fn snap_ref<C: MemCtx<TaggedVec<T>>>(&mut self, ctx: &mut C) -> &TaggedVec<T> {
+        self.scan.scan_in_place(ctx, &TaggedVec::bottom())
     }
 }
 
