@@ -71,10 +71,6 @@ impl<T: Clone, C: MemCtx<T>> MemCtx<T> for OffsetCtx<'_, C> {
     fn write(&mut self, reg: usize, val: T) {
         self.inner.write(self.base + reg, val)
     }
-
-    fn point_contention(&self, reg: usize) -> u64 {
-        self.inner.point_contention(self.base + reg)
-    }
 }
 
 /// One cell of the E12 grid.

@@ -33,14 +33,12 @@
 //! sequential explorer's — the same guarantee the step counters already
 //! give.
 //!
-//! The simulator profiles *exactly* (the scheduler sees every pending
+//! The simulator profiles *exactly*: the scheduler sees every pending
 //! request, so point contention is the true number of processes blocked
-//! on the cell); the native backend *samples* it from the per-register
-//! in-flight gauge via [`MemCtx::point_contention`]. The
-//! [`ProfiledCtx`] adapter profiles any [`MemCtx`] the same way
-//! [`crate::telemetry::CountingCtx`] counts one.
+//! on the cell. The native backend has no such view and does not
+//! estimate one.
 
-use crate::ctx::{AccessKind, MemCtx, ProcId};
+use crate::ctx::{AccessKind, ProcId};
 use crate::json::Json;
 use crate::telemetry::escape_label_value;
 use std::collections::BTreeMap;
@@ -183,10 +181,9 @@ impl ContentionMap {
         self.charged_worst.iter().copied().max().unwrap_or(0) as f64 / CHARGE_UNIT as f64
     }
 
-    /// The largest single-run raw step total is not tracked (raw steps
-    /// already live on [`crate::sim::SimOutcome::counts`]); the hottest
-    /// cells are: registers sorted by descending contention sum (ties
-    /// broken by register id), truncated to `limit`.
+    /// The hottest cells: the accessed registers sorted by descending
+    /// contention sum (ties broken by register id), truncated to
+    /// `limit`.
     pub fn hot_cells(&self, limit: usize) -> Vec<(usize, &CellStats)> {
         let mut idx: Vec<usize> = (0..self.n_regs)
             .filter(|&r| self.cells[r].accesses() > 0)
@@ -564,56 +561,6 @@ impl ContentionProfiler {
     }
 }
 
-/// A [`MemCtx`] adapter that profiles every access of the wrapped
-/// context into a [`ContentionProfiler`], sampling point contention via
-/// [`MemCtx::point_contention`] (exact on backends that know it, 1
-/// elsewhere). The native-backend counterpart of the simulator's
-/// scheduler-side profiling.
-pub struct ProfiledCtx<'a, C> {
-    inner: &'a mut C,
-    profiler: &'a mut ContentionProfiler,
-}
-
-impl<'a, C> ProfiledCtx<'a, C> {
-    /// Profile `inner`'s accesses into `profiler`.
-    pub fn new(inner: &'a mut C, profiler: &'a mut ContentionProfiler) -> Self {
-        ProfiledCtx { inner, profiler }
-    }
-}
-
-impl<T: Clone, C: MemCtx<T>> MemCtx<T> for ProfiledCtx<'_, C> {
-    fn proc(&self) -> ProcId {
-        self.inner.proc()
-    }
-
-    fn n_procs(&self) -> usize {
-        self.inner.n_procs()
-    }
-
-    fn n_regs(&self) -> usize {
-        self.inner.n_regs()
-    }
-
-    fn read(&mut self, reg: usize) -> T {
-        let k = self.inner.point_contention(reg);
-        let v = self.inner.read(reg);
-        self.profiler
-            .record(self.inner.proc(), reg, AccessKind::Read, k);
-        v
-    }
-
-    fn write(&mut self, reg: usize, val: T) {
-        let k = self.inner.point_contention(reg);
-        self.inner.write(reg, val);
-        self.profiler
-            .record(self.inner.proc(), reg, AccessKind::Write, k);
-    }
-
-    fn point_contention(&self, reg: usize) -> u64 {
-        self.inner.point_contention(reg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -868,47 +815,6 @@ mod tests {
         assert!(text.contains("apram_cell_accesses{object=\"afek\",cell=\"0\",kind=\"read\"} 4"));
         assert!(text
             .contains("apram_stall_steps{object=\"afek\",reader=\"0\",writer=\"1\",cell=\"0\"} 2"));
-    }
-
-    #[test]
-    fn profiled_ctx_matches_manual_recording() {
-        struct VecCtx {
-            regs: Vec<u32>,
-        }
-        impl MemCtx<u32> for VecCtx {
-            fn proc(&self) -> ProcId {
-                0
-            }
-            fn n_procs(&self) -> usize {
-                1
-            }
-            fn n_regs(&self) -> usize {
-                self.regs.len()
-            }
-            fn read(&mut self, reg: usize) -> u32 {
-                self.regs[reg]
-            }
-            fn write(&mut self, reg: usize, val: u32) {
-                self.regs[reg] = val;
-            }
-        }
-        let mut inner = VecCtx { regs: vec![0; 2] };
-        let mut prof = ContentionProfiler::new(1, 2);
-        {
-            let mut ctx = ProfiledCtx::new(&mut inner, &mut prof);
-            assert_eq!(ctx.proc(), 0);
-            assert_eq!(ctx.n_procs(), 1);
-            assert_eq!(ctx.n_regs(), 2);
-            assert_eq!(ctx.point_contention(0), 1);
-            ctx.write(0, 9);
-            assert_eq!(ctx.read(0), 9);
-        }
-        let m = prof.into_map();
-        assert_eq!(m.cells[0].reads, 1);
-        assert_eq!(m.cells[0].writes, 1);
-        assert_eq!(m.proc_steps[0], 2);
-        assert_eq!(m.charged_total[0], 2 * CHARGE_UNIT);
-        assert_eq!(inner.regs[0], 9);
     }
 
     #[test]

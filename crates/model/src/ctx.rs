@@ -87,17 +87,6 @@ pub trait MemCtx<T: Clone> {
     fn write_from(&mut self, reg: usize, val: &T) {
         self.write(reg, val.clone());
     }
-
-    /// The backend's estimate of the *point contention* this process
-    /// would observe on `reg` right now: the number of processes
-    /// (including this one, so always `>= 1`) currently competing for
-    /// the register. Backends that cannot observe concurrency report 1;
-    /// the native backend samples its per-register in-flight gauge, and
-    /// the simulator attributes contention exactly on the scheduler
-    /// side instead (see [`crate::contention::ContentionProfiler`]).
-    fn point_contention(&self, _reg: usize) -> u64 {
-        1
-    }
 }
 
 /// Register-array layout helpers shared by the algorithms.

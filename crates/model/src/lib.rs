@@ -72,7 +72,6 @@ pub mod crash;
 pub mod ctx;
 pub mod flight;
 pub mod json;
-pub mod metrics;
 pub mod native;
 pub mod seed;
 pub mod sim;
@@ -80,11 +79,10 @@ pub mod span;
 pub mod telemetry;
 pub mod trace;
 
-pub use contention::{CellStats, ContentionMap, ContentionProfiler, ProfiledCtx, CHARGE_UNIT};
+pub use contention::{CellStats, ContentionMap, ContentionProfiler, CHARGE_UNIT};
 pub use ctx::{AccessKind, Matrix, MatrixView, MemCtx, ProcId};
 pub use flight::{FlightEvent, FlightLog, FlightMode, FlightRecorder, FlightRing, OpSpan};
 pub use json::Json;
-pub use metrics::{Metrics, MetricsLevel, RegStats};
 pub use native::{AtomicPackable, CachePadded, NativeCtx, NativeMemory};
 pub use sim::{
     certify, certify_parallel, explore, explore_parallel, explore_reduced_parallel,

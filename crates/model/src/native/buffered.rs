@@ -115,6 +115,10 @@ impl<T> Slot<T> {
 /// Announce-word sentinel: "not reading any slot".
 const NONE: usize = usize::MAX;
 
+/// The most processes a buffered-tier memory serves: a cell's writer
+/// tracks its `n + 3` slots in one `u64` bitmask.
+pub const MAX_PROCS: usize = 61;
+
 /// A single-writer multi-reader register of arbitrary `Clone` width.
 ///
 /// Constructed per register by the buffered tier; the single-writer
@@ -143,8 +147,8 @@ impl<T: Clone> SwmrCell<T> {
     pub fn new(n_procs: usize, init: T) -> Self {
         let n_slots = n_procs + 3;
         assert!(
-            n_slots <= 64,
-            "buffered cells track free slots in a u64 bitmask: at most 61 processes"
+            n_procs <= MAX_PROCS,
+            "buffered cells track free slots in a u64 bitmask: at most {MAX_PROCS} processes"
         );
         SwmrCell {
             slots: (0..n_slots).map(|_| Slot::new(init.clone())).collect(),

@@ -21,9 +21,8 @@
 //!   `rwlock-baseline` feature as the comparison baseline for the E13
 //!   scaling experiment. It is *not* compiled into default builds.
 //!
-//! Layout matters as much as the protocol: every index word, metric
-//! counter, and packed cell is [`CachePadded`] so independent registers
-//! (and the observability counters watching them) never false-share a
+//! Layout matters as much as the protocol: every index word and packed
+//! cell is [`CachePadded`] so independent registers never false-share a
 //! cache line.
 //!
 //! Per-context read/write counters let native benches report the same
@@ -36,7 +35,6 @@ pub mod padded;
 use crate::ctx::{AccessKind, MemCtx, ProcId};
 use crate::flight::stamp::{clock, Clock};
 use crate::flight::{FlightEvent, FlightLog, FlightMode, FlightRecorder};
-use crate::metrics::{Metrics, MetricsLevel};
 use crate::telemetry::TelemetryRegistry;
 use crate::trace::StepCounts;
 use buffered::{MwmrCell, SwmrCell};
@@ -48,99 +46,6 @@ use std::sync::Arc;
 pub use packed::AtomicPackable;
 pub use padded::CachePadded;
 
-/// Lock-free shared counters backing [`NativeMemory::metrics`]. All
-/// updates are relaxed `fetch_add`s on [`CachePadded`] cells (so the
-/// observability path does not induce the false sharing it measures); a
-/// snapshot is not an atomic cut across counters, which is fine for
-/// observability data.
-struct MetricsShared {
-    level: MetricsLevel,
-    /// Per register: reads, writes, contended accesses.
-    reg_reads: Vec<CachePadded<AtomicU64>>,
-    reg_writes: Vec<CachePadded<AtomicU64>>,
-    reg_contended: Vec<CachePadded<AtomicU64>>,
-    /// Per register: how many threads are inside an access right now.
-    /// Touched only when the level attributes contention — at
-    /// [`MetricsLevel::Counts`] the hot path does no gauge traffic.
-    in_flight: Vec<CachePadded<AtomicU64>>,
-    /// Per process: reads, writes.
-    proc_reads: Vec<CachePadded<AtomicU64>>,
-    proc_writes: Vec<CachePadded<AtomicU64>>,
-}
-
-impl MetricsShared {
-    fn new(level: MetricsLevel, n_procs: usize, n_regs: usize) -> Self {
-        let fill = |n: usize| {
-            (0..n)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect()
-        };
-        MetricsShared {
-            level,
-            reg_reads: fill(n_regs),
-            reg_writes: fill(n_regs),
-            reg_contended: fill(n_regs),
-            in_flight: fill(n_regs),
-            proc_reads: fill(n_procs),
-            proc_writes: fill(n_procs),
-        }
-    }
-
-    /// Bracket one access to `reg` by `proc`: bump the in-flight gauge,
-    /// run `access`, then record. Contention is sampled: the access is
-    /// contended iff another thread's access to the same register was in
-    /// flight when this one began. The gauge bracket exists only for
-    /// that sampling, so it is skipped entirely when the level does not
-    /// attribute contention — the zero-/counts-metrics hot path does no
-    /// shared gauge traffic.
-    fn record<R>(
-        &self,
-        kind: AccessKind,
-        proc: ProcId,
-        reg: usize,
-        access: impl FnOnce() -> R,
-    ) -> R {
-        let track_contention = self.level.contention();
-        let others = if track_contention {
-            self.in_flight[reg].fetch_add(1, Ordering::Relaxed)
-        } else {
-            0
-        };
-        let out = access();
-        if track_contention {
-            self.in_flight[reg].fetch_sub(1, Ordering::Relaxed);
-        }
-        match kind {
-            AccessKind::Read => {
-                self.reg_reads[reg].fetch_add(1, Ordering::Relaxed);
-                self.proc_reads[proc].fetch_add(1, Ordering::Relaxed);
-            }
-            AccessKind::Write => {
-                self.reg_writes[reg].fetch_add(1, Ordering::Relaxed);
-                self.proc_writes[proc].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if others > 0 && track_contention {
-            self.reg_contended[reg].fetch_add(1, Ordering::Relaxed);
-        }
-        out
-    }
-
-    fn snapshot(&self) -> Metrics {
-        let mut m = Metrics::new(self.level, self.proc_reads.len(), self.reg_reads.len());
-        for (reg, slot) in m.registers.iter_mut().enumerate() {
-            slot.reads = self.reg_reads[reg].load(Ordering::Relaxed);
-            slot.writes = self.reg_writes[reg].load(Ordering::Relaxed);
-            slot.contended = self.reg_contended[reg].load(Ordering::Relaxed);
-        }
-        for (proc, slot) in m.histogram.iter_mut().enumerate() {
-            slot.reads = self.proc_reads[proc].load(Ordering::Relaxed);
-            slot.writes = self.proc_writes[proc].load(Ordering::Relaxed);
-        }
-        m
-    }
-}
-
 /// One buffered-tier register: single-writer cell when an owner map is
 /// attached, ticket-layered multi-writer cell otherwise.
 enum BufferedCell<T> {
@@ -149,10 +54,11 @@ enum BufferedCell<T> {
 }
 
 impl<T: Clone> BufferedCell<T> {
-    fn read(&self, proc: ProcId) -> T {
+    /// The value read and the read's validation retries.
+    fn read_traced(&self, proc: ProcId) -> (T, u64) {
         match self {
-            BufferedCell::Swmr(c) => c.read(proc),
-            BufferedCell::Mwmr(c) => c.read(proc),
+            BufferedCell::Swmr(c) => c.read_traced(proc),
+            BufferedCell::Mwmr(c) => c.read_traced(proc),
         }
     }
 
@@ -170,19 +76,15 @@ impl<T: Clone> BufferedCell<T> {
     }
 
     /// Write `val`, moved in or — for a single-writer cell handed a
-    /// borrow — copied in place into the slot the write chose.
-    fn write(&self, proc: ProcId, val: Cow<'_, T>) -> WriteTrace {
+    /// borrow — copied in place into the slot the write chose. Returns
+    /// the MWMR ticket drawn (multi-writer cells only) and the buffer
+    /// slot the announce scan chose.
+    fn write(&self, proc: ProcId, val: Cow<'_, T>) -> (Option<u64>, u64) {
         match self {
-            BufferedCell::Swmr(c) => WriteTrace {
-                ticket: None,
-                slot: Some(c.write_via(|slot| assign(slot, val)) as u64),
-            },
+            BufferedCell::Swmr(c) => (None, c.write_via(|slot| assign(slot, val)) as u64),
             BufferedCell::Mwmr(c) => {
                 let (ticket, slot) = c.write_traced(proc, val.into_owned());
-                WriteTrace {
-                    ticket: Some(ticket),
-                    slot: Some(slot as u64),
-                }
+                (Some(ticket), slot as u64)
             }
         }
     }
@@ -207,13 +109,6 @@ impl<T: Clone> BufferedCell<T> {
             BufferedCell::Mwmr(c) => c.retries(),
         }
     }
-
-    fn read_traced(&self, proc: ProcId) -> (T, u64) {
-        match self {
-            BufferedCell::Swmr(c) => c.read_traced(proc),
-            BufferedCell::Mwmr(c) => c.read_traced(proc),
-        }
-    }
 }
 
 /// `*slot = val`, with a borrowed `val` copied into what `slot` holds.
@@ -222,16 +117,6 @@ fn assign<T: Clone>(slot: &mut T, val: Cow<'_, T>) {
         Cow::Owned(v) => *slot = v,
         Cow::Borrowed(v) => slot.clone_from(v),
     }
-}
-
-/// What a write observed: the MWMR ticket it drew (multi-writer
-/// cells only) and the buffer slot its announce scan chose (buffered
-/// tier only). Both `None` on the packed and rwlock tiers, whose
-/// writes are single instructions with nothing to report.
-#[derive(Clone, Copy, Default)]
-struct WriteTrace {
-    ticket: Option<u64>,
-    slot: Option<u64>,
 }
 
 /// The register file, by tier.
@@ -267,7 +152,6 @@ pub struct NativeMemory<T> {
     regs: Arc<Regs<T>>,
     owners: Option<Arc<Vec<ProcId>>>,
     n_procs: usize,
-    metrics: Option<Arc<MetricsShared>>,
     flight: Option<Arc<FlightRecorder>>,
     exported: Arc<ExportMark>,
 }
@@ -278,7 +162,6 @@ impl<T> Clone for NativeMemory<T> {
             regs: Arc::clone(&self.regs),
             owners: self.owners.clone(),
             n_procs: self.n_procs,
-            metrics: self.metrics.clone(),
             flight: self.flight.clone(),
             exported: Arc::clone(&self.exported),
         }
@@ -300,7 +183,6 @@ impl<T: Clone> NativeMemory<T> {
             regs: Arc::new(Regs::Buffered(cells)),
             owners: None,
             n_procs,
-            metrics: None,
             flight: None,
             exported: Arc::default(),
         }
@@ -317,7 +199,6 @@ impl<T: Clone> NativeMemory<T> {
             )),
             owners: None,
             n_procs,
-            metrics: None,
             flight: None,
             exported: Arc::default(),
         }
@@ -342,38 +223,12 @@ impl<T: Clone> NativeMemory<T> {
         self
     }
 
-    /// Collect [`Metrics`] during the run. Unlike the simulator's exact
-    /// contention attribution, the native backend *samples*: an access is
-    /// contended when another thread's access to the same register is in
-    /// flight at the instant it begins (per-register in-flight gauge).
-    /// The gauge is maintained only at [`MetricsLevel::Full`]; at
-    /// [`MetricsLevel::Counts`] accesses touch nothing but their own
-    /// padded counters.
-    pub fn with_metrics(mut self, level: MetricsLevel) -> Self {
-        self.metrics = level
-            .enabled()
-            .then(|| Arc::new(MetricsShared::new(level, self.n_procs, self.regs.len())));
-        self
-    }
-
-    /// Snapshot the counters collected so far. Empty (level
-    /// [`MetricsLevel::Off`]) unless [`NativeMemory::with_metrics`] was
-    /// called. The snapshot is not an atomic cut while threads are still
-    /// running; call it after joining for exact totals.
-    pub fn metrics(&self) -> Metrics {
-        match &self.metrics {
-            Some(shared) => shared.snapshot(),
-            None => Metrics::new(MetricsLevel::Off, self.n_procs, self.regs.len()),
-        }
-    }
-
     /// Attach a flight recorder (see [`crate::flight`]): per-process
     /// wait-free event rings holding `capacity` events each (rounded up
     /// to a power of two; [`crate::flight::DEFAULT_FLIGHT_CAPACITY`] is
     /// a reasonable default). At [`FlightMode::Off`] nothing is
     /// allocated and every instrumentation site stays a single branch
-    /// on a `None` — the same zero-cost-when-off discipline as
-    /// [`NativeMemory::with_metrics`].
+    /// on a `None`.
     ///
     /// The rings are single-writer: with a recorder attached, create at
     /// most one live [`NativeCtx`] per process id (the same discipline
@@ -414,38 +269,24 @@ impl<T: Clone> NativeMemory<T> {
         }
     }
 
-    /// Export this memory's protocol counters into `registry` as
-    /// labeled Prometheus series: `native_read_retries{object=...}`
-    /// (buffered-tier reader validation retries, previously reachable
-    /// only by summing the cells directly) and
-    /// `native_ticket_draws{object=...}` (MWMR writes). Call after
-    /// joining the worker threads for exact totals.
-    pub fn export_telemetry(&self, registry: &TelemetryRegistry, object: &str) {
-        let labels = [("object", object)];
-        registry
-            .labeled_counter("native_read_retries", &labels)
-            .add(0, self.read_retries());
-        registry
-            .labeled_counter("native_ticket_draws", &labels)
-            .add(0, self.ticket_draws());
-    }
-
     /// One-stop Prometheus export for a scrape or a bench report: add
-    /// the protocol counters ([`NativeMemory::export_telemetry`]'s
-    /// series) to `registry`, drain any attached flight recorder, and
-    /// aggregate the drained events into the same registry (the
-    /// `flight_*` series and the per-object latency histogram). Returns
-    /// the drained [`FlightLog`] so callers can also derive op spans or
-    /// traces from the same drain (`None` when no recorder is attached).
+    /// this memory's protocol counters to `registry` as labeled series —
+    /// `native_read_retries{object=...}` (buffered-tier reader
+    /// validation retries) and `native_ticket_draws{object=...}` (MWMR
+    /// writes) — drain any attached flight recorder, and aggregate the
+    /// drained events into the same registry (the `flight_*` series and
+    /// the per-object latency histogram). Returns the drained
+    /// [`FlightLog`] so callers can also derive op spans or traces from
+    /// the same drain (`None` when no recorder is attached).
     ///
-    /// Unlike `export_telemetry` (raw lifetime totals, one-shot), this
-    /// is safe to call repeatedly against one long-lived registry — it
+    /// Safe to call repeatedly against one long-lived registry: it
     /// exports only the delta of the protocol counters since the
-    /// previous call, and flight drains are incremental by
-    /// construction. Both E14 and `apram-serve`'s `/metrics` endpoint
-    /// go through here, so the two exports cannot drift. Concurrent
-    /// calls on clones of one memory should be serialized by the caller
-    /// (a scrape is not a hot path).
+    /// previous call (the first call's delta is the lifetime total),
+    /// and flight drains are incremental by construction. Both E14 and
+    /// `apram-serve`'s `/metrics` endpoint go through here, so the two
+    /// exports cannot drift. Call after joining the worker threads for
+    /// exact totals; concurrent calls on clones of one memory should be
+    /// serialized by the caller (a scrape is not a hot path).
     pub fn snapshot_prometheus(
         &self,
         registry: &TelemetryRegistry,
@@ -540,7 +381,6 @@ impl<T: AtomicPackable> NativeMemory<T> {
             regs: Arc::new(Regs::Packed(PackedFile::new(init))),
             owners: None,
             n_procs,
-            metrics: None,
             flight: None,
             exported: Arc::default(),
         }
@@ -665,65 +505,24 @@ impl<T: Clone> NativeCtx<T> {
         f.end_sampled(self.proc, self.counts.writes, op, resp);
     }
 
-    fn raw_read(&self, reg: usize) -> T {
-        match &*self.mem.regs {
-            Regs::Packed(f) => f.read(reg),
-            Regs::Buffered(cells) => cells[reg].read(self.proc),
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => cells[reg].read().clone(),
-        }
-    }
-
-    fn raw_write(&self, reg: usize, val: Cow<'_, T>) -> WriteTrace {
-        match &*self.mem.regs {
-            Regs::Packed(f) => {
-                f.write(reg, &val);
-                WriteTrace::default()
-            }
-            Regs::Buffered(cells) => cells[reg].write(self.proc, val),
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => {
-                assign(&mut *cells[reg].write(), val);
-                WriteTrace::default()
-            }
-        }
-    }
-
-    fn raw_read_traced(&self, reg: usize) -> (T, u64) {
-        match &*self.mem.regs {
-            Regs::Packed(f) => (f.read(reg), 0),
-            Regs::Buffered(cells) => cells[reg].read_traced(self.proc),
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => (cells[reg].read().clone(), 0),
-        }
-    }
-
-    /// A read inside a sampled op: same access (and the same metrics
-    /// bracket, when both observers are on), plus a retry event when
-    /// the buffered tier's validation looped.
-    fn read_recorded(&self, reg: usize) -> T {
-        let raw = || self.raw_read_traced(reg);
-        let (v, retries) = match &self.mem.metrics {
-            Some(m) => m.record(AccessKind::Read, self.proc, reg, raw),
-            None => raw(),
-        };
-        if retries > 0 {
-            self.record_retries(reg, retries);
-        }
-        v
+    /// The recorder, if a sampled op is open.
+    fn sampled(&self) -> Option<&FlightCtx> {
+        self.flight.as_ref().filter(|f| f.active)
     }
 
     /// A read of `reg` retried its validation: an event, if a sampled
     /// op is open.
     fn record_retries(&self, reg: usize, retries: u64) {
-        if let Some(f) = self.flight.as_ref().filter(|f| f.active) {
+        if let Some(f) = self.sampled() {
             f.record_retries(self.proc, reg, retries);
         }
     }
 
     /// The write step behind [`MemCtx::write`] (an owned value, moved
     /// in) and [`MemCtx::write_from`] (a borrowed one, copied in place
-    /// where the tier keeps storage).
+    /// where the tier keeps storage). Only the buffered tier has
+    /// anything to tell the recorder: inside a sampled op, the slot
+    /// chosen and the MWMR ticket drawn.
     #[inline]
     fn store(&mut self, reg: usize, val: Cow<'_, T>) {
         if let Some(owners) = &self.mem.owners {
@@ -734,34 +533,16 @@ impl<T: Clone> NativeCtx<T> {
             );
         }
         self.counts.bump(AccessKind::Write);
-        if self.flight.as_ref().is_some_and(|f| f.active) {
-            return self.write_recorded(reg, val);
-        }
-        match &self.mem.metrics {
-            Some(m) => {
-                m.record(AccessKind::Write, self.proc, reg, || {
-                    self.raw_write(reg, val)
-                });
+        match &*self.mem.regs {
+            Regs::Packed(file) => file.write(reg, &val),
+            Regs::Buffered(cells) => {
+                let (ticket, slot) = cells[reg].write(self.proc, val);
+                if let Some(f) = self.sampled() {
+                    f.record_write(self.proc, reg, ticket, slot);
+                }
             }
-            None => {
-                self.raw_write(reg, val);
-            }
-        }
-    }
-
-    /// A write inside a sampled op: emits the MWMR ticket draw and the
-    /// buffered-tier slot choice, when the tier has them.
-    fn write_recorded(&self, reg: usize, val: Cow<'_, T>) {
-        let raw = || self.raw_write(reg, val);
-        let trace = match &self.mem.metrics {
-            Some(m) => m.record(AccessKind::Write, self.proc, reg, raw),
-            None => raw(),
-        };
-        // Only the buffered tier has anything to report, and a ticket
-        // only ever comes with a slot.
-        if let Some(slot) = trace.slot {
-            let f = self.flight.as_ref().expect("recorded path requires flight");
-            f.record_write(self.proc, reg, trace.ticket, slot);
+            #[cfg(feature = "rwlock-baseline")]
+            Regs::Locked(cells) => assign(&mut *cells[reg].write(), val),
         }
     }
 }
@@ -781,12 +562,17 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
 
     fn read(&mut self, reg: usize) -> T {
         self.counts.bump(AccessKind::Read);
-        if self.flight.as_ref().is_some_and(|f| f.active) {
-            return self.read_recorded(reg);
-        }
-        match &self.mem.metrics {
-            Some(m) => m.record(AccessKind::Read, self.proc, reg, || self.raw_read(reg)),
-            None => self.raw_read(reg),
+        match &*self.mem.regs {
+            Regs::Packed(file) => file.read(reg),
+            Regs::Buffered(cells) => {
+                let (v, retries) = cells[reg].read_traced(self.proc);
+                if retries > 0 {
+                    self.record_retries(reg, retries);
+                }
+                v
+            }
+            #[cfg(feature = "rwlock-baseline")]
+            Regs::Locked(cells) => cells[reg].read().clone(),
         }
     }
 
@@ -799,8 +585,8 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
     /// copy is made with `clone_from` in the free slot the write chose
     /// ([`SwmrCell::write_via`]) — storage the cell owns and no reader
     /// can reach until it is published — instead of being built outside
-    /// and moved in. Owner check, counters, metrics bracket and the
-    /// recorder's `SlotChoice` are `write`'s: both are one `store`.
+    /// and moved in. Owner check, counters and the recorder's
+    /// `SlotChoice` are `write`'s: both are one `store`.
     // Out of line on purpose. Inlined into the generic sessions' scan
     // loops it cost `native_read_heavy` 2.4 % and `native_update_heavy`
     // 1–7 % (four pairs each, none won) — their scans run on the packed
@@ -820,37 +606,22 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
     /// A sampled flight op takes the same path (the cell hands over the
     /// read's retry count for the `ReadRetry` event), so a recorded op
     /// differs from an unrecorded one by the recorder and nothing else.
-    /// With metrics attached the access goes through the by-value
-    /// `read`, so the metrics bracket and the in-flight gauge see what
-    /// they always saw.
     // Inlined into the caller's loop, `f` and the tier dispatch fold
     // into it: a packed-tier scan measured a fifth faster with this hint
     // than without.
     #[inline]
     fn read_with<R>(&mut self, reg: usize, f: impl FnOnce(&T) -> R) -> R {
-        if self.mem.metrics.is_some() {
-            return f(&self.read(reg));
-        }
         self.counts.bump(AccessKind::Read);
         match &*self.mem.regs {
+            Regs::Packed(file) => f(&file.read(reg)),
             Regs::Buffered(cells) => cells[reg].read_with(self.proc, |v, retries| {
                 if retries > 0 {
                     self.record_retries(reg, retries);
                 }
                 f(v)
             }),
-            _ => f(&self.raw_read(reg)),
-        }
-    }
-
-    /// Sampled point contention: the threads currently inside an access
-    /// to `reg` (per-register in-flight gauge), plus this one. Requires
-    /// [`NativeMemory::with_metrics`] at [`MetricsLevel::Full`] (the
-    /// gauge is not maintained below that); reports 1 otherwise.
-    fn point_contention(&self, reg: usize) -> u64 {
-        match &self.mem.metrics {
-            Some(m) if m.level.contention() => m.in_flight[reg].load(Ordering::Relaxed) + 1,
-            _ => 1,
+            #[cfg(feature = "rwlock-baseline")]
+            Regs::Locked(cells) => f(&cells[reg].read()),
         }
     }
 }

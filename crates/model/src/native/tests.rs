@@ -1,5 +1,4 @@
 use super::*;
-use crate::metrics::MetricsLevel;
 
 #[test]
 fn single_thread_read_write() {
@@ -55,78 +54,6 @@ fn concurrent_writers_to_distinct_registers() {
     });
     for p in 0..8 {
         assert_eq!(mem.peek(p), 999);
-    }
-}
-
-#[test]
-fn metrics_default_off() {
-    let mem = NativeMemory::new(1, vec![0u64; 2]);
-    mem.ctx(0).write(0, 1);
-    let m = mem.metrics();
-    assert!(!m.enabled());
-    assert!(m.registers.is_empty());
-}
-
-#[test]
-fn metrics_count_per_register_and_process() {
-    let mem = NativeMemory::new(2, vec![0u64; 3]).with_metrics(MetricsLevel::Full);
-    let mut c0 = mem.ctx(0);
-    let mut c1 = mem.ctx(1);
-    c0.write(0, 1);
-    c0.write(0, 2);
-    let _ = c1.read(0);
-    let _ = c1.read(2);
-    let m = mem.metrics();
-    assert_eq!(m.registers[0].reads, 1);
-    assert_eq!(m.registers[0].writes, 2);
-    assert_eq!(m.registers[2].reads, 1);
-    assert_eq!(m.registers[1].reads + m.registers[1].writes, 0);
-    assert_eq!(
-        m.histogram[0],
-        StepCounts {
-            reads: 0,
-            writes: 2
-        }
-    );
-    assert_eq!(
-        m.histogram[1],
-        StepCounts {
-            reads: 2,
-            writes: 0
-        }
-    );
-    // Single-threaded accesses are never contended.
-    assert_eq!(m.total_contended(), 0);
-    // Metrics agree with the per-context counters.
-    assert_eq!(c0.counts(), m.histogram[0]);
-    assert_eq!(c1.counts(), m.histogram[1]);
-}
-
-#[test]
-fn metrics_totals_exact_after_join() {
-    let n = 4;
-    let per = 500u64;
-    let mem = NativeMemory::new(n, vec![0u64; n])
-        .with_owners((0..n).collect())
-        .with_metrics(MetricsLevel::Full);
-    std::thread::scope(|s| {
-        for p in 0..n {
-            let mem = mem.clone();
-            s.spawn(move || {
-                let mut ctx = mem.ctx(p);
-                for i in 0..per {
-                    ctx.write(p, i);
-                    let _ = ctx.read((p + 1) % n);
-                }
-            });
-        }
-    });
-    let m = mem.metrics();
-    assert_eq!(m.total_reads(), n as u64 * per);
-    assert_eq!(m.total_writes(), n as u64 * per);
-    for p in 0..n {
-        assert_eq!(m.histogram[p].reads, per);
-        assert_eq!(m.histogram[p].writes, per);
     }
 }
 
@@ -228,63 +155,6 @@ fn with_owners_rejects_shared_memory() {
     let _ = mem.with_owners(vec![0, 1]);
 }
 
-// ---- metrics sampler gating (the zero-metrics hot path) ----
-
-#[test]
-fn metrics_off_does_no_counter_movement() {
-    // At MetricsLevel::Off no shared counter state exists at all, so the
-    // hot path cannot move any counter: the snapshot stays empty and
-    // disabled no matter how many accesses run.
-    let mem = NativeMemory::new(2, vec![0u64; 2]).with_metrics(MetricsLevel::Off);
-    let mut ctx = mem.ctx(0);
-    for i in 0..50 {
-        ctx.write(0, i);
-        let _ = ctx.read(1);
-    }
-    let m = mem.metrics();
-    assert!(!m.enabled());
-    assert!(m.registers.is_empty());
-    assert!(m.histogram.is_empty());
-    assert_eq!(m.total_reads() + m.total_writes() + m.total_contended(), 0);
-    // And point contention falls back to the trivial bound.
-    assert_eq!(ctx.point_contention(0), 1);
-}
-
-#[test]
-fn in_flight_gauge_idle_unless_contention_tracked() {
-    // At Counts the gauge bracket must be skipped entirely: observing the
-    // gauge from *inside* an access sees zero traffic.
-    let counts = MetricsShared::new(MetricsLevel::Counts, 1, 1);
-    let seen = counts.record(AccessKind::Read, 0, 0, || {
-        counts.in_flight[0].load(Ordering::Relaxed)
-    });
-    assert_eq!(seen, 0, "Counts level must not touch the in-flight gauge");
-    assert_eq!(counts.in_flight[0].load(Ordering::Relaxed), 0);
-    // Counting still works without the gauge.
-    assert_eq!(counts.reg_reads[0].load(Ordering::Relaxed), 1);
-
-    // At Full the bracket is live: the same probe sees this access.
-    let full = MetricsShared::new(MetricsLevel::Full, 1, 1);
-    let seen = full.record(AccessKind::Write, 0, 0, || {
-        full.in_flight[0].load(Ordering::Relaxed)
-    });
-    assert_eq!(seen, 1, "Full level maintains the in-flight gauge");
-    assert_eq!(full.in_flight[0].load(Ordering::Relaxed), 0);
-}
-
-#[test]
-fn point_contention_requires_full_level() {
-    let mem = NativeMemory::new(1, vec![0u64]).with_metrics(MetricsLevel::Counts);
-    let mut ctx = mem.ctx(0);
-    ctx.write(0, 1);
-    // Gauge not maintained below Full: trivial bound reported.
-    assert_eq!(ctx.point_contention(0), 1);
-
-    let mem = NativeMemory::new(1, vec![0u64]).with_metrics(MetricsLevel::Full);
-    let ctx = mem.ctx(0);
-    assert_eq!(ctx.point_contention(0), 1);
-}
-
 #[cfg(feature = "rwlock-baseline")]
 #[test]
 fn rwlock_baseline_tier_still_works() {
@@ -297,6 +167,7 @@ fn rwlock_baseline_tier_still_works() {
     // In place too: `clone_from` under the write lock.
     c0.write_from(0, &8);
     assert_eq!((c0.read(0), c0.counts().writes), (8, 2));
+    assert_eq!(c0.read_with(0, |v| *v + 1), 9);
 }
 
 // ---------------------------------------------------------------------
@@ -443,39 +314,18 @@ fn flight_unsampled_ops_emit_no_register_events() {
     assert_eq!(log.recorded, 4);
 }
 
-#[test]
-fn flight_composes_with_metrics() {
-    let mem = NativeMemory::new(1, vec![0u64])
-        .with_metrics(MetricsLevel::Counts)
-        .with_flight(FlightMode::Always, 64);
-    let mut ctx = mem.ctx(0);
-    ctx.op_begin(0, 0);
-    ctx.write(0, 1);
-    let _ = ctx.read(0);
-    ctx.op_end(0, 1);
-    // The metrics bracket still counted the traced accesses.
-    let m = mem.metrics();
-    assert_eq!(m.registers[0].reads, 1);
-    assert_eq!(m.registers[0].writes, 1);
-    assert!(mem.flight_log().unwrap().recorded >= 2);
-}
-
-/// `read_with` is `read` to every observer: the same value, one step
-/// in the context's counts, one read in the metrics, on the borrowed
-/// path (owner-mapped, nothing attached) and on every path that falls
-/// back to the by-value read.
+/// `read_with` is `read` to every observer: the same value and one step
+/// in the context's counts, on the borrowed path (owner-mapped, recorded
+/// or not) and on every path that falls back to the by-value read.
 #[test]
 fn read_with_is_one_read_step_on_every_path() {
     let wide = || vec![vec![7u8, 8], vec![9u8]];
     let borrowed = NativeMemory::new(2, wide()).with_owners(vec![0, 1]);
     let multi_writer = NativeMemory::new(2, wide());
-    let counted = NativeMemory::new(2, wide())
-        .with_owners(vec![0, 1])
-        .with_metrics(MetricsLevel::Counts);
     let recorded = NativeMemory::new(2, wide())
         .with_owners(vec![0, 1])
         .with_flight(FlightMode::Always, 64);
-    for mem in [&borrowed, &multi_writer, &counted, &recorded] {
+    for mem in [&borrowed, &multi_writer, &recorded] {
         let mut ctx = mem.ctx(1);
         ctx.op_begin(0, 0);
         assert_eq!(ctx.read_with(0, |v| v.len()), 2);
@@ -484,17 +334,16 @@ fn read_with_is_one_read_step_on_every_path() {
         assert_eq!(ctx.counts().reads, 3);
         assert_eq!(mem.read_retries(), 0);
     }
-    assert_eq!(counted.metrics().histogram[1].reads, 3);
     let packed = NativeMemory::new_packed(1, vec![5u64]);
     assert_eq!(packed.ctx(0).read_with(0, |v| *v + 1), 6);
 }
 
-/// A value that counts its clones.
+/// A value that counts its clones, per thread: each test counts its own.
 struct Counted(u8);
-static CLONES: AtomicU64 = AtomicU64::new(0);
+thread_local!(static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
 impl Clone for Counted {
     fn clone(&self) -> Self {
-        CLONES.fetch_add(1, Ordering::Relaxed);
+        CLONES.set(CLONES.get() + 1);
         Counted(self.0)
     }
 }
@@ -507,18 +356,84 @@ fn recorded_read_with_borrows_the_slot() {
         .with_owners(vec![0, 1])
         .with_flight(FlightMode::Always, 64);
     let mut ctx = mem.ctx(1);
-    let before = CLONES.load(Ordering::Relaxed);
+    let before = CLONES.get();
     assert!(ctx.op_begin(0, 0));
     assert_eq!(ctx.read_with(0, |v| v.0), 7);
     assert_eq!(ctx.read_with(1, |v| v.0), 9);
     ctx.op_end(0, 0);
-    assert_eq!(
-        CLONES.load(Ordering::Relaxed),
-        before,
-        "a recorded read cloned"
-    );
+    assert_eq!(CLONES.get(), before, "a recorded read cloned");
     assert_eq!(ctx.counts().reads, 2);
     assert_eq!(mem.flight_log().unwrap().op_spans().len(), 1);
+}
+
+/// The by-value `read` clones what the cell's protocol clones and
+/// nothing on top, recorded or not: the value once on a single-writer
+/// cell, one stamp per writer slot in a multi-writer cell's collect (the
+/// winner is moved out of its stamp, not cloned again).
+#[test]
+fn read_clones_once_recorded_or_not() {
+    let regs = || vec![Counted(7), Counted(9)];
+    let (n_procs, capacity) = (2, 64);
+    for mode in [FlightMode::Off, FlightMode::Always] {
+        let swmr = NativeMemory::new(n_procs, regs())
+            .with_owners(vec![0, 1])
+            .with_flight(mode, capacity);
+        let mwmr = NativeMemory::new(n_procs, regs()).with_flight(mode, capacity);
+        for (mem, clones) in [(&swmr, 1), (&mwmr, n_procs as u64)] {
+            let mut ctx = mem.ctx(1);
+            assert_eq!(ctx.op_begin(0, 0), mode.enabled());
+            let before = CLONES.get();
+            assert_eq!(ctx.read(0).0, 7);
+            assert_eq!(CLONES.get() - before, clones, "{mode:?} {}", mem.tier());
+            ctx.op_end(0, 0);
+        }
+    }
+}
+
+/// Every validation retry of a sampled op reaches the recorder, from
+/// `read` and from `read_with` alike. Retries cannot be forced from one
+/// thread, so two run free and the test holds whatever count came out.
+#[test]
+fn every_read_retry_of_a_sampled_op_is_recorded() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        println!(
+            "skipped: {cores} CPU available, and a read is only retried by a concurrent write"
+        );
+        return;
+    }
+    const OPS: u64 = 10_000;
+    // Three events an op at most: begin, end, and a slot choice or a retry.
+    let mem = NativeMemory::new(2, vec![vec![0u64; 16]; 2])
+        .with_owners(vec![0, 1])
+        .with_flight(FlightMode::Always, 1 << 15);
+    std::thread::scope(|s| {
+        let mut writer = mem.ctx(0);
+        s.spawn(move || {
+            for k in 0..OPS {
+                writer.op_begin(0, k);
+                writer.write(0, vec![k; 16]);
+                writer.op_end(0, k);
+            }
+        });
+        let mut reader = mem.ctx(1);
+        s.spawn(move || {
+            for k in 0..OPS {
+                reader.op_begin(1, k);
+                let v = if k % 2 == 0 {
+                    reader.read(0)
+                } else {
+                    reader.read_with(0, Vec::clone)
+                };
+                reader.op_end(1, k);
+                assert!(v.iter().all(|&x| x == v[0]), "torn read: {v:?}");
+            }
+        });
+    });
+    let log = mem.flight_log().unwrap();
+    assert_eq!(log.dropped, 0);
+    assert_eq!(log.read_retries(), mem.read_retries());
+    println!("{} retries in {OPS} reads", mem.read_retries());
 }
 
 /// A value that tells a copy made in place from one built outside.
@@ -538,22 +453,18 @@ impl Clone for InPlace {
 }
 
 /// `write_from` is `write` to every observer — one step in the
-/// context's counts, one write in the metrics, one `SlotChoice` in a
-/// sampled op — and on a single-writer cell, observed or not, the copy
+/// context's counts, one `SlotChoice` in a sampled op — and on a
+/// single-writer cell, observed or not, the copy
 /// is made in the slot: `clone_from`, never `clone`. A multi-writer
 /// cell takes the default, a clone moved in.
 #[test]
 fn write_from_is_one_write_step_and_copies_in_place() {
     let regs = || vec![InPlace(0), InPlace(0)];
     let plain = NativeMemory::new(2, regs()).with_owners(vec![0, 1]);
-    let counted = NativeMemory::new(2, regs())
-        .with_owners(vec![0, 1])
-        .with_metrics(MetricsLevel::Counts);
     let recorded = NativeMemory::new(2, regs())
         .with_owners(vec![0, 1])
-        .with_metrics(MetricsLevel::Counts)
         .with_flight(FlightMode::Always, 64);
-    for mem in [&plain, &counted, &recorded] {
+    for mem in [&plain, &recorded] {
         let mut ctx = mem.ctx(1);
         let copied = COPIED_IN_PLACE.load(Ordering::Relaxed);
         ctx.op_begin(0, 0);
@@ -567,8 +478,6 @@ fn write_from_is_one_write_step_and_copies_in_place() {
         assert_eq!(COPIED_IN_PLACE.load(Ordering::Relaxed), copied + 3);
         assert_eq!(ctx.counts().writes, 3);
     }
-    assert_eq!(counted.metrics().histogram[1].writes, 3);
-    assert_eq!(recorded.metrics().registers[1].writes, 3);
     assert_eq!(recorded.flight_log().unwrap().slot_choices(), 3);
 
     let multi_writer = NativeMemory::new(2, regs());
@@ -582,7 +491,7 @@ fn write_from_is_one_write_step_and_copies_in_place() {
 }
 
 #[test]
-fn export_telemetry_emits_labeled_series() {
+fn snapshot_prometheus_emits_labeled_series() {
     let n = 3;
     let mem = NativeMemory::new(n, vec![vec![0u64; 4]; 2]);
     std::thread::scope(|s| {
@@ -597,8 +506,9 @@ fn export_telemetry_emits_labeled_series() {
             });
         }
     });
+    // The first export's delta is the lifetime total.
     let reg = crate::telemetry::TelemetryRegistry::new(1);
-    mem.export_telemetry(&reg, "stress");
+    assert!(mem.snapshot_prometheus(&reg, "stress").is_none());
     assert_eq!(
         reg.labeled_counter_total("native_ticket_draws", &[("object", "stress")]),
         Some(n as u64 * 200),

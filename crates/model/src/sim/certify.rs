@@ -62,7 +62,6 @@ use super::{run_sim, ProcBody, SimConfig, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
-use crate::metrics::MetricsLevel;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What to certify: per-process step bounds plus exploration limits.
@@ -320,7 +319,7 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
 {
     let strat = FaultPlan::from(crashes.to_vec()).over(Replay::halting(schedule.to_vec()));
-    run_sim(pool, cfg, MetricsLevel::Off, strat, factory(), profiler).0
+    run_sim(pool, cfg, strat, factory(), profiler).0
 }
 
 /// Turn a violating witness into a classified, minimized one: re-execute

@@ -81,7 +81,6 @@ pub use strategy::{Decision, SchedView, Strategy};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::crash::{self, CrashSignal};
 use crate::ctx::{AccessKind, MemCtx, ProcId};
-use crate::metrics::{Metrics, MetricsLevel};
 use crate::trace::{StepCounts, Trace, TraceEvent};
 use parallel::ProcPool;
 use std::any::Any;
@@ -166,7 +165,6 @@ struct RunState<T> {
     halted: bool,
     trace: Trace,
     counts: Vec<StepCounts>,
-    metrics: Metrics,
     profiler: Option<ContentionProfiler>,
     /// The payload of a panic on the scheduling side.
     failure: Option<Payload>,
@@ -206,23 +204,16 @@ impl<T: Clone> RunState<T> {
                     reg,
                 });
                 self.counts[p].bump(kind);
-                // Every process blocked on the same register right now;
-                // all posted accesses are in view, so this is exact.
-                let rivals = || {
-                    self.runnable
-                        .iter()
-                        .filter(|&&q| q != p && self.pending[q].is_some_and(|(_, r)| r == reg))
-                };
-                if self.metrics.enabled() {
-                    let contended = rivals().next().is_some();
-                    match kind {
-                        AccessKind::Read => self.metrics.record_read(p, reg, contended),
-                        AccessKind::Write => self.metrics.record_write(p, reg, contended),
-                    }
-                }
                 if let Some(prof) = &mut self.profiler {
-                    // Point contention counts the serviced process too.
-                    prof.record(p, reg, kind, 1 + rivals().count() as u64);
+                    // Every process blocked on the same register right
+                    // now; all posted accesses are in view, so this is
+                    // exact. Point contention counts the serviced
+                    // process too.
+                    let rivals = self
+                        .runnable
+                        .iter()
+                        .filter(|&&q| q != p && self.pending[q].is_some_and(|(_, r)| r == reg));
+                    prof.record(p, reg, kind, 1 + rivals.count() as u64);
                 }
                 self.steps += 1;
                 let reply = match kind {
@@ -304,7 +295,6 @@ impl<T: Clone> Hub<T> {
                 halted: false,
                 trace: Trace::new(),
                 counts: Vec::new(),
-                metrics: Metrics::default(),
                 profiler: None,
                 failure: None,
             }),
@@ -331,7 +321,6 @@ impl<T: Clone> Hub<T> {
     fn begin(
         self: &Arc<Self>,
         cfg: &SimConfig<T>,
-        level: MetricsLevel,
         strategy: Box<dyn Traveling>,
         n: usize,
         mut profiler: Option<ContentionProfiler>,
@@ -366,7 +355,6 @@ impl<T: Clone> Hub<T> {
         st.halted = false;
         st.trace = Trace::new();
         st.counts = vec![StepCounts::default(); n];
-        st.metrics = Metrics::new(level, n, n_regs);
         st.profiler = profiler;
         st.failure = None;
         // With nobody to reach a decision point the run is over already.
@@ -557,7 +545,6 @@ impl<T: Clone> Hub<T> {
             crashed_at: std::mem::take(&mut st.crashed_at),
             trace: std::mem::take(&mut st.trace),
             counts: std::mem::take(&mut st.counts),
-            metrics: std::mem::take(&mut st.metrics),
             contention: None, // filled by SimBuilder::run when profiling
             memory: std::mem::take(&mut st.memory),
             halted: st.halted,
@@ -775,9 +762,6 @@ pub struct SimOutcome<T, R> {
     pub trace: Trace,
     /// Per-process read/write counts.
     pub counts: Vec<StepCounts>,
-    /// Observability data (empty unless a metrics level was enabled via
-    /// [`SimBuilder::metrics`]).
-    pub metrics: Metrics,
     /// Contention profile of the run (`None` unless profiling was
     /// enabled via [`SimBuilder::profile`]). Exact: point contention is
     /// the number of processes with a pending request on the same
@@ -837,7 +821,6 @@ impl<T, R> SimOutcome<T, R> {
 pub(crate) fn run_sim<'env, T, R, S>(
     pool: &mut ProcPool<'_, 'env, T, R>,
     cfg: &SimConfig<T>,
-    level: MetricsLevel,
     strategy: S,
     bodies: Vec<ProcBody<'env, T, R>>,
     profiler: &mut Option<ContentionProfiler>,
@@ -847,7 +830,7 @@ where
     R: Send,
     S: Strategy + Send + 'static,
 {
-    let (outcome, strategy) = conduct(pool, cfg, level, Box::new(strategy), bodies, profiler, None);
+    let (outcome, strategy) = conduct(pool, cfg, Box::new(strategy), bodies, profiler, None);
     let strategy = strategy
         .into_any()
         .downcast()
@@ -861,7 +844,6 @@ where
 fn run_sim_ref<'env, T, R>(
     pool: &mut ProcPool<'_, 'env, T, R>,
     cfg: &SimConfig<T>,
-    level: MetricsLevel,
     strategy: &mut dyn Strategy,
     bodies: Vec<ProcBody<'env, T, R>>,
     profiler: &mut Option<ContentionProfiler>,
@@ -876,13 +858,12 @@ where
     });
     let courier = Box::new(Courier(Arc::clone(&shared)));
     let mut desk = Desk { shared, strategy };
-    conduct(pool, cfg, level, courier, bodies, profiler, Some(&mut desk)).0
+    conduct(pool, cfg, courier, bodies, profiler, Some(&mut desk)).0
 }
 
 fn conduct<'env, T, R>(
     pool: &mut ProcPool<'_, 'env, T, R>,
     cfg: &SimConfig<T>,
-    level: MetricsLevel,
     strategy: Box<dyn Traveling>,
     bodies: Vec<ProcBody<'env, T, R>>,
     profiler: &mut Option<ContentionProfiler>,
@@ -895,7 +876,7 @@ where
     crash::install_quiet_crash_hook();
     let n = bodies.len();
     let hub = Arc::clone(pool.hub(n));
-    let ctxs = hub.begin(cfg, level, strategy, n, profiler.take());
+    let ctxs = hub.begin(cfg, strategy, n, profiler.take());
     pool.dispatch(ctxs.into_iter().zip(bodies));
     hub.attend(cfg.local_timeout, desk);
     let (results, panics) = pool.collect(n);
@@ -929,11 +910,11 @@ impl StratHolder<'_> {
 /// ```
 /// use apram_model::sim::SimBuilder;
 /// use apram_model::sim::strategy::SeededRandom;
-/// use apram_model::{MemCtx, MetricsLevel};
+/// use apram_model::MemCtx;
 ///
 /// let out = SimBuilder::new(vec![0u64; 2])
 ///     .owners(vec![0, 1])               // SWMR: register p owned by P(p)
-///     .metrics(MetricsLevel::Full)
+///     .profile(true)                    // per-cell contention, exact
 ///     .strategy(SeededRandom::new(42))
 ///     .crash_at(1, 3)                   // crash P1 at step 3
 ///     .run_symmetric(2, |ctx| {
@@ -941,8 +922,7 @@ impl StratHolder<'_> {
 ///         ctx.write(me, me as u64 + 1);
 ///         ctx.read(1 - me)
 ///     });
-/// assert_eq!(out.metrics.total_writes() + out.metrics.total_reads(),
-///            out.trace.len() as u64);
+/// assert_eq!(out.contention.unwrap().total_steps(), out.trace.len() as u64);
 /// ```
 ///
 /// `run*` take `&mut self`, so one builder can launch many runs; a
@@ -950,7 +930,6 @@ impl StratHolder<'_> {
 /// [`SimBuilder::strategy_ref`] to inspect it afterwards).
 pub struct SimBuilder<'s, T> {
     cfg: SimConfig<T>,
-    level: MetricsLevel,
     faults: fault::FaultPlan,
     strat: StratHolder<'s>,
     profile: bool,
@@ -959,11 +938,10 @@ pub struct SimBuilder<'s, T> {
 impl<'s, T: Clone + Send> SimBuilder<'s, T> {
     /// A builder over the given initial register contents (the length
     /// fixes the register count). Defaults: no owner map, 10M-step
-    /// budget, 30s local timeout, round-robin strategy, metrics off.
+    /// budget, 30s local timeout, round-robin strategy, profiling off.
     pub fn new(registers: Vec<T>) -> Self {
         SimBuilder {
             cfg: SimConfig::base(registers),
-            level: MetricsLevel::Off,
             faults: fault::FaultPlan::new(),
             strat: StratHolder::Owned(Box::new(strategy::RoundRobin::new())),
             profile: false,
@@ -993,12 +971,6 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
     /// completing before it is declared wedged.
     pub fn local_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.local_timeout = timeout;
-        self
-    }
-
-    /// Observability collection level for [`SimOutcome::metrics`].
-    pub fn metrics(mut self, level: MetricsLevel) -> Self {
-        self.level = level;
         self
     }
 
@@ -1086,7 +1058,7 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
         // scope that ends with the run.
         let mut out = std::thread::scope(|scope| {
             let mut pool = ProcPool::new(scope);
-            run_sim_ref(&mut pool, &self.cfg, self.level, strat, bodies, &mut prof)
+            run_sim_ref(&mut pool, &self.cfg, strat, bodies, &mut prof)
         });
         out.contention = prof.map(ContentionProfiler::into_map);
         out
@@ -1252,6 +1224,7 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
 mod tests {
     use super::strategy::{Replay, SeededRandom};
     use super::*;
+    use crate::contention::CellStats;
 
     /// Two processes each write their id+1 then read the other's slot.
     fn body(ctx: &mut SimCtx<u64>) -> u64 {
@@ -1461,27 +1434,20 @@ mod tests {
     }
 
     #[test]
-    fn metrics_off_by_default() {
-        let out = SimBuilder::new(vec![0u64; 2]).run_symmetric(2, body);
-        assert!(!out.metrics.enabled());
-        assert!(out.metrics.registers.is_empty());
-    }
-
-    #[test]
     fn metrics_agree_with_trace_counts() {
         let out = SimBuilder::new(vec![0u64; 2])
-            .metrics(MetricsLevel::Full)
+            .profile(true)
             .strategy(SeededRandom::new(9))
             .run_symmetric(2, body);
         out.assert_no_panics();
-        // The per-process histogram is exactly Trace::counts.
-        assert_eq!(out.metrics.histogram, out.trace.counts(2));
-        assert_eq!(out.metrics.histogram, out.counts);
+        let map = out.contention.as_ref().expect("profiled");
+        // The per-process step totals are exactly Trace::counts.
+        assert_eq!(out.counts, out.trace.counts(2));
+        let steps: Vec<u64> = out.counts.iter().map(StepCounts::total).collect();
+        assert_eq!(map.proc_steps, steps);
         // Register totals tally with the trace length.
-        assert_eq!(
-            out.metrics.total_reads() + out.metrics.total_writes(),
-            out.trace.len() as u64
-        );
+        let cells: u64 = map.cells.iter().map(CellStats::accesses).sum();
+        assert_eq!(cells, out.trace.len() as u64);
     }
 
     #[test]
@@ -1489,27 +1455,23 @@ mod tests {
         // Under strict replay both processes are blocked on register 0
         // at every decision point, so every serviced access is contended
         // ... except the final step, where only one process remains.
-        let out = SimBuilder::new(vec![0u64; 1])
-            .metrics(MetricsLevel::Full)
-            .strategy(Replay::strict(vec![0, 1, 0, 1]))
-            .run_symmetric(2, |ctx: &mut SimCtx<u64>| {
-                let v = ctx.read(0);
-                ctx.write(0, v + 1);
-            });
+        let run = |profile| {
+            SimBuilder::new(vec![0u64; 1])
+                .profile(profile)
+                .strategy(Replay::strict(vec![0, 1, 0, 1]))
+                .run_symmetric(2, |ctx: &mut SimCtx<u64>| {
+                    let v = ctx.read(0);
+                    ctx.write(0, v + 1);
+                })
+        };
+        let out = run(true);
         out.assert_no_panics();
-        assert_eq!(out.metrics.registers[0].reads, 2);
-        assert_eq!(out.metrics.registers[0].writes, 2);
-        assert_eq!(out.metrics.registers[0].contended, 3);
-        // Counts level drops the contention column but keeps totals.
-        let out2 = SimBuilder::new(vec![0u64; 1])
-            .metrics(MetricsLevel::Counts)
-            .strategy(Replay::strict(vec![0, 1, 0, 1]))
-            .run_symmetric(2, |ctx: &mut SimCtx<u64>| {
-                let v = ctx.read(0);
-                ctx.write(0, v + 1);
-            });
-        assert_eq!(out2.metrics.registers[0].reads, 2);
-        assert_eq!(out2.metrics.registers[0].contended, 0);
+        let cell = &out.contention.as_ref().expect("profiled").cells[0];
+        assert_eq!((cell.reads, cell.writes, cell.contended), (2, 2, 3));
+        // Unprofiled, the same run attributes nothing and counts the same.
+        let out2 = run(false);
+        assert!(out2.contention.is_none());
+        assert_eq!(out2.counts, out.counts);
     }
 
     #[test]

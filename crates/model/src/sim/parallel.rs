@@ -66,7 +66,6 @@ use super::strategy::{Decision, SchedView, Strategy};
 use super::{run_sim, Hub, ProcBody, SimConfig, SimCtx, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::crash;
-use crate::metrics::MetricsLevel;
 use crate::span::SpanRecorder;
 use crate::telemetry::{Heartbeat, ProgressBeat};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -689,14 +688,7 @@ fn worker<'scope, T, R, FMake, Visit>(
             prof = Some(ContentionProfiler::new(bodies.len(), n_regs));
         }
         let outcome;
-        (outcome, strategy) = run_sim(
-            &mut pool,
-            shared.cfg,
-            MetricsLevel::Off,
-            strategy,
-            bodies,
-            &mut prof,
-        );
+        (outcome, strategy) = run_sim(&mut pool, shared.cfg, strategy, bodies, &mut prof);
         assert!(
             strategy.path.len() >= strategy.prefix.len(),
             "explore: run diverged on replay: it ended {} steps into a prefix of {}; \
@@ -1280,8 +1272,7 @@ mod tests {
             let mut pool = ProcPool::new(scope);
             let mut run = |mut strategy: PrefixStrategy, prefix: &[u32]| {
                 strategy.begin(prefix.to_vec());
-                let (level, prof) = (MetricsLevel::Off, &mut None);
-                run_sim(&mut pool, &cfg, level, strategy, contended(), prof).1
+                run_sim(&mut pool, &cfg, strategy, contended(), &mut None).1
             };
             let fresh = || PrefixStrategy::new(&econfig, true);
             // Every task of the tree, by searching it.

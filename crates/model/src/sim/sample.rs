@@ -68,7 +68,6 @@ use super::{run_sim, ProcBody, SimConfig, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
-use crate::metrics::MetricsLevel;
 use crate::seed::{split, STREAM_CRASHES};
 use crate::telemetry::{HistogramSnapshot, ProgressBeat, StepHistogram};
 use rand::rngs::StdRng;
@@ -573,7 +572,7 @@ fn sample_worker<T, R, FMake, Check>(
             break;
         }
         let strat = run_strategy(scfg, n_procs, run);
-        let (out, _) = run_sim(pool, cfg, MetricsLevel::Off, strat, factory(), &mut prof);
+        let (out, _) = run_sim(pool, cfg, strat, factory(), &mut prof);
         let violated = observe_run(
             scfg,
             judge_bounds,

@@ -27,7 +27,6 @@ use super::strategy::Replay;
 use super::{run_sim, ProcBody, SimConfig, SimOutcome};
 use crate::ctx::ProcId;
 use crate::json::Json;
-use crate::metrics::MetricsLevel;
 
 /// Shrinker tuning knobs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,7 +135,7 @@ where
     Fail: FnMut(&SimOutcome<T, R>) -> bool,
 {
     let strat = FaultPlan::from(crashes.to_vec()).over(Replay::halting(candidate));
-    let (outcome, _) = run_sim(pool, cfg, MetricsLevel::Off, strat, factory(), &mut None);
+    let (outcome, _) = run_sim(pool, cfg, strat, factory(), &mut None);
     if failing(&outcome) {
         Some((outcome.trace.schedule(), outcome.executed_crashes()))
     } else {

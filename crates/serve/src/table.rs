@@ -29,10 +29,12 @@
 //! routing/merge policy.
 
 use crate::protocol::OPC_UPDATE;
+use apram_model::native::buffered::MAX_PROCS;
 use apram_model::telemetry::TelemetryRegistry;
 use apram_model::{FlightLog, FlightMode};
 use apram_objects::spec::{
-    native_spec, BuildCtx, ObjectInstance, ObjectSession, ObjectSpec, OpOutput, OP_READ, OP_UPDATE,
+    native_spec, BuildCtx, ObjectInstance, ObjectSession, ObjectSpec, OpOutput, Tier, OP_READ,
+    OP_UPDATE,
 };
 
 /// How the table assembles its objects.
@@ -182,7 +184,16 @@ impl ObjectTable {
         let mut objects = Vec::with_capacity(cfg.objects.len());
         for name in &cfg.objects {
             let spec = native_spec(name).ok_or_else(|| format!("unknown object '{name}'"))?;
-            let build = BuildCtx::new(cfg.slots, spec.tiers()[0])
+            let tier = spec.tiers()[0];
+            if tier != Tier::Packed && cfg.slots > MAX_PROCS {
+                return Err(format!(
+                    "object '{name}' runs on the {} tier, which serves at most {MAX_PROCS} \
+                     processes; {} slots requested",
+                    tier.label(),
+                    cfg.slots
+                ));
+            }
+            let build = BuildCtx::new(cfg.slots, tier)
                 .flight(cfg.flight, cfg.flight_capacity)
                 .keys(cfg.keys);
             let merge = merge_for(name);
@@ -312,6 +323,20 @@ mod tests {
             Ok(_) => panic!("unknown object must not build"),
         };
         assert!(err.contains("nope"));
+    }
+
+    #[test]
+    fn build_rejects_more_slots_than_a_buffered_cell_serves() {
+        let err = match ObjectTable::build(&TableConfig::new(&["afek"], 1, 62)) {
+            Err(e) => e,
+            Ok(_) => panic!("62 processes on the buffered tier must not build"),
+        };
+        assert!(
+            err.contains("afek") && err.contains("62") && err.contains("61"),
+            "{err}"
+        );
+        // The packed tier has no slot bitmask and no ceiling.
+        assert!(ObjectTable::build(&TableConfig::new(&["counter"], 1, 62)).is_ok());
     }
 
     #[test]

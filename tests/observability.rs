@@ -1,12 +1,12 @@
 //! End-to-end observability guarantees: the JSONL trace export parses
-//! back and replays to a bit-identical trace, and the opt-in metrics
-//! counters agree exactly with the trace-derived counts on a known
-//! schedule.
+//! back and replays to a bit-identical trace, and the run's step counts
+//! and contention profile agree exactly with the trace-derived counts on
+//! a known schedule.
 
 use apram_model::sim::strategy::{Replay, SeededRandom};
 use apram_model::sim::{Budgeted, ExploreConfig, ProcBody, SimBuilder, SimCtx};
 use apram_model::telemetry::{buffer_sink, CountingCtx, Heartbeat};
-use apram_model::{AccessKind, Json, MemCtx, MetricsLevel, TelemetryRegistry, Trace};
+use apram_model::{AccessKind, Json, MemCtx, StepCounts, TelemetryRegistry, Trace};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -73,19 +73,19 @@ fn jsonl_rejects_corruption() {
 /// Under a fixed round-robin schedule, the step accounting is asserted
 /// *through the telemetry registry*: the trace events are replayed into
 /// sharded counters (shard = process) and per-op histograms, and the
-/// legacy [`apram_model::Metrics`] struct must agree with the registry
-/// on every number — it is now a thin façade over the same counts.
+/// run's own observers — per-process `counts`, per-cell contention
+/// profile — must agree with the registry on every number.
 #[test]
 fn metrics_agree_with_trace_counts() {
     let n = 4;
     let out = SimBuilder::new(vec![0u64; n])
         .owners((0..n).collect())
-        .metrics(MetricsLevel::Full)
+        .profile(true)
         .run_symmetric(n, body(n));
     out.assert_no_panics();
 
-    let m = &out.metrics;
-    assert!(m.enabled());
+    let counts = &out.counts;
+    let cells = &out.contention.as_ref().expect("profiled").cells;
 
     // Drive the telemetry registry from the trace: per-process sharded
     // read/write counters plus per-register tallies.
@@ -107,29 +107,31 @@ fn metrics_agree_with_trace_counts() {
         }
     }
 
-    // The registry is the authority; the legacy Metrics API must agree
+    // The registry is the authority; the run's observers must agree
     // with it shard by shard and in total.
-    for p in 0..n {
-        assert_eq!(m.histogram[p].reads, reads.shard_value(p), "process {p}");
-        assert_eq!(m.histogram[p].writes, writes.shard_value(p), "process {p}");
+    for (p, c) in counts.iter().enumerate() {
+        assert_eq!(c.reads, reads.shard_value(p), "process {p}");
+        assert_eq!(c.writes, writes.shard_value(p), "process {p}");
     }
-    assert_eq!(m.total_reads(), reads.total());
-    assert_eq!(m.total_writes(), writes.total());
-    assert_eq!(m.histogram, out.trace.counts(n));
-    assert_eq!(m.histogram, out.counts);
+    let total_reads: u64 = cells.iter().map(|c| c.reads).sum();
+    let total_writes: u64 = cells.iter().map(|c| c.writes).sum();
+    assert_eq!(total_reads, reads.total());
+    assert_eq!(total_writes, writes.total());
+    assert_eq!(*counts, out.trace.counts(n));
 
     // Per-register counters, recomputed straight from the events.
     for r in 0..n {
-        assert_eq!(m.registers[r].reads, reg_reads[r], "register {r} reads");
-        assert_eq!(m.registers[r].writes, reg_writes[r], "register {r} writes");
+        assert_eq!(cells[r].reads, reg_reads[r], "register {r} reads");
+        assert_eq!(cells[r].writes, reg_writes[r], "register {r} writes");
     }
-    assert_eq!(m.total_reads(), out.trace.len() as u64 - m.total_writes());
+    assert_eq!(total_reads, out.trace.len() as u64 - total_writes);
 
     // Each process writes 3 times and reads 3n times in `body`.
-    for p in 0..n {
-        assert_eq!(m.histogram[p].writes, 3, "process {p}");
-        assert_eq!(m.histogram[p].reads, 3 * n as u64, "process {p}");
-    }
+    let expected = StepCounts {
+        reads: 3 * n as u64,
+        writes: 3,
+    };
+    assert_eq!(*counts, vec![expected; n]);
 
     // The registry's exports carry the same totals and parse cleanly.
     let prom = reg.to_prometheus();
@@ -247,16 +249,4 @@ fn counting_ctx_totals_match_profiler_cell_sums() {
             assert_eq!(out.counts[p].writes, per_op[p].1, "seed {seed} process {p}");
         }
     }
-}
-
-/// Metrics default to off: no collection, empty vectors.
-#[test]
-fn metrics_off_by_default() {
-    let n = 2;
-    let out = SimBuilder::new(vec![0u64; n])
-        .owners((0..n).collect())
-        .run_symmetric(n, body(n));
-    assert!(!out.metrics.enabled());
-    assert!(out.metrics.registers.is_empty());
-    assert!(out.metrics.histogram.is_empty());
 }
