@@ -36,7 +36,7 @@
 
 use crate::spec::midpoint;
 use apram_lattice::TaggedVec;
-use apram_model::{MemCtx, ProcId};
+use apram_model::{MemCtx, OffsetCtx, ProcId};
 use apram_snapshot::{Snapshot, SnapshotHandle};
 
 /// Register value: `f64` preferences, one slot array per round.
@@ -130,7 +130,7 @@ impl OneShotAgreement {
             // fresh handle per round is sound.
             let mut handle: SnapshotHandle<f64> = Snapshot::new(self.n).handle();
             let base = r as usize * self.per_round_regs;
-            let mut shifted = Offset { inner: ctx, base };
+            let mut shifted = OffsetCtx { inner: ctx, base };
             handle.update(&mut shifted, value);
             let view = handle.snap(&mut shifted);
             let seen: Vec<f64> = view.into_iter().flatten().collect();
@@ -138,35 +138,6 @@ impl OneShotAgreement {
             value = midpoint(&seen);
         }
         value
-    }
-}
-
-/// Adapter giving a register-offset window onto a larger memory, so the
-/// per-round snapshot objects can share one register array.
-struct Offset<'a, C> {
-    inner: &'a mut C,
-    base: usize,
-}
-
-impl<C: MemCtx<OneShotReg>> MemCtx<OneShotReg> for Offset<'_, C> {
-    fn proc(&self) -> ProcId {
-        self.inner.proc()
-    }
-
-    fn n_procs(&self) -> usize {
-        self.inner.n_procs()
-    }
-
-    fn n_regs(&self) -> usize {
-        self.inner.n_regs() - self.base
-    }
-
-    fn read(&mut self, reg: usize) -> OneShotReg {
-        self.inner.read(self.base + reg)
-    }
-
-    fn write(&mut self, reg: usize, val: OneShotReg) {
-        self.inner.write(self.base + reg, val)
     }
 }
 

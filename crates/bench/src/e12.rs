@@ -12,7 +12,7 @@
 //!   processes are pending on (the one-cell pile-up).
 //! - **spread** — the same `k` processes and the same per-process
 //!   operations, but each process owns a private copy of the object
-//!   (disjoint register slabs via an offsetting [`MemCtx`] adapter), so
+//!   (disjoint register slabs, each through an [`OffsetCtx`] window), so
 //!   point contention is identically 1.
 //!
 //! Both workloads execute the same code path, so the raw step counts are
@@ -28,7 +28,7 @@
 use apram_lattice::Tagged;
 use apram_model::sim::strategy::BurstAdversary;
 use apram_model::sim::{ProcBody, SimBuilder, SimCtx};
-use apram_model::{validate_prometheus, ContentionMap, Json, MemCtx, ProcId, TelemetryRegistry};
+use apram_model::{validate_prometheus, ContentionMap, Json, OffsetCtx, ProcId, TelemetryRegistry};
 use apram_objects::counter::{CounterLattice, DirectCounter};
 use apram_objects::mwreg::{MwRegister, Stamped};
 use apram_snapshot::afek::{AfekReg, AfekSnapshot};
@@ -42,36 +42,6 @@ use crate::ExpOpts;
 /// Prometheus label escaping, so the exported heatmaps stay friendly to
 /// line-oriented tooling (the CI smoke grep included).
 pub const E12_OBJECTS: [&str; 4] = ["counter", "afek", "double_collect", "mwreg"];
-
-/// A [`MemCtx`] adapter that shifts every register index by a fixed
-/// base: process `p` of the `spread` workload runs the unmodified object
-/// code against its own register slab `[base, base + m)`.
-struct OffsetCtx<'a, C> {
-    inner: &'a mut C,
-    base: usize,
-}
-
-impl<T: Clone, C: MemCtx<T>> MemCtx<T> for OffsetCtx<'_, C> {
-    fn proc(&self) -> ProcId {
-        self.inner.proc()
-    }
-
-    fn n_procs(&self) -> usize {
-        self.inner.n_procs()
-    }
-
-    fn n_regs(&self) -> usize {
-        self.inner.n_regs()
-    }
-
-    fn read(&mut self, reg: usize) -> T {
-        self.inner.read(self.base + reg)
-    }
-
-    fn write(&mut self, reg: usize, val: T) {
-        self.inner.write(self.base + reg, val)
-    }
-}
 
 /// One cell of the E12 grid.
 #[derive(Clone, Debug)]

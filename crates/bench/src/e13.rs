@@ -15,10 +15,10 @@
 //!   `Clone` value), and `rwlock` (the pre-register-file backend, kept
 //!   behind the `rwlock-baseline` feature purely as this baseline).
 //!
-//! Objects and their applicable tiers come from the
-//! [`apram_objects::spec`] registry — one generic timed cell drives any
-//! [`ObjectSpec`] through its uniform session interface, so the grid
-//! has no per-object code at all.
+//! Objects, their applicable tiers and their iteration budgets come
+//! from the [`apram_objects::spec`] table — one generic timed cell
+//! drives any [`ObjectSpec`] row through its uniform session interface,
+//! so the grid has no per-object code at all.
 //!
 //! Each cell reports throughput (ops/sec over the joined wall-clock)
 //! and per-op latency p50/p99/p999 in nanoseconds through the shared
@@ -114,7 +114,7 @@ pub fn e13_threads(quick: bool) -> &'static [usize] {
 /// roughly constant across thread counts (an op's cost also grows with
 /// `n` for the scan-based objects, hence the per-object base budgets in
 /// the registry).
-pub fn spec_ops_per_thread(spec: &dyn ObjectSpec, threads: usize, quick: bool) -> u64 {
+pub fn spec_ops_per_thread(spec: &ObjectSpec, threads: usize, quick: bool) -> u64 {
     let (base, floor) = spec.ops_budget(quick);
     (base / threads as u64).max(floor)
 }

@@ -26,8 +26,9 @@
 //! The **spot-check** phase is drain (c) from the flight-recorder
 //! design: dedicated always-on runs, small enough that no ring ever
 //! drops, whose begin/end events are reconstructed into op histories
-//! and batch-checked with [`check_histories_parallel`] — the native
-//! twin of the simulator's witness pipeline. Reconstruction is sound
+//! and batch-checked by the audit of the object's registry row
+//! ([`apram_objects::spec::ObjectSpec::audit`]) — the native twin of
+//! the simulator's witness pipeline. Reconstruction is sound
 //! because a begin stamp is read before any access of the op can start
 //! and an end stamp after its last access is visible to every core
 //! (fenced stamps: [`apram_model::flight::stamp`]): the measured
@@ -47,16 +48,10 @@
 use crate::e13::timed_cell;
 use crate::report::{Col, Report, Sink, Table, ToJson};
 use crate::{e13_threads, host_parallelism, spec_ops_per_thread, ExpOpts};
-use apram_core::counter::{CounterOp, CounterResp};
-use apram_core::CounterSpec;
-use apram_history::check::CheckerConfig;
-use apram_history::{check_histories_parallel, history_from_spans, NondetSpec};
 use apram_model::seed::split;
 use apram_model::telemetry::{HistogramSnapshot, TelemetryRegistry};
 use apram_model::{FlightEvent, FlightLog, FlightMode, Json, OpSpan};
-use apram_objects::maxreg::{MaxRegOp, MaxRegResp, MaxRegSpec};
-use apram_objects::spec::{native_spec, BuildCtx, OpOutput, OP_READ, OP_UPDATE};
-use apram_snapshot::{SnapOp, SnapResp, SnapshotSpec};
+use apram_objects::spec::{native_spec, AuditWindow, BuildCtx, OpOutput, OP_READ, OP_UPDATE};
 
 /// The E14 object names, in emission order (each is an
 /// [`apram_objects::spec`] registry name; each cell runs on its spec's
@@ -78,16 +73,6 @@ fn e14_mode(name: &str) -> FlightMode {
         "sampled64" => FlightMode::Sampled(64),
         "always" => FlightMode::Always,
         other => panic!("unknown E14 mode '{other}'"),
-    }
-}
-
-/// Human-readable flight-op names per object, for the Chrome trace
-/// (straight from the object's registry spec).
-pub fn e14_op_name(object: &'static str) -> impl Fn(u32) -> String {
-    let spec = native_spec(object);
-    move |op| match (spec, op) {
-        (Some(s), OP_UPDATE | OP_READ) => s.op_label(op).to_string(),
-        _ => format!("op{op}"),
     }
 }
 
@@ -175,7 +160,7 @@ fn run_obj_cell(
     quick: bool,
     registry: Option<&TelemetryRegistry>,
 ) -> (E14Row, Option<FlightLog>) {
-    let spec = native_spec(object).unwrap_or_else(|| panic!("unknown object '{object}'"));
+    let spec = native_spec(object).expect("registry name");
     let ops = spec_ops_per_thread(spec, threads, quick);
     let inst = spec
         .build(&BuildCtx::new(threads, spec.tiers()[0]).flight(e14_mode(mode), GRID_FLIGHT_CAP));
@@ -221,7 +206,7 @@ pub struct E14SpotCheck {
     /// Flight events dropped across the spot-check runs (must be 0 for
     /// the histories to be complete).
     pub dropped: u64,
-    /// Whether every history passed [`check_histories_parallel`].
+    /// Whether every history passed its object's audit.
     pub all_linearizable: bool,
     /// Failure descriptions, if any.
     pub failures: Vec<String>,
@@ -249,30 +234,16 @@ impl E14SpotCheck {
     /// Spot-check one registry object: per seed, [`SPOT_PROCS`]
     /// free-running threads each drive a session of a fresh always-on
     /// instance through [`SPOT_ROUNDS`] coin-flipped updates and reads;
-    /// the flight log is reconstructed into a history, and the batch is
-    /// checked against `spec`. `typed` is all that is per object: how a
-    /// span, with what the session returned for that op, reads as the
-    /// spec's `(op, response)`. `salt` keeps the objects' coin streams
-    /// apart.
-    fn check<Sp>(
-        &mut self,
-        opts: &ExpOpts,
-        object: &'static str,
-        salt: u64,
-        spec: &Sp,
-        typed: impl Fn(&OpSpan, &OpOutput) -> (Sp::Op, Sp::Resp),
-    ) where
-        Sp: NondetSpec + Sync,
-        Sp::State: std::hash::Hash + Eq,
-        Sp::Op: Send + Sync,
-        Sp::Resp: Send + Sync,
-    {
-        let native = native_spec(object).unwrap_or_else(|| panic!("unknown object '{object}'"));
-        let build = BuildCtx::new(SPOT_PROCS, native.tiers()[0])
-            .flight(FlightMode::Always, SPOT_FLIGHT_CAP);
+    /// the flight log and what the sessions returned go to the audit of
+    /// the object's row. `salt` keeps the objects' coin streams apart.
+    fn check(&mut self, opts: &ExpOpts, object: &'static str, salt: u64) {
+        let spec = native_spec(object).expect("registry name");
+        let audit = spec.audit.expect("a spot-checked object has an audit");
+        let build =
+            BuildCtx::new(SPOT_PROCS, spec.tiers()[0]).flight(FlightMode::Always, SPOT_FLIGHT_CAP);
         let mut batch = Vec::new();
         for seed in 0..if opts.quick { 3 } else { 6 } {
-            let inst = native.build(&build);
+            let inst = spec.build(&build);
             // What each process's ops returned, in program order.
             let outs: Vec<Vec<OpOutput>> = std::thread::scope(|s| {
                 let threads: Vec<_> = (0..SPOT_PROCS)
@@ -292,28 +263,23 @@ impl E14SpotCheck {
                 threads.into_iter().map(|t| t.join().unwrap()).collect()
             });
             let log = inst.flight_log().expect("spot-check instances record");
-            let mut spans = log.op_spans();
+            let spans = log.op_spans();
             self.dropped += log.dropped;
             self.ops += spans.len() as u64;
             self.histories += 1;
             // A process's spans come in program order and (nothing
-            // having dropped) its k-th span is its k-th op: point each
-            // span's `resp` at that op's output. A view does not fit the
-            // recorded word, so the outputs are the responses' source.
-            let mut next = [0u64; SPOT_PROCS];
-            for span in &mut spans {
-                span.resp = next[span.proc];
-                next[span.proc] += 1;
-            }
-            let out = |s: &OpSpan| &outs[s.proc][s.resp as usize];
-            batch.push(history_from_spans(
-                &spans,
-                |s| typed(s, out(s)).0,
-                |s| typed(s, out(s)).1,
-            ));
+            // having dropped) its k-th span is its k-th op. A view does
+            // not fit a span's recorded word, so the audit gets the
+            // outputs beside the spans.
+            let mut next = [0; SPOT_PROCS];
+            let output = |s: &OpSpan| {
+                next[s.proc] += 1;
+                outs[s.proc][next[s.proc] - 1].clone()
+            };
+            let outputs = spans.iter().map(output).collect();
+            batch.push(AuditWindow { spans, outputs });
         }
-        let outcomes =
-            check_histories_parallel(spec, &batch, &CheckerConfig::default(), opts.threads);
+        let outcomes = audit(&batch, opts.threads);
         for (i, o) in outcomes.iter().enumerate().filter(|(_, o)| !o.is_ok()) {
             self.all_linearizable = false;
             self.failures.push(format!("{object} history {i}: {o:?}"));
@@ -330,26 +296,9 @@ pub fn e14_spot_check(opts: &ExpOpts) -> E14SpotCheck {
         all_linearizable: true,
         ..Default::default()
     };
-    sc.check(opts, "counter", 0, &CounterSpec, |s, out| {
-        match (s.op, out) {
-            (OP_UPDATE, _) => (CounterOp::Inc(1), CounterResp::Ack),
-            (_, OpOutput::Val(v)) => (CounterOp::Read, CounterResp::Value(*v as i64)),
-            (_, other) => panic!("counter read returned {other:?}"),
-        }
-    });
-    sc.check(opts, "maxreg", 100, &MaxRegSpec, |s, out| {
-        match (s.op, out) {
-            (OP_UPDATE, _) => (MaxRegOp::WriteMax(s.arg as i64), MaxRegResp::Ack),
-            (_, OpOutput::Opt(v)) => (MaxRegOp::Read, MaxRegResp::Value(v.map(|x| x as i64))),
-            (_, other) => panic!("maxreg read returned {other:?}"),
-        }
-    });
-    let snapshot = SnapshotSpec::<u64>::new(SPOT_PROCS);
-    sc.check(opts, "afek", 200, &snapshot, |s, out| match (s.op, out) {
-        (OP_UPDATE, _) => (SnapOp::Update(s.arg), SnapResp::Ack),
-        (_, OpOutput::View(view)) => (SnapOp::Snap, SnapResp::View(view.clone())),
-        (_, other) => panic!("afek snap returned {other:?}"),
-    });
+    for (object, salt) in [("counter", 0), ("maxreg", 100), ("afek", 200)] {
+        sc.check(opts, object, salt);
+    }
     sc
 }
 
@@ -397,8 +346,9 @@ pub fn e14_run(opts: &ExpOpts) -> E14Output {
                             ("name", Json::Str("process_name".into())),
                             ("args", Json::obj([("name", Json::Str(object.into()))])),
                         ]));
-                        trace_events
-                            .extend(log.chrome_trace_events(oi as u64, &e14_op_name(object)));
+                        let spec = native_spec(object).expect("registry name");
+                        let label = |op| spec.op_label(op).to_string();
+                        trace_events.extend(log.chrome_trace_events(oi as u64, &label));
                     }
                 }
                 rows.push(row);
@@ -511,6 +461,8 @@ pub fn e14_report(opts: &ExpOpts) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apram_core::counter::{CounterOp, CounterResp};
+    use apram_history::history_from_spans;
 
     #[test]
     fn spans_to_history_orders_ties_as_overlap() {

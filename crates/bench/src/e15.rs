@@ -3,9 +3,9 @@
 //!
 //! E13 and E14 measure the native backend in-process; E15 measures it
 //! the way an operator would meet it — through `apram-serve`'s framed
-//! TCP protocol under a multi-tenant load. For each auditable object
-//! (`counter`, `maxreg`, `lwwmap-direct`) the experiment runs two
-//! phases against real in-process servers:
+//! TCP protocol under a multi-tenant load. For each of
+//! [`E15_OBJECTS`] the experiment runs two phases against real
+//! in-process servers:
 //!
 //! * **SLO phase** — flight recorder off, `tenants` concurrent clients
 //!   replay a zipfian read/write mix while one tenant is killed
@@ -37,15 +37,18 @@ use crate::report::{Col, Report, Sink, Table, ToJson};
 use crate::{host_parallelism, ExpOpts};
 use apram_model::telemetry::HistogramSnapshot;
 use apram_model::{validate_prometheus, FlightMode, Json};
-use apram_serve::{
-    run_audit, run_load, serve, Client, LoadConfig, ServeConfig, TableConfig, AUDITABLE_OBJECTS,
-};
+use apram_objects::spec::{native_spec, Merge};
+use apram_serve::{run_audit, run_load, serve, Client, LoadConfig, ServeConfig, TableConfig};
+
+/// The E15 object names, in emission order: objects a served audit can
+/// check, i.e. whose registry row has an audit that works from spans
+/// alone — one per kind of merge that splits an object across shards.
+pub const E15_OBJECTS: [&str; 3] = ["counter", "maxreg", "lwwmap-direct"];
 
 /// One object's cell: the SLO run and its paired audit run.
 #[derive(Clone, Debug)]
 pub struct E15Row {
-    /// Object name (one of [`AUDITABLE_OBJECTS`]: exactly the objects
-    /// the offline audit can reconstruct typed histories for).
+    /// Object name (one of [`E15_OBJECTS`]).
     pub object: &'static str,
     /// Concurrent tenants in the SLO phase.
     pub tenants: usize,
@@ -142,19 +145,17 @@ fn slo_config(object: &'static str, quick: bool) -> LoadConfig {
 /// reads + updates/shards must stay < 128).
 fn audit_config(object: &'static str) -> LoadConfig {
     let mut cfg = LoadConfig::new(object);
-    match object {
-        // 3 × 40 at 50% reads over 2 shards: ≈ 60 + 30 = 90 per shard.
-        "counter" | "maxreg" => {
-            cfg.tenants = 3;
-            cfg.ops_per_tenant = 40;
-        }
+    cfg.ops_per_tenant = 40;
+    let merge = native_spec(object).expect("registry name").merge;
+    if matches!(merge, Merge::Sum | Merge::Max) {
+        // Merged reads: 3 × 40 at 50% reads over 2 shards ≈ 60 + 30 =
+        // 90 per shard.
+        cfg.tenants = 3;
+    } else {
         // Keyed: spans split per shard by key; zipfian skew over 16
         // keys keeps the hot shard ≈ 100.
-        _ => {
-            cfg.tenants = 4;
-            cfg.ops_per_tenant = 40;
-            cfg.keys = 16;
-        }
+        cfg.tenants = 4;
+        cfg.keys = 16;
     }
     cfg
 }
@@ -204,11 +205,11 @@ fn e15_cell(object: &'static str, opts: &ExpOpts, scrape: bool) -> (E15Row, Opti
     (row, prom)
 }
 
-/// Run the full E15 grid: one SLO + audit cell per auditable object.
+/// Run the full E15 grid: one SLO + audit cell per object.
 pub fn e15_run(opts: &ExpOpts) -> E15Out {
     let mut rows = Vec::new();
     let mut prom = String::new();
-    for (i, object) in AUDITABLE_OBJECTS.into_iter().enumerate() {
+    for (i, object) in E15_OBJECTS.into_iter().enumerate() {
         let (row, scraped) = e15_cell(object, opts, i == 0);
         if let Some(text) = scraped {
             prom = text;
@@ -326,7 +327,7 @@ mod tests {
     /// by construction (the sizing argument in `audit_config`'s doc).
     #[test]
     fn audit_budgets_fit_the_checker() {
-        for object in AUDITABLE_OBJECTS {
+        for object in E15_OBJECTS {
             let cfg = audit_config(object);
             let total = cfg.tenants as u64 * cfg.ops_per_tenant;
             // Worst case per shard: every read spans every shard plus

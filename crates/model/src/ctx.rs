@@ -243,6 +243,48 @@ impl<T: Clone> MatrixView<T> {
     }
 }
 
+/// A register-offset window onto a larger memory: register `r` of the
+/// window is register `base + r` of `inner`, so several objects written
+/// against registers `0..m` can share one register array. Every access
+/// forwards as the same kind of access — a [`MemCtx::read_with`] through
+/// the window is the backend's `read_with`, not the cloning default.
+pub struct OffsetCtx<'a, C> {
+    /// The memory the window looks onto.
+    pub inner: &'a mut C,
+    /// The window's first register in `inner`.
+    pub base: usize,
+}
+
+impl<T: Clone, C: MemCtx<T>> MemCtx<T> for OffsetCtx<'_, C> {
+    fn proc(&self) -> ProcId {
+        self.inner.proc()
+    }
+
+    fn n_procs(&self) -> usize {
+        self.inner.n_procs()
+    }
+
+    fn n_regs(&self) -> usize {
+        self.inner.n_regs() - self.base
+    }
+
+    fn read(&mut self, reg: usize) -> T {
+        self.inner.read(self.base + reg)
+    }
+
+    fn write(&mut self, reg: usize, val: T) {
+        self.inner.write(self.base + reg, val)
+    }
+
+    fn read_with<R>(&mut self, reg: usize, f: impl FnOnce(&T) -> R) -> R {
+        self.inner.read_with(self.base + reg, f)
+    }
+
+    fn write_from(&mut self, reg: usize, val: &T) {
+        self.inner.write_from(self.base + reg, val)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,7 +80,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use contention::{CellStats, ContentionMap, ContentionProfiler, CHARGE_UNIT};
-pub use ctx::{AccessKind, Matrix, MatrixView, MemCtx, ProcId};
+pub use ctx::{AccessKind, Matrix, MatrixView, MemCtx, OffsetCtx, ProcId};
 pub use flight::{FlightEvent, FlightLog, FlightMode, FlightRecorder, FlightRing, OpSpan};
 pub use json::Json;
 pub use native::{AtomicPackable, CachePadded, NativeCtx, NativeMemory};

@@ -366,6 +366,27 @@ fn recorded_read_with_borrows_the_slot() {
     assert_eq!(mem.flight_log().unwrap().op_spans().len(), 1);
 }
 
+/// An offset window forwards `read_with` and `write_from` as themselves:
+/// a borrowed read through it is one read step and no clone, at the
+/// shifted register.
+#[test]
+fn offset_window_forwards_the_borrowing_accesses() {
+    let mem = NativeMemory::new(1, vec![Counted(7), Counted(9)]).with_owners(vec![0, 0]);
+    let mut ctx = mem.ctx(0);
+    let mut window = crate::OffsetCtx {
+        inner: &mut ctx,
+        base: 1,
+    };
+    assert_eq!(window.n_regs(), 1);
+    let before = CLONES.get();
+    assert_eq!(window.read_with(0, |v| v.0), 9);
+    assert_eq!(CLONES.get(), before, "a borrowed read cloned");
+    window.write_from(0, &Counted(4));
+    assert_eq!(window.read_with(0, |v| v.0), 4);
+    assert_eq!((ctx.counts().reads, ctx.counts().writes), (2, 1));
+    assert_eq!(ctx.read_with(0, |v| v.0), 7);
+}
+
 /// The by-value `read` clones what the cell's protocol clones and
 /// nothing on top, recorded or not: the value once on a single-writer
 /// cell, one stamp per writer slot in a multi-writer cell's collect (the

@@ -49,14 +49,18 @@
 //!
 //! Two registries make the inventory *constructible by name*:
 //!
-//! * [`spec`] — the native factory: [`spec::ObjectSpec`] recipes for
+//! * [`spec`] — the native table: one [`spec::ObjectSpec`] row for
 //!   every object the multi-threaded backend serves and benchmarks
-//!   (counter, max-register, clock, snapshots, the LWW maps), so the
-//!   `apram-serve` dispatch table and the E13/E14 grids build objects
-//!   from name + params with no per-object match arms.
-//! * [`simspec`] — the simulator twin: [`simspec::SimObjectSpec`]
+//!   (counter, max-register, clock, snapshot, register, the LWW maps).
+//!   A row holds the name, tiers and `build` that every consumer uses,
+//!   the iteration budget and op labels of the E13/E14 grids, the
+//!   argument convention the load driver issues ops by, the shard-merge
+//!   algebra the `apram-serve` table routes and combines by, and the
+//!   audit `apram-serve`, E14 and E15 check recorded spans with.
+//! * [`simspec`] — the simulator's table: [`simspec::SimObjectSpec`]
 //!   recipes for the five snapshot constructions the E10/E11 grids and
-//!   the sweep harness certify and sample.
+//!   the sweep harness certify and sample. It shares one name (`afek`)
+//!   and no consumer with [`spec`], so it stays a table of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,8 +88,8 @@ pub use prmw::{CommutingOp, PrmwRegister};
 pub use regular::{AtomicFromRegular, RegularRegister};
 pub use simspec::{sim_spec, sim_specs, SimObjectSpec, SIM_OBJECTS};
 pub use spec::{
-    native_spec, native_specs, BuildCtx, ObjectInstance, ObjectSession, ObjectSpec, OpOutput, Tier,
-    NATIVE_OBJECTS, OP_READ, OP_UPDATE,
+    native_spec, native_specs, Args, BuildCtx, Merge, ObjectInstance, ObjectSession, ObjectSpec,
+    OpOutput, Tier, NATIVE_OBJECTS, OP_READ, OP_UPDATE,
 };
 pub use sticky::StickySpec;
 pub use striped::{StripedCounter, StripedCounterHandle};

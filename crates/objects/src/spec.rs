@@ -1,47 +1,52 @@
-//! The native object factory: one uniform way to build and drive every
-//! servable object.
+//! The native object table: every servable object described once, and
+//! one uniform way to build and drive it.
 //!
-//! Before this module, each call site that wanted "a counter on the
-//! packed tier with a flight recorder" wrote its own constructor
-//! plumbing — E13, E14, and any new consumer each grew a per-object
-//! `match`. The factory collapses those into data:
+//! An object *is* its algebra (paper §5): what its operations take, how
+//! they combine across copies, and what sequential object they must
+//! linearize to. [`ObjectSpec`] writes that down as one row of a
+//! `static` table, and every consumer reads the row instead of
+//! re-deriving it from the name:
 //!
-//! * [`ObjectSpec`] — a named recipe: which [`Tier`]s apply, the
-//!   benchmark op budget, op labels, and [`ObjectSpec::build`], which
-//!   assembles the object and its [`apram_model::NativeMemory`] from a
-//!   [`BuildCtx`];
-//! * [`ObjectInstance`] — a built object: hands out per-process
-//!   [`ObjectSession`]s and exposes the memory-global observability
-//!   surface (protocol counters, flight drain, Prometheus export);
-//! * [`ObjectSession`] — a process's handle: every operation is
-//!   `op(code, a, b) -> OpOutput` with the session bracketing the op in
-//!   [`apram_model::NativeCtx::op_begin`]/`op_end` (one predictable
-//!   branch when no recorder is attached, so raw-throughput cells pay
-//!   nothing).
+//! * `name`, `tiers`, `build` — what [`native_spec`] callers (the
+//!   `apram-serve` table, the E13/E14 grids, the repo benchmark) need to
+//!   assemble an [`ObjectInstance`] on a [`Tier`] from a [`BuildCtx`];
+//! * `budget`, `labels` — E13/E14's iteration budget and the op names
+//!   traces and metrics print;
+//! * [`args`](ObjectSpec::args) — the argument convention ([`Args`]):
+//!   what `a`/`b` mean to [`ObjectSession::op`], read by the load
+//!   driver to issue ops and by the session to encode a span's `arg`;
+//! * [`merge`](ObjectSpec::merge) — the shard-merge algebra ([`Merge`]),
+//!   read by the serve table to route updates and combine reads;
+//! * [`audit`](ObjectSpec::audit) — span → typed op reconstruction plus
+//!   the check against the object's sequential spec, read by
+//!   `apram-serve`'s offline audit, E14's spot-check and E15.
 //!
-//! The registry ([`native_specs`]/[`native_spec`]) is what lets the
-//! `apram-serve` dispatch table, the E13/E14 grids, and the E15 load
-//! driver instantiate objects from a name + params with no per-object
-//! match arms.
-//!
-//! Op-argument conventions (what `a`/`b` mean and what the flight
-//! recorder's `arg` stores) are per-object and documented on each
-//! session; they are chosen so that a drained
-//! [`apram_model::OpSpan`] alone suffices to reconstruct the logical
-//! operation for linearizability audits.
+//! A built [`ObjectInstance`] hands out per-process [`ObjectSession`]s
+//! and exposes the memory-global observability surface (protocol
+//! counters, flight drain, Prometheus export). There is one session
+//! type: it brackets every op in [`NativeCtx::op_begin`]/`op_end` (one
+//! predictable branch when no recorder is attached) and records as the
+//! span's `resp` the encoding of the very [`OpOutput`] it returns, so a
+//! drained [`OpSpan`] alone reconstructs the logical operation. Per
+//! object there is a row, a `build` and the two operation bodies.
 
-use crate::clock::LamportClock;
-use crate::lwwmap::{DirectLwwMap, LwwMapSpec, MapOp, MapResp};
-use crate::maxreg::DirectMaxRegister;
-use crate::striped::StripedCounter;
-use apram_core::universal::UniversalReg;
-use apram_core::Universal;
-use apram_history::ProcId;
+use crate::clock::{LamportClock, LamportClockHandle};
+use crate::lwwmap::{DirectLwwMap, DirectLwwMapHandle, LwwMapSpec, MapOp, MapResp};
+use crate::maxreg::{DirectMaxRegister, DirectMaxRegisterHandle, MaxRegOp, MaxRegResp, MaxRegSpec};
+use crate::striped::{StripedCounter, StripedCounterHandle};
+use apram_core::counter::{CounterOp, CounterResp};
+use apram_core::universal::{UniversalHandle, UniversalReg};
+use apram_core::{CounterSpec, Universal};
+use apram_history::spec::{RegOp, RegResp, RegisterSpec};
+use apram_history::{
+    check_histories_parallel, history_from_spans, CheckOutcome, CheckerConfig, NondetSpec, ProcId,
+};
 use apram_lattice::MaxI64;
 use apram_model::flight::DEFAULT_FLIGHT_CAPACITY;
 use apram_model::telemetry::TelemetryRegistry;
-use apram_model::{AtomicPackable, FlightLog, FlightMode, MemCtx, NativeCtx, NativeMemory};
+use apram_model::{AtomicPackable, FlightLog, FlightMode, MemCtx, NativeCtx, NativeMemory, OpSpan};
 use apram_snapshot::afek::{AfekReg, AfekSnapshot};
+use apram_snapshot::{SnapOp, SnapResp, SnapshotSpec};
 
 /// Flight-op code: the object's update operation (inc / write_max /
 /// tick / update / put / write).
@@ -99,8 +104,8 @@ pub struct BuildCtx {
     pub flight: FlightMode,
     /// Per-process flight ring capacity (events).
     pub flight_capacity: usize,
-    /// Key slots for the keyed objects (the LWW maps); ignored by the
-    /// rest.
+    /// Key slots for the [`Args::KeyValue`] objects (at least one);
+    /// ignored by the rest.
     pub keys: usize,
 }
 
@@ -143,43 +148,51 @@ pub enum OpOutput {
 }
 
 impl OpOutput {
-    /// The single-word encoding (what `op_end` records as the response:
-    /// the value, the [`encode_opt`] sentinel form, or a view's length).
+    /// The single-word encoding (what the session records as the span's
+    /// response: the value, the [`encode_opt`] sentinel form, or a
+    /// view's length — a view is the one output a span cannot carry).
     pub fn encode(&self) -> u64 {
         match self {
             OpOutput::Val(v) => *v,
-            OpOutput::Opt(v) => encode_opt_u64(*v),
+            OpOutput::Opt(v) => encode_opt(*v),
             OpOutput::View(view) => view.len() as u64,
         }
     }
 }
 
-/// `None` ↦ `u64::MAX`, `Some(v)` ↦ `v as u64` — the span/wire encoding
-/// of optional reads (workloads only store non-negative values, so the
-/// sentinel is free).
-pub fn encode_opt(v: Option<i64>) -> u64 {
-    v.map(|x| x as u64).unwrap_or(u64::MAX)
-}
-
-/// Inverse of [`encode_opt`].
-pub fn decode_opt(resp: u64) -> Option<i64> {
-    (resp != u64::MAX).then_some(resp as i64)
-}
-
-fn encode_opt_u64(v: Option<u64>) -> u64 {
+/// `None` ↦ `u64::MAX`, `Some(v)` ↦ `v` — the span/wire encoding of
+/// optional reads (workloads only store smaller values, so the sentinel
+/// is free).
+pub fn encode_opt(v: Option<u64>) -> u64 {
     v.unwrap_or(u64::MAX)
 }
 
+/// Inverse of [`encode_opt`].
+pub fn decode_opt(resp: u64) -> Option<u64> {
+    (resp != u64::MAX).then_some(resp)
+}
+
+/// Pack a map op's key and value into one span arg word (`key` in the
+/// high 32 bits), so audits can reconstruct `Put(key, value)` from the
+/// span alone. Values must fit in 32 bits on audited workloads.
+pub fn encode_map_arg(key: u32, value: u64) -> u64 {
+    ((key as u64) << 32) | (value & u32::MAX as u64)
+}
+
+/// Inverse of [`encode_map_arg`].
+pub fn decode_map_arg(arg: u64) -> (u32, u64) {
+    ((arg >> 32) as u32, arg & u32::MAX as u64)
+}
+
 /// A process's handle on a built object: all operations funnel through
-/// one uniform entry point. Implementations bracket each op with
-/// `op_begin`/`op_end` so flight recording works identically across
-/// objects and call sites.
+/// one uniform entry point, bracketed with `op_begin`/`op_end` so flight
+/// recording works identically across objects and call sites.
 pub trait ObjectSession: Send {
     /// Execute op `code` ([`OP_UPDATE`] / [`OP_READ`]) with arguments
-    /// `a` and `b`; see each object's session docs for what the
-    /// arguments mean. Panics on an unknown code (callers validate
-    /// codes at their own boundary — the wire protocol rejects bad
-    /// opcodes before dispatch).
+    /// `a` and `b`, which mean what the object's [`ObjectSpec::args`]
+    /// says. Panics on an unknown code (callers validate codes at their
+    /// own boundary — the wire protocol rejects bad opcodes before
+    /// dispatch).
     fn op(&mut self, code: u32, a: u64, b: u64) -> OpOutput;
 }
 
@@ -202,59 +215,224 @@ pub trait ObjectInstance: Send + Sync {
     fn snapshot_prometheus(&self, registry: &TelemetryRegistry, object: &str) -> Option<FlightLog>;
 }
 
-/// A named object recipe in the registry.
-pub trait ObjectSpec: Sync {
-    /// Registry name (`counter`, `maxreg`, `clock`, `afek`, `mwreg`,
-    /// `lwwmap`, `lwwmap-direct`).
-    fn name(&self) -> &'static str;
-    /// Applicable tiers, preferred first (the grids iterate all of
-    /// them; single-tier consumers take `tiers()[0]`).
-    fn tiers(&self) -> &'static [Tier];
-    /// Benchmark iteration budget `(base, floor)`: a grid cell runs
-    /// `(base / threads).max(floor)` iterations per thread.
-    fn ops_budget(&self, quick: bool) -> (u64, u64);
-    /// Human-readable op label for traces and metrics.
-    fn op_label(&self, code: u32) -> &'static str;
-    /// Assemble the object and its memory.
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance>;
+/// The argument convention: what `a` and `b` of [`ObjectSession::op`]
+/// mean, and with them what a span's `arg` word records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Args {
+    /// Neither op takes an argument; `a`, `b` are ignored, `arg` is 0.
+    None,
+    /// Update takes a value in `a` (recorded as `arg`); read takes
+    /// nothing.
+    Value,
+    /// Update takes a key in `a` and a value in `b`, read a key in `a`.
+    /// The key is reduced modulo [`BuildCtx::keys`]; `arg` is
+    /// [`encode_map_arg`] of the reduced key and the value (0 on reads).
+    KeyValue,
 }
 
-/// The registry names, in canonical order.
-pub const NATIVE_OBJECTS: [&str; 7] = [
-    "counter",
-    "maxreg",
-    "clock",
-    "afek",
-    "mwreg",
-    "lwwmap",
-    "lwwmap-direct",
+/// The shard-merge algebra: how an object striped over independent
+/// copies routes its updates and combines its reads. Which one is sound
+/// for which object is argued in `apram-serve`'s table module.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// Reads sum over shards (commuting increments).
+    Sum,
+    /// Reads take the lattice max over shards.
+    Max,
+    /// Both ops route by `a % shards`; no merge.
+    Keyed,
+    /// Both ops stay on the slot's affinity shard.
+    Affinity,
+    /// Sharding does not apply; everything on shard 0.
+    Single,
+}
+
+/// One history for an [`ObjectSpec::audit`]: a drained recorder's op
+/// spans, complete and per process in program order.
+#[derive(Clone, Debug, Default)]
+pub struct AuditWindow {
+    /// The spans ([`FlightLog::op_spans`]).
+    pub spans: Vec<OpSpan>,
+    /// What the op of `spans[i]` returned, as `outputs[i]`. Only a row
+    /// whose read does not fit a span's response word needs them (`afek`:
+    /// the word holds the view's length); a caller that kept none leaves
+    /// this empty.
+    pub outputs: Vec<OpOutput>,
+}
+
+/// An audit: reconstruct each window's typed history and check the
+/// batch against the object's sequential spec on `threads` checker
+/// threads (0 = all available parallelism), one outcome per window.
+pub type Audit = fn(windows: &[AuditWindow], threads: usize) -> Vec<CheckOutcome>;
+
+/// One servable object, described once: a row of the table behind
+/// [`native_specs`].
+pub struct ObjectSpec {
+    name: &'static str,
+    tiers: &'static [Tier],
+    /// E13/E14 iteration budget: `(quick base, full base, floor)`.
+    budget: (u64, u64, u64),
+    /// Op labels, indexed by op code.
+    labels: [&'static str; 2],
+    /// What `a`/`b` mean to this object's sessions.
+    pub args: Args,
+    /// How shards of this object combine.
+    pub merge: Merge,
+    build: fn(&BuildCtx) -> Box<dyn ObjectInstance>,
+    /// The check of recorded windows against the object's sequential
+    /// spec: [`CounterSpec`], [`MaxRegSpec`], [`LwwMapSpec`] for both
+    /// maps, [`RegisterSpec`] for `mwreg`, [`SnapshotSpec`] for `afek`
+    /// (a snap whose view the caller did not supply reconstructs as the
+    /// empty view, which no state returns: rejected, never passed).
+    /// `None` where the repo has no sequential spec (`clock`).
+    pub audit: Option<Audit>,
+}
+
+impl ObjectSpec {
+    /// Registry name (one of [`NATIVE_OBJECTS`]).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Applicable tiers, preferred first (the grids iterate all of
+    /// them; single-tier consumers take `tiers()[0]`).
+    pub fn tiers(&self) -> &'static [Tier] {
+        self.tiers
+    }
+
+    /// Benchmark iteration budget `(base, floor)`: a grid cell runs
+    /// `(base / threads).max(floor)` iterations per thread.
+    pub fn ops_budget(&self, quick: bool) -> (u64, u64) {
+        let (quick_base, full_base, floor) = self.budget;
+        (if quick { quick_base } else { full_base }, floor)
+    }
+
+    /// Human-readable op label for traces and metrics.
+    pub fn op_label(&self, code: u32) -> &'static str {
+        self.labels[(code != OP_UPDATE) as usize]
+    }
+
+    /// Assemble the object and its memory.
+    pub fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
+        (self.build)(b)
+    }
+}
+
+const ALL_TIERS: &[Tier] = &[Tier::Packed, Tier::Buffered, Tier::Rwlock];
+const WIDE_TIERS: &[Tier] = &[Tier::Buffered, Tier::Rwlock];
+
+static SPECS: [ObjectSpec; 7] = [
+    // The striped increment-only counter. The CI gates ratio on it, so
+    // its quick budget stays large enough to average out scheduler noise.
+    ObjectSpec {
+        name: "counter",
+        tiers: ALL_TIERS,
+        budget: (16_000, 48_000, 100),
+        labels: ["inc", "read"],
+        args: StripedCounterHandle::ARGS,
+        merge: Merge::Sum,
+        build: build_counter,
+        audit: Some(audit_counter),
+    },
+    // The direct max-register.
+    ObjectSpec {
+        name: "maxreg",
+        tiers: ALL_TIERS,
+        budget: (600, 6_000, 20),
+        labels: ["write_max", "read"],
+        args: DirectMaxRegisterHandle::ARGS,
+        merge: Merge::Max,
+        build: build_maxreg,
+        audit: Some(audit_maxreg),
+    },
+    // The Lamport clock over the max-register. A tick is one scan + one
+    // write: maxreg's budget.
+    ObjectSpec {
+        name: "clock",
+        tiers: ALL_TIERS,
+        budget: (600, 6_000, 20),
+        labels: ["tick", "now"],
+        args: LamportClockHandle::ARGS,
+        merge: Merge::Max,
+        build: build_clock,
+        audit: None,
+    },
+    // The Afek et al. bounded single-writer snapshot (owner-mapped).
+    ObjectSpec {
+        name: "afek",
+        tiers: WIDE_TIERS,
+        budget: (300, 3_000, 10),
+        labels: ["update", "snap"],
+        args: AfekSnapshot::ARGS,
+        merge: Merge::Affinity,
+        build: build_afek,
+        audit: Some(audit_afek),
+    },
+    // One unowned buffered register, all threads hammering it — every
+    // write draws an MWMR hardware ticket, which is the point. Cheap per
+    // op, so the budget matches maxreg.
+    ObjectSpec {
+        name: "mwreg",
+        tiers: WIDE_TIERS,
+        budget: (600, 6_000, 20),
+        labels: ["write", "read"],
+        args: Register::ARGS,
+        merge: Merge::Single,
+        build: build_mwreg,
+        audit: Some(audit_mwreg),
+    },
+    // The LWW map through the Figure 4 universal construction. Kept in
+    // the grids because measuring the construction's replay cost *is*
+    // the experiment; the serving path uses `lwwmap-direct`. The budget
+    // was sized when every op linearized the whole history; it is part
+    // of E13's deterministic skeleton, so it stays.
+    ObjectSpec {
+        name: "lwwmap",
+        tiers: WIDE_TIERS,
+        budget: (48, 96, 3),
+        labels: ["put", "get"],
+        args: UniversalHandle::<LwwMapSpec>::ARGS,
+        merge: Merge::Keyed,
+        build: build_lwwmap,
+        audit: Some(audit_map),
+    },
+    // The direct LWW map: one unowned multi-writer register per key
+    // slot, one ticketed register access per op — mwreg's budget.
+    ObjectSpec {
+        name: "lwwmap-direct",
+        tiers: WIDE_TIERS,
+        budget: (600, 6_000, 20),
+        labels: ["put", "get"],
+        args: DirectLwwMapHandle::ARGS,
+        merge: Merge::Keyed,
+        build: build_lwwmap_direct,
+        audit: Some(audit_map),
+    },
 ];
 
-/// Every registered spec, in [`NATIVE_OBJECTS`] order.
-pub fn native_specs() -> &'static [&'static dyn ObjectSpec] {
-    static SPECS: [&dyn ObjectSpec; 7] = [
-        &CounterObject,
-        &MaxRegObject,
-        &ClockObject,
-        &AfekObject,
-        &MwRegObject,
-        &LwwMapObject,
-        &LwwDirectObject,
-    ];
+/// The registry names, in table order.
+pub const NATIVE_OBJECTS: [&str; 7] = {
+    let mut names = [""; 7];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = SPECS[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// Every row of the table, in [`NATIVE_OBJECTS`] order.
+pub fn native_specs() -> &'static [ObjectSpec] {
     &SPECS
 }
 
-/// Look up a spec by registry name.
-pub fn native_spec(name: &str) -> Option<&'static dyn ObjectSpec> {
-    native_specs().iter().find(|s| s.name() == name).copied()
+/// Look up a row by registry name.
+pub fn native_spec(name: &str) -> Option<&'static ObjectSpec> {
+    SPECS.iter().find(|s| s.name == name)
 }
 
 // ---------------------------------------------------------------------------
 // Memory assembly helpers
-
-fn attach<T: Clone>(mem: NativeMemory<T>, b: &BuildCtx) -> NativeMemory<T> {
-    mem.with_flight(b.flight, b.flight_capacity)
-}
 
 /// A memory on `b.tier` for an arbitrary `Clone` register type (the
 /// packed tier does not apply).
@@ -271,7 +449,7 @@ fn wide_mem<T: Clone>(b: &BuildCtx, regs: Vec<T>, owners: Option<Vec<ProcId>>) -
         Some(o) => mem.with_owners(o),
         None => mem,
     };
-    attach(mem, b)
+    mem.with_flight(b.flight, b.flight_capacity)
 }
 
 /// A memory on `b.tier` for a word-packable register type (all tiers
@@ -282,24 +460,55 @@ fn packable_mem<T: AtomicPackable + Clone>(
     owners: Vec<ProcId>,
 ) -> NativeMemory<T> {
     match b.tier {
-        Tier::Packed => attach(
-            NativeMemory::new_packed(b.procs, regs).with_owners(owners),
-            b,
-        ),
+        Tier::Packed => NativeMemory::new_packed(b.procs, regs)
+            .with_owners(owners)
+            .with_flight(b.flight, b.flight_capacity),
         _ => wide_mem(b, regs, Some(owners)),
     }
 }
 
-/// The one generic [`ObjectInstance`]: a shared memory plus a closure
-/// that wraps a fresh per-process context into the object's session.
-struct Instance<T: Clone + Send + Sync + 'static> {
-    mem: NativeMemory<T>,
-    make: Box<dyn Fn(NativeCtx<T>) -> Box<dyn ObjectSession> + Send + Sync>,
+// ---------------------------------------------------------------------------
+// The one instance and the one session
+
+/// What is per object on the op path, implemented on the object's
+/// per-process handle: its register type, its argument convention and
+/// its two operation bodies. `a` arrives as [`Args`] defines it (a key
+/// already reduced).
+trait Body: Send + 'static {
+    type Reg: Clone + Send + Sync + 'static;
+    const ARGS: Args;
+    fn update(&mut self, ctx: &mut NativeCtx<Self::Reg>, a: u64, b: u64) -> OpOutput;
+    fn read(&mut self, ctx: &mut NativeCtx<Self::Reg>, a: u64) -> OpOutput;
 }
 
-impl<T: Clone + Send + Sync + 'static> ObjectInstance for Instance<T> {
+/// The one [`ObjectInstance`]: a shared memory plus what makes a fresh
+/// per-process handle.
+struct Instance<B: Body, F> {
+    mem: NativeMemory<B::Reg>,
+    handle: F,
+    keys: u64,
+}
+
+fn instance<B: Body>(
+    b: &BuildCtx,
+    mem: NativeMemory<B::Reg>,
+    handle: impl Fn() -> B + Send + Sync + 'static,
+) -> Box<dyn ObjectInstance> {
+    let keys = b.keys as u64;
+    assert!(
+        B::ARGS != Args::KeyValue || keys > 0,
+        "a keyed object needs at least one key slot"
+    );
+    Box::new(Instance { mem, handle, keys })
+}
+
+impl<B: Body, F: Fn() -> B + Send + Sync> ObjectInstance for Instance<B, F> {
     fn session(&self, proc: ProcId) -> Box<dyn ObjectSession> {
-        (self.make)(self.mem.ctx(proc))
+        Box::new(Session {
+            body: (self.handle)(),
+            ctx: self.mem.ctx(proc),
+            keys: self.keys,
+        })
     }
 
     fn tier(&self) -> &'static str {
@@ -323,501 +532,272 @@ impl<T: Clone + Send + Sync + 'static> ObjectInstance for Instance<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// counter — striped counter, packed tier preferred
-
-/// `counter`: the striped increment-only counter. `a`/`b` are ignored;
-/// update is `inc` (span arg 1 = the increment amount), read returns
-/// the collected total.
-pub struct CounterObject;
-
-struct CounterSession {
-    h: crate::striped::StripedCounterHandle,
-    ctx: NativeCtx<u64>,
+/// The one [`ObjectSession`]: it owns the bracket, so a span's `arg` is
+/// the [`Args`] encoding of what the body was given and its `resp` the
+/// encoding of what the caller got back.
+struct Session<B: Body> {
+    body: B,
+    ctx: NativeCtx<B::Reg>,
+    keys: u64,
 }
 
-impl ObjectSession for CounterSession {
-    fn op(&mut self, code: u32, _a: u64, _b: u64) -> OpOutput {
-        match code {
-            OP_UPDATE => {
-                self.ctx.op_begin(OP_UPDATE, 1);
-                self.h.inc(&mut self.ctx);
-                self.ctx.op_end(OP_UPDATE, 0);
-                OpOutput::Val(0)
-            }
-            OP_READ => {
-                self.ctx.op_begin(OP_READ, 0);
-                let v = self.h.read(&mut self.ctx);
-                self.ctx.op_end(OP_READ, v);
-                OpOutput::Val(v)
-            }
-            other => panic!("counter: unknown op code {other}"),
-        }
-    }
-}
-
-impl ObjectSpec for CounterObject {
-    fn name(&self) -> &'static str {
-        "counter"
-    }
-
-    fn tiers(&self) -> &'static [Tier] {
-        &[Tier::Packed, Tier::Buffered, Tier::Rwlock]
-    }
-
-    fn ops_budget(&self, quick: bool) -> (u64, u64) {
-        // The counter is the object the CI gates ratio on, so its quick
-        // budget stays large enough to average out scheduler noise.
-        (if quick { 16_000 } else { 48_000 }, 100)
-    }
-
-    fn op_label(&self, code: u32) -> &'static str {
-        if code == OP_UPDATE {
-            "inc"
-        } else {
-            "read"
-        }
-    }
-
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
-        let c = StripedCounter::new(b.procs);
-        let mem = packable_mem(b, c.registers(), c.owners());
-        Box::new(Instance {
-            mem,
-            make: Box::new(move |ctx| Box::new(CounterSession { h: c.handle(), ctx })),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// maxreg — direct max-register, packed tier preferred
-
-/// `maxreg`: the direct max-register. Update writes `max(a as i64)`
-/// (span arg `a`); read returns the current max as [`OpOutput::Opt`].
-pub struct MaxRegObject;
-
-struct MaxRegSession {
-    h: crate::maxreg::DirectMaxRegisterHandle,
-    ctx: NativeCtx<MaxI64>,
-}
-
-impl ObjectSession for MaxRegSession {
-    fn op(&mut self, code: u32, a: u64, _b: u64) -> OpOutput {
-        match code {
-            OP_UPDATE => {
-                self.ctx.op_begin(OP_UPDATE, a);
-                self.h.write_max(&mut self.ctx, a as i64);
-                self.ctx.op_end(OP_UPDATE, 0);
-                OpOutput::Val(0)
-            }
-            OP_READ => {
-                self.ctx.op_begin(OP_READ, 0);
-                let v = self.h.read(&mut self.ctx);
-                self.ctx.op_end(OP_READ, encode_opt(v));
-                OpOutput::Opt(v.map(|x| x as u64))
-            }
-            other => panic!("maxreg: unknown op code {other}"),
-        }
-    }
-}
-
-impl ObjectSpec for MaxRegObject {
-    fn name(&self) -> &'static str {
-        "maxreg"
-    }
-
-    fn tiers(&self) -> &'static [Tier] {
-        &[Tier::Packed, Tier::Buffered, Tier::Rwlock]
-    }
-
-    fn ops_budget(&self, quick: bool) -> (u64, u64) {
-        (if quick { 600 } else { 6_000 }, 20)
-    }
-
-    fn op_label(&self, code: u32) -> &'static str {
-        if code == OP_UPDATE {
-            "write_max"
-        } else {
-            "read"
-        }
-    }
-
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
-        let r = DirectMaxRegister::new(b.procs);
-        let mem = packable_mem(b, r.registers(), r.owners());
-        Box::new(Instance {
-            mem,
-            make: Box::new(move |ctx| Box::new(MaxRegSession { h: r.handle(), ctx })),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// clock — Lamport logical clock over the max-register
-
-/// `clock`: the Lamport clock. Update is `tick` (returns and records
-/// the fresh stamp's time; `a` is ignored — the tick derives its own
-/// timestamp); read is `now`.
-pub struct ClockObject;
-
-struct ClockSession {
-    h: crate::clock::LamportClockHandle,
-    ctx: NativeCtx<MaxI64>,
-}
-
-impl ObjectSession for ClockSession {
-    fn op(&mut self, code: u32, _a: u64, _b: u64) -> OpOutput {
-        match code {
-            OP_UPDATE => {
-                self.ctx.op_begin(OP_UPDATE, 0);
-                let stamp = self.h.tick(&mut self.ctx);
-                self.ctx.op_end(OP_UPDATE, stamp.time as u64);
-                OpOutput::Val(stamp.time as u64)
-            }
-            OP_READ => {
-                self.ctx.op_begin(OP_READ, 0);
-                let t = self.h.now(&mut self.ctx);
-                self.ctx.op_end(OP_READ, t as u64);
-                OpOutput::Val(t as u64)
-            }
-            other => panic!("clock: unknown op code {other}"),
-        }
-    }
-}
-
-impl ObjectSpec for ClockObject {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
-    fn tiers(&self) -> &'static [Tier] {
-        &[Tier::Packed, Tier::Buffered, Tier::Rwlock]
-    }
-
-    fn ops_budget(&self, quick: bool) -> (u64, u64) {
-        // A tick is one max-register scan + one write: maxreg's budget.
-        (if quick { 600 } else { 6_000 }, 20)
-    }
-
-    fn op_label(&self, code: u32) -> &'static str {
-        if code == OP_UPDATE {
-            "tick"
-        } else {
-            "now"
-        }
-    }
-
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
-        let clk = LamportClock::new(b.procs);
-        let mem = packable_mem(b, clk.registers(), clk.owners());
-        Box::new(Instance {
-            mem,
-            make: Box::new(move |ctx| {
-                Box::new(ClockSession {
-                    h: clk.handle(),
-                    ctx,
-                })
-            }),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// afek — Afek et al. bounded snapshot, buffered tier (owner-mapped)
-
-/// `afek`: the bounded single-writer snapshot. Update writes `a` into
-/// this process's segment (span arg `a`); read is a full `snap`
-/// returning the view (span resp = view length).
-pub struct AfekObject;
-
-struct AfekSession {
-    snap: AfekSnapshot,
-    ctx: NativeCtx<AfekReg<u64>>,
-}
-
-impl ObjectSession for AfekSession {
-    fn op(&mut self, code: u32, a: u64, _b: u64) -> OpOutput {
-        match code {
-            OP_UPDATE => {
-                self.ctx.op_begin(OP_UPDATE, a);
-                self.snap.update(&mut self.ctx, a);
-                self.ctx.op_end(OP_UPDATE, 0);
-                OpOutput::Val(0)
-            }
-            OP_READ => {
-                self.ctx.op_begin(OP_READ, 0);
-                let view = self.snap.snap::<u64, _>(&mut self.ctx);
-                self.ctx.op_end(OP_READ, view.len() as u64);
-                OpOutput::View(view)
-            }
-            other => panic!("afek: unknown op code {other}"),
-        }
-    }
-}
-
-impl ObjectSpec for AfekObject {
-    fn name(&self) -> &'static str {
-        "afek"
-    }
-
-    fn tiers(&self) -> &'static [Tier] {
-        &[Tier::Buffered, Tier::Rwlock]
-    }
-
-    fn ops_budget(&self, quick: bool) -> (u64, u64) {
-        (if quick { 300 } else { 3_000 }, 10)
-    }
-
-    fn op_label(&self, code: u32) -> &'static str {
-        if code == OP_UPDATE {
-            "update"
-        } else {
-            "snap"
-        }
-    }
-
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
-        let snap = AfekSnapshot::new(b.procs);
-        let mem = wide_mem(b, snap.registers::<u64>(), Some(snap.owners()));
-        Box::new(Instance {
-            mem,
-            make: Box::new(move |ctx| Box::new(AfekSession { snap, ctx })),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// mwreg — one unowned buffered register (the MWMR ticket path)
-
-/// `mwreg`: a single multi-writer register with no owner map — every
-/// write draws an MWMR hardware ticket, which is the point. Update
-/// writes `a` (span arg `a`); read returns the register.
-pub struct MwRegObject;
-
-struct MwRegSession {
-    ctx: NativeCtx<u64>,
-}
-
-impl ObjectSession for MwRegSession {
-    fn op(&mut self, code: u32, a: u64, _b: u64) -> OpOutput {
-        match code {
-            OP_UPDATE => {
-                self.ctx.op_begin(OP_UPDATE, a);
-                self.ctx.write(0, a);
-                self.ctx.op_end(OP_UPDATE, 0);
-                OpOutput::Val(0)
-            }
-            OP_READ => {
-                self.ctx.op_begin(OP_READ, 0);
-                let v = self.ctx.read(0);
-                self.ctx.op_end(OP_READ, v);
-                OpOutput::Val(v)
-            }
-            other => panic!("mwreg: unknown op code {other}"),
-        }
-    }
-}
-
-impl ObjectSpec for MwRegObject {
-    fn name(&self) -> &'static str {
-        "mwreg"
-    }
-
-    fn tiers(&self) -> &'static [Tier] {
-        &[Tier::Buffered, Tier::Rwlock]
-    }
-
-    fn ops_budget(&self, quick: bool) -> (u64, u64) {
-        // One ticketed MWMR register, all threads hammering it: cheap
-        // per op, so the budget matches maxreg.
-        (if quick { 600 } else { 6_000 }, 20)
-    }
-
-    fn op_label(&self, code: u32) -> &'static str {
-        if code == OP_UPDATE {
-            "write"
-        } else {
-            "read"
-        }
-    }
-
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
-        let mem = wide_mem(b, vec![0u64], None);
-        Box::new(Instance {
-            mem,
-            make: Box::new(move |ctx| Box::new(MwRegSession { ctx })),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// lwwmap — the universal-construction map (certification workloads)
-
-/// Pack a map op's key and value into one span arg word (`key` in the
-/// high 32 bits), so audits can reconstruct `Put(key, value)` from the
-/// span alone. Values must fit in 32 bits on audited workloads.
-pub fn encode_map_arg(key: u32, value: u64) -> u64 {
-    ((key as u64) << 32) | (value & u32::MAX as u64)
-}
-
-/// Inverse of [`encode_map_arg`].
-pub fn decode_map_arg(arg: u64) -> (u32, u64) {
-    ((arg >> 32) as u32, arg & u32::MAX as u64)
-}
-
-/// `lwwmap`: the LWW map through the Figure 4 universal construction.
-/// Update is `put(a % keys, b)` (span arg = [`encode_map_arg`]); read
-/// is `get(a % keys)`. Kept in the grids because measuring the
-/// universal construction's replay cost *is* the experiment; the
-/// serving path uses `lwwmap-direct`.
-pub struct LwwMapObject;
-
-struct UniMapSession {
-    h: apram_core::universal::UniversalHandle<LwwMapSpec>,
-    ctx: NativeCtx<UniversalReg<LwwMapSpec>>,
-    keys: usize,
-}
-
-impl ObjectSession for UniMapSession {
+impl<B: Body> ObjectSession for Session<B> {
     fn op(&mut self, code: u32, a: u64, b: u64) -> OpOutput {
-        let key = (a % self.keys as u64) as u32;
-        match code {
-            OP_UPDATE => {
-                self.ctx.op_begin(OP_UPDATE, encode_map_arg(key, b));
-                let _ = self.h.execute(&mut self.ctx, MapOp::Put(key, b));
-                self.ctx.op_end(OP_UPDATE, 0);
-                OpOutput::Val(0)
+        assert!(
+            code == OP_UPDATE || code == OP_READ,
+            "unknown op code {code}"
+        );
+        let update = code == OP_UPDATE;
+        let (a, arg) = match B::ARGS {
+            Args::None => (0, 0),
+            Args::Value => (a, if update { a } else { 0 }),
+            Args::KeyValue => {
+                let key = a % self.keys;
+                let value = if update { b } else { 0 };
+                (key, encode_map_arg(key as u32, value))
             }
-            OP_READ => {
-                self.ctx.op_begin(OP_READ, encode_map_arg(key, 0));
-                let resp = self.h.execute(&mut self.ctx, MapOp::Get(key));
-                let v = match resp {
-                    MapResp::Value(v) => v,
-                    other => panic!("lwwmap: Get returned {other:?}"),
-                };
-                self.ctx.op_end(OP_READ, encode_opt_u64(v));
-                OpOutput::Opt(v)
-            }
-            other => panic!("lwwmap: unknown op code {other}"),
-        }
-    }
-}
-
-impl ObjectSpec for LwwMapObject {
-    fn name(&self) -> &'static str {
-        "lwwmap"
-    }
-
-    fn tiers(&self) -> &'static [Tier] {
-        &[Tier::Buffered, Tier::Rwlock]
-    }
-
-    fn ops_budget(&self, quick: bool) -> (u64, u64) {
-        // Sized when the universal construction linearized its whole
-        // history on every op. It now linearizes only what lies beyond
-        // its absorbed prefix, but the budget is part of E13's
-        // deterministic skeleton, so it stays.
-        (if quick { 48 } else { 96 }, 3)
-    }
-
-    fn op_label(&self, code: u32) -> &'static str {
-        if code == OP_UPDATE {
-            "put"
+        };
+        self.ctx.op_begin(code, arg);
+        let out = if update {
+            self.body.update(&mut self.ctx, a, b)
         } else {
-            "get"
-        }
-    }
-
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
-        let uni = Universal::new(b.procs, LwwMapSpec);
-        let mem = wide_mem(b, uni.registers(), Some(uni.owners()));
-        let keys = b.keys;
-        Box::new(Instance {
-            mem,
-            make: Box::new(move |ctx| {
-                Box::new(UniMapSession {
-                    h: uni.handle(),
-                    ctx,
-                    keys,
-                })
-            }),
-        })
+            self.body.read(&mut self.ctx, a)
+        };
+        self.ctx.op_end(code, out.encode());
+        out
     }
 }
 
 // ---------------------------------------------------------------------------
-// lwwmap-direct — one atomic MWMR register per key slot (serving path)
+// Per object: the two bodies, the build, the audit
 
-/// `lwwmap-direct`: the direct LWW map — one unowned multi-writer
-/// register per key slot, one register access per op. Update is
-/// `put(a % keys, b)` (span arg = [`encode_map_arg`] with the *slot*
-/// as the key); read is `get(a % keys)`.
-pub struct LwwDirectObject;
+impl Body for StripedCounterHandle {
+    type Reg = u64;
+    const ARGS: Args = Args::None;
 
-struct DirectMapSession {
-    h: crate::lwwmap::DirectLwwMapHandle,
-    ctx: NativeCtx<Option<u64>>,
-    keys: usize,
+    fn update(&mut self, ctx: &mut NativeCtx<u64>, _a: u64, _b: u64) -> OpOutput {
+        self.inc(ctx);
+        OpOutput::Val(0)
+    }
+
+    fn read(&mut self, ctx: &mut NativeCtx<u64>, _a: u64) -> OpOutput {
+        OpOutput::Val(StripedCounterHandle::read(self, ctx))
+    }
 }
 
-impl ObjectSession for DirectMapSession {
-    fn op(&mut self, code: u32, a: u64, b: u64) -> OpOutput {
-        let key = (a % self.keys as u64) as u32;
-        match code {
-            OP_UPDATE => {
-                self.ctx.op_begin(OP_UPDATE, encode_map_arg(key, b));
-                self.h.put(&mut self.ctx, key, b);
-                self.ctx.op_end(OP_UPDATE, 0);
-                OpOutput::Val(0)
-            }
-            OP_READ => {
-                self.ctx.op_begin(OP_READ, encode_map_arg(key, 0));
-                let v = self.h.get(&mut self.ctx, key);
-                self.ctx.op_end(OP_READ, encode_opt_u64(v));
-                OpOutput::Opt(v)
-            }
-            other => panic!("lwwmap-direct: unknown op code {other}"),
+fn build_counter(b: &BuildCtx) -> Box<dyn ObjectInstance> {
+    let c = StripedCounter::new(b.procs);
+    let mem = packable_mem(b, c.registers(), c.owners());
+    instance(b, mem, move || c.handle())
+}
+
+impl Body for DirectMaxRegisterHandle {
+    type Reg = MaxI64;
+    const ARGS: Args = Args::Value;
+
+    fn update(&mut self, ctx: &mut NativeCtx<MaxI64>, a: u64, _b: u64) -> OpOutput {
+        self.write_max(ctx, a as i64);
+        OpOutput::Val(0)
+    }
+
+    fn read(&mut self, ctx: &mut NativeCtx<MaxI64>, _a: u64) -> OpOutput {
+        OpOutput::Opt(DirectMaxRegisterHandle::read(self, ctx).map(|v| v as u64))
+    }
+}
+
+fn build_maxreg(b: &BuildCtx) -> Box<dyn ObjectInstance> {
+    let r = DirectMaxRegister::new(b.procs);
+    let mem = packable_mem(b, r.registers(), r.owners());
+    instance(b, mem, move || r.handle())
+}
+
+/// Update is `tick` and returns the fresh stamp's time (the tick derives
+/// its own timestamp); read is `now`.
+impl Body for LamportClockHandle {
+    type Reg = MaxI64;
+    const ARGS: Args = Args::None;
+
+    fn update(&mut self, ctx: &mut NativeCtx<MaxI64>, _a: u64, _b: u64) -> OpOutput {
+        OpOutput::Val(self.tick(ctx).time as u64)
+    }
+
+    fn read(&mut self, ctx: &mut NativeCtx<MaxI64>, _a: u64) -> OpOutput {
+        OpOutput::Val(self.now(ctx) as u64)
+    }
+}
+
+fn build_clock(b: &BuildCtx) -> Box<dyn ObjectInstance> {
+    let clk = LamportClock::new(b.procs);
+    let mem = packable_mem(b, clk.registers(), clk.owners());
+    instance(b, mem, move || clk.handle())
+}
+
+/// Update writes `a` into this process's segment; read is a full `snap`.
+impl Body for AfekSnapshot {
+    type Reg = AfekReg<u64>;
+    const ARGS: Args = Args::Value;
+
+    fn update(&mut self, ctx: &mut NativeCtx<AfekReg<u64>>, a: u64, _b: u64) -> OpOutput {
+        AfekSnapshot::update(self, ctx, a);
+        OpOutput::Val(0)
+    }
+
+    fn read(&mut self, ctx: &mut NativeCtx<AfekReg<u64>>, _a: u64) -> OpOutput {
+        OpOutput::View(self.snap::<u64, _>(ctx))
+    }
+}
+
+fn build_afek(b: &BuildCtx) -> Box<dyn ObjectInstance> {
+    let snap = AfekSnapshot::new(b.procs);
+    let mem = wide_mem(b, snap.registers::<u64>(), Some(snap.owners()));
+    instance(b, mem, move || snap)
+}
+
+/// A handle on one raw register of the file (`mwreg` is register 0 of a
+/// one-register memory with no owner map).
+struct Register(usize);
+
+impl Body for Register {
+    type Reg = u64;
+    const ARGS: Args = Args::Value;
+
+    fn update(&mut self, ctx: &mut NativeCtx<u64>, a: u64, _b: u64) -> OpOutput {
+        ctx.write(self.0, a);
+        OpOutput::Val(0)
+    }
+
+    fn read(&mut self, ctx: &mut NativeCtx<u64>, _a: u64) -> OpOutput {
+        OpOutput::Val(ctx.read(self.0))
+    }
+}
+
+fn build_mwreg(b: &BuildCtx) -> Box<dyn ObjectInstance> {
+    instance(b, wide_mem(b, vec![0u64], None), || Register(0))
+}
+
+impl Body for UniversalHandle<LwwMapSpec> {
+    type Reg = UniversalReg<LwwMapSpec>;
+    const ARGS: Args = Args::KeyValue;
+
+    fn update(&mut self, ctx: &mut NativeCtx<Self::Reg>, key: u64, value: u64) -> OpOutput {
+        let _ = self.execute(ctx, MapOp::Put(key as u32, value));
+        OpOutput::Val(0)
+    }
+
+    fn read(&mut self, ctx: &mut NativeCtx<Self::Reg>, key: u64) -> OpOutput {
+        match self.execute(ctx, MapOp::Get(key as u32)) {
+            MapResp::Value(v) => OpOutput::Opt(v),
+            other => panic!("lwwmap: Get returned {other:?}"),
         }
     }
 }
 
-impl ObjectSpec for LwwDirectObject {
-    fn name(&self) -> &'static str {
-        "lwwmap-direct"
+fn build_lwwmap(b: &BuildCtx) -> Box<dyn ObjectInstance> {
+    let uni = Universal::new(b.procs, LwwMapSpec);
+    let mem = wide_mem(b, uni.registers(), Some(uni.owners()));
+    instance(b, mem, move || uni.handle())
+}
+
+/// The span's key is the *slot*: the reduced key.
+impl Body for DirectLwwMapHandle {
+    type Reg = Option<u64>;
+    const ARGS: Args = Args::KeyValue;
+
+    fn update(&mut self, ctx: &mut NativeCtx<Option<u64>>, key: u64, value: u64) -> OpOutput {
+        self.put(ctx, key as u32, value);
+        OpOutput::Val(0)
     }
 
-    fn tiers(&self) -> &'static [Tier] {
-        &[Tier::Buffered, Tier::Rwlock]
+    fn read(&mut self, ctx: &mut NativeCtx<Option<u64>>, key: u64) -> OpOutput {
+        OpOutput::Opt(self.get(ctx, key as u32))
     }
+}
 
-    fn ops_budget(&self, quick: bool) -> (u64, u64) {
-        // One ticketed register access per op: mwreg's budget.
-        (if quick { 600 } else { 6_000 }, 20)
-    }
+fn build_lwwmap_direct(b: &BuildCtx) -> Box<dyn ObjectInstance> {
+    let map = DirectLwwMap::new(b.keys);
+    let mem = wide_mem(b, map.registers(), None);
+    instance(b, mem, move || map.handle())
+}
 
-    fn op_label(&self, code: u32) -> &'static str {
-        if code == OP_UPDATE {
-            "put"
-        } else {
-            "get"
+// ---------------------------------------------------------------------------
+// Audits: span → typed op, checked against the sequential spec
+
+/// Rebuild one history per window — `typed` reads a span, with the
+/// output the caller kept for it if any, as the spec's `(op, response)`
+/// — and check the batch against `spec`.
+fn check_windows<Sp>(
+    spec: &Sp,
+    windows: &[AuditWindow],
+    threads: usize,
+    typed: impl Fn(&OpSpan, Option<&OpOutput>) -> (Sp::Op, Sp::Resp),
+) -> Vec<CheckOutcome>
+where
+    Sp: NondetSpec + Sync,
+    Sp::State: std::hash::Hash + Eq,
+    Sp::Op: Send + Sync,
+    Sp::Resp: Send + Sync,
+{
+    let history = |w: &AuditWindow| {
+        // `history_from_spans` hands back spans, not positions: number a
+        // copy, so that each finds its typed pair.
+        let typed = |(i, s)| typed(s, w.outputs.get(i));
+        let pairs: Vec<_> = w.spans.iter().enumerate().map(typed).collect();
+        let mut spans = w.spans.clone();
+        (0..).zip(&mut spans).for_each(|(i, s)| s.resp = i);
+        let pair = |s: &OpSpan| &pairs[s.resp as usize];
+        history_from_spans(&spans, |s| pair(s).0.clone(), |s| pair(s).1.clone())
+    };
+    let batch: Vec<_> = windows.iter().map(history).collect();
+    check_histories_parallel(spec, &batch, &CheckerConfig::default(), threads)
+}
+
+fn audit_counter(windows: &[AuditWindow], threads: usize) -> Vec<CheckOutcome> {
+    check_windows(&CounterSpec, windows, threads, |s, _| match s.op {
+        OP_UPDATE => (CounterOp::Inc(1), CounterResp::Ack),
+        _ => (CounterOp::Read, CounterResp::Value(s.resp as i64)),
+    })
+}
+
+fn audit_maxreg(windows: &[AuditWindow], threads: usize) -> Vec<CheckOutcome> {
+    let max = |s: &OpSpan| decode_opt(s.resp).map(|v| v as i64);
+    check_windows(&MaxRegSpec, windows, threads, |s, _| match s.op {
+        OP_UPDATE => (MaxRegOp::WriteMax(s.arg as i64), MaxRegResp::Ack),
+        _ => (MaxRegOp::Read, MaxRegResp::Value(max(s))),
+    })
+}
+
+fn audit_afek(windows: &[AuditWindow], threads: usize) -> Vec<CheckOutcome> {
+    let view = |out: Option<&OpOutput>| match out {
+        Some(OpOutput::View(view)) => view.to_vec(),
+        _ => Vec::new(),
+    };
+    // One slot per process: as many as the widest view kept, or else as
+    // the highest process seen.
+    let kept = windows.iter().flat_map(|w| &w.outputs);
+    let seen = windows.iter().flat_map(|w| &w.spans).map(|s| s.proc + 1);
+    let slots = kept.map(|out| view(Some(out)).len()).chain(seen).max();
+    let spec = SnapshotSpec::<u64>::new(slots.unwrap_or(0));
+    check_windows(&spec, windows, threads, |s, out| match s.op {
+        OP_UPDATE => (SnapOp::Update(s.arg), SnapResp::Ack),
+        _ => (SnapOp::Snap, SnapResp::View(view(out))),
+    })
+}
+
+fn audit_mwreg(windows: &[AuditWindow], threads: usize) -> Vec<CheckOutcome> {
+    check_windows(&RegisterSpec, windows, threads, |s, _| match s.op {
+        OP_UPDATE => (RegOp::Write(s.arg), RegResp::Ack),
+        _ => (RegOp::Read, RegResp::Value(s.resp)),
+    })
+}
+
+fn audit_map(windows: &[AuditWindow], threads: usize) -> Vec<CheckOutcome> {
+    check_windows(&LwwMapSpec, windows, threads, |s, _| {
+        let (key, value) = decode_map_arg(s.arg);
+        match s.op {
+            OP_UPDATE => (MapOp::Put(key, value), MapResp::Ack),
+            _ => (MapOp::Get(key), MapResp::Value(decode_opt(s.resp))),
         }
-    }
-
-    fn build(&self, b: &BuildCtx) -> Box<dyn ObjectInstance> {
-        let map = DirectLwwMap::new(b.keys);
-        let mem = wide_mem(b, map.registers(), None);
-        let keys = b.keys;
-        Box::new(Instance {
-            mem,
-            make: Box::new(move |ctx| {
-                Box::new(DirectMapSession {
-                    h: map.handle(),
-                    ctx,
-                    keys,
-                })
-            }),
-        })
-    }
+    })
 }
 
 #[cfg(test)]
@@ -826,7 +806,6 @@ mod tests {
 
     #[test]
     fn registry_is_complete_and_consistent() {
-        assert_eq!(native_specs().len(), NATIVE_OBJECTS.len());
         for (spec, name) in native_specs().iter().zip(NATIVE_OBJECTS) {
             assert_eq!(spec.name(), name);
             assert!(!spec.tiers().is_empty(), "{name}");
@@ -886,23 +865,36 @@ mod tests {
     }
 
     /// Sessions bracket ops with `op_begin`/`op_end`: with the recorder
-    /// always on, each iteration leaves reconstructable spans whose
-    /// resp matches the session's encoded output.
+    /// always on, each iteration leaves reconstructable spans whose arg
+    /// follows the row's convention, whose resp is the session's encoded
+    /// output and — for a scalar output — decodes back to it.
     #[test]
     fn sessions_record_spans_when_flight_on() {
         for spec in native_specs() {
+            let name = spec.name();
             let b = BuildCtx::new(1, spec.tiers()[0]).flight(FlightMode::Always, 1 << 10);
             let inst = spec.build(&b);
             let mut s = inst.session(0);
-            s.op(OP_UPDATE, 5, 6);
-            let out = s.op(OP_READ, 5, 0);
+            s.op(OP_UPDATE, 13, 6);
+            let out = s.op(OP_READ, 13, 0);
             let log = inst.flight_log().expect("recorder attached");
-            assert_eq!(log.dropped, 0, "{}", spec.name());
+            assert_eq!(log.dropped, 0, "{name}");
             let spans = log.op_spans();
-            assert_eq!(spans.len(), 2, "{}", spec.name());
-            assert_eq!(spans[0].op, OP_UPDATE, "{}", spec.name());
-            assert_eq!(spans[1].op, OP_READ, "{}", spec.name());
-            assert_eq!(spans[1].resp, out.encode(), "{}", spec.name());
+            assert_eq!(spans.len(), 2, "{name}");
+            assert_eq!((spans[0].op, spans[1].op), (OP_UPDATE, OP_READ), "{name}");
+            let key = 13 % b.keys as u32;
+            let args = match spec.args {
+                Args::None => (0, 0),
+                Args::Value => (13, 0),
+                Args::KeyValue => (encode_map_arg(key, 6), encode_map_arg(key, 0)),
+            };
+            assert_eq!((spans[0].arg, spans[1].arg), args, "{name}");
+            assert_eq!(spans[1].resp, out.encode(), "{name}");
+            match out {
+                OpOutput::Val(v) => assert_eq!(spans[1].resp, v, "{name}"),
+                OpOutput::Opt(v) => assert_eq!(decode_opt(spans[1].resp), v, "{name}"),
+                OpOutput::View(view) => assert_eq!(view.len(), 1, "{name}"),
+            }
         }
     }
 

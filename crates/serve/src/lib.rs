@@ -12,9 +12,9 @@
 //! * [`protocol`] — the wire format: 4-byte LE length prefix, 20-byte
 //!   requests, value-vector responses, 64 KiB frame cap;
 //! * [`table`] — the sharded object table: each named object striped
-//!   over independent shard memories, with per-object cross-shard read
-//!   semantics (sum for the counter, lattice max for the max-register
-//!   family, key routing for the maps);
+//!   over independent shard memories, with the cross-shard read
+//!   semantics its registry row declares (sum for the counter, lattice
+//!   max for the max-register family, key routing for the maps);
 //! * [`server`] — thread-per-connection TCP service with a slot pool
 //!   (one process id per connection), graceful shutdown, and a
 //!   piggybacked Prometheus `/metrics` scrape;
@@ -40,10 +40,7 @@ pub mod server;
 pub mod table;
 
 pub use client::Client;
-pub use load::{
-    run_audit, run_load, AuditReport, LoadConfig, LoadReport, TenantReport, Zipfian,
-    AUDITABLE_OBJECTS,
-};
+pub use load::{run_audit, run_load, AuditReport, LoadConfig, LoadReport, TenantReport, Zipfian};
 pub use protocol::{Request, Response, MAX_FRAME, OPC_READ, OPC_UPDATE, ST_ERR, ST_OK};
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use table::{ObjectTable, ShardedObject, SlotSessions, TableConfig};

@@ -15,7 +15,10 @@
 //! during an audit window) are drained to per-shard op spans,
 //! reconstructed into checkable histories with
 //! [`apram_history::history_from_spans`], and batch-checked against the
-//! object's sequential spec. Per-shard checking is sound: value ops
+//! object's sequential spec — both by the audit of the object's row
+//! ([`apram_objects::spec::ObjectSpec::audit`]), the same one E14's
+//! spot-checks run. Per-shard checking is sound (linearizability is
+//! local: Herlihy–Wing): value ops
 //! route to exactly one shard, and the merged reads (counter sums,
 //! max-register maxes) leave one span *per shard* carrying that shard's
 //! partial value, so each shard's history is a complete single-object
@@ -26,16 +29,10 @@ use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use apram_core::counter::{CounterOp, CounterResp};
-use apram_core::CounterSpec;
-use apram_history::check::CheckerConfig;
-use apram_history::{check_histories_parallel, history_from_spans, History};
 use apram_model::seed::split;
 use apram_model::telemetry::{HistogramSnapshot, StepHistogram};
 use apram_model::{FlightLog, Json};
-use apram_objects::lwwmap::{LwwMapSpec, MapOp, MapResp};
-use apram_objects::maxreg::{MaxRegOp, MaxRegResp, MaxRegSpec};
-use apram_objects::spec::decode_map_arg;
+use apram_objects::spec::{native_spec, Args, AuditWindow};
 
 use crate::client::Client;
 use crate::protocol::{ERR_BUSY, OPC_READ, OPC_UPDATE, ST_OK};
@@ -177,28 +174,6 @@ impl LoadReport {
     }
 }
 
-/// The wire arguments for one logical op against `object`.
-fn op_args(object: &str, is_read: bool, key: u64, value: u64) -> (u64, u64) {
-    match object {
-        "lwwmap" | "lwwmap-direct" => {
-            if is_read {
-                (key, 0)
-            } else {
-                (key, value)
-            }
-        }
-        "maxreg" | "mwreg" | "afek" => {
-            if is_read {
-                (0, 0)
-            } else {
-                (value, 0)
-            }
-        }
-        // counter and clock take no arguments.
-        _ => (0, 0),
-    }
-}
-
 /// Connect with retry: a freshly-released slot can lag a crash by one
 /// poll interval, and a busy table answers `ERR_BUSY` — both resolve by
 /// backing off briefly.
@@ -220,6 +195,7 @@ fn connect_tenant(addr: SocketAddr) -> io::Result<Client> {
 fn tenant_loop(
     addr: SocketAddr,
     object_index: u8,
+    args: Args,
     cfg: &LoadConfig,
     tenant: usize,
 ) -> io::Result<TenantReport> {
@@ -257,7 +233,12 @@ fn tenant_loop(
         let is_read = (rng % 100) < cfg.read_pct as u64;
         let value = rng % 1000;
         let key = zipf.sample(key_word);
-        let (a, b) = op_args(&cfg.object, is_read, key, value);
+        let (a, b) = match (args, is_read) {
+            (Args::KeyValue, true) => (key, 0),
+            (Args::KeyValue, false) => (key, value),
+            (Args::Value, false) => (value, 0),
+            (Args::Value, true) | (Args::None, _) => (0, 0),
+        };
         let opcode = if is_read { OPC_READ } else { OPC_UPDATE };
 
         let t0 = Instant::now();
@@ -300,10 +281,12 @@ fn tenant_loop(
 /// Replay `cfg` against the server at `addr`, where `object_index` is
 /// the table wire index of `cfg.object`. One thread per tenant.
 pub fn run_load(addr: SocketAddr, object_index: u8, cfg: &LoadConfig) -> io::Result<LoadReport> {
+    let unknown = || io::Error::other(format!("unknown object '{}'", cfg.object));
+    let args = native_spec(&cfg.object).ok_or_else(unknown)?.args;
     let start = Instant::now();
     let reports: Vec<io::Result<TenantReport>> = thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.tenants)
-            .map(|tenant| s.spawn(move || tenant_loop(addr, object_index, cfg, tenant)))
+            .map(|tenant| s.spawn(move || tenant_loop(addr, object_index, args, cfg, tenant)))
             .collect();
         handles
             .into_iter()
@@ -359,18 +342,11 @@ impl AuditReport {
     }
 }
 
-/// Objects [`run_audit`] knows how to type-check.
-pub const AUDITABLE_OBJECTS: [&str; 3] = ["counter", "maxreg", "lwwmap-direct"];
-
-const OP_UPDATE: u32 = apram_objects::spec::OP_UPDATE;
-
-fn decode_opt_u64(resp: u64) -> Option<u64> {
-    (resp != u64::MAX).then_some(resp)
-}
-
 /// Reconstruct one typed history per shard log and batch-check them
-/// against `object`'s sequential spec across `threads` checker threads
-/// (0 = all available parallelism).
+/// with the audit of `object`'s row across `threads` checker threads
+/// (0 = all available parallelism). An object without one (the clock
+/// has no sequential spec; an unknown name has no row) reports a
+/// failure, and so does a snapshot: its views do not fit a span.
 ///
 /// Audit windows must start from a fresh object (the initial state is
 /// the spec's), and each shard's window must stay under the checker's
@@ -385,105 +361,25 @@ pub fn run_audit(object: &str, logs: &[FlightLog], threads: usize) -> AuditRepor
         all_linearizable: true,
         ..Default::default()
     };
-    let mut shards: Vec<Vec<apram_model::OpSpan>> = Vec::new();
+    let mut windows = Vec::new();
     for log in logs {
         report.dropped += log.dropped;
         let spans = log.op_spans();
         report.spans += spans.len() as u64;
         if !spans.is_empty() {
-            shards.push(spans);
+            let outputs = Vec::new();
+            windows.push(AuditWindow { spans, outputs });
         }
     }
-    report.histories = shards.len() as u64;
-    let cfg = CheckerConfig::default();
-
-    let outcomes = match object {
-        "counter" => {
-            let batch: Vec<History<CounterOp, CounterResp>> = shards
-                .iter()
-                .map(|spans| {
-                    history_from_spans(
-                        spans,
-                        |s| {
-                            if s.op == OP_UPDATE {
-                                CounterOp::Inc(1)
-                            } else {
-                                CounterOp::Read
-                            }
-                        },
-                        |s| {
-                            if s.op == OP_UPDATE {
-                                CounterResp::Ack
-                            } else {
-                                CounterResp::Value(s.resp as i64)
-                            }
-                        },
-                    )
-                })
-                .collect();
-            check_histories_parallel(&CounterSpec, &batch, &cfg, threads)
-        }
-        "maxreg" => {
-            let batch: Vec<History<MaxRegOp, MaxRegResp>> = shards
-                .iter()
-                .map(|spans| {
-                    history_from_spans(
-                        spans,
-                        |s| {
-                            if s.op == OP_UPDATE {
-                                MaxRegOp::WriteMax(s.arg as i64)
-                            } else {
-                                MaxRegOp::Read
-                            }
-                        },
-                        |s| {
-                            if s.op == OP_UPDATE {
-                                MaxRegResp::Ack
-                            } else {
-                                MaxRegResp::Value(decode_opt_u64(s.resp).map(|v| v as i64))
-                            }
-                        },
-                    )
-                })
-                .collect();
-            check_histories_parallel(&MaxRegSpec, &batch, &cfg, threads)
-        }
-        "lwwmap-direct" => {
-            let batch: Vec<History<MapOp, MapResp>> = shards
-                .iter()
-                .map(|spans| {
-                    history_from_spans(
-                        spans,
-                        |s| {
-                            let (k, v) = decode_map_arg(s.arg);
-                            if s.op == OP_UPDATE {
-                                MapOp::Put(k, v)
-                            } else {
-                                MapOp::Get(k)
-                            }
-                        },
-                        |s| {
-                            if s.op == OP_UPDATE {
-                                MapResp::Ack
-                            } else {
-                                MapResp::Value(decode_opt_u64(s.resp))
-                            }
-                        },
-                    )
-                })
-                .collect();
-            check_histories_parallel(&LwwMapSpec, &batch, &cfg, threads)
-        }
-        other => {
-            report.all_linearizable = false;
-            report
-                .failures
-                .push(format!("audit does not support object '{other}'"));
-            return report;
-        }
+    report.histories = windows.len() as u64;
+    let Some(audit) = native_spec(object).and_then(|spec| spec.audit) else {
+        report.all_linearizable = false;
+        report
+            .failures
+            .push(format!("audit does not support object '{object}'"));
+        return report;
     };
-
-    for (i, o) in outcomes.iter().enumerate() {
+    for (i, o) in audit(&windows, threads).iter().enumerate() {
         if !o.is_ok() {
             report.all_linearizable = false;
             report
@@ -560,38 +456,37 @@ mod tests {
         assert_eq!(audit.histories, 0);
     }
 
+    /// Every row, as recorded by its own session: an update and a read
+    /// audit clean exactly where the row has an audit and the read fits
+    /// its span (not the clock, not a snapshot's view), and nowhere once
+    /// the read's recorded response is corrupted.
     #[test]
     fn audit_flags_a_fabricated_violation() {
-        // A counter read that returns 2 with only one inc before it.
         use apram_model::FlightEvent;
-        let read = apram_objects::spec::OP_READ;
-        let mut log = FlightLog::new(1);
-        log.events[0] = vec![
-            FlightEvent::OpBegin {
-                t_ns: 10,
-                op: OP_UPDATE,
-                arg: 1,
-            },
-            FlightEvent::OpEnd {
-                t_ns: 20,
-                op: OP_UPDATE,
-                resp: 0,
-            },
-            FlightEvent::OpBegin {
-                t_ns: 30,
-                op: read,
-                arg: 0,
-            },
-            FlightEvent::OpEnd {
-                t_ns: 40,
-                op: read,
-                resp: 2,
-            },
-        ];
-        log.recorded = 4;
-        log.drained = 4;
-        let audit = run_audit("counter", &[log], 1);
-        assert_eq!(audit.histories, 1);
-        assert!(!audit.all_linearizable);
+        use apram_objects::spec::{native_specs, BuildCtx, OpOutput, OP_READ, OP_UPDATE};
+        for spec in native_specs() {
+            let name = spec.name();
+            let recorded = || {
+                let inst = spec
+                    .build(&BuildCtx::new(1, spec.tiers()[0]).flight(FlightMode::Always, 1 << 8));
+                let mut session = inst.session(0);
+                session.op(OP_UPDATE, 5, 6);
+                let read = session.op(OP_READ, 5, 0);
+                (inst.flight_log().expect("recorder attached"), read)
+            };
+            let (log, read) = recorded();
+            let audit = run_audit(name, &[log], 1);
+            assert_eq!(audit.histories, 1, "{name}");
+            let fits = spec.audit.is_some() && !matches!(read, OpOutput::View(_));
+            assert_eq!(audit.all_linearizable, fits, "{name}: {:?}", audit.failures);
+
+            let (mut log, _) = recorded();
+            for event in &mut log.events[0] {
+                if let FlightEvent::OpEnd { op, resp, .. } = event {
+                    *resp ^= (*op == OP_READ) as u64;
+                }
+            }
+            assert!(!run_audit(name, &[log], 1).all_linearizable, "{name}");
+        }
     }
 }

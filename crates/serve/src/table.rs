@@ -4,24 +4,26 @@
 //! Sharding trades read cost for write scalability exactly the way the
 //! paper's own constructions do — a shard is a full object, and the
 //! cross-shard merge is only used where the object's semantics make the
-//! merged read linearizable:
+//! merged read linearizable. Which merge an object takes is a field of
+//! its row ([`ObjectSpec::merge`]); why each choice is sound is argued
+//! here, where the merges are carried out:
 //!
-//! * **counter** — an inc routes to the connection's affinity shard; a
+//! * **counter** ([`Merge::Sum`]) — an inc routes to the connection's affinity shard; a
 //!   read sums one collect per shard. This is the striped-counter
 //!   structure applied once more at the table level, and the summed
 //!   read linearizes for the same reason the striped counter's does
 //!   (increments commute; the read's per-shard collects each see a
 //!   prefix-closed set of incs).
-//! * **maxreg / clock** — writes route by affinity; a read takes the
+//! * **maxreg / clock** ([`Merge::Max`]) — writes route by affinity; a read takes the
 //!   max over shards. A max-register is a join-semilattice, so the
 //!   merged read is a Section 6 collect over shard summaries — sound
 //!   for exactly the reason the paper's scan is.
-//! * **lwwmap / lwwmap-direct** — keyed: both ops route by `key % S`,
+//! * **lwwmap / lwwmap-direct** ([`Merge::Keyed`]) — both ops route by `key % S`,
 //!   so each key lives on one shard and no merge is needed.
-//! * **afek** — a snapshot view cannot be merged across shards
+//! * **afek** ([`Merge::Affinity`]) — a snapshot view cannot be merged across shards
 //!   consistently, so both ops stay on the affinity shard (sharding
 //!   partitions tenants, not the object).
-//! * **mwreg** — a single register; sharding does not apply and all
+//! * **mwreg** ([`Merge::Single`]) — a single register; sharding does not apply and all
 //!   traffic uses shard 0.
 //!
 //! Each connection slot holds one [`SlotSessions`] per object: the
@@ -33,8 +35,8 @@ use apram_model::native::buffered::MAX_PROCS;
 use apram_model::telemetry::TelemetryRegistry;
 use apram_model::{FlightLog, FlightMode};
 use apram_objects::spec::{
-    native_spec, BuildCtx, ObjectInstance, ObjectSession, ObjectSpec, OpOutput, Tier, OP_READ,
-    OP_UPDATE,
+    native_spec, Args, BuildCtx, Merge, ObjectInstance, ObjectSession, ObjectSpec, OpOutput, Tier,
+    OP_READ, OP_UPDATE,
 };
 
 /// How the table assembles its objects.
@@ -76,37 +78,11 @@ impl TableConfig {
     }
 }
 
-/// Cross-shard read semantics, derived from the object's name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Merge {
-    /// Reads sum over shards (commuting increments).
-    Sum,
-    /// Reads take the lattice max over shards.
-    Max,
-    /// Both ops route by `a % shards`; no merge.
-    Keyed,
-    /// Both ops stay on the slot's affinity shard.
-    Affinity,
-    /// Sharding does not apply; everything on shard 0.
-    Single,
-}
-
-fn merge_for(name: &str) -> Merge {
-    match name {
-        "counter" => Merge::Sum,
-        "maxreg" | "clock" => Merge::Max,
-        "lwwmap" | "lwwmap-direct" => Merge::Keyed,
-        "afek" => Merge::Affinity,
-        _ => Merge::Single,
-    }
-}
-
 /// One named object, striped across shards.
 pub struct ShardedObject {
     name: String,
-    spec: &'static dyn ObjectSpec,
+    spec: &'static ObjectSpec,
     shards: Vec<Box<dyn ObjectInstance>>,
-    merge: Merge,
 }
 
 impl ShardedObject {
@@ -121,7 +97,7 @@ impl ShardedObject {
     }
 
     /// The spec this object was built from.
-    pub fn spec(&self) -> &'static dyn ObjectSpec {
+    pub fn spec(&self) -> &'static ObjectSpec {
         self.spec
     }
 
@@ -156,7 +132,7 @@ impl ShardedObject {
     pub fn sessions(&self, slot: usize) -> SlotSessions {
         SlotSessions {
             sessions: self.shards.iter().map(|s| s.session(slot)).collect(),
-            merge: self.merge,
+            merge: self.spec.merge,
             slot,
         }
     }
@@ -170,7 +146,7 @@ pub struct ObjectTable {
 impl ObjectTable {
     /// Build every configured object. Fails on an unknown object name
     /// or a config that cannot address the table (more than 256
-    /// objects).
+    /// objects), serve its slots, or give a keyed object a key slot.
     pub fn build(cfg: &TableConfig) -> Result<ObjectTable, String> {
         if cfg.objects.len() > 256 {
             return Err(format!(
@@ -193,11 +169,15 @@ impl ObjectTable {
                     cfg.slots
                 ));
             }
+            if spec.args == Args::KeyValue && cfg.keys == 0 {
+                return Err(format!(
+                    "object '{name}' is keyed and needs at least one key slot; 0 keys requested"
+                ));
+            }
             let build = BuildCtx::new(cfg.slots, tier)
                 .flight(cfg.flight, cfg.flight_capacity)
                 .keys(cfg.keys);
-            let merge = merge_for(name);
-            let shard_count = if merge == Merge::Single {
+            let shard_count = if spec.merge == Merge::Single {
                 1
             } else {
                 cfg.shards
@@ -207,7 +187,6 @@ impl ObjectTable {
                 name: name.clone(),
                 spec,
                 shards,
-                merge,
             });
         }
         Ok(ObjectTable { objects })
@@ -311,6 +290,7 @@ impl SlotSessions {
 mod tests {
     use super::*;
     use crate::protocol::OPC_READ;
+    use apram_objects::spec::native_specs;
 
     fn table(objects: &[&str], shards: usize, slots: usize) -> ObjectTable {
         ObjectTable::build(&TableConfig::new(objects, shards, slots)).unwrap()
@@ -337,6 +317,65 @@ mod tests {
         );
         // The packed tier has no slot bitmask and no ceiling.
         assert!(ObjectTable::build(&TableConfig::new(&["counter"], 1, 62)).is_ok());
+    }
+
+    #[test]
+    fn build_rejects_a_keyed_object_without_key_slots() {
+        for name in ["lwwmap", "lwwmap-direct"] {
+            let mut cfg = TableConfig::new(&[name], 2, 2);
+            cfg.keys = 0;
+            let err = match ObjectTable::build(&cfg) {
+                Err(e) => e,
+                Ok(_) => panic!("{name} with no key slot must not build"),
+            };
+            assert!(err.contains(&format!("'{name}'")), "{err}");
+        }
+        // An object that takes no key ignores the count.
+        let mut cfg = TableConfig::new(&["counter"], 2, 2);
+        cfg.keys = 0;
+        assert!(ObjectTable::build(&cfg).is_ok());
+    }
+
+    /// Every row merges as it declares: all four slots update in turn,
+    /// then all read, over three shards and over one.
+    #[test]
+    fn every_row_merges_as_it_declares() {
+        for spec in native_specs() {
+            let name = spec.name();
+            let run = |shards| {
+                let t = table(&[name], shards, 4);
+                let obj = t.by_name(name).unwrap();
+                let mut slots: Vec<_> = (0..4).map(|slot| obj.sessions(slot)).collect();
+                let update = |(i, s): (usize, &mut SlotSessions)| {
+                    s.execute(OPC_UPDATE, i as u64 + 1, 10 * i as u64)
+                };
+                let acks: Vec<_> = slots.iter_mut().enumerate().map(update).collect();
+                let read = |s: &mut SlotSessions| s.execute(OPC_READ, 2, 0);
+                let reads: Vec<_> = slots.iter_mut().map(read).collect();
+                (obj.shard_count(), acks, reads)
+            };
+            let (shard_count, acks, reads) = run(3);
+            let (_, _, unsharded) = run(1);
+            match spec.merge {
+                // A clock shard counts its own ticks: the merged `now`
+                // is the latest tick anywhere.
+                Merge::Max if spec.args == Args::None => {
+                    let latest = acks.iter().map(OpOutput::encode).max().unwrap();
+                    assert_eq!(reads, vec![OpOutput::Val(latest); 4], "{name}");
+                }
+                Merge::Sum | Merge::Max | Merge::Keyed => assert_eq!(reads, unsharded, "{name}"),
+                // Slots 0 and 3 share shard 0; slot 1 is alone on shard 1.
+                Merge::Affinity => {
+                    let view = |slots: [Option<u64>; 4]| OpOutput::View(slots.to_vec());
+                    assert_eq!(reads[0], view([Some(1), None, None, Some(4)]), "{name}");
+                    assert_eq!(reads[1], view([None, Some(2), None, None]), "{name}");
+                }
+                Merge::Single => {
+                    assert_eq!(shard_count, 1, "{name}");
+                    assert_eq!(reads, unsharded, "{name}");
+                }
+            }
+        }
     }
 
     #[test]

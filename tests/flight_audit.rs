@@ -11,8 +11,6 @@
 //! few nanoseconds wide and a debug build's ops are too slow to fall
 //! into it — which is how CI runs this file.
 
-use apram_history::spec::{RegOp, RegResp, RegisterSpec};
-use apram_history::{check_linearizable, history_from_spans, CheckerConfig};
 use apram_model::{FlightLog, FlightMode};
 use apram_objects::spec::{native_spec, BuildCtx, OP_READ, OP_UPDATE};
 use apram_serve::run_audit;
@@ -72,9 +70,9 @@ fn window(object: &str, w: u64) -> FlightLog {
 /// take turns, so that on a two-CPU host each has both.
 static ONE_TEST_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// `WINDOWS` free-running windows of `object`, each judged by
-/// `linearizable`; none may fail.
-fn audit_free_running(object: &str, linearizable: impl Fn(FlightLog) -> bool) {
+/// `WINDOWS` free-running windows of `object`, each judged by the audit
+/// of its registry row; none may fail.
+fn audit_free_running(object: &str) {
     let _turn = ONE_TEST_AT_A_TIME
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -86,6 +84,10 @@ fn audit_free_running(object: &str, linearizable: impl Fn(FlightLog) -> bool) {
         );
         return;
     }
+    let linearizable = |log| {
+        let audit = run_audit(object, &[log], 1);
+        audit.histories == 1 && audit.all_linearizable
+    };
     let failed: Vec<u64> = (0..WINDOWS)
         .filter(|&w| !linearizable(window(object, w)))
         .collect();
@@ -98,44 +100,17 @@ fn audit_free_running(object: &str, linearizable: impl Fn(FlightLog) -> bool) {
     );
 }
 
-fn audited(object: &'static str) -> impl Fn(FlightLog) -> bool {
-    move |log| {
-        let audit = run_audit(object, &[log], 1);
-        audit.histories == 1 && audit.all_linearizable
-    }
-}
-
 #[test]
 fn free_running_packed_counter_audits_clean() {
-    audit_free_running("counter", audited("counter"));
+    audit_free_running("counter");
 }
 
 #[test]
 fn free_running_packed_maxreg_audits_clean() {
-    audit_free_running("maxreg", audited("maxreg"));
+    audit_free_running("maxreg");
 }
 
 #[test]
 fn free_running_buffered_mwreg_audits_clean() {
-    audit_free_running("mwreg", |log| {
-        let write = |s: &apram_model::OpSpan| s.op == OP_UPDATE;
-        let h = history_from_spans(
-            &log.op_spans(),
-            |s| {
-                if write(s) {
-                    RegOp::Write(s.arg)
-                } else {
-                    RegOp::Read
-                }
-            },
-            |s| {
-                if write(s) {
-                    RegResp::Ack
-                } else {
-                    RegResp::Value(s.resp)
-                }
-            },
-        );
-        check_linearizable(&RegisterSpec, &h, &CheckerConfig::default()).is_ok()
-    });
+    audit_free_running("mwreg");
 }

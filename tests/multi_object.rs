@@ -12,7 +12,7 @@ use apram_history::Recorder;
 use apram_lattice::{JoinSemilattice, MaxU64, SetUnion};
 use apram_model::sim::strategy::{Pct, SeededRandom};
 use apram_model::sim::SimBuilder;
-use apram_model::MemCtx;
+use apram_model::{MemCtx, OffsetCtx};
 use apram_objects::maxreg::{MaxRegOp, MaxRegResp, MaxRegSpec};
 use apram_snapshot::snapshot::{ScanMaxOp, ScanMaxResp, ScanMaxSpec};
 use apram_snapshot::{ScanHandle, ScanObject};
@@ -21,31 +21,6 @@ use apram_snapshot::{ScanHandle, ScanObject};
 /// one memory: a product of the max lattice and the set lattice (each
 /// object only uses its component).
 type L = (MaxU64, SetUnion<u64>);
-
-/// An offset view of a larger memory (same trick the one-shot agreement
-/// uses internally).
-struct Offset<'a, C> {
-    inner: &'a mut C,
-    base: usize,
-}
-
-impl<C: MemCtx<L>> MemCtx<L> for Offset<'_, C> {
-    fn proc(&self) -> apram_model::ProcId {
-        self.inner.proc()
-    }
-    fn n_procs(&self) -> usize {
-        self.inner.n_procs()
-    }
-    fn n_regs(&self) -> usize {
-        self.inner.n_regs() - self.base
-    }
-    fn read(&mut self, reg: usize) -> L {
-        self.inner.read(self.base + reg)
-    }
-    fn write(&mut self, reg: usize, val: L) {
-        self.inner.write(self.base + reg, val)
-    }
-}
 
 #[test]
 fn two_scan_objects_share_one_memory() {
@@ -77,7 +52,7 @@ fn two_scan_objects_share_one_memory() {
 
                 sr.invoke(p, ScanMaxOp::WriteL(SetUnion::singleton(p as u64)));
                 {
-                    let mut off = Offset {
+                    let mut off = OffsetCtx {
                         inner: ctx,
                         base: set_base,
                     };
@@ -90,7 +65,7 @@ fn two_scan_objects_share_one_memory() {
 
                 sr.invoke(p, ScanMaxOp::ReadMax);
                 let got = {
-                    let mut off = Offset {
+                    let mut off = OffsetCtx {
                         inner: ctx,
                         base: set_base,
                     };
