@@ -29,7 +29,7 @@ use crate::machine::AgreementMachine;
 use crate::proto::{ScanMode, Variant};
 use crate::spec::outputs_valid;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Result of an exhaustive machine exploration.
 #[derive(Clone, Debug)]
@@ -84,7 +84,7 @@ fn dfs(
     let live: Vec<usize> = (0..m.n()).filter(|&p| !m.is_done(p)).collect();
     if live.is_empty() {
         out.runs += 1;
-        let ys: Vec<f64> = (0..m.n()).map(|p| m.result(p).unwrap()).collect();
+        let ys = m.outputs();
         for p in 0..m.n() {
             out.worst_steps = out.worst_steps.max(m.steps_taken(p));
         }
@@ -126,15 +126,9 @@ pub fn random_search(
     };
     for _ in 0..samples {
         let mut m = AgreementMachine::with_config(eps, inputs.to_vec(), variant, mode);
-        let mut schedule = Vec::new();
-        while (0..m.n()).any(|p| !m.is_done(p)) {
-            let live: Vec<usize> = (0..m.n()).filter(|&p| !m.is_done(p)).collect();
-            let p = live[rng.gen_range(0..live.len())];
-            m.step(p);
-            schedule.push(p);
-        }
+        let schedule = m.run_random(&mut rng);
         out.runs += 1;
-        let ys: Vec<f64> = (0..m.n()).map(|p| m.result(p).unwrap()).collect();
+        let ys = m.outputs();
         for p in 0..m.n() {
             out.worst_steps = out.worst_steps.max(m.steps_taken(p));
         }
@@ -168,23 +162,7 @@ pub fn replay_schedule(
             m.run_solo(p, 10_000_000);
         }
     }
-    (0..m.n()).map(|p| m.result(p).unwrap()).collect()
-}
-
-/// Compare worst-case observed step counts between two variants over the
-/// same sampled schedules (used by the E8 report for `MidpointOfAll`).
-pub fn compare_worst_steps(
-    eps: f64,
-    inputs: &[f64],
-    a: Variant,
-    b: Variant,
-    mode: ScanMode,
-    samples: u64,
-    seed: u64,
-) -> (u64, u64) {
-    let ra = random_search(eps, inputs, a, mode, samples, seed);
-    let rb = random_search(eps, inputs, b, mode, samples, seed);
-    (ra.worst_steps, rb.worst_steps)
+    m.outputs()
 }
 
 /// Measure the worst observed outputs-spread over `samples` seeded
@@ -203,13 +181,8 @@ pub fn max_spread(
     let mut worst: f64 = 0.0;
     for _ in 0..samples {
         let mut m = AgreementMachine::with_config(eps, inputs.to_vec(), variant, mode);
-        while (0..m.n()).any(|p| !m.is_done(p)) {
-            let live: Vec<usize> = (0..m.n()).filter(|&p| !m.is_done(p)).collect();
-            let p = live[rng.gen_range(0..live.len())];
-            m.step(p);
-        }
-        let ys: Vec<f64> = (0..m.n()).map(|p| m.result(p).unwrap()).collect();
-        worst = worst.max(crate::spec::range_width(&ys) / eps);
+        m.run_random(&mut rng);
+        worst = worst.max(crate::spec::range_width(&m.outputs()) / eps);
     }
     worst
 }
@@ -323,14 +296,13 @@ mod tests {
     /// 2-process schedules either.
     #[test]
     fn midpoint_of_all_is_no_faster() {
-        let (full, variant) = compare_worst_steps(
-            1.0 / 64.0,
-            &[0.0, 1.0],
-            Variant::Full,
-            Variant::MidpointOfAll,
-            ScanMode::Collect,
-            300,
-            7,
+        let worst_steps = |variant| {
+            let inputs = [0.0, 1.0];
+            random_search(1.0 / 64.0, &inputs, variant, ScanMode::Collect, 300, 7).worst_steps
+        };
+        let (full, variant) = (
+            worst_steps(Variant::Full),
+            worst_steps(Variant::MidpointOfAll),
         );
         assert!(
             variant >= full,

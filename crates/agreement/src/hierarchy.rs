@@ -15,8 +15,9 @@
 
 use crate::adversary::{lemma6_bound, run_adversary};
 use crate::machine::AgreementMachine;
+use crate::proto::{ScanMode, Variant};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// One row of the Theorem 7 hierarchy table.
 #[derive(Clone, Debug)]
@@ -45,30 +46,24 @@ pub fn theorem5_bound(n: usize, delta_over_eps: f64) -> u64 {
     (2 * n as u64 + 1) * rounds + 6 * n as u64 + 10
 }
 
-/// Measure the worst per-process step count of the two-process protocol
-/// with inputs `{0, 1}` over `samples` random schedules plus round-robin.
-/// Uses collect scans (sound for n = 2), so every step is one register
-/// access — the paper's own accounting for Theorem 5.
-pub fn measured_worst_steps(eps: f64, samples: u64, seed: u64) -> u64 {
+/// Measure the worst per-process step count of the `n`-process
+/// protocol with equally spaced inputs in \[0, 1\] over round-robin plus
+/// `samples` random schedules. Uses collect scans, so every step is one
+/// register access — the currency of Theorem 5's (2n+1)·log₂(Δ/ε) + O(n)
+/// claim.
+pub fn measured_worst_steps(n: usize, eps: f64, samples: u64, seed: u64) -> u64 {
+    let inputs: Vec<f64> = (0..n).map(|p| p as f64 / (n - 1).max(1) as f64).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut worst = 0u64;
     for s in 0..=samples {
-        let mut m = AgreementMachine::with_config(
-            eps,
-            vec![0.0, 1.0],
-            crate::proto::Variant::Full,
-            crate::proto::ScanMode::Collect,
-        );
+        let mut m =
+            AgreementMachine::with_config(eps, inputs.clone(), Variant::Full, ScanMode::Collect);
         if s == 0 {
             m.run_all_round_robin(100_000_000);
         } else {
-            while (0..2).any(|p| !m.is_done(p)) {
-                let live: Vec<usize> = (0..2).filter(|&p| !m.is_done(p)).collect();
-                let p = live[rng.gen_range(0..live.len())];
-                m.step(p);
-            }
+            m.run_random(&mut rng);
         }
-        worst = worst.max(m.steps_taken(0)).max(m.steps_taken(1));
+        worst = (0..n).map(|p| m.steps_taken(p)).fold(worst, u64::max);
     }
     worst
 }
@@ -84,7 +79,7 @@ pub fn hierarchy_row(k: u32, samples: u64) -> HierarchyRow {
         lower_bound: lemma6_bound(1.0, eps),
         forced_steps: rep.max_steps(),
         forced_confrontations: rep.confrontations,
-        measured_upper: measured_worst_steps(eps, samples, 0xA5F + k as u64),
+        measured_upper: measured_worst_steps(2, eps, samples, 0xA5F + k as u64),
         theorem5_bound: theorem5_bound(2, 1.0 / eps),
     }
 }

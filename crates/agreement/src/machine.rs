@@ -21,6 +21,7 @@
 
 use crate::proto::{decide, AaEntry, Decision, ScanMode, Variant};
 use apram_model::ProcId;
+use rand::Rng;
 
 /// Per-process protocol state.
 #[derive(Clone, Debug, PartialEq)]
@@ -251,6 +252,30 @@ impl AgreementMachine {
                 break;
             }
         }
+        self.outputs()
+    }
+
+    /// Run every process to completion under a uniformly random
+    /// schedule — each step goes to a process drawn uniformly from the
+    /// ones still running — and return the schedule taken.
+    pub fn run_random(&mut self, rng: &mut impl Rng) -> Vec<ProcId> {
+        let mut schedule = Vec::new();
+        loop {
+            let live: Vec<ProcId> = (0..self.n).filter(|&p| !self.is_done(p)).collect();
+            if live.is_empty() {
+                return schedule;
+            }
+            let p = live[rng.gen_range(0..live.len())];
+            self.step(p);
+            schedule.push(p);
+        }
+    }
+
+    /// Every process's return value.
+    ///
+    /// # Panics
+    /// Panics if a process is still running.
+    pub fn outputs(&self) -> Vec<f64> {
         (0..self.n).map(|p| self.result(p).unwrap()).collect()
     }
 }
@@ -342,14 +367,8 @@ mod tests {
                 Variant::Full,
                 ScanMode::Collect,
             );
-            let mut schedule: Vec<usize> = Vec::new();
-            while (0..n).any(|p| !m.is_done(p)) {
-                let live: Vec<usize> = (0..n).filter(|&p| !m.is_done(p)).collect();
-                let p = live[rng.gen_range(0..live.len())];
-                m.step(p);
-                schedule.push(p);
-            }
-            let machine_results: Vec<f64> = (0..n).map(|p| m.result(p).unwrap()).collect();
+            let schedule = m.run_random(&mut rng);
+            let machine_results = m.outputs();
             let machine_steps: Vec<u64> = (0..n).map(|p| m.steps_taken(p)).collect();
 
             // Replay the same schedule through the simulator, running

@@ -28,7 +28,7 @@ use apram_snapshot::collect::{naive_collect, CollectArray, DoubleCollect};
 use apram_snapshot::lock::LockSnapshot;
 use apram_snapshot::{ScanHandle, ScanObject};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::time::Instant;
 
 /// One distribution row: an operation's measured step-count histogram
@@ -376,12 +376,7 @@ fn agreement_rows(
         if s == 0 {
             m.run_all_round_robin(100_000_000);
         } else {
-            let mut rng = StdRng::seed_from_u64(opts.seed ^ (0xA6 + s));
-            while (0..n).any(|p| !m.is_done(p)) {
-                let live: Vec<usize> = (0..n).filter(|&p| !m.is_done(p)).collect();
-                let p = live[rng.gen_range(0..live.len())];
-                m.step(p);
-            }
+            m.run_random(&mut StdRng::seed_from_u64(opts.seed ^ (0xA6 + s)));
         }
         for p in 0..n {
             h.record(p, m.register_ops_taken(p));

@@ -12,8 +12,12 @@
 //!   Figure 4 universal construction (wide `Clone` registers);
 //! * **tiers** — `packed` (one `AtomicU64` per register; word-packable
 //!   objects only), `buffered` (announce/validate multi-slot cells, any
-//!   `Clone` value), and `rwlock` (the pre-register-file backend, kept
-//!   behind the `rwlock-baseline` feature purely as this baseline).
+//!   `Clone` value), and `rwlock` (the pre-register-file backend, one
+//!   lock per register: outside the paper's model, and kept purely as
+//!   this baseline). Every build compiles all three — the workspace and
+//!   the repo benchmark the same `apram-model` — but a memory is on the
+//!   lock tier only when built on it: no packed or buffered access ever
+//!   takes a lock.
 //!
 //! Objects, their applicable tiers and their iteration budgets come
 //! from the [`apram_objects::spec`] table — one generic timed cell
@@ -48,16 +52,13 @@ use std::time::Instant;
 /// [`apram_objects::spec`] registry name).
 pub const E13_OBJECTS: [&str; 4] = ["counter", "maxreg", "afek", "lwwmap"];
 
-/// The E13 register tiers, in emission order.
-pub const E13_TIERS: [&str; 3] = ["packed", "buffered", "rwlock"];
-
 /// One cell of the E13 grid.
 #[derive(Clone, Debug)]
 pub struct E13Row {
     /// Object name (one of [`E13_OBJECTS`]).
     pub object: &'static str,
-    /// Register tier (one of [`E13_TIERS`]).
-    pub tier: &'static str,
+    /// Register tier.
+    pub tier: Tier,
     /// Concurrent OS threads (= processes).
     pub threads: usize,
     /// Total operations across all threads (one op = update + read).
@@ -77,7 +78,7 @@ pub struct E13Row {
 // excludes them from diffs and gates on their ratios instead.
 const E13_COLS: &[Col<E13Row>] = &[
     Col::Same("object", "object", |r| r.object.json()),
-    Col::Same("tier", "tier", |r| r.tier.json()),
+    Col::Same("tier", "tier", |r| r.tier.label().json()),
     Col::Same("threads", "threads", |r| r.threads.json()),
     Col::Same("ops", "total_ops", |r| r.total_ops.json()),
     Col::Json("elapsed_secs", |r| r.elapsed_secs.json()),
@@ -168,7 +169,7 @@ pub fn spec_cell(object: &'static str, tier: Tier, threads: usize, quick: bool) 
     let total_ops = ops * threads as u64;
     E13Row {
         object,
-        tier: tier.label(),
+        tier,
         threads,
         total_ops,
         elapsed_secs: elapsed,
@@ -209,7 +210,7 @@ pub fn host_parallelism() -> u64 {
         .unwrap_or(1)
 }
 
-fn find_ops(rows: &[E13Row], object: &str, tier: &str, threads: usize) -> Option<f64> {
+fn find_ops(rows: &[E13Row], object: &str, tier: Tier, threads: usize) -> Option<f64> {
     rows.iter()
         .find(|r| r.object == object && r.tier == tier && r.threads == threads)
         .map(|r| r.ops_per_sec)
@@ -233,15 +234,15 @@ pub fn e13_gates(rows: &[E13Row]) -> Json {
         (
             "packed_over_rwlock_8t",
             ratio(
-                find_ops(rows, "counter", "packed", 8),
-                find_ops(rows, "counter", "rwlock", 8),
+                find_ops(rows, "counter", Tier::Packed, 8),
+                find_ops(rows, "counter", Tier::Rwlock, 8),
             ),
         ),
         (
             "packed_8t_over_1t",
             ratio(
-                find_ops(rows, "counter", "packed", 8),
-                find_ops(rows, "counter", "packed", 1),
+                find_ops(rows, "counter", Tier::Packed, 8),
+                find_ops(rows, "counter", Tier::Packed, 1),
             ),
         ),
     ])
@@ -271,14 +272,14 @@ mod tests {
         // 2 thread counts × (2 objects × 3 tiers + 2 objects × 2 tiers).
         assert_eq!(rows.len(), 2 * (2 * 3 + 2 * 2));
         for r in &rows {
-            assert_eq!(r.hist.count, r.total_ops, "{}/{}", r.object, r.tier);
-            assert!(r.ops_per_sec > 0.0, "{}/{}", r.object, r.tier);
+            assert_eq!(r.hist.count, r.total_ops, "{}/{:?}", r.object, r.tier);
+            assert!(r.ops_per_sec > 0.0, "{}/{:?}", r.object, r.tier);
             assert!(r.elapsed_secs > 0.0);
             assert!(r.hist.p50() <= r.hist.p99());
             assert!(r.hist.p99() <= r.hist.p999());
             assert!(r.hist.p999() <= r.hist.max);
-            if r.tier != "buffered" {
-                assert_eq!(r.read_retries, 0, "{}/{} cannot retry", r.object, r.tier);
+            if r.tier != Tier::Buffered {
+                assert_eq!(r.read_retries, 0, "{}/{:?} cannot retry", r.object, r.tier);
             }
         }
     }

@@ -8,8 +8,9 @@ use crate::report::{counts, Col, Report, Sink, Table, ToJson};
 use crate::sweep::{certify_cell, object_bound, run_sample_cell, CellSched, SweepCell};
 use apram_agreement::ablation::{explore_machine, random_search};
 use apram_agreement::adversary::{lemma6_bound, run_adversary};
-use apram_agreement::hierarchy::{hierarchy_row, theorem5_bound, unbounded_growth, HierarchyRow};
-use apram_agreement::machine::AgreementMachine;
+use apram_agreement::hierarchy::{
+    hierarchy_row, measured_worst_steps, theorem5_bound, unbounded_growth, HierarchyRow,
+};
 use apram_agreement::proto::{ScanMode, Variant};
 use apram_core::{CounterOp, Universal};
 use apram_history::check::{check_linearizable, check_linearizable_traced, CheckerConfig};
@@ -31,8 +32,6 @@ use apram_snapshot::afek::{AfekReg, AfekSnapshot};
 use apram_snapshot::collect::{naive_collect, CollectArray, DoubleCollect};
 use apram_snapshot::snapshot::{SnapOp, SnapResp, SnapshotSpec};
 use apram_snapshot::{ScanHandle, ScanObject, Snapshot};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -65,33 +64,6 @@ pub struct E1Row {
     pub per_round: f64,
 }
 
-/// Worst per-process machine steps over random + round-robin schedules
-/// with `n` equally spaced inputs in \[0, 1\].
-pub fn measured_worst_steps_n(n: usize, eps: f64, samples: u64, seed: u64) -> u64 {
-    let inputs: Vec<f64> = (0..n).map(|p| p as f64 / (n - 1).max(1) as f64).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut worst = 0u64;
-    for s in 0..=samples {
-        // Collect mode: every machine step is one register access — the
-        // currency of Theorem 5's (2n+1)·log₂(Δ/ε) + O(n) claim.
-        let mut m =
-            AgreementMachine::with_config(eps, inputs.clone(), Variant::Full, ScanMode::Collect);
-        if s == 0 {
-            m.run_all_round_robin(100_000_000);
-        } else {
-            while (0..n).any(|p| !m.is_done(p)) {
-                let live: Vec<usize> = (0..n).filter(|&p| !m.is_done(p)).collect();
-                let p = live[rng.gen_range(0..live.len())];
-                m.step(p);
-            }
-        }
-        for p in 0..n {
-            worst = worst.max(m.steps_taken(p));
-        }
-    }
-    worst
-}
-
 /// Run E1 over the standard grid (shrunk under `--quick`).
 pub fn e1_rows(opts: &ExpOpts) -> Vec<E1Row> {
     let (ns, ks, samples): (&[usize], &[u32], u64) = if opts.quick {
@@ -105,7 +77,7 @@ pub fn e1_rows(opts: &ExpOpts) -> Vec<E1Row> {
             let doe = 2f64.powi(k as i32);
             let eps = 1.0 / doe;
             let measured =
-                measured_worst_steps_n(n, eps, samples, opts.seed + 0xE1 + n as u64 + k as u64);
+                measured_worst_steps(n, eps, samples, opts.seed + 0xE1 + n as u64 + k as u64);
             rows.push(E1Row {
                 n,
                 delta_over_eps: doe,

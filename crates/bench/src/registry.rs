@@ -125,7 +125,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         name: "e13",
         heading: "## E13 — native register-file scaling: threads × objects × tiers",
         title: "Native register-file scaling: ops/sec and op-latency percentiles, \
-                packed vs buffered vs rwlock-baseline tiers",
+                packed vs buffered vs rwlock tiers",
         artifacts: &[],
         run: e13::e13_report,
     },

@@ -16,9 +16,11 @@
 //!   [`AtomicPackable`]) live in single cache-padded `AtomicU64`s;
 //!   arbitrary `Clone` values go through a multi-slot announce/validate
 //!   buffer (single-writer) with a hardware ticket layered on top for
-//!   multi-writer registers. No locks on any register access path;
-//!   the old lock-per-register backend survives only behind the
-//!   `rwlock-baseline` feature as the E13 comparison baseline.
+//!   multi-writer registers. No packed or buffered access ever takes a
+//!   lock; the old lock-per-register backend survives as a third tier,
+//!   E13's comparison baseline, which a memory is on only when built
+//!   with [`NativeMemory::new_locked`]. Every build compiles all three,
+//!   so the workspace and the repo benchmark measure one register file.
 //!   Shared-memory step counters are kept per process.
 //! * [`sim`] — the deterministic simulator. Every simulated process runs
 //!   on an OS thread but blocks at each shared access until a scheduling

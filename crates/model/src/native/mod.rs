@@ -16,10 +16,13 @@
 //!   two-instruction window). Constructed with [`NativeMemory::new`];
 //!   attaching an owner map with [`NativeMemory::with_owners`] drops
 //!   every register to the cheaper single-writer cell.
-//! * **rwlock baseline** — the pre-register-file backend (one
-//!   `parking_lot::RwLock` per register), kept only behind the
-//!   `rwlock-baseline` feature as the comparison baseline for the E13
-//!   scaling experiment. It is *not* compiled into default builds.
+//! * **rwlock** — the pre-register-file backend, one `std` `RwLock` per
+//!   register, kept as the comparison baseline for the E13 scaling
+//!   experiment. It lies outside the paper's model (a lock is not a
+//!   register), so it is never a default: a memory is on it only when
+//!   built with [`NativeMemory::new_locked`] ([`Tier::Rwlock`]), and no
+//!   packed or buffered access ever takes a lock. It is compiled into
+//!   every build, so every consumer compiles the same register file.
 //!
 //! Layout matters as much as the protocol: every index word and packed
 //! cell is [`CachePadded`] so independent registers never false-share a
@@ -41,10 +44,44 @@ use buffered::{MwmrCell, SwmrCell};
 use packed::PackedFile;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 pub use packed::AtomicPackable;
 pub use padded::CachePadded;
+
+/// A register-file tier, as a value the grids and the service config
+/// can carry around.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// One padded `AtomicU64` per register (word-packable values only).
+    Packed,
+    /// Announce/validate (SWMR) or ticketed (MWMR) multi-slot cells —
+    /// the default for arbitrary `Clone` values.
+    Buffered,
+    /// The lock-per-register baseline.
+    Rwlock,
+}
+
+impl Tier {
+    /// The canonical name.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Tier::Packed => "packed",
+            Tier::Buffered => "buffered",
+            Tier::Rwlock => "rwlock",
+        }
+    }
+
+    /// The most processes a memory on this tier can be shared by, if
+    /// the tier bounds it: a buffered cell tracks its free slots in one
+    /// word ([`buffered::MAX_PROCS`]).
+    pub fn max_procs(&self) -> Option<usize> {
+        match self {
+            Tier::Buffered => Some(buffered::MAX_PROCS),
+            Tier::Packed | Tier::Rwlock => None,
+        }
+    }
+}
 
 /// One buffered-tier register: single-writer cell when an owner map is
 /// attached, ticket-layered multi-writer cell otherwise.
@@ -123,8 +160,7 @@ fn assign<T: Clone>(slot: &mut T, val: Cow<'_, T>) {
 enum Regs<T> {
     Packed(PackedFile<T>),
     Buffered(Vec<BufferedCell<T>>),
-    #[cfg(feature = "rwlock-baseline")]
-    Locked(Vec<parking_lot::RwLock<T>>),
+    Locked(Vec<RwLock<T>>),
 }
 
 impl<T> Regs<T> {
@@ -132,7 +168,6 @@ impl<T> Regs<T> {
         match self {
             Regs::Packed(f) => f.len(),
             Regs::Buffered(cells) => cells.len(),
-            #[cfg(feature = "rwlock-baseline")]
             Regs::Locked(cells) => cells.len(),
         }
     }
@@ -189,14 +224,14 @@ impl<T: Clone> NativeMemory<T> {
     }
 
     /// The old lock-per-register backend, kept as the E13 comparison
-    /// baseline. Opt-in only: default builds contain no lock on any
-    /// register access path.
-    #[cfg(feature = "rwlock-baseline")]
+    /// baseline: one `RwLock` per register, its poisoning recovered
+    /// rather than propagated when a holder panicked — what the vendored
+    /// `parking_lot` lock the baseline used to be does, so E13 measures
+    /// the same lock. The only constructor of [`Tier::Rwlock`]; no other
+    /// tier takes a lock.
     pub fn new_locked(n_procs: usize, init: Vec<T>) -> Self {
         NativeMemory {
-            regs: Arc::new(Regs::Locked(
-                init.into_iter().map(parking_lot::RwLock::new).collect(),
-            )),
+            regs: Arc::new(Regs::Locked(init.into_iter().map(RwLock::new).collect())),
             owners: None,
             n_procs,
             flight: None,
@@ -320,14 +355,12 @@ impl<T: Clone> NativeMemory<T> {
         self.n_procs
     }
 
-    /// Which register-file tier this memory runs on: `"packed"`,
-    /// `"buffered"`, or `"rwlock"`.
-    pub fn tier(&self) -> &'static str {
+    /// Which register-file tier this memory runs on.
+    pub fn tier(&self) -> Tier {
         match &*self.regs {
-            Regs::Packed(_) => "packed",
-            Regs::Buffered(_) => "buffered",
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(_) => "rwlock",
+            Regs::Packed(_) => Tier::Packed,
+            Regs::Buffered(_) => Tier::Buffered,
+            Regs::Locked(_) => Tier::Rwlock,
         }
     }
 
@@ -364,8 +397,10 @@ impl<T: Clone> NativeMemory<T> {
         match &*self.regs {
             Regs::Packed(f) => f.read(reg),
             Regs::Buffered(cells) => cells[reg].peek(),
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => cells[reg].read().clone(),
+            Regs::Locked(cells) => cells[reg]
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone(),
         }
     }
 }
@@ -541,8 +576,10 @@ impl<T: Clone> NativeCtx<T> {
                     f.record_write(self.proc, reg, ticket, slot);
                 }
             }
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => assign(&mut *cells[reg].write(), val),
+            Regs::Locked(cells) => {
+                let mut guard = cells[reg].write().unwrap_or_else(PoisonError::into_inner);
+                assign(&mut *guard, val)
+            }
         }
     }
 }
@@ -571,8 +608,10 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
                 }
                 v
             }
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => cells[reg].read().clone(),
+            Regs::Locked(cells) => cells[reg]
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone(),
         }
     }
 
@@ -620,8 +659,7 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
                 }
                 f(v)
             }),
-            #[cfg(feature = "rwlock-baseline")]
-            Regs::Locked(cells) => f(&cells[reg].read()),
+            Regs::Locked(cells) => f(&cells[reg].read().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 }

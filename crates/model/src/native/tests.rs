@@ -71,10 +71,16 @@ fn clone_shares_storage() {
 
 #[test]
 fn tier_names() {
-    assert_eq!(NativeMemory::new(2, vec![0u64; 1]).tier(), "buffered");
-    assert_eq!(NativeMemory::new_packed(2, vec![0u64; 1]).tier(), "packed");
-    #[cfg(feature = "rwlock-baseline")]
-    assert_eq!(NativeMemory::new_locked(2, vec![0u64; 1]).tier(), "rwlock");
+    let tiers = [
+        NativeMemory::new(2, vec![0u64; 1]).tier(),
+        NativeMemory::new_packed(2, vec![0u64; 1]).tier(),
+        NativeMemory::new_locked(2, vec![0u64; 1]).tier(),
+    ];
+    assert_eq!(tiers, [Tier::Buffered, Tier::Packed, Tier::Rwlock]);
+    let labels = tiers.map(|t| t.label());
+    assert_eq!(labels, ["buffered", "packed", "rwlock"]);
+    let ceilings = tiers.map(|t| t.max_procs());
+    assert_eq!(ceilings, [Some(buffered::MAX_PROCS), None, None]);
 }
 
 #[test]
@@ -155,7 +161,6 @@ fn with_owners_rejects_shared_memory() {
     let _ = mem.with_owners(vec![0, 1]);
 }
 
-#[cfg(feature = "rwlock-baseline")]
 #[test]
 fn rwlock_baseline_tier_still_works() {
     let mem = NativeMemory::new_locked(2, vec![0u64; 2]).with_owners(vec![0, 1]);
@@ -405,7 +410,7 @@ fn read_clones_once_recorded_or_not() {
             assert_eq!(ctx.op_begin(0, 0), mode.enabled());
             let before = CLONES.get();
             assert_eq!(ctx.read(0).0, 7);
-            assert_eq!(CLONES.get() - before, clones, "{mode:?} {}", mem.tier());
+            assert_eq!(CLONES.get() - before, clones, "{mode:?} {:?}", mem.tier());
             ctx.op_end(0, 0);
         }
     }

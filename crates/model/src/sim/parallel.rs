@@ -602,9 +602,8 @@ const SPAN_RUN_CAP: u64 = 32;
 /// [`run_workers`].
 #[derive(Default)]
 struct Observer<'a> {
-    heartbeat: Option<&'a Heartbeat>,
-    /// The search's age at which the next beat is due.
-    next_beat: Duration,
+    /// The heartbeat and when its next beat is due.
+    heartbeat: Option<(&'a Heartbeat, Instant)>,
     spans: Option<SpanRecorder>,
     runs: u64,
 }
@@ -628,12 +627,8 @@ impl Observer<'_> {
             s.bump("steps", steps);
         }
         self.runs += 1;
-        if let Some(hb) = self.heartbeat {
-            if shared.start.elapsed() >= self.next_beat {
-                let beat = shared.beat();
-                hb.emit(&beat);
-                self.next_beat = beat.elapsed + hb.every;
-            }
+        if let Some((hb, due)) = &mut self.heartbeat {
+            hb.emit_if_due(due, || shared.beat());
         }
     }
 }
@@ -745,13 +740,10 @@ pub(crate) fn run_workers<'scope, W>(
                 .every
                 .min(Duration::from_millis(20))
                 .max(Duration::from_micros(100));
-            let mut last_beat = Instant::now();
+            let mut due = Instant::now() + hb.every;
             while !done.load(Ordering::Acquire) {
                 std::thread::sleep(slice);
-                if last_beat.elapsed() >= hb.every {
-                    hb.emit(&beat());
-                    last_beat = Instant::now();
-                }
+                hb.emit_if_due(&mut due, &beat);
             }
         });
     }
@@ -847,8 +839,13 @@ where
 {
     let shared = Shared::new(cfg, econfig, reduce, 1);
     let root = if reduce { "explore_reduced" } else { "explore" };
+    // The first beat is due at once.
     let mut observer = Observer {
-        heartbeat: econfig.budget.heartbeat.as_ref(),
+        heartbeat: econfig
+            .budget
+            .heartbeat
+            .as_ref()
+            .map(|hb| (hb, shared.start)),
         spans: econfig.trace_spans.then(|| SpanRecorder::new(root)),
         ..Observer::default()
     };

@@ -680,13 +680,15 @@ where
     let n_procs = factory().len();
     let judge_bounds = scfg.judge_bounds();
     let state = SampleState::new(n_procs);
-    let mut last_beat = Instant::now();
+    // The first beat is due one interval in.
+    let mut heartbeat = scfg
+        .budget
+        .heartbeat
+        .as_ref()
+        .map(|hb| (hb, Instant::now() + hb.every));
     let beat = || {
-        if let Some(hb) = &scfg.budget.heartbeat {
-            if last_beat.elapsed() >= hb.every {
-                hb.emit(&state.beat(scfg, start));
-                last_beat = Instant::now();
-            }
+        if let Some((hb, due)) = &mut heartbeat {
+            hb.emit_if_due(due, || state.beat(scfg, start));
         }
     };
     std::thread::scope(|scope| {

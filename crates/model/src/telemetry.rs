@@ -27,10 +27,10 @@
 use crate::ctx::{MemCtx, ProcId};
 use crate::json::Json;
 use std::fmt;
-use std::io::{self, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Number of buckets in a [`StepHistogram`].
 pub const HIST_BUCKETS: usize = 64;
@@ -920,6 +920,17 @@ impl Heartbeat {
             let _ = sink.flush();
         }
     }
+
+    /// Emit `beat()` if one is due — `*due` has passed — and make the
+    /// next one due [`every`](Heartbeat::every) after it. Every periodic
+    /// beat is paced here; the caller's first `*due` says whether the
+    /// first beat comes at once or one interval in.
+    pub fn emit_if_due(&self, due: &mut Instant, beat: impl FnOnce() -> ProgressBeat) {
+        if Instant::now() >= *due {
+            self.emit(&beat());
+            *due = Instant::now() + self.every;
+        }
+    }
 }
 
 impl fmt::Debug for Heartbeat {
@@ -980,12 +991,6 @@ pub type SharedSink = Arc<Mutex<dyn Write + Send>>;
 pub fn buffer_sink() -> (SharedSink, Arc<Mutex<Vec<u8>>>) {
     let buf = Arc::new(Mutex::new(Vec::new()));
     (buf.clone() as SharedSink, buf)
-}
-
-/// Ignore the sink entirely — heartbeats configured with this sink are
-/// timed but discarded.
-pub fn null_sink() -> SharedSink {
-    Arc::new(Mutex::new(io::sink()))
 }
 
 #[cfg(test)]
@@ -1351,5 +1356,28 @@ mod tests {
         assert!((rps - 28.0).abs() < 1e-9);
         let second = crate::json::parse(lines[1]).unwrap();
         assert_eq!(second.get("violation_found"), Some(&Json::Bool(true)));
+    }
+
+    /// A due beat is emitted and pushes the next one an interval out; a
+    /// beat not yet due is not even computed.
+    #[test]
+    fn heartbeat_emits_only_when_due() {
+        let (sink, buf) = buffer_sink();
+        let hb = Heartbeat::shared(Duration::from_secs(3600), sink);
+        let beat = || ProgressBeat {
+            elapsed: Duration::ZERO,
+            runs: 1,
+            sleep_skips: 0,
+            queue_depth: 0,
+            violation_found: false,
+        };
+        let mut due = Instant::now();
+        hb.emit_if_due(&mut due, beat);
+        assert!(due > Instant::now() + Duration::from_secs(3000));
+        hb.emit_if_due(&mut due, || unreachable!("not due"));
+        assert_eq!(
+            buf.lock().unwrap().iter().filter(|&&b| b == b'\n').count(),
+            1
+        );
     }
 }

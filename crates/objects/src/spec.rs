@@ -43,6 +43,7 @@ use apram_history::{
 };
 use apram_lattice::MaxI64;
 use apram_model::flight::DEFAULT_FLIGHT_CAPACITY;
+pub use apram_model::native::Tier;
 use apram_model::telemetry::TelemetryRegistry;
 use apram_model::{AtomicPackable, FlightLog, FlightMode, MemCtx, NativeCtx, NativeMemory, OpSpan};
 use apram_snapshot::afek::{AfekReg, AfekSnapshot};
@@ -54,42 +55,6 @@ pub const OP_UPDATE: u32 = 0;
 /// Flight-op code: the object's read operation (read / now / snap /
 /// get).
 pub const OP_READ: u32 = 1;
-
-/// A register-file tier, as a value the grids and the service config
-/// can carry around.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// One padded `AtomicU64` per register (word-packable values only).
-    Packed,
-    /// Announce/validate (SWMR) or ticketed (MWMR) multi-slot cells —
-    /// the default for arbitrary `Clone` values.
-    Buffered,
-    /// The lock-per-register baseline. Building on this tier requires
-    /// the `rwlock-baseline` feature; it exists in the enum
-    /// unconditionally so tier grids are feature-independent data.
-    Rwlock,
-}
-
-impl Tier {
-    /// The canonical name (matches [`apram_model::NativeMemory::tier`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Tier::Packed => "packed",
-            Tier::Buffered => "buffered",
-            Tier::Rwlock => "rwlock",
-        }
-    }
-
-    /// Parse a canonical tier name.
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "packed" => Some(Tier::Packed),
-            "buffered" => Some(Tier::Buffered),
-            "rwlock" => Some(Tier::Rwlock),
-            _ => None,
-        }
-    }
-}
 
 /// Everything [`ObjectSpec::build`] needs to assemble an instance.
 #[derive(Clone, Debug)]
@@ -201,8 +166,8 @@ pub trait ObjectInstance: Send + Sync {
     /// A session for process `proc` (at most one live session per id —
     /// the SWMR/flight-ring ownership discipline).
     fn session(&self, proc: ProcId) -> Box<dyn ObjectSession>;
-    /// The memory's register-file tier label.
-    fn tier(&self) -> &'static str;
+    /// The memory's register-file tier.
+    fn tier(&self) -> Tier;
     /// Buffered-tier reader validation retries (memory-global).
     fn read_retries(&self) -> u64;
     /// MWMR hardware tickets drawn (memory-global).
@@ -439,10 +404,7 @@ pub fn native_spec(name: &str) -> Option<&'static ObjectSpec> {
 fn wide_mem<T: Clone>(b: &BuildCtx, regs: Vec<T>, owners: Option<Vec<ProcId>>) -> NativeMemory<T> {
     let mem = match b.tier {
         Tier::Buffered => NativeMemory::new(b.procs, regs),
-        #[cfg(feature = "rwlock-baseline")]
         Tier::Rwlock => NativeMemory::new_locked(b.procs, regs),
-        #[cfg(not(feature = "rwlock-baseline"))]
-        Tier::Rwlock => panic!("the rwlock tier requires the `rwlock-baseline` feature"),
         Tier::Packed => panic!("this object's registers are not word-packable"),
     };
     let mem = match owners {
@@ -511,7 +473,7 @@ impl<B: Body, F: Fn() -> B + Send + Sync> ObjectInstance for Instance<B, F> {
         })
     }
 
-    fn tier(&self) -> &'static str {
+    fn tier(&self) -> Tier {
         self.mem.tier()
     }
 
@@ -817,12 +779,24 @@ mod tests {
         assert!(native_spec("nope").is_none());
     }
 
+    /// A tier's label — what the service table and the E13 rows print —
+    /// names that tier and no other, and an instance built on a tier
+    /// reports it back under the same label.
     #[test]
     fn tier_labels_round_trip() {
-        for tier in [Tier::Packed, Tier::Buffered, Tier::Rwlock] {
-            assert_eq!(Tier::parse(tier.label()), Some(tier));
+        let by_label = |label: &str| {
+            ALL_TIERS
+                .iter()
+                .copied()
+                .filter(|t| t.label() == label)
+                .collect::<Vec<_>>()
+        };
+        for spec in native_specs() {
+            for &tier in spec.tiers() {
+                let inst = spec.build(&BuildCtx::new(2, tier));
+                assert_eq!(by_label(inst.tier().label()), [tier], "{}", spec.name());
+            }
         }
-        assert_eq!(Tier::parse("nope"), None);
     }
 
     #[test]
@@ -832,15 +806,17 @@ mod tests {
         }
     }
 
-    /// Every spec builds on its preferred tier and serves coherent
+    /// Every spec builds on each of its tiers and serves coherent
     /// sessions: an update followed by a read observes *something*
     /// (exact semantics are each object's own tests' business).
     #[test]
     fn every_spec_builds_and_serves() {
-        for spec in native_specs() {
-            let b = BuildCtx::new(2, spec.tiers()[0]);
-            let inst = spec.build(&b);
-            assert_eq!(inst.tier(), spec.tiers()[0].label(), "{}", spec.name());
+        let cells = native_specs()
+            .iter()
+            .flat_map(|s| s.tiers().iter().map(move |&t| (s, t)));
+        for (spec, tier) in cells {
+            let inst = spec.build(&BuildCtx::new(2, tier));
+            assert_eq!(inst.tier(), tier, "{}", spec.name());
             let mut s0 = inst.session(0);
             let mut s1 = inst.session(1);
             s0.op(OP_UPDATE, 3, 7);

@@ -20,8 +20,11 @@
 //!
 //! Because its registers are bare words, this is the object the E13
 //! scaling grid uses to drive the native backend's *packed* register
-//! tier; the same code runs unchanged on the simulator and on the
-//! buffered or rwlock-baseline tiers.
+//! tier; the same code runs unchanged on the simulator, on the buffered
+//! tier, and on the lock-per-register tier E13 measures it against. Every
+//! build compiles that tier, the repo benchmark's included, but a memory
+//! is on it only when built with `NativeMemory::new_locked`: no packed or
+//! buffered access ever takes a lock.
 
 use apram_history::ProcId;
 use apram_model::MemCtx;

@@ -31,11 +31,10 @@
 //! routing/merge policy.
 
 use crate::protocol::OPC_UPDATE;
-use apram_model::native::buffered::MAX_PROCS;
 use apram_model::telemetry::TelemetryRegistry;
 use apram_model::{FlightLog, FlightMode};
 use apram_objects::spec::{
-    native_spec, Args, BuildCtx, Merge, ObjectInstance, ObjectSession, ObjectSpec, OpOutput, Tier,
+    native_spec, Args, BuildCtx, Merge, ObjectInstance, ObjectSession, ObjectSpec, OpOutput,
     OP_READ, OP_UPDATE,
 };
 
@@ -161,9 +160,9 @@ impl ObjectTable {
         for name in &cfg.objects {
             let spec = native_spec(name).ok_or_else(|| format!("unknown object '{name}'"))?;
             let tier = spec.tiers()[0];
-            if tier != Tier::Packed && cfg.slots > MAX_PROCS {
+            if let Some(max) = tier.max_procs().filter(|&max| cfg.slots > max) {
                 return Err(format!(
-                    "object '{name}' runs on the {} tier, which serves at most {MAX_PROCS} \
+                    "object '{name}' runs on the {} tier, which serves at most {max} \
                      processes; {} slots requested",
                     tier.label(),
                     cfg.slots

@@ -34,7 +34,7 @@ operation counts.
 
 `--e13-gate` instead checks one report's performance *relations*, which
 are machine-speed-independent: the packed counter must beat the
-rwlock-baseline counter at 8 threads by at least `--min-ratio` (default
+rwlock baseline counter at 8 threads by at least `--min-ratio` (default
 1.0), and — only when the report's `available_parallelism` exceeds 1 —
 8-thread packed-counter throughput must exceed 1-thread throughput.
 
