@@ -156,7 +156,8 @@ pub fn e10_snapshot_bodies(
         .collect()
 }
 
-/// Same workload over Afek et al.'s bounded single-writer snapshot.
+/// Same workload over Afek et al.'s single-writer snapshot, in its
+/// unbounded-sequence-number form.
 pub fn e10_afek_bodies(
     snap: AfekSnapshot,
     rec: Recorder<SnapOp<u32>, SnapResp<u32>>,

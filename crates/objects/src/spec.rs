@@ -46,7 +46,7 @@ use apram_model::flight::DEFAULT_FLIGHT_CAPACITY;
 pub use apram_model::native::Tier;
 use apram_model::telemetry::TelemetryRegistry;
 use apram_model::{AtomicPackable, FlightLog, FlightMode, MemCtx, NativeCtx, NativeMemory, OpSpan};
-use apram_snapshot::afek::{AfekReg, AfekSnapshot};
+use apram_snapshot::afek::{AfekHandle, AfekReg, AfekSnapshot};
 use apram_snapshot::{SnapOp, SnapResp, SnapshotSpec};
 
 /// Flight-op code: the object's update operation (inc / write_max /
@@ -322,13 +322,14 @@ static SPECS: [ObjectSpec; 7] = [
         build: build_clock,
         audit: None,
     },
-    // The Afek et al. bounded single-writer snapshot (owner-mapped).
+    // The Afek et al. single-writer snapshot, unbounded-sequence-number
+    // form (owner-mapped).
     ObjectSpec {
         name: "afek",
         tiers: WIDE_TIERS,
         budget: (300, 3_000, 10),
         labels: ["update", "snap"],
-        args: AfekSnapshot::ARGS,
+        args: AfekHandle::<u64>::ARGS,
         merge: Merge::Affinity,
         build: build_afek,
         audit: Some(audit_afek),
@@ -436,6 +437,14 @@ fn packable_mem<T: AtomicPackable + Clone>(
 /// per-process handle: its register type, its argument convention and
 /// its two operation bodies. `a` arrives as [`Args`] defines it (a key
 /// already reduced).
+///
+/// Every implementation marks both bodies `#[inline]`, so that each
+/// lands in its session's `op` whatever code unit the compiler puts the
+/// session in. A body left out of line returns its [`OpOutput`] through
+/// memory, and `op` then assembles both bodies' results in one stack
+/// temporary that it reloads whole, before the stores into it have
+/// retired. On a 2-vCPU x86-64 VM that doubled a served counter read
+/// (28 → 57 ns) with the counter's own instructions unchanged.
 trait Body: Send + 'static {
     type Reg: Clone + Send + Sync + 'static;
     const ARGS: Args;
@@ -537,11 +546,13 @@ impl Body for StripedCounterHandle {
     type Reg = u64;
     const ARGS: Args = Args::None;
 
+    #[inline]
     fn update(&mut self, ctx: &mut NativeCtx<u64>, _a: u64, _b: u64) -> OpOutput {
         self.inc(ctx);
         OpOutput::Val(0)
     }
 
+    #[inline]
     fn read(&mut self, ctx: &mut NativeCtx<u64>, _a: u64) -> OpOutput {
         OpOutput::Val(StripedCounterHandle::read(self, ctx))
     }
@@ -557,11 +568,13 @@ impl Body for DirectMaxRegisterHandle {
     type Reg = MaxI64;
     const ARGS: Args = Args::Value;
 
+    #[inline]
     fn update(&mut self, ctx: &mut NativeCtx<MaxI64>, a: u64, _b: u64) -> OpOutput {
         self.write_max(ctx, a as i64);
         OpOutput::Val(0)
     }
 
+    #[inline]
     fn read(&mut self, ctx: &mut NativeCtx<MaxI64>, _a: u64) -> OpOutput {
         OpOutput::Opt(DirectMaxRegisterHandle::read(self, ctx).map(|v| v as u64))
     }
@@ -579,10 +592,12 @@ impl Body for LamportClockHandle {
     type Reg = MaxI64;
     const ARGS: Args = Args::None;
 
+    #[inline]
     fn update(&mut self, ctx: &mut NativeCtx<MaxI64>, _a: u64, _b: u64) -> OpOutput {
         OpOutput::Val(self.tick(ctx).time as u64)
     }
 
+    #[inline]
     fn read(&mut self, ctx: &mut NativeCtx<MaxI64>, _a: u64) -> OpOutput {
         OpOutput::Val(self.now(ctx) as u64)
     }
@@ -594,25 +609,28 @@ fn build_clock(b: &BuildCtx) -> Box<dyn ObjectInstance> {
     instance(b, mem, move || clk.handle())
 }
 
-/// Update writes `a` into this process's segment; read is a full `snap`.
-impl Body for AfekSnapshot {
+/// Update writes `a` into this process's segment; read is a full `snap`,
+/// and the view it returns is the one allocation either op makes.
+impl Body for AfekHandle<u64> {
     type Reg = AfekReg<u64>;
     const ARGS: Args = Args::Value;
 
+    #[inline]
     fn update(&mut self, ctx: &mut NativeCtx<AfekReg<u64>>, a: u64, _b: u64) -> OpOutput {
-        AfekSnapshot::update(self, ctx, a);
+        AfekHandle::update(self, ctx, a);
         OpOutput::Val(0)
     }
 
+    #[inline]
     fn read(&mut self, ctx: &mut NativeCtx<AfekReg<u64>>, _a: u64) -> OpOutput {
-        OpOutput::View(self.snap::<u64, _>(ctx))
+        OpOutput::View(self.snap(ctx))
     }
 }
 
 fn build_afek(b: &BuildCtx) -> Box<dyn ObjectInstance> {
     let snap = AfekSnapshot::new(b.procs);
     let mem = wide_mem(b, snap.registers::<u64>(), Some(snap.owners()));
-    instance(b, mem, move || snap)
+    instance(b, mem, move || snap.handle())
 }
 
 /// A handle on one raw register of the file (`mwreg` is register 0 of a
@@ -623,11 +641,13 @@ impl Body for Register {
     type Reg = u64;
     const ARGS: Args = Args::Value;
 
+    #[inline]
     fn update(&mut self, ctx: &mut NativeCtx<u64>, a: u64, _b: u64) -> OpOutput {
         ctx.write(self.0, a);
         OpOutput::Val(0)
     }
 
+    #[inline]
     fn read(&mut self, ctx: &mut NativeCtx<u64>, _a: u64) -> OpOutput {
         OpOutput::Val(ctx.read(self.0))
     }
@@ -641,11 +661,13 @@ impl Body for UniversalHandle<LwwMapSpec> {
     type Reg = UniversalReg<LwwMapSpec>;
     const ARGS: Args = Args::KeyValue;
 
+    #[inline]
     fn update(&mut self, ctx: &mut NativeCtx<Self::Reg>, key: u64, value: u64) -> OpOutput {
         let _ = self.execute(ctx, MapOp::Put(key as u32, value));
         OpOutput::Val(0)
     }
 
+    #[inline]
     fn read(&mut self, ctx: &mut NativeCtx<Self::Reg>, key: u64) -> OpOutput {
         match self.execute(ctx, MapOp::Get(key as u32)) {
             MapResp::Value(v) => OpOutput::Opt(v),
@@ -665,11 +687,13 @@ impl Body for DirectLwwMapHandle {
     type Reg = Option<u64>;
     const ARGS: Args = Args::KeyValue;
 
+    #[inline]
     fn update(&mut self, ctx: &mut NativeCtx<Option<u64>>, key: u64, value: u64) -> OpOutput {
         self.put(ctx, key as u32, value);
         OpOutput::Val(0)
     }
 
+    #[inline]
     fn read(&mut self, ctx: &mut NativeCtx<Option<u64>>, key: u64) -> OpOutput {
         OpOutput::Opt(self.get(ctx, key as u32))
     }

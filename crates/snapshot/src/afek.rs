@@ -21,6 +21,13 @@
 //! * `update(v)`: perform a `scan`, then write
 //!   `(seq+1, v, that scan)`.
 //!
+//! [`AfekHandle`] runs it in buffers a process keeps from one operation
+//! to the next. A read copies the register's sequence number and value
+//! into them, and its view only when that register lends it
+//! (`MemCtx::read_with`); an update's write copies the handle's next
+//! register value into the register's own storage (`MemCtx::write_from`).
+//! [`AfekSnapshot::snap`] and [`AfekSnapshot::update`] run a fresh handle.
+//!
 //! Linearizability is verified by exhaustive exploration and randomized
 //! stress against the same [`SnapshotSpec`](crate::snapshot::SnapshotSpec)
 //! as the lattice snapshot.
@@ -29,7 +36,12 @@ use apram_history::ProcId;
 use apram_model::MemCtx;
 
 /// The register contents of one process in the Afek et al. snapshot.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// `Clone` is written by hand so that `clone_from` copies field by field
+/// into the value already there, as `TaggedVec`'s does: a register
+/// overwritten in place (see `MemCtx::write_from`) refills the view's
+/// buffer instead of allocating a new one.
+#[derive(Debug, PartialEq)]
 pub struct AfekReg<T> {
     /// Monotone per-writer sequence number (0 = never written).
     pub seq: u64,
@@ -37,6 +49,22 @@ pub struct AfekReg<T> {
     pub value: Option<T>,
     /// The scan embedded in the write.
     pub view: Vec<Option<T>>,
+}
+
+impl<T: Clone> Clone for AfekReg<T> {
+    fn clone(&self) -> Self {
+        AfekReg {
+            seq: self.seq,
+            value: self.value.clone(),
+            view: self.view.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.seq = source.seq;
+        self.value.clone_from(&source.value);
+        self.view.clone_from(&source.view);
+    }
 }
 
 impl<T> AfekReg<T> {
@@ -78,6 +106,24 @@ impl AfekSnapshot {
         (0..self.n).collect()
     }
 
+    /// A per-process handle: the buffers a scan works in, kept from one
+    /// operation to the next. Making one allocates nothing.
+    pub fn handle<T>(&self) -> AfekHandle<T> {
+        AfekHandle {
+            n: self.n,
+            prev: Vec::new(),
+            seqs: Vec::new(),
+            values: Vec::new(),
+            moved: Vec::new(),
+            borrowed: Vec::new(),
+            next: AfekReg {
+                seq: 0,
+                value: None,
+                view: Vec::new(),
+            },
+        }
+    }
+
     /// Analytic read cost of a quiet (uncontended) [`snap`](Self::snap):
     /// two collects, `2n` reads.
     pub fn quiet_snap_reads(n: usize) -> u64 {
@@ -99,60 +145,120 @@ impl AfekSnapshot {
         Self::bounded_update_snap_reads(n) + 1
     }
 
-    fn collect<T, C>(&self, ctx: &mut C) -> Vec<AfekReg<T>>
-    where
-        T: Clone,
-        C: MemCtx<AfekReg<T>>,
-    {
-        (0..self.n).map(|q| ctx.read(q)).collect()
-    }
-
-    /// An atomic snapshot of every process's latest value.
+    /// An atomic snapshot of every process's latest value
+    /// ([`AfekHandle::snap`] on a fresh handle).
     pub fn snap<T, C>(&self, ctx: &mut C) -> Vec<Option<T>>
     where
         T: Clone,
         C: MemCtx<AfekReg<T>>,
     {
-        let mut moved = vec![false; self.n];
-        let mut a = self.collect(ctx);
-        loop {
-            let b = self.collect(ctx);
-            if (0..self.n).all(|q| a[q].seq == b[q].seq) {
-                // A quiet double collect is an instantaneous cut.
-                return b.into_iter().map(|r| r.value).collect();
-            }
-            for q in 0..self.n {
-                if a[q].seq != b[q].seq {
-                    if moved[q] {
-                        // q moved twice since we started: its embedded
-                        // view comes from a scan nested inside ours.
-                        return b[q].view.clone();
-                    }
-                    moved[q] = true;
-                }
-            }
-            a = b;
-        }
+        self.handle().snap(ctx)
     }
 
     /// Set the calling process's slot to `value` (embeds a scan, then
-    /// one write).
+    /// one write; [`AfekHandle::update`] on a fresh handle).
     pub fn update<T, C>(&self, ctx: &mut C, value: T)
     where
         T: Clone,
         C: MemCtx<AfekReg<T>>,
     {
-        let view = self.snap(ctx);
+        self.handle().update(ctx, value)
+    }
+}
+
+/// A per-process handle on an [`AfekSnapshot`]. It owns a scan's
+/// buffers, so that its operations copy register contents into storage
+/// they already have: a warmed handle's `update` allocates nothing, and
+/// its `snap` only the view it returns. Every buffer starts empty and
+/// takes its size at the first scan.
+///
+/// The accesses are the algorithm's, in its order: every collect reads
+/// each register once and runs to the end, and an `update` reads its own
+/// register before its one write.
+#[derive(Clone, Debug)]
+pub struct AfekHandle<T> {
+    n: usize,
+    /// The previous collect's sequence numbers.
+    prev: Vec<u64>,
+    /// This collect's sequence numbers.
+    seqs: Vec<u64>,
+    /// This collect's values; after a scan, the view it returns.
+    values: Vec<Option<T>>,
+    /// Which registers have moved since the scan began.
+    moved: Vec<bool>,
+    /// The embedded view lent by a register that moved twice.
+    borrowed: Vec<Option<T>>,
+    /// The register value the next update writes.
+    next: AfekReg<T>,
+}
+
+impl<T: Clone> AfekHandle<T> {
+    /// An atomic snapshot of every process's latest value.
+    pub fn snap<C: MemCtx<AfekReg<T>>>(&mut self, ctx: &mut C) -> Vec<Option<T>> {
+        self.scan(ctx);
+        self.values.clone()
+    }
+
+    /// Set the calling process's slot to `value` (embeds a scan, then
+    /// one write).
+    pub fn update<C: MemCtx<AfekReg<T>>>(&mut self, ctx: &mut C, value: T) {
+        self.scan(ctx);
+        // The scan's result becomes the embedded view, and the buffer it
+        // replaces is the next scan's to fill.
+        std::mem::swap(&mut self.values, &mut self.next.view);
         let me = ctx.proc();
-        let cur = ctx.read(me);
-        ctx.write(
-            me,
-            AfekReg {
-                seq: cur.seq + 1,
-                value: Some(value),
-                view,
-            },
-        );
+        self.next.seq = ctx.read_with(me, |cur| cur.seq) + 1;
+        self.next.value = Some(value);
+        ctx.write_from(me, &self.next);
+    }
+
+    /// Repeat double collects until one is quiet or a register lends its
+    /// view; either way the result is left in `values`.
+    fn scan<C: MemCtx<AfekReg<T>>>(&mut self, ctx: &mut C) {
+        let n = self.n;
+        self.prev.resize(n, 0);
+        self.seqs.resize(n, 0);
+        self.values.resize(n, None);
+        self.moved.clear();
+        self.moved.resize(n, false);
+        self.collect(ctx);
+        loop {
+            std::mem::swap(&mut self.prev, &mut self.seqs);
+            if self.collect(ctx) {
+                // A register moved twice since we started: its embedded
+                // view comes from a scan nested inside ours.
+                std::mem::swap(&mut self.values, &mut self.borrowed);
+                return;
+            }
+            if self.prev == self.seqs {
+                // A quiet double collect is an instantaneous cut.
+                return;
+            }
+            for q in 0..n {
+                self.moved[q] |= self.prev[q] != self.seqs[q];
+            }
+        }
+    }
+
+    /// One collect: read every register once, in index order, copying
+    /// its sequence number and value. The lowest register that moves
+    /// here after having moved before in this scan lends its embedded
+    /// view, copied inside that read alone; returns whether one did.
+    fn collect<C: MemCtx<AfekReg<T>>>(&mut self, ctx: &mut C) -> bool {
+        let mut lent = false;
+        for q in 0..self.n {
+            let lends = !lent && self.moved[q];
+            lent |= ctx.read_with(q, |r| {
+                self.seqs[q] = r.seq;
+                self.values[q].clone_from(&r.value);
+                let lends = lends && r.seq != self.prev[q];
+                if lends {
+                    self.borrowed.clone_from(&r.view);
+                }
+                lends
+            });
+        }
+        lent
     }
 }
 
@@ -164,12 +270,62 @@ mod tests {
     use apram_history::check::{check_linearizable, CheckerConfig};
     use apram_history::Recorder;
     use apram_model::sim::explore::ExploreConfig;
+    use apram_model::sim::strategy::{Decision, SchedView, Strategy as Schedule};
     use apram_model::sim::strategy::{Pct, SeededRandom};
     use apram_model::sim::Budgeted;
-    use apram_model::sim::{ProcBody, SimBuilder, SimCtx};
+    use apram_model::sim::{ProcBody, SimBuilder, SimCtx, SimOutcome};
     use apram_model::NativeMemory;
+    use proptest::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// The algorithm as it was first written, kept as the oracle: every
+    /// read clones the whole register, view and all. Returns the view
+    /// and whether it was borrowed.
+    fn reference_snap<T, C>(n: usize, ctx: &mut C) -> (Vec<Option<T>>, bool)
+    where
+        T: Clone,
+        C: MemCtx<AfekReg<T>>,
+    {
+        let collect = |ctx: &mut C| (0..n).map(|q| ctx.read(q)).collect::<Vec<_>>();
+        let mut moved = vec![false; n];
+        let mut a = collect(ctx);
+        loop {
+            let b = collect(ctx);
+            if (0..n).all(|q| a[q].seq == b[q].seq) {
+                return (b.into_iter().map(|r| r.value).collect(), false);
+            }
+            for q in 0..n {
+                if a[q].seq != b[q].seq {
+                    if moved[q] {
+                        return (b[q].view.clone(), true);
+                    }
+                    moved[q] = true;
+                }
+            }
+            a = b;
+        }
+    }
+
+    /// The oracle's update; returns whether its scan borrowed.
+    fn reference_update<T, C>(n: usize, ctx: &mut C, value: T) -> bool
+    where
+        T: Clone,
+        C: MemCtx<AfekReg<T>>,
+    {
+        let (view, borrowed) = reference_snap(n, ctx);
+        let me = ctx.proc();
+        let cur = ctx.read(me);
+        ctx.write(
+            me,
+            AfekReg {
+                seq: cur.seq + 1,
+                value: Some(value),
+                view,
+            },
+        );
+        borrowed
+    }
 
     #[test]
     fn sequential_update_snap() {
@@ -302,18 +458,6 @@ mod tests {
     fn scanner_terminates_under_perpetual_writer() {
         let n = 2;
         let snap = AfekSnapshot::new(n);
-        // Same interposing adversary that starves the double-collect
-        // baseline (one writer step between the scanner's collects).
-        let mut k = 0u64;
-        let mut interpose = move |view: &apram_model::sim::strategy::SchedView| {
-            let want = if k % 3 == 2 { 1 } else { 0 };
-            k += 1;
-            if view.runnable.contains(&want) {
-                apram_model::sim::strategy::Decision::Step(want)
-            } else {
-                apram_model::sim::strategy::Decision::Step(view.runnable[0])
-            }
-        };
         let bodies: Vec<ProcBody<'static, AfekReg<u64>, Option<Vec<Option<u64>>>>> = vec![
             Box::new(move |ctx: &mut SimCtx<AfekReg<u64>>| Some(snap.snap(ctx))),
             Box::new(move |ctx: &mut SimCtx<AfekReg<u64>>| {
@@ -326,7 +470,9 @@ mod tests {
         let out = apram_model::sim::SimBuilder::new(snap.registers::<u64>())
             .owners(snap.owners())
             .max_steps(200_000)
-            .strategy_ref(&mut interpose)
+            // Same interposing adversary that starves the double-collect
+            // baseline (one writer step between the scanner's collects).
+            .strategy(Cycle(&[0, 0, 1], 0))
             .run(bodies);
         out.assert_no_panics();
         let view = out.results[0].clone().expect("scanner must terminate");
@@ -349,5 +495,151 @@ mod tests {
         out.assert_no_panics();
         let view = out.results[0].clone().expect("survivor finishes");
         assert_eq!(view[0], Some(1));
+    }
+
+    /// What one process of a differential run saw: its snaps' views and
+    /// how many of its scans borrowed (counted by the oracle alone).
+    type Seen = (Vec<Vec<Option<u64>>>, u32);
+
+    /// Process `p` runs `script` — `u` an update, `s` a snap — through
+    /// one handle, or through the oracle.
+    fn workload(ctx: &mut SimCtx<AfekReg<u64>>, n: usize, script: &str, oracle: bool) -> Seen {
+        let p = ctx.proc() as u64;
+        let mut h = AfekSnapshot::new(n).handle();
+        let (mut views, mut borrows) = (Vec::new(), 0);
+        for (k, op) in (0..).zip(script.chars()) {
+            match (op, oracle) {
+                ('u', true) => borrows += reference_update(n, ctx, p * 1000 + k) as u32,
+                ('u', false) => h.update(ctx, p * 1000 + k),
+                (_, true) => {
+                    let (view, borrowed) = reference_snap(n, ctx);
+                    views.push(view);
+                    borrows += borrowed as u32;
+                }
+                (_, false) => views.push(h.snap(ctx)),
+            }
+        }
+        (views, borrows)
+    }
+
+    /// Run one [`workload`] script per process under `strategy`, and
+    /// check that the handle returns what the oracle returns with the
+    /// same reads and writes per process, leaving the same registers.
+    /// Returns the oracle's borrows.
+    fn differential<S: Schedule>(scripts: &[String], strategy: impl Fn() -> S) -> u32 {
+        let n = scripts.len();
+        let run = |oracle: bool| {
+            let snap = AfekSnapshot::new(n);
+            let bodies: Vec<ProcBody<'static, AfekReg<u64>, Seen>> = scripts
+                .iter()
+                .map(|script| {
+                    let script = script.clone();
+                    Box::new(move |ctx: &mut SimCtx<AfekReg<u64>>| {
+                        workload(ctx, n, &script, oracle)
+                    }) as ProcBody<'static, AfekReg<u64>, Seen>
+                })
+                .collect();
+            SimBuilder::new(snap.registers::<u64>())
+                .owners(snap.owners())
+                .max_steps(200_000)
+                .strategy(strategy())
+                .run(bodies)
+        };
+        let (oracle, handle) = (run(true), run(false));
+        oracle.assert_no_panics();
+        assert!(!oracle.halted && !handle.halted);
+        let views = |out: &SimOutcome<_, Seen>| -> Vec<_> {
+            out.results
+                .iter()
+                .map(|r| r.as_ref().map(|(v, _)| v.clone()))
+                .collect()
+        };
+        assert_eq!(views(&handle), views(&oracle), "returned views");
+        for (h, o) in handle.counts.iter().zip(&oracle.counts) {
+            assert_eq!(
+                (h.reads, h.writes),
+                (o.reads, o.writes),
+                "per-process steps"
+            );
+        }
+        assert_eq!(handle.memory, oracle.memory, "final registers");
+        oracle.results.iter().flatten().map(|(_, b)| b).sum()
+    }
+
+    /// A fixed cyclic schedule: step `k` goes to `pattern[k % len]`, or
+    /// to the lowest runnable process when that one is done.
+    struct Cycle(&'static [usize], usize);
+
+    impl Schedule for Cycle {
+        fn decide(&mut self, view: &SchedView) -> Decision {
+            let want = self.0[self.1 % self.0.len()];
+            self.1 += 1;
+            if view.runnable.contains(&want) {
+                Decision::Step(want)
+            } else {
+                Decision::Step(view.runnable[0])
+            }
+        }
+    }
+
+    /// The handle is the clone-everything algorithm with its copies
+    /// moved into buffers: on the same schedules it returns the same
+    /// views after the same reads and writes, borrowed views included.
+    #[test]
+    fn handle_agrees_with_the_clone_based_algorithm() {
+        for n in [2usize, 3] {
+            let scripts = vec!["ususus".to_string(); n];
+            for seed in 0..16u64 {
+                differential(&scripts, || SeededRandom::new(seed));
+                differential(&scripts, || Pct::new(seed, n, 3, 400));
+            }
+        }
+        // A scanner against a perpetual writer, under the adversary of
+        // `scanner_terminates_under_perpetual_writer` (one writer step
+        // between two of the scanner's)...
+        let scanner_and_writer = ["s".to_string(), "u".repeat(500)];
+        differential(&scanner_and_writer, || Cycle(&[0, 0, 1], 0));
+        // ...and under one that fits a whole update (six steps) between
+        // the scanner's two-read collects: its third collect sees the
+        // writer move for the second time, and borrows.
+        let lapped = differential(&scanner_and_writer, || Cycle(&[0, 0, 1, 1, 1, 1, 1, 1], 0));
+        assert!(lapped > 0, "the lapped scanner borrowed no view");
+        // Two writers lapping a scanner (eight steps an update at n = 3)
+        // both move twice by its third collect: the lower one lends.
+        let two_writers = ["s".to_string(), "u".repeat(100), "u".repeat(100)];
+        let lap = &[0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2];
+        assert!(differential(&two_writers, || Cycle(lap, 0)) > 0);
+    }
+
+    /// Views of lengths 0–4, each slot `None` or `Some`.
+    fn afek_reg() -> impl Strategy<Value = AfekReg<u64>> {
+        let view = proptest::collection::vec(0u64..4, 0..5);
+        (0u64..4, 0u64..3, view).prop_map(|(seq, value, view)| {
+            let some = |k: u64| (k > 0).then_some(k * 10);
+            AfekReg {
+                seq,
+                value: some(value),
+                view: view.into_iter().map(some).collect(),
+            }
+        })
+    }
+
+    proptest! {
+        /// The hand-written `clone_from` copies exactly what `clone`
+        /// does, whatever the target held — on `u64` payloads and on
+        /// payloads with a `clone_from` of their own.
+        #[test]
+        fn clone_from_agrees_with_clone(x in afek_reg(), y in afek_reg()) {
+            apram_lattice::laws::assert_clone_from_consistent(&x, &y);
+            let heap = |r: &AfekReg<u64>| {
+                let boxed = |v: &Option<u64>| v.map(|k| vec![k; k as usize % 7]);
+                AfekReg {
+                    seq: r.seq,
+                    value: boxed(&r.value),
+                    view: r.view.iter().map(boxed).collect(),
+                }
+            };
+            apram_lattice::laws::assert_clone_from_consistent(&heap(&x), &heap(&y));
+        }
     }
 }

@@ -38,7 +38,7 @@ pub mod lock;
 pub mod scan;
 pub mod snapshot;
 
-pub use afek::{AfekReg, AfekSnapshot};
+pub use afek::{AfekHandle, AfekReg, AfekSnapshot};
 pub use lattice_agreement::{lattice_agreement_valid, LatticeAgreement};
 pub use lock::{LockSnapshot, SimLockSnapshot};
 pub use scan::{ScanHandle, ScanObject};
