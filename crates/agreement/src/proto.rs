@@ -515,10 +515,9 @@ mod tests {
             for burst in [3u64, 7, 23] {
                 let eps = 0.125;
                 let proto = AgreementProto::new(2, eps);
-                let mut strategy = BurstAdversary::new(victim, burst);
                 let out = SimBuilder::new(proto.registers())
                     .owners(proto.owners())
-                    .strategy_ref(&mut strategy)
+                    .strategy(BurstAdversary::new(victim, burst))
                     .run_symmetric(2, move |ctx| {
                         let mut h = proto.handle();
                         h.input(ctx, ctx.proc() as f64);

@@ -477,7 +477,7 @@ impl E6Summary {
     fn explore<T, Sp, B>(
         &mut self,
         label: &'static str,
-        sim: &SimBuilder<'_, T>,
+        sim: &SimBuilder<T>,
         econfig: &ExploreConfig,
         threads: usize,
         spec: &Sp,
@@ -676,8 +676,10 @@ pub const EXPLORE_BENCH_PROCS: usize = 3;
 /// CLI, `BENCH_explore.json` on disk).
 #[derive(Clone, Debug)]
 pub struct ExploreBenchRow {
-    /// Engine label: `"sequential"` (per-run thread spawning) or
-    /// `"parallel"` (work-stealing workers over pooled sim threads).
+    /// Engine label: `"sequential"` (`explore`: the one search with the
+    /// calling thread as its only worker) or `"parallel"`
+    /// (`explore_parallel`: that search across work-stealing workers).
+    /// Both run on pooled sim threads.
     pub engine: &'static str,
     /// Worker threads (1 for the sequential engine).
     pub threads: usize,

@@ -48,9 +48,13 @@
 //! `schedulers` are `exhaustive` (the certifier), `random` (uniform
 //! schedule sampling) or `pct<d>` (PCT at depth `d`); `budget.runs` is
 //! the schedule budget per sampled cell and `budget.depth` the
-//! exhaustive branching depth (0 = the E10 per-cell default).
+//! exhaustive branching depth (0 = the E10 per-cell default). A plan
+//! whose grid holds an exhaustive cell wider than the explorer can
+//! branch over (n > 64 at f = 0, n > 32 at f >= 1; see
+//! [`MAX_CHOICES`]) is refused when parsed.
 
 use apram_model::seed::{fnv1a, split, STREAM_CELL, STREAM_ORDER};
+use apram_model::sim::explore::MAX_CHOICES;
 use apram_model::sim::{
     Budgeted, Certificate, CertifyConfig, ExploreConfig, SampleConfig, SampleReport, Sampler,
 };
@@ -237,6 +241,19 @@ impl SweepPlan {
         if plan.schedulers.is_empty() {
             return Err("plan has no schedulers".into());
         }
+        // A crash budget doubles the branches at each decision point.
+        let too_wide = |c: &SweepCell| {
+            c.sched == CellSched::Exhaustive && c.n * (1 + usize::from(c.f > 0)) > MAX_CHOICES
+        };
+        if let Some(c) = plan.cells().into_iter().find(too_wide) {
+            return Err(format!(
+                "exhaustive cell n = {}, f = {} is too wide: the explorer branches over at most \
+                 {MAX_CHOICES} choices, so it takes n <= {MAX_CHOICES} at f = 0 and n <= {} at f >= 1",
+                c.n,
+                c.f,
+                MAX_CHOICES / 2
+            ));
+        }
         Ok(plan)
     }
 
@@ -278,15 +295,18 @@ impl SweepPlan {
     }
 
     /// Expand the grid into cells, in execution order: the cross
-    /// product, minus meaningless combinations (the lock control only
-    /// instantiates at `n = 2`), shuffled deterministically by
-    /// `split(seed, STREAM_ORDER)` so long sweeps interleave cheap and
-    /// expensive cells instead of draining one object at a time.
+    /// product, minus meaningless combinations (an object with a
+    /// [`fixed_n`](SimObjectSpec::fixed_n) — the lock control, `n = 2` —
+    /// only instantiates at that size; `f` stays below `n`), shuffled
+    /// deterministically by `split(seed, STREAM_ORDER)` so long sweeps
+    /// interleave cheap and expensive cells instead of draining one
+    /// object at a time.
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells = Vec::new();
         for object in &self.objects {
+            let fixed_n = spec_for(object).fixed_n();
             for &n in &self.ns {
-                if object == "lock" && n != 2 {
+                if fixed_n.is_some_and(|k| k != n) {
                     continue;
                 }
                 for &f in &self.fs {
@@ -329,13 +349,12 @@ pub fn object_bound(object: &str, n: usize) -> u64 {
 }
 
 /// Build the sampled configuration shared by every object dispatch arm.
-fn cell_sample_config(cell: &SweepCell, seed: u64, threads: usize) -> SampleConfig {
+fn cell_sample_config(cell: &SweepCell, seed: u64) -> SampleConfig {
     let sampler = cell.sched.sampler().expect("sampled cell");
     let spec = spec_for(&cell.object);
     SampleConfig::new(vec![spec.bound(cell.n); cell.n])
         .sampler(sampler)
         .seed(seed)
-        .threads(threads)
         .tail_only(spec.tail_only())
         .require_finish(!spec.tail_only())
         .max_runs(cell.runs)
@@ -346,7 +365,7 @@ fn cell_sample_config(cell: &SweepCell, seed: u64, threads: usize) -> SampleConf
 /// [`apram_objects::simspec`] registry; `seed` is the cell seed from
 /// [`SweepCell::seed`].
 pub fn run_sample_cell(cell: &SweepCell, seed: u64, threads: usize) -> SampleReport {
-    let scfg = cell_sample_config(cell, seed, threads);
+    let scfg = cell_sample_config(cell, seed);
     spec_for(&cell.object).sample(&scfg, cell.n, threads)
 }
 
@@ -601,6 +620,22 @@ mod tests {
             .contains("scheduler"));
         let bad_name = r#"{"name":"a/b","seed":0,"objects":["scan"],"ns":[2],"fs":[0],"schedulers":["random"]}"#;
         assert!(SweepPlan::from_json(bad_name).unwrap_err().contains("name"));
+    }
+
+    #[test]
+    fn plan_refuses_exhaustive_cells_too_wide_to_explore() {
+        let plan = |fs: &str, sched: &str| {
+            SweepPlan::from_json(&format!(
+                r#"{{"name":"x","seed":0,"objects":["scan"],"ns":[40],"fs":{fs},"schedulers":["{sched}"]}}"#
+            ))
+        };
+        let err = plan("[1]", "exhaustive").unwrap_err();
+        assert!(err.contains("n = 40, f = 1"), "{err}");
+        assert!(err.contains("n <= 32 at f >= 1"), "{err}");
+        // Sampling has no such limit, and neither does f = 0 at n = 40.
+        assert!(plan("[0]", "random").is_ok());
+        assert!(plan("[1]", "random").is_ok());
+        assert!(plan("[0]", "exhaustive").is_ok());
     }
 
     #[test]

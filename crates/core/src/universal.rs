@@ -715,7 +715,7 @@ mod tests {
     /// returns what each process observed up to its crash.
     fn run_scripts<H: Send>(
         scripts: &[Vec<Step>],
-        strategy: impl Strategy,
+        strategy: impl Strategy + Send + 'static,
         crashes: &[(ProcId, u64)],
         handle: impl Fn(&Universal<CounterSpec>) -> H + Sync,
         step: impl Fn(&mut H, &mut SimCtx<Reg>, Step) -> Seen + Sync,
@@ -765,7 +765,7 @@ mod tests {
         ) {
             let n = scripts.len();
             let crashes: Vec<_> = crashes.into_iter().filter(|&(p, _)| p < n).collect();
-            let schedule = || -> Box<dyn Strategy> {
+            let schedule = || -> Box<dyn Strategy + Send> {
                 if pct {
                     Box::new(Pct::new(seed, n, 3, 400))
                 } else {

@@ -494,8 +494,8 @@ where
     })
 }
 
-/// Certify the configuration across `threads` workers (0 = the config's
-/// [`ExploreConfig::threads`], where 0 again means all cores).
+/// Certify the configuration across `threads` workers (0 = all
+/// available parallelism).
 ///
 /// `make_worker` follows the
 /// [`explore_parallel`] contract: it

@@ -33,8 +33,9 @@ use std::time::Duration;
 /// The shared limits (run cap, branching depth, crash budget,
 /// heartbeat) live in an embedded [`Budget`] and are set through the
 /// [`Budgeted`] vocabulary common to all exploration configs;
-/// explorer-specific knobs (worker threads, shrinking, span tracing)
-/// are inherent methods. Construct fluently in the `SimBuilder` idiom:
+/// explorer-specific knobs (shrinking, span tracing, profiling) are
+/// inherent methods. The parallel engines take their worker count as an
+/// argument. Construct fluently in the `SimBuilder` idiom:
 ///
 /// ```
 /// use apram_model::sim::{Budgeted, ExploreConfig};
@@ -42,7 +43,7 @@ use std::time::Duration;
 ///     .max_runs(10_000)
 ///     .max_depth(8)
 ///     .max_crashes(1)
-///     .threads(4);
+///     .trace_spans(true);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ExploreConfig {
@@ -56,11 +57,6 @@ pub struct ExploreConfig {
     /// have fired, the tree also branches on crashing each runnable
     /// process); [`Budget::heartbeat`] streams live progress.
     pub budget: Budget,
-    /// Worker-thread count used by the parallel engines when their
-    /// explicit `threads` argument is 0 (in which case 0 here still
-    /// means "all available parallelism"). Ignored by the sequential
-    /// explorers, whose one worker is the calling thread.
-    pub threads: usize,
     /// When set, a run rejected by the `visit` callback (a violation) is
     /// minimized with [`shrink_execution`](super::shrink_execution)
     /// before exploration returns (the crash pattern is minimized
@@ -92,13 +88,6 @@ impl ExploreConfig {
     /// forensics hooks), ready for fluent chaining.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Worker-thread count for the parallel engines (0 = all available
-    /// parallelism); used when their explicit argument is 0.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Minimize rejected runs with the given shrinker configuration.
@@ -326,6 +315,14 @@ fn independent(a: (AccessKind, usize), b: (AccessKind, usize)) -> bool {
     a.1 != b.1 || (a.0 == AccessKind::Read && b.0 == AccessKind::Read)
 }
 
+/// The widest decision point a schedule-tree search can branch over, and
+/// one more than the highest process id it can put to sleep: a node's
+/// bitmasks are one `u64` each. A decision point offers a step per
+/// runnable process, plus a crash per runnable process while the crash
+/// budget lasts — so `n` processes fit when `n <= MAX_CHOICES`, or
+/// `2 * n <= MAX_CHOICES` with a crash budget.
+pub const MAX_CHOICES: usize = 64;
+
 /// A decision point of the search ([`super::parallel`]), with its sleep
 /// set. The widened choice list is `[Step(p) for p in choices] ++
 /// [Crash(p) for p in choices]` — the crash suffix present only when the
@@ -392,7 +389,7 @@ impl SleepNode {
     ) -> SleepNode {
         let max_id = *view.runnable.last().expect("runnable is non-empty");
         assert!(
-            max_id < 64,
+            max_id < MAX_CHOICES,
             "sleep-set bitmasks support at most 64 processes"
         );
         let crash_choices = if allow_crashes {
@@ -401,7 +398,7 @@ impl SleepNode {
             0
         };
         assert!(
-            view.runnable.len() + crash_choices <= 64,
+            view.runnable.len() + crash_choices <= MAX_CHOICES,
             "explored bitmask supports at most 64 widened choices"
         );
         let (sleep, crash_sleep) = match parent.filter(|_| reduce) {
@@ -877,14 +874,12 @@ mod tests {
             .max_runs(7)
             .max_depth(3)
             .max_crashes(2)
-            .threads(4)
             .shrink(crate::sim::shrink::ShrinkConfig::default())
             .trace_spans(true)
             .profile(true);
         assert_eq!(cfg.budget.max_runs, 7);
         assert_eq!(cfg.budget.max_depth, 3);
         assert_eq!(cfg.budget.max_crashes, 2);
-        assert_eq!(cfg.threads, 4);
         assert!(cfg.shrink.is_some());
         assert!(cfg.trace_spans);
         assert!(cfg.profile);

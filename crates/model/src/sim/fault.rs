@@ -2,10 +2,13 @@
 //!
 //! A [`FaultPlan`] is a set of `(proc, step)` pairs: each listed process
 //! is crashed at the first scheduler decision point at or after the
-//! given global step. Plans compose over any inner [`Strategy`] via
-//! [`FaultPlan::over`] (owned) and are the representation behind the
-//! fluent [`SimBuilder::crashes`](crate::sim::SimBuilder::crashes)
-//! builder entry point.
+//! given global step. A plan composes over an inner [`Strategy`] with
+//! [`FaultPlan::over`], which takes the strategy by value; the
+//! composition travels into a run like any strategy. That is how
+//! [`SimBuilder::run`](crate::sim::SimBuilder::run) applies the plan
+//! declared with [`SimBuilder::crashes`](crate::sim::SimBuilder::crashes)
+//! to every run: it wraps its strategy, and unwraps it after the run to
+//! keep the strategy's state for the next one.
 //!
 //! # Declaring faults
 //!
@@ -89,16 +92,6 @@ impl FaultPlan {
             pending: self.crashes.clone(),
         }
     }
-
-    /// Pick the next crash to fire under `view`, removing it from
-    /// `pending`. Shared by [`Faulty`] and [`FaultyRef`].
-    pub(crate) fn fire(pending: &mut Vec<(ProcId, u64)>, view: &SchedView) -> Option<Decision> {
-        let i = pending
-            .iter()
-            .position(|&(p, s)| view.step >= s && !view.crashed[p] && !view.finished[p])?;
-        let (p, _) = pending.remove(i);
-        Some(Decision::Crash(p))
-    }
 }
 
 impl From<Vec<(ProcId, u64)>> for FaultPlan {
@@ -123,32 +116,20 @@ pub struct Faulty<S> {
     pending: Vec<(ProcId, u64)>,
 }
 
+impl<S> Faulty<S> {
+    /// The inner strategy, with whatever state it gathered.
+    pub(crate) fn into_inner(self) -> S {
+        self.inner
+    }
+}
+
 impl<S: Strategy> Strategy for Faulty<S> {
     fn decide(&mut self, view: &SchedView) -> Decision {
-        FaultPlan::fire(&mut self.pending, view).unwrap_or_else(|| self.inner.decide(view))
-    }
-}
-
-/// Borrowed-inner variant of [`Faulty`], used by
-/// [`SimBuilder::run`](crate::sim::SimBuilder::run) so the builder can
-/// reuse its strategy across runs.
-pub(crate) struct FaultyRef<'a> {
-    inner: &'a mut dyn Strategy,
-    pending: Vec<(ProcId, u64)>,
-}
-
-impl<'a> FaultyRef<'a> {
-    pub(crate) fn new(plan: &FaultPlan, inner: &'a mut dyn Strategy) -> Self {
-        FaultyRef {
-            inner,
-            pending: plan.crashes.clone(),
+        let due = |&(p, s): &(ProcId, u64)| view.step >= s && !view.crashed[p] && !view.finished[p];
+        match self.pending.iter().position(due) {
+            Some(i) => Decision::Crash(self.pending.remove(i).0),
+            None => self.inner.decide(view),
         }
-    }
-}
-
-impl Strategy for FaultyRef<'_> {
-    fn decide(&mut self, view: &SchedView) -> Decision {
-        FaultPlan::fire(&mut self.pending, view).unwrap_or_else(|| self.inner.decide(view))
     }
 }
 

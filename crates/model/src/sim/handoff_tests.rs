@@ -1,7 +1,7 @@
 //! Tests of the hand-off itself rather than of what is scheduled: a
 //! failure on the scheduling side surfaces on the caller and leaves the
-//! pool usable, the adapter route and the in-line route produce the same
-//! run, and under stress no wake-up is lost and no thread is left over.
+//! pool usable, a builder run and a pooled run produce the same run, and
+//! under stress no wake-up is lost and no thread is left over.
 //!
 //! A lost `unpark` shows as a hang, not as a wrong answer, so everything
 //! here runs under a deadline — and a missed deadline says what the run
@@ -24,19 +24,14 @@ static DUMP: Mutex<(Option<ThreadId>, Option<String>)> = Mutex::new((None, None)
 
 /// `Hub::attend` calls this at every wake-up (test builds only): the
 /// thread `within` gave up on leaves the state of the run it attends.
-pub(super) fn dump_if_asked<T: Clone>(hub: &Hub<T>, desk: Option<&Desk<'_>>) {
+pub(super) fn dump_if_asked<T: Clone>(hub: &Hub<T>) {
     let mut dump = DUMP.lock().unwrap();
     if dump.0 != Some(std::thread::current().id()) {
         return;
     }
-    let desk = match desk.map(|d| d.shared.lock().asker.is_some()) {
-        None => "no desk",
-        Some(true) => "a desk question is pending",
-        Some(false) => "no desk question pending",
-    };
     let st = hub.lock();
     let state = format!(
-        "progress {}, over {}, unfinished {}, computing {}, steps {}, runnable {:?}; {desk}",
+        "progress {}, over {}, unfinished {}, computing {}, steps {}, runnable {:?}",
         hub.progress.load(Ordering::Relaxed),
         hub.over.load(Ordering::Acquire),
         st.unfinished,
@@ -93,7 +88,7 @@ fn a_missed_deadline_says_what_the_run_was_waiting_for() {
         })
     });
     let state = "no result within 200ms: progress 0, over false, unfinished 1, computing 1, \
-                 steps 0, runnable []; no desk question pending";
+                 steps 0, runnable []";
     assert!(text.contains(state), "{text:?}");
 }
 
@@ -244,7 +239,8 @@ fn replay_divergence_inside_decide_surfaces_from_explore() {
 fn borrowed_strategy_panic_surfaces_with_its_message() {
     within(DEADLINE, || {
         // Strict replay of a process that never becomes runnable panics
-        // inside `decide`, on the calling thread, behind the adapter.
+        // inside `decide`, on whichever thread holds the baton; the
+        // builder's run re-raises it here.
         let text = panic_text(|| {
             SimBuilder::new(vec![0u64; 2])
                 .strategy(Replay::strict(vec![5]))
@@ -311,10 +307,10 @@ fn trio() -> Vec<ProcBody<'static, u64, u64>> {
         .collect()
 }
 
-/// The same strategy, once borrowed behind the adapter
-/// (`SimBuilder::strategy_ref`, one-shot threads) and once owned by the
-/// run (pooled, as the explorers drive it): everything observable of
-/// the two runs must be equal. Returns the schedule.
+/// The same strategy, once handed to a builder (its fault plan, one-shot
+/// threads) and once to a pooled `run_sim` under `plan.over`, as the
+/// explorers drive it: everything observable of the two runs must be
+/// equal. Returns the schedule.
 fn both_routes<S: Strategy + Clone + Send + 'static>(
     pool: &mut Pool<'_, '_>,
     strategy: S,
@@ -322,12 +318,11 @@ fn both_routes<S: Strategy + Clone + Send + 'static>(
     tag: &str,
 ) -> Vec<ProcId> {
     let owners = vec![0, 1, 2];
-    let mut borrowed = strategy.clone();
     let a = SimBuilder::new(vec![0u64; 3])
         .owners(owners.clone())
         .profile(true)
         .fault_plan(plan.clone())
-        .strategy_ref(&mut borrowed)
+        .strategy(strategy.clone())
         .run(trio());
     let mut cfg = SimConfig::base(vec![0u64; 3]);
     cfg.owners = Some(owners);

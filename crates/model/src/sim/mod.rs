@@ -37,12 +37,10 @@
 //! costs one more look at an empty slot.
 //!
 //! Because [`SimCtx`] carries no lifetime, the shared state cannot
-//! borrow: a strategy travels into the run **by value** (`Send +
-//! 'static`) and is handed back after it. A borrowed or non-`Send`
-//! strategy ([`SimBuilder::run`]) stays on the calling thread and is
-//! reached through an adapter that *is* a strategy: it copies the view,
-//! wakes the otherwise idle caller, and parks until the decision comes
-//! back — the same engine, at the price of one round trip per step.
+//! borrow: every strategy travels into the run **by value** (`Send +
+//! 'static`) and is handed back after it. That is how the explorers
+//! keep theirs across runs, and how [`SimBuilder`] does: it moves its
+//! strategy into each run and takes it back with the outcome.
 //!
 //! A failure on the scheduling side (a single-writer violation, a
 //! strategy naming a process that cannot run, a panic inside `decide`)
@@ -476,28 +474,24 @@ impl<T: Clone> Hub<T> {
         guard
     }
 
-    /// The calling thread's part of a run: wait for it to end, serving
-    /// the borrowed strategy's `desk` meanwhile if there is one, then
+    /// The calling thread's part of a run: wait for it to end, then
     /// unwind every process that did not finish and wait for them all.
-    fn attend(&self, timeout: Duration, mut desk: Option<&mut Desk<'_>>) {
+    fn attend(&self, timeout: Duration) {
         let until = |now: Instant| now.checked_add(timeout).unwrap_or(now + FAR);
         let mut seen = self.progress.load(Ordering::Relaxed);
         let mut deadline = until(Instant::now());
         while !self.over.load(Ordering::Acquire) {
             #[cfg(test)]
-            handoff_tests::dump_if_asked(self, desk.as_deref());
+            handoff_tests::dump_if_asked(self);
             let now = Instant::now();
             let progress = self.progress.load(Ordering::Relaxed);
-            if desk.as_mut().is_some_and(|d| d.serve()) || progress != seen {
+            if progress != seen {
                 seen = progress;
                 deadline = until(now);
                 continue;
             }
             if now >= deadline {
                 self.over.store(true, Ordering::Release);
-                if let Some(desk) = desk {
-                    desk.close();
-                }
                 drop(self.crash_parked());
                 panic!(
                     "simulated process computed for {timeout:?} without a shared-memory \
@@ -511,7 +505,7 @@ impl<T: Clone> Hub<T> {
         while st.unfinished > 0 {
             drop(st);
             #[cfg(test)]
-            handoff_tests::dump_if_asked(self, desk.as_deref());
+            handoff_tests::dump_if_asked(self);
             let now = Instant::now();
             assert!(
                 now < deadline,
@@ -551,108 +545,6 @@ impl<T: Clone> Hub<T> {
         };
         let strategy = st.strategy.take().expect("the run had a strategy");
         (outcome, strategy)
-    }
-}
-
-/// The state shared by the two halves of the borrowed-strategy adapter.
-#[derive(Default)]
-struct DeskState {
-    // An owned copy of the view being asked about (buffers reused).
-    step: u64,
-    runnable: Vec<ProcId>,
-    pending: Vec<Option<(AccessKind, usize)>>,
-    finished: Vec<bool>,
-    crashed: Vec<bool>,
-    /// The baton holder waiting for an answer to that view.
-    asker: Option<Thread>,
-    answer: Option<std::thread::Result<Decision>>,
-    /// The caller has given up on the run: every question is answered
-    /// `Halt` without it.
-    closed: bool,
-}
-
-struct DeskShared {
-    state: Mutex<DeskState>,
-    caller: Thread,
-}
-
-impl DeskShared {
-    fn lock(&self) -> MutexGuard<'_, DeskState> {
-        self.state
-            .lock()
-            .expect("the desk's mutex is never poisoned")
-    }
-}
-
-/// The half of the adapter that travels with the run: a [`Strategy`]
-/// that forwards an owned copy of each view to the calling thread, where
-/// the borrowed strategy lives, and returns its decision.
-struct Courier(Arc<DeskShared>);
-
-impl Strategy for Courier {
-    fn decide(&mut self, view: &SchedView) -> Decision {
-        {
-            let mut d = self.0.lock();
-            if d.closed {
-                return Decision::Halt;
-            }
-            d.step = view.step;
-            d.runnable.clear();
-            d.runnable.extend_from_slice(view.runnable);
-            d.pending.clear();
-            d.pending.extend_from_slice(view.pending);
-            d.finished.clear();
-            d.finished.extend_from_slice(view.finished);
-            d.crashed.clear();
-            d.crashed.extend_from_slice(view.crashed);
-            d.asker = Some(std::thread::current());
-        }
-        self.0.caller.unpark();
-        loop {
-            std::thread::park();
-            if let Some(answer) = self.0.lock().answer.take() {
-                // A panic of the borrowed strategy continues here, to be
-                // caught with every other scheduling-side failure.
-                return answer.unwrap_or_else(|payload| resume_unwind(payload));
-            }
-        }
-    }
-}
-
-/// The half of the adapter that stays on the calling thread.
-struct Desk<'s> {
-    shared: Arc<DeskShared>,
-    strategy: &'s mut dyn Strategy,
-}
-
-impl Desk<'_> {
-    /// Answer the pending question, if there is one.
-    fn serve(&mut self) -> bool {
-        let mut d = self.shared.lock();
-        let Some(asker) = d.asker.take() else {
-            return false;
-        };
-        let view = SchedView {
-            step: d.step,
-            runnable: &d.runnable,
-            pending: &d.pending,
-            finished: &d.finished,
-            crashed: &d.crashed,
-        };
-        let answer = catch_unwind(AssertUnwindSafe(|| self.strategy.decide(&view)));
-        d.answer = Some(answer);
-        drop(d);
-        asker.unpark();
-        true
-    }
-
-    fn close(&self) {
-        let mut d = self.shared.lock();
-        d.closed = true;
-        if let Some(asker) = d.asker.take() {
-            d.answer = Some(Ok(Decision::Halt));
-            asker.unpark();
-        }
     }
 }
 
@@ -830,74 +722,19 @@ where
     R: Send,
     S: Strategy + Send + 'static,
 {
-    let (outcome, strategy) = conduct(pool, cfg, Box::new(strategy), bodies, profiler, None);
+    crash::install_quiet_crash_hook();
+    let n = bodies.len();
+    let hub = Arc::clone(pool.hub(n));
+    let ctxs = hub.begin(cfg, Box::new(strategy), n, profiler.take());
+    pool.dispatch(ctxs.into_iter().zip(bodies));
+    hub.attend(cfg.local_timeout);
+    let (results, panics) = pool.collect(n);
+    let (outcome, strategy) = hub.end(results, panics, profiler);
     let strategy = strategy
         .into_any()
         .downcast()
         .expect("a run hands back the strategy it was given");
     (outcome, *strategy)
-}
-
-/// [`run_sim`] for a strategy that cannot travel (borrowed, or not
-/// `Send`): it stays on this thread, which has nothing else to do while
-/// the run is live, and the run owns a [`Courier`] to it.
-fn run_sim_ref<'env, T, R>(
-    pool: &mut ProcPool<'_, 'env, T, R>,
-    cfg: &SimConfig<T>,
-    strategy: &mut dyn Strategy,
-    bodies: Vec<ProcBody<'env, T, R>>,
-    profiler: &mut Option<ContentionProfiler>,
-) -> SimOutcome<T, R>
-where
-    T: Clone + Send,
-    R: Send,
-{
-    let shared = Arc::new(DeskShared {
-        state: Mutex::default(),
-        caller: std::thread::current(),
-    });
-    let courier = Box::new(Courier(Arc::clone(&shared)));
-    let mut desk = Desk { shared, strategy };
-    conduct(pool, cfg, courier, bodies, profiler, Some(&mut desk)).0
-}
-
-fn conduct<'env, T, R>(
-    pool: &mut ProcPool<'_, 'env, T, R>,
-    cfg: &SimConfig<T>,
-    strategy: Box<dyn Traveling>,
-    bodies: Vec<ProcBody<'env, T, R>>,
-    profiler: &mut Option<ContentionProfiler>,
-    desk: Option<&mut Desk<'_>>,
-) -> (SimOutcome<T, R>, Box<dyn Traveling>)
-where
-    T: Clone + Send,
-    R: Send,
-{
-    crash::install_quiet_crash_hook();
-    let n = bodies.len();
-    let hub = Arc::clone(pool.hub(n));
-    let ctxs = hub.begin(cfg, strategy, n, profiler.take());
-    pool.dispatch(ctxs.into_iter().zip(bodies));
-    hub.attend(cfg.local_timeout, desk);
-    let (results, panics) = pool.collect(n);
-    hub.end(results, panics, profiler)
-}
-
-/// How the builder stores its strategy: owned for the common fluent case,
-/// borrowed when the caller needs to keep driving one adversary across
-/// many runs (e.g. schedule-search loops).
-enum StratHolder<'s> {
-    Owned(Box<dyn Strategy + 's>),
-    Borrowed(&'s mut dyn Strategy),
-}
-
-impl StratHolder<'_> {
-    fn get(&mut self) -> &mut dyn Strategy {
-        match self {
-            StratHolder::Owned(s) => &mut **s,
-            StratHolder::Borrowed(s) => &mut **s,
-        }
-    }
 }
 
 /// Fluent construction of simulated executions — the front door of the
@@ -925,17 +762,19 @@ impl StratHolder<'_> {
 /// assert_eq!(out.contention.unwrap().total_steps(), out.trace.len() as u64);
 /// ```
 ///
-/// `run*` take `&mut self`, so one builder can launch many runs; a
-/// stateful strategy carries its state across them (pass it with
-/// [`SimBuilder::strategy_ref`] to inspect it afterwards).
-pub struct SimBuilder<'s, T> {
+/// `run*` take `&mut self`, so one builder can launch many runs; the
+/// strategy travels into each run and comes back with its outcome, so
+/// a stateful strategy carries its state across them. (A run that
+/// fails on the scheduling side does not hand it back: the builder is
+/// then back on round robin.)
+pub struct SimBuilder<T> {
     cfg: SimConfig<T>,
     faults: fault::FaultPlan,
-    strat: StratHolder<'s>,
+    strategy: Box<dyn Strategy + Send>,
     profile: bool,
 }
 
-impl<'s, T: Clone + Send> SimBuilder<'s, T> {
+impl<T: Clone + Send> SimBuilder<T> {
     /// A builder over the given initial register contents (the length
     /// fixes the register count). Defaults: no owner map, 10M-step
     /// budget, 30s local timeout, round-robin strategy, profiling off.
@@ -943,7 +782,7 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
         SimBuilder {
             cfg: SimConfig::base(registers),
             faults: fault::FaultPlan::new(),
-            strat: StratHolder::Owned(Box::new(strategy::RoundRobin::new())),
+            strategy: Box::new(strategy::RoundRobin::new()),
             profile: false,
         }
     }
@@ -983,16 +822,9 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
         self
     }
 
-    /// Schedule with `strategy` (owned). Replaces any previous strategy.
-    pub fn strategy(mut self, strategy: impl Strategy + 's) -> Self {
-        self.strat = StratHolder::Owned(Box::new(strategy));
-        self
-    }
-
-    /// Schedule with a borrowed strategy, letting the caller keep the
-    /// adversary (and its accumulated state) after the runs.
-    pub fn strategy_ref(mut self, strategy: &'s mut dyn Strategy) -> Self {
-        self.strat = StratHolder::Borrowed(strategy);
+    /// Schedule with `strategy`. Replaces any previous strategy.
+    pub fn strategy(mut self, strategy: impl Strategy + Send + 'static) -> Self {
+        self.strategy = Box::new(strategy);
         self
     }
 
@@ -1042,24 +874,19 @@ impl<'s, T: Clone + Send> SimBuilder<'s, T> {
         let mut prof = self
             .profile
             .then(|| ContentionProfiler::new(bodies.len(), self.cfg.registers.len()));
-        let strat = self.strat.get();
-        let mut planned;
-        let strat: &mut dyn Strategy = if self.faults.is_empty() {
-            strat
-        } else {
-            planned = fault::FaultyRef::new(&self.faults, strat);
-            &mut planned
-        };
+        let strategy = std::mem::replace(&mut self.strategy, Box::new(strategy::RoundRobin::new()));
+        let strategy = self.faults.over(strategy);
         let bodies = bodies
             .into_iter()
             .map(|body| Box::new(body) as ProcBody<'_, T, R>)
             .collect();
         // Bodies may borrow the environment, so their threads live in a
         // scope that ends with the run.
-        let mut out = std::thread::scope(|scope| {
+        let (mut out, strategy) = std::thread::scope(|scope| {
             let mut pool = ProcPool::new(scope);
-            run_sim_ref(&mut pool, &self.cfg, strat, bodies, &mut prof)
+            run_sim(&mut pool, &self.cfg, strategy, bodies, &mut prof)
         });
+        self.strategy = strategy.into_inner();
         out.contention = prof.map(ContentionProfiler::into_map);
         out
     }
@@ -1412,10 +1239,11 @@ mod tests {
 
     #[test]
     fn borrowed_strategy_carries_state_across_runs() {
-        // One Replay strategy driven through two runs: the second run
-        // continues where the first left off (then falls back to RR).
-        let mut replay = Replay::lenient(vec![0, 0, 1, 1, 1, 1, 0, 0]);
-        let mut builder = SimBuilder::new(vec![0u64; 2]).strategy_ref(&mut replay);
+        // One Replay strategy driven through two runs: the builder gets
+        // it back after each, so the second run continues where the
+        // first left off (then falls back to RR).
+        let replay = Replay::lenient(vec![0, 0, 1, 1, 1, 1, 0, 0]);
+        let mut builder = SimBuilder::new(vec![0u64; 2]).strategy(replay);
         let a = builder.run_symmetric(2, body);
         let b = builder.run_symmetric(2, body);
         assert_eq!(a.trace.schedule(), vec![0, 0, 1, 1]);

@@ -868,13 +868,7 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
     Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
 {
-    // An explicit `threads` argument wins; 0 falls back to the config's
-    // [`ExploreConfig::threads`], and 0 there means all available cores.
-    let threads = resolve_threads(if threads == 0 {
-        econfig.threads
-    } else {
-        threads
-    });
+    let threads = resolve_threads(threads);
     let shared = Shared::new(cfg, econfig, reduce, threads);
     let pairs: Vec<(FMake, Visit)> = (0..threads).map(&mut make_worker).collect();
     std::thread::scope(|scope| {
@@ -1201,21 +1195,23 @@ mod tests {
         }
     }
 
+    /// The name is older than the rule it now pins: the config no longer
+    /// carries a worker count, so the `threads` argument is the only one
+    /// — an explicit count is taken as given, and 0 means all available
+    /// parallelism.
     #[test]
     fn config_threads_is_the_fallback_worker_count() {
         let cfg = SimConfig::base(vec![0u64; 2]);
-        let par = explore_parallel(&cfg, &ExploreConfig::new().threads(2), 0, |_| {
-            (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
-                true
+        let workers = |threads| {
+            let ok = |_: &SimOutcome<u64, u64>| true;
+            explore_parallel(&cfg, &ExploreConfig::new(), threads, |_| {
+                (two_proc_factory as fn() -> _, ok)
             })
-        });
-        assert_eq!(par.worker_runs.len(), 2, "0 defers to the config");
-        let par = explore_parallel(&cfg, &ExploreConfig::new().threads(2), 3, |_| {
-            (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
-                true
-            })
-        });
-        assert_eq!(par.worker_runs.len(), 3, "an explicit argument wins");
+            .worker_runs
+            .len()
+        };
+        assert_eq!(workers(3), 3, "an explicit count wins");
+        assert_eq!(workers(0), resolve_threads(0), "0 is all available");
     }
 
     #[test]

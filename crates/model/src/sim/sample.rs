@@ -127,9 +127,6 @@ pub struct SampleConfig {
     /// Root seed; run `i` derives its schedule and crash plan from
     /// `split(seed, i)` per the [seed-split scheme](crate::seed).
     pub seed: u64,
-    /// Worker threads for [`sample_parallel`] when its explicit
-    /// argument is 0 (0 here = all available parallelism).
-    pub threads: usize,
     /// Length hint (in global steps) for PCT change points and random
     /// crash steps; 0 (the default) derives it from the sum of
     /// `bounds`.
@@ -162,7 +159,6 @@ impl SampleConfig {
             bounds: bounds.into(),
             sampler: Sampler::Random,
             seed: 0,
-            threads: 0,
             steps_hint: 0,
             require_finish: true,
             tail_only: false,
@@ -180,13 +176,6 @@ impl SampleConfig {
     /// Set the root seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Worker threads for [`sample_parallel`] when its explicit
-    /// argument is 0.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -707,14 +696,14 @@ where
     finish_report(cfg, scfg, state, start, &mut factory, &mut check)
 }
 
-/// Sample across `threads` workers (0 = the config's
-/// [`SampleConfig::threads`], where 0 again means all cores).
+/// Sample across `threads` workers (0 = all available parallelism).
 ///
-/// `make_worker` follows the
-/// [`explore_parallel`](super::parallel::explore_parallel) contract: it
-/// is called once per worker — plus once more (index `threads`) to
-/// drive witness shrinking and classification when a violation is
-/// found — and returns that worker's private `(factory, check)` pair.
+/// `make_worker` returns a private `(factory, check)` pair per call, as
+/// in [`explore_parallel`](super::parallel::explore_parallel). It is
+/// called first with index `threads`, to probe the process count; then
+/// once per worker (indices `0..threads`); then once more with index
+/// `threads + 1`, to build the report — shrinking and classifying the
+/// witness when a violation was found.
 ///
 /// The report is identical to [`sample`]'s on the same configuration
 /// for any thread count: every run index in the budget is executed
@@ -733,7 +722,7 @@ where
     Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
 {
     let start = Instant::now();
-    let threads = resolve_threads(if threads == 0 { scfg.threads } else { threads });
+    let threads = resolve_threads(threads);
     let (mut probe_factory, _probe_check) = make_worker(threads);
     let n_procs = probe_factory().len();
     let judge_bounds = scfg.judge_bounds();

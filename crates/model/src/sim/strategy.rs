@@ -49,7 +49,7 @@ impl<F: FnMut(&SchedView) -> Decision> Strategy for F {
     }
 }
 
-impl Strategy for Box<dyn Strategy> {
+impl Strategy for Box<dyn Strategy + Send> {
     fn decide(&mut self, view: &SchedView) -> Decision {
         (**self).decide(view)
     }

@@ -258,10 +258,9 @@ mod tests {
         // Schedule: writer completes write(7) [read+2 writes = 3 steps],
         // then starts write(8): read + dirty write [2 steps]; reader's
         // two reads [2 steps]; writer commits.
-        let mut strategy = Replay::strict(vec![0, 0, 0, 0, 0, 1, 1, 0]);
         let out = SimBuilder::new(RegularRegister::registers::<u64>(1))
             .owners(vec![0])
-            .strategy_ref(&mut strategy)
+            .strategy(Replay::strict(vec![0, 0, 0, 0, 0, 1, 1, 0]))
             .run(bodies);
         out.assert_no_panics();
         let reads = out.results[1].clone().unwrap();
@@ -303,10 +302,9 @@ mod tests {
                 vec![r.read(ctx, &mut ch), r.read(ctx, &mut ch)]
             }),
         ];
-        let mut strategy = Replay::strict(vec![0, 0, 0, 0, 0, 1, 1, 0]);
         let out = SimBuilder::new(RegularRegister::registers::<u64>(1))
             .owners(vec![0])
-            .strategy_ref(&mut strategy)
+            .strategy(Replay::strict(vec![0, 0, 0, 0, 0, 1, 1, 0]))
             .run(bodies);
         out.assert_no_panics();
         let reads = out.results[1].clone().unwrap();

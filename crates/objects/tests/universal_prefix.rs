@@ -68,7 +68,7 @@ where
 {
     let n = scripts.len();
     let uni = Universal::new(n, spec);
-    let schedule: Box<dyn Schedule> = if plan.pct {
+    let schedule: Box<dyn Schedule + Send> = if plan.pct {
         Box::new(Pct::new(plan.seed, n, 3, 400))
     } else {
         Box::new(SeededRandom::new(plan.seed))

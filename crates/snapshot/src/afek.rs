@@ -526,7 +526,10 @@ mod tests {
     /// check that the handle returns what the oracle returns with the
     /// same reads and writes per process, leaving the same registers.
     /// Returns the oracle's borrows.
-    fn differential<S: Schedule>(scripts: &[String], strategy: impl Fn() -> S) -> u32 {
+    fn differential<S: Schedule + Send + 'static>(
+        scripts: &[String],
+        strategy: impl Fn() -> S,
+    ) -> u32 {
         let n = scripts.len();
         let run = |oracle: bool| {
             let snap = AfekSnapshot::new(n);

@@ -182,7 +182,7 @@ mod tests {
         // then interpose one writer step, forever. Consecutive collects
         // then always differ in slot 1's tag.
         let mut k = 0u64;
-        let mut interpose = move |view: &SchedView| {
+        let interpose = move |view: &SchedView| {
             let want = if k % 3 == 2 { 1 } else { 0 };
             k += 1;
             if view.runnable.contains(&want) {
@@ -207,7 +207,7 @@ mod tests {
         let out = SimBuilder::new(arr.registers::<u64>())
             .owners(arr.owners())
             .max_steps(5_000)
-            .strategy_ref(&mut interpose)
+            .strategy(interpose)
             .run(bodies);
         out.assert_no_panics();
         // The scanner gave up: 200 collects, no clean double collect.
@@ -286,10 +286,9 @@ mod tests {
         ];
         // Steps: P0 reads r0, r1 (empty); P1 writes r1 (completes);
         // P2 writes r2 (starts after P1 ended); P0 reads r2.
-        let mut strategy = Replay::strict(vec![0, 0, 1, 2, 0]);
         let out = SimBuilder::new(arr.registers::<u32>())
             .owners(arr.owners())
-            .strategy_ref(&mut strategy)
+            .strategy(Replay::strict(vec![0, 0, 1, 2, 0]))
             .run(bodies);
         out.assert_no_panics();
         let view = out.results[0].clone().unwrap().unwrap();

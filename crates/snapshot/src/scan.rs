@@ -368,7 +368,7 @@ mod tests {
     {
         let n = inputs.len();
         let obj = ScanObject::new(n);
-        let schedule: Box<dyn Strategy> = if plan.pct {
+        let schedule: Box<dyn Strategy + Send> = if plan.pct {
             Box::new(Pct::new(plan.seed, n, 3, 400))
         } else {
             Box::new(SeededRandom::new(plan.seed))

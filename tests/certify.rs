@@ -3,50 +3,25 @@
 //! lock-based snapshot with a minimized crash-pattern witness, and the
 //! parallel certifier is bit-identical to the sequential one.
 
-#![allow(clippy::type_complexity)]
-
 use apram_lattice::MaxU64;
 use apram_model::sim::{
-    Budgeted, Certificate, CertifyConfig, ExploreConfig, ProcBody, SimBuilder, SimCtx, SimOutcome,
-    ViolationKind,
+    Budgeted, Certificate, CertifyConfig, ExploreConfig, SimBuilder, ViolationKind,
 };
-use apram_snapshot::{ScanHandle, ScanObject, SimLockSnapshot};
+use apram_objects::simspec::{lock_pair, scan_pair};
+use apram_snapshot::{ScanObject, SimLockSnapshot};
 
-/// Workload: every process contributes `p + 1` with one `WriteL` and
-/// returns one `ReadMax`, each an optimized scan of `n² − 1` reads and
-/// `n + 1` writes — so the analytic per-process bound is `2(n² + n)`.
-fn scan_factory(obj: ScanObject) -> impl FnMut() -> Vec<ProcBody<'static, MaxU64, MaxU64>> + Send {
-    move || {
-        (0..obj.n())
-            .map(|p| {
-                Box::new(move |ctx: &mut SimCtx<MaxU64>| {
-                    let mut h: ScanHandle<MaxU64> = ScanHandle::new(obj);
-                    h.write_l(ctx, MaxU64(p as u64 + 1));
-                    h.read_max(ctx)
-                }) as ProcBody<'static, MaxU64, MaxU64>
-            })
-            .collect()
-    }
-}
-
-/// Semantic check: a surviving process's `ReadMax` must include its own
-/// earlier `WriteL` and never exceed the largest input in play.
-fn scan_check(n: usize) -> impl FnMut(&SimOutcome<MaxU64, MaxU64>) -> bool + Send {
-    move |out| {
-        (0..n).all(|p| match &out.results[p] {
-            Some(MaxU64(v)) => *v > p as u64 && *v <= n as u64,
-            None => out.crashed[p] || out.panics[p].is_some(),
-        })
-    }
-}
-
+/// Certify the sim table's scan workload (`simspec::scan_pair`): every
+/// process contributes `p + 1` with one `WriteL` and returns one
+/// `ReadMax`, each an optimized scan of `n² − 1` reads and `n + 1`
+/// writes — so the analytic per-process bound is `2(n² + n)`.
 fn scan_certify(n: usize, f: usize, depth: usize) -> Certificate {
     let obj = ScanObject::new(n);
     let sim = SimBuilder::new(obj.registers::<MaxU64>()).owners(obj.owners());
     let bound = (2 * (n * n + n)) as u64;
     let ccfg = CertifyConfig::new(vec![bound; n])
         .explore(ExploreConfig::new().max_depth(depth).max_crashes(f));
-    sim.certify(&ccfg, scan_factory(obj), scan_check(n))
+    let (factory, check) = scan_pair(n);
+    sim.certify(&ccfg, factory, check)
 }
 
 #[test]
@@ -69,22 +44,6 @@ fn scan_object_certifies_under_crashes() {
             "n={n} f={f}: {cert:?}"
         );
     }
-}
-
-fn lock_pair() -> (
-    impl FnMut() -> Vec<ProcBody<'static, u64, ()>> + Send,
-    impl FnMut(&SimOutcome<u64, ()>) -> bool + Send,
-) {
-    let factory = || {
-        (0..2usize)
-            .map(|p| {
-                Box::new(move |ctx: &mut SimCtx<u64>| {
-                    let _ = SimLockSnapshot::update_snap(ctx, p as u64 + 1);
-                }) as ProcBody<'static, u64, ()>
-            })
-            .collect::<Vec<_>>()
-    };
-    (factory, |_: &SimOutcome<u64, ()>| true)
 }
 
 fn lock_config() -> CertifyConfig {
@@ -123,8 +82,9 @@ fn parallel_certification_is_bit_identical() {
     let sim = SimBuilder::new(obj.registers::<MaxU64>()).owners(obj.owners());
     let ccfg =
         CertifyConfig::new([12u64; 2]).explore(ExploreConfig::new().max_depth(7).max_crashes(2));
-    let seq = sim.certify(&ccfg, scan_factory(obj), scan_check(2));
-    let par = sim.certify_parallel(&ccfg, 4, |_| (scan_factory(obj), scan_check(2)));
+    let (factory, check) = scan_pair(2);
+    let seq = sim.certify(&ccfg, factory, check);
+    let par = sim.certify_parallel(&ccfg, 4, |_| scan_pair(2));
     assert!(seq.passed());
     assert_eq!(seq, par, "parallel certificate differs on the passing cell");
 

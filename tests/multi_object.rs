@@ -102,10 +102,9 @@ fn shared_memory_max_component_linearizable() {
             .collect();
         let rec: Recorder<MaxRegOp, MaxRegResp> = Recorder::new();
         let rec2 = rec.clone();
-        let mut strategy = Pct::new(seed, n, 3, 200);
         let out = SimBuilder::new(init)
             .owners(max_obj.owners())
-            .strategy_ref(&mut strategy)
+            .strategy(Pct::new(seed, n, 3, 200))
             .run_symmetric(n, move |ctx| {
                 let p = ctx.proc();
                 let mut h: ScanHandle<(MaxU64, SetUnion<u64>)> = ScanHandle::new(max_obj);

@@ -49,10 +49,9 @@ fn lemma_32_mixed_scanners_under_pct() {
     for seed in 0..12u64 {
         let n = 4;
         let obj = ScanObject::new(n);
-        let mut strategy = Pct::new(seed, n, 4, 300);
         let out = SimBuilder::new(obj.registers::<SetUnion<usize>>())
             .owners(obj.owners())
-            .strategy_ref(&mut strategy)
+            .strategy(Pct::new(seed, n, 4, 300))
             .run_symmetric(n, move |ctx| {
                 let p = ctx.proc();
                 let mut handle = ScanHandle::new(obj);
