@@ -527,7 +527,7 @@ pub fn e6_summary(opts: &ExpOpts, heartbeat: Option<Heartbeat>) -> E6Summary {
         ExploreConfig::new()
             .max_runs(if opts.quick { 2_000 } else { 20_000 })
             .max_depth(depth)
-            .heartbeat_with(heartbeat.clone())
+            .heartbeat(heartbeat.clone())
     };
     let spec = SnapshotSpec::<u32>::new(2);
     let mut s = E6Summary {
@@ -597,7 +597,7 @@ pub fn e6_summary(opts: &ExpOpts, heartbeat: Option<Heartbeat>) -> E6Summary {
     // MW register: write+read per process, full depth (exhaustible).
     let reg = MwRegister::new(2);
     let sim = SimBuilder::new(reg.registers::<u64>()).owners(reg.owners());
-    let full_depth = ExploreConfig::new().heartbeat_with(heartbeat.clone());
+    let full_depth = ExploreConfig::new().heartbeat(heartbeat.clone());
     let bodies = move |rec: Recorder<_, _>| {
         (0..2usize)
             .map(|p| {

@@ -30,15 +30,21 @@
 //!   crash-injecting, and arbitrary adversaries. Whichever thread takes
 //!   a decision applies the chosen access to the register vector under
 //!   the run's one mutex, so executions are exactly the interleavings of
-//!   atomic accesses the model defines.
+//!   atomic accesses the model defines. [`SimBuilder`] is the one way
+//!   in: it describes the register vector, launches runs, and carries
+//!   every schedule search below as a method.
 //! * [`mod@sim::explore`] — stateless model checking: exhaustive enumeration
-//!   of all schedules of a bounded execution, used to verify
-//!   linearizability claims (paper Theorems 26/33) on small instances.
+//!   of all schedules of a bounded execution ([`SimBuilder::explore`] and
+//!   its reduced and `_parallel` forms), used to verify linearizability
+//!   claims (paper Theorems 26/33) on small instances; the wait-freedom
+//!   certifier ([`SimBuilder::certify`]) and the schedule sampler
+//!   ([`SimBuilder::sample`]) are built on it.
 //! * [`trace`] — step traces and per-process read/write counts; the
 //!   operation-count experiments (paper §6.2) read these directly.
-//! * [`mod@sim::shrink`] — delta-debugging schedule minimisation: a failing
-//!   schedule captured by the explorer is greedily reduced to a locally
-//!   minimal one that still reproduces the violation under strict replay.
+//! * [`mod@sim::shrink`] — delta-debugging schedule minimisation
+//!   ([`SimBuilder::shrink`]): a failing schedule captured by the
+//!   explorer is greedily reduced to a locally minimal one that still
+//!   reproduces the violation under strict replay.
 //! * [`span`] — lightweight span tracing (named intervals with counters);
 //!   the explorer and the linearizability checker report their internal
 //!   cost structure through it, and `--forensics` dumps the tree.
@@ -87,12 +93,10 @@ pub use flight::{FlightEvent, FlightLog, FlightMode, FlightRecorder, FlightRing,
 pub use json::Json;
 pub use native::{AtomicPackable, CachePadded, NativeCtx, NativeMemory};
 pub use sim::{
-    certify, certify_parallel, explore, explore_parallel, explore_reduced_parallel,
-    resolve_threads, sample, sample_parallel, shrink_execution, shrink_schedule, wilson_interval,
-    Budget, Budgeted, CertViolation, Certificate, CertifyConfig, Decision, ExploreConfig,
-    ExploreStats, FaultPlan, Faulty, ProcBody, SampleConfig, SampleReport, SampleViolation,
-    Sampler, SchedView, ShrinkConfig, ShrinkReport, SimBuilder, SimConfig, SimCtx, SimOutcome,
-    Strategy, ViolationKind,
+    resolve_threads, wilson_interval, Budget, Budgeted, CertViolation, Certificate, CertifyConfig,
+    Decision, ExploreConfig, ExploreStats, FaultPlan, Faulty, ProcBody, SampleConfig, SampleReport,
+    SampleViolation, Sampler, SchedView, ShrinkConfig, ShrinkReport, SimBuilder, SimCtx,
+    SimOutcome, Strategy, ViolationKind,
 };
 pub use span::{SpanNode, SpanRecorder};
 pub use telemetry::{

@@ -21,7 +21,6 @@
 //! ```
 
 use crate::telemetry::Heartbeat;
-use std::time::Duration;
 
 /// Shared exploration limits: how much work an engine may do and how it
 /// reports progress while doing it. Interpretation of `max_depth` is
@@ -34,8 +33,9 @@ pub struct Budget {
     /// this many schedules (the sampler).
     pub max_runs: u64,
     /// Exhaustive engines: only branch within the first `max_depth`
-    /// decision points. Sampler: ignored (schedule length is bounded by
-    /// [`SimConfig::max_steps`](super::SimConfig::max_steps)).
+    /// decision points. Sampler: must stay unbounded (the sampler
+    /// refuses any other value); a sampled schedule's length is bounded
+    /// by [`SimBuilder::max_steps`](super::SimBuilder::max_steps).
     pub max_depth: usize,
     /// Crash-fault budget `f`: the exhaustive engines branch on at most
     /// `f` crashes per execution; the sampler injects a random crash
@@ -83,7 +83,7 @@ pub trait Budgeted: Sized {
     }
 
     /// Only branch within the first `max_depth` decision points
-    /// (exhaustive engines; the sampler ignores depth).
+    /// (exhaustive engines; the sampler refuses a depth bound).
     fn max_depth(mut self, max_depth: usize) -> Self {
         self.budget_mut().max_depth = max_depth;
         self
@@ -96,18 +96,12 @@ pub trait Budgeted: Sized {
         self
     }
 
-    /// Attach a progress heartbeat: a JSONL line (runs, runs/sec,
-    /// sleep-skips, queue depth, violation-found) to `sink` at least
-    /// every `every`, plus a final line when the work ends.
-    fn heartbeat(mut self, every: Duration, sink: impl std::io::Write + Send + 'static) -> Self {
-        self.budget_mut().heartbeat = Some(Heartbeat::new(every, sink));
-        self
-    }
-
-    /// Install (or clear) an already-built heartbeat — the pass-through
-    /// form callers use to thread an optional shared heartbeat into a
-    /// config chain.
-    fn heartbeat_with(mut self, heartbeat: impl Into<Option<Heartbeat>>) -> Self {
+    /// Install (or, with `None`, clear) a progress heartbeat: a JSONL
+    /// line (runs, runs/sec, sleep-skips, queue depth, violation-found)
+    /// to its sink at least every [`Heartbeat::every`], plus a final
+    /// line when the work ends. Build one over any sink with
+    /// [`Heartbeat::new`]; an `Option` passes through as it is.
+    fn heartbeat(mut self, heartbeat: impl Into<Option<Heartbeat>>) -> Self {
         self.budget_mut().heartbeat = heartbeat.into();
         self
     }
@@ -116,6 +110,7 @@ pub trait Budgeted: Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[derive(Default)]
     struct Cfg {
@@ -134,12 +129,12 @@ mod tests {
             .max_runs(7)
             .max_depth(3)
             .max_crashes(2)
-            .heartbeat(Duration::from_secs(1), std::io::sink());
+            .heartbeat(Heartbeat::new(Duration::from_secs(1), std::io::sink()));
         assert_eq!(cfg.budget.max_runs, 7);
         assert_eq!(cfg.budget.max_depth, 3);
         assert_eq!(cfg.budget.max_crashes, 2);
         assert!(cfg.budget.heartbeat.is_some());
-        let cleared = cfg.heartbeat_with(None);
+        let cleared = cfg.heartbeat(None);
         assert!(cleared.budget.heartbeat.is_none());
     }
 

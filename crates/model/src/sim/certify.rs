@@ -15,8 +15,11 @@
 //! *certified wait-free* for that `(n, f)` box: no adversarial schedule
 //! or crash pattern within the explored bounds can starve a survivor
 //! past its bound. When a run fails, the violating execution is
-//! minimized ([`shrink_execution`]) — schedule *and* crash pattern —
+//! minimized ([`SimBuilder::shrink`]) — schedule *and* crash pattern —
 //! and the certificate carries the classified witness.
+//!
+//! The certifiers are [`SimBuilder::certify`] and
+//! [`SimBuilder::certify_parallel`].
 //!
 //! Certification uses the **plain** (unreduced) explorer: step bounds
 //! are a real-time property, and sleep-set reduction only preserves
@@ -29,7 +32,7 @@
 //! reporting timing-dependent aggregates.
 //!
 //! ```
-//! use apram_model::sim::{certify, Budgeted, CertifyConfig, SimBuilder};
+//! use apram_model::sim::{Budgeted, CertifyConfig, SimBuilder};
 //! use apram_model::sim::{ProcBody, SimCtx};
 //! use apram_model::MemCtx;
 //!
@@ -47,24 +50,26 @@
 //! // Each body performs exactly 2 shared-memory steps; certify that
 //! // bound under every schedule with at most one crash.
 //! let ccfg = CertifyConfig::new([2, 2]).max_crashes(1);
-//! let cert = certify(sim.config(), &ccfg, factory, |_| true);
+//! let cert = sim.certify(&ccfg, factory, |_| true);
 //! assert!(cert.passed());
 //! assert_eq!(cert.worst_steps, vec![2, 2]);
 //! ```
 
 use super::budget::{Budget, Budgeted};
-use super::explore::{explore, ExploreConfig, ExploreStats};
+use super::explore::{ExploreConfig, ExploreStats};
 use super::fault::FaultPlan;
-use super::parallel::{explore_parallel, ProcPool};
-use super::shrink::{shrink_execution, ShrinkConfig, ShrinkReport};
+use super::parallel::ProcPool;
+use super::shrink::{shrink_on, ShrinkConfig, ShrinkReport};
 use super::strategy::Replay;
-use super::{run_sim, ProcBody, SimConfig, SimOutcome};
+use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What to certify: per-process step bounds plus exploration limits.
+/// Every surviving process must also finish on every run (the liveness
+/// half of wait-freedom).
 #[derive(Clone, Debug)]
 pub struct CertifyConfig {
     /// Analytic step bound per process: a surviving process `p` must
@@ -75,9 +80,6 @@ pub struct CertifyConfig {
     /// `f` the certificate covers. A shrink config is installed
     /// automatically when absent, so witnesses are always minimal.
     pub explore: ExploreConfig,
-    /// Require every surviving process to finish on every run (the
-    /// liveness half of wait-freedom). Defaults to `true`.
-    pub require_finish: bool,
 }
 
 impl Budgeted for CertifyConfig {
@@ -99,19 +101,12 @@ impl CertifyConfig {
         CertifyConfig {
             bounds: bounds.into(),
             explore: ExploreConfig::default(),
-            require_finish: true,
         }
     }
 
     /// Replace the exploration limits.
     pub fn explore(mut self, explore: ExploreConfig) -> Self {
         self.explore = explore;
-        self
-    }
-
-    /// Toggle the survivor-completion requirement.
-    pub fn require_finish(mut self, on: bool) -> Self {
-        self.require_finish = on;
         self
     }
 }
@@ -353,7 +348,7 @@ where
         let kind0 = judge(bounds, require_finish, &first, check)
             .expect("the witness must still violate on replay");
         let pin = std::mem::discriminant(&kind0);
-        let report = shrink_execution(cfg, scfg, schedule, crashes, factory, |o| {
+        let report = shrink_on(&mut pool, cfg, scfg, schedule, crashes, factory, |o| {
             judge(bounds, require_finish, o, check)
                 .is_some_and(|k| std::mem::discriminant(&k) == pin)
         });
@@ -392,7 +387,7 @@ fn judging<'a, T, R>(
                 worst[p].fetch_max(c.total(), Ordering::Relaxed);
             }
         }
-        judge(&ccfg.bounds, ccfg.require_finish, out, &mut check).is_none()
+        judge(&ccfg.bounds, true, out, &mut check).is_none()
     }
 }
 
@@ -435,7 +430,7 @@ where
         cfg,
         scfg,
         &ccfg.bounds,
-        ccfg.require_finish,
+        true,
         ccfg.explore.profile,
         &w.schedule,
         &w.crashes,
@@ -468,63 +463,69 @@ fn split_shrink(ccfg: &CertifyConfig) -> (ExploreConfig, ShrinkConfig) {
     (ecfg, scfg)
 }
 
-/// Certify the configuration sequentially; see the [module docs](self).
-///
-/// `check` is the semantic acceptance predicate evaluated on every run
-/// (after the structural judges); return `false` to reject, e.g. when
-/// the run's crash-truncated history fails linearizability.
-pub fn certify<T, R, FMake, Check>(
-    cfg: &SimConfig<T>,
-    ccfg: &CertifyConfig,
-    mut factory: FMake,
-    mut check: Check,
-) -> Certificate
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Check: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    let (ecfg, scfg) = split_shrink(ccfg);
-    let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
-    let visit = judging(ccfg, &worst, &mut check);
-    let stats = explore(cfg, &ecfg, &mut factory, visit);
-    build_certificate(cfg, ccfg, &scfg, stats, &worst, || {
-        (&mut factory, &mut check)
-    })
-}
+impl<T: Clone + Send> SimBuilder<T> {
+    /// Certify wait-freedom of this configuration sequentially; see the
+    /// [module docs](self). The builder's strategy and crash plan are
+    /// *not* used: certification owns the schedule and crash pattern.
+    ///
+    /// `check` is the semantic acceptance predicate evaluated on every
+    /// run (after the structural judges); return `false` to reject, e.g.
+    /// when the run's crash-truncated history fails linearizability.
+    pub fn certify<R, FMake, Check>(
+        &self,
+        ccfg: &CertifyConfig,
+        mut factory: FMake,
+        mut check: Check,
+    ) -> Certificate
+    where
+        R: Send,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+        Check: FnMut(&SimOutcome<T, R>) -> bool,
+    {
+        let (ecfg, scfg) = split_shrink(ccfg);
+        let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        let visit = judging(ccfg, &worst, &mut check);
+        let stats = self.explore(&ecfg, &mut factory, visit);
+        build_certificate(&self.cfg, ccfg, &scfg, stats, &worst, || {
+            (&mut factory, &mut check)
+        })
+    }
 
-/// Certify the configuration across `threads` workers (0 = all
-/// available parallelism).
-///
-/// `make_worker` follows the
-/// [`explore_parallel`] contract: it
-/// is called once per worker — plus once more (index `threads`) to
-/// drive witness shrinking and classification when a violation is
-/// found — and returns that worker's private `(factory, check)` pair.
-///
-/// The certificate is bit-identical to [`certify`]'s on the same
-/// configuration: exploration counters agree on exhaustion, and a
-/// violation is normalized to the canonical minimized witness.
-pub fn certify_parallel<T, R, FMake, Check>(
-    cfg: &SimConfig<T>,
-    ccfg: &CertifyConfig,
-    threads: usize,
-    mut make_worker: impl FnMut(usize) -> (FMake, Check),
-) -> Certificate
-where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-    Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
-{
-    let (ecfg, scfg) = split_shrink(ccfg);
-    let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
-    let stats = explore_parallel(cfg, &ecfg, threads, |i| {
-        let (factory, check) = make_worker(i);
-        (factory, judging(ccfg, &worst, check))
-    });
-    build_certificate(cfg, ccfg, &scfg, stats, &worst, || make_worker(threads))
+    /// Certify the configuration across `threads` workers (0 = all
+    /// available parallelism).
+    ///
+    /// `make_worker` follows the
+    /// [`explore_parallel`](Self::explore_parallel) contract: it is
+    /// called once per worker — plus once more (index `threads`) to drive
+    /// witness shrinking and classification when a violation is found —
+    /// and returns that worker's private `(factory, check)` pair.
+    ///
+    /// The certificate is bit-identical to [`certify`](Self::certify)'s
+    /// on the same configuration: exploration counters agree on
+    /// exhaustion, and a violation is normalized to the canonical
+    /// minimized witness.
+    pub fn certify_parallel<R, FMake, Check>(
+        &self,
+        ccfg: &CertifyConfig,
+        threads: usize,
+        mut make_worker: impl FnMut(usize) -> (FMake, Check),
+    ) -> Certificate
+    where
+        T: Sync + 'static,
+        R: Send + 'static,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
+        Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
+    {
+        let (ecfg, scfg) = split_shrink(ccfg);
+        let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        let stats = self.explore_parallel(&ecfg, threads, |i| {
+            let (factory, check) = make_worker(i);
+            (factory, judging(ccfg, &worst, check))
+        });
+        build_certificate(&self.cfg, ccfg, &scfg, stats, &worst, || {
+            make_worker(threads)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -546,9 +547,9 @@ mod tests {
 
     #[test]
     fn certifies_two_step_bodies_under_crashes() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let ccfg = CertifyConfig::new([2, 2]).explore(ExploreConfig::new().max_crashes(1));
-        let cert = certify(&cfg, &ccfg, two_proc_factory, |_| true);
+        let cert = sim.certify(&ccfg, two_proc_factory, |_| true);
         assert!(cert.passed());
         assert!(cert.exhausted);
         assert!(cert.crash_branches > 0);
@@ -558,12 +559,12 @@ mod tests {
 
     #[test]
     fn step_bound_violation_carries_a_minimal_witness() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         // Bound 1 is violated by every complete run (each body takes 2
         // steps); the minimal witness is the 2-step completion of one
         // process.
         let ccfg = CertifyConfig::new([1, 1]);
-        let cert = certify(&cfg, &ccfg, two_proc_factory, |_| true);
+        let cert = sim.certify(&ccfg, two_proc_factory, |_| true);
         assert!(!cert.passed());
         assert_eq!(cert.runs, 1, "violation certificates are normalized");
         let v = cert.violation.expect("violation");
@@ -579,9 +580,9 @@ mod tests {
 
     #[test]
     fn history_rejection_is_classified() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let ccfg = CertifyConfig::new([2, 2]);
-        let cert = certify(&cfg, &ccfg, two_proc_factory, |_| false);
+        let cert = sim.certify(&ccfg, two_proc_factory, |_| false);
         let v = cert.violation.expect("violation");
         assert_eq!(v.kind, ViolationKind::HistoryRejected);
     }
@@ -589,24 +590,23 @@ mod tests {
     #[test]
     fn unfinished_survivor_is_classified() {
         // A 1-step budget halts every run with both processes pending.
-        let mut cfg = SimConfig::base(vec![0u64; 2]);
-        cfg.max_steps = 1;
+        let sim = SimBuilder::new(vec![0u64; 2]).max_steps(1);
         let ccfg = CertifyConfig::new([2, 2]);
-        let cert = certify(&cfg, &ccfg, two_proc_factory, |_| true);
+        let cert = sim.certify(&ccfg, two_proc_factory, |_| true);
         let v = cert.violation.expect("violation");
         assert!(matches!(v.kind, ViolationKind::Unfinished { .. }), "{v:?}");
     }
 
     #[test]
     fn parallel_certificate_is_bit_identical() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         for ccfg in [
             CertifyConfig::new([2, 2]).explore(ExploreConfig::new().max_crashes(1)),
             CertifyConfig::new([1, 1]).explore(ExploreConfig::new().max_crashes(1)),
         ] {
-            let seq = certify(&cfg, &ccfg, two_proc_factory, |_| true);
+            let seq = sim.certify(&ccfg, two_proc_factory, |_| true);
             for threads in [1, 2, 4] {
-                let par = certify_parallel(&cfg, &ccfg, threads, |_| {
+                let par = sim.certify_parallel(&ccfg, threads, |_| {
                     (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
                         true
                     })
@@ -618,9 +618,9 @@ mod tests {
 
     #[test]
     fn certificate_json_has_the_verdict() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let ccfg = CertifyConfig::new([2, 2]);
-        let json = certify(&cfg, &ccfg, two_proc_factory, |_| true).to_json();
+        let json = sim.certify(&ccfg, two_proc_factory, |_| true).to_json();
         assert_eq!(json.get("passed"), Some(&Json::Bool(true)));
         assert_eq!(json.get("violation"), Some(&Json::Null));
     }

@@ -14,15 +14,16 @@
 //!
 //! Here: what an exploration is given and gives back ([`ExploreConfig`],
 //! [`ExploreStats`]), the search tree's node with its sleep set, and the
-//! sequential entry points. The search itself is [`mod@super::parallel`]'s
-//! for every explorer: [`explore`] and [`explore_reduced`] are that
+//! sequential searches [`SimBuilder::explore`] and
+//! [`SimBuilder::explore_reduced`]. The search itself is
+//! [`mod@super::parallel`]'s for every explorer: these two are that
 //! engine with the calling thread as its one worker.
 
 use super::budget::{Budget, Budgeted};
 use super::parallel::explore_inline;
 use super::shrink::{ShrinkConfig, ShrinkReport};
 use super::strategy::{Decision, SchedView};
-use super::{ProcBody, SimConfig, SimOutcome};
+use super::{ProcBody, SimBuilder, SimOutcome};
 use crate::contention::ContentionMap;
 use crate::ctx::{AccessKind, ProcId};
 use crate::json::Json;
@@ -58,9 +59,9 @@ pub struct ExploreConfig {
     /// process); [`Budget::heartbeat`] streams live progress.
     pub budget: Budget,
     /// When set, a run rejected by the `visit` callback (a violation) is
-    /// minimized with [`shrink_execution`](super::shrink_execution)
-    /// before exploration returns (the crash pattern is minimized
-    /// alongside the schedule); the result lands in
+    /// minimized with [`SimBuilder::shrink`] before exploration returns
+    /// (the crash pattern is minimized alongside the schedule); the
+    /// result lands in
     /// [`ExploreStats::violation`].
     pub shrink: Option<ShrinkConfig>,
     /// Record a span tree of the exploration (per-run spans for the
@@ -145,9 +146,9 @@ pub struct ExploreStats {
     /// Deepest decision point reached in any run (in steps).
     pub max_depth_reached: usize,
     /// Branch choices pruned by sleep sets — subtrees that
-    /// [`explore_reduced`] proved redundant and never entered, counted
-    /// when the node they hang off is first reached. Always 0 for plain
-    /// [`explore`].
+    /// [`SimBuilder::explore_reduced`] proved redundant and never
+    /// entered, counted when the node they hang off is first reached.
+    /// Always 0 for plain [`SimBuilder::explore`].
     pub sleep_skips: u64,
     /// Crash decisions taken across all runs (including replayed prefix
     /// crashes); 0 unless [`Budget::max_crashes`](super::Budget::max_crashes) is set.
@@ -181,7 +182,7 @@ pub struct ExploreStats {
 impl ExploreStats {
     /// Fraction of discovered branch choices that sleep-set reduction
     /// pruned: `sleep_skips / (sleep_skips + runs)`. 0 when nothing was
-    /// pruned (in particular for plain [`explore`]).
+    /// pruned (in particular for plain [`SimBuilder::explore`]).
     pub fn pruning_ratio(&self) -> f64 {
         let total = self.sleep_skips + self.runs;
         if total == 0 {
@@ -256,57 +257,60 @@ impl ExploreStats {
     }
 }
 
-/// Exhaustively explore the schedules of the execution defined by
-/// `factory` (called once per run; it must return equivalent,
-/// deterministic bodies every time), depth-first, on the calling thread.
-///
-/// `visit` is called with each run's outcome; return `false` to stop
-/// early (e.g. on the first counterexample). When
-/// [`ExploreConfig::shrink`] is set, a rejected run's schedule is
-/// minimized (re-invoking `visit` on each shrink candidate) and returned
-/// in [`ExploreStats::violation`].
-pub fn explore<T, R, FMake, Visit>(
-    cfg: &SimConfig<T>,
-    econfig: &ExploreConfig,
-    factory: FMake,
-    visit: Visit,
-) -> ExploreStats
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Visit: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    explore_inline(cfg, econfig, false, factory, visit)
-}
+impl<T: Clone + Send> SimBuilder<T> {
+    /// Exhaustively explore the schedules of the execution defined by
+    /// `factory` (called once per run; it must return equivalent,
+    /// deterministic bodies every time), depth-first, on the calling
+    /// thread. The builder's strategy and crash plan are *not* used:
+    /// exploration owns the schedule.
+    ///
+    /// `visit` is called with each run's outcome; return `false` to stop
+    /// early (e.g. on the first counterexample). When
+    /// [`ExploreConfig::shrink`] is set, a rejected run's schedule is
+    /// minimized (re-invoking `visit` on each shrink candidate) and
+    /// returned in [`ExploreStats::violation`].
+    pub fn explore<R, FMake, Visit>(
+        &self,
+        econfig: &ExploreConfig,
+        factory: FMake,
+        visit: Visit,
+    ) -> ExploreStats
+    where
+        R: Send,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+        Visit: FnMut(&SimOutcome<T, R>) -> bool,
+    {
+        explore_inline(&self.cfg, econfig, false, factory, visit)
+    }
 
-/// Exhaustive exploration with **sleep-set partial-order reduction**
-/// (Godefroid): schedules that differ only by swapping adjacent
-/// *independent* accesses (different registers, or read/read) are
-/// explored once. Typically exponentially fewer runs than [`explore`].
-///
-/// Soundness caveat: reduction preserves all memory-level behaviours
-/// (per-process results and final register contents — every
-/// Mazurkiewicz trace is represented), but *not* every real-time event
-/// ordering: two commuting accesses may still order one operation's
-/// response against another's invocation. Use plain [`explore`] when
-/// the property under test is sensitive to real-time precedence between
-/// otherwise-independent operations (e.g. exhaustive linearizability
-/// certification); use this for result/state assertions and bug
-/// hunting.
-pub fn explore_reduced<T, R, FMake, Visit>(
-    cfg: &SimConfig<T>,
-    econfig: &ExploreConfig,
-    factory: FMake,
-    visit: Visit,
-) -> ExploreStats
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Visit: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    explore_inline(cfg, econfig, true, factory, visit)
+    /// Exhaustive exploration with **sleep-set partial-order reduction**
+    /// (Godefroid): schedules that differ only by swapping adjacent
+    /// *independent* accesses (different registers, or read/read) are
+    /// explored once. Typically exponentially fewer runs than
+    /// [`explore`](Self::explore).
+    ///
+    /// Soundness caveat: reduction preserves all memory-level behaviours
+    /// (per-process results and final register contents — every
+    /// Mazurkiewicz trace is represented), but *not* every real-time
+    /// event ordering: two commuting accesses may still order one
+    /// operation's response against another's invocation. Use plain
+    /// [`explore`](Self::explore) when the property under test is
+    /// sensitive to real-time precedence between otherwise-independent
+    /// operations (e.g. exhaustive linearizability certification); use
+    /// this for result/state assertions and bug hunting.
+    pub fn explore_reduced<R, FMake, Visit>(
+        &self,
+        econfig: &ExploreConfig,
+        factory: FMake,
+        visit: Visit,
+    ) -> ExploreStats
+    where
+        R: Send,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+        Visit: FnMut(&SimOutcome<T, R>) -> bool,
+    {
+        explore_inline(&self.cfg, econfig, true, factory, visit)
+    }
 }
 
 /// Are two pending accesses *independent* (they commute as memory
@@ -503,9 +507,9 @@ mod tests {
     fn explores_all_interleavings_of_two_two_step_processes() {
         // Each process takes 2 steps; the number of interleavings of
         // 2+2 steps is C(4,2) = 6.
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let mut schedules = HashSet::new();
-        let stats = explore(&cfg, &ExploreConfig::default(), two_proc_bodies, |out| {
+        let stats = sim.explore(&ExploreConfig::default(), two_proc_bodies, |out| {
             out.assert_no_panics();
             schedules.insert(out.trace.schedule());
             true
@@ -520,9 +524,9 @@ mod tests {
     fn all_outcomes_observed() {
         // Across all interleavings, P0 must observe {0, 2}: 0 when it
         // reads before P1's write, 2 after.
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let mut seen = HashSet::new();
-        explore(&cfg, &ExploreConfig::default(), two_proc_bodies, |out| {
+        sim.explore(&ExploreConfig::default(), two_proc_bodies, |out| {
             seen.insert((out.results[0].unwrap(), out.results[1].unwrap()));
             true
         });
@@ -540,17 +544,17 @@ mod tests {
 
     #[test]
     fn early_stop_works() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
-        let stats = explore(&cfg, &ExploreConfig::default(), two_proc_bodies, |_| false);
+        let sim = SimBuilder::new(vec![0u64; 2]);
+        let stats = sim.explore(&ExploreConfig::default(), two_proc_bodies, |_| false);
         assert_eq!(stats.runs, 1);
         assert!(!stats.exhausted);
     }
 
     #[test]
     fn run_budget_respected() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().max_runs(3);
-        let stats = explore(&cfg, &econfig, two_proc_bodies, |_| true);
+        let stats = sim.explore(&econfig, two_proc_bodies, |_| true);
         assert_eq!(stats.runs, 3);
         assert!(!stats.exhausted);
     }
@@ -560,16 +564,16 @@ mod tests {
     /// or equal runs.
     #[test]
     fn reduced_covers_all_outcomes() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let collect = |reduced: bool| {
             let mut outcomes = HashSet::new();
             let stats = if reduced {
-                explore_reduced(&cfg, &ExploreConfig::default(), two_proc_bodies, |out| {
+                sim.explore_reduced(&ExploreConfig::default(), two_proc_bodies, |out| {
                     outcomes.insert((out.results.clone(), out.memory.clone()));
                     true
                 })
             } else {
-                explore(&cfg, &ExploreConfig::default(), two_proc_bodies, |out| {
+                sim.explore(&ExploreConfig::default(), two_proc_bodies, |out| {
                     outcomes.insert((out.results.clone(), out.memory.clone()));
                     true
                 })
@@ -603,9 +607,9 @@ mod tests {
                 })
                 .collect()
         }
-        let cfg = SimConfig::base(vec![0u64; 3]);
-        let full = explore(&cfg, &ExploreConfig::default(), bodies, |_| true);
-        let reduced = explore_reduced(&cfg, &ExploreConfig::default(), bodies, |out| {
+        let sim = SimBuilder::new(vec![0u64; 3]);
+        let full = sim.explore(&ExploreConfig::default(), bodies, |_| true);
+        let reduced = sim.explore_reduced(&ExploreConfig::default(), bodies, |out| {
             assert_eq!(out.results, vec![Some(2), Some(2), Some(2)]);
             true
         });
@@ -637,14 +641,14 @@ mod tests {
                 })
                 .collect()
         }
-        let cfg = SimConfig::base(vec![0u64; 1]);
+        let sim = SimBuilder::new(vec![0u64; 1]);
         let mut full_set = HashSet::new();
-        let full = explore(&cfg, &ExploreConfig::default(), bodies, |out| {
+        let full = sim.explore(&ExploreConfig::default(), bodies, |out| {
             full_set.insert((out.results.clone(), out.memory.clone()));
             true
         });
         let mut red_set = HashSet::new();
-        let reduced = explore_reduced(&cfg, &ExploreConfig::default(), bodies, |out| {
+        let reduced = sim.explore_reduced(&ExploreConfig::default(), bodies, |out| {
             red_set.insert((out.results.clone(), out.memory.clone()));
             true
         });
@@ -657,9 +661,9 @@ mod tests {
     fn violation_is_captured_and_shrunk() {
         // Reject any run where P0 observed P1's write; exploration stops
         // there and hands back a minimized failing schedule.
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().shrink(crate::sim::shrink::ShrinkConfig::default());
-        let stats = explore(&cfg, &econfig, two_proc_bodies, |out| {
+        let stats = sim.explore(&econfig, two_proc_bodies, |out| {
             out.results[0] != Some(2) // "violation": P0 read 2
         });
         assert!(!stats.exhausted);
@@ -681,17 +685,17 @@ mod tests {
 
     #[test]
     fn no_shrink_config_leaves_violation_empty() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
-        let stats = explore(&cfg, &ExploreConfig::default(), two_proc_bodies, |_| false);
+        let sim = SimBuilder::new(vec![0u64; 2]);
+        let stats = sim.explore(&ExploreConfig::default(), two_proc_bodies, |_| false);
         assert_eq!(stats.runs, 1);
         assert!(stats.violation.is_none());
     }
 
     #[test]
     fn spans_capture_run_structure() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().trace_spans(true);
-        let stats = explore(&cfg, &econfig, two_proc_bodies, |_| true);
+        let stats = sim.explore(&econfig, two_proc_bodies, |_| true);
         let spans = stats.spans.as_ref().expect("spans recorded");
         assert_eq!(spans.name, "explore");
         assert_eq!(spans.counter("runs"), Some(stats.runs));
@@ -704,9 +708,9 @@ mod tests {
 
     #[test]
     fn reduced_spans_count_sleep_skips() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().trace_spans(true);
-        let stats = explore_reduced(&cfg, &econfig, two_proc_bodies, |_| true);
+        let stats = sim.explore_reduced(&econfig, two_proc_bodies, |_| true);
         let spans = stats.spans.as_ref().expect("spans recorded");
         assert_eq!(spans.name, "explore_reduced");
         assert_eq!(spans.counter("runs"), Some(stats.runs));
@@ -717,13 +721,11 @@ mod tests {
 
     #[test]
     fn shrink_span_nested_under_exploration() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new()
             .shrink(crate::sim::shrink::ShrinkConfig::default())
             .trace_spans(true);
-        let stats = explore(&cfg, &econfig, two_proc_bodies, |out| {
-            out.results[0] != Some(2)
-        });
+        let stats = sim.explore(&econfig, two_proc_bodies, |out| out.results[0] != Some(2));
         let spans = stats.spans.as_ref().expect("spans recorded");
         let shrink = spans
             .children
@@ -790,8 +792,8 @@ mod tests {
 
     #[test]
     fn stats_record_wall_clock_and_export_json() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
-        let stats = explore(&cfg, &ExploreConfig::default(), two_proc_bodies, |_| true);
+        let sim = SimBuilder::new(vec![0u64; 2]);
+        let stats = sim.explore(&ExploreConfig::default(), two_proc_bodies, |_| true);
         assert!(stats.elapsed > Duration::ZERO);
         assert!(stats.runs_per_sec() > 0.0);
         let doc = stats.to_json();
@@ -809,10 +811,10 @@ mod tests {
     #[test]
     fn heartbeat_streams_progress_and_a_final_beat() {
         use crate::telemetry::{buffer_sink, Heartbeat};
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let (sink, buf) = buffer_sink();
-        let econfig = ExploreConfig::new().heartbeat_with(Heartbeat::shared(Duration::ZERO, sink));
-        let stats = explore(&cfg, &econfig, two_proc_bodies, |_| true);
+        let econfig = ExploreConfig::new().heartbeat(Heartbeat::shared(Duration::ZERO, sink));
+        let stats = sim.explore(&econfig, two_proc_bodies, |_| true);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // A zero interval beats after every run, plus the final beat.
@@ -828,27 +830,25 @@ mod tests {
 
     #[test]
     fn heartbeat_reports_violations_and_builder_api_works() {
-        use crate::telemetry::buffer_sink;
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        use crate::telemetry::{buffer_sink, Heartbeat};
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let (sink, buf) = buffer_sink();
-        let econfig = ExploreConfig::new()
-            .heartbeat_with(crate::telemetry::Heartbeat::shared(Duration::ZERO, sink));
-        let stats = explore_reduced(&cfg, &econfig, two_proc_bodies, |out| {
-            out.results[0] != Some(2)
-        });
+        let econfig = ExploreConfig::new().heartbeat(Heartbeat::shared(Duration::ZERO, sink));
+        let stats = sim.explore_reduced(&econfig, two_proc_bodies, |out| out.results[0] != Some(2));
         assert!(!stats.exhausted);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let last = crate::json::parse(text.lines().last().unwrap()).unwrap();
         assert_eq!(last.get("violation_found"), Some(&Json::Bool(true)));
-        // The builder form wires a sink in one call.
-        let cfg2 = ExploreConfig::default().heartbeat(Duration::from_secs(1), std::io::sink());
+        // A heartbeat over any sink is one call.
+        let every = Duration::from_secs(1);
+        let cfg2 = ExploreConfig::default().heartbeat(Heartbeat::new(every, std::io::sink()));
         assert!(cfg2.budget.heartbeat.is_some());
     }
 
     #[test]
     fn sequential_worker_stats_are_a_single_entry() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
-        let stats = explore(&cfg, &ExploreConfig::default(), two_proc_bodies, |_| true);
+        let sim = SimBuilder::new(vec![0u64; 2]);
+        let stats = sim.explore(&ExploreConfig::default(), two_proc_bodies, |_| true);
         assert_eq!(stats.worker_runs, vec![stats.runs]);
         assert_eq!(stats.worker_steals, vec![0]);
         let doc = stats.to_json();
@@ -860,9 +860,9 @@ mod tests {
 
     #[test]
     fn depth_truncation_flagged() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().max_runs(1_000).max_depth(1);
-        let stats = explore(&cfg, &econfig, two_proc_bodies, |_| true);
+        let stats = sim.explore(&econfig, two_proc_bodies, |_| true);
         assert!(stats.truncated);
         assert!(stats.exhausted);
         assert_eq!(stats.runs, 2); // only the first step branches
@@ -884,7 +884,7 @@ mod tests {
         assert!(cfg.trace_spans);
         assert!(cfg.profile);
         assert!(cfg.budget.heartbeat.is_none());
-        let cleared = cfg.heartbeat_with(None);
+        let cleared = cfg.heartbeat(None);
         assert!(cleared.budget.heartbeat.is_none());
     }
 
@@ -920,12 +920,12 @@ mod tests {
     /// crashed process must take no further steps in any run.
     #[test]
     fn crash_branching_matches_reduction_free_oracle() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         for f in 0..=2usize {
             let expected = crash_tree_oracle(&mut [2, 2], &mut [false, false], f);
             let econfig = ExploreConfig::new().max_crashes(f);
             let mut crash_counts = 0u64;
-            let stats = explore(&cfg, &econfig, two_proc_bodies, |out| {
+            let stats = sim.explore(&econfig, two_proc_bodies, |out| {
                 out.assert_no_panics();
                 let crashes = out.crashed.iter().filter(|&&c| c).count();
                 assert!(crashes <= f, "crash budget exceeded: {crashes} > {f}");
@@ -958,16 +958,16 @@ mod tests {
     /// matches plain exploration, in no more runs.
     #[test]
     fn reduced_with_crashes_covers_all_outcomes() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         for f in 1..=2usize {
             let econfig = ExploreConfig::new().max_crashes(f);
             let mut full_set = HashSet::new();
-            let full = explore(&cfg, &econfig, two_proc_bodies, |out| {
+            let full = sim.explore(&econfig, two_proc_bodies, |out| {
                 full_set.insert((out.results.clone(), out.memory.clone(), out.crashed.clone()));
                 true
             });
             let mut red_set = HashSet::new();
-            let reduced = explore_reduced(&cfg, &econfig, two_proc_bodies, |out| {
+            let reduced = sim.explore_reduced(&econfig, two_proc_bodies, |out| {
                 red_set.insert((out.results.clone(), out.memory.clone(), out.crashed.clone()));
                 true
             });
@@ -987,13 +987,13 @@ mod tests {
     /// strict-replays with the crash plan applied.
     #[test]
     fn crash_violation_shrinks_schedule_and_crash_pattern() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new()
             .max_crashes(1)
             .shrink(crate::sim::shrink::ShrinkConfig::default());
         // "Violation": P0 survives but never saw P1's write AND P1
         // crashed — only reachable through a crash branch.
-        let stats = explore(&cfg, &econfig, two_proc_bodies, |out| {
+        let stats = sim.explore(&econfig, two_proc_bodies, |out| {
             !(out.crashed[1] && out.results[0] == Some(0))
         });
         assert!(!stats.exhausted);
@@ -1010,7 +1010,7 @@ mod tests {
             .strategy(crate::sim::strategy::Replay::strict(
                 report.schedule.clone(),
             ))
-            .fault_plan(crate::sim::fault::FaultPlan::from(report.crashes.clone()))
+            .crashes(report.crashes.clone())
             .max_steps(report.schedule.len() as u64)
             .run(two_proc_bodies());
         assert!(out.crashed[1]);
@@ -1160,7 +1160,6 @@ mod tests {
             max_runs in optional(1u64..=60),
             reject_at in optional(0usize..60),
         ) {
-            use crate::sim::parallel::{explore_parallel, explore_reduced_parallel};
             let leaves = oracle_leaves(&prog, f, max_depth.unwrap_or(usize::MAX));
             let small = leaves.len() <= 250;
             prop_assume!(small || max_runs.is_some() || reject_at.is_some());
@@ -1189,13 +1188,13 @@ mod tests {
                 ..ExploreStats::default()
             };
 
-            let cfg = SimConfig::base(vec![0u64; 2]);
+            let sim = SimBuilder::new(vec![0u64; 2]);
             let econfig = ExploreConfig::new()
                 .max_crashes(f)
                 .max_depth(max_depth.unwrap_or(usize::MAX))
                 .max_runs(max_runs.unwrap_or(u64::MAX));
             let mut outcomes = Vec::new();
-            let stats = explore(&cfg, &econfig, || program_bodies(&prog), |out| {
+            let stats = sim.explore(&econfig, || program_bodies(&prog), |out| {
                 out.assert_no_panics();
                 outcomes.push((out.results.clone(), out.memory.clone()));
                 Some(outcomes.len() - 1) != reject_at
@@ -1206,7 +1205,7 @@ mod tests {
 
             prop_assume!(stats.exhausted && small);
             let mut seen = HashSet::new();
-            let reduced = explore_reduced(&cfg, &econfig, || program_bodies(&prog), |out| {
+            let reduced = sim.explore_reduced(&econfig, || program_bodies(&prog), |out| {
                 seen.insert((out.results.clone(), out.memory.clone()));
                 true
             });
@@ -1219,9 +1218,9 @@ mod tests {
                     let prog = prog.clone();
                     (move || program_bodies(&prog), |_: &SimOutcome<u64, Vec<u64>>| true)
                 };
-                let spawned = explore_parallel(&cfg, &econfig, threads, make_worker);
+                let spawned = sim.explore_parallel(&econfig, threads, make_worker);
                 prop_assert_eq!(portable(&spawned), portable(&stats), "threads={}", threads);
-                let spawned = explore_reduced_parallel(&cfg, &econfig, threads, make_worker);
+                let spawned = sim.explore_reduced_parallel(&econfig, threads, make_worker);
                 prop_assert_eq!(portable(&spawned), portable(&reduced), "threads={}", threads);
             }
         }

@@ -7,9 +7,9 @@
 //! here runs under a deadline — and a missed deadline says what the run
 //! was waiting for, because a slow machine misses it too.
 
-use super::explore::{explore, explore_reduced, ExploreConfig};
+use super::explore::ExploreConfig;
 use super::fault::FaultPlan;
-use super::parallel::{explore_parallel, ProcPool};
+use super::parallel::ProcPool;
 use super::strategy::{Pct, Replay, RoundRobin, SeededRandom};
 use super::*;
 use std::process::Command;
@@ -161,14 +161,14 @@ fn swmr_violation_surfaces_from_a_pooled_run() {
 #[test]
 fn swmr_violation_surfaces_from_explore() {
     within(DEADLINE, || {
-        let mut cfg = pair_cfg();
-        cfg.owners = Some(vec![1, 0]);
+        let swapped = SimBuilder::new(vec![0u64; 2]).owners(vec![1, 0]);
         let text = panic_text(|| {
-            explore(&cfg, &ExploreConfig::default(), pair, |_| true);
+            swapped.explore(&ExploreConfig::default(), pair, |_| true);
         });
         assert!(text.contains("SWMR violation"), "{text:?}");
         // Nothing global is left behind: the next exploration is whole.
-        let stats = explore(&pair_cfg(), &ExploreConfig::default(), pair, |_| true);
+        let sim = SimBuilder::new(vec![0u64; 2]).owners(vec![0, 1]);
+        let stats = sim.explore(&ExploreConfig::default(), pair, |_| true);
         assert!(stats.exhausted);
         assert_eq!(stats.runs, 6);
     })
@@ -208,24 +208,17 @@ fn forgetful_factory() -> impl FnMut() -> Vec<ProcBody<'static, u64, u64>> + Sen
 #[test]
 fn replay_divergence_inside_decide_surfaces_from_explore() {
     within(DEADLINE, || {
-        let (cfg, econfig) = (pair_cfg(), ExploreConfig::default());
+        let sim = SimBuilder::new(vec![0u64; 2]).owners(vec![0, 1]);
+        let econfig = ExploreConfig::default();
         let accept = |_: &SimOutcome<u64, u64>| true;
         let searches: [&dyn Fn(); 4] = [
-            &|| drop(explore(&cfg, &econfig, forgetful_factory(), accept)),
-            &|| drop(explore_reduced(&cfg, &econfig, forgetful_factory(), accept)),
-            &|| {
-                drop(explore_parallel(&cfg, &econfig, 1, |_| {
-                    (forgetful_factory(), accept)
-                }))
-            },
+            &|| drop(sim.explore(&econfig, forgetful_factory(), accept)),
+            &|| drop(sim.explore_reduced(&econfig, forgetful_factory(), accept)),
+            &|| drop(sim.explore_parallel(&econfig, 1, |_| (forgetful_factory(), accept))),
             // Two workers, six leaves: one of them gets a second run and
             // fails. It must neither hide its message nor leave the other
             // waiting for tasks.
-            &|| {
-                drop(explore_parallel(&cfg, &econfig, 2, |_| {
-                    (forgetful_factory(), accept)
-                }))
-            },
+            &|| drop(sim.explore_parallel(&econfig, 2, |_| (forgetful_factory(), accept))),
         ];
         for (i, search) in searches.iter().enumerate() {
             let text = panic_text(search);
@@ -321,7 +314,7 @@ fn both_routes<S: Strategy + Clone + Send + 'static>(
     let a = SimBuilder::new(vec![0u64; 3])
         .owners(owners.clone())
         .profile(true)
-        .fault_plan(plan.clone())
+        .crashes(plan.crashes().iter().copied())
         .strategy(strategy.clone())
         .run(trio());
     let mut cfg = SimConfig::base(vec![0u64; 3]);

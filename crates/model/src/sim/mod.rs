@@ -7,6 +7,15 @@
 //! a sequence of process ids — which is what makes replay, adversaries
 //! and exhaustive exploration possible.
 //!
+//! [`SimBuilder`] is the one way in: it describes the register vector
+//! (initial contents, owners, step budget) and launches everything on
+//! it — single runs ([`SimBuilder::run`]), the schedule searches
+//! ([`SimBuilder::explore`] and its reduced and `_parallel` forms,
+//! [`SimBuilder::certify`], [`SimBuilder::sample`]) and the shrinker
+//! ([`SimBuilder::shrink`]). Each search is a builder method defined in
+//! its own module: [`mod@explore`], [`mod@parallel`], [`mod@certify`],
+//! [`mod@sample`], [`mod@shrink`].
+//!
 //! ## Who schedules: the baton
 //!
 //! There is no scheduler thread. One run's whole state — registers,
@@ -26,9 +35,8 @@
 //! So a schedule that picks the same process k times in a row costs one
 //! hand-off, not k. At most one thread is ever unparked and unblocked
 //! per run, so the mutex is never contended while the run is live. The
-//! calling thread only starts the run, waits (checking every
-//! [`SimConfig::local_timeout`] that some process made progress) and
-//! tears it down.
+//! calling thread only starts the run, waits (checking every 30 s that
+//! some process made progress) and tears it down.
 //!
 //! No wake-up is lost: a reply is stored under the mutex *before* the
 //! `unpark`, and a woken thread re-checks its slot under the mutex
@@ -64,16 +72,12 @@ pub mod shrink;
 pub mod strategy;
 
 pub use budget::{Budget, Budgeted};
-pub use certify::{
-    certify, certify_parallel, CertViolation, Certificate, CertifyConfig, ViolationKind,
-};
-pub use explore::{explore, explore_reduced, ExecutionWitness, ExploreConfig, ExploreStats};
+pub use certify::{CertViolation, Certificate, CertifyConfig, ViolationKind};
+pub use explore::{ExecutionWitness, ExploreConfig, ExploreStats};
 pub use fault::{FaultPlan, Faulty};
-pub use parallel::{explore_parallel, explore_reduced_parallel, resolve_threads};
-pub use sample::{
-    sample, sample_parallel, wilson_interval, SampleConfig, SampleReport, SampleViolation, Sampler,
-};
-pub use shrink::{shrink_execution, shrink_schedule, ShrinkConfig, ShrinkReport, ShrinkStats};
+pub use parallel::resolve_threads;
+pub use sample::{wilson_interval, SampleConfig, SampleReport, SampleViolation, Sampler};
+pub use shrink::{ShrinkConfig, ShrinkReport, ShrinkStats};
 pub use strategy::{Decision, SchedView, Strategy};
 
 use crate::contention::{ContentionMap, ContentionProfiler};
@@ -603,27 +607,27 @@ impl<T: Clone> MemCtx<T> for SimCtx<T> {
 /// A simulated process body.
 pub type ProcBody<'a, T, R> = Box<dyn FnOnce(&mut SimCtx<T>) -> R + Send + 'a>;
 
-/// Simulator configuration.
+/// The part of a [`SimBuilder`] that every run on it reads: the register
+/// vector and its limits. The workers of a `_parallel` search share it
+/// (the builder's strategy is not `Sync`).
 #[derive(Clone, Debug)]
-pub struct SimConfig<T> {
+pub(crate) struct SimConfig<T> {
     /// Initial register contents; the length fixes the register count.
-    pub registers: Vec<T>,
+    pub(crate) registers: Vec<T>,
     /// Optional single-writer discipline: `owners[r]` is the only process
     /// allowed to write register `r`. Violations panic (they are bugs in
     /// the algorithm under test, not schedulable behaviours).
-    pub owners: Option<Vec<ProcId>>,
+    pub(crate) owners: Option<Vec<ProcId>>,
     /// Hard step budget; the run halts (crashing all processes) when
     /// exceeded. Guards against livelock under pathological schedules.
-    pub max_steps: u64,
+    pub(crate) max_steps: u64,
     /// How long a run may go without any process posting an access or
     /// completing before it is declared wedged.
-    pub local_timeout: Duration,
+    pub(crate) local_timeout: Duration,
 }
 
 impl<T> SimConfig<T> {
-    /// Plain construction with defaults (no owner map, 10M-step budget,
-    /// 30s local timeout); callers outside this crate go through
-    /// [`SimBuilder`] and obtain the config via [`SimBuilder::config`].
+    /// The defaults: no owner map, 10M-step budget, 30s local timeout.
     pub(crate) fn base(registers: Vec<T>) -> Self {
         SimConfig {
             registers,
@@ -742,7 +746,8 @@ where
 ///
 /// Every knob is a named method, the strategy defaults to
 /// [`strategy::RoundRobin`], and runs are launched from the builder
-/// itself.
+/// itself — single runs with `run*`, schedule searches with the
+/// methods the [module docs](self) list.
 ///
 /// ```
 /// use apram_model::sim::SimBuilder;
@@ -753,7 +758,7 @@ where
 ///     .owners(vec![0, 1])               // SWMR: register p owned by P(p)
 ///     .profile(true)                    // per-cell contention, exact
 ///     .strategy(SeededRandom::new(42))
-///     .crash_at(1, 3)                   // crash P1 at step 3
+///     .crashes([(1, 3)])                // crash P1 at step 3
 ///     .run_symmetric(2, |ctx| {
 ///         let me = ctx.proc();
 ///         ctx.write(me, me as u64 + 1);
@@ -806,13 +811,6 @@ impl<T: Clone + Send> SimBuilder<T> {
         self
     }
 
-    /// How long a run may go without any process posting an access or
-    /// completing before it is declared wedged.
-    pub fn local_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.local_timeout = timeout;
-        self
-    }
-
     /// Collect a [`ContentionMap`] for each run (surfaced on
     /// [`SimOutcome::contention`]): per-cell hot-spot counters, stall
     /// attribution edges, and contention-charged step accounting, with
@@ -828,16 +826,11 @@ impl<T: Clone + Send> SimBuilder<T> {
         self
     }
 
-    /// Crash `proc` at the first decision point at or after global step
-    /// `step`, on top of whatever the strategy decides. May be called
-    /// once per victim; the plan applies to every subsequent run.
-    pub fn crash_at(self, proc: ProcId, step: u64) -> Self {
-        self.crashes([(proc, step)])
-    }
-
     /// Extend the fault plan with `(proc, step)` pairs: each listed
     /// process is crashed at the first decision point at or after its
-    /// given global step, on top of whatever the strategy decides.
+    /// given global step, on top of whatever the strategy decides. The
+    /// plan applies to every subsequent run, which refuses to start if
+    /// it names a process the run does not have.
     ///
     /// ```
     /// # use apram_model::sim::SimBuilder;
@@ -853,27 +846,19 @@ impl<T: Clone + Send> SimBuilder<T> {
         self
     }
 
-    /// Replace the fault plan wholesale.
-    pub fn fault_plan(mut self, plan: fault::FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// The accumulated [`SimConfig`] — for interop with the free
-    /// exploration functions, which are parameterized on it.
-    pub fn config(&self) -> &SimConfig<T> {
-        &self.cfg
-    }
-
     /// Run one execution with the given process bodies.
     pub fn run<R, F>(&mut self, bodies: Vec<F>) -> SimOutcome<T, R>
     where
         R: Send,
         F: FnOnce(&mut SimCtx<T>) -> R + Send,
     {
+        let n = bodies.len();
+        if let Some(&(p, _)) = self.faults.crashes().iter().find(|&&(p, _)| p >= n) {
+            panic!("the crash plan names P{p}, but the run has {n} processes");
+        }
         let mut prof = self
             .profile
-            .then(|| ContentionProfiler::new(bodies.len(), self.cfg.registers.len()));
+            .then(|| ContentionProfiler::new(n, self.cfg.registers.len()));
         let strategy = std::mem::replace(&mut self.strategy, Box::new(strategy::RoundRobin::new()));
         let strategy = self.faults.over(strategy);
         let bodies = bodies
@@ -903,147 +888,6 @@ impl<T: Clone + Send> SimBuilder<T> {
             .map(|_| Box::new(move |ctx: &mut SimCtx<T>| body(ctx)) as ProcBody<'_, T, R>)
             .collect();
         self.run(bodies)
-    }
-
-    /// Exhaustively explore all schedules of this configuration (see
-    /// [`explore::explore`]). The builder's strategy and crash plan are
-    /// *not* used: exploration owns the schedule.
-    pub fn explore<R, FMake, Visit>(
-        &self,
-        econfig: &ExploreConfig,
-        factory: FMake,
-        visit: Visit,
-    ) -> ExploreStats
-    where
-        R: Send,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-        Visit: FnMut(&SimOutcome<T, R>) -> bool,
-    {
-        explore::explore(&self.cfg, econfig, factory, visit)
-    }
-
-    /// Sleep-set-reduced exploration (see [`explore::explore_reduced`]).
-    pub fn explore_reduced<R, FMake, Visit>(
-        &self,
-        econfig: &ExploreConfig,
-        factory: FMake,
-        visit: Visit,
-    ) -> ExploreStats
-    where
-        R: Send,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-        Visit: FnMut(&SimOutcome<T, R>) -> bool,
-    {
-        explore::explore_reduced(&self.cfg, econfig, factory, visit)
-    }
-
-    /// Parallel exhaustive exploration across `threads` workers (0 = all
-    /// available parallelism); see [`parallel::explore_parallel`] for the
-    /// `make_worker` contract and determinism guarantees.
-    pub fn explore_parallel<R, FMake, Visit>(
-        &self,
-        econfig: &ExploreConfig,
-        threads: usize,
-        make_worker: impl FnMut(usize) -> (FMake, Visit),
-    ) -> ExploreStats
-    where
-        T: Sync + 'static,
-        R: Send + 'static,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-        Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
-    {
-        parallel::explore_parallel(&self.cfg, econfig, threads, make_worker)
-    }
-
-    /// Parallel sleep-set-reduced exploration (see
-    /// [`parallel::explore_reduced_parallel`]).
-    pub fn explore_reduced_parallel<R, FMake, Visit>(
-        &self,
-        econfig: &ExploreConfig,
-        threads: usize,
-        make_worker: impl FnMut(usize) -> (FMake, Visit),
-    ) -> ExploreStats
-    where
-        T: Sync + 'static,
-        R: Send + 'static,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-        Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
-    {
-        parallel::explore_reduced_parallel(&self.cfg, econfig, threads, make_worker)
-    }
-
-    /// Certify wait-freedom of this configuration: exhaustive
-    /// fault-aware exploration with per-process step-bound judging (see
-    /// [`certify::certify`]). The builder's strategy and fault plan are
-    /// *not* used: certification owns the schedule and crash pattern.
-    pub fn certify<R, FMake, Check>(
-        &self,
-        ccfg: &certify::CertifyConfig,
-        factory: FMake,
-        check: Check,
-    ) -> certify::Certificate
-    where
-        R: Send,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-        Check: FnMut(&SimOutcome<T, R>) -> bool,
-    {
-        certify::certify(&self.cfg, ccfg, factory, check)
-    }
-
-    /// Parallel certification across `threads` workers; bit-identical
-    /// to [`certify`](Self::certify) (see [`certify::certify_parallel`]
-    /// for the `make_worker` contract).
-    pub fn certify_parallel<R, FMake, Check>(
-        &self,
-        ccfg: &certify::CertifyConfig,
-        threads: usize,
-        make_worker: impl FnMut(usize) -> (FMake, Check),
-    ) -> certify::Certificate
-    where
-        T: Sync + 'static,
-        R: Send + 'static,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-        Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
-    {
-        certify::certify_parallel(&self.cfg, ccfg, threads, make_worker)
-    }
-
-    /// Monte-Carlo sample schedules of this configuration: randomized /
-    /// PCT scheduling with tail-percentile reporting against the step
-    /// bounds (see [`sample::sample`]). The builder's strategy and
-    /// fault plan are *not* used: sampling derives both from the
-    /// sample seed.
-    pub fn sample<R, FMake, Check>(
-        &self,
-        scfg: &sample::SampleConfig,
-        factory: FMake,
-        check: Check,
-    ) -> sample::SampleReport
-    where
-        T: 'static,
-        R: Send + 'static,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-        Check: FnMut(&SimOutcome<T, R>) -> bool,
-    {
-        sample::sample(&self.cfg, scfg, factory, check)
-    }
-
-    /// Parallel sampling across `threads` workers; report-identical to
-    /// [`sample`](Self::sample) (see [`sample::sample_parallel`] for
-    /// the `make_worker` contract).
-    pub fn sample_parallel<R, FMake, Check>(
-        &self,
-        scfg: &sample::SampleConfig,
-        threads: usize,
-        make_worker: impl FnMut(usize) -> (FMake, Check),
-    ) -> sample::SampleReport
-    where
-        T: Sync + 'static,
-        R: Send + 'static,
-        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-        Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
-    {
-        sample::sample_parallel(&self.cfg, scfg, threads, make_worker)
     }
 }
 
@@ -1150,12 +994,56 @@ mod tests {
     fn builder_crash_plan_fires() {
         // Crash P1 before it takes a single step; P0 proceeds alone.
         let out = SimBuilder::new(vec![0u64; 2])
-            .crash_at(1, 0)
+            .crashes([(1, 0)])
             .run_symmetric(2, body);
         out.assert_no_panics();
         assert_eq!(out.results[0], Some(0));
         assert_eq!(out.results[1], None);
         assert!(out.crashed[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the crash plan names P5, but the run has 2 processes")]
+    fn a_crash_plan_naming_a_missing_process_is_refused() {
+        SimBuilder::new(vec![0u64; 2])
+            .crashes([(5, 0)])
+            .run_symmetric(2, body);
+    }
+
+    /// The schedule searches own the schedule and the crash pattern: a
+    /// builder's strategy and crash plan change none of their reports.
+    #[test]
+    fn engines_ignore_the_builders_strategy_and_crash_plan() {
+        let bare = SimBuilder::new(vec![0u64; 2]);
+        let dressed = SimBuilder::new(vec![0u64; 2])
+            .strategy(SeededRandom::new(11))
+            .crashes([(0, 0)]);
+        let factory = || {
+            (0..2)
+                .map(|_| Box::new(body) as ProcBody<'static, u64, u64>)
+                .collect()
+        };
+        let explored = |sim: &SimBuilder<u64>| {
+            let econfig = ExploreConfig::new().max_crashes(1);
+            let stats = sim.explore(&econfig, factory, |_| true);
+            ExploreStats {
+                elapsed: Duration::ZERO,
+                ..stats
+            }
+        };
+        assert_eq!(explored(&bare), explored(&dressed));
+        let ccfg = CertifyConfig::new([2, 2]).max_crashes(1);
+        let certified = |sim: &SimBuilder<u64>| sim.certify(&ccfg, factory, |_| true).to_json();
+        assert_eq!(
+            certified(&bare).to_compact(),
+            certified(&dressed).to_compact()
+        );
+        let scfg = SampleConfig::new([2, 2])
+            .seed(5)
+            .max_runs(64)
+            .max_crashes(1);
+        let sampled = |sim: &SimBuilder<u64>| sim.sample(&scfg, factory, |_| true).to_json();
+        assert_eq!(sampled(&bare).to_compact(), sampled(&dressed).to_compact());
     }
 
     #[test]

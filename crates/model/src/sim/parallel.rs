@@ -1,8 +1,8 @@
 //! The schedule-tree search — the one engine behind
-//! [`explore`](super::explore::explore),
-//! [`explore_reduced`](super::explore::explore_reduced), the
-//! [certifier](mod@super::certify) and their `_parallel` forms — and the
-//! process pools every driver executes its runs on. (DESIGN.md,
+//! [`SimBuilder::explore`], [`SimBuilder::explore_reduced`], the
+//! [certifier](mod@super::certify) and their `_parallel` forms, the
+//! last defined here — and the process pools every driver executes its
+//! runs on. (DESIGN.md,
 //! "Simulator hand-off", has the argument at length.)
 //!
 //! ## One search
@@ -61,9 +61,9 @@
 //! worker itself.
 
 use super::explore::{ExecutionWitness, ExploreConfig, ExploreStats, SleepNode};
-use super::shrink::shrink_execution;
+use super::shrink::shrink_on;
 use super::strategy::{Decision, SchedView, Strategy};
-use super::{run_sim, Hub, ProcBody, SimConfig, SimCtx, SimOutcome};
+use super::{run_sim, Hub, ProcBody, SimBuilder, SimConfig, SimCtx, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::crash;
 use crate::span::SpanRecorder;
@@ -794,8 +794,18 @@ where
             s.enter("shrink");
         }
         let rejected = |o: &SimOutcome<T, R>| !visit(o);
-        let (cfg, factory) = (shared.cfg, &mut factory);
-        let report = shrink_execution(cfg, scfg, &w.schedule, &w.crashes, factory, rejected);
+        let report = std::thread::scope(|scope| {
+            let (pool, cfg) = (&mut ProcPool::new(scope), shared.cfg);
+            shrink_on(
+                pool,
+                cfg,
+                scfg,
+                &w.schedule,
+                &w.crashes,
+                &mut factory,
+                rejected,
+            )
+        });
         if let Some(s) = spans.as_mut() {
             s.bump("attempts", report.stats.attempts);
             s.bump("useful", report.stats.useful);
@@ -853,8 +863,8 @@ where
     assemble(shared, observer.spans, || (&mut factory, &mut visit))
 }
 
-/// Shared driver behind [`explore_parallel`] and
-/// [`explore_reduced_parallel`].
+/// Shared driver behind [`SimBuilder::explore_parallel`] and
+/// [`SimBuilder::explore_reduced_parallel`].
 fn explore_parallel_impl<T, R, FMake, Visit>(
     cfg: &SimConfig<T>,
     econfig: &ExploreConfig,
@@ -883,59 +893,60 @@ where
     assemble(shared, None, || make_worker(threads))
 }
 
-/// Parallel version of [`explore`](super::explore::explore): exhaustive
-/// exploration of the full schedule tree across `threads` workers
-/// (0 = all available parallelism).
-///
-/// `make_worker` is called once per worker (index `0..threads`, plus
-/// once more — index `threads` — to drive shrinking when a violation is
-/// found and [`ExploreConfig::shrink`] is set) and returns that worker's
-/// private `(factory, visit)` pair; workers never share callback state.
-/// On full exhaustion the returned counters are bit-identical to the
-/// sequential explorer's — it is the same search with the calling
-/// thread as its one worker; see the [module docs](self) for violation
-/// determinism and out-of-order `visit` caveats. Span tracing
-/// ([`ExploreConfig::trace_spans`]) is for that inline worker only and
-/// ignored here.
-pub fn explore_parallel<T, R, FMake, Visit>(
-    cfg: &SimConfig<T>,
-    econfig: &ExploreConfig,
-    threads: usize,
-    make_worker: impl FnMut(usize) -> (FMake, Visit),
-) -> ExploreStats
-where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-    Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
-{
-    explore_parallel_impl(cfg, econfig, threads, make_worker, false)
-}
+impl<T: Clone + Send> SimBuilder<T> {
+    /// Parallel version of [`explore`](Self::explore): exhaustive
+    /// exploration of the full schedule tree across `threads` workers
+    /// (0 = all available parallelism).
+    ///
+    /// `make_worker` is called once per worker (index `0..threads`, plus
+    /// once more — index `threads` — to drive shrinking when a violation
+    /// is found and [`ExploreConfig::shrink`] is set) and returns that
+    /// worker's private `(factory, visit)` pair; workers never share
+    /// callback state. On full exhaustion the returned counters are
+    /// bit-identical to the sequential explorer's — it is the same search
+    /// with the calling thread as its one worker; see the [module
+    /// docs](self) for violation determinism and out-of-order `visit`
+    /// caveats. Span tracing ([`ExploreConfig::trace_spans`]) is for that
+    /// inline worker only and ignored here.
+    pub fn explore_parallel<R, FMake, Visit>(
+        &self,
+        econfig: &ExploreConfig,
+        threads: usize,
+        make_worker: impl FnMut(usize) -> (FMake, Visit),
+    ) -> ExploreStats
+    where
+        T: Sync + 'static,
+        R: Send + 'static,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
+        Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
+    {
+        explore_parallel_impl(&self.cfg, econfig, threads, make_worker, false)
+    }
 
-/// Parallel version of
-/// [`explore_reduced`](super::explore::explore_reduced): sleep-set
-/// partial-order reduction across `threads` workers (0 = all available
-/// parallelism). Same soundness caveat as the sequential form (memory-
-/// level behaviours are preserved, real-time orderings are not), same
-/// `make_worker` contract as [`explore_parallel`].
-pub fn explore_reduced_parallel<T, R, FMake, Visit>(
-    cfg: &SimConfig<T>,
-    econfig: &ExploreConfig,
-    threads: usize,
-    make_worker: impl FnMut(usize) -> (FMake, Visit),
-) -> ExploreStats
-where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-    Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
-{
-    explore_parallel_impl(cfg, econfig, threads, make_worker, true)
+    /// Parallel version of [`explore_reduced`](Self::explore_reduced):
+    /// sleep-set partial-order reduction across `threads` workers (0 =
+    /// all available parallelism). Same soundness caveat as the
+    /// sequential form (memory-level behaviours are preserved, real-time
+    /// orderings are not), same `make_worker` contract as
+    /// [`explore_parallel`](Self::explore_parallel).
+    pub fn explore_reduced_parallel<R, FMake, Visit>(
+        &self,
+        econfig: &ExploreConfig,
+        threads: usize,
+        make_worker: impl FnMut(usize) -> (FMake, Visit),
+    ) -> ExploreStats
+    where
+        T: Sync + 'static,
+        R: Send + 'static,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
+        Visit: FnMut(&SimOutcome<T, R>) -> bool + Send,
+    {
+        explore_parallel_impl(&self.cfg, econfig, threads, make_worker, true)
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::explore::{explore, explore_reduced};
     use super::*;
     use crate::sim::budget::Budgeted;
     use crate::sim::shrink::ShrinkConfig;
@@ -967,10 +978,10 @@ mod tests {
 
     #[test]
     fn plain_parallel_matches_sequential_counts() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
-        let seq = explore(&cfg, &ExploreConfig::default(), two_proc_factory, |_| true);
+        let sim = SimBuilder::new(vec![0u64; 2]);
+        let seq = sim.explore(&ExploreConfig::default(), two_proc_factory, |_| true);
         for threads in [1, 2, 4] {
-            let par = explore_parallel(&cfg, &ExploreConfig::default(), threads, |_| {
+            let par = sim.explore_parallel(&ExploreConfig::default(), threads, |_| {
                 (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
                     true
                 })
@@ -986,12 +997,10 @@ mod tests {
 
     #[test]
     fn reduced_parallel_matches_sequential_counts() {
-        let cfg = SimConfig::base(vec![0u64; 3]);
-        let seq = explore_reduced(&cfg, &ExploreConfig::default(), independent_factory, |_| {
-            true
-        });
+        let sim = SimBuilder::new(vec![0u64; 3]);
+        let seq = sim.explore_reduced(&ExploreConfig::default(), independent_factory, |_| true);
         for threads in [1, 2, 4] {
-            let par = explore_reduced_parallel(&cfg, &ExploreConfig::default(), threads, |_| {
+            let par = sim.explore_reduced_parallel(&ExploreConfig::default(), threads, |_| {
                 (
                     independent_factory as fn() -> _,
                     |out: &SimOutcome<u64, u64>| {
@@ -1012,14 +1021,12 @@ mod tests {
     fn canonical_violation_matches_sequential_shrunk_schedule() {
         // Reject any run where P0 observed P1's write; the canonical
         // (sequential) counterexample shrinks to [1, 0, 0].
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().shrink(ShrinkConfig::default());
-        let seq = explore(&cfg, &econfig, two_proc_factory, |out| {
-            out.results[0] != Some(2)
-        });
+        let seq = sim.explore(&econfig, two_proc_factory, |out| out.results[0] != Some(2));
         let seq_report = seq.violation.expect("sequential violation");
         for threads in [1, 2, 4] {
-            let par = explore_parallel(&cfg, &econfig, threads, |_| {
+            let par = sim.explore_parallel(&econfig, threads, |_| {
                 (
                     two_proc_factory as fn() -> _,
                     |out: &SimOutcome<u64, u64>| out.results[0] != Some(2),
@@ -1035,10 +1042,10 @@ mod tests {
 
     #[test]
     fn run_budget_is_exact() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().max_runs(3);
         for threads in [1, 2, 4] {
-            let par = explore_parallel(&cfg, &econfig, threads, |_| {
+            let par = sim.explore_parallel(&econfig, threads, |_| {
                 (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
                     true
                 })
@@ -1050,10 +1057,10 @@ mod tests {
 
     #[test]
     fn depth_truncation_matches_sequential() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new().max_depth(1);
-        let seq = explore(&cfg, &econfig, two_proc_factory, |_| true);
-        let par = explore_parallel(&cfg, &econfig, 2, |_| {
+        let seq = sim.explore(&econfig, two_proc_factory, |_| true);
+        let par = sim.explore_parallel(&econfig, 2, |_| {
             (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
                 true
             })
@@ -1067,8 +1074,8 @@ mod tests {
     fn pooled_runs_reuse_threads_across_runs() {
         // 1680 plain runs through one worker's pool: results must be
         // complete and deterministic every time.
-        let cfg = SimConfig::base(vec![0u64; 3]);
-        let par = explore_parallel(&cfg, &ExploreConfig::default(), 1, |_| {
+        let sim = SimBuilder::new(vec![0u64; 3]);
+        let par = sim.explore_parallel(&ExploreConfig::default(), 1, |_| {
             (
                 independent_factory as fn() -> _,
                 |out: &SimOutcome<u64, u64>| {
@@ -1083,9 +1090,9 @@ mod tests {
 
     #[test]
     fn worker_runs_sum_to_total_and_steals_are_bounded() {
-        let cfg = SimConfig::base(vec![0u64; 3]);
+        let sim = SimBuilder::new(vec![0u64; 3]);
         for threads in [1, 2, 4] {
-            let par = explore_parallel(&cfg, &ExploreConfig::default(), threads, |_| {
+            let par = sim.explore_parallel(&ExploreConfig::default(), threads, |_| {
                 (
                     independent_factory as fn() -> _,
                     |_: &SimOutcome<u64, u64>| true,
@@ -1105,11 +1112,11 @@ mod tests {
     #[test]
     fn parallel_heartbeat_emits_a_final_beat() {
         use crate::telemetry::{buffer_sink, Heartbeat};
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let (sink, buf) = buffer_sink();
         let econfig =
-            ExploreConfig::new().heartbeat_with(Heartbeat::shared(Duration::from_millis(1), sink));
-        let par = explore_parallel(&cfg, &econfig, 2, |_| {
+            ExploreConfig::new().heartbeat(Heartbeat::shared(Duration::from_millis(1), sink));
+        let par = sim.explore_parallel(&econfig, 2, |_| {
             (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
                 true
             })
@@ -1127,13 +1134,13 @@ mod tests {
 
     #[test]
     fn crash_exploration_parallel_matches_sequential() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         for f in [1, 2] {
             let econfig = ExploreConfig::new().max_crashes(f);
-            let seq = explore(&cfg, &econfig, two_proc_factory, |_| true);
+            let seq = sim.explore(&econfig, two_proc_factory, |_| true);
             assert!(seq.crash_branches > 0, "f={f}");
             for threads in [1, 2, 4] {
-                let par = explore_parallel(&cfg, &econfig, threads, |_| {
+                let par = sim.explore_parallel(&econfig, threads, |_| {
                     (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
                         true
                     })
@@ -1150,12 +1157,12 @@ mod tests {
 
     #[test]
     fn reduced_crash_exploration_parallel_matches_sequential() {
-        let cfg = SimConfig::base(vec![0u64; 3]);
+        let sim = SimBuilder::new(vec![0u64; 3]);
         let econfig = ExploreConfig::new().max_crashes(1);
-        let seq = explore_reduced(&cfg, &econfig, independent_factory, |_| true);
+        let seq = sim.explore_reduced(&econfig, independent_factory, |_| true);
         assert!(seq.crash_branches > 0);
         for threads in [1, 2, 4] {
-            let par = explore_reduced_parallel(&cfg, &econfig, threads, |_| {
+            let par = sim.explore_reduced_parallel(&econfig, threads, |_| {
                 (
                     independent_factory as fn() -> _,
                     |_: &SimOutcome<u64, u64>| true,
@@ -1176,18 +1183,17 @@ mod tests {
         // the shrunk witness (schedule *and* crash pattern) must match
         // the sequential explorer's exactly.
         let ok = |out: &SimOutcome<u64, u64>| !(out.crashed[1] && out.results[0] == Some(0));
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let econfig = ExploreConfig::new()
             .max_crashes(1)
             .shrink(ShrinkConfig::default());
-        let seq = explore(&cfg, &econfig, two_proc_factory, ok);
+        let seq = sim.explore(&econfig, two_proc_factory, ok);
         let seq_report = seq.violation.expect("sequential violation");
         assert_eq!(seq_report.crashes.len(), 1);
         assert_eq!(seq_report.crashes[0].0, 1);
         for threads in [1, 2, 4] {
-            let par = explore_parallel(&cfg, &econfig, threads, |_| {
-                (two_proc_factory as fn() -> _, ok)
-            });
+            let par =
+                sim.explore_parallel(&econfig, threads, |_| (two_proc_factory as fn() -> _, ok));
             assert!(!par.exhausted);
             let report = par.violation.expect("parallel violation");
             assert_eq!(report.schedule, seq_report.schedule, "threads={threads}");
@@ -1201,10 +1207,10 @@ mod tests {
     /// parallelism.
     #[test]
     fn config_threads_is_the_fallback_worker_count() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let workers = |threads| {
             let ok = |_: &SimOutcome<u64, u64>| true;
-            explore_parallel(&cfg, &ExploreConfig::new(), threads, |_| {
+            sim.explore_parallel(&ExploreConfig::new(), threads, |_| {
                 (two_proc_factory as fn() -> _, ok)
             })
             .worker_runs
@@ -1217,9 +1223,9 @@ mod tests {
     #[test]
     fn visit_sees_every_run_exactly_once() {
         use std::sync::atomic::AtomicU64 as Counter;
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let seen = Counter::new(0);
-        let par = explore_parallel(&cfg, &ExploreConfig::default(), 4, |_| {
+        let par = sim.explore_parallel(&ExploreConfig::default(), 4, |_| {
             let seen = &seen;
             (
                 two_proc_factory as fn() -> _,

@@ -18,10 +18,15 @@
 //!
 //! Violations flow into the same pipeline as the certifier's: a judged
 //! failure (panic / bound breach / unfinished survivor / rejected
-//! history) is re-executed, pinned, minimized with
-//! [`shrink_execution`](super::shrink::shrink_execution), and classified into a
-//! [`CertViolation`] — so a sampled counterexample is exactly as
-//! actionable (and as replayable) as a certified one.
+//! history) is re-executed, pinned, minimized like
+//! [`SimBuilder::shrink`] does, and classified into a [`CertViolation`]
+//! — so a sampled counterexample is exactly as actionable (and as
+//! replayable) as a certified one.
+//!
+//! The samplers are [`SimBuilder::sample`] and
+//! [`SimBuilder::sample_parallel`]. A sampled schedule's length is
+//! bounded by [`SimBuilder::max_steps`], never by
+//! [`Budget::max_depth`]: the sampler refuses a config that sets it.
 //!
 //! # Determinism
 //!
@@ -32,7 +37,7 @@
 //! `split(split(seed, i), STREAM_CRASHES)`. All budgeted runs are
 //! always executed — there is no early stop — and the canonical
 //! violation is the one with the **lowest run index**, so
-//! [`sample`] and [`sample_parallel`] produce identical reports for
+//! `sample` and `sample_parallel` produce identical reports for
 //! any thread count ([`SampleReport::to_json`] is byte-identical;
 //! wall-clock time lives outside the serialized report).
 //!
@@ -64,7 +69,7 @@ use super::fault::FaultPlan;
 use super::parallel::{merge_profile, resolve_threads, run_workers, ProcPool};
 use super::shrink::ShrinkConfig;
 use super::strategy::{Decision, Pct, SchedView, SeededRandom, Strategy};
-use super::{run_sim, ProcBody, SimConfig, SimOutcome};
+use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
 use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
@@ -114,8 +119,9 @@ pub struct SampleConfig {
     /// Shared limits. `max_runs` is the number of schedules sampled
     /// (every one is executed; there is no early stop, so tail
     /// statistics cover the full budget). `max_crashes` is the number
-    /// of random crash victims injected per run. `max_depth` is unused
-    /// (schedule length is bounded by [`SimConfig::max_steps`]).
+    /// of random crash victims injected per run. `max_depth` must stay
+    /// unbounded: the sampler refuses it (schedule length is bounded by
+    /// [`SimBuilder::max_steps`]).
     pub budget: Budget,
     /// Analytic step bound per process: survivor samples above their
     /// process's bound count as *exceedances* (and, unless
@@ -127,10 +133,6 @@ pub struct SampleConfig {
     /// Root seed; run `i` derives its schedule and crash plan from
     /// `split(seed, i)` per the [seed-split scheme](crate::seed).
     pub seed: u64,
-    /// Length hint (in global steps) for PCT change points and random
-    /// crash steps; 0 (the default) derives it from the sum of
-    /// `bounds`.
-    pub steps_hint: u64,
     /// Require every surviving process to finish on every run.
     /// Defaults to `true`.
     pub require_finish: bool,
@@ -159,7 +161,6 @@ impl SampleConfig {
             bounds: bounds.into(),
             sampler: Sampler::Random,
             seed: 0,
-            steps_hint: 0,
             require_finish: true,
             tail_only: false,
             shrink: None,
@@ -176,12 +177,6 @@ impl SampleConfig {
     /// Set the root seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Override the schedule-length hint.
-    pub fn steps_hint(mut self, hint: u64) -> Self {
-        self.steps_hint = hint;
         self
     }
 
@@ -209,14 +204,20 @@ impl SampleConfig {
         self
     }
 
-    /// The effective schedule-length hint: the explicit override, else
-    /// the sum of the bounds (at least 16).
+    /// The schedule-length hint (in global steps) for PCT change points
+    /// and random crash steps: the sum of the bounds, at least 16.
     fn hint(&self) -> u64 {
-        if self.steps_hint > 0 {
-            self.steps_hint
-        } else {
-            self.bounds.iter().sum::<u64>().max(16)
-        }
+        self.bounds.iter().sum::<u64>().max(16)
+    }
+
+    /// Refuse a depth bound: nothing in a sampled run reads it, so a
+    /// caller relying on it would get unbounded schedules.
+    fn refuse_depth(&self) {
+        assert!(
+            self.budget.max_depth == usize::MAX,
+            "SampleConfig::max_depth does not bound a sampled schedule; \
+             bound its length with SimBuilder::max_steps"
+        );
     }
 
     /// Bounds used for judging: unbounded when `tail_only` is set.
@@ -532,7 +533,7 @@ impl SampleState {
     }
 }
 
-/// One worker — the only one, for [`sample`]: claim run indices from
+/// One worker — the only one, for `sample`: claim run indices from
 /// the shared counter until the budget is drained, executing each on
 /// `pool`; `after_run` is called after each.
 #[allow(clippy::too_many_arguments)]
@@ -648,108 +649,117 @@ where
     report
 }
 
-/// Sample the configuration sequentially; see the [module docs](self).
-///
-/// `check` is the semantic acceptance predicate evaluated on every run
-/// (after the structural judges); return `false` to reject, e.g. when
-/// the run's crash-truncated history fails linearizability.
-pub fn sample<T, R, FMake, Check>(
-    cfg: &SimConfig<T>,
-    scfg: &SampleConfig,
-    mut factory: FMake,
-    mut check: Check,
-) -> SampleReport
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Check: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    let start = Instant::now();
-    let n_procs = factory().len();
-    let judge_bounds = scfg.judge_bounds();
-    let state = SampleState::new(n_procs);
-    // The first beat is due one interval in.
-    let mut heartbeat = scfg
-        .budget
-        .heartbeat
-        .as_ref()
-        .map(|hb| (hb, Instant::now() + hb.every));
-    let beat = || {
-        if let Some((hb, due)) = &mut heartbeat {
-            hb.emit_if_due(due, || state.beat(scfg, start));
-        }
-    };
-    std::thread::scope(|scope| {
-        sample_worker(
-            &mut ProcPool::new(scope),
-            cfg,
-            scfg,
-            &state,
-            n_procs,
-            &judge_bounds,
-            &mut factory,
-            &mut check,
-            beat,
-        )
-    });
-    finish_report(cfg, scfg, state, start, &mut factory, &mut check)
-}
-
-/// Sample across `threads` workers (0 = all available parallelism).
-///
-/// `make_worker` returns a private `(factory, check)` pair per call, as
-/// in [`explore_parallel`](super::parallel::explore_parallel). It is
-/// called first with index `threads`, to probe the process count; then
-/// once per worker (indices `0..threads`); then once more with index
-/// `threads + 1`, to build the report — shrinking and classifying the
-/// witness when a violation was found.
-///
-/// The report is identical to [`sample`]'s on the same configuration
-/// for any thread count: every run index in the budget is executed
-/// exactly once, histogram merging commutes, and the canonical
-/// violation is the lowest violating run index.
-pub fn sample_parallel<T, R, FMake, Check>(
-    cfg: &SimConfig<T>,
-    scfg: &SampleConfig,
-    threads: usize,
-    mut make_worker: impl FnMut(usize) -> (FMake, Check),
-) -> SampleReport
-where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
-    Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
-{
-    let start = Instant::now();
-    let threads = resolve_threads(threads);
-    let (mut probe_factory, _probe_check) = make_worker(threads);
-    let n_procs = probe_factory().len();
-    let judge_bounds = scfg.judge_bounds();
-    let state = SampleState::new(n_procs);
-    let pairs: Vec<(FMake, Check)> = (0..threads).map(&mut make_worker).collect();
-    std::thread::scope(|scope| {
-        let (state, judge_bounds) = (&state, &judge_bounds);
-        let workers = pairs.into_iter().map(|(mut factory, mut check)| {
-            move || {
-                sample_worker(
-                    &mut ProcPool::new(scope),
-                    cfg,
-                    scfg,
-                    state,
-                    n_procs,
-                    judge_bounds,
-                    &mut factory,
-                    &mut check,
-                    || {},
-                )
+impl<T: Clone + Send> SimBuilder<T> {
+    /// Monte-Carlo sample schedules of this configuration, sequentially:
+    /// randomized / PCT scheduling with tail-percentile reporting against
+    /// the step bounds; see the [module docs](self). The builder's
+    /// strategy and crash plan are *not* used: sampling derives both
+    /// from the sample seed.
+    ///
+    /// `check` is the semantic acceptance predicate evaluated on every
+    /// run (after the structural judges); return `false` to reject, e.g.
+    /// when the run's crash-truncated history fails linearizability.
+    pub fn sample<R, FMake, Check>(
+        &self,
+        scfg: &SampleConfig,
+        mut factory: FMake,
+        mut check: Check,
+    ) -> SampleReport
+    where
+        T: 'static,
+        R: Send + 'static,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+        Check: FnMut(&SimOutcome<T, R>) -> bool,
+    {
+        scfg.refuse_depth();
+        let start = Instant::now();
+        let n_procs = factory().len();
+        let judge_bounds = scfg.judge_bounds();
+        let state = SampleState::new(n_procs);
+        // The first beat is due one interval in.
+        let mut heartbeat = scfg
+            .budget
+            .heartbeat
+            .as_ref()
+            .map(|hb| (hb, Instant::now() + hb.every));
+        let beat = || {
+            if let Some((hb, due)) = &mut heartbeat {
+                hb.emit_if_due(due, || state.beat(scfg, start));
             }
+        };
+        std::thread::scope(|scope| {
+            sample_worker(
+                &mut ProcPool::new(scope),
+                &self.cfg,
+                scfg,
+                &state,
+                n_procs,
+                &judge_bounds,
+                &mut factory,
+                &mut check,
+                beat,
+            )
         });
-        let heartbeat = scfg.budget.heartbeat.as_ref();
-        run_workers(scope, workers, heartbeat, move || state.beat(scfg, start));
-    });
-    let (mut factory, mut check) = make_worker(threads + 1);
-    finish_report(cfg, scfg, state, start, &mut factory, &mut check)
+        finish_report(&self.cfg, scfg, state, start, &mut factory, &mut check)
+    }
+
+    /// Sample across `threads` workers (0 = all available parallelism).
+    ///
+    /// `make_worker` returns a private `(factory, check)` pair per call,
+    /// as in [`explore_parallel`](Self::explore_parallel). It is called
+    /// first with index `threads`, to probe the process count; then once
+    /// per worker (indices `0..threads`); then once more with index
+    /// `threads + 1`, to build the report — shrinking and classifying the
+    /// witness when a violation was found.
+    ///
+    /// The report is identical to [`sample`](Self::sample)'s on the same
+    /// configuration for any thread count: every run index in the budget
+    /// is executed exactly once, histogram merging commutes, and the
+    /// canonical violation is the lowest violating run index.
+    pub fn sample_parallel<R, FMake, Check>(
+        &self,
+        scfg: &SampleConfig,
+        threads: usize,
+        mut make_worker: impl FnMut(usize) -> (FMake, Check),
+    ) -> SampleReport
+    where
+        T: Sync + 'static,
+        R: Send + 'static,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
+        Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
+    {
+        scfg.refuse_depth();
+        let start = Instant::now();
+        let threads = resolve_threads(threads);
+        let (mut probe_factory, _probe_check) = make_worker(threads);
+        let n_procs = probe_factory().len();
+        let judge_bounds = scfg.judge_bounds();
+        let state = SampleState::new(n_procs);
+        let pairs: Vec<(FMake, Check)> = (0..threads).map(&mut make_worker).collect();
+        let cfg = &self.cfg;
+        std::thread::scope(|scope| {
+            let (state, judge_bounds) = (&state, &judge_bounds);
+            let workers = pairs.into_iter().map(|(mut factory, mut check)| {
+                move || {
+                    sample_worker(
+                        &mut ProcPool::new(scope),
+                        cfg,
+                        scfg,
+                        state,
+                        n_procs,
+                        judge_bounds,
+                        &mut factory,
+                        &mut check,
+                        || {},
+                    )
+                }
+            });
+            let heartbeat = scfg.budget.heartbeat.as_ref();
+            run_workers(scope, workers, heartbeat, move || state.beat(scfg, start));
+        });
+        let (mut factory, mut check) = make_worker(threads + 1);
+        finish_report(cfg, scfg, state, start, &mut factory, &mut check)
+    }
 }
 
 #[cfg(test)]
@@ -771,9 +781,9 @@ mod tests {
 
     #[test]
     fn within_bounds_sampling_passes() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let scfg = SampleConfig::new([2, 2]).seed(7).max_runs(100);
-        let report = sample(&cfg, &scfg, two_proc_factory, |_| true);
+        let report = sim.sample(&scfg, two_proc_factory, |_| true);
         assert!(report.passed());
         assert_eq!(report.runs, 100);
         assert_eq!(report.samples, 200);
@@ -787,9 +797,9 @@ mod tests {
 
     #[test]
     fn bound_breach_is_shrunk_and_classified() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let scfg = SampleConfig::new([1, 1]).seed(3).max_runs(50);
-        let report = sample(&cfg, &scfg, two_proc_factory, |_| true);
+        let report = sim.sample(&scfg, two_proc_factory, |_| true);
         assert!(!report.passed());
         assert_eq!(report.violations, 50, "every run breaches bound 1");
         let v = report.violation.expect("violation");
@@ -802,12 +812,12 @@ mod tests {
 
     #[test]
     fn tail_only_records_exceedances_without_violations() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let scfg = SampleConfig::new([1, 1])
             .seed(3)
             .max_runs(20)
             .tail_only(true);
-        let report = sample(&cfg, &scfg, two_proc_factory, |_| true);
+        let report = sim.sample(&scfg, two_proc_factory, |_| true);
         assert!(report.passed());
         assert_eq!(report.exceedances, report.samples);
         assert!(report.violation.is_none());
@@ -815,13 +825,13 @@ mod tests {
 
     #[test]
     fn crash_budget_injects_random_crashes() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let scfg = SampleConfig::new([2, 2])
             .seed(11)
             .max_runs(50)
             .max_crashes(1)
             .require_finish(false);
-        let report = sample(&cfg, &scfg, two_proc_factory, |_| true);
+        let report = sim.sample(&scfg, two_proc_factory, |_| true);
         assert!(report.passed());
         // With one victim per run, exactly one survivor is measured per
         // run whenever the crash fires before completion.
@@ -831,7 +841,7 @@ mod tests {
 
     #[test]
     fn reports_are_identical_across_thread_counts() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         for sampler in [Sampler::Random, Sampler::Pct { depth: 3 }] {
             let scfg = SampleConfig::new([2, 2])
                 .sampler(sampler)
@@ -839,17 +849,19 @@ mod tests {
                 .max_runs(200)
                 .max_crashes(1)
                 .require_finish(false);
-            let seq = sample(&cfg, &scfg, two_proc_factory, |_| true)
+            let seq = sim
+                .sample(&scfg, two_proc_factory, |_| true)
                 .to_json()
                 .to_compact();
             for threads in [1, 2, 4] {
-                let par = sample_parallel(&cfg, &scfg, threads, |_| {
-                    (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
-                        true
+                let par = sim
+                    .sample_parallel(&scfg, threads, |_| {
+                        (two_proc_factory as fn() -> _, |_: &SimOutcome<u64, u64>| {
+                            true
+                        })
                     })
-                })
-                .to_json()
-                .to_compact();
+                    .to_json()
+                    .to_compact();
                 assert_eq!(par, seq, "sampler={sampler:?} threads={threads}");
             }
         }
@@ -857,16 +869,16 @@ mod tests {
 
     #[test]
     fn pct_differs_from_random_but_both_are_seed_stable() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let base = SampleConfig::new([2, 2]).seed(5).max_runs(64);
-        let random = sample(&cfg, &base, two_proc_factory, |_| true);
-        let random2 = sample(&cfg, &base, two_proc_factory, |_| true);
+        let random = sim.sample(&base, two_proc_factory, |_| true);
+        let random2 = sim.sample(&base, two_proc_factory, |_| true);
         assert_eq!(
             random.to_json().to_compact(),
             random2.to_json().to_compact()
         );
         let pcfg = base.clone().sampler(Sampler::Pct { depth: 2 });
-        let pct = sample(&cfg, &pcfg, two_proc_factory, |_| true);
+        let pct = sim.sample(&pcfg, two_proc_factory, |_| true);
         assert_eq!(pct.scheduler, "pct(2)");
         assert_eq!(pct.runs, random.runs);
     }
@@ -896,12 +908,9 @@ mod tests {
         use std::time::Duration;
         let (sink, buf) = buffer_sink();
         let hb = Heartbeat::shared(Duration::from_millis(1), sink);
-        let cfg = SimConfig::base(vec![0u64; 2]);
-        let scfg = SampleConfig::new([2, 2])
-            .seed(7)
-            .max_runs(50)
-            .heartbeat_with(hb);
-        let report = sample(&cfg, &scfg, two_proc_factory, |_| true);
+        let sim = SimBuilder::new(vec![0u64; 2]);
+        let scfg = SampleConfig::new([2, 2]).seed(7).max_runs(50).heartbeat(hb);
+        let report = sim.sample(&scfg, two_proc_factory, |_| true);
         assert!(report.passed());
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -929,10 +938,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "SampleConfig::max_depth does not bound a sampled schedule; \
+                               bound its length with SimBuilder::max_steps"
+    )]
+    fn a_depth_bound_is_refused() {
+        let scfg = SampleConfig::new([2, 2]).max_runs(10).max_depth(4);
+        SimBuilder::new(vec![0u64; 2]).sample(&scfg, two_proc_factory, |_| true);
+    }
+
+    #[test]
     fn rejected_history_flows_into_the_witness_pipeline() {
-        let cfg = SimConfig::base(vec![0u64; 2]);
+        let sim = SimBuilder::new(vec![0u64; 2]);
         let scfg = SampleConfig::new([2, 2]).seed(1).max_runs(10);
-        let report = sample(&cfg, &scfg, two_proc_factory, |_| false);
+        let report = sim.sample(&scfg, two_proc_factory, |_| false);
         let v = report.violation.expect("violation");
         assert_eq!(v.cert.kind, super::super::ViolationKind::HistoryRejected);
         assert_eq!(report.violations, 10);

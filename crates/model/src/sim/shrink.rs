@@ -24,7 +24,7 @@
 use super::fault::FaultPlan;
 use super::parallel::ProcPool;
 use super::strategy::Replay;
-use super::{run_sim, ProcBody, SimConfig, SimOutcome};
+use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
 use crate::ctx::ProcId;
 use crate::json::Json;
 
@@ -115,329 +115,241 @@ fn switches(s: &[ProcId]) -> usize {
     s.windows(2).filter(|w| w[0] != w[1]).count()
 }
 
-/// Re-execute `candidate` (schedule + crash plan) with a halting
-/// replay; when `failing` still holds, return the *executed* schedule
-/// (every entry serviced) and the *executed* crash pattern (every crash
-/// actually fired, at its actual step).
-#[allow(clippy::type_complexity)]
-fn attempt<T, R, FMake, Fail>(
-    pool: &mut ProcPool<'_, '_, T, R>,
-    cfg: &SimConfig<T>,
-    candidate: Vec<ProcId>,
-    crashes: &[(ProcId, u64)],
-    factory: &mut FMake,
-    failing: &mut Fail,
-) -> Option<(Vec<ProcId>, Vec<(ProcId, u64)>)>
+/// A minimization in progress: the execution it has reached, the work
+/// it has spent, and what re-executes a candidate.
+struct Shrinker<'a, 's, 'e, T, R, FMake, Fail> {
+    pool: &'a mut ProcPool<'s, 'e, T, R>,
+    cfg: &'a SimConfig<T>,
+    scfg: &'a ShrinkConfig,
+    factory: &'a mut FMake,
+    failing: Fail,
+    /// The failing schedule so far; every entry was serviced.
+    current: Vec<ProcId>,
+    /// The failing crash pattern so far; every crash fired.
+    crashes: Vec<(ProcId, u64)>,
+    stats: ShrinkStats,
+}
+
+impl<T, R, FMake, Fail> Shrinker<'_, '_, '_, T, R, FMake, Fail>
 where
     T: Clone + Send,
     R: Send,
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Fail: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let strat = FaultPlan::from(crashes.to_vec()).over(Replay::halting(candidate));
-    let (outcome, _) = run_sim(pool, cfg, strat, factory(), &mut None);
-    if failing(&outcome) {
-        Some((outcome.trace.schedule(), outcome.executed_crashes()))
-    } else {
-        None
+    /// The attempt budget is used up.
+    fn spent(&self) -> bool {
+        self.stats.attempts >= self.scfg.max_attempts
     }
-}
 
-/// One crash-removal sweep: try dropping each planned crash; a
-/// candidate that still fails adopts the executed schedule and crash
-/// pattern.
-#[allow(clippy::too_many_arguments)]
-fn drop_crashes<T, R, FMake, Fail>(
-    pool: &mut ProcPool<'_, '_, T, R>,
-    cfg: &SimConfig<T>,
-    scfg: &ShrinkConfig,
-    current: &mut Vec<ProcId>,
-    crashes: &mut Vec<(ProcId, u64)>,
-    stats: &mut ShrinkStats,
-    factory: &mut FMake,
-    failing: &mut Fail,
-) where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Fail: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    let mut i = 0;
-    while i < crashes.len() {
-        if stats.attempts >= scfg.max_attempts {
-            break;
+    /// Re-execute a candidate (schedule + crash plan) with a halting
+    /// replay; when `failing` still holds, adopt the *executed* schedule
+    /// (every entry serviced) and the *executed* crash pattern (every
+    /// crash actually fired, at its actual step) and return `true`.
+    fn adopt(&mut self, schedule: Vec<ProcId>, crashes: Vec<(ProcId, u64)>) -> bool {
+        self.stats.attempts += 1;
+        let strat = FaultPlan::from(crashes).over(Replay::halting(schedule));
+        let (outcome, _) = run_sim(self.pool, self.cfg, strat, (self.factory)(), &mut None);
+        if !(self.failing)(&outcome) {
+            return false;
         }
-        let mut cand = crashes.clone();
-        cand.remove(i);
-        stats.attempts += 1;
-        match attempt(pool, cfg, current.clone(), &cand, factory, failing) {
-            Some((sched, executed_crashes)) => {
-                stats.useful += 1;
-                *current = sched;
-                *crashes = executed_crashes;
-                // The crash now at `i` is new; retry in place.
+        self.stats.useful += 1;
+        self.current = outcome.trace.schedule();
+        self.crashes = outcome.executed_crashes();
+        true
+    }
+
+    /// One crash-removal sweep: try dropping each crash in turn. A
+    /// dropped crash can change the whole tail, so a candidate that
+    /// still fails adopts both the executed schedule and crash pattern.
+    fn drop_crashes(&mut self) {
+        let mut i = 0;
+        while i < self.crashes.len() && !self.spent() {
+            let mut cand = self.crashes.clone();
+            cand.remove(i);
+            // Adopted, the crash now at `i` is new: retry in place.
+            if !self.adopt(self.current.clone(), cand) {
+                i += 1;
             }
-            None => i += 1,
         }
     }
-}
 
-/// One crash-advance sweep: try re-firing each crash at step 0 (the
-/// earliest decision point its victim is alive). An earlier crash
-/// shortens its victim's live window, which lets the ddmin pass remove
-/// the victim's steps — without this, a witness can be forced to keep
-/// steps whose only purpose is advancing the clock to the crash's
-/// recorded firing step. A candidate that still fails adopts the
-/// executed schedule and crash pattern (the crash's *actual* fired step
-/// is what gets recorded).
-#[allow(clippy::too_many_arguments)]
-fn advance_crashes<T, R, FMake, Fail>(
-    pool: &mut ProcPool<'_, '_, T, R>,
-    cfg: &SimConfig<T>,
-    scfg: &ShrinkConfig,
-    current: &mut Vec<ProcId>,
-    crashes: &mut Vec<(ProcId, u64)>,
-    stats: &mut ShrinkStats,
-    factory: &mut FMake,
-    failing: &mut Fail,
-) where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Fail: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    let mut i = 0;
-    while i < crashes.len() {
-        if stats.attempts >= scfg.max_attempts {
-            break;
-        }
-        if crashes[i].1 == 0 {
+    /// One crash-advance sweep: try re-firing each crash at step 0 (the
+    /// earliest decision point its victim is alive). An earlier crash
+    /// shortens its victim's live window, which lets the ddmin pass
+    /// remove the victim's steps — without this, a witness can be forced
+    /// to keep steps whose only purpose is advancing the clock to the
+    /// crash's recorded firing step. The crash's *actual* fired step is
+    /// what gets recorded.
+    fn advance_crashes(&mut self) {
+        let mut i = 0;
+        while i < self.crashes.len() && !self.spent() {
+            if self.crashes[i].1 != 0 {
+                let mut cand = self.crashes.clone();
+                cand[i].1 = 0;
+                self.adopt(self.current.clone(), cand);
+            }
             i += 1;
-            continue;
-        }
-        let mut cand = crashes.clone();
-        cand[i].1 = 0;
-        stats.attempts += 1;
-        if let Some((sched, executed_crashes)) =
-            attempt(pool, cfg, current.clone(), &cand, factory, failing)
-        {
-            stats.useful += 1;
-            *current = sched;
-            *crashes = executed_crashes;
-        }
-        i += 1;
-    }
-}
-
-/// Minimize a failing schedule by delta debugging. Crash-free
-/// convenience wrapper over [`shrink_execution`].
-pub fn shrink_schedule<T, R, FMake, Fail>(
-    cfg: &SimConfig<T>,
-    scfg: &ShrinkConfig,
-    original: &[ProcId],
-    factory: &mut FMake,
-    failing: Fail,
-) -> ShrinkReport
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Fail: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    shrink_execution(cfg, scfg, original, &[], factory, failing)
-}
-
-/// Minimize a failing *execution* — schedule and crash pattern — by
-/// delta debugging.
-///
-/// `factory` must produce the same deterministic process bodies as the
-/// run that recorded `original` (the explorer's contract); `failing`
-/// decides whether an outcome still exhibits the violation — it is
-/// called once per candidate and must be a pure function of the outcome.
-/// `original_crashes` is the executed crash pattern of the failing run
-/// (see [`SimOutcome::executed_crashes`]).
-///
-/// The returned [`ShrinkReport`] is locally minimal: removing any
-/// single step — or any single crash — loses the violation (or the
-/// attempt budget ran out first). It may equal the original when
-/// nothing could be removed.
-pub fn shrink_execution<T, R, FMake, Fail>(
-    cfg: &SimConfig<T>,
-    scfg: &ShrinkConfig,
-    original: &[ProcId],
-    original_crashes: &[(ProcId, u64)],
-    factory: &mut FMake,
-    failing: Fail,
-) -> ShrinkReport
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Fail: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    std::thread::scope(|scope| {
-        let mut pool = ProcPool::new(scope);
-        shrink_on(
-            &mut pool,
-            cfg,
-            scfg,
-            original,
-            original_crashes,
-            factory,
-            failing,
-        )
-    })
-}
-
-/// [`shrink_execution`] proper, every candidate re-executed on `pool`.
-fn shrink_on<T, R, FMake, Fail>(
-    pool: &mut ProcPool<'_, '_, T, R>,
-    cfg: &SimConfig<T>,
-    scfg: &ShrinkConfig,
-    original: &[ProcId],
-    original_crashes: &[(ProcId, u64)],
-    factory: &mut FMake,
-    mut failing: Fail,
-) -> ShrinkReport
-where
-    T: Clone + Send,
-    R: Send,
-    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
-    Fail: FnMut(&SimOutcome<T, R>) -> bool,
-{
-    let mut stats = ShrinkStats::default();
-    let mut current: Vec<ProcId> = original.to_vec();
-    let mut crashes: Vec<(ProcId, u64)> = original_crashes.to_vec();
-
-    // Pass 0 — crash removal: drop each crash in turn; a candidate that
-    // still fails adopts both the executed schedule and the executed
-    // crash pattern (a dropped crash can change the whole tail).
-    drop_crashes(
-        pool,
-        cfg,
-        scfg,
-        &mut current,
-        &mut crashes,
-        &mut stats,
-        factory,
-        &mut failing,
-    );
-
-    // Pass 0b — crash advancing: fire each surviving crash as early as
-    // possible, so the ddmin pass can drop its victim's steps.
-    advance_crashes(
-        pool,
-        cfg,
-        scfg,
-        &mut current,
-        &mut crashes,
-        &mut stats,
-        factory,
-        &mut failing,
-    );
-
-    // Pass 1 — ddmin: drop chunks of halving size until even single
-    // steps are all load-bearing.
-    let mut chunk = current.len().div_ceil(2).max(1);
-    'ddmin: loop {
-        let mut progress = false;
-        let mut start = 0;
-        while start < current.len() {
-            if stats.attempts >= scfg.max_attempts {
-                break 'ddmin;
-            }
-            let end = (start + chunk).min(current.len());
-            let mut candidate = Vec::with_capacity(current.len() - (end - start));
-            candidate.extend_from_slice(&current[..start]);
-            candidate.extend_from_slice(&current[end..]);
-            stats.attempts += 1;
-            match attempt(pool, cfg, candidate, &crashes, factory, &mut failing) {
-                Some((executed, executed_crashes)) => {
-                    stats.useful += 1;
-                    current = executed;
-                    crashes = executed_crashes;
-                    progress = true;
-                    // The element now at `start` is new; retry in place.
-                }
-                None => start = end,
-            }
-        }
-        if !progress {
-            if chunk == 1 {
-                break;
-            }
-            chunk = (chunk / 2).max(1);
         }
     }
 
-    // Passes 0 and 0b again: a shorter schedule may no longer need some
-    // crash, and a dropped step may unlock an earlier firing point.
-    drop_crashes(
-        pool,
-        cfg,
-        scfg,
-        &mut current,
-        &mut crashes,
-        &mut stats,
-        factory,
-        &mut failing,
-    );
-    advance_crashes(
-        pool,
-        cfg,
-        scfg,
-        &mut current,
-        &mut crashes,
-        &mut stats,
-        factory,
-        &mut failing,
-    );
-
-    // Pass 2 — segment merging: swap adjacent steps of different
-    // processes when doing so joins two segments of the same process,
-    // reducing context switches without changing the step count.
-    if scfg.merge_segments {
+    /// Drop chunks of halving size until even single steps are all
+    /// load-bearing.
+    fn ddmin(&mut self) {
+        let mut chunk = self.current.len().div_ceil(2).max(1);
         loop {
-            let before = switches(&current);
+            let mut progress = false;
+            let mut start = 0;
+            while start < self.current.len() {
+                if self.spent() {
+                    return;
+                }
+                let end = (start + chunk).min(self.current.len());
+                let mut candidate = Vec::with_capacity(self.current.len() - (end - start));
+                candidate.extend_from_slice(&self.current[..start]);
+                candidate.extend_from_slice(&self.current[end..]);
+                // Adopted, the element now at `start` is new: retry in
+                // place.
+                if self.adopt(candidate, self.crashes.clone()) {
+                    progress = true;
+                } else {
+                    start = end;
+                }
+            }
+            if !progress {
+                if chunk == 1 {
+                    return;
+                }
+                chunk = (chunk / 2).max(1);
+            }
+        }
+    }
+
+    /// Swap adjacent steps of different processes when doing so joins
+    /// two segments of the same process, reducing context switches
+    /// without changing the step count.
+    fn merge_segments(&mut self) {
+        loop {
+            let before = switches(&self.current);
             let mut improved = false;
             let mut i = 0;
-            while i + 1 < current.len() {
-                if stats.attempts >= scfg.max_attempts {
-                    break;
-                }
-                let joins_left = i > 0 && current[i - 1] == current[i + 1];
-                let joins_right = i + 2 < current.len() && current[i] == current[i + 2];
-                if current[i] != current[i + 1] && (joins_left || joins_right) {
-                    let mut candidate = current.clone();
+            while i + 1 < self.current.len() && !self.spent() {
+                let c = &self.current;
+                let joins_left = i > 0 && c[i - 1] == c[i + 1];
+                let joins_right = i + 2 < c.len() && c[i] == c[i + 2];
+                if c[i] != c[i + 1] && (joins_left || joins_right) {
+                    let mut candidate = c.clone();
                     candidate.swap(i, i + 1);
-                    if switches(&candidate) < before {
-                        stats.attempts += 1;
-                        if let Some((executed, executed_crashes)) =
-                            attempt(pool, cfg, candidate, &crashes, factory, &mut failing)
-                        {
-                            stats.useful += 1;
-                            let saved = before.saturating_sub(switches(&executed));
-                            stats.merges += saved as u64;
-                            current = executed;
-                            crashes = executed_crashes;
-                            improved = true;
-                            break; // restart the scan on the new schedule
-                        }
+                    if switches(&candidate) < before && self.adopt(candidate, self.crashes.clone())
+                    {
+                        let saved = before.saturating_sub(switches(&self.current));
+                        self.stats.merges += saved as u64;
+                        improved = true;
+                        break; // restart the scan on the new schedule
                     }
                 }
                 i += 1;
             }
-            if !improved || stats.attempts >= scfg.max_attempts {
-                break;
+            if !improved || self.spent() {
+                return;
             }
         }
     }
+}
 
+impl<T: Clone + Send> SimBuilder<T> {
+    /// Minimize a failing *execution* — schedule and crash pattern — by
+    /// delta debugging. The builder's strategy and crash plan are *not*
+    /// used: every candidate is a halting replay of its own schedule
+    /// under its own crashes.
+    ///
+    /// `factory` must produce the same deterministic process bodies as
+    /// the run that recorded `original` (the explorer's contract);
+    /// `failing` decides whether an outcome still exhibits the violation
+    /// — it is called once per candidate and must be a pure function of
+    /// the outcome. `original_crashes` is the executed crash pattern of
+    /// the failing run (see [`SimOutcome::executed_crashes`]; empty for a
+    /// crash-free one).
+    ///
+    /// The returned [`ShrinkReport`] is locally minimal: removing any
+    /// single step — or any single crash — loses the violation (or the
+    /// attempt budget ran out first). It may equal the original when
+    /// nothing could be removed.
+    pub fn shrink<R, FMake, Fail>(
+        &self,
+        scfg: &ShrinkConfig,
+        original: &[ProcId],
+        original_crashes: &[(ProcId, u64)],
+        factory: &mut FMake,
+        failing: Fail,
+    ) -> ShrinkReport
+    where
+        R: Send,
+        FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+        Fail: FnMut(&SimOutcome<T, R>) -> bool,
+    {
+        std::thread::scope(|scope| {
+            let pool = &mut ProcPool::new(scope);
+            shrink_on(
+                pool,
+                &self.cfg,
+                scfg,
+                original,
+                original_crashes,
+                factory,
+                failing,
+            )
+        })
+    }
+}
+
+/// [`SimBuilder::shrink`] proper, every candidate re-executed on
+/// `pool`; the explorers and the certifier call it with a pool of their
+/// own.
+pub(super) fn shrink_on<T, R, FMake, Fail>(
+    pool: &mut ProcPool<'_, '_, T, R>,
+    cfg: &SimConfig<T>,
+    scfg: &ShrinkConfig,
+    original: &[ProcId],
+    original_crashes: &[(ProcId, u64)],
+    factory: &mut FMake,
+    failing: Fail,
+) -> ShrinkReport
+where
+    T: Clone + Send,
+    R: Send,
+    FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
+    Fail: FnMut(&SimOutcome<T, R>) -> bool,
+{
+    let mut shrinker = Shrinker {
+        pool,
+        cfg,
+        scfg,
+        factory,
+        failing,
+        current: original.to_vec(),
+        crashes: original_crashes.to_vec(),
+        stats: ShrinkStats::default(),
+    };
+    // Pass 0: remove crashes, then fire the survivors as early as
+    // possible, so that pass 1 can drop their victims' steps.
+    shrinker.drop_crashes();
+    shrinker.advance_crashes();
+    // Pass 1: ddmin over the schedule.
+    shrinker.ddmin();
+    // Pass 0 again: a shorter schedule may no longer need some crash,
+    // and a dropped step may unlock an earlier firing point.
+    shrinker.drop_crashes();
+    shrinker.advance_crashes();
+    // Pass 2: segment merging.
+    if scfg.merge_segments {
+        shrinker.merge_segments();
+    }
     ShrinkReport {
         original: original.to_vec(),
-        schedule: current,
-        crashes,
-        stats,
+        schedule: shrinker.current,
+        crashes: shrinker.crashes,
+        stats: shrinker.stats,
     }
 }
 
@@ -472,12 +384,12 @@ mod tests {
     fn shrinks_to_minimal_failing_schedule() {
         // A bloated failing schedule: both P0 writes, then P1, then the
         // read. Only [1, 2] is needed.
-        let cfg = SimConfig::base(vec![0u64; 1]);
+        let sim = SimBuilder::new(vec![0u64; 1]);
         let original = vec![0, 0, 1, 2];
-        let report = shrink_schedule(
-            &cfg,
+        let report = sim.shrink(
             &ShrinkConfig::default(),
             &original,
+            &[],
             &mut bodies,
             failing,
         );
@@ -489,11 +401,11 @@ mod tests {
 
     #[test]
     fn shrunk_schedule_replays_strictly() {
-        let cfg = SimConfig::base(vec![0u64; 1]);
-        let report = shrink_schedule(
-            &cfg,
+        let sim = SimBuilder::new(vec![0u64; 1]);
+        let report = sim.shrink(
             &ShrinkConfig::default(),
             &[0, 0, 1, 2],
+            &[],
             &mut bodies,
             failing,
         );
@@ -528,11 +440,11 @@ mod tests {
         }
         // Failing = P1 saw both writes. Interleaved schedule works but
         // has 3 switches; [0,0,1,1] has 1.
-        let cfg = SimConfig::base(vec![0u64; 2]);
-        let report = shrink_schedule(
-            &cfg,
+        let sim = SimBuilder::new(vec![0u64; 2]);
+        let report = sim.shrink(
             &ShrinkConfig::default(),
             &[0, 1, 0, 1],
+            &[],
             &mut bodies2,
             |out: &SimOutcome<u64, u64>| out.results[1] == Some(2),
         );
@@ -543,10 +455,10 @@ mod tests {
             merge_segments: false,
             ..Default::default()
         };
-        let report2 = shrink_schedule(
-            &cfg,
+        let report2 = sim.shrink(
             &no_merge,
             &[0, 1, 0, 1],
+            &[],
             &mut bodies2,
             |out: &SimOutcome<u64, u64>| out.results[1] == Some(2),
         );
@@ -555,12 +467,12 @@ mod tests {
 
     #[test]
     fn attempt_budget_is_respected() {
-        let cfg = SimConfig::base(vec![0u64; 1]);
+        let sim = SimBuilder::new(vec![0u64; 1]);
         let tight = ShrinkConfig {
             max_attempts: 1,
             merge_segments: true,
         };
-        let report = shrink_schedule(&cfg, &tight, &[0, 0, 1, 2], &mut bodies, failing);
+        let report = sim.shrink(&tight, &[0, 0, 1, 2], &[], &mut bodies, failing);
         assert!(report.stats.attempts <= 1);
     }
 
@@ -605,12 +517,11 @@ mod tests {
                 Box::new(|ctx: &mut SimCtx<u64>| ctx.read(0)),
             ]
         }
-        let cfg = SimConfig::base(vec![0u64; 1]);
+        let sim = SimBuilder::new(vec![0u64; 1]);
         // Violation: the reader saw 2 AND P0 crashed (so the violation
         // genuinely needs the crash to be minimal wrt failing()).
         let fail = |out: &SimOutcome<u64, u64>| out.results[2] == Some(2) && out.crashed[0];
-        let report = shrink_execution(
-            &cfg,
+        let report = sim.shrink(
             &ShrinkConfig::default(),
             &[0, 1, 2],
             &[(0, 1), (2, 3)],
@@ -625,7 +536,7 @@ mod tests {
         // The minimized execution strict-replays with its fault plan.
         let out = crate::sim::SimBuilder::new(vec![0u64; 1])
             .strategy(Replay::strict(report.schedule.clone()))
-            .fault_plan(FaultPlan::from(report.crashes.clone()))
+            .crashes(report.crashes.clone())
             .max_steps(report.schedule.len() as u64)
             .run(bodies3());
         assert!(fail(&out));

@@ -133,7 +133,7 @@ fn attempt_waiting_gives_up_wait_freedom() {
     let out = SimBuilder::new(vec![None; 2])
         .owners(vec![0, 1])
         .max_steps(500)
-        .crash_at(1, 0)
+        .crashes([(1, 0)])
         .run(bodies);
     out.assert_no_panics();
     assert!(

@@ -151,7 +151,7 @@ fn heartbeat_elapsed_ms_is_present_and_monotone() {
     let econfig = ExploreConfig::new()
         .max_depth(8)
         .max_runs(50)
-        .heartbeat_with(Heartbeat::shared(Duration::ZERO, sink));
+        .heartbeat(Heartbeat::shared(Duration::ZERO, sink));
     let stats = SimBuilder::new(vec![0u64; n])
         .owners((0..n).collect())
         .explore(

@@ -14,8 +14,7 @@ use apram_history::{check_histories_parallel, check_linearizable, CheckerConfig}
 use apram_lattice::{Tagged, TaggedVec};
 use apram_model::sim::shrink::ShrinkConfig;
 use apram_model::sim::{
-    shrink_execution, Budgeted, CertifyConfig, ExploreConfig, ProcBody, SimBuilder, SimCtx,
-    SimOutcome, ViolationKind,
+    Budgeted, CertifyConfig, ExploreConfig, ProcBody, SimBuilder, SimCtx, SimOutcome, ViolationKind,
 };
 use apram_snapshot::collect::CollectArray;
 use apram_snapshot::snapshot::SnapshotSpec;
@@ -311,7 +310,7 @@ fn certificates_match_sequential_on_pass_and_on_violation() {
 
 /// The shrinker is deterministic wherever it runs: the report the
 /// sequential explorer attaches to its violation, the one the parallel
-/// engine attaches, and a direct `shrink_execution` of the same witness
+/// engine attaches, and a direct `SimBuilder::shrink` of the same witness
 /// are equal in every field, attempt counts included.
 #[test]
 fn shrink_reports_match_across_drivers() {
@@ -339,8 +338,7 @@ fn shrink_reports_match_across_drivers() {
     assert!(seq_report.stats.useful > 0, "{seq_report:?}");
 
     let (mut make, visit) = worker();
-    let direct = shrink_execution(
-        sim.config(),
+    let direct = sim.shrink(
         &ShrinkConfig::default(),
         &witness.schedule,
         &witness.crashes,
