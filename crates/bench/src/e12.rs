@@ -483,9 +483,10 @@ mod tests {
         let rows = quick_rows();
         let prom = e12_heatmap_prometheus(&rows);
         assert!(prom.contains("apram_cell_accesses{object=\"counter_hot_k2\""));
+        validate_prometheus(&prom).expect("the heatmap document must validate");
         for row in &rows {
-            let text = row.map.to_prometheus(row.object);
-            validate_prometheus(&text).expect("per-row heatmap must validate");
+            let label = format!("object=\"{}_{}_k{}\"", row.object, row.workload, row.k);
+            assert!(prom.contains(&label), "no series for {label}");
         }
         let doc = e12_heatmap_json(&rows);
         let parsed = apram_model::json::parse(&doc.to_compact()).unwrap();

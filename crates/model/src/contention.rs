@@ -25,13 +25,11 @@
 //!   rationals for `k <= 16` and deterministic for all `k` — no float
 //!   summation order to worry about.
 //!
-//! A [`ContentionProfiler`] observes one execution at a time
-//! ([`ContentionProfiler::begin_run`] resets the per-run transient
-//! state); its accumulated [`ContentionMap`] is a plain mergeable value
-//! whose merge is commutative and associative, so per-worker maps from
-//! the parallel explorer fold into a map **bit-identical** to the
-//! sequential explorer's — the same guarantee the step counters already
-//! give.
+//! A [`ContentionProfiler`] observes one execution: the paper counts
+//! cost per execution (the steps one process takes in one schedule), and
+//! so does the profile. [`crate::sim::SimBuilder::profile`] gives each
+//! `run*` a fresh profiler, whose [`ContentionMap`] comes back on the
+//! run's outcome; the schedule searches never profile.
 //!
 //! The simulator profiles *exactly*: the scheduler sees every pending
 //! request, so point contention is the true number of processes blocked
@@ -40,7 +38,6 @@
 
 use crate::ctx::{AccessKind, ProcId};
 use crate::json::Json;
-use crate::telemetry::escape_label_value;
 use std::collections::BTreeMap;
 
 /// Fixed-point denominator for contention-charged step accounting:
@@ -91,43 +88,26 @@ impl CellStats {
             self.contention_sum as f64 / self.accesses() as f64
         }
     }
-
-    fn merge(&mut self, other: &CellStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.contended += other.contended;
-        self.contention_sum += other.contention_sum;
-        self.peak_contention = self.peak_contention.max(other.peak_contention);
-        self.windows += other.windows;
-        self.accessor_sum += other.accessor_sum;
-        self.peak_window_accessors = self.peak_window_accessors.max(other.peak_window_accessors);
-    }
 }
 
-/// The mergeable product of contention profiling: per-cell hot-spot
-/// counters, per-process (raw and contention-charged) step totals, and
-/// stall attribution edges.
-///
-/// All fields are sums or maxes of per-run quantities, so
-/// [`ContentionMap::merge`] is commutative and associative: any
-/// partition of the same set of runs across workers folds to the same
-/// map, which is what makes 1-thread and 4-thread exploration
-/// bit-identical.
+/// The product of profiling one run: per-cell hot-spot counters,
+/// per-process (raw and contention-charged) step totals, and stall
+/// attribution edges.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ContentionMap {
     n_procs: usize,
     n_regs: usize,
-    /// Profiled runs folded into this map.
+    /// Profiled runs in this map: always 1, a profile is of one run.
     pub runs: u64,
     /// Per-register statistics (`n_regs` entries).
     pub cells: Vec<CellStats>,
     /// Raw steps per process.
     pub proc_steps: Vec<u64>,
     /// Contention-charged steps per process, in [`CHARGE_UNIT`] fixed
-    /// point, summed over all runs.
+    /// point.
     pub charged_total: Vec<u64>,
-    /// The worst (largest) single-run charged total per process, in
-    /// [`CHARGE_UNIT`] fixed point.
+    /// The worst single-run charged total per process, in
+    /// [`CHARGE_UNIT`] fixed point: of one run, `charged_total` itself.
     pub charged_worst: Vec<u64>,
     /// `(reader, writer, cell) -> stalled re-reads`: reads by `reader`
     /// that re-read `cell` after an intervening write by `writer`.
@@ -135,20 +115,6 @@ pub struct ContentionMap {
 }
 
 impl ContentionMap {
-    /// An empty map for `n_procs` processes over `n_regs` registers.
-    pub fn new(n_procs: usize, n_regs: usize) -> Self {
-        ContentionMap {
-            n_procs,
-            n_regs,
-            runs: 0,
-            cells: vec![CellStats::default(); n_regs],
-            proc_steps: vec![0; n_procs],
-            charged_total: vec![0; n_procs],
-            charged_worst: vec![0; n_procs],
-            stall_edges: BTreeMap::new(),
-        }
-    }
-
     /// Number of processes.
     pub fn n_procs(&self) -> usize {
         self.n_procs
@@ -159,18 +125,18 @@ impl ContentionMap {
         self.n_regs
     }
 
-    /// Total raw steps across all processes and runs.
+    /// Total raw steps across all processes.
     pub fn total_steps(&self) -> u64 {
         self.proc_steps.iter().sum()
     }
 
-    /// Contention-charged steps of `proc` across all runs, as a real
-    /// number of steps ([`CHARGE_UNIT`] divided back out).
+    /// Contention-charged steps of `proc`, as a real number of steps
+    /// ([`CHARGE_UNIT`] divided back out).
     pub fn charged_steps(&self, proc: ProcId) -> f64 {
         self.charged_total[proc] as f64 / CHARGE_UNIT as f64
     }
 
-    /// Total contention-charged steps across all processes and runs.
+    /// Total contention-charged steps across all processes.
     pub fn total_charged_steps(&self) -> f64 {
         self.charged_total.iter().sum::<u64>() as f64 / CHARGE_UNIT as f64
     }
@@ -196,32 +162,6 @@ impl ContentionMap {
         });
         idx.truncate(limit);
         idx.into_iter().map(|r| (r, &self.cells[r])).collect()
-    }
-
-    /// Fold `other` into `self` (element-wise sums; maxes for peaks).
-    /// Panics if the dimensions differ.
-    pub fn merge(&mut self, other: &ContentionMap) {
-        assert_eq!(
-            (self.n_procs, self.n_regs),
-            (other.n_procs, other.n_regs),
-            "cannot merge contention maps of different dimensions"
-        );
-        self.runs += other.runs;
-        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
-            a.merge(b);
-        }
-        for (a, b) in self.proc_steps.iter_mut().zip(&other.proc_steps) {
-            *a += b;
-        }
-        for (a, b) in self.charged_total.iter_mut().zip(&other.charged_total) {
-            *a += b;
-        }
-        for (a, b) in self.charged_worst.iter_mut().zip(&other.charged_worst) {
-            *a = (*a).max(*b);
-        }
-        for (&k, &v) in &other.stall_edges {
-            *self.stall_edges.entry(k).or_insert(0) += v;
-        }
     }
 
     /// The hot-cell heatmap as JSON: per-cell counters (cells with no
@@ -299,66 +239,6 @@ impl ContentionMap {
         ])
     }
 
-    /// The heatmap in Prometheus text exposition format, every series
-    /// labeled with `object` (escaped per the exposition rules — see
-    /// [`escape_label_value`]). Passes
-    /// [`crate::telemetry::validate_prometheus`] by construction.
-    pub fn to_prometheus(&self, object: &str) -> String {
-        let obj = escape_label_value(object);
-        let mut out = String::new();
-        let hot: Vec<usize> = (0..self.n_regs)
-            .filter(|&r| self.cells[r].accesses() > 0)
-            .collect();
-        out.push_str("# TYPE apram_cell_accesses counter\n");
-        for &r in &hot {
-            let c = &self.cells[r];
-            out.push_str(&format!(
-                "apram_cell_accesses{{object=\"{obj}\",cell=\"{r}\",kind=\"read\"}} {}\n",
-                c.reads
-            ));
-            out.push_str(&format!(
-                "apram_cell_accesses{{object=\"{obj}\",cell=\"{r}\",kind=\"write\"}} {}\n",
-                c.writes
-            ));
-        }
-        out.push_str("# TYPE apram_cell_contended counter\n");
-        for &r in &hot {
-            out.push_str(&format!(
-                "apram_cell_contended{{object=\"{obj}\",cell=\"{r}\"}} {}\n",
-                self.cells[r].contended
-            ));
-        }
-        out.push_str("# TYPE apram_cell_peak_contention gauge\n");
-        for &r in &hot {
-            out.push_str(&format!(
-                "apram_cell_peak_contention{{object=\"{obj}\",cell=\"{r}\"}} {}\n",
-                self.cells[r].peak_contention
-            ));
-        }
-        out.push_str("# TYPE apram_cell_window_peak_accessors gauge\n");
-        for &r in &hot {
-            out.push_str(&format!(
-                "apram_cell_window_peak_accessors{{object=\"{obj}\",cell=\"{r}\"}} {}\n",
-                self.cells[r].peak_window_accessors
-            ));
-        }
-        out.push_str("# TYPE apram_stall_steps counter\n");
-        for (&(reader, writer, reg), &stalls) in &self.stall_edges {
-            out.push_str(&format!(
-                "apram_stall_steps{{object=\"{obj}\",reader=\"{reader}\",\
-                 writer=\"{writer}\",cell=\"{reg}\"}} {stalls}\n"
-            ));
-        }
-        out.push_str("# TYPE apram_charged_steps gauge\n");
-        for p in 0..self.n_procs {
-            out.push_str(&format!(
-                "apram_charged_steps{{object=\"{obj}\",proc=\"{p}\"}} {}\n",
-                self.charged_steps(p)
-            ));
-        }
-        out
-    }
-
     /// Push the heatmap's integer series into a
     /// [`crate::telemetry::TelemetryRegistry`] as labeled counters on
     /// `shard`, so the map exports through the same registry (and the
@@ -406,76 +286,55 @@ impl ContentionMap {
     }
 }
 
-/// Observes executions and accumulates a [`ContentionMap`].
+/// Observes one execution and builds its [`ContentionMap`].
 ///
-/// One profiler observes one run at a time; call
-/// [`begin_run`](Self::begin_run) at each run boundary (the simulator
-/// does this at the start of every run) and
-/// [`into_map`](Self::into_map) (or [`snapshot`](Self::snapshot)) when
-/// done. Recording is deterministic: given the same sequence of
-/// `(proc, reg, kind, point_contention)` records partitioned into the
-/// same runs, the resulting map is identical — there is no clock and no
-/// float accumulation.
+/// [`new`](Self::new) opens the run, [`record`](Self::record) is called
+/// once per serviced access, and [`into_map`](Self::into_map) closes the
+/// run. Recording is deterministic: given the same sequence of
+/// `(proc, reg, kind, point_contention)` records, the resulting map is
+/// identical — there is no clock and no float accumulation.
 #[derive(Debug)]
 pub struct ContentionProfiler {
     map: ContentionMap,
-    run_open: bool,
-    // Per-run transient state, reset by `begin_run`.
-    /// Last process to write each register this run.
+    /// Last process to write each register.
     last_writer: Vec<Option<ProcId>>,
-    /// Writes applied to each register this run.
+    /// Writes applied to each register.
     write_epoch: Vec<u64>,
     /// `proc * n_regs + reg` -> write epoch the process last observed on
-    /// the register (`u64::MAX` = never accessed it this run).
+    /// the register (`u64::MAX` = never accessed it).
     seen_epoch: Vec<u64>,
     /// Distinct-accessor bitmask per register for the current window.
     window_mask: Vec<u64>,
     /// Steps into the current window.
     window_len: u64,
-    /// Charged steps (fixed point) per process this run.
-    run_charged: Vec<u64>,
 }
 
 impl ContentionProfiler {
-    /// A profiler for `n_procs` processes over `n_regs` registers.
-    /// Window accessor masks are 64-bit, so `n_procs` must be below 64
-    /// (the same limit the explorer's sleep sets impose).
+    /// A profiler for one run of `n_procs` processes over `n_regs`
+    /// registers. Window accessor masks are 64-bit, so `n_procs` must be
+    /// below 64 (the same limit the explorer's sleep sets impose).
     pub fn new(n_procs: usize, n_regs: usize) -> Self {
         assert!(
             n_procs < 64,
             "contention profiler supports at most 63 processes"
         );
         ContentionProfiler {
-            map: ContentionMap::new(n_procs, n_regs),
-            run_open: false,
+            map: ContentionMap {
+                n_procs,
+                n_regs,
+                runs: 1,
+                cells: vec![CellStats::default(); n_regs],
+                proc_steps: vec![0; n_procs],
+                charged_total: vec![0; n_procs],
+                charged_worst: vec![0; n_procs],
+                stall_edges: BTreeMap::new(),
+            },
             last_writer: vec![None; n_regs],
             write_epoch: vec![0; n_regs],
             seen_epoch: vec![u64::MAX; n_procs * n_regs],
             window_mask: vec![0; n_regs],
             window_len: 0,
-            run_charged: vec![0; n_procs],
         }
-    }
-
-    /// Start a new run: fold the previous run's per-run aggregates into
-    /// the map and reset the transient state. Idempotent between runs.
-    pub fn begin_run(&mut self) {
-        self.finish_run();
-    }
-
-    fn finish_run(&mut self) {
-        if !self.run_open {
-            return;
-        }
-        self.flush_window();
-        for p in 0..self.map.n_procs {
-            self.map.charged_worst[p] = self.map.charged_worst[p].max(self.run_charged[p]);
-            self.run_charged[p] = 0;
-        }
-        self.last_writer.fill(None);
-        self.write_epoch.fill(0);
-        self.seen_epoch.fill(u64::MAX);
-        self.run_open = false;
     }
 
     fn flush_window(&mut self) {
@@ -497,10 +356,6 @@ impl ContentionProfiler {
     /// were competing for it.
     pub fn record(&mut self, proc: ProcId, reg: usize, kind: AccessKind, point_contention: u64) {
         let k = point_contention.max(1);
-        if !self.run_open {
-            self.run_open = true;
-            self.map.runs += 1;
-        }
         let cell = &mut self.map.cells[reg];
         match kind {
             AccessKind::Read => cell.reads += 1,
@@ -512,14 +367,12 @@ impl ContentionProfiler {
         cell.contention_sum += k;
         cell.peak_contention = cell.peak_contention.max(k);
 
-        let charge = CHARGE_UNIT / k;
         self.map.proc_steps[proc] += 1;
-        self.map.charged_total[proc] += charge;
-        self.run_charged[proc] += charge;
+        self.map.charged_total[proc] += CHARGE_UNIT / k;
 
         // Stall attribution: a read that observes a write it has not
         // seen before, by someone else, after having read the cell
-        // earlier this run, is a stalled re-read charged to that writer.
+        // earlier, is a stalled re-read charged to that writer.
         let slot = proc * self.map.n_regs + reg;
         match kind {
             AccessKind::Read => {
@@ -548,15 +401,10 @@ impl ContentionProfiler {
         }
     }
 
-    /// The map accumulated so far (folding any open run first).
-    pub fn snapshot(&mut self) -> ContentionMap {
-        self.finish_run();
-        self.map.clone()
-    }
-
-    /// Consume the profiler, folding any open run.
+    /// Close the run: flush the partial window and return its map.
     pub fn into_map(mut self) -> ContentionMap {
-        self.finish_run();
+        self.flush_window();
+        self.map.charged_worst.clone_from(&self.map.charged_total);
         self.map
     }
 }
@@ -575,7 +423,6 @@ mod tests {
     #[test]
     fn charges_are_exact_fixed_point() {
         let mut p = ContentionProfiler::new(3, 2);
-        p.begin_run();
         // Three accesses at contention 1, 2, 3: charged 1 + 1/2 + 1/3.
         record_seq(
             &mut p,
@@ -594,12 +441,14 @@ mod tests {
         assert_eq!(m.cells[0].peak_contention, 3);
         assert_eq!(m.cells[0].contention_sum, 6);
         assert_eq!(m.cells[1].accesses(), 0);
+        // A profile is of one run: its worst run is the whole of it.
+        assert_eq!(m.runs, 1);
+        assert_eq!(m.charged_worst, m.charged_total);
     }
 
     #[test]
     fn stall_edges_attribute_rereads_to_the_intervening_writer() {
         let mut p = ContentionProfiler::new(3, 1);
-        p.begin_run();
         record_seq(
             &mut p,
             &[
@@ -620,7 +469,6 @@ mod tests {
     #[test]
     fn own_writes_do_not_stall() {
         let mut p = ContentionProfiler::new(2, 1);
-        p.begin_run();
         record_seq(
             &mut p,
             &[
@@ -633,24 +481,8 @@ mod tests {
     }
 
     #[test]
-    fn stall_state_resets_between_runs() {
-        let mut p = ContentionProfiler::new(2, 1);
-        p.begin_run();
-        record_seq(
-            &mut p,
-            &[(0, 0, AccessKind::Read, 1), (1, 0, AccessKind::Write, 1)],
-        );
-        p.begin_run(); // the pending stall context must not leak
-        record_seq(&mut p, &[(0, 0, AccessKind::Read, 1)]);
-        let m = p.into_map();
-        assert!(m.stall_edges.is_empty());
-        assert_eq!(m.runs, 2);
-    }
-
-    #[test]
     fn windows_count_distinct_accessors() {
         let mut p = ContentionProfiler::new(4, 2);
-        p.begin_run();
         // 3 distinct accessors on reg 0, one on reg 1, in one window.
         record_seq(
             &mut p,
@@ -673,7 +505,6 @@ mod tests {
     #[test]
     fn window_boundary_splits_accessor_counts() {
         let mut p = ContentionProfiler::new(2, 1);
-        p.begin_run();
         for _ in 0..WINDOW {
             p.record(0, 0, AccessKind::Read, 1);
         }
@@ -686,67 +517,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_commutative_and_partition_independent() {
-        let seq: Vec<(ProcId, usize, AccessKind, u64)> = (0..200)
-            .map(|i| {
-                (
-                    i % 3,
-                    (i * 7) % 4,
-                    if i % 2 == 0 {
-                        AccessKind::Read
-                    } else {
-                        AccessKind::Write
-                    },
-                    (i % 3) as u64 + 1,
-                )
-            })
-            .collect();
-        // One profiler sees all runs; two others split them.
-        let mut whole = ContentionProfiler::new(3, 4);
-        let mut part_a = ContentionProfiler::new(3, 4);
-        let mut part_b = ContentionProfiler::new(3, 4);
-        for (run, chunk) in seq.chunks(50).enumerate() {
-            whole.begin_run();
-            record_seq(&mut whole, chunk);
-            let part = if run % 2 == 0 {
-                &mut part_a
-            } else {
-                &mut part_b
-            };
-            part.begin_run();
-            record_seq(part, chunk);
-        }
-        let whole = whole.into_map();
-        let (a, b) = (part_a.into_map(), part_b.into_map());
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab, whole);
-        assert_eq!(ab.runs, 4);
-    }
-
-    #[test]
-    fn charged_worst_takes_the_max_run() {
-        let mut p = ContentionProfiler::new(1, 1);
-        p.begin_run();
-        record_seq(&mut p, &[(0, 0, AccessKind::Read, 1)]);
-        p.begin_run();
-        record_seq(
-            &mut p,
-            &[(0, 0, AccessKind::Read, 1), (0, 0, AccessKind::Read, 1)],
-        );
-        let m = p.into_map();
-        assert_eq!(m.charged_worst[0], 2 * CHARGE_UNIT);
-        assert!((m.worst_charged_steps() - 2.0).abs() < 1e-12);
-        assert_eq!(m.charged_total[0], 3 * CHARGE_UNIT);
-    }
-
-    #[test]
     fn hot_cells_rank_by_contention() {
         let mut p = ContentionProfiler::new(2, 3);
-        p.begin_run();
         record_seq(
             &mut p,
             &[
@@ -766,7 +538,6 @@ mod tests {
     #[test]
     fn json_and_prometheus_exports_are_well_formed() {
         let mut p = ContentionProfiler::new(2, 2);
-        p.begin_run();
         record_seq(
             &mut p,
             &[
@@ -787,17 +558,17 @@ mod tests {
             Some(CHARGE_UNIT)
         );
 
-        let prom = m.to_prometheus("double \"quoted\" \\ name");
+        let reg = crate::telemetry::TelemetryRegistry::new(1);
+        m.register_heatmap(&reg, 0, "double \"quoted\" \\ name");
+        let prom = reg.to_prometheus();
         validate_prometheus(&prom).expect("heatmap must validate");
         assert!(prom.contains("apram_cell_accesses{object=\"double \\\"quoted\\\" \\\\ name\",cell=\"0\",kind=\"read\"} 2"));
         assert!(prom.contains("apram_stall_steps"));
-        assert!(prom.contains("apram_charged_steps"));
     }
 
     #[test]
     fn registry_heatmap_export_validates() {
         let mut p = ContentionProfiler::new(2, 1);
-        p.begin_run();
         record_seq(
             &mut p,
             &[
@@ -815,13 +586,5 @@ mod tests {
         assert!(text.contains("apram_cell_accesses{object=\"afek\",cell=\"0\",kind=\"read\"} 4"));
         assert!(text
             .contains("apram_stall_steps{object=\"afek\",reader=\"0\",writer=\"1\",cell=\"0\"} 2"));
-    }
-
-    #[test]
-    #[should_panic(expected = "different dimensions")]
-    fn merge_rejects_mismatched_dimensions() {
-        let mut a = ContentionMap::new(2, 2);
-        let b = ContentionMap::new(2, 3);
-        a.merge(&b);
     }
 }

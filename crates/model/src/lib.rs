@@ -56,8 +56,8 @@
 //! * [`contention`] — contention profiling: per-cell hot-spot counters,
 //!   stall attribution edges, and contention-charged step accounting
 //!   (steps normalized by observed point contention, per Bender et
-//!   al.), mergeable across explorer workers and exportable as JSON
-//!   heatmaps and labeled Prometheus series.
+//!   al.) of one simulated run, exportable as a JSON heatmap and as
+//!   labeled Prometheus series through the telemetry registry.
 //! * [`flight`] — a wait-free flight recorder for the native backend:
 //!   per-thread drop-oldest event rings (op begin/end, read retries,
 //!   ticket draws, slot choices) drained into Chrome-trace/Perfetto
@@ -100,7 +100,7 @@ pub use sim::{
 };
 pub use span::{SpanNode, SpanRecorder};
 pub use telemetry::{
-    escape_label_value, validate_prometheus, CounterHandle, CountingCtx, GaugeHandle, Heartbeat,
+    escape_label_value, validate_prometheus, CounterHandle, CountingCtx, Heartbeat,
     HistogramHandle, HistogramSnapshot, ProgressBeat, StepHistogram, TelemetryRegistry,
 };
 pub use trace::{StepCounts, Trace, TraceEvent};

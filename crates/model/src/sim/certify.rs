@@ -62,7 +62,6 @@ use super::parallel::ProcPool;
 use super::shrink::{shrink_on, ShrinkConfig, ShrinkReport};
 use super::strategy::Replay;
 use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
-use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,13 +199,6 @@ pub struct Certificate {
     pub bounds: Vec<u64>,
     /// The classified, minimized counterexample, when any run failed.
     pub violation: Option<CertViolation>,
-    /// The contention profile, when
-    /// [`ExploreConfig::profile`] was set on
-    /// [`CertifyConfig::explore`]. On a certified pass it aggregates
-    /// every explored run; on a violation it profiles the canonical
-    /// minimized witness replay alone — both deterministic across
-    /// sequential and parallel certification.
-    pub contention: Option<ContentionMap>,
 }
 
 impl Certificate {
@@ -242,13 +234,6 @@ impl Certificate {
                         ),
                         ("witness", v.report.to_json()),
                     ]),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "contention",
-                match &self.contention {
-                    Some(map) => map.to_json(),
                     None => Json::Null,
                 },
             ),
@@ -306,7 +291,6 @@ fn replay_witness<T, R, FMake>(
     schedule: &[ProcId],
     crashes: &[(ProcId, u64)],
     factory: &mut FMake,
-    profiler: &mut Option<ContentionProfiler>,
 ) -> SimOutcome<T, R>
 where
     T: Clone + Send,
@@ -314,7 +298,7 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
 {
     let strat = FaultPlan::from(crashes.to_vec()).over(Replay::halting(schedule.to_vec()));
-    run_sim(pool, cfg, strat, factory(), profiler).0
+    run_sim(pool, cfg, strat, factory(), false).0
 }
 
 /// Turn a violating witness into a classified, minimized one: re-execute
@@ -322,29 +306,28 @@ where
 /// preserves that kind (an unpinned shrink would drift to the easiest
 /// failure mode — e.g. every halting replay of an *empty* schedule
 /// leaves survivors unfinished), re-execute the result and classify it.
-/// Returns that last execution too, profiled when `profile` is set.
-/// Shared with the [sampler](mod@super::sample).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// Returns that last execution too. Shared with the
+/// [sampler](mod@super::sample).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_witness<T, R, FMake, Check>(
     cfg: &SimConfig<T>,
     scfg: &ShrinkConfig,
     bounds: &[u64],
     require_finish: bool,
-    profile: bool,
     schedule: &[ProcId],
     crashes: &[(ProcId, u64)],
     factory: &mut FMake,
     check: &mut Check,
-) -> (CertViolation, SimOutcome<T, R>, Option<ContentionMap>)
+) -> (CertViolation, SimOutcome<T, R>)
 where
     T: Clone + Send,
     R: Send,
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Check: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let (outcome, report, prof) = std::thread::scope(|scope| {
+    let (outcome, report) = std::thread::scope(|scope| {
         let mut pool = ProcPool::new(scope);
-        let first = replay_witness(&mut pool, cfg, schedule, crashes, factory, &mut None);
+        let first = replay_witness(&mut pool, cfg, schedule, crashes, factory);
         let kind0 = judge(bounds, require_finish, &first, check)
             .expect("the witness must still violate on replay");
         let pin = std::mem::discriminant(&kind0);
@@ -352,17 +335,8 @@ where
             judge(bounds, require_finish, o, check)
                 .is_some_and(|k| std::mem::discriminant(&k) == pin)
         });
-        let mut prof =
-            profile.then(|| ContentionProfiler::new(first.crashed.len(), cfg.registers.len()));
-        let outcome = replay_witness(
-            &mut pool,
-            cfg,
-            &report.schedule,
-            &report.crashes,
-            factory,
-            &mut prof,
-        );
-        (outcome, report, prof)
+        let outcome = replay_witness(&mut pool, cfg, &report.schedule, &report.crashes, factory);
+        (outcome, report)
     });
     let kind = judge(bounds, require_finish, &outcome, check)
         .expect("the shrunk witness must still violate");
@@ -371,7 +345,7 @@ where
         crashed: outcome.crashed.clone(),
         report,
     };
-    (violation, outcome, prof.map(ContentionProfiler::into_map))
+    (violation, outcome)
 }
 
 /// The `visit` callback of a certifying exploration: record each
@@ -419,19 +393,14 @@ where
             worst_steps: worst.iter().map(|w| w.load(Ordering::Relaxed)).collect(),
             bounds: ccfg.bounds.clone(),
             violation: None,
-            contention: stats.contention,
         };
     };
     let (mut factory, mut check) = shrinker();
-    // The profile is of the canonical witness replay alone (never of
-    // the finding exploration, whose run set is engine-dependent on
-    // violation), so both certifiers report the same map.
-    let (violation, outcome, contention) = minimize_witness(
+    let (violation, outcome) = minimize_witness(
         cfg,
         scfg,
         &ccfg.bounds,
         true,
-        ccfg.explore.profile,
         &w.schedule,
         &w.crashes,
         &mut factory,
@@ -450,7 +419,6 @@ where
         worst_steps: worst,
         bounds: ccfg.bounds.clone(),
         violation: Some(violation),
-        contention,
     }
 }
 

@@ -24,7 +24,6 @@ use super::parallel::explore_inline;
 use super::shrink::{ShrinkConfig, ShrinkReport};
 use super::strategy::{Decision, SchedView};
 use super::{ProcBody, SimBuilder, SimOutcome};
-use crate::contention::ContentionMap;
 use crate::ctx::{AccessKind, ProcId};
 use crate::json::Json;
 use std::time::Duration;
@@ -34,7 +33,7 @@ use std::time::Duration;
 /// The shared limits (run cap, branching depth, crash budget,
 /// heartbeat) live in an embedded [`Budget`] and are set through the
 /// [`Budgeted`] vocabulary common to all exploration configs;
-/// explorer-specific knobs (shrinking, span tracing, profiling) are
+/// explorer-specific knobs (shrinking, span tracing) are
 /// inherent methods. The parallel engines take their worker count as an
 /// argument. Construct fluently in the `SimBuilder` idiom:
 ///
@@ -70,12 +69,6 @@ pub struct ExploreConfig {
     /// are recorded by a worker that is the calling thread, and ignored
     /// by the parallel engines' spawned workers.
     pub trace_spans: bool,
-    /// Profile per-cell contention across every explored run into
-    /// [`ExploreStats::contention`] (hot cells, stall edges, and
-    /// contention-charged step totals). The map merges
-    /// partition-independently, so the parallel engines report the same
-    /// map as the sequential explorers on exhaustion.
-    pub profile: bool,
 }
 
 impl Budgeted for ExploreConfig {
@@ -100,12 +93,6 @@ impl ExploreConfig {
     /// Record a span tree of the exploration.
     pub fn trace_spans(mut self, on: bool) -> Self {
         self.trace_spans = on;
-        self
-    }
-
-    /// Profile per-cell contention across every explored run.
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 }
@@ -174,9 +161,6 @@ pub struct ExploreStats {
     /// delegated — actual steals, excluding the root task and
     /// self-produced work. All zeros for the sequential explorers.
     pub worker_steals: Vec<u64>,
-    /// The contention profile aggregated over every executed run, when
-    /// [`ExploreConfig::profile`] was set.
-    pub contention: Option<ContentionMap>,
 }
 
 impl ExploreStats {
@@ -243,13 +227,6 @@ impl ExploreStats {
                 "violation",
                 match &self.violation {
                     Some(report) => report.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "contention",
-                match &self.contention {
-                    Some(map) => map.to_json(),
                     None => Json::Null,
                 },
             ),
@@ -875,14 +852,12 @@ mod tests {
             .max_depth(3)
             .max_crashes(2)
             .shrink(crate::sim::shrink::ShrinkConfig::default())
-            .trace_spans(true)
-            .profile(true);
+            .trace_spans(true);
         assert_eq!(cfg.budget.max_runs, 7);
         assert_eq!(cfg.budget.max_depth, 3);
         assert_eq!(cfg.budget.max_crashes, 2);
         assert!(cfg.shrink.is_some());
         assert!(cfg.trace_spans);
-        assert!(cfg.profile);
         assert!(cfg.budget.heartbeat.is_none());
         let cleared = cfg.heartbeat(None);
         assert!(cleared.budget.heartbeat.is_none());

@@ -123,7 +123,7 @@ fn run_pair<S: Strategy + Send + 'static>(
     cfg: &SimConfig<u64>,
     strategy: S,
 ) -> SimOutcome<u64, u64> {
-    run_sim(pool, cfg, strategy, pair(), &mut None).0
+    run_sim(pool, cfg, strategy, pair(), false).0
 }
 
 /// One pool, three steps, all under the deadline: `broken` runs on it;
@@ -251,7 +251,7 @@ fn body_panic_is_reported_and_the_pool_lives_on() {
             ctx.write(0, 9);
             panic!("algorithm bug");
         });
-        let (out, _) = run_sim(pool, &pair_cfg(), RoundRobin::new(), bodies, &mut None);
+        let (out, _) = run_sim(pool, &pair_cfg(), RoundRobin::new(), bodies, false);
         assert_eq!(out.panics[0].as_deref(), Some("algorithm bug"));
         assert_eq!(out.results, vec![None, Some(9)]);
     });
@@ -319,8 +319,7 @@ fn both_routes<S: Strategy + Clone + Send + 'static>(
         .run(trio());
     let mut cfg = SimConfig::base(vec![0u64; 3]);
     cfg.owners = Some(owners);
-    let mut prof = Some(ContentionProfiler::new(3, 3));
-    let (b, _) = run_sim(pool, &cfg, plan.over(strategy), trio(), &mut prof);
+    let (b, _) = run_sim(pool, &cfg, plan.over(strategy), trio(), true);
     assert_eq!(a.results, b.results, "{tag}");
     assert_eq!(a.panics, b.panics, "{tag}");
     assert_eq!(a.trace, b.trace, "{tag}");
@@ -329,11 +328,7 @@ fn both_routes<S: Strategy + Clone + Send + 'static>(
     assert_eq!(a.crashed, b.crashed, "{tag}");
     assert_eq!(a.crashed_at, b.crashed_at, "{tag}");
     assert_eq!(a.halted, b.halted, "{tag}");
-    assert_eq!(
-        a.contention,
-        prof.map(ContentionProfiler::into_map),
-        "{tag}"
-    );
+    assert_eq!(a.contention, b.contention, "{tag}");
     a.trace.schedule()
 }
 
@@ -401,11 +396,11 @@ fn stress_and_hygiene() {
         let mut pool = ProcPool::new(scope);
         for seed in 0..2_000u64 {
             let random = SeededRandom::new(seed);
-            let (out, _) = run_sim(&mut pool, &cfg, random, stress_bodies(), &mut None);
+            let (out, _) = run_sim(&mut pool, &cfg, random, stress_bodies(), false);
             out.assert_no_panics();
             assert_eq!(out.trace.len(), 800, "seed {seed}");
             let replay = Replay::strict(out.trace.schedule());
-            let (again, _) = run_sim(&mut pool, &cfg, replay, stress_bodies(), &mut None);
+            let (again, _) = run_sim(&mut pool, &cfg, replay, stress_bodies(), false);
             assert_eq!(again.trace, out.trace, "seed {seed}");
             assert_eq!(again.results, out.results, "seed {seed}");
             assert_eq!(again.memory, out.memory, "seed {seed}");

@@ -167,6 +167,7 @@ struct RunState<T> {
     halted: bool,
     trace: Trace,
     counts: Vec<StepCounts>,
+    /// The run's contention profile, when it is profiled.
     profiler: Option<ContentionProfiler>,
     /// The payload of a panic on the scheduling side.
     failure: Option<Payload>,
@@ -319,18 +320,17 @@ impl<T: Clone> Hub<T> {
     }
 
     /// Reset the state for a run of `n` processes on the calling thread
-    /// and mint their handles.
+    /// (with a fresh contention profiler when `profile` is set) and mint
+    /// their handles.
     fn begin(
         self: &Arc<Self>,
         cfg: &SimConfig<T>,
         strategy: Box<dyn Traveling>,
         n: usize,
-        mut profiler: Option<ContentionProfiler>,
+        profile: bool,
     ) -> Vec<SimCtx<T>> {
-        if let Some(prof) = profiler.as_mut() {
-            prof.begin_run();
-        }
         let n_regs = cfg.registers.len();
+        let profiler = profile.then(|| ContentionProfiler::new(n, n_regs));
         let mut st = self.lock();
         let st = &mut *st;
         debug_assert!(st.threads.len() >= n, "a seated thread per process");
@@ -520,18 +520,17 @@ impl<T: Clone> Hub<T> {
         }
     }
 
-    /// Move the finished run out: the outcome and the strategy, the
-    /// profiler back where it came from — or, if the run failed on the
-    /// scheduling side, the failure, re-raised here on the caller.
+    /// Move the finished run out: the outcome and the strategy — or, if
+    /// the run failed on the scheduling side, the failure, re-raised here
+    /// on the caller.
     fn end<R>(
         &self,
         results: Vec<Option<R>>,
         panics: Vec<Option<String>>,
-        profiler: &mut Option<ContentionProfiler>,
     ) -> (SimOutcome<T, R>, Box<dyn Traveling>) {
         let mut guard = self.lock();
         let st = &mut *guard;
-        *profiler = st.profiler.take();
+        let contention = st.profiler.take().map(ContentionProfiler::into_map);
         if let Some(payload) = st.failure.take() {
             drop(guard);
             resume_unwind(payload);
@@ -543,7 +542,7 @@ impl<T: Clone> Hub<T> {
             crashed_at: std::mem::take(&mut st.crashed_at),
             trace: std::mem::take(&mut st.trace),
             counts: std::mem::take(&mut st.counts),
-            contention: None, // filled by SimBuilder::run when profiling
+            contention,
             memory: std::mem::take(&mut st.memory),
             halted: st.halted,
         };
@@ -713,13 +712,14 @@ impl<T, R> SimOutcome<T, R> {
 /// the one way a simulated execution happens; every driver that runs
 /// more than once keeps a pool and calls it per run.
 ///
-/// `profiler` is taken for the run and put back after it.
+/// With `profile` set the run is profiled on its own, into
+/// [`SimOutcome::contention`]; only [`SimBuilder::run`] asks for that.
 pub(crate) fn run_sim<'env, T, R, S>(
     pool: &mut ProcPool<'_, 'env, T, R>,
     cfg: &SimConfig<T>,
     strategy: S,
     bodies: Vec<ProcBody<'env, T, R>>,
-    profiler: &mut Option<ContentionProfiler>,
+    profile: bool,
 ) -> (SimOutcome<T, R>, S)
 where
     T: Clone + Send,
@@ -729,11 +729,11 @@ where
     crash::install_quiet_crash_hook();
     let n = bodies.len();
     let hub = Arc::clone(pool.hub(n));
-    let ctxs = hub.begin(cfg, Box::new(strategy), n, profiler.take());
+    let ctxs = hub.begin(cfg, Box::new(strategy), n, profile);
     pool.dispatch(ctxs.into_iter().zip(bodies));
     hub.attend(cfg.local_timeout);
     let (results, panics) = pool.collect(n);
-    let (outcome, strategy) = hub.end(results, panics, profiler);
+    let (outcome, strategy) = hub.end(results, panics);
     let strategy = strategy
         .into_any()
         .downcast()
@@ -811,10 +811,24 @@ impl<T: Clone + Send> SimBuilder<T> {
         self
     }
 
-    /// Collect a [`ContentionMap`] for each run (surfaced on
-    /// [`SimOutcome::contention`]): per-cell hot-spot counters, stall
+    /// Profile each `run*` on its own into a [`ContentionMap`] (surfaced
+    /// on [`SimOutcome::contention`]): per-cell hot-spot counters, stall
     /// attribution edges, and contention-charged step accounting, with
     /// point contention attributed exactly at each decision.
+    ///
+    /// A profile is of one run: the schedule searches never profile,
+    /// just as they ignore the builder's strategy and crash plan. To
+    /// profile a witness a search found, replay it the way the certifier
+    /// does — halting on its schedule under its crash plan. For a
+    /// [`CertViolation`] `v`:
+    ///
+    /// ```text
+    /// SimBuilder::new(registers)
+    ///     .profile(true)
+    ///     .strategy(Replay::halting(v.report.schedule))
+    ///     .crashes(v.report.crashes)
+    ///     .run(factory())
+    /// ```
     pub fn profile(mut self, profile: bool) -> Self {
         self.profile = profile;
         self
@@ -856,9 +870,6 @@ impl<T: Clone + Send> SimBuilder<T> {
         if let Some(&(p, _)) = self.faults.crashes().iter().find(|&&(p, _)| p >= n) {
             panic!("the crash plan names P{p}, but the run has {n} processes");
         }
-        let mut prof = self
-            .profile
-            .then(|| ContentionProfiler::new(n, self.cfg.registers.len()));
         let strategy = std::mem::replace(&mut self.strategy, Box::new(strategy::RoundRobin::new()));
         let strategy = self.faults.over(strategy);
         let bodies = bodies
@@ -867,12 +878,11 @@ impl<T: Clone + Send> SimBuilder<T> {
             .collect();
         // Bodies may borrow the environment, so their threads live in a
         // scope that ends with the run.
-        let (mut out, strategy) = std::thread::scope(|scope| {
+        let (out, strategy) = std::thread::scope(|scope| {
             let mut pool = ProcPool::new(scope);
-            run_sim(&mut pool, &self.cfg, strategy, bodies, &mut prof)
+            run_sim(&mut pool, &self.cfg, strategy, bodies, self.profile)
         });
         self.strategy = strategy.into_inner();
-        out.contention = prof.map(ContentionProfiler::into_map);
         out
     }
 
@@ -1010,14 +1020,18 @@ mod tests {
             .run_symmetric(2, body);
     }
 
-    /// The schedule searches own the schedule and the crash pattern: a
-    /// builder's strategy and crash plan change none of their reports.
+    /// The schedule searches own the schedule and the crash pattern, and
+    /// never profile: a builder's strategy, crash plan and profiling
+    /// switch change none of their reports, and no run they hand a
+    /// callback carries a contention map.
     #[test]
     fn engines_ignore_the_builders_strategy_and_crash_plan() {
         let bare = SimBuilder::new(vec![0u64; 2]);
         let dressed = SimBuilder::new(vec![0u64; 2])
             .strategy(SeededRandom::new(11))
-            .crashes([(0, 0)]);
+            .crashes([(0, 0)])
+            .profile(true);
+        let unprofiled = |out: &SimOutcome<u64, u64>| out.contention.is_none();
         let factory = || {
             (0..2)
                 .map(|_| Box::new(body) as ProcBody<'static, u64, u64>)
@@ -1025,7 +1039,7 @@ mod tests {
         };
         let explored = |sim: &SimBuilder<u64>| {
             let econfig = ExploreConfig::new().max_crashes(1);
-            let stats = sim.explore(&econfig, factory, |_| true);
+            let stats = sim.explore(&econfig, factory, unprofiled);
             ExploreStats {
                 elapsed: Duration::ZERO,
                 ..stats
@@ -1033,7 +1047,7 @@ mod tests {
         };
         assert_eq!(explored(&bare), explored(&dressed));
         let ccfg = CertifyConfig::new([2, 2]).max_crashes(1);
-        let certified = |sim: &SimBuilder<u64>| sim.certify(&ccfg, factory, |_| true).to_json();
+        let certified = |sim: &SimBuilder<u64>| sim.certify(&ccfg, factory, unprofiled).to_json();
         assert_eq!(
             certified(&bare).to_compact(),
             certified(&dressed).to_compact()
@@ -1042,7 +1056,7 @@ mod tests {
             .seed(5)
             .max_runs(64)
             .max_crashes(1);
-        let sampled = |sim: &SimBuilder<u64>| sim.sample(&scfg, factory, |_| true).to_json();
+        let sampled = |sim: &SimBuilder<u64>| sim.sample(&scfg, factory, unprofiled).to_json();
         assert_eq!(sampled(&bare).to_compact(), sampled(&dressed).to_compact());
     }
 

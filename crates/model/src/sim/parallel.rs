@@ -64,7 +64,6 @@ use super::explore::{ExecutionWitness, ExploreConfig, ExploreStats, SleepNode};
 use super::shrink::shrink_on;
 use super::strategy::{Decision, SchedView, Strategy};
 use super::{run_sim, Hub, ProcBody, SimBuilder, SimConfig, SimCtx, SimOutcome};
-use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::crash;
 use crate::span::SpanRecorder;
 use crate::telemetry::{Heartbeat, ProgressBeat};
@@ -274,8 +273,6 @@ struct Shared<'a, T> {
     worker_runs: Vec<AtomicU64>,
     /// Tasks each worker popped that another worker had delegated.
     worker_steals: Vec<AtomicU64>,
-    /// Merged contention profile across workers (profiling only).
-    contention: Mutex<Option<ContentionMap>>,
 }
 
 impl<'a, T> Shared<'a, T> {
@@ -312,7 +309,6 @@ impl<'a, T> Shared<'a, T> {
             violation: Mutex::new(None),
             worker_runs: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             worker_steals: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            contention: Mutex::new(None),
         }
     }
 
@@ -663,7 +659,6 @@ fn worker<'scope, T, R, FMake, Visit>(
 {
     let _stop = StopOnUnwind(shared);
     let mut pool = ProcPool::new(scope);
-    let mut prof: Option<ContentionProfiler> = None;
     let mut strategy = PrefixStrategy::new(shared.econfig, shared.reduce);
     while let Some(task) = shared.next_task() {
         if !shared.reserve_run() {
@@ -677,13 +672,8 @@ fn worker<'scope, T, R, FMake, Visit>(
         }
         observer.run_begins();
         strategy.begin(task.path);
-        let bodies = factory();
-        if shared.econfig.profile && prof.is_none() {
-            let n_regs = shared.cfg.registers.len();
-            prof = Some(ContentionProfiler::new(bodies.len(), n_regs));
-        }
         let outcome;
-        (outcome, strategy) = run_sim(&mut pool, shared.cfg, strategy, bodies, &mut prof);
+        (outcome, strategy) = run_sim(&mut pool, shared.cfg, strategy, factory(), false);
         assert!(
             strategy.path.len() >= strategy.prefix.len(),
             "explore: run diverged on replay: it ended {} steps into a prefix of {}; \
@@ -701,20 +691,6 @@ fn worker<'scope, T, R, FMake, Visit>(
             shared.record_violation(strategy.path.clone(), witness);
         }
         shared.publish(index, &mut strategy.spawned);
-    }
-    merge_profile(&shared.contention, prof);
-}
-
-/// Fold a worker's finished profile, if it took one, into the slot its
-/// search shares. [`ContentionMap::merge`] is commutative and partition-
-/// independent, so the merged map does not depend on which worker
-/// executed which run.
-pub(crate) fn merge_profile(slot: &Mutex<Option<ContentionMap>>, prof: Option<ContentionProfiler>) {
-    if let Some(map) = prof.map(ContentionProfiler::into_map) {
-        match &mut *slot.lock().unwrap() {
-            Some(merged) => merged.merge(&map),
-            empty => *empty = Some(map),
-        }
     }
 }
 
@@ -785,7 +761,6 @@ where
         crash_branches: load(&shared.crash_branches),
         worker_runs: shared.worker_runs.iter().map(load).collect(),
         worker_steals: shared.worker_steals.iter().map(load).collect(),
-        contention: shared.contention.lock().unwrap().take(),
         ..ExploreStats::default()
     };
     if let (Some(w), Some(scfg)) = (&witness, &shared.econfig.shrink) {
@@ -1271,7 +1246,7 @@ mod tests {
             let mut pool = ProcPool::new(scope);
             let mut run = |mut strategy: PrefixStrategy, prefix: &[u32]| {
                 strategy.begin(prefix.to_vec());
-                run_sim(&mut pool, &cfg, strategy, contended(), &mut None).1
+                run_sim(&mut pool, &cfg, strategy, contended(), false).1
             };
             let fresh = || PrefixStrategy::new(&econfig, true);
             // Every task of the tree, by searching it.

@@ -66,11 +66,10 @@
 use super::budget::{Budget, Budgeted};
 use super::certify::{judge, minimize_witness, CertViolation};
 use super::fault::FaultPlan;
-use super::parallel::{merge_profile, resolve_threads, run_workers, ProcPool};
+use super::parallel::{resolve_threads, run_workers, ProcPool};
 use super::shrink::ShrinkConfig;
 use super::strategy::{Decision, Pct, SchedView, SeededRandom, Strategy};
 use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
-use crate::contention::{ContentionMap, ContentionProfiler};
 use crate::ctx::ProcId;
 use crate::json::Json;
 use crate::seed::{split, STREAM_CRASHES};
@@ -144,11 +143,6 @@ pub struct SampleConfig {
     /// Shrinker configuration for minimizing a sampled violation (the
     /// default budget when `None`).
     pub shrink: Option<ShrinkConfig>,
-    /// Profile per-cell contention across every sampled run into
-    /// [`SampleReport::contention`]. Profiling is per-run and the map
-    /// merge is commutative, so the report stays byte-identical across
-    /// thread counts. Defaults to `false`.
-    pub profile: bool,
 }
 
 impl SampleConfig {
@@ -164,7 +158,6 @@ impl SampleConfig {
             require_finish: true,
             tail_only: false,
             shrink: None,
-            profile: false,
         }
     }
 
@@ -195,12 +188,6 @@ impl SampleConfig {
     /// Replace the shrinker configuration.
     pub fn shrink(mut self, cfg: ShrinkConfig) -> Self {
         self.shrink = Some(cfg);
-        self
-    }
-
-    /// Profile per-cell contention across every sampled run.
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 
@@ -312,10 +299,6 @@ pub struct SampleReport {
     /// The canonical (lowest-run-index) violation, minimized through
     /// the certifier's shrink pipeline.
     pub violation: Option<SampleViolation>,
-    /// The contention profile aggregated over every sampled run, when
-    /// [`SampleConfig::profile`] was set. Deterministic for a given
-    /// `(config, seed)` regardless of thread count.
-    pub contention: Option<ContentionMap>,
     /// Wall-clock time of the sampling (not serialized; excluded from
     /// determinism comparisons).
     pub elapsed: Duration,
@@ -380,13 +363,6 @@ impl SampleReport {
                         ),
                         ("witness", v.cert.report.to_json()),
                     ]),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "contention",
-                match &self.contention {
-                    Some(map) => map.to_json(),
                     None => Json::Null,
                 },
             ),
@@ -499,8 +475,6 @@ struct SampleState {
     violations: AtomicU64,
     first: Mutex<Option<FirstViolation>>,
     next_run: AtomicU64,
-    /// Merged contention profile across workers (profiling only).
-    contention: Mutex<Option<ContentionMap>>,
 }
 
 impl SampleState {
@@ -513,7 +487,6 @@ impl SampleState {
             violations: AtomicU64::new(0),
             first: Mutex::new(None),
             next_run: AtomicU64::new(0),
-            contention: Mutex::new(None),
         }
     }
 
@@ -553,16 +526,13 @@ fn sample_worker<T, R, FMake, Check>(
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Check: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let mut prof = scfg
-        .profile
-        .then(|| ContentionProfiler::new(n_procs, cfg.registers.len()));
     loop {
         let run = state.next_run.fetch_add(1, Ordering::Relaxed);
         if run >= scfg.budget.max_runs {
             break;
         }
         let strat = run_strategy(scfg, n_procs, run);
-        let (out, _) = run_sim(pool, cfg, strat, factory(), &mut prof);
+        let (out, _) = run_sim(pool, cfg, strat, factory(), false);
         let violated = observe_run(
             scfg,
             judge_bounds,
@@ -586,7 +556,6 @@ fn sample_worker<T, R, FMake, Check>(
         }
         after_run();
     }
-    merge_profile(&state.contention, prof);
 }
 
 /// Assemble the final report (shared tail of both engines), minimizing
@@ -605,18 +574,16 @@ where
     FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
     Check: FnMut(&SimOutcome<T, R>) -> bool,
 {
-    let contention = state.contention.lock().unwrap().take();
     // The canonical violating run goes through the certifier's pipeline
     // (pin the verdict kind, shrink schedule and crash pattern,
     // re-classify).
     let first = state.first.lock().unwrap().take();
     let violation = first.map(|fv| {
-        let (cert, _, _) = minimize_witness(
+        let (cert, _) = minimize_witness(
             cfg,
             &scfg.shrink.clone().unwrap_or_default(),
             &scfg.judge_bounds(),
             scfg.require_finish,
-            false,
             &fv.schedule,
             &fv.crashes,
             factory,
@@ -640,7 +607,6 @@ where
         exceedances: state.exceedances.load(Ordering::Relaxed),
         violations: state.violations.load(Ordering::Relaxed),
         violation,
-        contention,
         elapsed: beat.elapsed,
     };
     if let Some(hb) = &scfg.budget.heartbeat {

@@ -149,7 +149,7 @@ where
     fn adopt(&mut self, schedule: Vec<ProcId>, crashes: Vec<(ProcId, u64)>) -> bool {
         self.stats.attempts += 1;
         let strat = FaultPlan::from(crashes).over(Replay::halting(schedule));
-        let (outcome, _) = run_sim(self.pool, self.cfg, strat, (self.factory)(), &mut None);
+        let (outcome, _) = run_sim(self.pool, self.cfg, strat, (self.factory)(), false);
         if !(self.failing)(&outcome) {
             return false;
         }

@@ -11,7 +11,7 @@
 //!   `u64` atomics. Values up to [`LOSSLESS_MAX`] get a bucket each
 //!   (exact counts and exact quantiles — this is where the small-`n`
 //!   analytic bounds live); above that, two sub-buckets per octave.
-//! - [`TelemetryRegistry`]: counters, gauges and histograms registered
+//! - [`TelemetryRegistry`]: counters and histograms registered
 //!   by key, each **sharded** — one cache-line-padded slot per explorer
 //!   worker — so the parallel engine records per-op step costs with
 //!   zero cross-worker contention. Shards merge on demand.
@@ -309,33 +309,6 @@ impl fmt::Debug for CounterHandle {
     }
 }
 
-/// A last-written-value instrument sharded per worker. Each shard holds
-/// its own value; the merged reading is the **sum** across shards
-/// (e.g. per-worker queue contributions), matching how the sharded
-/// counters merge.
-#[derive(Clone)]
-pub struct GaugeHandle {
-    cells: Arc<ShardedCells>,
-}
-
-impl GaugeHandle {
-    /// Set `shard`'s value to `v`.
-    pub fn set(&self, shard: usize, v: u64) {
-        self.cells.cells[shard].0.store(v, Ordering::Relaxed);
-    }
-
-    /// The sum of all shards' current values.
-    pub fn value(&self) -> u64 {
-        self.cells.total()
-    }
-}
-
-impl fmt::Debug for GaugeHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "GaugeHandle(value={})", self.value())
-    }
-}
-
 /// A [`StepHistogram`] per worker shard. Cloning shares the shards.
 #[derive(Clone)]
 pub struct HistogramHandle {
@@ -374,13 +347,12 @@ impl fmt::Debug for HistogramHandle {
 /// One shard per explorer worker: each worker records only on its own
 /// shard (a private cache line), so the hot path takes no locks and
 /// shares no contended cache lines. Registration (`counter` /
-/// `gauge` / `histogram`) takes a short mutex and is idempotent per
+/// `histogram`) takes a short mutex and is idempotent per
 /// key — call sites keep the returned handle rather than re-looking-up
 /// per record.
 pub struct TelemetryRegistry {
     shards: usize,
     counters: Mutex<Vec<(String, CounterHandle)>>,
-    gauges: Mutex<Vec<(String, GaugeHandle)>>,
     histograms: Mutex<Vec<(String, HistogramHandle)>>,
     labeled: Mutex<Vec<LabeledSeries>>,
 }
@@ -395,7 +367,6 @@ impl TelemetryRegistry {
         TelemetryRegistry {
             shards: shards.max(1),
             counters: Mutex::new(Vec::new()),
-            gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
             labeled: Mutex::new(Vec::new()),
         }
@@ -413,19 +384,6 @@ impl TelemetryRegistry {
             return h.clone();
         }
         let h = CounterHandle {
-            cells: Arc::new(ShardedCells::new(self.shards)),
-        };
-        list.push((key.to_string(), h.clone()));
-        h
-    }
-
-    /// Register (or retrieve) the gauge `key`.
-    pub fn gauge(&self, key: &str) -> GaugeHandle {
-        let mut list = self.gauges.lock().expect("registry lock");
-        if let Some((_, h)) = list.iter().find(|(k, _)| k == key) {
-            return h.clone();
-        }
-        let h = GaugeHandle {
             cells: Arc::new(ShardedCells::new(self.shards)),
         };
         list.push((key.to_string(), h.clone()));
@@ -507,7 +465,6 @@ impl TelemetryRegistry {
     /// shard so worker load imbalance is visible).
     pub fn to_json(&self) -> Json {
         let counters = self.counters.lock().expect("registry lock");
-        let gauges = self.gauges.lock().expect("registry lock");
         let histograms = self.histograms.lock().expect("registry lock");
         let labeled = self.labeled.lock().expect("registry lock");
         Json::obj([
@@ -532,15 +489,6 @@ impl TelemetryRegistry {
                                 ]),
                             )
                         })
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::Obj(
-                    gauges
-                        .iter()
-                        .map(|(k, h)| (k.clone(), Json::UInt(h.value())))
                         .collect(),
                 ),
             ),
@@ -614,13 +562,6 @@ impl TelemetryRegistry {
             out.push_str(&format!("{name}{{{}}} {}\n", series.join(","), h.total()));
         }
         drop(labeled);
-        let gauges = self.gauges.lock().expect("registry lock");
-        for (key, h) in gauges.iter() {
-            let name = sanitize_metric_name(key);
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name} {}\n", h.value()));
-        }
-        drop(gauges);
         let histograms = self.histograms.lock().expect("registry lock");
         for (key, h) in histograms.iter() {
             let name = sanitize_metric_name(key);
@@ -1146,10 +1087,10 @@ mod tests {
         reg.histogram("steps").record(1, 5);
         assert_eq!(h.snapshot().count, 1);
         assert_eq!(reg.histogram_snapshot("steps").unwrap().count, 1);
-        let g = reg.gauge("depth");
-        g.set(0, 2);
-        g.set(1, 3);
-        assert_eq!(g.value(), 5);
+        let d = reg.counter("depth");
+        d.add(0, 2);
+        reg.counter("depth").add(1, 3);
+        assert_eq!(d.total(), 5);
     }
 
     #[test]
@@ -1172,7 +1113,7 @@ mod tests {
         let reg = TelemetryRegistry::new(3);
         reg.counter("explore_runs").add(0, 10);
         reg.counter("explore_runs").add(2, 5);
-        reg.gauge("queue depth").set(1, 7); // space → sanitized
+        reg.counter("queue depth").add(1, 7); // space → sanitized
         let h = reg.histogram("scan.reads");
         for v in [5u64, 9, 9, 40, 2000] {
             h.record(1, v);

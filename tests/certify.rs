@@ -1,9 +1,11 @@
 //! End-to-end wait-freedom certification (the tier-1 face of E10): the
 //! certifier passes the paper's scan object under crashes, convicts the
-//! lock-based snapshot with a minimized crash-pattern witness, and the
-//! parallel certifier is bit-identical to the sequential one.
+//! lock-based snapshot with a minimized crash-pattern witness, the
+//! witness replays into its contention profile, and the parallel
+//! certifier is bit-identical to the sequential one.
 
 use apram_lattice::MaxU64;
+use apram_model::sim::strategy::Replay;
 use apram_model::sim::{
     Budgeted, Certificate, CertifyConfig, ExploreConfig, SimBuilder, ViolationKind,
 };
@@ -73,6 +75,39 @@ fn lock_snapshot_fails_with_minimized_crash_witness() {
     // Shrinking kept the witness schedule locally minimal: the holder
     // takes a step or two, the survivor spins just past its bound.
     assert!((v.report.schedule.len() as u64) <= bound + 3, "{v:?}");
+}
+
+/// The one route to a witness's contention profile: replay it, halting
+/// on its schedule under its crash plan (as the certifier does), on a
+/// builder that profiles.
+#[test]
+fn a_witness_is_profiled_by_a_halting_replay() {
+    let sim = SimBuilder::new(SimLockSnapshot::registers()).max_steps(64);
+    let (factory, check) = lock_pair();
+    let cert = sim.certify(&lock_config(), factory, check);
+    let v = cert.violation.expect("violation witness");
+    let ViolationKind::StepBound { proc, steps, bound } = v.kind else {
+        panic!("expected a step-bound conviction, got {:?}", v.kind)
+    };
+    let (mut factory, _) = lock_pair();
+    let out = SimBuilder::new(SimLockSnapshot::registers())
+        .max_steps(64)
+        .profile(true)
+        .strategy(Replay::halting(v.report.schedule.clone()))
+        .crashes(v.report.crashes.clone())
+        .run(factory());
+    out.assert_no_panics();
+    // The replay takes the witness's schedule…
+    assert_eq!(out.trace.schedule(), v.report.schedule);
+    // …the map covers exactly that one run…
+    let map = out.contention.as_ref().expect("profiled");
+    assert_eq!(map.runs, 1);
+    assert_eq!(map.total_steps(), out.trace.len() as u64);
+    // …and the survivor exceeds its bound as the certificate said.
+    assert!(!out.crashed[proc]);
+    assert_eq!(out.counts[proc].total(), steps);
+    assert_eq!(map.proc_steps[proc], steps);
+    assert!(steps > bound);
 }
 
 #[test]

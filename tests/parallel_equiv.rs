@@ -143,68 +143,6 @@ fn merged_telemetry_is_identical_across_sequential_and_parallel() {
     );
 }
 
-/// PR acceptance: with profiling on, the merged [`ContentionMap`] from
-/// parallel exploration is bit-identical to the sequential explorer's
-/// for every thread count — the map's merge is commutative and
-/// partition-independent, so how runs were distributed over workers
-/// cannot show through.
-#[test]
-fn contention_maps_are_bit_identical_across_thread_counts() {
-    use apram_model::ContentionMap;
-    let snap = Snapshot::new(2);
-    let econfig = ExploreConfig::new().max_depth(10).profile(true);
-    let make = snapshot_make(snap, 5);
-    let sim = SimBuilder::new(snap.registers::<u32>()).owners(snap.owners());
-
-    let seq = sim.explore(&econfig, make, |out| {
-        out.assert_no_panics();
-        true
-    });
-    let seq_map: ContentionMap = seq.contention.clone().expect("profiling was enabled");
-    assert_eq!(seq_map.runs, seq.runs, "one profiled run per explored run");
-    assert!(seq_map.total_steps() > 0);
-    assert!(
-        !seq_map.stall_edges.is_empty(),
-        "snapshot workload must stall"
-    );
-
-    for threads in [1usize, 2, 4] {
-        let par = sim.explore_parallel(&econfig, threads, |_| {
-            (make, |out: &SimOutcome<TaggedVec<u32>, ()>| {
-                out.assert_no_panics();
-                true
-            })
-        });
-        let par_map = par.contention.expect("profiling was enabled");
-        assert_eq!(par_map, seq_map, "threads={threads}");
-        assert_eq!(
-            par_map.to_json().to_compact(),
-            seq_map.to_json().to_compact(),
-            "threads={threads}: JSON export must be byte-identical"
-        );
-    }
-
-    // Same guarantee for the sleep-set-reduced engines.
-    let seq_red = sim.explore_reduced(&econfig, make, |out| {
-        out.assert_no_panics();
-        true
-    });
-    let seq_red_map = seq_red.contention.expect("profiling was enabled");
-    for threads in [1usize, 4] {
-        let par = sim.explore_reduced_parallel(&econfig, threads, |_| {
-            (make, |out: &SimOutcome<TaggedVec<u32>, ()>| {
-                out.assert_no_panics();
-                true
-            })
-        });
-        assert_eq!(
-            par.contention.expect("profiling was enabled"),
-            seq_red_map,
-            "reduced threads={threads}"
-        );
-    }
-}
-
 #[test]
 fn reduced_counts_and_pruning_match_sequential() {
     let snap = Snapshot::new(2);
