@@ -20,7 +20,6 @@ use apram_history::{
 };
 use apram_lattice::Tagged;
 use apram_model::sim::explore::{ExploreConfig, ExploreStats};
-use apram_model::sim::shrink::ShrinkConfig;
 use apram_model::sim::strategy::Replay;
 use apram_model::sim::{Budgeted, Certificate, ProcBody, SimBuilder, SimCtx, SimOutcome};
 use apram_model::telemetry::buffer_sink;
@@ -1046,7 +1045,7 @@ pub fn e9_forensics(opts: &ExpOpts) -> E9Report {
     let mut histories = 0u64;
     let econfig = ExploreConfig::new()
         .max_runs(if opts.quick { 20_000 } else { 200_000 })
-        .shrink(ShrinkConfig::default())
+        .shrink(true)
         .trace_spans(true);
     let visit_cell = Arc::clone(&cell);
     let explore = SimBuilder::new(arr.registers::<u32>())

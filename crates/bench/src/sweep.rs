@@ -356,7 +356,6 @@ fn cell_sample_config(cell: &SweepCell, seed: u64) -> SampleConfig {
         .sampler(sampler)
         .seed(seed)
         .tail_only(spec.tail_only())
-        .require_finish(!spec.tail_only())
         .max_runs(cell.runs)
         .max_crashes(cell.f)
 }

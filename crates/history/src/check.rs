@@ -7,18 +7,19 @@
 //! precedes every response still outstanding — which is exactly the
 //! constraint `≺_H ⊆ ≺_S`.
 //!
-//! Pending invocations are handled per the definition: they may be dropped
-//! or (for deterministic specs, where the unique enabled response is
-//! computable) completed and linearized. Nondeterministic specs use
-//! *strict* mode: pending operations are dropped, which is sound whenever
-//! their effects were not observed by any completed operation.
+//! Pending invocations are handled per the definition: the deterministic
+//! checker ([`check_linearizable_det`]) always lets each one be dropped
+//! or completed with its unique enabled response and linearized. The
+//! nondeterministic entry points are *strict*: pending operations are
+//! dropped, which is sound whenever their effects were not observed by
+//! any completed operation.
 //!
 //! Failed `(remaining-set, state)` configurations are memoized when the
 //! spec state is hashable ([`check_linearizable`]); an unmemoized variant
 //! ([`check_linearizable_nomemo`]) covers states like the `f64` sets of
 //! the approximate agreement spec.
 
-use crate::event::History;
+use crate::event::{History, ProcId};
 use crate::explain::{BlockReason, BlockedOp, FailureExplanation};
 use crate::ops::{OpRecord, Ops};
 use crate::spec::{DetSpec, NondetSpec};
@@ -34,16 +35,12 @@ pub const MAX_OPS: usize = 128;
 pub struct CheckerConfig {
     /// Abort after exploring this many search nodes.
     pub node_budget: u64,
-    /// Allow pending operations to be completed-and-linearized
-    /// (deterministic specs only; ignored by the nondet entry points).
-    pub complete_pending: bool,
 }
 
 impl Default for CheckerConfig {
     fn default() -> Self {
         CheckerConfig {
             node_budget: 20_000_000,
-            complete_pending: true,
         }
     }
 }
@@ -110,8 +107,9 @@ impl<S: Hash + Eq + Clone> Memo<S> for HashMemo<S> {
     }
 }
 
-/// Completion function for pending operations (deterministic specs).
-type Completer<'a, S> = &'a dyn Fn(&mut S, usize);
+/// Completion function for pending operations (deterministic specs):
+/// applies the op of a process to the state.
+type Completer<'a, S, O> = &'a dyn Fn(&mut S, ProcId, &O);
 
 struct Search<'a, Sp: NondetSpec, M> {
     spec: &'a Sp,
@@ -126,7 +124,7 @@ struct Search<'a, Sp: NondetSpec, M> {
     /// failure this is the frontier of the explanation.
     best_prefix: Vec<usize>,
     /// Completion function for pending ops (deterministic specs only).
-    complete_pending: Option<Completer<'a, Sp::State>>,
+    completer: Option<Completer<'a, Sp::State, Sp::Op>>,
 }
 
 enum SearchResult {
@@ -186,11 +184,11 @@ impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
                         }
                     }
                 }
-            } else if let Some(complete) = self.complete_pending {
+            } else if let Some(complete) = self.completer {
                 // Try linearizing the pending op with its spec-computed
                 // effect (the unique enabled response of a det spec).
                 let mut next = state.clone();
-                complete(&mut next, i);
+                complete(&mut next, r.proc, &r.op);
                 self.push_witness(i);
                 match self.dfs(next_remaining, &next) {
                     SearchResult::Found => return SearchResult::Found,
@@ -230,14 +228,14 @@ impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
         for &i in &self.best_prefix {
             remaining &= !(1u128 << i);
             let r = &self.records[i];
-            state = match (&r.resp, self.complete_pending) {
+            state = match (&r.resp, self.completer) {
                 (Some(resp), _) => self
                     .spec
                     .step(&state, r.proc, &r.op, resp)
                     .expect("best prefix was legal when first explored"),
                 (None, Some(complete)) => {
                     let mut next = state.clone();
-                    complete(&mut next, i);
+                    complete(&mut next, r.proc, &r.op);
                     next
                 }
                 (None, None) => unreachable!("pending op linearized without a completer"),
@@ -272,7 +270,7 @@ impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
                     None => BlockReason::SpecRejected,
                     Some(_) => BlockReason::DeadEnd,
                 }
-            } else if self.complete_pending.is_some() {
+            } else if self.completer.is_some() {
                 BlockReason::DeadEnd
             } else {
                 BlockReason::Pending
@@ -330,7 +328,7 @@ fn run_check<Sp: NondetSpec, M: Memo<Sp::State>>(
     h: &History<Sp::Op, Sp::Resp>,
     cfg: &CheckerConfig,
     memo: M,
-    complete_pending: Option<Completer<'_, Sp::State>>,
+    completer: Option<Completer<'_, Sp::State, Sp::Op>>,
     spans: Option<&mut SpanRecorder>,
 ) -> CheckOutcome {
     if !h.well_formed() {
@@ -350,7 +348,7 @@ fn run_check<Sp: NondetSpec, M: Memo<Sp::State>>(
         backtracks: 0,
         witness: Vec::new(),
         best_prefix: Vec::new(),
-        complete_pending,
+        completer,
     };
     let full: u128 = if ops.len() == MAX_OPS {
         u128::MAX
@@ -408,11 +406,11 @@ where
     run_check(spec, h, cfg, NoMemo, None, None)
 }
 
-/// Check a history against a *deterministic* spec. When
-/// `cfg.complete_pending` is set, pending invocations may be completed
-/// with their (unique) spec response and linearized, per the "extended to
-/// a well-formed history H' by adding zero or more responses" clause of
-/// the linearizability definition.
+/// Check a history against a *deterministic* spec. Pending invocations
+/// may be completed with their (unique) spec response and linearized,
+/// per the "extended to a well-formed history H' by adding zero or more
+/// responses" clause of the linearizability definition; the strict,
+/// drop-pending check is [`check_linearizable`].
 pub fn check_linearizable_det<Sp>(
     spec: &Sp,
     h: &History<Sp::Op, Sp::Resp>,
@@ -422,74 +420,17 @@ where
     Sp: DetSpec,
     Sp::State: Hash + Eq,
 {
-    run_check_det(spec, h, cfg, None)
-}
-
-/// [`check_linearizable_det`], reporting search telemetry into a span
-/// (see [`check_linearizable_traced`]).
-pub fn check_linearizable_det_traced<Sp>(
-    spec: &Sp,
-    h: &History<Sp::Op, Sp::Resp>,
-    cfg: &CheckerConfig,
-    spans: &mut SpanRecorder,
-) -> CheckOutcome
-where
-    Sp: DetSpec,
-    Sp::State: Hash + Eq,
-{
-    spans.enter("check");
-    let out = run_check_det(spec, h, cfg, Some(spans));
-    spans.exit();
-    out
-}
-
-fn run_check_det<Sp>(
-    spec: &Sp,
-    h: &History<Sp::Op, Sp::Resp>,
-    cfg: &CheckerConfig,
-    spans: Option<&mut SpanRecorder>,
-) -> CheckOutcome
-where
-    Sp: DetSpec,
-    Sp::State: Hash + Eq,
-{
-    if !h.well_formed() {
-        return CheckOutcome::Violation(Violation::Malformed);
-    }
-    let ops = Ops::extract(h);
-    if ops.len() > MAX_OPS {
-        return CheckOutcome::Violation(Violation::TooLarge);
-    }
-    let records: Vec<OpRecord<Sp::Op, Sp::Resp>> = ops.records().to_vec();
-    let records2 = records.clone();
-    let completer = move |state: &mut Sp::State, i: usize| {
-        let r = &records2[i];
-        let _ = spec.apply(state, r.proc, &r.op);
+    let complete = |state: &mut Sp::State, proc: ProcId, op: &Sp::Op| {
+        spec.apply(state, proc, op);
     };
-    let complete: Option<Completer<'_, Sp::State>> = if cfg.complete_pending {
-        Some(&completer)
-    } else {
-        None
-    };
-    let mut search = Search {
+    run_check(
         spec,
-        records: &records,
+        h,
         cfg,
-        memo: HashMemo(HashSet::new()),
-        explored: 0,
-        memo_hits: 0,
-        backtracks: 0,
-        witness: Vec::new(),
-        best_prefix: Vec::new(),
-        complete_pending: complete,
-    };
-    let full: u128 = if records.len() == MAX_OPS {
-        u128::MAX
-    } else {
-        (1u128 << records.len()) - 1
-    };
-    let init = DetSpec::initial(spec);
-    conclude(&mut search, full, &init, spans)
+        HashMemo(HashSet::new()),
+        Some(&complete),
+        None,
+    )
 }
 
 /// Independently verify a witness: replays it through the spec and checks
@@ -618,7 +559,7 @@ mod tests {
     #[test]
     fn pending_write_effect_requires_completion_mode() {
         // The write never responds, but a later read observes it; only
-        // the det checker with complete_pending can accept this.
+        // the det checker, which may complete pending ops, accepts this.
         let mut h = H::new();
         h.invoke(0, RegOp::Write(7)); // pending forever
         h.invoke(1, RegOp::Read);
@@ -628,14 +569,8 @@ mod tests {
             check_linearizable(&RegisterSpec, &h, &cfg()),
             CheckOutcome::Violation(Violation::NotLinearizable { .. })
         ));
-        // Completion mode accepts:
+        // Completion accepts:
         assert!(check_linearizable_det(&RegisterSpec, &h, &cfg()).is_ok());
-        // ... and with completion disabled it rejects again:
-        let strict = CheckerConfig {
-            complete_pending: false,
-            ..cfg()
-        };
-        assert!(!check_linearizable_det(&RegisterSpec, &h, &strict).is_ok());
     }
 
     #[test]
@@ -657,10 +592,7 @@ mod tests {
         for p in 0..6 {
             h.respond(p, RegResp::Ack);
         }
-        let tiny = CheckerConfig {
-            node_budget: 2,
-            ..cfg()
-        };
+        let tiny = CheckerConfig { node_budget: 2 };
         assert_eq!(
             check_linearizable(&RegisterSpec, &h, &tiny),
             CheckOutcome::BudgetExhausted
@@ -773,14 +705,6 @@ mod tests {
         assert_eq!(check.counter("nodes"), Some(explored));
         assert!(check.counter("backtracks").unwrap_or(0) >= 1);
         assert!(check.counter("memo_hits").is_some());
-
-        // The det-traced variant reports through the same span shape.
-        let mut spans = SpanRecorder::new("test");
-        let out = check_linearizable_det_traced(&RegisterSpec, &h, &cfg(), &mut spans);
-        assert!(!out.is_ok());
-        let tree = spans.finish();
-        assert_eq!(tree.children[0].name, "check");
-        assert!(tree.children[0].counter("nodes").is_some());
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub mod spans;
 pub mod spec;
 
 pub use check::{
-    check_linearizable, check_linearizable_det, check_linearizable_det_traced,
-    check_linearizable_traced, verify_witness, CheckOutcome, CheckerConfig, Violation,
+    check_linearizable, check_linearizable_det, check_linearizable_traced, verify_witness,
+    CheckOutcome, CheckerConfig, Violation,
 };
 pub use event::{Event, History, ProcId, Recorder};
 pub use explain::{render_timeline, BlockReason, BlockedOp, FailureExplanation};

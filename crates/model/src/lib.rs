@@ -95,8 +95,8 @@ pub use native::{AtomicPackable, CachePadded, NativeCtx, NativeMemory};
 pub use sim::{
     resolve_threads, wilson_interval, Budget, Budgeted, CertViolation, Certificate, CertifyConfig,
     Decision, ExploreConfig, ExploreStats, FaultPlan, Faulty, ProcBody, SampleConfig, SampleReport,
-    SampleViolation, Sampler, SchedView, ShrinkConfig, ShrinkReport, SimBuilder, SimCtx,
-    SimOutcome, Strategy, ViolationKind,
+    SampleViolation, Sampler, SchedView, ShrinkReport, SimBuilder, SimCtx, SimOutcome, Strategy,
+    ViolationKind,
 };
 pub use span::{SpanNode, SpanRecorder};
 pub use telemetry::{

@@ -59,7 +59,7 @@ use super::budget::{Budget, Budgeted};
 use super::explore::{ExploreConfig, ExploreStats};
 use super::fault::FaultPlan;
 use super::parallel::ProcPool;
-use super::shrink::{shrink_on, ShrinkConfig, ShrinkReport};
+use super::shrink::{shrink_on, ShrinkReport, SHRINK_MAX_ATTEMPTS};
 use super::strategy::Replay;
 use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
 use crate::ctx::ProcId;
@@ -76,8 +76,8 @@ pub struct CertifyConfig {
     pub bounds: Vec<u64>,
     /// Exploration limits — in particular
     /// [`max_crashes`](crate::sim::Budget::max_crashes) is the fault budget
-    /// `f` the certificate covers. A shrink config is installed
-    /// automatically when absent, so witnesses are always minimal.
+    /// `f` the certificate covers. Its [`shrink`](ExploreConfig::shrink)
+    /// switch is ignored: the certifier always minimizes its witness.
     pub explore: ExploreConfig,
 }
 
@@ -244,11 +244,13 @@ impl Certificate {
 /// Judge one run. `None` means the run passes; otherwise the
 /// highest-priority violation, in a deterministic order (panics, then
 /// step bounds by process id, then incompleteness by process id, then
-/// the semantic check). Shared with the [sampler](mod@super::sample),
-/// which applies the same verdicts to randomly drawn schedules.
+/// the semantic check). `bounds: None` judges panics and the semantic
+/// check alone — a tail-only sample, whose survivors may overrun any
+/// bound and need not finish. Shared with the
+/// [sampler](mod@super::sample), which applies the same verdicts to
+/// randomly drawn schedules.
 pub(crate) fn judge<T, R>(
-    bounds: &[u64],
-    require_finish: bool,
+    bounds: Option<&[u64]>,
     out: &SimOutcome<T, R>,
     check: &mut dyn FnMut(&SimOutcome<T, R>) -> bool,
 ) -> Option<ViolationKind> {
@@ -260,17 +262,17 @@ pub(crate) fn judge<T, R>(
             });
         }
     }
-    for proc in 0..out.crashed.len() {
-        if out.crashed[proc] {
-            continue;
+    if let Some(bounds) = bounds {
+        for proc in 0..out.crashed.len() {
+            if out.crashed[proc] {
+                continue;
+            }
+            let steps = out.counts[proc].total();
+            let bound = bounds.get(proc).copied().unwrap_or(u64::MAX);
+            if steps > bound {
+                return Some(ViolationKind::StepBound { proc, steps, bound });
+            }
         }
-        let steps = out.counts[proc].total();
-        let bound = bounds.get(proc).copied().unwrap_or(u64::MAX);
-        if steps > bound {
-            return Some(ViolationKind::StepBound { proc, steps, bound });
-        }
-    }
-    if require_finish {
         for proc in 0..out.crashed.len() {
             if !out.crashed[proc] && out.results[proc].is_none() {
                 return Some(ViolationKind::Unfinished { proc });
@@ -308,12 +310,9 @@ where
 /// leaves survivors unfinished), re-execute the result and classify it.
 /// Returns that last execution too. Shared with the
 /// [sampler](mod@super::sample).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_witness<T, R, FMake, Check>(
     cfg: &SimConfig<T>,
-    scfg: &ShrinkConfig,
-    bounds: &[u64],
-    require_finish: bool,
+    bounds: Option<&[u64]>,
     schedule: &[ProcId],
     crashes: &[(ProcId, u64)],
     factory: &mut FMake,
@@ -328,18 +327,21 @@ where
     let (outcome, report) = std::thread::scope(|scope| {
         let mut pool = ProcPool::new(scope);
         let first = replay_witness(&mut pool, cfg, schedule, crashes, factory);
-        let kind0 = judge(bounds, require_finish, &first, check)
-            .expect("the witness must still violate on replay");
+        let kind0 = judge(bounds, &first, check).expect("the witness must still violate on replay");
         let pin = std::mem::discriminant(&kind0);
-        let report = shrink_on(&mut pool, cfg, scfg, schedule, crashes, factory, |o| {
-            judge(bounds, require_finish, o, check)
-                .is_some_and(|k| std::mem::discriminant(&k) == pin)
-        });
+        let report = shrink_on(
+            &mut pool,
+            cfg,
+            SHRINK_MAX_ATTEMPTS,
+            schedule,
+            crashes,
+            factory,
+            |o| judge(bounds, o, check).is_some_and(|k| std::mem::discriminant(&k) == pin),
+        );
         let outcome = replay_witness(&mut pool, cfg, &report.schedule, &report.crashes, factory);
         (outcome, report)
     });
-    let kind = judge(bounds, require_finish, &outcome, check)
-        .expect("the shrunk witness must still violate");
+    let kind = judge(bounds, &outcome, check).expect("the shrunk witness must still violate");
     let violation = CertViolation {
         kind,
         crashed: outcome.crashed.clone(),
@@ -361,7 +363,7 @@ fn judging<'a, T, R>(
                 worst[p].fetch_max(c.total(), Ordering::Relaxed);
             }
         }
-        judge(&ccfg.bounds, true, out, &mut check).is_none()
+        judge(Some(&ccfg.bounds), out, &mut check).is_none()
     }
 }
 
@@ -374,7 +376,6 @@ fn judging<'a, T, R>(
 fn build_certificate<T, R, FMake, Check>(
     cfg: &SimConfig<T>,
     ccfg: &CertifyConfig,
-    scfg: &ShrinkConfig,
     stats: ExploreStats,
     worst: &[AtomicU64],
     shrinker: impl FnOnce() -> (FMake, Check),
@@ -398,9 +399,7 @@ where
     let (mut factory, mut check) = shrinker();
     let (violation, outcome) = minimize_witness(
         cfg,
-        scfg,
-        &ccfg.bounds,
-        true,
+        Some(&ccfg.bounds),
         &w.schedule,
         &w.crashes,
         &mut factory,
@@ -422,15 +421,6 @@ where
     }
 }
 
-/// Split the shrinker config out of the exploration limits: the
-/// certifier always shrinks (with the default budget unless configured)
-/// but drives the pass itself, so the engines are run shrink-free.
-fn split_shrink(ccfg: &CertifyConfig) -> (ExploreConfig, ShrinkConfig) {
-    let mut ecfg = ccfg.explore.clone();
-    let scfg = ecfg.shrink.take().unwrap_or_default();
-    (ecfg, scfg)
-}
-
 impl<T: Clone + Send> SimBuilder<T> {
     /// Certify wait-freedom of this configuration sequentially; see the
     /// [module docs](self). The builder's strategy and crash plan are
@@ -450,11 +440,16 @@ impl<T: Clone + Send> SimBuilder<T> {
         FMake: FnMut() -> Vec<ProcBody<'static, T, R>>,
         Check: FnMut(&SimOutcome<T, R>) -> bool,
     {
-        let (ecfg, scfg) = split_shrink(ccfg);
+        // The certifier minimizes its witness itself, under a predicate
+        // that pins the violation kind: the engine does not shrink.
+        let ecfg = ExploreConfig {
+            shrink: false,
+            ..ccfg.explore.clone()
+        };
         let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
         let visit = judging(ccfg, &worst, &mut check);
         let stats = self.explore(&ecfg, &mut factory, visit);
-        build_certificate(&self.cfg, ccfg, &scfg, stats, &worst, || {
+        build_certificate(&self.cfg, ccfg, stats, &worst, || {
             (&mut factory, &mut check)
         })
     }
@@ -484,15 +479,16 @@ impl<T: Clone + Send> SimBuilder<T> {
         FMake: FnMut() -> Vec<ProcBody<'static, T, R>> + Send,
         Check: FnMut(&SimOutcome<T, R>) -> bool + Send,
     {
-        let (ecfg, scfg) = split_shrink(ccfg);
+        let ecfg = ExploreConfig {
+            shrink: false,
+            ..ccfg.explore.clone()
+        };
         let worst: Vec<AtomicU64> = (0..ccfg.bounds.len()).map(|_| AtomicU64::new(0)).collect();
         let stats = self.explore_parallel(&ecfg, threads, |i| {
             let (factory, check) = make_worker(i);
             (factory, judging(ccfg, &worst, check))
         });
-        build_certificate(&self.cfg, ccfg, &scfg, stats, &worst, || {
-            make_worker(threads)
-        })
+        build_certificate(&self.cfg, ccfg, stats, &worst, || make_worker(threads))
     }
 }
 

@@ -21,7 +21,7 @@
 
 use super::budget::{Budget, Budgeted};
 use super::parallel::explore_inline;
-use super::shrink::{ShrinkConfig, ShrinkReport};
+use super::shrink::ShrinkReport;
 use super::strategy::{Decision, SchedView};
 use super::{ProcBody, SimBuilder, SimOutcome};
 use crate::ctx::{AccessKind, ProcId};
@@ -60,9 +60,10 @@ pub struct ExploreConfig {
     /// When set, a run rejected by the `visit` callback (a violation) is
     /// minimized with [`SimBuilder::shrink`] before exploration returns
     /// (the crash pattern is minimized alongside the schedule); the
-    /// result lands in
-    /// [`ExploreStats::violation`].
-    pub shrink: Option<ShrinkConfig>,
+    /// result lands in [`ExploreStats::violation`]. The
+    /// [certifier](mod@super::certify) ignores it: it always minimizes
+    /// its witness.
+    pub shrink: bool,
     /// Record a span tree of the exploration (per-run spans for the
     /// first few runs, a `shrink` span, aggregate counters on the root)
     /// into [`ExploreStats::spans`]. Sequential explorers only: spans
@@ -84,9 +85,9 @@ impl ExploreConfig {
         Self::default()
     }
 
-    /// Minimize rejected runs with the given shrinker configuration.
-    pub fn shrink(mut self, cfg: ShrinkConfig) -> Self {
-        self.shrink = Some(cfg);
+    /// Minimize a rejected run before returning.
+    pub fn shrink(mut self, on: bool) -> Self {
+        self.shrink = on;
         self
     }
 
@@ -100,7 +101,7 @@ impl ExploreConfig {
 /// The canonical violating execution, exactly as first found — the
 /// schedule and crash pattern of the rejected run, before any
 /// minimization. Unlike [`ExploreStats::violation`] it is recorded even
-/// without a shrink config, so callers (e.g. the
+/// with [`ExploreConfig::shrink`] off, so callers (e.g. the
 /// [certifier](mod@super::certify)) can drive their own shrinking with a
 /// stronger predicate.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -141,8 +142,8 @@ pub struct ExploreStats {
     /// crashes); 0 unless [`Budget::max_crashes`](super::Budget::max_crashes) is set.
     pub crash_branches: u64,
     /// The canonical rejected execution, unshrunk; recorded whenever a
-    /// `visit` callback rejected a run (with or without a shrink
-    /// config).
+    /// `visit` callback rejected a run (whether or not
+    /// [`ExploreConfig::shrink`] is set).
     pub witness: Option<ExecutionWitness>,
     /// The minimized counterexample, when the `visit` callback rejected a
     /// run and [`ExploreConfig::shrink`] was set.
@@ -639,7 +640,7 @@ mod tests {
         // Reject any run where P0 observed P1's write; exploration stops
         // there and hands back a minimized failing schedule.
         let sim = SimBuilder::new(vec![0u64; 2]);
-        let econfig = ExploreConfig::new().shrink(crate::sim::shrink::ShrinkConfig::default());
+        let econfig = ExploreConfig::new().shrink(true);
         let stats = sim.explore(&econfig, two_proc_bodies, |out| {
             out.results[0] != Some(2) // "violation": P0 read 2
         });
@@ -699,9 +700,7 @@ mod tests {
     #[test]
     fn shrink_span_nested_under_exploration() {
         let sim = SimBuilder::new(vec![0u64; 2]);
-        let econfig = ExploreConfig::new()
-            .shrink(crate::sim::shrink::ShrinkConfig::default())
-            .trace_spans(true);
+        let econfig = ExploreConfig::new().shrink(true).trace_spans(true);
         let stats = sim.explore(&econfig, two_proc_bodies, |out| out.results[0] != Some(2));
         let spans = stats.spans.as_ref().expect("spans recorded");
         let shrink = spans
@@ -851,12 +850,12 @@ mod tests {
             .max_runs(7)
             .max_depth(3)
             .max_crashes(2)
-            .shrink(crate::sim::shrink::ShrinkConfig::default())
+            .shrink(true)
             .trace_spans(true);
         assert_eq!(cfg.budget.max_runs, 7);
         assert_eq!(cfg.budget.max_depth, 3);
         assert_eq!(cfg.budget.max_crashes, 2);
-        assert!(cfg.shrink.is_some());
+        assert!(cfg.shrink);
         assert!(cfg.trace_spans);
         assert!(cfg.budget.heartbeat.is_none());
         let cleared = cfg.heartbeat(None);
@@ -963,9 +962,7 @@ mod tests {
     #[test]
     fn crash_violation_shrinks_schedule_and_crash_pattern() {
         let sim = SimBuilder::new(vec![0u64; 2]);
-        let econfig = ExploreConfig::new()
-            .max_crashes(1)
-            .shrink(crate::sim::shrink::ShrinkConfig::default());
+        let econfig = ExploreConfig::new().max_crashes(1).shrink(true);
         // "Violation": P0 survives but never saw P1's write AND P1
         // crashed — only reachable through a crash branch.
         let stats = sim.explore(&econfig, two_proc_bodies, |out| {

@@ -77,7 +77,7 @@ pub use explore::{ExecutionWitness, ExploreConfig, ExploreStats};
 pub use fault::{FaultPlan, Faulty};
 pub use parallel::resolve_threads;
 pub use sample::{wilson_interval, SampleConfig, SampleReport, SampleViolation, Sampler};
-pub use shrink::{ShrinkConfig, ShrinkReport, ShrinkStats};
+pub use shrink::{ShrinkReport, ShrinkStats, SHRINK_MAX_ATTEMPTS};
 pub use strategy::{Decision, SchedView, Strategy};
 
 use crate::contention::{ContentionMap, ContentionProfiler};

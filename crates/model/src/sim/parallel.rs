@@ -61,7 +61,7 @@
 //! worker itself.
 
 use super::explore::{ExecutionWitness, ExploreConfig, ExploreStats, SleepNode};
-use super::shrink::shrink_on;
+use super::shrink::{shrink_on, SHRINK_MAX_ATTEMPTS};
 use super::strategy::{Decision, SchedView, Strategy};
 use super::{run_sim, Hub, ProcBody, SimBuilder, SimConfig, SimCtx, SimOutcome};
 use crate::crash;
@@ -763,7 +763,7 @@ where
         worker_steals: shared.worker_steals.iter().map(load).collect(),
         ..ExploreStats::default()
     };
-    if let (Some(w), Some(scfg)) = (&witness, &shared.econfig.shrink) {
+    if let (Some(w), true) = (&witness, shared.econfig.shrink) {
         let (mut factory, mut visit) = shrinker();
         if let Some(s) = spans.as_mut() {
             s.enter("shrink");
@@ -774,7 +774,7 @@ where
             shrink_on(
                 pool,
                 cfg,
-                scfg,
+                SHRINK_MAX_ATTEMPTS,
                 &w.schedule,
                 &w.crashes,
                 &mut factory,
@@ -924,7 +924,6 @@ impl<T: Clone + Send> SimBuilder<T> {
 mod tests {
     use super::*;
     use crate::sim::budget::Budgeted;
-    use crate::sim::shrink::ShrinkConfig;
 
     fn two_proc_factory() -> Vec<ProcBody<'static, u64, u64>> {
         (0..2)
@@ -997,7 +996,7 @@ mod tests {
         // Reject any run where P0 observed P1's write; the canonical
         // (sequential) counterexample shrinks to [1, 0, 0].
         let sim = SimBuilder::new(vec![0u64; 2]);
-        let econfig = ExploreConfig::new().shrink(ShrinkConfig::default());
+        let econfig = ExploreConfig::new().shrink(true);
         let seq = sim.explore(&econfig, two_proc_factory, |out| out.results[0] != Some(2));
         let seq_report = seq.violation.expect("sequential violation");
         for threads in [1, 2, 4] {
@@ -1159,9 +1158,7 @@ mod tests {
         // the sequential explorer's exactly.
         let ok = |out: &SimOutcome<u64, u64>| !(out.crashed[1] && out.results[0] == Some(0));
         let sim = SimBuilder::new(vec![0u64; 2]);
-        let econfig = ExploreConfig::new()
-            .max_crashes(1)
-            .shrink(ShrinkConfig::default());
+        let econfig = ExploreConfig::new().max_crashes(1).shrink(true);
         let seq = sim.explore(&econfig, two_proc_factory, ok);
         let seq_report = seq.violation.expect("sequential violation");
         assert_eq!(seq_report.crashes.len(), 1);

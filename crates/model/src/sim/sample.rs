@@ -21,7 +21,10 @@
 //! history) is re-executed, pinned, minimized like
 //! [`SimBuilder::shrink`] does, and classified into a [`CertViolation`]
 //! — so a sampled counterexample is exactly as actionable (and as
-//! replayable) as a certified one.
+//! replayable) as a certified one. A run is judged exactly as the
+//! certifier judges it unless the config is
+//! [`tail_only`](SampleConfig::tail_only), the one judging switch: a
+//! tail-only sample judges panics and the semantic check alone.
 //!
 //! The samplers are [`SimBuilder::sample`] and
 //! [`SimBuilder::sample_parallel`]. A sampled schedule's length is
@@ -67,7 +70,6 @@ use super::budget::{Budget, Budgeted};
 use super::certify::{judge, minimize_witness, CertViolation};
 use super::fault::FaultPlan;
 use super::parallel::{resolve_threads, run_workers, ProcPool};
-use super::shrink::ShrinkConfig;
 use super::strategy::{Decision, Pct, SchedView, SeededRandom, Strategy};
 use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
 use crate::ctx::ProcId;
@@ -132,17 +134,13 @@ pub struct SampleConfig {
     /// Root seed; run `i` derives its schedule and crash plan from
     /// `split(seed, i)` per the [seed-split scheme](crate::seed).
     pub seed: u64,
-    /// Require every surviving process to finish on every run.
-    /// Defaults to `true`.
-    pub require_finish: bool,
     /// Record tail statistics only: bound breaches still count as
-    /// exceedances but are *not* judged as violations (used for
-    /// negative controls whose tail is expected to blow past the
-    /// reference bound). Defaults to `false`.
+    /// exceedances, but neither they nor a survivor that does not
+    /// finish is judged a violation; only panics and the semantic
+    /// check are (used for negative controls whose tail is expected to
+    /// blow past the reference bound). Defaults to `false`: every
+    /// survivor must finish within its bound.
     pub tail_only: bool,
-    /// Shrinker configuration for minimizing a sampled violation (the
-    /// default budget when `None`).
-    pub shrink: Option<ShrinkConfig>,
 }
 
 impl SampleConfig {
@@ -155,9 +153,7 @@ impl SampleConfig {
             bounds: bounds.into(),
             sampler: Sampler::Random,
             seed: 0,
-            require_finish: true,
             tail_only: false,
-            shrink: None,
         }
     }
 
@@ -173,21 +169,10 @@ impl SampleConfig {
         self
     }
 
-    /// Toggle the survivor-completion requirement.
-    pub fn require_finish(mut self, on: bool) -> Self {
-        self.require_finish = on;
-        self
-    }
-
-    /// Record tails only; do not judge bound breaches as violations.
+    /// Record tails only; judge neither bound breaches nor unfinished
+    /// survivors as violations.
     pub fn tail_only(mut self, on: bool) -> Self {
         self.tail_only = on;
-        self
-    }
-
-    /// Replace the shrinker configuration.
-    pub fn shrink(mut self, cfg: ShrinkConfig) -> Self {
-        self.shrink = Some(cfg);
         self
     }
 
@@ -207,13 +192,10 @@ impl SampleConfig {
         );
     }
 
-    /// Bounds used for judging: unbounded when `tail_only` is set.
-    fn judge_bounds(&self) -> Vec<u64> {
-        if self.tail_only {
-            vec![u64::MAX; self.bounds.len()]
-        } else {
-            self.bounds.clone()
-        }
+    /// The bounds [`judge`] holds survivors to: none when `tail_only`
+    /// is set.
+    fn judged_bounds(&self) -> Option<&[u64]> {
+        (!self.tail_only).then_some(self.bounds.as_slice())
     }
 }
 
@@ -418,10 +400,8 @@ fn run_strategy(
 /// Per-run bookkeeping shared between the sequential and parallel
 /// engines: record survivor step counts, tally exceedances, and judge.
 /// Returns the violation verdict (`Some` when the run failed).
-#[allow(clippy::too_many_arguments)]
 fn observe_run<T, R>(
     scfg: &SampleConfig,
-    judge_bounds: &[u64],
     out: &SimOutcome<T, R>,
     hist: &StepHistogram,
     worst: &[AtomicU64],
@@ -447,7 +427,7 @@ fn observe_run<T, R>(
     }
     samples.fetch_add(measured, Ordering::Relaxed);
     exceedances.fetch_add(exceeded, Ordering::Relaxed);
-    judge(judge_bounds, scfg.require_finish, out, check).is_some()
+    judge(scfg.judged_bounds(), out, check).is_some()
 }
 
 /// The canonical violating run found so far: lowest run index wins.
@@ -516,7 +496,6 @@ fn sample_worker<T, R, FMake, Check>(
     scfg: &SampleConfig,
     state: &SampleState,
     n_procs: usize,
-    judge_bounds: &[u64],
     factory: &mut FMake,
     check: &mut Check,
     mut after_run: impl FnMut(),
@@ -535,7 +514,6 @@ fn sample_worker<T, R, FMake, Check>(
         let (out, _) = run_sim(pool, cfg, strat, factory(), false);
         let violated = observe_run(
             scfg,
-            judge_bounds,
             &out,
             &state.hist,
             &state.worst,
@@ -581,9 +559,7 @@ where
     let violation = first.map(|fv| {
         let (cert, _) = minimize_witness(
             cfg,
-            &scfg.shrink.clone().unwrap_or_default(),
-            &scfg.judge_bounds(),
-            scfg.require_finish,
+            scfg.judged_bounds(),
             &fv.schedule,
             &fv.crashes,
             factory,
@@ -640,7 +616,6 @@ impl<T: Clone + Send> SimBuilder<T> {
         scfg.refuse_depth();
         let start = Instant::now();
         let n_procs = factory().len();
-        let judge_bounds = scfg.judge_bounds();
         let state = SampleState::new(n_procs);
         // The first beat is due one interval in.
         let mut heartbeat = scfg
@@ -660,7 +635,6 @@ impl<T: Clone + Send> SimBuilder<T> {
                 scfg,
                 &state,
                 n_procs,
-                &judge_bounds,
                 &mut factory,
                 &mut check,
                 beat,
@@ -699,12 +673,11 @@ impl<T: Clone + Send> SimBuilder<T> {
         let threads = resolve_threads(threads);
         let (mut probe_factory, _probe_check) = make_worker(threads);
         let n_procs = probe_factory().len();
-        let judge_bounds = scfg.judge_bounds();
         let state = SampleState::new(n_procs);
         let pairs: Vec<(FMake, Check)> = (0..threads).map(&mut make_worker).collect();
         let cfg = &self.cfg;
         std::thread::scope(|scope| {
-            let (state, judge_bounds) = (&state, &judge_bounds);
+            let state = &state;
             let workers = pairs.into_iter().map(|(mut factory, mut check)| {
                 move || {
                     sample_worker(
@@ -713,7 +686,6 @@ impl<T: Clone + Send> SimBuilder<T> {
                         scfg,
                         state,
                         n_procs,
-                        judge_bounds,
                         &mut factory,
                         &mut check,
                         || {},
@@ -787,6 +759,44 @@ mod tests {
         assert!(report.passed());
         assert_eq!(report.exceedances, report.samples);
         assert!(report.violation.is_none());
+
+        // P1 spins on a register nobody writes, so under a step cap
+        // every run halts with P1 unfinished and over its bound.
+        fn spinner() -> Vec<ProcBody<'static, u64, u64>> {
+            vec![
+                Box::new(|ctx: &mut SimCtx<u64>| {
+                    ctx.write(0, 1);
+                    0
+                }),
+                Box::new(|ctx: &mut SimCtx<u64>| {
+                    while ctx.read(1) == 0 {}
+                    0
+                }),
+            ]
+        }
+        let capped = SimBuilder::new(vec![0u64; 2]).max_steps(32);
+        let tail = SampleConfig::new([4, 4])
+            .seed(3)
+            .max_runs(20)
+            .tail_only(true);
+        let report = capped.sample(&tail, spinner, |_| true);
+        assert!(report.passed());
+        assert_eq!(report.violations, 0);
+        assert!(report.exceedances > 0);
+        assert!(report.violation.is_none());
+        // The same cell judged: every run is a violation.
+        let report = capped.sample(&tail.tail_only(false), spinner, |_| true);
+        assert_eq!(report.violations, 20);
+        let v = report.violation.expect("violation");
+        assert!(
+            matches!(
+                v.cert.kind,
+                super::super::ViolationKind::Unfinished { proc: 1 }
+                    | super::super::ViolationKind::StepBound { proc: 1, .. }
+            ),
+            "{:?}",
+            v.cert.kind
+        );
     }
 
     #[test]
@@ -795,8 +805,7 @@ mod tests {
         let scfg = SampleConfig::new([2, 2])
             .seed(11)
             .max_runs(50)
-            .max_crashes(1)
-            .require_finish(false);
+            .max_crashes(1);
         let report = sim.sample(&scfg, two_proc_factory, |_| true);
         assert!(report.passed());
         // With one victim per run, exactly one survivor is measured per
@@ -813,8 +822,7 @@ mod tests {
                 .sampler(sampler)
                 .seed(42)
                 .max_runs(200)
-                .max_crashes(1)
-                .require_finish(false);
+                .max_crashes(1);
             let seq = sim
                 .sample(&scfg, two_proc_factory, |_| true)
                 .to_json()

@@ -20,6 +20,10 @@
 //! is adopted, so every entry of the final schedule was actually
 //! serviced — replaying it with [`Replay::strict`] (plus a step budget
 //! equal to its length) reproduces the execution bit-identically.
+//!
+//! The policy is fixed: every minimization runs all of its passes,
+//! segment merge included, and stops after [`SHRINK_MAX_ATTEMPTS`]
+//! candidate re-executions.
 
 use super::fault::FaultPlan;
 use super::parallel::ProcPool;
@@ -28,24 +32,9 @@ use super::{run_sim, ProcBody, SimBuilder, SimConfig, SimOutcome};
 use crate::ctx::ProcId;
 use crate::json::Json;
 
-/// Shrinker tuning knobs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShrinkConfig {
-    /// Hard cap on candidate re-executions across both passes.
-    pub max_attempts: u64,
-    /// Run the context-switch-reducing segment-merge pass after step
-    /// removal.
-    pub merge_segments: bool,
-}
-
-impl Default for ShrinkConfig {
-    fn default() -> Self {
-        ShrinkConfig {
-            max_attempts: 4096,
-            merge_segments: true,
-        }
-    }
-}
+/// Hard cap on candidate re-executions across all passes of one
+/// minimization.
+pub const SHRINK_MAX_ATTEMPTS: u64 = 4096;
 
 /// What the shrinker did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -120,7 +109,7 @@ fn switches(s: &[ProcId]) -> usize {
 struct Shrinker<'a, 's, 'e, T, R, FMake, Fail> {
     pool: &'a mut ProcPool<'s, 'e, T, R>,
     cfg: &'a SimConfig<T>,
-    scfg: &'a ShrinkConfig,
+    max_attempts: u64,
     factory: &'a mut FMake,
     failing: Fail,
     /// The failing schedule so far; every entry was serviced.
@@ -139,7 +128,7 @@ where
 {
     /// The attempt budget is used up.
     fn spent(&self) -> bool {
-        self.stats.attempts >= self.scfg.max_attempts
+        self.stats.attempts >= self.max_attempts
     }
 
     /// Re-execute a candidate (schedule + crash plan) with a halting
@@ -228,7 +217,7 @@ where
     /// Swap adjacent steps of different processes when doing so joins
     /// two segments of the same process, reducing context switches
     /// without changing the step count.
-    fn merge_segments(&mut self) {
+    fn merge_bursts(&mut self) {
         loop {
             let before = switches(&self.current);
             let mut improved = false;
@@ -274,10 +263,10 @@ impl<T: Clone + Send> SimBuilder<T> {
     /// The returned [`ShrinkReport`] is locally minimal: removing any
     /// single step — or any single crash — loses the violation (or the
     /// attempt budget ran out first). It may equal the original when
-    /// nothing could be removed.
+    /// nothing could be removed. At most [`SHRINK_MAX_ATTEMPTS`]
+    /// candidates are re-executed.
     pub fn shrink<R, FMake, Fail>(
         &self,
-        scfg: &ShrinkConfig,
         original: &[ProcId],
         original_crashes: &[(ProcId, u64)],
         factory: &mut FMake,
@@ -293,7 +282,7 @@ impl<T: Clone + Send> SimBuilder<T> {
             shrink_on(
                 pool,
                 &self.cfg,
-                scfg,
+                SHRINK_MAX_ATTEMPTS,
                 original,
                 original_crashes,
                 factory,
@@ -305,11 +294,12 @@ impl<T: Clone + Send> SimBuilder<T> {
 
 /// [`SimBuilder::shrink`] proper, every candidate re-executed on
 /// `pool`; the explorers and the certifier call it with a pool of their
-/// own.
+/// own. Every caller outside this module's tests passes
+/// [`SHRINK_MAX_ATTEMPTS`] as `max_attempts`.
 pub(super) fn shrink_on<T, R, FMake, Fail>(
     pool: &mut ProcPool<'_, '_, T, R>,
     cfg: &SimConfig<T>,
-    scfg: &ShrinkConfig,
+    max_attempts: u64,
     original: &[ProcId],
     original_crashes: &[(ProcId, u64)],
     factory: &mut FMake,
@@ -324,7 +314,7 @@ where
     let mut shrinker = Shrinker {
         pool,
         cfg,
-        scfg,
+        max_attempts,
         factory,
         failing,
         current: original.to_vec(),
@@ -342,9 +332,7 @@ where
     shrinker.drop_crashes();
     shrinker.advance_crashes();
     // Pass 2: segment merging.
-    if scfg.merge_segments {
-        shrinker.merge_segments();
-    }
+    shrinker.merge_bursts();
     ShrinkReport {
         original: original.to_vec(),
         schedule: shrinker.current,
@@ -386,13 +374,7 @@ mod tests {
         // read. Only [1, 2] is needed.
         let sim = SimBuilder::new(vec![0u64; 1]);
         let original = vec![0, 0, 1, 2];
-        let report = sim.shrink(
-            &ShrinkConfig::default(),
-            &original,
-            &[],
-            &mut bodies,
-            failing,
-        );
+        let report = sim.shrink(&original, &[], &mut bodies, failing);
         assert_eq!(report.schedule, vec![1, 2]);
         assert_eq!(report.removed(), 2);
         assert!(report.stats.attempts > 0);
@@ -402,13 +384,7 @@ mod tests {
     #[test]
     fn shrunk_schedule_replays_strictly() {
         let sim = SimBuilder::new(vec![0u64; 1]);
-        let report = sim.shrink(
-            &ShrinkConfig::default(),
-            &[0, 0, 1, 2],
-            &[],
-            &mut bodies,
-            failing,
-        );
+        let report = sim.shrink(&[0, 0, 1, 2], &[], &mut bodies, failing);
         // Strict replay with the schedule length as budget reproduces the
         // exact execution — no fallback steps, same trace.
         let out = crate::sim::SimBuilder::new(vec![0u64; 1])
@@ -442,7 +418,6 @@ mod tests {
         // has 3 switches; [0,0,1,1] has 1.
         let sim = SimBuilder::new(vec![0u64; 2]);
         let report = sim.shrink(
-            &ShrinkConfig::default(),
             &[0, 1, 0, 1],
             &[],
             &mut bodies2,
@@ -450,29 +425,15 @@ mod tests {
         );
         assert_eq!(report.schedule, vec![0, 0, 1, 1]);
         assert!(report.stats.merges > 0);
-        // Without merging the interleaving survives untouched.
-        let no_merge = ShrinkConfig {
-            merge_segments: false,
-            ..Default::default()
-        };
-        let report2 = sim.shrink(
-            &no_merge,
-            &[0, 1, 0, 1],
-            &[],
-            &mut bodies2,
-            |out: &SimOutcome<u64, u64>| out.results[1] == Some(2),
-        );
-        assert_eq!(report2.schedule, vec![0, 1, 0, 1]);
     }
 
     #[test]
     fn attempt_budget_is_respected() {
         let sim = SimBuilder::new(vec![0u64; 1]);
-        let tight = ShrinkConfig {
-            max_attempts: 1,
-            merge_segments: true,
-        };
-        let report = sim.shrink(&tight, &[0, 0, 1, 2], &[], &mut bodies, failing);
+        let report = std::thread::scope(|scope| {
+            let pool = &mut ProcPool::new(scope);
+            shrink_on(pool, &sim.cfg, 1, &[0, 0, 1, 2], &[], &mut bodies, failing)
+        });
         assert!(report.stats.attempts <= 1);
     }
 
@@ -521,13 +482,7 @@ mod tests {
         // Violation: the reader saw 2 AND P0 crashed (so the violation
         // genuinely needs the crash to be minimal wrt failing()).
         let fail = |out: &SimOutcome<u64, u64>| out.results[2] == Some(2) && out.crashed[0];
-        let report = sim.shrink(
-            &ShrinkConfig::default(),
-            &[0, 1, 2],
-            &[(0, 1), (2, 3)],
-            &mut bodies3,
-            fail,
-        );
+        let report = sim.shrink(&[0, 1, 2], &[(0, 1), (2, 3)], &mut bodies3, fail);
         // P0's write is removable (the crash still fires with P0 never
         // scheduled); the minimal schedule is P1's write + P2's read.
         assert_eq!(report.schedule, vec![1, 2]);

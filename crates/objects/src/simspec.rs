@@ -124,9 +124,9 @@ where
     let spec = SnapshotSpec::<u32>::new(n);
     let check = move |_out: &SimOutcome<T, ()>| {
         // The det checker: a crashed process's pending op may have taken
-        // visible effect, so the check must be allowed to complete it
-        // (`complete_pending`); the strict nondet entry point would
-        // reject such histories.
+        // visible effect, so the check must be allowed to complete it,
+        // which the det checker always does; the strict nondet entry
+        // point would reject such histories.
         let hist = cell.lock().unwrap().take().unwrap().snapshot();
         check_linearizable_det(&spec, &hist, &CheckerConfig::default()).is_ok()
     };

@@ -11,7 +11,6 @@
 
 use apram_bench::{e9_factory, E9RecCell, E9_PROCS};
 use apram_history::{check_linearizable, CheckOutcome, CheckerConfig, Ops, Violation};
-use apram_model::sim::shrink::ShrinkConfig;
 use apram_model::sim::strategy::Replay;
 use apram_model::sim::{ExploreConfig, SimBuilder};
 use apram_snapshot::collect::CollectArray;
@@ -41,7 +40,7 @@ fn shrunk_schedule_replays_bit_identically_and_names_the_blocking_edge() {
     let stats = SimBuilder::new(arr.registers::<u32>())
         .owners(arr.owners())
         .explore(
-            &ExploreConfig::new().shrink(ShrinkConfig::default()),
+            &ExploreConfig::new().shrink(true),
             e9_factory(arr, Arc::clone(&cell)),
             |out| {
                 out.assert_no_panics();

@@ -12,7 +12,6 @@
 use apram_bench::{e9_factory, E9RecCell, E9_PROCS};
 use apram_history::{check_histories_parallel, check_linearizable, CheckerConfig};
 use apram_lattice::{Tagged, TaggedVec};
-use apram_model::sim::shrink::ShrinkConfig;
 use apram_model::sim::{
     Budgeted, CertifyConfig, ExploreConfig, ProcBody, SimBuilder, SimCtx, SimOutcome, ViolationKind,
 };
@@ -174,7 +173,7 @@ fn reduced_counts_and_pruning_match_sequential() {
 fn naive_collect_violator_yields_identical_first_violation() {
     let arr = CollectArray::new(E9_PROCS);
     let spec = SnapshotSpec::<u32>::new(E9_PROCS);
-    let econfig = ExploreConfig::new().shrink(ShrinkConfig::default());
+    let econfig = ExploreConfig::new().shrink(true);
 
     // Sequential reference: first violation in canonical DFS order.
     let cell: E9RecCell = Arc::new(Mutex::new(None));
@@ -254,7 +253,7 @@ fn certificates_match_sequential_on_pass_and_on_violation() {
 fn shrink_reports_match_across_drivers() {
     let arr = CollectArray::new(E9_PROCS);
     let spec = SnapshotSpec::<u32>::new(E9_PROCS);
-    let econfig = ExploreConfig::new().shrink(ShrinkConfig::default());
+    let econfig = ExploreConfig::new().shrink(true);
     let sim = SimBuilder::new(arr.registers::<u32>()).owners(arr.owners());
     // One (factory, visit) pair per driver, each with its own recorder.
     let worker = || {
@@ -276,13 +275,9 @@ fn shrink_reports_match_across_drivers() {
     assert!(seq_report.stats.useful > 0, "{seq_report:?}");
 
     let (mut make, visit) = worker();
-    let direct = sim.shrink(
-        &ShrinkConfig::default(),
-        &witness.schedule,
-        &witness.crashes,
-        &mut make,
-        |out| !visit(out),
-    );
+    let direct = sim.shrink(&witness.schedule, &witness.crashes, &mut make, |out| {
+        !visit(out)
+    });
     assert_eq!(direct, seq_report);
 
     for threads in [1usize, 2, 4] {
