@@ -11,16 +11,33 @@
 //! processes join, and whatever the sequential object's own state asks
 //! for. The bound leaves that room and no more.
 //!
-//! Its own test binary: the counting allocator is process-wide.
+//! And the allocation budget of building one universe, pinned: its
+//! register file is built once, for the writers it has.
+//!
+//! Its own test binary: the counting allocator is the global one. It
+//! counts per thread, so each test counts only what it allocates.
 
 use apram_core::{AlgebraicSpec, CounterOp, CounterSpec, Universal};
+use apram_model::native::buffered::SwmrCell;
 use apram_model::NativeMemory;
 use apram_objects::lwwmap::{LwwMapSpec, MapOp};
 use apram_snapshot::Snapshot;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` and free of drop glue: reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by this thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 
@@ -29,7 +46,7 @@ struct Counting;
 // counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded unchanged; see the impl-level comment.
         unsafe { System.alloc(layout) }
     }
@@ -40,7 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded unchanged; see the impl-level comment.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -64,17 +81,16 @@ where
     let mem = NativeMemory::new(HANDLES, uni.registers()).with_owners(uni.owners());
     let mut ctxs: Vec<_> = (0..HANDLES).map(|p| mem.ctx(p)).collect();
     let mut handles: Vec<_> = (0..HANDLES).map(|_| uni.handle()).collect();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for k in 0..OPS {
         let h = k % HANDLES;
         std::hint::black_box(handles[h].execute(&mut ctxs[h], op(k)));
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
     assert_eq!(handles[(OPS - 1) % HANDLES].last_history_len(), OPS - 1);
     allocs as f64 / OPS as f64
 }
 
-// One test, so that nothing else allocates while it counts.
 #[test]
 fn an_execute_allocates_within_its_budget() {
     let counter = allocs_per_op(CounterSpec, |k| match k % 4 {
@@ -108,10 +124,54 @@ fn an_execute_allocates_within_its_budget() {
         }
     };
     (0..4).for_each(&mut round);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     round(4);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
     assert_eq!(allocs, 0, "{HANDLES} warmed snap + update pairs allocated");
     assert_eq!(ctxs[0].counts().writes, 5 * 2 * (HANDLES as u64 + 1));
     assert_eq!(handles[0].snap(&mut ctxs[0]), vec![Some(4); HANDLES]);
+}
+
+/// What one universe's build allocates — the repo benchmark's
+/// `universal_lwwmap` builds one per epoch, and its `setup_s` builds 64:
+/// the register file, given owners, plus three contexts and three
+/// handles. Budget: the same registers built directly as single-writer
+/// cells, plus the memory's own three shared blocks (register file,
+/// export marks, owner map), plus at most one allocation per register.
+///
+/// Counts at three handles (fifteen registers): this build 58 — the
+/// direct build's 53, the memory's three blocks, and the two arrays of
+/// the multi-writer file that `new` builds and `with_owners` takes
+/// apart — against a budget of 71. When `NativeMemory::new` built every
+/// register as a three-writer cell — three writer sub-cells, each with
+/// its slots and announce words — and `with_owners` then rebuilt it as
+/// a single-writer one, the same build made 161.
+#[test]
+fn a_universe_build_allocates_what_a_direct_build_does() {
+    // The memory's `Arc`s: register file, export marks, owner map.
+    const MEMORY_BLOCKS: u64 = 3;
+    let uni = Universal::new(HANDLES, LwwMapSpec);
+    let regs = uni.registers().len() as u64;
+
+    let before = allocs();
+    let mem = NativeMemory::new(HANDLES, uni.registers()).with_owners(uni.owners());
+    let ctxs: [_; HANDLES] = std::array::from_fn(|p| mem.ctx(p));
+    let handles: [_; HANDLES] = std::array::from_fn(|_| uni.handle());
+    let built = allocs() - before;
+    drop((ctxs, handles, mem));
+
+    let before = allocs();
+    let cells: Vec<_> = uni
+        .registers()
+        .into_iter()
+        .map(|v| SwmrCell::new(HANDLES, v))
+        .collect();
+    let owners = uni.owners();
+    let handles: [_; HANDLES] = std::array::from_fn(|_| uni.handle());
+    let direct = allocs() - before;
+    drop((cells, owners, handles));
+
+    let budget = direct + MEMORY_BLOCKS + regs;
+    println!("a universe build: {built} allocations, budget {budget} (direct {direct}, {regs} registers)");
+    assert!(built <= budget, "{built} allocations, budget {budget}");
 }

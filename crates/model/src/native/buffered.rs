@@ -41,7 +41,7 @@
 //! wait-freedom are untouched; the word is cleared by a drop guard, so
 //! a closure that unwinds pins nothing.
 //!
-//! # Multi-writer cells ([`MwmrCell`])
+//! # Multi-writer registers ([`MwmrFile`])
 //!
 //! Multi-writer registers are layered on per-writer SWMR slots exactly
 //! as the model's `MwRegister` object does, except the native tier can
@@ -52,6 +52,18 @@
 //! draw is the write's linearization point, so overlapping reads by
 //! different processes can never disagree on the order of writes.
 //!
+//! They come as a file, not one by one: a register is its ticket and
+//! its initial value, and each writer holds its SWMR cells for the
+//! whole file in one array. The file is built with no writer's cells;
+//! [`MwmrFile::open`] builds one writer's (the owning memory opens
+//! process `p` when it makes `p`'s context, never inside an op). Until
+//! then the writer reads as `(0, init)`, the stamp its cells would start
+//! from, so a collect passes over it: every ticket-0 stamp holds `init`,
+//! and `init` is what a read returns when no writer is open. A reader
+//! finds the open writers in an `n`-entry array that stays in its
+//! cache, so a collect touches each open writer's cell and nothing of
+//! the register on the way.
+//!
 //! # Loom
 //!
 //! Under `--cfg loom` the index words and slots switch to `loom`'s
@@ -61,6 +73,7 @@
 #![allow(unsafe_code)]
 
 use super::padded::CachePadded;
+use std::sync::OnceLock;
 
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -119,6 +132,14 @@ const NONE: usize = usize::MAX;
 /// tracks its `n + 3` slots in one `u64` bitmask.
 pub const MAX_PROCS: usize = 61;
 
+/// Panics unless a cell's writer can track `n + 3` slots in its `u64`.
+fn check_procs(n_procs: usize) {
+    assert!(
+        n_procs <= MAX_PROCS,
+        "buffered cells track free slots in a u64 bitmask: at most {MAX_PROCS} processes"
+    );
+}
+
 /// A single-writer multi-reader register of arbitrary `Clone` width.
 ///
 /// Constructed per register by the buffered tier; the single-writer
@@ -145,13 +166,13 @@ unsafe impl<T: Send + Sync> Sync for SwmrCell<T> {}
 impl<T: Clone> SwmrCell<T> {
     /// A cell for `n_procs` processes holding `init`.
     pub fn new(n_procs: usize, init: T) -> Self {
-        let n_slots = n_procs + 3;
-        assert!(
-            n_procs <= MAX_PROCS,
-            "buffered cells track free slots in a u64 bitmask: at most {MAX_PROCS} processes"
-        );
+        check_procs(n_procs);
+        // `n + 2` clones, and `init` itself in the last slot.
+        let mut slots = Vec::with_capacity(n_procs + 3);
+        slots.extend((0..n_procs + 2).map(|_| Slot::new(init.clone())));
+        slots.push(Slot::new(init));
         SwmrCell {
-            slots: (0..n_slots).map(|_| Slot::new(init.clone())).collect(),
+            slots: slots.into_boxed_slice(),
             published: CachePadded::new(AtomicUsize::new(0)),
             announce: (0..n_procs + 1)
                 .map(|_| CachePadded::new(AtomicUsize::new(NONE)))
@@ -303,64 +324,111 @@ struct Stamp<T> {
     value: T,
 }
 
-/// A multi-writer multi-reader register layered on per-writer
-/// [`SwmrCell`]s with a hardware ticket for timestamps.
-pub struct MwmrCell<T> {
-    ticket: CachePadded<AtomicU64>,
-    slots: Box<[SwmrCell<Stamp<T>>]>,
+/// One multi-writer register's own state: the ticket its writes draw
+/// and the value it was built with.
+struct MwmrHead<T> {
+    ticket: AtomicU64,
+    init: T,
 }
 
-impl<T: Clone> MwmrCell<T> {
-    /// A cell for `n_procs` processes holding `init` (stamped as ticket
-    /// 0 in every writer slot, so reads of the untouched cell agree).
-    pub fn new(n_procs: usize, init: T) -> Self {
-        MwmrCell {
-            ticket: CachePadded::new(AtomicU64::new(0)),
-            slots: (0..n_procs)
-                .map(|_| {
-                    SwmrCell::new(
-                        n_procs,
-                        Stamp {
-                            ticket: 0,
-                            value: init.clone(),
-                        },
-                    )
+/// A file of multi-writer multi-reader registers, layered on per-writer
+/// [`SwmrCell`]s with a hardware ticket per register for timestamps. A
+/// writer's cells are built by [`MwmrFile::open`]; until then the
+/// writer reads as `(ticket 0, init)` in every register.
+pub struct MwmrFile<T> {
+    heads: Box<[CachePadded<MwmrHead<T>>]>,
+    /// Per writer, its cells, once opened.
+    writers: Box<[OnceLock<WriterCells<T>>]>,
+}
+
+/// One writer's SWMR cell in every register of an [`MwmrFile`].
+type WriterCells<T> = Box<[SwmrCell<Stamp<T>>]>;
+
+impl<T: Clone> MwmrFile<T> {
+    /// A file of registers holding `init`, for `n_procs` processes, with
+    /// no writer opened. The process ceiling is checked here, not at the
+    /// first [`MwmrFile::open`].
+    pub fn new(n_procs: usize, init: Vec<T>) -> Self {
+        check_procs(n_procs);
+        MwmrFile {
+            heads: init
+                .into_iter()
+                .map(|init| {
+                    CachePadded::new(MwmrHead {
+                        ticket: AtomicU64::new(0),
+                        init,
+                    })
                 })
                 .collect(),
+            writers: (0..n_procs).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Write `val` as process `proc`. The ticket draw is the
-    /// linearization point.
-    pub fn write(&self, proc: usize, val: T) {
-        let _ = self.write_traced(proc, val);
+    /// Number of registers.
+    pub fn len(&self) -> usize {
+        self.heads.len()
     }
 
-    /// [`MwmrCell::write`], reporting the ticket drawn and the slot the
+    /// Whether the file has no register.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Build writer `proc`'s SWMR cell in every register, holding the
+    /// register's `init` at ticket 0, if they are not built yet. A write
+    /// by `proc` needs them; a read does not.
+    pub fn open(&self, proc: usize) {
+        self.writers[proc].get_or_init(|| {
+            let n_procs = self.writers.len();
+            (self.heads.iter())
+                .map(|h| {
+                    let stamp = Stamp {
+                        ticket: 0,
+                        value: h.init.clone(),
+                    };
+                    SwmrCell::new(n_procs, stamp)
+                })
+                .collect()
+        });
+    }
+
+    /// Write `val` to register `reg` as process `proc`, which must be
+    /// open. The ticket draw is the linearization point.
+    pub fn write(&self, proc: usize, reg: usize, val: T) {
+        let _ = self.write_traced(proc, reg, val);
+    }
+
+    /// [`MwmrFile::write`], reporting the ticket drawn and the slot the
     /// writer's own SWMR cell chose (the flight recorder's ticket-draw
     /// and slot-choice events).
-    pub fn write_traced(&self, proc: usize, val: T) -> (u64, usize) {
-        let ticket = self.ticket.fetch_add(1, Ordering::SeqCst) + 1;
-        let slot = self.slots[proc].write_traced(Stamp { ticket, value: val });
+    pub fn write_traced(&self, proc: usize, reg: usize, val: T) -> (u64, usize) {
+        let cells = self.writers[proc]
+            .get()
+            .unwrap_or_else(|| panic!("writer {proc} of a multi-writer file is not open"));
+        let ticket = self.heads[reg].ticket.fetch_add(1, Ordering::SeqCst) + 1;
+        let slot = cells[reg].write_traced(Stamp { ticket, value: val });
         (ticket, slot)
     }
 
     /// Total tickets ever drawn (= completed or in-flight writes).
     pub fn tickets(&self) -> u64 {
-        self.ticket.load(Ordering::Relaxed)
+        (self.heads.iter())
+            .map(|h| h.ticket.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Read as process `proc`: collect every writer slot, return the
-    /// value with the largest `(ticket, writer)` stamp.
-    pub fn read(&self, proc: usize) -> T {
-        self.collect(|cell| cell.read(proc))
+    /// Read register `reg` as process `proc`: collect every open
+    /// writer's cell, return the value with the largest
+    /// `(ticket, writer)` stamp.
+    pub fn read(&self, proc: usize, reg: usize) -> T {
+        self.collect(reg, |cell| cell.read(proc))
     }
 
-    /// [`MwmrCell::read`], reporting the summed validation retries of
+    /// [`MwmrFile::read`], reporting the summed validation retries of
     /// the per-writer slot reads the collect performed.
-    pub fn read_traced(&self, proc: usize) -> (T, u64) {
+    pub fn read_traced(&self, proc: usize, reg: usize) -> (T, u64) {
         let mut retries = 0;
-        let v = self.collect(|cell| {
+        let v = self.collect(reg, |cell| {
             let (s, r) = cell.read_traced(proc);
             retries += r;
             s
@@ -368,39 +436,51 @@ impl<T: Clone> MwmrCell<T> {
         (v, retries)
     }
 
-    /// Read from outside any process (see [`SwmrCell::peek`]).
-    pub fn peek(&self) -> T {
-        self.collect(SwmrCell::peek)
+    /// Read register `reg` from outside any process (see
+    /// [`SwmrCell::peek`]).
+    pub fn peek(&self, reg: usize) -> T {
+        self.collect(reg, SwmrCell::peek)
     }
 
-    fn collect(&self, mut read: impl FnMut(&SwmrCell<Stamp<T>>) -> Stamp<T>) -> T {
-        let mut best: Option<(u64, T)> = None;
-        for cell in self.slots.iter() {
-            let s = read(cell);
-            // `>=` so later writer slots win ticket ties, which only
-            // occur at ticket 0 where every slot holds the same init.
-            if best.as_ref().is_none_or(|(t, _)| s.ticket >= *t) {
-                best = Some((s.ticket, s.value));
+    fn collect(&self, reg: usize, mut read: impl FnMut(&SwmrCell<Stamp<T>>) -> Stamp<T>) -> T {
+        let mut best: Option<Stamp<T>> = None;
+        // An unopened writer is skipped: it reads as `(0, init)`, and
+        // every ticket-0 stamp holds `init`, so it wins nothing that an
+        // open writer's stamp or the fallback below does not give. `>=`
+        // lets later writers win ticket ties, which only occur at 0.
+        for cells in self.writers.iter().filter_map(OnceLock::get) {
+            let s = read(&cells[reg]);
+            if best.as_ref().is_none_or(|b| s.ticket >= b.ticket) {
+                best = Some(s);
             }
         }
-        best.expect("cells have at least one writer slot").1
+        best.map_or_else(|| self.heads[reg].init.clone(), |s| s.value)
     }
 
-    /// The current value, through exclusive access.
-    pub fn value_mut(&mut self) -> T {
-        let mut best: Option<(u64, T)> = None;
-        for cell in self.slots.iter_mut() {
-            let s = cell.value_mut();
-            if best.as_ref().is_none_or(|(t, _)| s.ticket >= *t) {
-                best = Some((s.ticket, s.value));
-            }
-        }
-        best.expect("cells have at least one writer slot").1
+    /// Every register's current value, taking the file apart: a
+    /// register's `init` moved out when no writer was opened, else its
+    /// largest stamp's value.
+    pub fn into_values(self) -> impl Iterator<Item = T> {
+        let mut writers = self.writers;
+        (self.heads.into_vec().into_iter())
+            .enumerate()
+            .map(move |(reg, head)| {
+                let mut best: Option<Stamp<T>> = None;
+                for cells in writers.iter_mut().filter_map(OnceLock::get_mut) {
+                    let s = cells[reg].value_mut();
+                    if best.as_ref().is_none_or(|b| s.ticket >= b.ticket) {
+                        best = Some(s);
+                    }
+                }
+                best.map_or(head.into_inner().init, |s| s.value)
+            })
     }
 
-    /// Total reader validation retries across the writer slots.
+    /// Total reader validation retries across the open writers' cells.
     pub fn retries(&self) -> u64 {
-        self.slots.iter().map(SwmrCell::retries).sum()
+        (self.writers.iter().filter_map(OnceLock::get))
+            .flat_map(|cells| cells.iter().map(SwmrCell::retries))
+            .sum()
     }
 }
 
@@ -533,15 +613,49 @@ mod tests {
 
     #[test]
     fn mwmr_ticket_order_wins() {
-        let c = MwmrCell::new(3, 0i64);
-        assert_eq!(c.read(0), 0);
-        c.write(1, 10);
-        c.write(2, 20);
-        assert_eq!(c.read(0), 20, "later ticket wins");
-        c.write(0, 30);
-        assert_eq!(c.peek(), 30);
-        let mut c = c;
-        assert_eq!(c.value_mut(), 30);
+        let f = MwmrFile::new(3, vec![0i64, -1]);
+        assert_eq!(f.read(0, 0), 0);
+        (0..3).for_each(|p| f.open(p));
+        f.write(1, 0, 10);
+        f.write(2, 0, 20);
+        assert_eq!(f.read(0, 0), 20, "later ticket wins");
+        f.write(0, 0, 30);
+        assert_eq!((f.peek(0), f.peek(1)), (30, -1));
+        assert_eq!(f.tickets(), 3);
+        assert_eq!(f.into_values().collect::<Vec<_>>(), [30, -1]);
+    }
+
+    /// A writer's cells exist only once it is opened: before that it
+    /// reads as the initial value, a write through it panics, and a file
+    /// taken apart with no writer open hands each `init` back itself.
+    #[test]
+    fn mwmr_unopened_writers_read_as_init() {
+        let f = MwmrFile::new(2, vec![String::from("init")]);
+        assert_eq!(
+            (f.read(0, 0), f.peek(0), f.retries()),
+            ("init".into(), "init".into(), 0)
+        );
+        let init_at = f.heads[0].init.as_ptr();
+        let values: Vec<_> = f.into_values().collect();
+        assert_eq!(values[0].as_ptr(), init_at, "init was not moved out");
+
+        let f = MwmrFile::new(2, vec![String::from("init")]);
+        f.open(1);
+        assert_eq!(f.read(0, 0), "init");
+        let unopened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.write(0, 0, "lost".into());
+        }));
+        assert!(unopened.is_err());
+        assert_eq!(f.tickets(), 0, "a refused write drew a ticket");
+        f.write(1, 0, "one".into());
+        assert_eq!(f.read(0, 0), "one");
+        assert_eq!(f.into_values().collect::<Vec<_>>(), ["one"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 61 processes")]
+    fn mwmr_checks_the_process_ceiling_when_built() {
+        let _ = MwmrFile::<u64>::new(MAX_PROCS + 1, Vec::new());
     }
 
     /// Concurrent multi-writer traffic: the final value must be the one
@@ -554,21 +668,23 @@ mod tests {
         #[cfg(not(miri))]
         const PER: u64 = 2_000;
         let n = 4;
-        let c = MwmrCell::new(n, (usize::MAX, 0u64));
+        let f = MwmrFile::new(n, vec![(usize::MAX, 0u64)]);
         std::thread::scope(|s| {
             for p in 0..n {
-                let c = &c;
+                let f = &f;
                 s.spawn(move || {
+                    // Opened while the other writers write and collect.
+                    f.open(p);
                     for k in 0..PER {
-                        c.write(p, (p, k));
-                        let (wp, wk) = c.read(p);
+                        f.write(p, 0, (p, k));
+                        let (wp, wk) = f.read(p, 0);
                         assert!(wp == usize::MAX || wp < n);
                         assert!(wk <= PER, "impossible payload {wk}");
                     }
                 });
             }
         });
-        let (p, k) = c.peek();
+        let (p, k) = f.peek(0);
         assert!(
             p < n && k == PER - 1,
             "final value {p}/{k} not a last write"

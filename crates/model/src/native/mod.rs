@@ -13,9 +13,15 @@
 //!   buffers, multi-writer registers layer a hardware ticket over
 //!   per-writer slots. No locks anywhere; the writer is wait-free and
 //!   readers are lock-free (retrying only when a publish lands inside a
-//!   two-instruction window). Constructed with [`NativeMemory::new`];
-//!   attaching an owner map with [`NativeMemory::with_owners`] drops
-//!   every register to the cheaper single-writer cell.
+//!   two-instruction window). Constructed with [`NativeMemory::new`],
+//!   which builds the registers as multi-writer ones holding their
+//!   initial values and no writer's slots; [`NativeMemory::ctx`] builds
+//!   process `p`'s slots in every register, and until then `p` reads as
+//!   the initial value. Attaching an owner map with
+//!   [`NativeMemory::with_owners`] moves each initial value into a
+//!   single-writer cell instead, and no writer's slots are ever built.
+//!   DESIGN.md ("Native register file") gives each tier's bytes per
+//!   register.
 //! * **rwlock** — the pre-register-file backend, one `std` `RwLock` per
 //!   register, kept as the comparison baseline for the E13 scaling
 //!   experiment. It lies outside the paper's model (a lock is not a
@@ -40,7 +46,7 @@ use crate::flight::stamp::{clock, Clock};
 use crate::flight::{FlightEvent, FlightLog, FlightMode, FlightRecorder};
 use crate::telemetry::TelemetryRegistry;
 use crate::trace::StepCounts;
-use buffered::{MwmrCell, SwmrCell};
+use buffered::{MwmrFile, SwmrCell};
 use packed::PackedFile;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,71 +89,6 @@ impl Tier {
     }
 }
 
-/// One buffered-tier register: single-writer cell when an owner map is
-/// attached, ticket-layered multi-writer cell otherwise.
-enum BufferedCell<T> {
-    Swmr(SwmrCell<T>),
-    Mwmr(MwmrCell<T>),
-}
-
-impl<T: Clone> BufferedCell<T> {
-    /// The value read and the read's validation retries.
-    fn read_traced(&self, proc: ProcId) -> (T, u64) {
-        match self {
-            BufferedCell::Swmr(c) => c.read_traced(proc),
-            BufferedCell::Mwmr(c) => c.read_traced(proc),
-        }
-    }
-
-    /// Run `f` on the value read — on the slot itself for a
-    /// single-writer cell, on the collect's winner otherwise — and on
-    /// the read's validation retries.
-    fn read_with<R>(&self, proc: ProcId, f: impl FnOnce(&T, u64) -> R) -> R {
-        match self {
-            BufferedCell::Swmr(c) => c.read_with(proc, f),
-            BufferedCell::Mwmr(c) => {
-                let (v, retries) = c.read_traced(proc);
-                f(&v, retries)
-            }
-        }
-    }
-
-    /// Write `val`, moved in or — for a single-writer cell handed a
-    /// borrow — copied in place into the slot the write chose. Returns
-    /// the MWMR ticket drawn (multi-writer cells only) and the buffer
-    /// slot the announce scan chose.
-    fn write(&self, proc: ProcId, val: Cow<'_, T>) -> (Option<u64>, u64) {
-        match self {
-            BufferedCell::Swmr(c) => (None, c.write_via(|slot| assign(slot, val)) as u64),
-            BufferedCell::Mwmr(c) => {
-                let (ticket, slot) = c.write_traced(proc, val.into_owned());
-                (Some(ticket), slot as u64)
-            }
-        }
-    }
-
-    fn peek(&self) -> T {
-        match self {
-            BufferedCell::Swmr(c) => c.peek(),
-            BufferedCell::Mwmr(c) => c.peek(),
-        }
-    }
-
-    fn value_mut(&mut self) -> T {
-        match self {
-            BufferedCell::Swmr(c) => c.value_mut(),
-            BufferedCell::Mwmr(c) => c.value_mut(),
-        }
-    }
-
-    fn retries(&self) -> u64 {
-        match self {
-            BufferedCell::Swmr(c) => c.retries(),
-            BufferedCell::Mwmr(c) => c.retries(),
-        }
-    }
-}
-
 /// `*slot = val`, with a borrowed `val` copied into what `slot` holds.
 fn assign<T: Clone>(slot: &mut T, val: Cow<'_, T>) {
     match val {
@@ -156,18 +97,22 @@ fn assign<T: Clone>(slot: &mut T, val: Cow<'_, T>) {
     }
 }
 
-/// The register file, by tier.
+/// The register file, by tier; the buffered tier's registers are
+/// single-writer cells when an owner map is attached, a ticket-layered
+/// multi-writer file otherwise.
 enum Regs<T> {
     Packed(PackedFile<T>),
-    Buffered(Vec<BufferedCell<T>>),
+    Swmr(Vec<SwmrCell<T>>),
+    Mwmr(MwmrFile<T>),
     Locked(Vec<RwLock<T>>),
 }
 
-impl<T> Regs<T> {
+impl<T: Clone> Regs<T> {
     fn len(&self) -> usize {
         match self {
             Regs::Packed(f) => f.len(),
-            Regs::Buffered(cells) => cells.len(),
+            Regs::Swmr(cells) => cells.len(),
+            Regs::Mwmr(file) => file.len(),
             Regs::Locked(cells) => cells.len(),
         }
     }
@@ -206,16 +151,13 @@ impl<T> Clone for NativeMemory<T> {
 impl<T: Clone> NativeMemory<T> {
     /// A memory with the given initial register contents, shared by
     /// `n_procs` processes, on the buffered (arbitrary-width, lock-free)
-    /// tier. Registers start as multi-writer cells; attach an owner map
-    /// with [`NativeMemory::with_owners`] to drop them to the cheaper
-    /// single-writer form.
+    /// tier. Registers start multi-writer, with no writer's slots built
+    /// ([`NativeMemory::ctx`] builds them); attach an owner map with
+    /// [`NativeMemory::with_owners`] to make them the cheaper
+    /// single-writer cells instead.
     pub fn new(n_procs: usize, init: Vec<T>) -> Self {
-        let cells = init
-            .into_iter()
-            .map(|v| BufferedCell::Mwmr(MwmrCell::new(n_procs, v)))
-            .collect();
         NativeMemory {
-            regs: Arc::new(Regs::Buffered(cells)),
+            regs: Arc::new(Regs::Mwmr(MwmrFile::new(n_procs, init))),
             owners: None,
             n_procs,
             flight: None,
@@ -240,20 +182,23 @@ impl<T: Clone> NativeMemory<T> {
     }
 
     /// Attach a single-writer owner map (checked on every write). On
-    /// the buffered tier this also rebuilds every register as a
-    /// single-writer cell. Must be called before the memory is shared
-    /// (i.e. directly after construction, before any `clone`).
+    /// the buffered tier this also makes every register a single-writer
+    /// cell holding its current value — the initial one moved in, if no
+    /// context was made before. Must be called before the memory is
+    /// shared (i.e. directly after construction, before any `clone`).
     pub fn with_owners(mut self, owners: Vec<ProcId>) -> Self {
         assert_eq!(owners.len(), self.regs.len());
         let regs = Arc::get_mut(&mut self.regs)
             .expect("with_owners must be called before the memory is shared");
-        if let Regs::Buffered(cells) = regs {
-            let n_procs = self.n_procs;
-            for cell in cells.iter_mut() {
-                let v = cell.value_mut();
-                *cell = BufferedCell::Swmr(SwmrCell::new(n_procs, v));
-            }
-        }
+        let n_procs = self.n_procs;
+        *regs = match std::mem::replace(regs, Regs::Swmr(Vec::new())) {
+            Regs::Mwmr(file) => Regs::Swmr(
+                file.into_values()
+                    .map(|v| SwmrCell::new(n_procs, v))
+                    .collect(),
+            ),
+            other => other,
+        };
         self.owners = Some(Arc::new(owners));
         self
     }
@@ -293,13 +238,7 @@ impl<T: Clone> NativeMemory<T> {
     /// cells are all single-writer).
     pub fn ticket_draws(&self) -> u64 {
         match &*self.regs {
-            Regs::Buffered(cells) => cells
-                .iter()
-                .map(|c| match c {
-                    BufferedCell::Mwmr(m) => m.tickets(),
-                    BufferedCell::Swmr(_) => 0,
-                })
-                .sum(),
+            Regs::Mwmr(file) => file.tickets(),
             _ => 0,
         }
     }
@@ -359,7 +298,7 @@ impl<T: Clone> NativeMemory<T> {
     pub fn tier(&self) -> Tier {
         match &*self.regs {
             Regs::Packed(_) => Tier::Packed,
-            Regs::Buffered(_) => Tier::Buffered,
+            Regs::Swmr(_) | Regs::Mwmr(_) => Tier::Buffered,
             Regs::Locked(_) => Tier::Rwlock,
         }
     }
@@ -369,14 +308,21 @@ impl<T: Clone> NativeMemory<T> {
     /// announce window was hit by a concurrent publish.
     pub fn read_retries(&self) -> u64 {
         match &*self.regs {
-            Regs::Buffered(cells) => cells.iter().map(BufferedCell::retries).sum(),
+            Regs::Swmr(cells) => cells.iter().map(SwmrCell::retries).sum(),
+            Regs::Mwmr(file) => file.retries(),
             _ => 0,
         }
     }
 
-    /// A context for process `proc`, with fresh step counters.
+    /// A context for process `proc`, with fresh step counters. On a
+    /// buffered memory with no owner map, the first context of `proc`
+    /// builds its slots in every register, so that no op allocates
+    /// them.
     pub fn ctx(&self, proc: ProcId) -> NativeCtx<T> {
         assert!(proc < self.n_procs, "process {proc} out of range");
+        if let Regs::Mwmr(file) = &*self.regs {
+            file.open(proc);
+        }
         NativeCtx {
             mem: self.clone(),
             proc,
@@ -396,7 +342,8 @@ impl<T: Clone> NativeMemory<T> {
     pub fn peek(&self, reg: usize) -> T {
         match &*self.regs {
             Regs::Packed(f) => f.read(reg),
-            Regs::Buffered(cells) => cells[reg].peek(),
+            Regs::Swmr(cells) => cells[reg].peek(),
+            Regs::Mwmr(file) => file.peek(reg),
             Regs::Locked(cells) => cells[reg]
                 .read()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -570,10 +517,16 @@ impl<T: Clone> NativeCtx<T> {
         self.counts.bump(AccessKind::Write);
         match &*self.mem.regs {
             Regs::Packed(file) => file.write(reg, &val),
-            Regs::Buffered(cells) => {
-                let (ticket, slot) = cells[reg].write(self.proc, val);
+            Regs::Swmr(cells) => {
+                let slot = cells[reg].write_via(|slot| assign(slot, val));
                 if let Some(f) = self.sampled() {
-                    f.record_write(self.proc, reg, ticket, slot);
+                    f.record_write(self.proc, reg, None, slot as u64);
+                }
+            }
+            Regs::Mwmr(file) => {
+                let (ticket, slot) = file.write_traced(self.proc, reg, val.into_owned());
+                if let Some(f) = self.sampled() {
+                    f.record_write(self.proc, reg, Some(ticket), slot as u64);
                 }
             }
             Regs::Locked(cells) => {
@@ -601,8 +554,15 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
         self.counts.bump(AccessKind::Read);
         match &*self.mem.regs {
             Regs::Packed(file) => file.read(reg),
-            Regs::Buffered(cells) => {
+            Regs::Swmr(cells) => {
                 let (v, retries) = cells[reg].read_traced(self.proc);
+                if retries > 0 {
+                    self.record_retries(reg, retries);
+                }
+                v
+            }
+            Regs::Mwmr(file) => {
+                let (v, retries) = file.read_traced(self.proc, reg);
                 if retries > 0 {
                     self.record_retries(reg, retries);
                 }
@@ -653,12 +613,19 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
         self.counts.bump(AccessKind::Read);
         match &*self.mem.regs {
             Regs::Packed(file) => f(&file.read(reg)),
-            Regs::Buffered(cells) => cells[reg].read_with(self.proc, |v, retries| {
+            Regs::Swmr(cells) => cells[reg].read_with(self.proc, |v, retries| {
                 if retries > 0 {
                     self.record_retries(reg, retries);
                 }
                 f(v)
             }),
+            Regs::Mwmr(file) => {
+                let (v, retries) = file.read_traced(self.proc, reg);
+                if retries > 0 {
+                    self.record_retries(reg, retries);
+                }
+                f(&v)
+            }
             Regs::Locked(cells) => f(&cells[reg].read().unwrap_or_else(PoisonError::into_inner)),
         }
     }

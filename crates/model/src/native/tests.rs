@@ -394,8 +394,9 @@ fn offset_window_forwards_the_borrowing_accesses() {
 
 /// The by-value `read` clones what the cell's protocol clones and
 /// nothing on top, recorded or not: the value once on a single-writer
-/// cell, one stamp per writer slot in a multi-writer cell's collect (the
-/// winner is moved out of its stamp, not cloned again).
+/// cell, one stamp per *opened* writer in a multi-writer register's
+/// collect (an unopened writer is not read; the winner is moved out of
+/// its stamp, not cloned again).
 #[test]
 fn read_clones_once_recorded_or_not() {
     let regs = || vec![Counted(7), Counted(9)];
@@ -405,15 +406,99 @@ fn read_clones_once_recorded_or_not() {
             .with_owners(vec![0, 1])
             .with_flight(mode, capacity);
         let mwmr = NativeMemory::new(n_procs, regs()).with_flight(mode, capacity);
-        for (mem, clones) in [(&swmr, 1), (&mwmr, n_procs as u64)] {
+        // The reader is P1; `others` is whether P0 has a context too.
+        for (mem, others, clones) in [(&swmr, 0, 1), (&mwmr, 0, 1), (&mwmr, 1, 2)] {
+            let _others: Vec<_> = (0..others).map(|p| mem.ctx(p)).collect();
             let mut ctx = mem.ctx(1);
             assert_eq!(ctx.op_begin(0, 0), mode.enabled());
             let before = CLONES.get();
             assert_eq!(ctx.read(0).0, 7);
-            assert_eq!(CLONES.get() - before, clones, "{mode:?} {:?}", mem.tier());
+            let label = format!("{mode:?} {:?}, {} open", mem.tier(), others + 1);
+            assert_eq!(CLONES.get() - before, clones, "{label}");
             ctx.op_end(0, 0);
         }
     }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+    /// A multi-writer memory against a sequential model, with contexts
+    /// made at random points: a writer's cells are built only by its
+    /// `ctx`, and whatever has or has not been built, every read —
+    /// `read`, `read_with` or `peek` — returns the last write, or the
+    /// initial value before any.
+    #[test]
+    fn mwmr_memory_reads_unopened_writers_as_init(
+        n in 1usize..4,
+        steps in proptest::collection::vec((0u8..5, 0usize..3, 0usize..3, 0u8..99), 0..32),
+    ) {
+        const REGS: usize = 3;
+        let init = |reg: usize| vec![reg as u8; reg];
+        let mem = NativeMemory::new(n, (0..REGS).map(init).collect());
+        let mut model: Vec<Vec<u8>> = (0..REGS).map(init).collect();
+        let mut ctxs: Vec<Option<NativeCtx<Vec<u8>>>> = (0..n).map(|_| None).collect();
+        let mut writes = 0;
+        for (kind, p, reg, v) in steps {
+            match (kind, &mut ctxs[p % n]) {
+                (0, ctx) => *ctx = Some(mem.ctx(p % n)),
+                (1, Some(ctx)) => {
+                    let val = vec![v; 1 + v as usize % 3];
+                    ctx.write(reg, val.clone());
+                    model[reg] = val;
+                    writes += 1;
+                }
+                (2, Some(ctx)) => proptest::prop_assert_eq!(&ctx.read(reg), &model[reg]),
+                (3, Some(ctx)) => proptest::prop_assert_eq!(&ctx.read_with(reg, Vec::clone), &model[reg]),
+                // No context for the process yet: read from outside.
+                _ => proptest::prop_assert_eq!(&mem.peek(reg), &model[reg]),
+            }
+        }
+        proptest::prop_assert_eq!(mem.ticket_draws(), writes);
+        for (reg, want) in model.iter().enumerate() {
+            proptest::prop_assert_eq!(&mem.peek(reg), want);
+        }
+    }
+}
+
+/// A memory given owners keeps no multi-writer register, whether or
+/// not a writer was opened before: every register is a single-writer
+/// cell holding its current value, and no ticket is left to count. An
+/// untouched register's initial value is moved into its cell, which
+/// clones it as often as a cell built directly does.
+#[test]
+fn mwmr_registers_are_gone_once_owners_are_given() {
+    let regs = || vec![String::from("a"), String::from("b")];
+    let written = NativeMemory::new(2, regs());
+    written.ctx(1).write(1, "w".into());
+    assert_eq!(written.ticket_draws(), 1);
+    for (mem, want) in [
+        (NativeMemory::new(2, regs()), ["a", "b"]),
+        (written, ["a", "w"]),
+    ] {
+        let mem = mem.with_owners(vec![0, 1]);
+        assert!(matches!(&*mem.regs, Regs::Swmr(_)));
+        assert_eq!(mem.ticket_draws(), 0);
+        assert_eq!([mem.peek(0), mem.peek(1)], want);
+    }
+
+    let before = CLONES.get();
+    let _direct = SwmrCell::new(3, Counted(1));
+    let direct = CLONES.get() - before;
+    let _owned = NativeMemory::new(3, vec![Counted(1)]).with_owners(vec![0]);
+    assert_eq!(
+        CLONES.get() - before,
+        2 * direct,
+        "with_owners cloned the initial value"
+    );
+}
+
+/// The buffered tier's process ceiling is checked when the memory is
+/// built, not when its first writer is opened.
+#[test]
+#[should_panic(expected = "at most 61 processes")]
+fn native_new_checks_the_process_ceiling() {
+    let _ = NativeMemory::new(buffered::MAX_PROCS + 1, vec![0u64]);
 }
 
 /// Every validation retry of a sampled op reaches the recorder, from

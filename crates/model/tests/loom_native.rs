@@ -16,7 +16,7 @@
 
 #![cfg(loom)]
 
-use apram_model::native::buffered::{MwmrCell, SwmrCell};
+use apram_model::native::buffered::{MwmrFile, SwmrCell};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -149,19 +149,20 @@ fn borrowed_read_pins_its_slot(write: fn(&SwmrCell<Vec<u64>>, Vec<u64>) -> usize
     });
 }
 
-/// Two writers racing on a multi-writer cell: the ticket layering must
-/// leave the cell holding one of the two written values (never init,
+/// Two writers racing on a multi-writer register: the ticket layering
+/// must leave it holding one of the two written values (never init,
 /// never a mix), and a racing reader sees only published stamps.
 #[test]
 fn mwmr_ticket_layering_converges() {
     loom::model(|| {
-        let cell = Arc::new(MwmrCell::new(2, (usize::MAX, 0u64)));
+        let file = Arc::new(MwmrFile::new(2, vec![(usize::MAX, 0u64)]));
         let handles: Vec<_> = (0..2)
             .map(|p| {
-                let cell = Arc::clone(&cell);
+                file.open(p);
+                let file = Arc::clone(&file);
                 thread::spawn(move || {
-                    cell.write(p, (p, 41 + p as u64));
-                    let (wp, wv) = cell.read(p);
+                    file.write(p, 0, (p, 41 + p as u64));
+                    let (wp, wv) = file.read(p, 0);
                     assert!(wp < 2, "read init after a write");
                     assert_eq!(wv, 41 + wp as u64, "torn stamp ({wp}, {wv})");
                 })
@@ -170,7 +171,7 @@ fn mwmr_ticket_layering_converges() {
         for h in handles {
             h.join().unwrap();
         }
-        let (p, v) = cell.peek();
+        let (p, v) = file.peek(0);
         assert!(p < 2 && v == 41 + p as u64, "final value ({p}, {v})");
     });
 }
