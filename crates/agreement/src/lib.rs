@@ -26,8 +26,9 @@
 //! Module map:
 //!
 //! * [`spec`] — the Figure 1 sequential specification as a
-//!   nondeterministic transition relation for the linearizability/
-//!   correctness checker.
+//!   nondeterministic transition relation. Its real-valued states are
+//!   not hashable, so histories are checked against it with
+//!   `apram_history`'s brute-force reference, not the memoizing checker.
 //! * [`proto`] — the Figure 2 protocol, written against
 //!   [`apram_model::MemCtx`] so it runs on the simulator and on native
 //!   threads.

@@ -10,9 +10,11 @@
 //!
 //! The `output` response is *constrained, not determined* — any `y`
 //! keeping `Y` inside the input range and of diameter `< ε` is legal —
-//! so the spec is expressed as an [`apram_history::NondetSpec`] relation
-//! and checked with the non-memoizing checker (real-valued states are not
-//! hashable).
+//! so the spec is expressed as an [`apram_history::NondetSpec`] relation.
+//! Its real-valued states are not hashable, so histories are checked
+//! against it with the brute-force reference,
+//! [`apram_history::brute::brute_force_linearizable`], not the memoizing
+//! checker.
 
 use apram_history::{NondetSpec, ProcId};
 
@@ -71,7 +73,9 @@ pub struct AaState {
     pub ys: Vec<f64>,
 }
 
-/// The approximate agreement specification for a given `ε`.
+/// The approximate agreement specification for a given `ε`. Its states
+/// hold `f64`s and are not hashable: check a history against it with
+/// the brute-force reference (see the module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct ApproxSpec {
     /// The agreement parameter; outputs must span `< ε`.
@@ -142,7 +146,7 @@ pub fn outputs_in_range(inputs: &[f64], outputs: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apram_history::check::{check_linearizable_nomemo, CheckerConfig};
+    use apram_history::brute::brute_force_linearizable;
     use apram_history::History;
 
     #[test]
@@ -211,12 +215,12 @@ mod tests {
         h.respond(0, AaResp::Value(5.0));
         h.invoke(1, AaOp::Output);
         h.respond(1, AaResp::Value(5.5));
-        assert!(check_linearizable_nomemo(&spec, &h, &CheckerConfig::default()).is_ok());
+        assert!(brute_force_linearizable(&spec, &h));
         // Outputs ε apart in *sequential* order are rejected:
         let mut bad = h.clone();
         bad.invoke(0, AaOp::Output);
         bad.respond(0, AaResp::Value(7.0));
-        assert!(!check_linearizable_nomemo(&spec, &bad, &CheckerConfig::default()).is_ok());
+        assert!(!brute_force_linearizable(&spec, &bad));
     }
 
     #[test]

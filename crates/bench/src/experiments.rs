@@ -1081,7 +1081,7 @@ pub fn e9_forensics(opts: &ExpOpts) -> E9Report {
     else {
         panic!("shrunk schedule no longer violates: {verdict:?}");
     };
-    let explanation = *explanation.expect("the exhaustive search tracks explanations");
+    let explanation = *explanation;
     let ops = Ops::extract(&hist);
     let rendered = explanation.render(&ops);
 

@@ -14,10 +14,10 @@
 //! dropped, which is sound whenever their effects were not observed by
 //! any completed operation.
 //!
-//! Failed `(remaining-set, state)` configurations are memoized when the
-//! spec state is hashable ([`check_linearizable`]); an unmemoized variant
-//! ([`check_linearizable_nomemo`]) covers states like the `f64` sets of
-//! the approximate agreement spec.
+//! Failed `(remaining-set, state)` configurations are always memoized, so
+//! every entry point asks for a spec state that is `Hash + Eq`. A spec
+//! whose state is not (the `f64` sets of the approximate agreement spec)
+//! is checked with the brute-force reference, [`crate::brute`].
 
 use crate::event::{History, ProcId};
 use crate::explain::{BlockReason, BlockedOp, FailureExplanation};
@@ -56,13 +56,14 @@ pub enum Violation {
         explored: u64,
         /// Structured account of the failure: the longest linearizable
         /// prefix, why each remaining operation is blocked, and the
-        /// reduced real-time precedence edges. `None` only for checkers
-        /// that do not track it (e.g. the sequential-consistency one,
-        /// where real time plays no role).
-        explanation: Option<Box<FailureExplanation>>,
+        /// reduced real-time precedence edges.
+        explanation: Box<FailureExplanation>,
     },
     /// The history has more than [`MAX_OPS`] operations.
-    TooLarge,
+    TooLarge {
+        /// How many operations the refused history has.
+        ops: usize,
+    },
 }
 
 /// Result of a linearizability check.
@@ -84,26 +85,12 @@ impl CheckOutcome {
     }
 }
 
-trait Memo<S> {
-    fn seen_failure(&mut self, mask: u128, state: &S) -> bool;
-    fn record_failure(&mut self, mask: u128, state: &S);
-}
-
-struct NoMemo;
-impl<S> Memo<S> for NoMemo {
-    fn seen_failure(&mut self, _: u128, _: &S) -> bool {
-        false
-    }
-    fn record_failure(&mut self, _: u128, _: &S) {}
-}
-
-struct HashMemo<S>(HashSet<(u128, S)>);
-impl<S: Hash + Eq + Clone> Memo<S> for HashMemo<S> {
-    fn seen_failure(&mut self, mask: u128, state: &S) -> bool {
-        self.0.contains(&(mask, state.clone()))
-    }
-    fn record_failure(&mut self, mask: u128, state: &S) {
-        self.0.insert((mask, state.clone()));
+/// The mask with a bit set for each of `n <= MAX_OPS` operations.
+fn all_ops(n: usize) -> u128 {
+    if n == MAX_OPS {
+        u128::MAX
+    } else {
+        (1u128 << n) - 1
     }
 }
 
@@ -111,11 +98,12 @@ impl<S: Hash + Eq + Clone> Memo<S> for HashMemo<S> {
 /// applies the op of a process to the state.
 type Completer<'a, S, O> = &'a dyn Fn(&mut S, ProcId, &O);
 
-struct Search<'a, Sp: NondetSpec, M> {
+struct Search<'a, Sp: NondetSpec> {
     spec: &'a Sp,
     records: &'a [OpRecord<Sp::Op, Sp::Resp>],
     cfg: &'a CheckerConfig,
-    memo: M,
+    /// `(remaining, state)` configurations already searched in vain.
+    memo: HashSet<(u128, Sp::State)>,
     explored: u64,
     memo_hits: u64,
     backtracks: u64,
@@ -133,7 +121,10 @@ enum SearchResult {
     OverBudget,
 }
 
-impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
+impl<'a, Sp: NondetSpec> Search<'a, Sp>
+where
+    Sp::State: Hash + Eq,
+{
     /// `remaining` has bit `i` set when op `i` is not yet linearized.
     fn dfs(&mut self, remaining: u128, state: &Sp::State) -> SearchResult {
         self.explored += 1;
@@ -157,7 +148,7 @@ impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
         if !any_completed_left {
             return SearchResult::Found;
         }
-        if self.memo.seen_failure(remaining, state) {
+        if self.memo.contains(&(remaining, state.clone())) {
             self.memo_hits += 1;
             return SearchResult::Exhausted;
         }
@@ -202,7 +193,7 @@ impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
                 // condition ignores pending ops.
             }
         }
-        self.memo.record_failure(remaining, state);
+        self.memo.insert((remaining, state.clone()));
         SearchResult::Exhausted
     }
 
@@ -218,13 +209,8 @@ impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
     /// operation by what blocks it at that frontier.
     fn explain(&self, init: &Sp::State) -> FailureExplanation {
         let n = self.records.len();
-        let full: u128 = if n == MAX_OPS {
-            u128::MAX
-        } else {
-            (1u128 << n) - 1
-        };
         let mut state = init.clone();
-        let mut remaining = full;
+        let mut remaining = all_ops(n);
         for &i in &self.best_prefix {
             remaining &= !(1u128 << i);
             let r = &self.records[i];
@@ -298,51 +284,33 @@ impl<'a, Sp: NondetSpec, M: Memo<Sp::State>> Search<'a, Sp, M> {
     }
 }
 
-/// Run the search to completion, report its counters into `spans` when
-/// tracing, and convert the result into a [`CheckOutcome`] (building the
-/// failure explanation on exhaustion).
-fn conclude<Sp: NondetSpec, M: Memo<Sp::State>>(
-    search: &mut Search<'_, Sp, M>,
-    full: u128,
-    init: &Sp::State,
-    spans: Option<&mut SpanRecorder>,
-) -> CheckOutcome {
-    let result = search.dfs(full, init);
-    if let Some(s) = spans {
-        s.bump("nodes", search.explored);
-        s.bump("memo_hits", search.memo_hits);
-        s.bump("backtracks", search.backtracks);
-    }
-    match result {
-        SearchResult::Found => CheckOutcome::Linearizable(std::mem::take(&mut search.witness)),
-        SearchResult::OverBudget => CheckOutcome::BudgetExhausted,
-        SearchResult::Exhausted => CheckOutcome::Violation(Violation::NotLinearizable {
-            explored: search.explored,
-            explanation: Some(Box::new(search.explain(init))),
-        }),
-    }
-}
-
-fn run_check<Sp: NondetSpec, M: Memo<Sp::State>>(
+/// Check `h` with one memoized search: pending operations are dropped,
+/// or also tried completed through `completer` when there is one. The
+/// search's counters go into `spans` when tracing, and an exhausted
+/// search returns its failure explanation.
+fn run_check<Sp>(
     spec: &Sp,
     h: &History<Sp::Op, Sp::Resp>,
     cfg: &CheckerConfig,
-    memo: M,
     completer: Option<Completer<'_, Sp::State, Sp::Op>>,
     spans: Option<&mut SpanRecorder>,
-) -> CheckOutcome {
+) -> CheckOutcome
+where
+    Sp: NondetSpec,
+    Sp::State: Hash + Eq,
+{
     if !h.well_formed() {
         return CheckOutcome::Violation(Violation::Malformed);
     }
     let ops = Ops::extract(h);
     if ops.len() > MAX_OPS {
-        return CheckOutcome::Violation(Violation::TooLarge);
+        return CheckOutcome::Violation(Violation::TooLarge { ops: ops.len() });
     }
     let mut search = Search {
         spec,
         records: ops.records(),
         cfg,
-        memo,
+        memo: HashSet::new(),
         explored: 0,
         memo_hits: 0,
         backtracks: 0,
@@ -350,17 +318,25 @@ fn run_check<Sp: NondetSpec, M: Memo<Sp::State>>(
         best_prefix: Vec::new(),
         completer,
     };
-    let full: u128 = if ops.len() == MAX_OPS {
-        u128::MAX
-    } else {
-        (1u128 << ops.len()) - 1
-    };
     let init = spec.initial();
-    conclude(&mut search, full, &init, spans)
+    let result = search.dfs(all_ops(ops.len()), &init);
+    if let Some(s) = spans {
+        s.bump("nodes", search.explored);
+        s.bump("memo_hits", search.memo_hits);
+        s.bump("backtracks", search.backtracks);
+    }
+    match result {
+        SearchResult::Found => CheckOutcome::Linearizable(search.witness),
+        SearchResult::OverBudget => CheckOutcome::BudgetExhausted,
+        SearchResult::Exhausted => CheckOutcome::Violation(Violation::NotLinearizable {
+            explored: search.explored,
+            explanation: Box::new(search.explain(&init)),
+        }),
+    }
 }
 
-/// Check a history against a nondeterministic spec, memoizing failed
-/// configurations. Pending operations are dropped (strict mode).
+/// Check a history against a nondeterministic spec. Pending operations
+/// are dropped (strict mode).
 pub fn check_linearizable<Sp>(
     spec: &Sp,
     h: &History<Sp::Op, Sp::Resp>,
@@ -370,7 +346,7 @@ where
     Sp: NondetSpec,
     Sp::State: Hash + Eq,
 {
-    run_check(spec, h, cfg, HashMemo(HashSet::new()), None, None)
+    run_check(spec, h, cfg, None, None)
 }
 
 /// [`check_linearizable`], reporting search telemetry into a span: a
@@ -387,23 +363,9 @@ where
     Sp::State: Hash + Eq,
 {
     spans.enter("check");
-    let out = run_check(spec, h, cfg, HashMemo(HashSet::new()), None, Some(spans));
+    let out = run_check(spec, h, cfg, None, Some(spans));
     spans.exit();
     out
-}
-
-/// Check without memoization; use when the spec state is not hashable
-/// (e.g. the real-valued approximate agreement state). Pending operations
-/// are dropped (strict mode).
-pub fn check_linearizable_nomemo<Sp>(
-    spec: &Sp,
-    h: &History<Sp::Op, Sp::Resp>,
-    cfg: &CheckerConfig,
-) -> CheckOutcome
-where
-    Sp: NondetSpec,
-{
-    run_check(spec, h, cfg, NoMemo, None, None)
 }
 
 /// Check a history against a *deterministic* spec. Pending invocations
@@ -423,14 +385,7 @@ where
     let complete = |state: &mut Sp::State, proc: ProcId, op: &Sp::Op| {
         spec.apply(state, proc, op);
     };
-    run_check(
-        spec,
-        h,
-        cfg,
-        HashMemo(HashSet::new()),
-        Some(&complete),
-        None,
-    )
+    run_check(spec, h, cfg, Some(&complete), None)
 }
 
 /// Independently verify a witness: replays it through the spec and checks
@@ -476,7 +431,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use crate::spec::{RegOp, RegResp, RegisterSpec};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     type H = History<RegOp, RegResp>;
 
@@ -600,19 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn nomemo_agrees_on_small_histories() {
-        let mut h = H::new();
-        h.invoke(0, RegOp::Write(1));
-        h.invoke(1, RegOp::Read);
-        h.respond(1, RegResp::Value(1));
-        h.respond(0, RegResp::Ack);
-        assert_eq!(
-            check_linearizable(&RegisterSpec, &h, &cfg()).is_ok(),
-            check_linearizable_nomemo(&RegisterSpec, &h, &cfg()).is_ok()
-        );
-    }
-
-    #[test]
     fn failure_explanation_reports_frontier_and_reason() {
         // w(1) completes strictly before a read that sees 0: the write
         // linearizes, then the read's response is illegal.
@@ -625,7 +570,7 @@ mod tests {
         let CheckOutcome::Violation(Violation::NotLinearizable { explanation, .. }) = out else {
             panic!("expected NotLinearizable, got {out:?}");
         };
-        let e = *explanation.expect("checker attaches an explanation");
+        let e = *explanation;
         assert_eq!(e.frontier, vec![0]);
         assert_eq!(e.blocked.len(), 1);
         assert_eq!(e.blocked[0].op, 1);
@@ -654,7 +599,7 @@ mod tests {
         let CheckOutcome::Violation(Violation::NotLinearizable { explanation, .. }) = out else {
             panic!("expected NotLinearizable, got {out:?}");
         };
-        let e = *explanation.expect("checker attaches an explanation");
+        let e = *explanation;
         assert_eq!(e.frontier, vec![0]);
         assert!(e.blocked.contains(&crate::explain::BlockedOp {
             op: 2,
@@ -679,7 +624,7 @@ mod tests {
         let CheckOutcome::Violation(Violation::NotLinearizable { explanation, .. }) = out else {
             panic!("expected NotLinearizable, got {out:?}");
         };
-        let e = *explanation.expect("explanation");
+        let e = *explanation;
         assert!(e
             .blocked
             .iter()
@@ -723,5 +668,214 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// `writes` sequential writes of `0, 1, ..`, then a read that sees
+    /// `last`.
+    fn writes_then_read(writes: usize, last: u64) -> H {
+        let mut h = H::new();
+        for v in 0..writes as u64 {
+            h.invoke(0, RegOp::Write(v));
+            h.respond(0, RegResp::Ack);
+        }
+        h.invoke(1, RegOp::Read);
+        h.respond(1, RegResp::Value(last));
+        h
+    }
+
+    /// A history of exactly `MAX_OPS` operations fills the whole mask,
+    /// in the search and in the failure explanation.
+    #[test]
+    fn a_history_of_max_ops_is_checked() {
+        let last = (MAX_OPS - 2) as u64;
+        let good = writes_then_read(MAX_OPS - 1, last);
+        match check_linearizable(&RegisterSpec, &good, &cfg()) {
+            CheckOutcome::Linearizable(w) => {
+                assert_eq!(w, (0..MAX_OPS).collect::<Vec<_>>());
+                assert!(verify_witness(&RegisterSpec, &good, &w));
+            }
+            other => panic!("expected linearizable, got {other:?}"),
+        }
+        let bad = writes_then_read(MAX_OPS - 1, last + 1);
+        let out = check_linearizable(&RegisterSpec, &bad, &cfg());
+        let CheckOutcome::Violation(Violation::NotLinearizable { explanation, .. }) = out else {
+            panic!("expected NotLinearizable, got {out:?}");
+        };
+        assert_eq!(explanation.frontier.len(), MAX_OPS - 1);
+        assert_eq!(
+            explanation.blocked,
+            vec![BlockedOp {
+                op: MAX_OPS - 1,
+                reason: BlockReason::SpecRejected,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_history_over_max_ops_is_refused_with_its_size() {
+        let h = writes_then_read(MAX_OPS, 0);
+        for out in [
+            check_linearizable(&RegisterSpec, &h, &cfg()),
+            check_linearizable_det(&RegisterSpec, &h, &cfg()),
+        ] {
+            assert_eq!(
+                out,
+                CheckOutcome::Violation(Violation::TooLarge { ops: MAX_OPS + 1 })
+            );
+        }
+    }
+
+    /// Two registers as one object, for the locality tests: an operation
+    /// names its register.
+    struct TwoRegs;
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Op2 {
+        Write(usize, u64),
+        Read(usize),
+    }
+
+    impl DetSpec for TwoRegs {
+        type State = [u64; 2];
+        type Op = Op2;
+        type Resp = RegResp;
+
+        fn initial(&self) -> [u64; 2] {
+            [0, 0]
+        }
+
+        fn apply(&self, s: &mut [u64; 2], _p: ProcId, op: &Op2) -> RegResp {
+            match op {
+                Op2::Write(r, v) => {
+                    s[*r] = *v;
+                    RegResp::Ack
+                }
+                Op2::Read(r) => RegResp::Value(s[*r]),
+            }
+        }
+    }
+
+    /// The history of register `reg` alone: every event of `h` whose
+    /// operation touches `reg`, where it stands in `h`, so overlaps and
+    /// pending invocations survive. A response belongs to its process's
+    /// open invocation.
+    fn project(h: &History<Op2, RegResp>, reg: usize) -> H {
+        let mut open = HashMap::new();
+        let mut out = H::new();
+        for e in h.events() {
+            match e {
+                Event::Invoke { proc, op } => {
+                    let (r, op) = match *op {
+                        Op2::Write(r, v) => (r, RegOp::Write(v)),
+                        Op2::Read(r) => (r, RegOp::Read),
+                    };
+                    open.insert(*proc, r);
+                    if r == reg {
+                        out.invoke(*proc, op);
+                    }
+                }
+                Event::Respond { proc, resp } => {
+                    if open.remove(proc) == Some(reg) {
+                        out.respond(*proc, resp.clone());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Whole-history verdict and the conjunction of the per-register
+    /// verdicts, under the strict and under the completion check.
+    fn verdicts(h: &History<Op2, RegResp>) -> [(bool, bool); 2] {
+        let (hx, hy) = (project(h, 0), project(h, 1));
+        [
+            (
+                check_linearizable(&TwoRegs, h, &cfg()).is_ok(),
+                check_linearizable(&RegisterSpec, &hx, &cfg()).is_ok()
+                    && check_linearizable(&RegisterSpec, &hy, &cfg()).is_ok(),
+            ),
+            (
+                check_linearizable_det(&TwoRegs, h, &cfg()).is_ok(),
+                check_linearizable_det(&RegisterSpec, &hx, &cfg()).is_ok()
+                    && check_linearizable_det(&RegisterSpec, &hy, &cfg()).is_ok(),
+            ),
+        ]
+    }
+
+    /// Random two-register histories of at most 8 operations by 3
+    /// processes; an operation still open at the end responds only when
+    /// its `finish` flag says so, so some invocations stay pending.
+    fn two_reg_history() -> impl Strategy<Value = History<Op2, RegResp>> {
+        let step = (
+            0usize..3,
+            0usize..2,
+            any::<bool>(),
+            0u64..3,
+            any::<bool>(),
+            any::<bool>(),
+        );
+        proptest::collection::vec(step, 0..=8).prop_map(|steps| {
+            let mut h = History::new();
+            let mut open: Vec<(ProcId, RegResp, bool)> = Vec::new();
+            for (proc, reg, write, val, close_now, finish) in steps {
+                if let Some(pos) = open.iter().position(|(p, ..)| *p == proc) {
+                    let (p, resp, _) = open.remove(pos);
+                    h.respond(p, resp);
+                }
+                let (op, resp) = if write {
+                    (Op2::Write(reg, val), RegResp::Ack)
+                } else {
+                    (Op2::Read(reg), RegResp::Value(val))
+                };
+                h.invoke(proc, op);
+                if close_now {
+                    h.respond(proc, resp);
+                } else {
+                    open.push((proc, resp, finish));
+                }
+            }
+            for (p, resp, finish) in open {
+                if finish {
+                    h.respond(p, resp);
+                }
+            }
+            h
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Linearizability is local (§3.2): a history of two registers is
+        /// linearizable iff each register's projection is, under both
+        /// treatments of pending operations.
+        #[test]
+        fn linearizability_is_local(h in two_reg_history()) {
+            for (whole, parts) in verdicts(&h) {
+                prop_assert_eq!(whole, parts, "history: {:?}", h);
+            }
+        }
+    }
+
+    /// The classic Dekker history, where each process writes one register
+    /// and then misses the other's write: every per-register projection is
+    /// sequentially consistent but the whole is not, so sequential
+    /// consistency is not local. Linearizability already rejects each
+    /// projection, agreeing with its verdict on the whole.
+    #[test]
+    fn linearizability_is_local_on_the_dekker_history() {
+        let mut h: History<Op2, RegResp> = History::new();
+        h.invoke(0, Op2::Write(0, 1));
+        h.respond(0, RegResp::Ack);
+        h.invoke(1, Op2::Write(1, 1));
+        h.respond(1, RegResp::Ack);
+        h.invoke(0, Op2::Read(1));
+        h.respond(0, RegResp::Value(0));
+        h.invoke(1, Op2::Read(0));
+        h.respond(1, RegResp::Value(0));
+        for reg in 0..2 {
+            assert!(!check_linearizable(&RegisterSpec, &project(&h, reg), &cfg()).is_ok());
+        }
+        assert_eq!(verdicts(&h), [(false, false); 2]);
     }
 }

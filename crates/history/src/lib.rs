@@ -20,17 +20,20 @@
 //!   approximate agreement whose responses are constrained rather than
 //!   determined (Figure 1).
 //! * [`check`] — a Wing–Gong style linearizability checker (DFS over
-//!   minimal-operation choices, with memoization when states are
-//!   hashable), returning a witness linearization or a violation.
+//!   minimal-operation choices, memoizing failed configurations, so spec
+//!   states are hashable), returning a witness linearization or a
+//!   violation with its explanation. Three entry points: the strict
+//!   [`check_linearizable`] (pending operations dropped), the completion
+//!   check [`check_linearizable_det`] (a pending operation may take its
+//!   unique response), and the span-reporting
+//!   [`check_linearizable_traced`].
 //! * [`explain`] — structured failure explanations: the longest
 //!   linearizable prefix, why each remaining operation is blocked (with
 //!   the real-time precedence edge when that is the cause), and an
 //!   operation-interval timeline renderer.
-//! * [`brute`] — a brute-force reference checker used to property-test
-//!   the real one.
-//! * [`sc`] — a sequential-consistency checker, demonstrating the
-//!   paper's §3.2 point that linearizability is a *local* property while
-//!   SC is not.
+//! * [`brute`] — a brute-force reference checker, strict and completing,
+//!   used to property-test the real one and to check specs whose states
+//!   are not hashable.
 //! * [`spans`] — reconstruction of checkable histories from the native
 //!   flight recorder's op spans (shared by the E14 spot-checks and
 //!   `apram-serve`'s offline audit).
@@ -44,7 +47,6 @@ pub mod event;
 pub mod explain;
 pub mod ops;
 pub mod parallel;
-pub mod sc;
 pub mod spans;
 pub mod spec;
 
@@ -56,6 +58,5 @@ pub use event::{Event, History, ProcId, Recorder};
 pub use explain::{render_timeline, BlockReason, BlockedOp, FailureExplanation};
 pub use ops::{OpRecord, Ops};
 pub use parallel::check_histories_parallel;
-pub use sc::check_sequentially_consistent;
 pub use spans::history_from_spans;
 pub use spec::{DetSpec, NondetSpec};

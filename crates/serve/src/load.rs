@@ -352,9 +352,9 @@ impl AuditReport {
 /// the spec's), and each shard's window must stay under the checker's
 /// [`apram_history::check::MAX_OPS`] bitmask limit (128 ops) — size
 /// audit loads accordingly; an oversized shard reports as a
-/// `TooLarge` failure rather than silently passing. Remember that the
-/// counter's and max-register's merged reads leave one span on *every*
-/// shard.
+/// `TooLarge { ops }` failure that names its size, rather than silently
+/// passing. Remember that the counter's and max-register's merged reads
+/// leave one span on *every* shard.
 pub fn run_audit(object: &str, logs: &[FlightLog], threads: usize) -> AuditReport {
     let mut report = AuditReport {
         object: object.to_string(),
@@ -454,6 +454,34 @@ mod tests {
         let audit = run_audit("clock", &[], 0);
         assert!(!audit.all_linearizable);
         assert_eq!(audit.histories, 0);
+    }
+
+    /// A shard one op over the checker's cap fails the audit, and the
+    /// failure names the shard's size.
+    #[test]
+    fn audit_reports_an_oversized_shard_with_its_size() {
+        use apram_history::check::MAX_OPS;
+        use apram_objects::spec::{BuildCtx, OP_UPDATE};
+        let spec = native_spec("counter").expect("counter row");
+        let inst =
+            spec.build(&BuildCtx::new(1, spec.tiers()[0]).flight(FlightMode::Always, 1 << 12));
+        let mut session = inst.session(0);
+        for _ in 0..=MAX_OPS {
+            session.op(OP_UPDATE, 0, 1);
+        }
+        let audit = run_audit(
+            "counter",
+            &[inst.flight_log().expect("recorder attached")],
+            1,
+        );
+        assert_eq!((audit.histories, audit.spans, audit.dropped), (1, 129, 0));
+        assert!(!audit.all_linearizable);
+        assert_eq!(audit.failures.len(), 1, "{:?}", audit.failures);
+        assert!(
+            audit.failures[0].contains("TooLarge { ops: 129 }"),
+            "{:?}",
+            audit.failures
+        );
     }
 
     /// Every row, as recorded by its own session: an update and a read

@@ -97,7 +97,7 @@ fn shrunk_schedule_replays_bit_identically_and_names_the_blocking_edge() {
     let CheckOutcome::Violation(Violation::NotLinearizable { explanation, .. }) = verdict_a else {
         panic!("expected NotLinearizable, got {verdict_a:?}");
     };
-    let explanation = *explanation.expect("the exhaustive search tracks explanations");
+    let explanation = *explanation;
     let ops = Ops::extract(&hist_a);
     dump_artifact("witness.json", &explanation.to_json().to_pretty(2));
     dump_artifact("witness.txt", &explanation.render(&ops));
