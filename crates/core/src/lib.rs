@@ -8,7 +8,8 @@
 //! (Definition 11). For any such object, the Figure 4 algorithm turns a
 //! sequential implementation into an `n`-process wait-free linearizable
 //! one, at `O(n²)` reads and writes of synchronization overhead per
-//! operation (the cost of one atomic snapshot plus one write).
+//! operation (the cost of two atomic scans: the snap that reads the
+//! anchor array and the update that writes it).
 //!
 //! * [`algebra`] — the [`AlgebraicSpec`] trait (a deterministic
 //!   sequential spec annotated with its commute/overwrite relations) and

@@ -18,7 +18,7 @@
 //! counts per thread, so each test counts only what it allocates.
 
 use apram_core::{AlgebraicSpec, CounterOp, CounterSpec, Universal};
-use apram_model::native::buffered::SwmrCell;
+use apram_model::native::buffered::SwmrFile;
 use apram_model::NativeMemory;
 use apram_objects::lwwmap::{LwwMapSpec, MapOp};
 use apram_snapshot::Snapshot;
@@ -139,13 +139,17 @@ fn an_execute_allocates_within_its_budget() {
 /// cells, plus the memory's own three shared blocks (register file,
 /// export marks, owner map), plus at most one allocation per register.
 ///
-/// Counts at three handles (fifteen registers): this build 58 — the
-/// direct build's 53, the memory's three blocks, and the two arrays of
+/// Counts at three handles (fifteen registers): this build 45 — the
+/// direct build's 39, the memory's three blocks, and the three blocks of
 /// the multi-writer file that `new` builds and `with_owners` takes
-/// apart — against a budget of 71. When `NativeMemory::new` built every
-/// register as a three-writer cell — three writer sub-cells, each with
-/// its slots and announce words — and `with_owners` then rebuilt it as
-/// a single-writer one, the same build made 161.
+/// apart (its heads, its writer entries, its announce words) — against
+/// a budget of 57. A direct build is one slot box per register, the cell
+/// array and the file's one block of announce words. While every cell
+/// carried its own announce words, the direct build made 53 and this
+/// one 58 (budget 71); when `NativeMemory::new` built every register as
+/// a three-writer cell — three writer sub-cells, each with its slots and
+/// announce words — and `with_owners` then rebuilt it as a single-writer
+/// one, the same build made 161.
 #[test]
 fn a_universe_build_allocates_what_a_direct_build_does() {
     // The memory's `Arc`s: register file, export marks, owner map.
@@ -161,11 +165,7 @@ fn a_universe_build_allocates_what_a_direct_build_does() {
     drop((ctxs, handles, mem));
 
     let before = allocs();
-    let cells: Vec<_> = uni
-        .registers()
-        .into_iter()
-        .map(|v| SwmrCell::new(HANDLES, v))
-        .collect();
+    let cells = SwmrFile::new(HANDLES, uni.registers());
     let owners = uni.owners();
     let handles: [_; HANDLES] = std::array::from_fn(|_| uni.handle());
     let direct = allocs() - before;

@@ -116,7 +116,10 @@ fn replay<Sp: NondetSpec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check_linearizable, check_linearizable_det, CheckerConfig};
+    use crate::check::{
+        check_linearizable, check_linearizable_det, verify_witness, verify_witness_det,
+        CheckOutcome, CheckerConfig,
+    };
     use crate::spec::{QueueOp, QueueResp, QueueSpec, RegOp, RegResp, RegisterSpec};
     use proptest::prelude::*;
 
@@ -205,7 +208,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
         /// Both checks, strict and completing, against their brute-force
-        /// references.
+        /// references; and every witness either returns verifies in its
+        /// own mode.
         #[test]
         fn checker_agrees_with_brute_force(h in small_history()) {
             prop_assume!(h.well_formed());
@@ -213,9 +217,15 @@ mod tests {
             let fast = check_linearizable(&RegisterSpec, &h, &cfg);
             let slow = brute_force_linearizable(&RegisterSpec, &h);
             prop_assert_eq!(fast.is_ok(), slow, "strict, history: {:?}", h);
+            if let CheckOutcome::Linearizable(w) = &fast {
+                prop_assert!(verify_witness(&RegisterSpec, &h, w), "strict {:?}, history: {:?}", w, h);
+            }
             let fast = check_linearizable_det(&RegisterSpec, &h, &cfg);
             let slow = brute_force_linearizable_det(&RegisterSpec, &h);
             prop_assert_eq!(fast.is_ok(), slow, "completing, history: {:?}", h);
+            if let CheckOutcome::Linearizable(w) = &fast {
+                prop_assert!(verify_witness_det(&RegisterSpec, &h, w), "completing {:?}, history: {:?}", w, h);
+            }
         }
     }
 }

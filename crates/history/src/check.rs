@@ -388,18 +388,51 @@ where
     run_check(spec, h, cfg, Some(&complete), None)
 }
 
-/// Independently verify a witness: replays it through the spec and checks
-/// that it extends the real-time order. Used by tests to guard the
-/// checker itself.
+/// Independently verify a strict witness (what [`check_linearizable`]
+/// returns): replays it through the spec and checks that it extends the
+/// real-time order and holds every completed operation and no pending
+/// one. Used by tests to guard the checker itself.
 pub fn verify_witness<Sp>(spec: &Sp, h: &History<Sp::Op, Sp::Resp>, witness: &[usize]) -> bool
 where
     Sp: NondetSpec,
 {
+    verify(spec, h, witness, None)
+}
+
+/// Independently verify a completion witness (what
+/// [`check_linearizable_det`] returns): as [`verify_witness`], except
+/// that a pending operation may appear, and is replayed with the
+/// response [`DetSpec::apply`] gives it where it stands.
+pub fn verify_witness_det<Sp>(spec: &Sp, h: &History<Sp::Op, Sp::Resp>, witness: &[usize]) -> bool
+where
+    Sp: DetSpec,
+{
+    let complete = |state: &mut Sp::State, proc: ProcId, op: &Sp::Op| {
+        spec.apply(state, proc, op);
+    };
+    verify(spec, h, witness, Some(&complete))
+}
+
+/// The one witness check: `complete` replays a pending operation, and
+/// without it a witness may hold none.
+fn verify<Sp>(
+    spec: &Sp,
+    h: &History<Sp::Op, Sp::Resp>,
+    witness: &[usize],
+    complete: Option<Completer<'_, Sp::State, Sp::Op>>,
+) -> bool
+where
+    Sp: NondetSpec,
+{
     let ops = Ops::extract(h);
-    // Precedence: for every pair of completed ops a ≺_H b that both appear,
-    // a must come first.
+    // Each operation of the history at most once.
     let pos: std::collections::HashMap<usize, usize> =
         witness.iter().enumerate().map(|(k, &i)| (i, k)).collect();
+    if pos.len() != witness.len() || witness.iter().any(|&i| i >= ops.records().len()) {
+        return false;
+    }
+    // Precedence: for every pair of ops a ≺_H b that both appear, a must
+    // come first.
     for &a in witness {
         for &b in witness {
             if a != b && ops.precedes(a, b) && pos[&a] > pos[&b] {
@@ -407,7 +440,7 @@ where
             }
         }
     }
-    // Every completed op must appear exactly once.
+    // Every completed op must appear.
     for i in ops.completed() {
         if !pos.contains_key(&i) {
             return false;
@@ -417,12 +450,13 @@ where
     let mut state = spec.initial();
     for &i in witness {
         let r = &ops.records()[i];
-        match &r.resp {
-            Some(resp) => match spec.step(&state, r.proc, &r.op, resp) {
+        match (&r.resp, complete) {
+            (Some(resp), _) => match spec.step(&state, r.proc, &r.op, resp) {
                 Some(next) => state = next,
                 None => return false,
             },
-            None => return false, // strict witnesses contain no pending ops
+            (None, Some(complete)) => complete(&mut state, r.proc, &r.op),
+            (None, None) => return false,
         }
     }
     true
@@ -527,8 +561,22 @@ mod tests {
             check_linearizable(&RegisterSpec, &h, &cfg()),
             CheckOutcome::Violation(Violation::NotLinearizable { .. })
         ));
-        // Completion accepts:
-        assert!(check_linearizable_det(&RegisterSpec, &h, &cfg()).is_ok());
+        // Completion accepts, with a witness that linearizes the write,
+        // and that witness verifies:
+        let CheckOutcome::Linearizable(w) = check_linearizable_det(&RegisterSpec, &h, &cfg())
+        else {
+            panic!("completion rejected a pending write its read observed");
+        };
+        assert_eq!(w, [0, 1]);
+        assert!(verify_witness_det(&RegisterSpec, &h, &w));
+        assert!(
+            !verify_witness(&RegisterSpec, &h, &w),
+            "a strict witness holds no pending op"
+        );
+        assert!(
+            !verify_witness_det(&RegisterSpec, &h, &[1, 0]),
+            "the read saw 7 before the write"
+        );
     }
 
     #[test]

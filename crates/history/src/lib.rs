@@ -52,7 +52,7 @@ pub mod spec;
 
 pub use check::{
     check_linearizable, check_linearizable_det, check_linearizable_traced, verify_witness,
-    CheckOutcome, CheckerConfig, Violation,
+    verify_witness_det, CheckOutcome, CheckerConfig, Violation,
 };
 pub use event::{Event, History, ProcId, Recorder};
 pub use explain::{render_timeline, BlockReason, BlockedOp, FailureExplanation};

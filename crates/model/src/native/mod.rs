@@ -20,8 +20,9 @@
 //!   the initial value. Attaching an owner map with
 //!   [`NativeMemory::with_owners`] moves each initial value into a
 //!   single-writer cell instead, and no writer's slots are ever built.
-//!   DESIGN.md ("Native register file") gives each tier's bytes per
-//!   register.
+//!   The announce words a reader pins a slot with are the memory's,
+//!   one per process, keyed by register (`index`). DESIGN.md ("Native
+//!   register file") gives each tier's bytes per register.
 //! * **rwlock** — the pre-register-file backend, one `std` `RwLock` per
 //!   register, kept as the comparison baseline for the E13 scaling
 //!   experiment. It lies outside the paper's model (a lock is not a
@@ -38,6 +39,7 @@
 //! step counts the simulator does.
 
 pub mod buffered;
+mod index;
 pub mod packed;
 pub mod padded;
 
@@ -46,7 +48,7 @@ use crate::flight::stamp::{clock, Clock};
 use crate::flight::{FlightEvent, FlightLog, FlightMode, FlightRecorder};
 use crate::telemetry::TelemetryRegistry;
 use crate::trace::StepCounts;
-use buffered::{MwmrFile, SwmrCell};
+use buffered::{MwmrFile, SwmrFile};
 use packed::PackedFile;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +104,7 @@ fn assign<T: Clone>(slot: &mut T, val: Cow<'_, T>) {
 /// multi-writer file otherwise.
 enum Regs<T> {
     Packed(PackedFile<T>),
-    Swmr(Vec<SwmrCell<T>>),
+    Swmr(SwmrFile<T>),
     Mwmr(MwmrFile<T>),
     Locked(Vec<RwLock<T>>),
 }
@@ -111,7 +113,7 @@ impl<T: Clone> Regs<T> {
     fn len(&self) -> usize {
         match self {
             Regs::Packed(f) => f.len(),
-            Regs::Swmr(cells) => cells.len(),
+            Regs::Swmr(file) => file.len(),
             Regs::Mwmr(file) => file.len(),
             Regs::Locked(cells) => cells.len(),
         }
@@ -191,12 +193,8 @@ impl<T: Clone> NativeMemory<T> {
         let regs = Arc::get_mut(&mut self.regs)
             .expect("with_owners must be called before the memory is shared");
         let n_procs = self.n_procs;
-        *regs = match std::mem::replace(regs, Regs::Swmr(Vec::new())) {
-            Regs::Mwmr(file) => Regs::Swmr(
-                file.into_values()
-                    .map(|v| SwmrCell::new(n_procs, v))
-                    .collect(),
-            ),
+        *regs = match std::mem::replace(regs, Regs::Locked(Vec::new())) {
+            Regs::Mwmr(file) => Regs::Swmr(SwmrFile::new(n_procs, file.into_values())),
             other => other,
         };
         self.owners = Some(Arc::new(owners));
@@ -308,7 +306,7 @@ impl<T: Clone> NativeMemory<T> {
     /// announce window was hit by a concurrent publish.
     pub fn read_retries(&self) -> u64 {
         match &*self.regs {
-            Regs::Swmr(cells) => cells.iter().map(SwmrCell::retries).sum(),
+            Regs::Swmr(file) => file.retries(),
             Regs::Mwmr(file) => file.retries(),
             _ => 0,
         }
@@ -318,6 +316,11 @@ impl<T: Clone> NativeMemory<T> {
     /// buffered memory with no owner map, the first context of `proc`
     /// builds its slots in every register, so that no op allocates
     /// them.
+    ///
+    /// A process has one context at a time: on the buffered tier its
+    /// reads announce themselves in one word per process, shared by
+    /// every register of the memory, so two live contexts of one process
+    /// reading at once would overwrite each other's announcement.
     pub fn ctx(&self, proc: ProcId) -> NativeCtx<T> {
         assert!(proc < self.n_procs, "process {proc} out of range");
         if let Regs::Mwmr(file) = &*self.regs {
@@ -342,7 +345,7 @@ impl<T: Clone> NativeMemory<T> {
     pub fn peek(&self, reg: usize) -> T {
         match &*self.regs {
             Regs::Packed(f) => f.read(reg),
-            Regs::Swmr(cells) => cells[reg].peek(),
+            Regs::Swmr(file) => file.peek(reg),
             Regs::Mwmr(file) => file.peek(reg),
             Regs::Locked(cells) => cells[reg]
                 .read()
@@ -517,8 +520,8 @@ impl<T: Clone> NativeCtx<T> {
         self.counts.bump(AccessKind::Write);
         match &*self.mem.regs {
             Regs::Packed(file) => file.write(reg, &val),
-            Regs::Swmr(cells) => {
-                let slot = cells[reg].write_via(|slot| assign(slot, val));
+            Regs::Swmr(file) => {
+                let slot = file.write_via(reg, |slot| assign(slot, val));
                 if let Some(f) = self.sampled() {
                     f.record_write(self.proc, reg, None, slot as u64);
                 }
@@ -554,8 +557,8 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
         self.counts.bump(AccessKind::Read);
         match &*self.mem.regs {
             Regs::Packed(file) => file.read(reg),
-            Regs::Swmr(cells) => {
-                let (v, retries) = cells[reg].read_traced(self.proc);
+            Regs::Swmr(file) => {
+                let (v, retries) = file.read_traced(self.proc, reg);
                 if retries > 0 {
                     self.record_retries(reg, retries);
                 }
@@ -582,7 +585,7 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
     /// One write step, like [`write`](MemCtx::write), and the same
     /// value readable afterwards. On a single-writer buffered cell the
     /// copy is made with `clone_from` in the free slot the write chose
-    /// ([`SwmrCell::write_via`]) — storage the cell owns and no reader
+    /// ([`SwmrFile::write_via`]) — storage the cell owns and no reader
     /// can reach until it is published — instead of being built outside
     /// and moved in. Owner check, counters and the recorder's
     /// `SlotChoice` are `write`'s: both are one `store`.
@@ -599,7 +602,7 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
 
     /// One read step, like [`read`](MemCtx::read), and the same value.
     /// On a single-writer buffered cell `f` runs on the published slot
-    /// itself ([`SwmrCell::read_with`]) instead of on a clone; `f` must
+    /// itself ([`SwmrFile::read_with`]) instead of on a clone; `f` must
     /// be bounded local work — the slot stays out of the writer's reach
     /// until it returns — and cannot re-enter the memory (`&mut self`).
     /// A sampled flight op takes the same path (the cell hands over the
@@ -613,7 +616,7 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
         self.counts.bump(AccessKind::Read);
         match &*self.mem.regs {
             Regs::Packed(file) => f(&file.read(reg)),
-            Regs::Swmr(cells) => cells[reg].read_with(self.proc, |v, retries| {
+            Regs::Swmr(file) => file.read_with(self.proc, reg, |v, retries| {
                 if retries > 0 {
                     self.record_retries(reg, retries);
                 }
@@ -631,5 +634,9 @@ impl<T: Clone> MemCtx<T> for NativeCtx<T> {
     }
 }
 
+// Tens of thousands of simulated runs: not under loom's or miri's
+// instrumentation.
+#[cfg(all(test, not(loom), not(miri)))]
+mod index_tests;
 #[cfg(test)]
 mod tests;

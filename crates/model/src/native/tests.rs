@@ -483,7 +483,7 @@ fn mwmr_registers_are_gone_once_owners_are_given() {
     }
 
     let before = CLONES.get();
-    let _direct = SwmrCell::new(3, Counted(1));
+    let _direct = SwmrFile::new(3, [Counted(1)]);
     let direct = CLONES.get() - before;
     let _owned = NativeMemory::new(3, vec![Counted(1)]).with_owners(vec![0]);
     assert_eq!(

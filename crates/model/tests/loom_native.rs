@@ -9,14 +9,21 @@
 //! 2. **Publication order**: successive reads by one process never go
 //!    backwards through the writer's publication sequence.
 //!
+//! The announce words belong to a file, one per process, and every
+//! register of the file is read through them; one test has two
+//! registers share them.
+//!
 //! Thread counts are deliberately tiny: under real loom every
 //! interleaving of these few steps is enumerated; under the offline
 //! shim (`vendored/loom`) each model body instead runs many times on
-//! the OS scheduler. Source-compatible with both.
+//! the OS scheduler. Source-compatible with both. The repo's own
+//! explorer checks the index protocol itself exhaustively, in
+//! sequential consistency (`native/index_tests.rs`).
 
 #![cfg(loom)]
 
-use apram_model::native::buffered::{MwmrFile, SwmrCell};
+use apram_model::native::buffered::{MwmrFile, SwmrFile};
+use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -25,20 +32,20 @@ use loom::thread;
 #[test]
 fn swmr_publication_is_untorn_and_ordered() {
     loom::model(|| {
-        let cell = Arc::new(SwmrCell::new(2, vec![0u64; 4]));
+        let file = Arc::new(SwmrFile::new(2, [vec![0u64; 4]]));
         let w = {
-            let cell = Arc::clone(&cell);
+            let file = Arc::clone(&file);
             thread::spawn(move || {
-                cell.write(vec![1; 4]);
-                cell.write(vec![2; 4]);
+                file.write(0, vec![1; 4]);
+                file.write(0, vec![2; 4]);
             })
         };
         let r = {
-            let cell = Arc::clone(&cell);
+            let file = Arc::clone(&file);
             thread::spawn(move || {
                 let mut last = 0;
                 for _ in 0..2 {
-                    let v = cell.read(1);
+                    let v = file.read(1, 0);
                     assert!(v.iter().all(|&x| x == v[0]), "torn clone {v:?}");
                     assert!(v[0] <= 2, "value never published: {v:?}");
                     assert!(v[0] >= last, "read went backwards: {} < {last}", v[0]);
@@ -48,7 +55,7 @@ fn swmr_publication_is_untorn_and_ordered() {
         };
         w.join().unwrap();
         r.join().unwrap();
-        assert_eq!(cell.peek(), vec![2; 4]);
+        assert_eq!(file.peek(0), vec![2; 4]);
     });
 }
 
@@ -58,20 +65,20 @@ fn swmr_publication_is_untorn_and_ordered() {
 #[test]
 fn swmr_writer_avoids_announced_slot() {
     loom::model(|| {
-        let cell = Arc::new(SwmrCell::new(1, (0u64, 0u64)));
+        let file = Arc::new(SwmrFile::new(1, [(0u64, 0u64)]));
         let w = {
-            let cell = Arc::clone(&cell);
+            let file = Arc::clone(&file);
             thread::spawn(move || {
                 for k in 1..=3u64 {
-                    cell.write((k, k.wrapping_mul(7)));
+                    file.write(0, (k, k.wrapping_mul(7)));
                 }
             })
         };
         let r = {
-            let cell = Arc::clone(&cell);
+            let file = Arc::clone(&file);
             thread::spawn(move || {
                 for _ in 0..2 {
-                    let (a, b) = cell.read(0);
+                    let (a, b) = file.read(0, 0);
                     assert_eq!(b, a.wrapping_mul(7), "torn pair ({a}, {b})");
                 }
             })
@@ -81,7 +88,7 @@ fn swmr_writer_avoids_announced_slot() {
     });
 }
 
-/// The borrowed read ([`SwmrCell::read_with`]) keeps its announce word
+/// The borrowed read ([`SwmrFile::read_with`]) keeps its announce word
 /// set for as long as the closure runs. With the reader parked inside
 /// the closure, the writer publishes `n + 3` times — once per slot the
 /// cell has: the reader never sees its slot change, and the writer never
@@ -89,43 +96,42 @@ fn swmr_writer_avoids_announced_slot() {
 /// announce/validate window is in play too.
 #[test]
 fn swmr_borrowed_read_pins_its_slot() {
-    borrowed_read_pins_its_slot(|cell, v| cell.write_traced(v));
+    borrowed_read_pins_its_slot(|file, v| file.write_traced(0, v));
 }
 
 /// The same with the writer copying in place: the slot a `read_with`
-/// pins is never the target of [`SwmrCell::write_from`]'s `clone_from`,
+/// pins is never the target of [`SwmrFile::write_from`]'s `clone_from`,
 /// which overwrites the buffer a reader would be looking at.
 #[test]
 fn swmr_borrowed_read_pins_its_slot_against_in_place_writes() {
-    borrowed_read_pins_its_slot(|cell, v| cell.write_from(&v));
+    borrowed_read_pins_its_slot(|file, v| file.write_from(0, &v));
 }
 
-fn borrowed_read_pins_its_slot(write: fn(&SwmrCell<Vec<u64>>, Vec<u64>) -> usize) {
-    use loom::sync::atomic::{AtomicBool, Ordering};
+fn borrowed_read_pins_its_slot(write: fn(&SwmrFile<Vec<u64>>, Vec<u64>) -> usize) {
     loom::model(move || {
         let n = 1;
-        let cell = Arc::new(SwmrCell::new(n, vec![0u64; 4]));
+        let file = Arc::new(SwmrFile::new(n, [vec![0u64; 4]]));
         let inside = Arc::new(AtomicBool::new(false));
         let done = Arc::new(AtomicBool::new(false));
         let w = {
-            let (cell, inside, done) = (cell.clone(), inside.clone(), done.clone());
+            let (file, inside, done) = (file.clone(), inside.clone(), done.clone());
             thread::spawn(move || {
                 // slots[k] holds value k; the cell starts with 0 in slot 0.
-                let mut slots = vec![0, write(&cell, vec![1; 4])];
+                let mut slots = vec![0, write(&file, vec![1; 4])];
                 while !inside.load(Ordering::SeqCst) {
                     thread::yield_now();
                 }
                 for k in 2..2 + (n as u64 + 3) {
-                    slots.push(write(&cell, vec![k; 4]));
+                    slots.push(write(&file, vec![k; 4]));
                 }
                 done.store(true, Ordering::SeqCst);
                 slots
             })
         };
         let r = {
-            let (cell, inside, done) = (cell.clone(), inside.clone(), done.clone());
+            let (file, inside, done) = (file.clone(), inside.clone(), done.clone());
             thread::spawn(move || {
-                cell.read_with(0, |v, _| {
+                file.read_with(0, 0, |v, _| {
                     let seen = v[0];
                     inside.store(true, Ordering::SeqCst);
                     while !done.load(Ordering::SeqCst) {
@@ -145,7 +151,57 @@ fn borrowed_read_pins_its_slot(write: fn(&SwmrCell<Vec<u64>>, Vec<u64>) -> usize
             !slots[2..].contains(&pinned),
             "the writer picked slot {pinned}, borrowed by the reader: {slots:?}"
         );
-        assert_eq!(cell.peek(), vec![n as u64 + 4; 4]);
+        assert_eq!(file.peek(0), vec![n as u64 + 4; 4]);
+    });
+}
+
+/// Two registers of one file share the reader's announce word. With the
+/// reader parked inside a borrowed read of register A, A's writer and
+/// B's writer each publish `n + 3` times: A's writer never picks the
+/// pinned slot, and B's writer is held back by nothing — it reuses the
+/// slot index the reader pins in A, since the word names A alone.
+#[test]
+fn swmr_registers_share_announce_words() {
+    loom::model(|| {
+        let n = 1;
+        let file = Arc::new(SwmrFile::new(n, [vec![0u64; 4], vec![0u64; 4]]));
+        let inside = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..2)
+            .map(|reg| {
+                let (file, inside) = (file.clone(), inside.clone());
+                thread::spawn(move || {
+                    while !inside.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    (1..=n as u64 + 3)
+                        .map(|k| file.write_traced(reg, vec![k; 4]))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let r = {
+            let (file, inside, done) = (file.clone(), inside.clone(), done.clone());
+            thread::spawn(move || {
+                file.read_with(0, 0, |v, _| {
+                    inside.store(true, Ordering::SeqCst);
+                    while !done.load(Ordering::SeqCst) {
+                        assert_eq!(v, &vec![0; 4], "the pinned slot changed");
+                        thread::yield_now();
+                    }
+                    assert_eq!(v, &vec![0; 4], "the pinned slot changed");
+                })
+            })
+        };
+        let mut slots = writers.into_iter().map(|w| w.join().unwrap());
+        let (a, b) = (slots.next().unwrap(), slots.next().unwrap());
+        done.store(true, Ordering::SeqCst);
+        r.join().unwrap();
+        // The reader pinned A's initial slot, 0.
+        assert!(!a.contains(&0), "A's writer picked the pinned slot: {a:?}");
+        assert!(b.contains(&0), "B's writer avoided A's pin: {b:?}");
+        let last = vec![n as u64 + 3; 4];
+        assert_eq!([file.peek(0), file.peek(1)], [last.clone(), last]);
     });
 }
 
